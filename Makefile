@@ -3,15 +3,21 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz bench baseline perf clean
+.PHONY: check vet build test race fuzz benchmark-smoke bench baseline perf clean
 
-check: vet build test race fuzz perf
+check: vet build test race fuzz benchmark-smoke perf
 
 # Static checks: go vet plus the staticcheck-style hygiene the toolchain
 # ships — gofmt drift (gofmt -l must print nothing). No external tools:
-# the container has only the Go toolchain.
+# the container has only the Go toolchain. `go vet ./...` includes the
+# asmdecl check of internal/ldpc's .s files against their Go declarations
+# (argument offsets, frame sizes). The arm64 cross-vet type-checks the
+# file set every non-amd64 build gets — the pure-Go layer kernels with no
+# assembly behind them (DESIGN §19) — so the fallback cannot rot on a
+# host that never compiles it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
@@ -38,10 +44,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeLLR -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
+	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
+
+# The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of
+# its own, so `go test ./...` never reaches it; its smoke test runs every
+# workload in both modes for a fraction of a second and checks the metric
+# manifest against BENCHMARK.json.
+benchmark-smoke:
+	$(GO) test -C benchmark ./...
 
 # Key benchmarks (the ones BENCH_BASELINE.json regression checks target).
+# internal/ldpc holds the rotating-input kernel A/B, Decode_AVX2 vs
+# Decode_PureGo, which has to live next to the unexported dispatch.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RecorderOverhead' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RecorderOverhead' -benchmem -count 5 . ./internal/ldpc
 
 # Re-snapshot the benchmark suite into BENCH_BASELINE.json. Only commit
 # the result when intentionally moving the baseline (e.g. after a perf PR).
@@ -52,7 +68,9 @@ baseline:
 # baseline and fail on >10% regression, so tier-1 catches performance
 # regressions alongside correctness. Table4_AllOptimizationsOn pins the
 # default engine path (fused SoA demod included) explicitly; the Decode_
-# pairs pin the lane-major LDPC kernel and its legacy ablation partner.
+# pairs pin the lane-major LDPC kernel and its legacy ablation partner,
+# and Decode_AVX2/_PureGo (internal/ldpc, rotating inputs) the vector
+# layer kernels and the Go loops they fall back to.
 # Table1 also matches Table1_SteadyStateFrame, which the zero-alloc gate
 # additionally holds to exactly 0 allocs/op and 0 B/op (DESIGN §14): any
 # allocation creeping back into the recycled frame loop fails the build.

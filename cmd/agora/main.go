@@ -28,6 +28,7 @@ import (
 
 	"repro"
 
+	"repro/internal/ldpc"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -78,7 +79,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("agora: %s\n", cfg.String())
-	fmt.Printf("agora: listening on %s with %d workers\n", *listen, *workers)
+	fmt.Printf("agora: listening on %s with %d workers, LDPC decode kernel %s\n",
+		*listen, *workers, eng.Metrics().DecodeKernel)
 	if *metrics != "" {
 		// expvar registers /debug/vars and net/http/pprof /debug/pprof on
 		// the default mux; the snapshot merges live counters with the
@@ -164,6 +166,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 		fmt.Printf("agora: fleet of %d cells on %s (%d workers each)\n",
 			cells, listen, opts.Workers)
 	}
+	fmt.Printf("agora: LDPC decode kernel %s\n", ldpc.Kernel())
 	if metrics != "" {
 		expvar.Publish("agora", expvar.Func(func() any { return fl.Snapshot() }))
 		registerObs(obs.PromFleetHandler(fl.Snapshot), fl.Incidents,

@@ -35,6 +35,12 @@ type BaselineEntry struct {
 	Samples     int     `json:"samples"`
 }
 
+// benchPackages are the packages whose benchmarks the baseline snapshot
+// and the -compare gate run: the root package's paper tables, plus
+// internal/ldpc for the kernel A/B pair that has to flip the package's
+// unexported kernel dispatch (BenchmarkDecode_AVX2 / _PureGo, DESIGN §19).
+var benchPackages = []string{".", "./internal/ldpc"}
+
 type benchSample struct {
 	ns, bytes, allocs float64
 }
@@ -125,8 +131,8 @@ func runBaseline(inputs []string, pattern string, count int, note, out string) e
 	b := Baseline{Note: note, Benchmarks: map[string]BaselineEntry{}}
 	samples := map[string][]benchSample{}
 	if len(inputs) == 0 {
-		args := []string{"test", "-run", "^$", "-bench", pattern,
-			"-benchmem", "-count", strconv.Itoa(count), "."}
+		args := append([]string{"test", "-run", "^$", "-bench", pattern,
+			"-benchmem", "-count", strconv.Itoa(count)}, benchPackages...)
 		fmt.Fprintf(os.Stderr, "baseline: go %s\n", strings.Join(args, " "))
 		cmd := exec.Command("go", args...)
 		pr, pw := io.Pipe()

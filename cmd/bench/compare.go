@@ -58,8 +58,8 @@ func runCompare(path, pattern string, count int, tol float64, zeroAllocPat strin
 	}
 	fresh := Baseline{Benchmarks: map[string]BaselineEntry{}}
 	samples := map[string][]benchSample{}
-	args := []string{"test", "-run", "^$", "-bench", pattern,
-		"-benchmem", "-count", strconv.Itoa(count), "."}
+	args := append([]string{"test", "-run", "^$", "-bench", pattern,
+		"-benchmem", "-count", strconv.Itoa(count)}, benchPackages...)
 	fmt.Fprintf(os.Stderr, "compare: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
 	pr, pw := io.Pipe()
@@ -77,9 +77,16 @@ func runCompare(path, pattern string, count int, tol float64, zeroAllocPat strin
 	}
 	finalizeBaseline(&fresh, samples)
 
+	// `go test` appends -GOMAXPROCS to a benchmark's name unless it is 1,
+	// so a baseline recorded on a host with a different CPU count names the
+	// same benchmark differently; match on the name without that suffix.
+	baseKey := make(map[string]string, len(base.Benchmarks))
+	for name := range base.Benchmarks {
+		baseKey[trimProcs(name)] = name
+	}
 	names := make([]string, 0, len(fresh.Benchmarks))
 	for name := range fresh.Benchmarks {
-		if _, ok := base.Benchmarks[name]; ok {
+		if _, ok := baseKey[trimProcs(name)]; ok {
 			names = append(names, name)
 		}
 	}
@@ -89,7 +96,7 @@ func runCompare(path, pattern string, count int, tol float64, zeroAllocPat strin
 	}
 	var regressions []string
 	for _, name := range names {
-		was, now := base.Benchmarks[name], fresh.Benchmarks[name]
+		was, now := base.Benchmarks[baseKey[trimProcs(name)]], fresh.Benchmarks[name]
 		check := func(metric string, old, cur, floor float64) {
 			if old < floor && cur < floor {
 				return
@@ -143,4 +150,16 @@ func runCompare(path, pattern string, count int, tol float64, zeroAllocPat strin
 	fmt.Fprintf(os.Stderr, "compare: %d benchmark(s) within %.0f%% of %s\n",
 		len(names), 100*tol, path)
 	return nil
+}
+
+// trimProcs strips the -GOMAXPROCS suffix from a benchmark name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return name
+	}
+	return name[:i]
 }

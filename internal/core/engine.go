@@ -355,6 +355,11 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.initMACPattern()
 	e.buildPollOrders()
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
+	e.met.DecodeKernel = ldpc.Kernel()
+	if opts.DisableLaneDecode || opts.DisableLayeredDecode {
+		// The check-major and flooding ablations are Go loops everywhere.
+		e.met.DecodeKernel = "generic"
+	}
 	e.txLane = opts.Workers
 	e.epoch = time.Now()
 	e.recorder = !opts.DisableRecorder

@@ -52,8 +52,8 @@ type RunSummary struct {
 	SeqLate      int64
 	FECRecovered int64
 	// Decode is the run's LDPC decode-iteration accounting (DESIGN §18):
-	// blocks decoded, mean/max BP iterations, and the early-exit rate of
-	// the fused syndrome check.
+	// blocks decoded, mean/max BP iterations, the early-exit rate of the
+	// fused syndrome check, and which layer kernels ran (§19).
 	Decode obs.DecodeSnap
 	// Timeline is the reconstructed multi-frame schedule from the event
 	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil

@@ -42,7 +42,7 @@ type Decoder struct {
 	l        []float32 // posterior LLR per variable
 	lPrev    []float32 // flooding only: APP snapshot at iteration start
 	r        []float32 // check-to-variable message per edge instance
-	hard     []byte    // hard decisions
+	hard     []byte    // hard decisions, one per variable plus hardPad
 	syn      synTrack  // fused incremental syndrome (layered.go)
 	// Legacy edge layout: for block-row i, edges are stored check by
 	// check: rowOff[i] + r*deg + e for check row r and edge index e. The
@@ -74,7 +74,7 @@ func NewDecoder(c *Code) *Decoder {
 	nVar := (KbBlocks + c.Mb) * c.Z
 	d.l = make([]float32, nVar)
 	d.lPrev = make([]float32, nVar)
-	d.hard = make([]byte, nVar)
+	d.hard = make([]byte, nVar+hardPad)
 	d.syn = newSynTrack(c)
 	d.rowOff = make([]int, c.Mb+1)
 	d.eOff = make([]int, c.Mb+1)
@@ -106,8 +106,15 @@ func NewDecoder(c *Code) *Decoder {
 	d.laneMin2 = make([]float32, c.Z)
 	d.laneIdx = make([]int32, c.Z)
 	d.laneSgn = make([]uint32, c.Z)
+	d.syn.flips = make([]uint64, flipRecords(maxDeg, c.Z))
 	return d
 }
+
+// hardPad is the slack after the last hard decision: the vector pass 2
+// (lanes_amd64.s) compares hard bits eight at a time, so the tail of a
+// segment that ends with the last variable block reads — never writes,
+// and masks off — up to seven bytes past it.
+const hardPad = 8
 
 // Result summarizes one decode.
 type Result struct {
@@ -123,7 +130,8 @@ type Result struct {
 // on failure info holds the best-effort hard decisions.
 //
 // The default path is the lane-major layered kernel with syndrome
-// tracking fused into the layer update (layered.go); Legacy selects the
+// tracking fused into the layer update (layered.go), on the platform's
+// vector layer kernels where init found them (kernel.go); Legacy selects the
 // check-major loop and Flooding the flooding schedule, both of which pay
 // a hard-decision pass and — only when a bit actually flipped — a
 // CheckSyndrome walk per iteration.
@@ -135,7 +143,6 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	if len(info) != c.K() {
 		panic(fmt.Sprintf("ldpc: Decode info length %d != K %d", len(info), c.K()))
 	}
-	copy(d.l, llr)
 	clear(d.r)
 	// Fold the variant into one magnitude rule, m = max(min*scl − off, 0),
 	// hoisting the Alg branch out of the per-check/per-lane hot path:
@@ -147,11 +154,13 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	}
 	switch {
 	case d.Legacy:
+		copy(d.l, llr)
 		return d.decodeWalked(info, maxIter, scl, off, false)
 	case d.Flooding:
+		copy(d.l, llr)
 		return d.decodeWalked(info, maxIter, scl, off, true)
 	default:
-		return d.decodeLayered(info, maxIter, scl, off)
+		return d.decodeLayered(info, llr, maxIter, scl, off)
 	}
 }
 

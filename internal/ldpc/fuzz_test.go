@@ -1,6 +1,7 @@
 package ldpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -101,6 +102,70 @@ func FuzzLayeredVsFlooding(f *testing.F) {
 				if outL[i] != outF[i] {
 					t.Fatalf("int8: both schedules converged but info bit %d differs", i)
 				}
+			}
+		}
+	})
+}
+
+// FuzzLaneKernelsSIMD is the whole-decode differential between the
+// platform's vector layer kernels and the Go loops (DESIGN §19): the
+// fuzzer supplies raw float32 bit patterns — so NaNs with payloads,
+// infinities, signed zeros and denormals all occur — for the LLRs of one
+// block (repeated to length, XORed onto a valid noisy codeword when
+// `mix` is odd so that converging decodes are explored too), and both
+// kernels must return the same Result, the same information bits and a
+// bit-identical posterior array. Skips where no vector kernel exists.
+func FuzzLaneKernelsSIMD(f *testing.F) {
+	f.Add([]byte{}, uint8(0), int64(1))
+	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF}, uint8(1), int64(2))          // NaN, -Inf
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3F}, uint8(2), int64(3)) // denormal, -0, 1
+	f.Add([]byte{0xFF, 0xFF, 0x7F, 0x7F, 0, 0, 0x80, 0x7F}, uint8(7), int64(4))    // MaxFloat32, +Inf
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40}, uint8(5), int64(5))
+	f.Fuzz(func(t *testing.T, raw []byte, mix uint8, seed int64) {
+		if simdIterate == nil {
+			t.Skip("no vector kernels on this CPU/GOARCH")
+		}
+		zs := []int{2, 7, 8, 10, 27, 33}
+		code := MustNew(Rate23, zs[int(mix>>1)%len(zs)])
+		rng := rand.New(rand.NewSource(seed))
+		llr := noisyLLR(rng, code)
+		if mix&1 == 0 {
+			clear(llr)
+		}
+		words := len(raw) / 4
+		for i := 0; i < words; i++ {
+			w := binary.LittleEndian.Uint32(raw[4*i:])
+			for v := i; v < len(llr); v += words {
+				llr[v] = math.Float32frombits(math.Float32bits(llr[v]) ^ w)
+			}
+		}
+		var res [2]Result
+		var info [2][]byte
+		var post [2][]float32
+		for k := range res {
+			d := NewDecoder(code)
+			if mix&0x80 != 0 {
+				d.Alg = NormalizedMinSum
+			}
+			info[k] = make([]byte, code.K())
+			if k == 0 {
+				restore := forceGoKernels()
+				res[k] = d.Decode(info[k], llr, 8)
+				restore()
+			} else {
+				res[k] = d.Decode(info[k], llr, 8)
+			}
+			post[k] = d.l
+		}
+		if res[0] != res[1] {
+			t.Fatalf("Z=%d: go %+v != %s %+v", code.Z, res[0], simdName, res[1])
+		}
+		if !bytes.Equal(info[0], info[1]) {
+			t.Fatalf("Z=%d: information bits differ", code.Z)
+		}
+		for i := range post[0] {
+			if a, b := math.Float32bits(post[0][i]), math.Float32bits(post[1][i]); a != b {
+				t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, a, simdName, b)
 			}
 		}
 	})

@@ -44,7 +44,9 @@ func garbageLLR(rng *rand.Rand, code *Code) []float32 {
 // must produce an identical (info, Result) pair — compared exactly, not
 // within tolerance — for both min-sum variants of the float decoder and
 // for the int8 decoder, on both decodable and garbage inputs.
-func TestLaneDecodeEquivalence(t *testing.T) {
+func TestLaneDecodeEquivalence(t *testing.T) { forEachKernel(t, testLaneDecodeEquivalence) }
+
+func testLaneDecodeEquivalence(t *testing.T) {
 	zs := laneSweepZ
 	if testing.Short() {
 		zs = laneSweepZShort

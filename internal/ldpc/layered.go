@@ -1,6 +1,9 @@
 package ldpc
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Layered decoding with fused incremental syndrome (DESIGN §18): the
 // default decode path for both Decoder and Decoder8.
@@ -56,6 +59,23 @@ type synTrack struct {
 	synd   []byte
 	nUnsat int
 	z      int
+	// flips is the vector pass 2's output list (lanes_amd64.go): the
+	// lanes of one layer whose hard decision changed, for toggle to be
+	// applied to. Empty where the build has no vector kernels.
+	flips []uint64
+}
+
+// xorBytes XORs src into dst (equal lengths) eight bytes per step: the
+// circulant-segment accumulate shared by synTrack.init and Code.Encode.
+func xorBytes(dst, src []byte) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] ^= src[i]
+	}
 }
 
 // newSynTrack builds the adjacency tables and parity storage for code c.
@@ -96,28 +116,23 @@ func newSynTrack(c *Code) synTrack {
 // instead of a modular index per edge.
 func (s *synTrack) init(c *Code, hard []byte) {
 	z := c.Z
-	s.nUnsat = 0
+	unsat := 0
 	for i := 0; i < c.Mb; i++ {
 		out := s.synd[i*z : (i+1)*z]
 		clear(out)
 		for _, e := range c.rows[i] {
 			blk := hard[e.col*z : (e.col+1)*z]
-			sh := e.shift
-			n := z - sh
-			a, b := blk[sh:], blk[:sh]
-			for r, v := range a {
-				out[r] ^= v
-			}
-			for r, v := range b {
-				out[n+r] ^= v
-			}
+			n := z - e.shift
+			xorBytes(out[:n], blk[e.shift:])
+			xorBytes(out[n:], blk[:e.shift])
 		}
+		// Parities are 0/1, so the unsatisfied count is their sum — no
+		// branch on what is a coin flip per check on a noisy block.
 		for _, v := range out {
-			if v != 0 {
-				s.nUnsat++
-			}
+			unsat += int(v)
 		}
 	}
+	s.nUnsat = unsat
 }
 
 // toggle flips the parity of every check adjacent to variable (col, j):
@@ -140,23 +155,36 @@ func (s *synTrack) toggle(col, j int) {
 	}
 }
 
+// loadLLR copies the channel LLRs into the posterior array and takes the
+// initial hard decisions (x < 0, so −0.0 and NaN are bit 0) in the same
+// pass over them.
+func (d *Decoder) loadLLR(llr []float32) {
+	l, hard := d.l[:len(llr)], d.hard[:len(llr)]
+	for v, lv := range llr {
+		l[v] = lv
+		nb := byte(0)
+		if lv < 0 {
+			nb = 1
+		}
+		hard[v] = nb
+	}
+}
+
 // decodeLayered is the default decode loop: the lane-major layered
 // kernel with syndrome tracking fused into the layer update. Results are
 // bit-identical to the walk-per-iteration paths.
-func (d *Decoder) decodeLayered(info []byte, maxIter int, scl, off float32) Result {
+func (d *Decoder) decodeLayered(info []byte, llr []float32, maxIter int, scl, off float32) Result {
 	c := d.code
-	for v, lv := range d.l {
-		if lv < 0 {
-			d.hard[v] = 1
-		} else {
-			d.hard[v] = 0
-		}
-	}
+	d.loadLLR(llr)
 	d.syn.init(c, d.hard)
+	iterate := simdIterate
+	if iterate == nil {
+		iterate = (*Decoder).iterateLayered
+	}
 	res := Result{}
 	for it := 1; it <= maxIter; it++ {
 		res.Iterations = it
-		d.iterateLayered(scl, off)
+		iterate(d, scl, off)
 		if d.syn.nUnsat == 0 {
 			res.OK = true
 			break
@@ -168,58 +196,86 @@ func (d *Decoder) decodeLayered(info []byte, maxIter int, scl, off float32) Resu
 
 // iterateLayered is iterateLanes with the fused pass 2: identical
 // message/posterior arithmetic, plus flip detection against the hard
-// decisions and incremental parity maintenance.
+// decisions and incremental parity maintenance. Each layer runs as the
+// three steps the vector kernels (lanes_amd64.go) implement one for one.
 func (d *Decoder) iterateLayered(scl, off float32) {
-	c := d.code
-	z := c.Z
-	for i := range c.rows {
-		eo := d.eOff[i]
-		deg := d.eOff[i+1] - eo
-		ro := d.rowOff[i]
-		min1 := d.laneMin1[:z]
-		min2 := d.laneMin2[:z]
-		idx := d.laneIdx[:z]
-		sgn := d.laneSgn[:z]
-		for l := range min1 {
-			min1[l] = laneInitLLR
-			min2[l] = laneInitLLR
-			idx[l] = -1
+	for i := range d.code.rows {
+		d.layerReduce(i)
+		d.layerMag(scl, off)
+		d.layerUpdateSyn(i)
+	}
+}
+
+// layerReduce is pass 1 of block-row i: reset the per-lane reduction
+// state, then fold every edge's two cyclic-shift segments into it.
+func (d *Decoder) layerReduce(i int) {
+	z := d.code.Z
+	eo := d.eOff[i]
+	deg := d.eOff[i+1] - eo
+	ro := d.rowOff[i]
+	min1 := d.laneMin1[:z]
+	min2 := d.laneMin2[:z]
+	idx := d.laneIdx[:z]
+	sgn := d.laneSgn[:z]
+	for l := range min1 {
+		min1[l] = laneInitLLR
+		min2[l] = laneInitLLR
+		idx[l] = -1
+	}
+	clear(sgn)
+	for e := 0; e < deg; e++ {
+		base := d.edgeBase[eo+e]
+		s := d.edgeShf[eo+e]
+		qe := d.laneQ[e*z : (e+1)*z]
+		re := d.r[ro+e*z : ro+(e+1)*z]
+		lb := d.l[base : base+z]
+		n := z - s
+		laneReduce(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
+		laneReduce(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))
+	}
+}
+
+// layerMag turns the per-lane minima into message magnitudes in place,
+// m = max(min*scl − off, 0).
+func (d *Decoder) layerMag(scl, off float32) {
+	min1 := d.laneMin1
+	min2 := d.laneMin2[:len(min1)]
+	for l, m := range min1 {
+		m = m*scl - off
+		if m < 0 {
+			m = 0
 		}
-		clear(sgn)
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneReduce(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
-			laneReduce(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))
+		min1[l] = m
+		m2 := min2[l]*scl - off
+		if m2 < 0 {
+			m2 = 0
 		}
-		for l, m := range min1 {
-			m = m*scl - off
-			if m < 0 {
-				m = 0
-			}
-			min1[l] = m
-			m2 := min2[l]*scl - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			min2[l] = m2
-		}
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			col := base / z
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			hb := d.hard[base : base+z]
-			n := z - s
-			d.laneUpdateSyn(qe[:n], re[:n], lb[s:], hb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e), col, s)
-			d.laneUpdateSyn(qe[n:], re[n:], lb[:s], hb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e), col, 0)
-		}
+		min2[l] = m2
+	}
+}
+
+// layerUpdateSyn is pass 2 of block-row i over both segments of every
+// edge.
+func (d *Decoder) layerUpdateSyn(i int) {
+	z := d.code.Z
+	eo := d.eOff[i]
+	deg := d.eOff[i+1] - eo
+	ro := d.rowOff[i]
+	min1 := d.laneMin1[:z]
+	min2 := d.laneMin2[:z]
+	idx := d.laneIdx[:z]
+	sgn := d.laneSgn[:z]
+	for e := 0; e < deg; e++ {
+		base := d.edgeBase[eo+e]
+		s := d.edgeShf[eo+e]
+		col := base / z
+		qe := d.laneQ[e*z : (e+1)*z]
+		re := d.r[ro+e*z : ro+(e+1)*z]
+		lb := d.l[base : base+z]
+		hb := d.hard[base : base+z]
+		n := z - s
+		d.laneUpdateSyn(qe[:n], re[:n], lb[s:], hb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e), col, s)
+		d.laneUpdateSyn(qe[n:], re[n:], lb[:s], hb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e), col, 0)
 	}
 }
 

@@ -72,7 +72,9 @@ func decodeLanesWalkRef8(d *Decoder8, info []byte, llr []int8, maxIter int) Resu
 // CheckSyndrome walk per iteration, on both decodable and garbage inputs,
 // and after every decode the tracked parity state must agree with a fresh
 // CheckSyndrome of the final hard decisions.
-func TestFusedSyndromeExact(t *testing.T) {
+func TestFusedSyndromeExact(t *testing.T) { forEachKernel(t, testFusedSyndromeExact) }
+
+func testFusedSyndromeExact(t *testing.T) {
 	zs := laneSweepZ
 	if testing.Short() {
 		zs = laneSweepZShort
@@ -164,7 +166,9 @@ func harshLLR(rng *rand.Rand, code *Code, rate Rate) []float32 {
 // iteration later), but both are fixed points of the same min-sum update.
 // The aggregate iteration counts must also show the layered advantage the
 // tentpole is named for: strictly fewer total iterations across the sweep.
-func TestLayeredVsFloodingBits(t *testing.T) {
+func TestLayeredVsFloodingBits(t *testing.T) { forEachKernel(t, testLayeredVsFloodingBits) }
+
+func testLayeredVsFloodingBits(t *testing.T) {
 	zs := laneSweepZ
 	if testing.Short() {
 		zs = laneSweepZShort

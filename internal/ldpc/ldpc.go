@@ -209,22 +209,16 @@ func (c *Code) Encode(dst, info []byte) {
 	copy(dst, info)
 	for i := 0; i < c.Mb; i++ {
 		pOut := dst[(KbBlocks+i)*z : (KbBlocks+i+1)*z]
-		for r := 0; r < z; r++ {
-			pOut[r] = 0
-		}
+		clear(pOut)
 		for _, e := range c.rows[i] {
 			if e.col == KbBlocks+i {
 				continue // the output block itself
 			}
 			blk := dst[e.col*z : (e.col+1)*z]
-			s := e.shift
-			// pOut[r] ^= blk[(r+s) mod z]
-			for r := 0; r < z-s; r++ {
-				pOut[r] ^= blk[r+s]
-			}
-			for r := z - s; r < z; r++ {
-				pOut[r] ^= blk[r+s-z]
-			}
+			// pOut[r] ^= blk[(r+shift) mod z], as two contiguous segments.
+			n := z - e.shift
+			xorBytes(pOut[:n], blk[e.shift:])
+			xorBytes(pOut[n:], blk[:e.shift])
 		}
 	}
 }

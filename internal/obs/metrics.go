@@ -69,6 +69,11 @@ type Metrics struct {
 	DecodeIters      atomic.Int64
 	DecodeEarlyExits atomic.Int64
 	DecodeIterHist   stats.Hist
+	// DecodeKernel names the LDPC layer kernels the engine's decoders run
+	// ("avx2" or "generic", DESIGN §19). Set once, before the engine's
+	// goroutines start; exported so that a host that silently fell back
+	// to the scalar kernels is visible on every obs surface.
+	DecodeKernel string
 
 	// StageBusy streams each completed frame's per-stage busy time
 	// (DESIGN §17): the live SLO-attribution histograms that answer
@@ -202,6 +207,8 @@ type DecodeSnap struct {
 	MaxIters      int64   `json:"max_iters"`
 	EarlyExits    int64   `json:"early_exits"`
 	EarlyExitRate float64 `json:"early_exit_rate"`
+	// Kernel is the LDPC layer-kernel implementation in use.
+	Kernel string `json:"kernel,omitempty"`
 }
 
 // GCSnap carries the process-wide garbage-collector totals (from the
@@ -304,6 +311,7 @@ func (m *Metrics) DecodeSnap() DecodeSnap {
 		Iters:      m.DecodeIters.Load(),
 		EarlyExits: m.DecodeEarlyExits.Load(),
 		MaxIters:   int64(m.DecodeIterHist.Max()),
+		Kernel:     m.DecodeKernel,
 	}
 	if s.Blocks > 0 {
 		s.MeanIters = float64(s.Iters) / float64(s.Blocks)

@@ -220,12 +220,23 @@ func collectSnapshot(ps *promSet, s *Snapshot, base []promLabel) {
 	add("agora_tx_packets_total", "counter", "Packets sent.", float64(s.Fronthaul.TxPkts))
 	add("agora_tx_drops_total", "counter", "Send-queue overflow drops.", float64(s.Fronthaul.TxDrops))
 
-	// Process-wide GC totals: only meaningful unlabeled (the fleet path
-	// emits them once, not per cell).
+	// Process-wide series: only meaningful unlabeled (the fleet path emits
+	// them once, not per cell).
 	if len(base) == 0 {
-		add("agora_gc_cycles_total", "counter", "Completed GC cycles.", float64(s.GC.NumGC))
-		add("agora_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", s.GC.PauseTotalMS/1e3)
+		collectProcess(ps, s)
 	}
+}
+
+// collectProcess adds the series that describe the process rather than
+// one engine: the decode kernel CPUID selected and the GC totals.
+func collectProcess(ps *promSet, s *Snapshot) {
+	if s.Decode.Kernel != "" {
+		ps.add("agora_decode_kernel_info", "gauge",
+			"LDPC layer kernels in use (value 1; implementation in the label).",
+			1, promLabel{"kernel", s.Decode.Kernel})
+	}
+	ps.add("agora_gc_cycles_total", "counter", "Completed GC cycles.", float64(s.GC.NumGC))
+	ps.add("agora_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", s.GC.PauseTotalMS/1e3)
 }
 
 // WritePromSnapshot renders one engine snapshot in exposition format.
@@ -267,12 +278,10 @@ func WritePromFleet(w io.Writer, fs *FleetSnapshot) error {
 			1, cell, promLabel{"state", c.State})
 		collectSnapshot(ps, &c.Snapshot, []promLabel{cell})
 	}
-	// GC is process-wide: emit once at fleet level from the first cell's
-	// reading (all cells sample the same runtime).
+	// Process-wide series: emit once at fleet level from the first cell's
+	// reading (all cells share the runtime and the CPU).
 	if len(fs.PerCell) > 0 {
-		g := fs.PerCell[0].GC
-		ps.add("agora_gc_cycles_total", "counter", "Completed GC cycles.", float64(g.NumGC))
-		ps.add("agora_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", g.PauseTotalMS/1e3)
+		collectProcess(ps, &fs.PerCell[0].Snapshot)
 	}
 	return ps.write(w)
 }
