@@ -10,11 +10,12 @@ check: vet build test race fuzz benchmark-smoke perf
 # Static checks: go vet plus the staticcheck-style hygiene the toolchain
 # ships — gofmt drift (gofmt -l must print nothing). No external tools:
 # the container has only the Go toolchain. `go vet ./...` includes the
-# asmdecl check of internal/ldpc's .s files against their Go declarations
-# (argument offsets, frame sizes). The arm64 cross-vet type-checks the
-# file set every non-amd64 build gets — the pure-Go layer kernels with no
-# assembly behind them (DESIGN §19) — so the fallback cannot rot on a
-# host that never compiles it.
+# asmdecl check of the .s files in internal/ldpc, internal/fft and
+# internal/cpu against their Go declarations (argument offsets, frame
+# sizes). The arm64 cross-vet type-checks the file set every non-amd64
+# build gets — the pure-Go LDPC layer kernels and FFT stage loops with no
+# assembly behind them (DESIGN §19, §20) — so the fallback cannot rot on
+# a host that never compiles it.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/...
@@ -37,14 +38,16 @@ race:
 	$(GO) test -race -short ./internal/...
 
 # Short fuzz pass over the ldpc bit-packing and LLR-quantization targets
-# (Go runs one -fuzz target per invocation). A few seconds each is enough
-# to re-find the int8(NaN) class of bug; longer exploratory runs are
-# `go test -fuzz <Target> ./internal/ldpc` without -fuzztime.
+# and the vector-vs-Go kernel differentials of ldpc and fft (Go runs one
+# -fuzz target per invocation). A few seconds each is enough to re-find
+# the int8(NaN) class of bug; longer exploratory runs are
+# `go test -fuzz <Target> <package>` without -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzQuantizeLLR -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
+	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of
 # its own, so `go test ./...` never reaches it; its smoke test runs every
@@ -55,9 +58,11 @@ benchmark-smoke:
 
 # Key benchmarks (the ones BENCH_BASELINE.json regression checks target).
 # internal/ldpc holds the rotating-input kernel A/B, Decode_AVX2 vs
-# Decode_PureGo, which has to live next to the unexported dispatch.
+# Decode_PureGo, and internal/fft the FFT512 / ForwardIQ12_512 /
+# IFFTBatch8x512 _AVX2 vs _PureGo pairs; both have to live next to the
+# unexported dispatch they flip.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RecorderOverhead' -benchmem -count 5 . ./internal/ldpc
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RecorderOverhead|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft
 
 # Re-snapshot the benchmark suite into BENCH_BASELINE.json. Only commit
 # the result when intentionally moving the baseline (e.g. after a perf PR).
@@ -70,7 +75,9 @@ baseline:
 # default engine path (fused SoA demod included) explicitly; the Decode_
 # pairs pin the lane-major LDPC kernel and its legacy ablation partner,
 # and Decode_AVX2/_PureGo (internal/ldpc, rotating inputs) the vector
-# layer kernels and the Go loops they fall back to.
+# layer kernels and the Go loops they fall back to; the FFT512,
+# ForwardIQ12_512 and IFFTBatch8x512 _AVX2/_PureGo pairs (internal/fft)
+# do the same for the FFT stage kernels and the IQ12 front end.
 # Table1 also matches Table1_SteadyStateFrame, which the zero-alloc gate
 # additionally holds to exactly 0 allocs/op and 0 B/op (DESIGN §14): any
 # allocation creeping back into the recycled frame loop fails the build.
@@ -86,7 +93,7 @@ baseline:
 # failing on >10% regression — it catches scheduling bugs that stay
 # correct and hide inside the wall-clock tolerance above.
 perf:
-	$(GO) run ./cmd/bench -compare BENCH_BASELINE.json -compare-bench 'Table1|Fig9|Table4_AllOptimizationsOn|Decode_' -compare-zero-alloc 'SteadyState'
+	$(GO) run ./cmd/bench -compare BENCH_BASELINE.json -compare-bench 'Table1|Fig9|Table4_AllOptimizationsOn|Decode_|_AVX2$$|_PureGo$$' -compare-zero-alloc 'SteadyState'
 	$(GO) run ./cmd/bench -ingest
 	$(GO) run ./cmd/bench -overhead
 	$(GO) run ./cmd/bench -iters BENCH_BASELINE.json

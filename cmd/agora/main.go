@@ -28,6 +28,7 @@ import (
 
 	"repro"
 
+	"repro/internal/fft"
 	"repro/internal/ldpc"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -79,8 +80,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("agora: %s\n", cfg.String())
-	fmt.Printf("agora: listening on %s with %d workers, LDPC decode kernel %s\n",
-		*listen, *workers, eng.Metrics().DecodeKernel)
+	fmt.Printf("agora: listening on %s with %d workers, LDPC decode kernel %s, FFT kernel %s\n",
+		*listen, *workers, eng.Metrics().DecodeKernel, eng.Metrics().FFTKernel)
 	if *metrics != "" {
 		// expvar registers /debug/vars and net/http/pprof /debug/pprof on
 		// the default mux; the snapshot merges live counters with the
@@ -166,7 +167,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 		fmt.Printf("agora: fleet of %d cells on %s (%d workers each)\n",
 			cells, listen, opts.Workers)
 	}
-	fmt.Printf("agora: LDPC decode kernel %s\n", ldpc.Kernel())
+	fmt.Printf("agora: LDPC decode kernel %s, FFT kernel %s\n", ldpc.Kernel(), fft.Impl())
 	if metrics != "" {
 		expvar.Publish("agora", expvar.Func(func() any { return fl.Snapshot() }))
 		registerObs(obs.PromFleetHandler(fl.Snapshot), fl.Incidents,

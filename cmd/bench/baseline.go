@@ -37,9 +37,11 @@ type BaselineEntry struct {
 
 // benchPackages are the packages whose benchmarks the baseline snapshot
 // and the -compare gate run: the root package's paper tables, plus
-// internal/ldpc for the kernel A/B pair that has to flip the package's
-// unexported kernel dispatch (BenchmarkDecode_AVX2 / _PureGo, DESIGN §19).
-var benchPackages = []string{".", "./internal/ldpc"}
+// internal/ldpc and internal/fft for the kernel A/B pairs that have to
+// flip those packages' unexported kernel dispatch (BenchmarkDecode_AVX2 /
+// _PureGo, DESIGN §19; BenchmarkFFT512_AVX2 / _PureGo and its siblings,
+// DESIGN §20).
+var benchPackages = []string{".", "./internal/ldpc", "./internal/fft"}
 
 type benchSample struct {
 	ns, bytes, allocs float64

@@ -57,6 +57,9 @@ type stagesReport struct {
 	// same way the ZF rows price the coherence cache (DESIGN §18).
 	DecodeIters         agora.DecodeSnap `json:"decode_iters"`
 	DecodeItersFlooding agora.DecodeSnap `json:"decode_iters_flooding"`
+	// FFTKernel is the FFT stage-kernel implementation the run used; the
+	// decode kernel rides in DecodeIters.
+	FFTKernel string `json:"fft_kernel"`
 	// SLOAttribution is the live recorder's per-stage budget attribution
 	// (DESIGN §17): per-frame busy-time distribution and mean share of
 	// the frame budget, folded online by the manager — unlike Stages
@@ -106,6 +109,7 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		MedianMS:       sum.Latency.Median().Seconds() * 1e3,
 		P999MS:         sum.Latency.P999().Seconds() * 1e3,
 		DecodeIters:    sum.Decode,
+		FFTKernel:      sum.FFTKernel,
 		SLOAttribution: sum.SLO,
 	}
 	totalBusy := tl.TotalBusyNS()

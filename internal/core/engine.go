@@ -360,6 +360,11 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		// The check-major and flooding ablations are Go loops everywhere.
 		e.met.DecodeKernel = "generic"
 	}
+	e.met.FFTKernel = fft.Impl()
+	if opts.DisableSplitRadixFFT {
+		// The radix-2 ablation is a Go loop everywhere.
+		e.met.FFTKernel = "generic"
+	}
 	e.txLane = opts.Workers
 	e.epoch = time.Now()
 	e.recorder = !opts.DisableRecorder
@@ -651,6 +656,11 @@ func (e *Engine) TaskStats() map[queue.TaskType]TaskStat {
 // shared by trace events, completion stamps, and FrameRec bounds.
 func (e *Engine) stamp(t time.Time) int64 { return t.Sub(e.epoch).Nanoseconds() }
 
+// nowStamp is stamp(time.Now()) for the per-task hot paths: the epoch
+// carries a monotonic reading, so time.Since reads only the monotonic
+// clock instead of wall + monotonic.
+func (e *Engine) nowStamp() int64 { return time.Since(e.epoch).Nanoseconds() }
+
 // Metrics exposes the engine's live, race-safe counters and gauges
 // (frame/drop/deadline counts, latency histogram, sampled queue depths).
 func (e *Engine) Metrics() *obs.Metrics { return &e.met }
@@ -750,7 +760,7 @@ func (e *Engine) runNetTX() {
 				continue
 			}
 		}
-		start := time.Now()
+		t0 := e.nowStamp()
 		h := fronthaul.Header{
 			Frame:   m.Frame,
 			Symbol:  m.Symbol,
@@ -760,9 +770,8 @@ func (e *Engine) runNetTX() {
 		}
 		pkt := fronthaul.BuildPacket(buf, iq, h, e.buf.dlTime[m.Slot][m.Symbol][m.TaskIdx])
 		_ = e.tr.Send(pkt)
-		end := time.Now()
-		e.txAcc.Add(float64(end.Sub(start).Nanoseconds()) / 1000)
-		t0, t1 := e.stamp(start), e.stamp(end)
+		t1 := e.nowStamp()
+		e.txAcc.Add(float64(t1-t0) / 1000)
 		if e.trace != nil {
 			e.trace.Emit(obs.Event{
 				Start: t0, End: t1,
@@ -817,20 +826,20 @@ func (e *Engine) runWorker(w *worker) {
 			}
 		}
 		idle = 0
-		start := time.Now()
+		// Execution stamps ride back to the manager on the completion
+		// message itself (former Msg padding), feeding the live SLO
+		// attribution without touching the quiescence-only trace rings;
+		// the per-task accumulator and the trace event derive from the
+		// same two clock reads.
+		m.T0 = e.nowStamp()
 		e.execute(w, m)
-		end := time.Now()
-		el := end.Sub(start)
+		m.T1 = e.nowStamp()
 		batch := int(m.Batch)
 		if batch < 1 {
 			batch = 1
 		}
-		perTask := float64(el.Nanoseconds()) / 1000 / float64(batch)
+		perTask := float64(m.T1-m.T0) / 1000 / float64(batch)
 		w.perTask[m.Type].AddN(batch, perTask)
-		// Execution stamps ride back to the manager on the completion
-		// message itself (former Msg padding), feeding the live SLO
-		// attribution without touching the quiescence-only trace rings.
-		m.T0, m.T1 = e.stamp(start), e.stamp(end)
 		if e.trace != nil {
 			e.trace.Emit(obs.Event{
 				Start: m.T0, End: m.T1,
@@ -863,6 +872,10 @@ func (e *Engine) execute(w *worker, m queue.Msg) {
 		w.runPilotFFTBatch(slot, m.Symbol, int(m.TaskIdx), batch, e.pilotIndex(m.Symbol))
 		return
 	}
+	if m.Type == queue.TaskFFT {
+		w.runFFTBatch(slot, m.Symbol, int(m.TaskIdx), batch)
+		return
+	}
 	for i := 0; i < batch; i++ {
 		idx := int(m.TaskIdx) + i
 		switch m.Type {
@@ -874,8 +887,6 @@ func (e *Engine) execute(w *worker, m queue.Msg) {
 			} else {
 				w.runZF(slot, idx)
 			}
-		case queue.TaskFFT:
-			w.runFFT(slot, m.Symbol, uint16(idx))
 		case queue.TaskDemod:
 			w.runDemod(slot, m.Symbol, idx)
 		case queue.TaskDecode:

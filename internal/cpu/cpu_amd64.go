@@ -1,7 +1,4 @@
-package ldpc
-
-// CPU feature probe for the AVX2 layer kernels: stdlib only (the module
-// has no golang.org/x/sys), two instructions wrapped in cpu_amd64.s.
+package cpu
 
 // cpuid executes CPUID with the given leaf (EAX) and sub-leaf (ECX).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -10,12 +7,12 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// cpuHasAVX2 reports whether the kernels in lanes_amd64.s can run: the
-// CPU implements AVX and AVX2 and the OS saves the YMM state across
-// context switches (OSXSAVE set and XCR0 enabling both the SSE and AVX
-// state components — without that, a YMM instruction faults even though
-// CPUID advertises it).
-func cpuHasAVX2() bool {
+// HasAVX2 reports whether AVX2 assembly kernels can run: the CPU
+// implements AVX and AVX2 and the OS saves the YMM state across context
+// switches (OSXSAVE set and XCR0 enabling both the SSE and AVX state
+// components — without that, a YMM instruction faults even though CPUID
+// advertises it).
+func HasAVX2() bool {
 	const (
 		leaf1OSXSAVE = 1 << 27 // ECX
 		leaf1AVX     = 1 << 28 // ECX

@@ -17,6 +17,11 @@
 // batch, and ForwardIQ12 fuses the RX front end — cyclic-prefix strip,
 // 12-bit IQ unpack and the input permutation — into a single pass over
 // the payload bytes.
+//
+// On amd64 with AVX2 the split-radix stage loops and the IQ12 front end
+// run as assembly kernels (stages_amd64.s, see kernel.go); the Go loops in
+// this file are the fallback everywhere else and the reference the vector
+// kernels are bit-identical to.
 package fft
 
 import (
@@ -62,10 +67,19 @@ type Plan struct {
 	// points need no scratch buffer and stay safe for concurrent use.
 	swaps []uint32
 
+	// blk inverts perm at radix-4 block granularity: the first stage's
+	// butterfly i reads input samples q, q+n/4, q+n/2, q+3n/4 with q =
+	// perm[4i], and blk[q] = 4i is where that block starts. The vector
+	// IQ12 front end walks the payload in sample order and uses it to
+	// place whole blocks. nil for Radix2 plans and n < 4.
+	blk []uint32
+
 	// Radix-4 stage twiddles, stages concatenated in execution order
-	// (sub-size L = 4, 16, ...); butterfly j of a stage stores w1 =
-	// W_{4L}^j, w2 = W_{4L}^{2j}, w3 = W_{4L}^{3j} adjacently. The
-	// unity-twiddle L=1 stage stores nothing.
+	// (sub-size L = 4, 16, ...). A stage is three planes of L entries,
+	// w1 | w2 | w3 with w_m[j] = W_{4L}^{mj} for butterfly j, so a scalar
+	// kernel indexes each plane by j and a vector kernel loads four
+	// consecutive butterflies' twiddles with one unshuffled load per
+	// plane. The unity-twiddle L=1 stage stores nothing.
 	tw4, tw4Inv []complex64
 	// Trailing radix-2 stage twiddles (odd log2 n only): W_n^j, n/2 of
 	// them. nil when log2 n is even.
@@ -147,25 +161,31 @@ func (p *Plan) initSplitRadix() {
 	}
 	p.perm = make([]uint32, n)
 	fillPerm(p.perm, 0, 0, 1, n, radices)
+	if n >= 4 {
+		p.blk = make([]uint32, n/4)
+		for i := 0; i < n; i += 4 {
+			p.blk[p.perm[i]] = uint32(i)
+		}
+	}
 	// Twiddles for radix-4 stages with sub-size L = 4, 16, ... < r4End
-	// (the L=1 stage is twiddle-free). Three per butterfly.
+	// (the L=1 stage is twiddle-free). Three planes of L per stage.
 	total := 0
 	for l := 4; 4*l <= r4End; l *= 4 {
 		total += 3 * l
 	}
 	p.tw4 = make([]complex64, total)
 	p.tw4Inv = make([]complex64, total)
-	idx := 0
+	off := 0
 	for l := 4; 4*l <= r4End; l *= 4 {
-		for j := 0; j < l; j++ {
-			for m := 1; m <= 3; m++ {
+		for m := 1; m <= 3; m++ {
+			for j := 0; j < l; j++ {
 				ang := -2 * math.Pi * float64(m*j) / float64(4*l)
 				s, c := math.Sincos(ang)
-				p.tw4[idx] = complex(float32(c), float32(s))
-				p.tw4Inv[idx] = complex(float32(c), float32(-s))
-				idx++
+				p.tw4[off+(m-1)*l+j] = complex(float32(c), float32(s))
+				p.tw4Inv[off+(m-1)*l+j] = complex(float32(c), float32(-s))
 			}
 		}
+		off += 3 * l
 	}
 	if p.logN%2 == 1 {
 		h := n / 2
@@ -249,17 +269,15 @@ func (p *Plan) permute(x []complex64) {
 func (p *Plan) Forward(x []complex64) {
 	p.check(x)
 	p.permute(x)
-	p.butterflies(x, false)
+	p.butterflies(x, false, false)
 }
 
 // Inverse computes the in-place inverse DFT of x, including the 1/N
 // normalization so that Inverse(Forward(x)) == x.
 func (p *Plan) Inverse(x []complex64) {
-	p.InverseNoScale(x)
-	inv := float32(1) / float32(p.n)
-	for i := range x {
-		x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
-	}
+	p.check(x)
+	p.permute(x)
+	p.butterflies(x, true, true)
 }
 
 // InverseNoScale computes the unnormalized inverse DFT. The OFDM TX path
@@ -267,7 +285,7 @@ func (p *Plan) Inverse(x []complex64) {
 func (p *Plan) InverseNoScale(x []complex64) {
 	p.check(x)
 	p.permute(x)
-	p.butterflies(x, true)
+	p.butterflies(x, true, false)
 }
 
 // checkBatch validates a strided batch layout.
@@ -290,7 +308,7 @@ func (p *Plan) ForwardBatch(x []complex64, count, stride int) {
 	for b := 0; b < count; b++ {
 		s := x[b*stride : b*stride+p.n : b*stride+p.n]
 		p.permute(s)
-		p.butterflies(s, false)
+		p.butterflies(s, false, false)
 	}
 }
 
@@ -298,14 +316,10 @@ func (p *Plan) ForwardBatch(x []complex64, count, stride int) {
 // strided signals x[b*stride : b*stride+n] (see ForwardBatch).
 func (p *Plan) InverseBatch(x []complex64, count, stride int) {
 	p.checkBatch(x, count, stride)
-	inv := float32(1) / float32(p.n)
 	for b := 0; b < count; b++ {
 		s := x[b*stride : b*stride+p.n : b*stride+p.n]
 		p.permute(s)
-		p.butterflies(s, true)
-		for i := range s {
-			s[i] = complex(real(s[i])*inv, imag(s[i])*inv)
-		}
+		p.butterflies(s, true, true)
 	}
 }
 
@@ -318,14 +332,9 @@ func (p *Plan) InverseBatch(x []complex64, count, stride int) {
 // cf.UnpackIQ12 + copy + Forward.
 func (p *Plan) ForwardIQ12(dst []complex64, payload []byte, cpLen int) {
 	p.check(dst)
-	if cpLen < 0 || len(payload) < (cpLen+p.n)*cf.BytesPerIQ {
-		panic(fmt.Sprintf("fft: payload %d bytes too small for size %d + CP %d",
-			len(payload), p.n, cpLen))
-	}
-	for i, pi := range p.perm {
-		dst[i] = cf.IQ12At(payload, cpLen+int(pi))
-	}
-	p.butterflies(dst, false)
+	p.checkPayload(payload, cpLen)
+	p.loadIQ12(dst, payload, cpLen)
+	p.butterflies(dst, false, false)
 }
 
 // ForwardIQ12Batch runs the fused RX front end (ForwardIQ12) over a run
@@ -337,130 +346,189 @@ func (p *Plan) ForwardIQ12(dst []complex64, payload []byte, cpLen int) {
 func (p *Plan) ForwardIQ12Batch(x []complex64, payloads [][]byte, cpLen, stride int) {
 	p.checkBatch(x, len(payloads), stride)
 	for b, payload := range payloads {
-		if cpLen < 0 || len(payload) < (cpLen+p.n)*cf.BytesPerIQ {
-			panic(fmt.Sprintf("fft: payload %d bytes too small for size %d + CP %d",
-				len(payload), p.n, cpLen))
-		}
+		p.checkPayload(payload, cpLen)
 		s := x[b*stride : b*stride+p.n : b*stride+p.n]
-		for i, pi := range p.perm {
-			s[i] = cf.IQ12At(payload, cpLen+int(pi))
-		}
-		p.butterflies(s, false)
+		p.loadIQ12(s, payload, cpLen)
+		p.butterflies(s, false, false)
 	}
 }
 
-// butterflies runs the plan's stage schedule over permuted data.
-func (p *Plan) butterflies(x []complex64, inverse bool) {
-	if p.kernel == Radix2 {
+func (p *Plan) checkPayload(payload []byte, cpLen int) {
+	if cpLen < 0 || len(payload) < (cpLen+p.n)*cf.BytesPerIQ {
+		panic(fmt.Sprintf("fft: payload %d bytes too small for size %d + CP %d",
+			len(payload), p.n, cpLen))
+	}
+}
+
+// loadIQ12 fills dst with the payload's n post-CP samples in permuted
+// order, dst[i] = sample perm[i].
+func (p *Plan) loadIQ12(dst []complex64, payload []byte, cpLen int) {
+	if simd != nil && p.kernel == SplitRadix {
+		simd.loadIQ12(p, dst, payload, cpLen)
+		return
+	}
+	p.gatherIQ12(dst, payload, cpLen)
+}
+
+// gatherIQ12 is the portable loadIQ12: one random-access conversion per
+// output slot.
+func (p *Plan) gatherIQ12(dst []complex64, payload []byte, cpLen int) {
+	for i, pi := range p.perm {
+		dst[i] = cf.IQ12At(payload, cpLen+int(pi))
+	}
+}
+
+// butterflies runs the plan's stage schedule over permuted data; scale
+// additionally applies the inverse transform's 1/n.
+func (p *Plan) butterflies(x []complex64, inverse, scale bool) {
+	switch {
+	case p.kernel == Radix2:
 		tw := p.twid
 		if inverse {
 			tw = p.twidInv
 		}
 		p.stages2(x, tw)
+	case simd != nil:
+		simd.butterflies(p, x, inverse, scale)
 		return
+	default:
+		p.stages4(x, inverse)
 	}
+	if scale {
+		cf.Scale(x, float32(1)/float32(p.n))
+	}
+}
+
+// twiddles returns the radix-4 planes and the trailing radix-2 table for
+// one direction.
+func (p *Plan) twiddles(inverse bool) (tw4, tw2 []complex64) {
 	if inverse {
-		p.stages4(x, p.tw4Inv, p.tw2Inv, true)
-	} else {
-		p.stages4(x, p.tw4, p.tw2, false)
+		return p.tw4Inv, p.tw2Inv
 	}
+	return p.tw4, p.tw2
+}
+
+// radix4Span is the sub-transform size the radix-4 stages build up to: n,
+// or n/2 when a trailing radix-2 stage finishes an odd log2 n.
+func (p *Plan) radix4Span() int {
+	if p.logN%2 == 1 {
+		return p.n / 2
+	}
+	return p.n
 }
 
 // stages4 runs the split-radix schedule: a unity-twiddle radix-4 first
 // stage, the twiddled radix-4 stages, then the trailing radix-2 stage for
-// odd log2 sizes. The forward butterfly rotates its odd arm by -i
-// (t3 = -i·(b-d)); the inverse rotation by +i is the same arithmetic with
-// the two odd outputs exchanged, so instead of multiplying by ±i the
-// kernel just swaps the q1/q3 write targets — no extra multiplies on
-// either direction.
-func (p *Plan) stages4(x []complex64, tw4, tw2 []complex64, inverse bool) {
-	n := len(x)
-	// First stage (L = 1): all twiddles are unity, so the butterfly is
-	// pure adds plus the implicit rotation — the radix-4 analogue of the
-	// old radix-2 first-stage specialization.
-	if n >= 4 {
-		if inverse {
-			for base := 0; base+3 < n; base += 4 {
-				a, b, c, d := x[base], x[base+1], x[base+2], x[base+3]
-				t0, t1 := a+c, a-c
-				t2 := b + d
-				er, ei := real(b)-real(d), imag(b)-imag(d)
-				x[base] = t0 + t2
-				x[base+3] = complex(real(t1)+ei, imag(t1)-er)
-				x[base+2] = t0 - t2
-				x[base+1] = complex(real(t1)-ei, imag(t1)+er)
-			}
-		} else {
-			for base := 0; base+3 < n; base += 4 {
-				a, b, c, d := x[base], x[base+1], x[base+2], x[base+3]
-				t0, t1 := a+c, a-c
-				t2 := b + d
-				er, ei := real(b)-real(d), imag(b)-imag(d)
-				x[base] = t0 + t2
-				x[base+1] = complex(real(t1)+ei, imag(t1)-er)
-				x[base+2] = t0 - t2
-				x[base+3] = complex(real(t1)-ei, imag(t1)+er)
-			}
-		}
+// odd log2 sizes. Butterflies within a stage are independent, which is
+// what lets a vector kernel regroup them freely and still match these
+// loops bit for bit (stages_amd64.go runs the same schedule).
+func (p *Plan) stages4(x []complex64, inverse bool) {
+	tw4, tw2 := p.twiddles(inverse)
+	if len(x) >= 4 {
+		stageFirst4(x, inverse)
 	}
-	// Remaining radix-4 stages: sub-size L quadruples each stage. The
-	// stage's 3L twiddles are grouped [w1 w2 w3] per butterfly. Splitting
-	// each block into four equal slices drops the bounds checks in the
-	// butterfly loop; the multiplies are written out in float32 components
-	// so the compiler schedules them freely.
 	off := 0
-	r4End := n
-	if p.logN%2 == 1 {
-		r4End = n / 2
-	}
-	for l := 4; 4*l <= r4End; l *= 4 {
-		st := tw4[off : off+3*l : off+3*l]
+	for l, span := 4, p.radix4Span(); 4*l <= span; l *= 4 {
+		stageTwiddle4(x, l, tw4[off:off+3*l], inverse)
 		off += 3 * l
-		step := 4 * l
-		for base := 0; base < n; base += step {
-			q0 := x[base : base+l : base+l]
-			q1 := x[base+l : base+2*l : base+2*l]
-			q2 := x[base+2*l : base+3*l : base+3*l]
-			q3 := x[base+3*l : base+4*l : base+4*l]
-			d1, d3 := q1, q3
-			if inverse {
-				d1, d3 = q3, q1
-			}
-			for j := 0; j < l; j++ {
-				w := st[3*j : 3*j+3 : 3*j+3]
-				w1, w2, w3 := w[0], w[1], w[2]
-				v1, v2, v3 := q1[j], q2[j], q3[j]
-				br := real(v1)*real(w1) - imag(v1)*imag(w1)
-				bi := real(v1)*imag(w1) + imag(v1)*real(w1)
-				cr := real(v2)*real(w2) - imag(v2)*imag(w2)
-				ci := real(v2)*imag(w2) + imag(v2)*real(w2)
-				dr := real(v3)*real(w3) - imag(v3)*imag(w3)
-				di := real(v3)*imag(w3) + imag(v3)*real(w3)
-				a := q0[j]
-				ar, ai := real(a), imag(a)
-				t0r, t0i := ar+cr, ai+ci
-				t1r, t1i := ar-cr, ai-ci
-				t2r, t2i := br+dr, bi+di
-				er, ei := br-dr, bi-di
-				q0[j] = complex(t0r+t2r, t0i+t2i)
-				d1[j] = complex(t1r+ei, t1i-er)
-				q2[j] = complex(t0r-t2r, t0i-t2i)
-				d3[j] = complex(t1r-ei, t1i+er)
-			}
+	}
+	if tw2 != nil {
+		stageLast2(x, tw2)
+	}
+}
+
+// stageFirst4 is the L = 1 radix-4 stage: all twiddles are unity, so the
+// butterfly is pure adds plus the implicit rotation — the radix-4 analogue
+// of the old radix-2 first-stage specialization. The forward butterfly
+// rotates its odd arm by -i (t3 = -i·(b-d)); the inverse rotation by +i is
+// the same arithmetic with the two odd outputs exchanged, so instead of
+// multiplying by ±i the kernels just swap the q1/q3 write targets — no
+// extra multiplies on either direction.
+func stageFirst4(x []complex64, inverse bool) {
+	n := len(x)
+	if inverse {
+		for base := 0; base+3 < n; base += 4 {
+			a, b, c, d := x[base], x[base+1], x[base+2], x[base+3]
+			t0, t1 := a+c, a-c
+			t2 := b + d
+			er, ei := real(b)-real(d), imag(b)-imag(d)
+			x[base] = t0 + t2
+			x[base+3] = complex(real(t1)+ei, imag(t1)-er)
+			x[base+2] = t0 - t2
+			x[base+1] = complex(real(t1)-ei, imag(t1)+er)
+		}
+		return
+	}
+	for base := 0; base+3 < n; base += 4 {
+		a, b, c, d := x[base], x[base+1], x[base+2], x[base+3]
+		t0, t1 := a+c, a-c
+		t2 := b + d
+		er, ei := real(b)-real(d), imag(b)-imag(d)
+		x[base] = t0 + t2
+		x[base+1] = complex(real(t1)+ei, imag(t1)-er)
+		x[base+2] = t0 - t2
+		x[base+3] = complex(real(t1)-ei, imag(t1)+er)
+	}
+}
+
+// stageTwiddle4 is one twiddled radix-4 stage with sub-size l (4, 16, …)
+// over the stage's w1|w2|w3 planes st. Splitting each block into four
+// equal slices drops the bounds checks in the butterfly loop; the
+// multiplies are written out in float32 components so the compiler
+// schedules them freely (and so that no float64 intermediate appears: a
+// complex64 product in Go is computed in float64).
+func stageTwiddle4(x []complex64, l int, st []complex64, inverse bool) {
+	n := len(x)
+	w1s := st[:l:l]
+	w2s := st[l : 2*l : 2*l]
+	w3s := st[2*l : 3*l : 3*l]
+	step := 4 * l
+	for base := 0; base < n; base += step {
+		q0 := x[base : base+l : base+l]
+		q1 := x[base+l : base+2*l : base+2*l]
+		q2 := x[base+2*l : base+3*l : base+3*l]
+		q3 := x[base+3*l : base+4*l : base+4*l]
+		d1, d3 := q1, q3
+		if inverse {
+			d1, d3 = q3, q1
+		}
+		for j := 0; j < l; j++ {
+			w1, w2, w3 := w1s[j], w2s[j], w3s[j]
+			v1, v2, v3 := q1[j], q2[j], q3[j]
+			br := real(v1)*real(w1) - imag(v1)*imag(w1)
+			bi := real(v1)*imag(w1) + imag(v1)*real(w1)
+			cr := real(v2)*real(w2) - imag(v2)*imag(w2)
+			ci := real(v2)*imag(w2) + imag(v2)*real(w2)
+			dr := real(v3)*real(w3) - imag(v3)*imag(w3)
+			di := real(v3)*imag(w3) + imag(v3)*real(w3)
+			a := q0[j]
+			ar, ai := real(a), imag(a)
+			t0r, t0i := ar+cr, ai+ci
+			t1r, t1i := ar-cr, ai-ci
+			t2r, t2i := br+dr, bi+di
+			er, ei := br-dr, bi-di
+			q0[j] = complex(t0r+t2r, t0i+t2i)
+			d1[j] = complex(t1r+ei, t1i-er)
+			q2[j] = complex(t0r-t2r, t0i-t2i)
+			d3[j] = complex(t1r-ei, t1i+er)
 		}
 	}
-	// Trailing radix-2 stage for odd log2 sizes (also the whole transform
-	// when n == 2, where tw2 is the single unity twiddle).
-	if tw2 != nil {
-		h := n / 2
-		lo := x[:h:h]
-		hi := x[h:n:n]
-		for j, w := range tw2[:h] {
-			u := lo[j]
-			v := hi[j] * w
-			lo[j] = u + v
-			hi[j] = u - v
-		}
+}
+
+// stageLast2 is the trailing radix-2 stage for odd log2 sizes (also the
+// whole transform when n == 2, where tw2 is the single unity twiddle).
+// hi[j]*w is Go's complex64 product: both components are formed in
+// float64 and rounded once to float32, which the vector kernel has to
+// reproduce.
+func stageLast2(x []complex64, tw2 []complex64) {
+	h := len(x) / 2
+	lo := x[:h:h]
+	hi := x[h : 2*h : 2*h]
+	for j, w := range tw2[:h] {
+		u := lo[j]
+		v := hi[j] * w
+		lo[j] = u + v
+		hi[j] = u - v
 	}
 }
 

@@ -109,24 +109,26 @@ func TestUndersizedBuffersPanic(t *testing.T) {
 // the pure radix-4 schedule and the trailing radix-2 stage are each
 // exercised at every depth.
 func TestKernelMatchesNaiveDFTAllSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for n := 4; n <= 4096; n *= 2 {
-		x := randSignal(rng, n)
-		want := DFTNaive(x)
-		for _, k := range kernels {
-			p, err := NewPlanKernel(n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]complex64(nil), x...)
-			p.Forward(got)
-			// DFTNaive accumulates in float64; allow float32 butterfly
-			// rounding that grows with transform depth.
-			if d := cf.MaxAbsDiff(got, want); d > 2e-4*float64(n) {
-				t.Errorf("n=%d %v: max diff vs naive DFT %v", n, k, d)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for n := 4; n <= 4096; n *= 2 {
+			x := randSignal(rng, n)
+			want := DFTNaive(x)
+			for _, k := range kernels {
+				p, err := NewPlanKernel(n, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := append([]complex64(nil), x...)
+				p.Forward(got)
+				// DFTNaive accumulates in float64; allow float32 butterfly
+				// rounding that grows with transform depth.
+				if d := cf.MaxAbsDiff(got, want); d > 2e-4*float64(n) {
+					t.Errorf("n=%d %v: max diff vs naive DFT %v", n, k, d)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestKernelsAgree checks the split-radix and radix-2 kernels against each
@@ -213,87 +215,91 @@ func TestRadix2BitIdenticalToLegacy(t *testing.T) {
 // batch layouts: every lane round-trips, and the padding between lanes is
 // untouched.
 func TestBatchRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for _, k := range kernels {
-		for _, tc := range []struct{ n, count, stride int }{
-			{64, 1, 64},
-			{64, 4, 64},   // dense
-			{64, 4, 71},   // ragged stride
-			{256, 8, 256}, // antenna batch
-			{512, 3, 512 + 17},
-			{2048, 2, 2048},
-		} {
-			p, err := NewPlanKernel(tc.n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf := randSignal(rng, (tc.count-1)*tc.stride+tc.n)
-			orig := append([]complex64(nil), buf...)
-			p.ForwardBatch(buf, tc.count, tc.stride)
-			// Each lane must match a standalone Forward.
-			for b := 0; b < tc.count; b++ {
-				lane := append([]complex64(nil), orig[b*tc.stride:b*tc.stride+tc.n]...)
-				p.Forward(lane)
-				for i := range lane {
-					if lane[i] != buf[b*tc.stride+i] {
-						t.Fatalf("%v n=%d lane %d differs from standalone Forward", k, tc.n, b)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for _, k := range kernels {
+			for _, tc := range []struct{ n, count, stride int }{
+				{64, 1, 64},
+				{64, 4, 64},   // dense
+				{64, 4, 71},   // ragged stride
+				{256, 8, 256}, // antenna batch
+				{512, 3, 512 + 17},
+				{2048, 2, 2048},
+			} {
+				p, err := NewPlanKernel(tc.n, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := randSignal(rng, (tc.count-1)*tc.stride+tc.n)
+				orig := append([]complex64(nil), buf...)
+				p.ForwardBatch(buf, tc.count, tc.stride)
+				// Each lane must match a standalone Forward.
+				for b := 0; b < tc.count; b++ {
+					lane := append([]complex64(nil), orig[b*tc.stride:b*tc.stride+tc.n]...)
+					p.Forward(lane)
+					for i := range lane {
+						if lane[i] != buf[b*tc.stride+i] {
+							t.Fatalf("%v n=%d lane %d differs from standalone Forward", k, tc.n, b)
+						}
 					}
 				}
-			}
-			p.InverseBatch(buf, tc.count, tc.stride)
-			for b := 0; b < tc.count; b++ {
-				lo, hi := b*tc.stride, b*tc.stride+tc.n
-				if d := cf.MaxAbsDiff(buf[lo:hi], orig[lo:hi]); d > 1e-4*math.Sqrt(float64(tc.n)) {
-					t.Errorf("%v n=%d count=%d stride=%d lane %d roundtrip diff %v",
-						k, tc.n, tc.count, tc.stride, b, d)
-				}
-				// Padding between lanes stays byte-for-byte.
-				if b+1 < tc.count {
-					for i := hi; i < lo+tc.stride; i++ {
-						if buf[i] != orig[i] {
-							t.Fatalf("%v n=%d stride=%d: padding at %d clobbered", k, tc.n, tc.stride, i)
+				p.InverseBatch(buf, tc.count, tc.stride)
+				for b := 0; b < tc.count; b++ {
+					lo, hi := b*tc.stride, b*tc.stride+tc.n
+					if d := cf.MaxAbsDiff(buf[lo:hi], orig[lo:hi]); d > 1e-4*math.Sqrt(float64(tc.n)) {
+						t.Errorf("%v n=%d count=%d stride=%d lane %d roundtrip diff %v",
+							k, tc.n, tc.count, tc.stride, b, d)
+					}
+					// Padding between lanes stays byte-for-byte.
+					if b+1 < tc.count {
+						for i := hi; i < lo+tc.stride; i++ {
+							if buf[i] != orig[i] {
+								t.Fatalf("%v n=%d stride=%d: padding at %d clobbered", k, tc.n, tc.stride, i)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardIQ12MatchesUnfused checks the fused CP-strip/unpack/permute
 // front end against the three-pass path it replaces, bit for bit.
 func TestForwardIQ12MatchesUnfused(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, k := range kernels {
-		for _, tc := range []struct{ n, cp int }{
-			{64, 0}, {64, 16}, {256, 32}, {512, 128}, {2048, 144},
-		} {
-			p, err := NewPlanKernel(tc.n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total := tc.n + tc.cp
-			iq := make([]int16, 2*total)
-			for i := range iq {
-				iq[i] = int16(rng.Intn(4096) - 2048)
-			}
-			payload := make([]byte, total*cf.BytesPerIQ)
-			cf.PackIQ12(payload, iq)
-			// Unfused reference: unpack all samples, strip CP, transform.
-			ref := make([]complex64, total)
-			cf.UnpackIQ12(ref, payload)
-			want := append([]complex64(nil), ref[tc.cp:]...)
-			p.Forward(want)
-			got := make([]complex64, tc.n)
-			p.ForwardIQ12(got, payload, tc.cp)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v n=%d cp=%d bin %d: fused %v != unfused %v",
-						k, tc.n, tc.cp, i, got[i], want[i])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for _, k := range kernels {
+			for _, tc := range []struct{ n, cp int }{
+				{64, 0}, {64, 16}, {256, 32}, {512, 128}, {2048, 144},
+			} {
+				p, err := NewPlanKernel(tc.n, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := tc.n + tc.cp
+				iq := make([]int16, 2*total)
+				for i := range iq {
+					iq[i] = int16(rng.Intn(4096) - 2048)
+				}
+				payload := make([]byte, total*cf.BytesPerIQ)
+				cf.PackIQ12(payload, iq)
+				// Unfused reference: unpack all samples, strip CP, transform.
+				ref := make([]complex64, total)
+				cf.UnpackIQ12(ref, payload)
+				want := append([]complex64(nil), ref[tc.cp:]...)
+				p.Forward(want)
+				got := make([]complex64, tc.n)
+				p.ForwardIQ12(got, payload, tc.cp)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v n=%d cp=%d bin %d: fused %v != unfused %v",
+							k, tc.n, tc.cp, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardIQ12BatchMatchesSingle checks that each lane of the batched
@@ -472,26 +478,28 @@ func TestInverseNoScale(t *testing.T) {
 }
 
 func TestPlanConcurrentUse(t *testing.T) {
-	p := MustPlan(512)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(seed int64) {
-			defer func() { done <- struct{}{} }()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
-				x := randSignal(rng, 512)
-				orig := append([]complex64(nil), x...)
-				p.Forward(x)
-				p.Inverse(x)
-				if cf.MaxAbsDiff(x, orig) > 1e-2 {
-					panic("concurrent roundtrip failed")
+	forEachKernel(t, func(t *testing.T) {
+		p := MustPlan(512)
+		done := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			go func(seed int64) {
+				defer func() { done <- struct{}{} }()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 50; i++ {
+					x := randSignal(rng, 512)
+					orig := append([]complex64(nil), x...)
+					p.Forward(x)
+					p.Inverse(x)
+					if cf.MaxAbsDiff(x, orig) > 1e-2 {
+						panic("concurrent roundtrip failed")
+					}
 				}
-			}
-		}(int64(g))
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
+			}(int64(g))
+		}
+		for g := 0; g < 4; g++ {
+			<-done
+		}
+	})
 }
 
 // benchForward measures one in-place forward transform of size n.
@@ -579,3 +587,51 @@ func BenchmarkForwardIQ12_512_Unfused(b *testing.B) {
 		p.Forward(dst)
 	}
 }
+
+// Implementation A/B (DESIGN §20): the same three shapes as above — one
+// forward transform, the fused RX front end, an 8-antenna inverse batch —
+// on the platform's vector kernels and with the dispatch forced to the Go
+// loops. Unlike the in-place benchmarks above, whose buffer decays to
+// Inf/NaN after a few dozen iterations, each iteration starts from the
+// same finite signal (the refresh copy is inside the timed loop on both
+// sides).
+func benchImpl(b *testing.B, vector bool, run func(b *testing.B)) {
+	if vector && simd == nil {
+		b.Skip("no vector kernels on this CPU/GOARCH")
+	}
+	if !vector {
+		defer forceGoKernels()()
+	}
+	run(b)
+}
+
+func benchForwardFresh(b *testing.B) {
+	p := MustPlan(512)
+	src := randSignal(rand.New(rand.NewSource(1)), 512)
+	x := make([]complex64, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		p.Forward(x)
+	}
+}
+
+func benchInverseBatchFresh(b *testing.B) {
+	p := MustPlan(512)
+	src := randSignal(rand.New(rand.NewSource(1)), 8*512)
+	x := make([]complex64, 8*512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		p.InverseBatch(x, 8, 512)
+	}
+}
+
+func BenchmarkFFT512_AVX2(b *testing.B)            { benchImpl(b, true, benchForwardFresh) }
+func BenchmarkFFT512_PureGo(b *testing.B)          { benchImpl(b, false, benchForwardFresh) }
+func BenchmarkForwardIQ12_512_AVX2(b *testing.B)   { benchImpl(b, true, BenchmarkForwardIQ12_512) }
+func BenchmarkForwardIQ12_512_PureGo(b *testing.B) { benchImpl(b, false, BenchmarkForwardIQ12_512) }
+func BenchmarkIFFTBatch8x512_AVX2(b *testing.B)    { benchImpl(b, true, benchInverseBatchFresh) }
+func BenchmarkIFFTBatch8x512_PureGo(b *testing.B)  { benchImpl(b, false, benchInverseBatchFresh) }

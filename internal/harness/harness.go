@@ -55,6 +55,8 @@ type RunSummary struct {
 	// blocks decoded, mean/max BP iterations, the early-exit rate of the
 	// fused syndrome check, and which layer kernels ran (§19).
 	Decode obs.DecodeSnap
+	// FFTKernel names the FFT stage kernels that ran (DESIGN §20).
+	FFTKernel string
 	// Timeline is the reconstructed multi-frame schedule from the event
 	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil
 	// when Options.DisableTracing is set.
@@ -236,6 +238,7 @@ func RunUplinkLink(cfg frame.Config, opts core.Options, model channel.Model,
 	sum.SeqLate = eng.Metrics().SeqLate.Load()
 	sum.FECRecovered = eng.Metrics().FECRecovered.Load()
 	sum.Decode = eng.Metrics().DecodeSnap()
+	sum.FFTKernel = eng.Metrics().FFTKernel
 	sum.SLO = eng.Metrics().SLORows()
 	sum.Incidents = eng.Incidents()
 	if eng.TracingEnabled() {

@@ -1,6 +1,10 @@
 package ldpc
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/cpu"
+)
 
 // AVX2 layer kernels (DESIGN §19): the amd64 implementation of
 // iterateLayered's three per-edge loops, eight lanes per instruction and
@@ -12,7 +16,7 @@ import "math/bits"
 // differential tests in lanes_amd64_test.go exploit.
 
 func init() {
-	if cpuHasAVX2() {
+	if cpu.HasAVX2() {
 		simdIterate = (*Decoder).iterateLayeredAVX2
 		simdName = "avx2"
 	}

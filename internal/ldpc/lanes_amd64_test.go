@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // Kernel-level differential tests: the assembly layer kernels against the
@@ -13,7 +15,7 @@ import (
 // every step of every layer.
 
 func requireAVX2(t testing.TB) {
-	if !cpuHasAVX2() {
+	if !cpu.HasAVX2() {
 		t.Skip("CPU or OS without AVX2")
 	}
 }

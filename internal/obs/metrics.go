@@ -74,6 +74,9 @@ type Metrics struct {
 	// goroutines start; exported so that a host that silently fell back
 	// to the scalar kernels is visible on every obs surface.
 	DecodeKernel string
+	// FFTKernel names the split-radix stage kernels the engine's FFT plan
+	// runs ("avx2" or "generic", DESIGN §20), under the same rules.
+	FFTKernel string
 
 	// StageBusy streams each completed frame's per-stage busy time
 	// (DESIGN §17): the live SLO-attribution histograms that answer
@@ -232,7 +235,9 @@ type Snapshot struct {
 	Arena         ArenaSnap             `json:"arena"`
 	Fronthaul     FronthaulSnap         `json:"fronthaul"`
 	Decode        DecodeSnap            `json:"decode"`
-	GC            GCSnap                `json:"gc"`
+	// FFTKernel is the FFT stage-kernel implementation in use.
+	FFTKernel string `json:"fft_kernel,omitempty"`
+	GC        GCSnap `json:"gc"`
 	// SLO is the live per-stage budget attribution (DESIGN §17),
 	// present once at least one frame has completed with the recorder on.
 	SLO []StageSLO `json:"slo,omitempty"`
@@ -295,6 +300,7 @@ func (m *Metrics) Snap() Snapshot {
 		FECRecovered: m.FECRecovered.Load(),
 	}
 	s.Decode = m.DecodeSnap()
+	s.FFTKernel = m.FFTKernel
 	s.SLO = m.SLORows()
 	s.Incidents = m.Incidents.Load()
 	if t := m.HighWaterReset.Load(); t > 0 {
