@@ -10,12 +10,12 @@ check: vet build test race fuzz benchmark-smoke perf
 # Static checks: go vet plus the staticcheck-style hygiene the toolchain
 # ships — gofmt drift (gofmt -l must print nothing). No external tools:
 # the container has only the Go toolchain. `go vet ./...` includes the
-# asmdecl check of the .s files in internal/ldpc, internal/fft and
-# internal/cpu against their Go declarations (argument offsets, frame
-# sizes). The arm64 cross-vet type-checks the file set every non-amd64
-# build gets — the pure-Go LDPC layer kernels and FFT stage loops with no
-# assembly behind them (DESIGN §19, §20) — so the fallback cannot rot on
-# a host that never compiles it.
+# asmdecl check of the .s files in internal/ldpc, internal/fft,
+# internal/modulation and internal/cpu against their Go declarations
+# (argument offsets, frame sizes). The arm64 cross-vet type-checks the
+# file set every non-amd64 build gets — the pure-Go LDPC layer kernels,
+# FFT stage loops and demod loop with no assembly behind them (DESIGN
+# §19–§21) — so the fallback cannot rot on a host that never compiles it.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/...
@@ -38,9 +38,9 @@ race:
 	$(GO) test -race -short ./internal/...
 
 # Short fuzz pass over the ldpc bit-packing and LLR-quantization targets
-# and the vector-vs-Go kernel differentials of ldpc and fft (Go runs one
-# -fuzz target per invocation). A few seconds each is enough to re-find
-# the int8(NaN) class of bug; longer exploratory runs are
+# and the vector-vs-Go kernel differentials of ldpc, fft and modulation
+# (Go runs one -fuzz target per invocation). A few seconds each is enough
+# to re-find the int8(NaN) class of bug; longer exploratory runs are
 # `go test -fuzz <Target> <package>` without -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
+	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of
 # its own, so `go test ./...` never reaches it; its smoke test runs every
@@ -59,10 +60,12 @@ benchmark-smoke:
 # Key benchmarks (the ones BENCH_BASELINE.json regression checks target).
 # internal/ldpc holds the rotating-input kernel A/B, Decode_AVX2 vs
 # Decode_PureGo, and internal/fft the FFT512 / ForwardIQ12_512 /
-# IFFTBatch8x512 _AVX2 vs _PureGo pairs; both have to live next to the
-# unexported dispatch they flip.
+# IFFTBatch8x512 _AVX2 vs _PureGo pairs, internal/modulation the
+# DemodulateSoftSoA pair (not in BENCH_BASELINE.json: its gate is the
+# within-process ratio, EXPERIMENTS.md); each has to live next to the
+# unexported dispatch it flips.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RecorderOverhead|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RecorderOverhead|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation
 
 # Re-snapshot the benchmark suite into BENCH_BASELINE.json. Only commit
 # the result when intentionally moving the baseline (e.g. after a perf PR).

@@ -613,17 +613,47 @@ func (w *worker) userLLR(slot int, sym uint16, user int) []float32 {
 	if !w.soaLLR {
 		return b.llr[slot][sym][user]
 	}
-	k := e.cfg.Users
 	order := int(e.cfg.Order)
-	src := b.llrSC[slot][sym]
-	dst := w.llrGather
-	o := user * order
-	stride := k * order
-	for sc := 0; sc < e.scUsed; sc++ {
-		copy(dst[sc*order:(sc+1)*order], src[o:o+order])
-		o += stride
+	gatherLLR(w.llrGather, b.llrSC[slot][sym][user*order:], order, e.cfg.Users*order, e.scUsed)
+	return w.llrGather
+}
+
+// gatherLLR copies n runs of order floats, stride apart in src, to dst
+// back to back. The run is 8 to 32 bytes, so each order gets a loop of
+// fixed-width moves — 16 bytes at most each, the widest array assignment
+// the compiler inlines when dst and src may overlap — where a copy call
+// per run costs more than the move.
+func gatherLLR(dst, src []float32, order, stride, n int) {
+	switch order {
+	case 2:
+		for i := 0; i < n; i++ {
+			o, p := 2*i, i*stride
+			d, s := dst[o:o+2:o+2], src[p:p+2:p+2]
+			*(*[2]float32)(d) = *(*[2]float32)(s)
+		}
+	case 4:
+		for i := 0; i < n; i++ {
+			o, p := 4*i, i*stride
+			d, s := dst[o:o+4:o+4], src[p:p+4:p+4]
+			*(*[4]float32)(d) = *(*[4]float32)(s)
+		}
+	case 6:
+		for i := 0; i < n; i++ {
+			o, p := 6*i, i*stride
+			d, s := dst[o:o+6:o+6], src[p:p+6:p+6]
+			*(*[4]float32)(d) = *(*[4]float32)(s)
+			*(*[2]float32)(d[4:]) = *(*[2]float32)(s[4:])
+		}
+	case 8:
+		for i := 0; i < n; i++ {
+			o, p := 8*i, i*stride
+			d, s := dst[o:o+8:o+8], src[p:p+8:p+8]
+			*(*[4]float32)(d) = *(*[4]float32)(s)
+			*(*[4]float32)(d[4:]) = *(*[4]float32)(s[4:])
+		}
+	default:
+		panic("core: gatherLLR: unsupported modulation order")
 	}
-	return dst
 }
 
 // runDecode decodes one user's code block for one uplink symbol.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
 	"repro/internal/mat"
+	"repro/internal/modulation"
 	"repro/internal/obs"
 	"repro/internal/queue"
 )
@@ -364,6 +365,12 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	if opts.DisableSplitRadixFFT {
 		// The radix-2 ablation is a Go loop everywhere.
 		e.met.FFTKernel = "generic"
+	}
+	e.met.DemodKernel = modulation.Kernel()
+	if opts.DisableSoALLR || opts.DummyKernels {
+		// The AoS layout demodulates with the Go loop everywhere, and the
+		// dummy kernels do not demodulate.
+		e.met.DemodKernel = "generic"
 	}
 	e.txLane = opts.Workers
 	e.epoch = time.Now()

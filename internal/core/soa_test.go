@@ -70,7 +70,10 @@ func runOneFrame(t *testing.T, cfg frame.Config, opts Options, seed int64) (*Eng
 // path (fused equalize+demod) and the DisableSoALLR AoS path must produce
 // bit-identical LLRs for every user, subcarrier and bit — compared with
 // ==, not a tolerance — and identical decode results, across all four QAM
-// orders and a geometry with odd tile tails everywhere.
+// orders and a geometry with odd tile tails everywhere. Where the SoA
+// side runs the vector demod kernel (DESIGN §21) this is a
+// cross-implementation check as well: the AoS side is the Go loop on
+// every host.
 func TestSoALLRLayoutEquivalence(t *testing.T) {
 	for _, o := range []modulation.Order{
 		modulation.QPSK, modulation.QAM16, modulation.QAM64, modulation.QAM256,
@@ -220,5 +223,85 @@ func BenchmarkDecodeGather(b *testing.B) {
 		for u := 0; u < k; u++ {
 			_ = w.userLLR(0, uint16(sym), u)
 		}
+	}
+}
+
+// TestDemodKernelReported checks the engine names the demod kernel its
+// demod tasks run, and that the AoS layout and the dummy kernels report
+// the Go loop.
+func TestDemodKernelReported(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"default", Options{Workers: 1}, modulation.Kernel()},
+		{"DisableBlockGemm", Options{Workers: 1, DisableBlockGemm: true}, modulation.Kernel()},
+		{"DisableSoALLR", Options{Workers: 1, DisableSoALLR: true}, "generic"},
+		{"DisableBlockGemm+DisableSoALLR", Options{Workers: 1, DisableBlockGemm: true, DisableSoALLR: true}, "generic"},
+		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, "generic"},
+	} {
+		eng, err := NewEngine(soaCfg(modulation.QAM64), tc.opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.MetricsSnapshot().DemodKernel; got != tc.want {
+			t.Fatalf("%s: engine reports demod kernel %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// gatherLLRCopy is the gather as one copy call per run — what gatherLLR's
+// fixed-width loops replaced, kept as their oracle and as the baseline of
+// BenchmarkUserLLRGather.
+func gatherLLRCopy(dst, src []float32, order, stride, n int) {
+	for i := 0; i < n; i++ {
+		copy(dst[i*order:(i+1)*order], src[i*stride:i*stride+order])
+	}
+}
+
+// TestGatherLLRMatchesCopy checks every order's loop moves exactly the
+// runs the copy loop moves, for every user lane of a 3-user layout, and
+// nothing past the n-th run.
+func TestGatherLLRMatchesCopy(t *testing.T) {
+	const users, n = 3, 37
+	for _, order := range []int{2, 4, 6, 8} {
+		stride := users * order
+		src := make([]float32, n*stride)
+		for i := range src {
+			src[i] = float32(i + 1)
+		}
+		for u := 0; u < users; u++ {
+			got := make([]float32, n*order+order)
+			want := make([]float32, n*order+order)
+			gatherLLR(got, src[u*order:], order, stride, n)
+			gatherLLRCopy(want, src[u*order:], order, stride, n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("order %d user %d: dst[%d] = %g, want %g", order, u, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkUserLLRGather is the decode-side gather of one code block at
+// the reference cell's shape (4 users, 64-QAM, 304 subcarriers): the
+// fixed-width loops against a copy call per subcarrier.
+func BenchmarkUserLLRGather(b *testing.B) {
+	const users, order, n = 4, 6, 304
+	src := make([]float32, n*users*order)
+	dst := make([]float32, n*order)
+	for _, impl := range []struct {
+		name string
+		f    func(dst, src []float32, order, stride, n int)
+	}{{"Fixed", gatherLLR}, {"Copy", gatherLLRCopy}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(dst)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.f(dst, src[(i%users)*order:], order, users*order, n)
+			}
+		})
 	}
 }

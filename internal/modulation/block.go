@@ -65,26 +65,45 @@ func (t *Table) axisLLR(dst []float32, x float32, invNoise float32, d2 *[16]floa
 // tile[u*nsc : (u+1)*nsc] — exactly the output layout of mat.MulBlockInto
 // — and dst receives, for each subcarrier j, all users' LLRs contiguously
 // at dst[(j*users+u)*BitsPerSymbol : ...]. One call consumes the whole
-// equalized tile column-wise in a single pass, so the fused
-// equalize+demodulate block never revisits the tile per user the way the
-// AoS layout forced. The per-symbol arithmetic is axisLLR, shared with
-// DemodulateSoftBlock, so each symbol's LLRs are bit-identical between
-// the two layouts. len(dst) must be >= users*nsc*BitsPerSymbol.
+// equalized tile in a single pass, so the fused equalize+demodulate block
+// never revisits the tile per user the way the AoS layout forced. The
+// per-symbol arithmetic is axisLLR's — run by the platform's vector
+// kernel (kernel.go) over the whole groups of four columns where there is
+// one, and by the Go loop over the rest — so each symbol's LLRs are
+// bit-identical to DemodulateSoftBlock's on every host.
+// len(dst) must be >= users*nsc*BitsPerSymbol.
 func (t *Table) DemodulateSoftSoA(dst []float32, tile []complex64, users, nsc int, noiseVar float32) {
-	b := t.BitsPerSymbol() / 2
 	if len(tile) < users*nsc {
 		panic("modulation: DemodulateSoftSoA tile too small")
 	}
-	if len(dst) < users*nsc*2*b {
+	if len(dst) < users*nsc*t.BitsPerSymbol() {
 		panic("modulation: DemodulateSoftSoA dst too small")
 	}
 	if noiseVar <= 0 {
 		noiseVar = 1e-6
 	}
 	inv := 1 / noiseVar
+	if nsc == 1 {
+		// One column of users is one row of columns: the same symbols in
+		// the same dst order, in the shape that has column groups.
+		users, nsc = 1, users
+	}
+	done := 0
+	if simdSoA != nil && users > 0 && nsc >= 4 {
+		simdSoA(t, dst, tile, users, nsc, inv)
+		done = nsc &^ 3
+	}
+	t.soaColumns(dst, tile, users, nsc, done, inv)
+}
+
+// soaColumns is the Go SoA loop over columns [first, nsc) of the tile:
+// the whole of DemodulateSoftSoA where there is no vector kernel, the
+// columns past the last whole group of four where there is.
+func (t *Table) soaColumns(dst []float32, tile []complex64, users, nsc, first int, inv float32) {
+	b := t.BitsPerSymbol() / 2
 	var d2 [16]float32
-	o := 0
-	for j := 0; j < nsc; j++ {
+	o := first * users * 2 * b
+	for j := first; j < nsc; j++ {
 		for u := 0; u < users; u++ {
 			v := tile[u*nsc+j]
 			t.axisLLR(dst[o:o+b], real(v), inv, &d2)

@@ -154,8 +154,13 @@ func TestModulateBlockZeroPadsTail(t *testing.T) {
 // against the user-major one symbol by symbol: the SoA entry at
 // [(j*users+u)*order] must be bit-identical to demodulating user u's run
 // with DemodulateSoftBlock, across orders, user counts and tile widths
-// (including width 1, the scalar engine path, and non-multiples of 4).
+// (including width 1, the scalar engine path, and non-multiples of 4),
+// under each available SoA kernel — the AoS side is the Go loop always.
 func TestDemodulateSoftSoAMatchesBlock(t *testing.T) {
+	forEachKernel(t, testDemodulateSoftSoAMatchesBlock)
+}
+
+func testDemodulateSoftSoAMatchesBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, o := range allOrders {
 		tab := Get(o)
@@ -183,7 +188,9 @@ func TestDemodulateSoftSoAMatchesBlock(t *testing.T) {
 	}
 }
 
-func TestDemodulateSoftSoAPanics(t *testing.T) {
+func TestDemodulateSoftSoAPanics(t *testing.T) { forEachKernel(t, testDemodulateSoftSoAPanics) }
+
+func testDemodulateSoftSoAPanics(t *testing.T) {
 	tab := Get(QPSK)
 	tile := make([]complex64, 4)
 	expectPanic := func(name string, f func()) {
@@ -200,6 +207,13 @@ func TestDemodulateSoftSoAPanics(t *testing.T) {
 	})
 	expectPanic("short dst", func() {
 		tab.DemodulateSoftSoA(make([]float32, 7), tile, 2, 2, 0.1)
+	})
+	// Shapes with whole column groups, where a vector kernel would run.
+	expectPanic("short tile, grouped", func() {
+		tab.DemodulateSoftSoA(make([]float32, 16), make([]complex64, 7), 2, 4, 0.1)
+	})
+	expectPanic("short dst, grouped", func() {
+		tab.DemodulateSoftSoA(make([]float32, 15), make([]complex64, 8), 2, 4, 0.1)
 	})
 }
 

@@ -22,9 +22,19 @@
 //     the subcarrier-major SoA layout [sc][user][bit] in a single pass:
 //     the demod output for a tile of subcarriers is one contiguous span.
 //
-// All soft kernels share axisLLR, so LLRs are bit-identical across
-// layouts — the property the core engine's DisableSoALLR ablation (and
-// its equivalence test) relies on.
+// Reference and kernel. axisLLR (block.go) is the soft demodulator's
+// arithmetic: the squared distance to every PAM level, a min per bit
+// value, one subtract and one multiply per bit. The AoS entry points run
+// it as written, on every host. DemodulateSoftSoA, the layout the engine
+// serves frames with, runs it through the platform's vector kernel where
+// there is one (amd64 with AVX2: demod_amd64.s, selected by CPUID at init,
+// reported by Kernel; see kernel.go) and as written elsewhere and on the
+// columns the kernel does not cover. The contract between them is bit
+// identity: for every input — NaNs, infinities and a clamped noise
+// variance included — every kernel writes the LLR bits axisLLR would, so
+// LLRs are identical across layouts and hosts. The core engine's
+// DisableSoALLR ablation and its equivalence test rely on that, as does
+// every decoder iteration count the benchmark reports.
 package modulation
 
 import (

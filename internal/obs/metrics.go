@@ -77,6 +77,9 @@ type Metrics struct {
 	// FFTKernel names the split-radix stage kernels the engine's FFT plan
 	// runs ("avx2" or "generic", DESIGN §20), under the same rules.
 	FFTKernel string
+	// DemodKernel names the SoA soft-demodulation kernel the engine's
+	// demod tasks run ("avx2" or "generic", DESIGN §21), likewise.
+	DemodKernel string
 
 	// StageBusy streams each completed frame's per-stage busy time
 	// (DESIGN §17): the live SLO-attribution histograms that answer
@@ -237,7 +240,9 @@ type Snapshot struct {
 	Decode        DecodeSnap            `json:"decode"`
 	// FFTKernel is the FFT stage-kernel implementation in use.
 	FFTKernel string `json:"fft_kernel,omitempty"`
-	GC        GCSnap `json:"gc"`
+	// DemodKernel is the soft-demodulation kernel in use.
+	DemodKernel string `json:"demod_kernel,omitempty"`
+	GC          GCSnap `json:"gc"`
 	// SLO is the live per-stage budget attribution (DESIGN §17),
 	// present once at least one frame has completed with the recorder on.
 	SLO []StageSLO `json:"slo,omitempty"`
@@ -301,6 +306,7 @@ func (m *Metrics) Snap() Snapshot {
 	}
 	s.Decode = m.DecodeSnap()
 	s.FFTKernel = m.FFTKernel
+	s.DemodKernel = m.DemodKernel
 	s.SLO = m.SLORows()
 	s.Incidents = m.Incidents.Load()
 	if t := m.HighWaterReset.Load(); t > 0 {

@@ -228,7 +228,8 @@ func collectSnapshot(ps *promSet, s *Snapshot, base []promLabel) {
 }
 
 // collectProcess adds the series that describe the process rather than
-// one engine: the decode and FFT kernels CPUID selected and the GC totals.
+// one engine: the decode, FFT and demod kernels CPUID selected and the GC
+// totals.
 func collectProcess(ps *promSet, s *Snapshot) {
 	if s.Decode.Kernel != "" {
 		ps.add("agora_decode_kernel_info", "gauge",
@@ -239,6 +240,11 @@ func collectProcess(ps *promSet, s *Snapshot) {
 		ps.add("agora_fft_kernel_info", "gauge",
 			"FFT stage kernels in use (value 1; implementation in the label).",
 			1, promLabel{"kernel", s.FFTKernel})
+	}
+	if s.DemodKernel != "" {
+		ps.add("agora_demod_kernel_info", "gauge",
+			"Soft-demodulation kernel in use (value 1; implementation in the label).",
+			1, promLabel{"kernel", s.DemodKernel})
 	}
 	ps.add("agora_gc_cycles_total", "counter", "Completed GC cycles.", float64(s.GC.NumGC))
 	ps.add("agora_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", s.GC.PauseTotalMS/1e3)

@@ -20,11 +20,12 @@ func testSnapshot() Snapshot {
 			"Decode": {Count: 100, MeanUS: 30, TotalMS: 3},
 			"ZF":     {Count: 10, MeanUS: 50, TotalMS: 0.5},
 		},
-		Arena:     ArenaSnap{FreeStates: 4, ZFCacheHits: 9, ZFCacheMisses: 1, ZFCacheHitRate: 0.9},
-		Fronthaul: FronthaulSnap{SeqGaps: 5, SeqLate: 1, FECRecovered: 4, RxPkts: 1000},
-		Decode:    DecodeSnap{Blocks: 100, Iters: 250, MeanIters: 2.5, MaxIters: 8, EarlyExits: 95, EarlyExitRate: 0.95, Kernel: "avx2"},
-		FFTKernel: "generic",
-		GC:        GCSnap{NumGC: 2, PauseTotalMS: 0.1},
+		Arena:       ArenaSnap{FreeStates: 4, ZFCacheHits: 9, ZFCacheMisses: 1, ZFCacheHitRate: 0.9},
+		Fronthaul:   FronthaulSnap{SeqGaps: 5, SeqLate: 1, FECRecovered: 4, RxPkts: 1000},
+		Decode:      DecodeSnap{Blocks: 100, Iters: 250, MeanIters: 2.5, MaxIters: 8, EarlyExits: 95, EarlyExitRate: 0.95, Kernel: "avx2"},
+		FFTKernel:   "generic",
+		DemodKernel: "avx2",
+		GC:          GCSnap{NumGC: 2, PauseTotalMS: 0.1},
 		SLO: []StageSLO{
 			{Stage: "Decode", Frames: 42, MeanBusyUS: 200, P50BusyUS: 190, P99BusyUS: 260, MaxBusyUS: 300, MeanShare: 0.2},
 		},
@@ -114,6 +115,7 @@ func TestPromSnapshotFormat(t *testing.T) {
 		"agora_decode_early_exit_rate 0.95\n",
 		`agora_decode_kernel_info{kernel="avx2"} 1` + "\n",
 		`agora_fft_kernel_info{kernel="generic"} 1` + "\n",
+		`agora_demod_kernel_info{kernel="avx2"} 1` + "\n",
 		"agora_seq_gaps_total 5\n",
 		"agora_gc_cycles_total 2\n",
 		"agora_queue_max_reset_timestamp_seconds 1.7e+09\n",
@@ -188,12 +190,13 @@ func TestPromFleetGrouping(t *testing.T) {
 		"agora_gc_cycles_total 2\n",
 		`agora_decode_kernel_info{kernel="avx2"} 1` + "\n",
 		`agora_fft_kernel_info{kernel="generic"} 1` + "\n",
+		`agora_demod_kernel_info{kernel="avx2"} 1` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("fleet output missing %q:\n%s", want, text)
 		}
 	}
-	for _, fam := range []string{"agora_decode_kernel_info", "agora_fft_kernel_info"} {
+	for _, fam := range []string{"agora_decode_kernel_info", "agora_fft_kernel_info", "agora_demod_kernel_info"} {
 		if samples[fam] != 1 {
 			t.Fatalf("%s samples = %d, want exactly 1 (process-wide)", fam, samples[fam])
 		}
