@@ -15,7 +15,8 @@ check: vet build test race fuzz benchmark-smoke perf
 # (argument offsets, frame sizes). The arm64 cross-vet type-checks the
 # file set every non-amd64 build gets — the pure-Go LDPC layer kernels,
 # FFT stage loops and demod loop with no assembly behind them (DESIGN
-# §19–§21) — so the fallback cannot rot on a host that never compiles it.
+# §13, §20–§21) — so the fallback cannot rot on a host that never
+# compiles it.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/...
@@ -37,14 +38,13 @@ test:
 race:
 	$(GO) test -race -short ./internal/...
 
-# Short fuzz pass over the ldpc bit-packing and LLR-quantization targets
-# and the vector-vs-Go kernel differentials of ldpc, fft and modulation
-# (Go runs one -fuzz target per invocation). A few seconds each is enough
-# to re-find the int8(NaN) class of bug; longer exploratory runs are
+# Short fuzz pass over the ldpc bit-packing and schedule-differential
+# targets and the vector-vs-Go kernel differentials of ldpc, fft and
+# modulation (Go runs one -fuzz target per invocation). A few seconds each
+# is a smoke pass; longer exploratory runs are
 # `go test -fuzz <Target> <package>` without -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
-	$(GO) test -run '^$$' -fuzz FuzzQuantizeLLR -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
@@ -76,11 +76,12 @@ baseline:
 # baseline and fail on >10% regression, so tier-1 catches performance
 # regressions alongside correctness. Table4_AllOptimizationsOn pins the
 # default engine path (fused SoA demod included) explicitly; the Decode_
-# pairs pin the lane-major LDPC kernel and its legacy ablation partner,
-# and Decode_AVX2/_PureGo (internal/ldpc, rotating inputs) the vector
-# layer kernels and the Go loops they fall back to; the FFT512,
-# ForwardIQ12_512 and IFFTBatch8x512 _AVX2/_PureGo pairs (internal/fft)
-# do the same for the FFT stage kernels and the IQ12 front end.
+# rows pin the layered LDPC decode and its flooding ablation partner
+# (Decode_Layered/_Flooding), and Decode_AVX2/_PureGo (internal/ldpc,
+# rotating inputs) the vector layer kernels and the Go loops they fall
+# back to; the FFT512, ForwardIQ12_512 and IFFTBatch8x512 _AVX2/_PureGo
+# pairs (internal/fft) do the same for the FFT stage kernels and the IQ12
+# front end.
 # Table1 also matches Table1_SteadyStateFrame, which the zero-alloc gate
 # additionally holds to exactly 0 allocs/op and 0 B/op (DESIGN §14): any
 # allocation creeping back into the recycled frame loop fails the build.
@@ -92,7 +93,7 @@ baseline:
 # gate above already runs with the recorder on (it is the default), so
 # attribution is also pinned to 0 allocs/op in the steady-state loop.
 # The -iters pass is the deterministic decode-convergence tripwire
-# (DESIGN §18): mean iterations-to-converge on a fixed seeded workload,
+# (DESIGN §13): mean iterations-to-converge on a fixed seeded workload,
 # failing on >10% regression — it catches scheduling bugs that stay
 # correct and hide inside the wall-clock tolerance above.
 perf:

@@ -111,7 +111,7 @@ type (
 	FleetSnapshot = obs.FleetSnapshot
 	// FleetSummary aggregates a multi-cell harness run (RunFleetUplink).
 	FleetSummary = harness.FleetSummary
-	// DecodeSnap is the LDPC decode-iteration accounting (DESIGN §18):
+	// DecodeSnap is the LDPC decode-iteration accounting (DESIGN §13):
 	// blocks decoded, mean/max BP iterations, early-exit rate.
 	DecodeSnap = obs.DecodeSnap
 	// StageSLO is one stage's live budget-attribution summary: per-frame

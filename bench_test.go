@@ -197,75 +197,12 @@ func BenchmarkFig12_LDPCDecode(b *testing.B) {
 	}
 }
 
-// benchDecodePath measures the float decoder at the 64×16 default code
-// (rate 1/3, Z=104) on a perturbed-but-decodable codeword — noisy enough
-// that several real BP iterations run — with the kernel path selectable.
-// The Lane/Legacy pair is the kernel-level ablation for the lane-major
-// decode layout (DESIGN §13); both paths are bit-identical, so the gap is
-// pure traversal and memory-layout cost.
-func benchDecodePath(b *testing.B, legacy bool) {
-	rng := rand.New(rand.NewSource(1))
-	code := ldpc.MustNew(ldpc.Rate13, 104)
-	dec := ldpc.NewDecoder(code)
-	dec.Legacy = legacy
-	llr := noisyBenchLLR(rng, code)
-	out := make([]byte, code.K())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(out, llr, 5)
-	}
-}
-
-// noisyBenchLLR encodes a random block and perturbs its ±4 LLRs with unit
-// Gaussian noise, the workload the Decode_ benchmark pairs share.
-func noisyBenchLLR(rng *rand.Rand, code *ldpc.Code) []float32 {
-	info := make([]byte, code.K())
-	for i := range info {
-		info[i] = byte(rng.Intn(2))
-	}
-	cw := make([]byte, code.N())
-	code.Encode(cw, info)
-	llr := make([]float32, code.N())
-	for i, bit := range cw {
-		if bit == 0 {
-			llr[i] = 4
-		} else {
-			llr[i] = -4
-		}
-		llr[i] += float32(rng.NormFloat64())
-	}
-	return llr
-}
-
-func BenchmarkDecode_LaneMajor(b *testing.B) { benchDecodePath(b, false) }
-func BenchmarkDecode_Legacy(b *testing.B)    { benchDecodePath(b, true) }
-
-// benchDecode8Path is the int8 counterpart of benchDecodePath.
-func benchDecode8Path(b *testing.B, legacy bool) {
-	rng := rand.New(rand.NewSource(1))
-	code := ldpc.MustNew(ldpc.Rate13, 104)
-	dec := ldpc.NewDecoder8(code)
-	dec.Legacy = legacy
-	q := make([]int8, code.N())
-	dec.QuantizeLLR(q, noisyBenchLLR(rng, code))
-	out := make([]byte, code.K())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(out, q, 5)
-	}
-}
-
-func BenchmarkDecode_LaneMajorInt8(b *testing.B) { benchDecode8Path(b, false) }
-func BenchmarkDecode_LegacyInt8(b *testing.B)    { benchDecode8Path(b, true) }
-
 // schedBenchLLR is the decode-schedule reference workload: a random
 // codeword at the default 64×16 code whose ±4 LLRs carry σ=2.5 Gaussian
 // noise — harsh enough that min-sum runs several real iterations (unit
 // noise decodes in one, hiding any schedule difference) while still
 // converging under both schedules. Shared by the Decode_Layered/_Flooding
-// pairs and mirrored by cmd/bench's -iters tripwire.
+// pair and mirrored by cmd/bench's -iters tripwire.
 func schedBenchLLR(rng *rand.Rand, code *ldpc.Code) []float32 {
 	info := make([]byte, code.K())
 	for i := range info {
@@ -287,10 +224,9 @@ func schedBenchLLR(rng *rand.Rand, code *ldpc.Code) []float32 {
 
 // benchDecodeSched measures the float decoder with the message-passing
 // schedule selectable: the layered default (fused incremental syndrome)
-// against the flooding ablation (DESIGN §18). Unlike the LaneMajor/Legacy
-// pair the two sides run different iteration counts by design — the gap
-// is the combined effect of the halved iterations-to-converge and the
-// O(1) convergence test.
+// against the flooding ablation (DESIGN §13). The two sides run
+// different iteration counts by design — the gap is the combined effect
+// of the halved iterations-to-converge and the O(1) convergence test.
 func benchDecodeSched(b *testing.B, flooding bool) {
 	rng := rand.New(rand.NewSource(1))
 	code := ldpc.MustNew(ldpc.Rate13, 104)
@@ -310,28 +246,6 @@ func benchDecodeSched(b *testing.B, flooding bool) {
 
 func BenchmarkDecode_Layered(b *testing.B)  { benchDecodeSched(b, false) }
 func BenchmarkDecode_Flooding(b *testing.B) { benchDecodeSched(b, true) }
-
-// benchDecodeSched8 is the int8 counterpart of benchDecodeSched.
-func benchDecodeSched8(b *testing.B, flooding bool) {
-	rng := rand.New(rand.NewSource(1))
-	code := ldpc.MustNew(ldpc.Rate13, 104)
-	dec := ldpc.NewDecoder8(code)
-	dec.Flooding = flooding
-	q := make([]int8, code.N())
-	dec.QuantizeLLR(q, schedBenchLLR(rng, code))
-	out := make([]byte, code.K())
-	if res := dec.Decode(out, q, 20); !res.OK {
-		b.Fatalf("reference workload did not converge (flooding=%v)", flooding)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(out, q, 20)
-	}
-}
-
-func BenchmarkDecode_LayeredInt8(b *testing.B)  { benchDecodeSched8(b, false) }
-func BenchmarkDecode_FloodingInt8(b *testing.B) { benchDecodeSched8(b, true) }
 
 // BenchmarkFig12_LDPCEncode is the encoding counterpart.
 func BenchmarkFig12_LDPCEncode(b *testing.B) {
@@ -369,7 +283,7 @@ func BenchmarkTable4_AllOptimizationsOff(b *testing.B) {
 		DisableBatching: true, DisableMemOpt: true, DisableDirectStore: true,
 		DisableInverseOpt: true, DisableJITGemm: true, DisableBlockGemm: true,
 		DisableSIMDConvert: true, DisableSplitRadixFFT: true,
-		DisableSoALLR: true, DisableLaneDecode: true, DisableZFCache: true})
+		DisableSoALLR: true, DisableZFCache: true})
 }
 
 // BenchmarkTable4_ZFCacheOff isolates the coherence-cached ZF ablation:
@@ -388,16 +302,9 @@ func BenchmarkTable4_AoSLLR(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableSoALLR: true})
 }
 
-// BenchmarkTable4_LaneDecodeOff isolates the lane-major decode kernel's
-// ablation: only LDPC decoding reverts to the legacy check-major loop,
-// everything else stays optimized.
-func BenchmarkTable4_LaneDecodeOff(b *testing.B) {
-	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableLaneDecode: true})
-}
-
 // BenchmarkTable4_FloodingDecode isolates the decode-schedule ablation:
 // only LDPC decoding reverts to the flooding message-passing schedule,
-// everything else stays optimized (DESIGN §18).
+// everything else stays optimized (DESIGN §13).
 func BenchmarkTable4_FloodingDecode(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableLayeredDecode: true})
 }

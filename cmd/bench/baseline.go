@@ -39,7 +39,7 @@ type BaselineEntry struct {
 // and the -compare gate run: the root package's paper tables, plus
 // internal/ldpc and internal/fft for the kernel A/B pairs that have to
 // flip those packages' unexported kernel dispatch (BenchmarkDecode_AVX2 /
-// _PureGo, DESIGN §19; BenchmarkFFT512_AVX2 / _PureGo and its siblings,
+// _PureGo, DESIGN §13; BenchmarkFFT512_AVX2 / _PureGo and its siblings,
 // DESIGN §20).
 var benchPackages = []string{".", "./internal/ldpc", "./internal/fft"}
 

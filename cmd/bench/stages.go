@@ -54,7 +54,7 @@ type stagesReport struct {
 	// DecodeIters is the decode-iteration accounting of the main (layered)
 	// run; DecodeItersFlooding is from a third identically-seeded run with
 	// DisableLayeredDecode, so the pair prices the layered schedule the
-	// same way the ZF rows price the coherence cache (DESIGN §18).
+	// same way the ZF rows price the coherence cache (DESIGN §13).
 	DecodeIters         agora.DecodeSnap `json:"decode_iters"`
 	DecodeItersFlooding agora.DecodeSnap `json:"decode_iters_flooding"`
 	// FFTKernel is the FFT stage-kernel implementation the run used; the

@@ -103,7 +103,6 @@ func newWorker(id int, e *Engine) *worker {
 	w.xtBlk = make([]complex64, maxB*cfg.Users)
 	w.dec = ldpc.NewDecoder(e.code)
 	w.dec.Alg = ldpc.NormalizedMinSum
-	w.dec.Legacy = e.opts.DisableLaneDecode
 	w.dec.Flooding = e.opts.DisableLayeredDecode
 	batchLanes := cfg.FFTBatch
 	if batchLanes < 1 {

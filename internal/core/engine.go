@@ -357,8 +357,8 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.buildPollOrders()
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
 	e.met.DecodeKernel = ldpc.Kernel()
-	if opts.DisableLaneDecode || opts.DisableLayeredDecode {
-		// The check-major and flooding ablations are Go loops everywhere.
+	if opts.DisableLayeredDecode {
+		// The flooding ablation is a Go loop everywhere.
 		e.met.DecodeKernel = "generic"
 	}
 	e.met.FFTKernel = fft.Impl()

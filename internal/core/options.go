@@ -106,22 +106,13 @@ type Options struct {
 	// layouts; only the traversal and memory traffic differ.
 	DisableSoALLR bool
 
-	// DisableLaneDecode routes LDPC decoding through the legacy
-	// check-major min-sum loop instead of the lane-major Z-lane kernel
-	// (ldpc/lanes.go, DESIGN §13). Decoded bits and iteration counts are
-	// bit-identical between the two paths; only the traversal order and
-	// the message memory layout differ.
-	DisableLaneDecode bool
-
 	// DisableLayeredDecode replaces the default layered (serial-C) LDPC
 	// message-passing schedule with a flooding schedule (ldpc/flood.go,
-	// DESIGN §18): every check node of an iteration reads the beliefs from
+	// DESIGN §13): every check node of an iteration reads the beliefs from
 	// the previous full iteration instead of the freshest within-iteration
 	// values. Decoded information bits match the layered schedule on
 	// decodable inputs, but iterations-to-converge roughly double — the
-	// Table-4-style ablation that prices the layered schedule. When
-	// DisableLaneDecode is also set, the legacy check-major path (which is
-	// layered) wins and this toggle has no effect.
+	// Table-4-style ablation that prices the layered schedule.
 	DisableLayeredDecode bool
 
 	// DisableSIMDConvert replaces the word-packed IQ conversion with the

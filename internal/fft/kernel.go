@@ -6,7 +6,7 @@ package fft
 // hand-vectorised implementation on amd64 (stages_amd64.s). Which one
 // runs is decided by what the process can observe — the GOARCH it was
 // built for and, at init, a CPUID/XGETBV probe — never by a user option,
-// the same rule as ldpc.Kernel (DESIGN §19): a host that cannot run the
+// the same rule as ldpc.Kernel (DESIGN §13): a host that cannot run the
 // fast kernels falls back silently but visibly (Impl is exported through
 // RunSummary, the cmd/agora start-up line and agora_fft_kernel_info).
 // Both implementations produce the same bits after every stage, so

@@ -51,9 +51,9 @@ type RunSummary struct {
 	SeqGaps      int64
 	SeqLate      int64
 	FECRecovered int64
-	// Decode is the run's LDPC decode-iteration accounting (DESIGN §18):
+	// Decode is the run's LDPC decode-iteration accounting (DESIGN §13):
 	// blocks decoded, mean/max BP iterations, the early-exit rate of the
-	// fused syndrome check, and which layer kernels ran (§19).
+	// fused syndrome check, and which layer kernels ran.
 	Decode obs.DecodeSnap
 	// FFTKernel names the FFT stage kernels that ran (DESIGN §20).
 	FFTKernel string

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Kernel A/B on rotating inputs (DESIGN §19). The repo-root Decode_ pairs
+// Kernel A/B on rotating inputs (DESIGN §13). The repo-root Decode_ pairs
 // replay one LLR vector, which the branch predictor memorises: the Go
 // kernels' data-dependent `a < min1` / `idx == e` / flip branches then
 // cost nothing and the pair under-reports what a decode costs inside the

@@ -25,14 +25,8 @@ type Decoder struct {
 	Offset float32
 	// Scale is the α of normalized min-sum (conventional 0.75).
 	Scale float32
-	// Legacy routes Decode through the check-major path instead of the
-	// lane-major kernel (lanes.go) — the Table-4-style ablation behind
-	// core's Options.DisableLaneDecode. Outputs are identical either way.
-	// Legacy takes precedence over Flooding (the check-major path only
-	// implements the layered schedule).
-	Legacy bool
 	// Flooding replaces the default layered (serial-C) schedule with a
-	// flooding schedule (flood.go, DESIGN §18): every check of an
+	// flooding schedule (flood.go, DESIGN §13): every check of an
 	// iteration reads the APP values from the previous full iteration.
 	// The Table-4-style ablation behind core's Options.DisableLayeredDecode.
 	// On decodable inputs the decoded information bits match the layered
@@ -41,15 +35,12 @@ type Decoder struct {
 	Flooding bool
 	l        []float32 // posterior LLR per variable
 	lPrev    []float32 // flooding only: APP snapshot at iteration start
-	r        []float32 // check-to-variable message per edge instance
-	hard     []byte    // hard decisions, one per variable plus hardPad
-	syn      synTrack  // fused incremental syndrome (layered.go)
-	// Legacy edge layout: for block-row i, edges are stored check by
-	// check: rowOff[i] + r*deg + e for check row r and edge index e. The
-	// lane kernel stores the same buffer lane-major, r[edge*Z+lane]
-	// (== rowOff[i] + e*Z + lane, since rowOff[i] = eOff[i]*Z); messages
-	// are zeroed per Decode, so the layouts never need to coexist.
-	rowOff []int
+	// r holds the check-to-variable messages lane-major: lane j of edge
+	// eOff[i]+e is r[(eOff[i]+e)*Z + j], so block-row i's slab starts at
+	// eOff[i]*Z.
+	r    []float32
+	hard []byte   // hard decisions, one per variable plus hardPad
+	syn  synTrack // fused incremental syndrome (layered.go)
 	// Flat per-edge tables (indexed by eOff[i]+e): the variable-block base
 	// column*Z and the cyclic shift, precomputed so the hot loop does one
 	// add and one conditional subtract per edge instead of a multiply and
@@ -57,8 +48,6 @@ type Decoder struct {
 	eOff     []int
 	edgeBase []int
 	edgeShf  []int
-	vIdx     []int32   // legacy per-check scratch: variable index of each edge
-	q        []float32 // legacy per-check scratch: variable-to-check messages
 	// Lane-major scratch (lanes.go): the layer's Q slab (deg×Z, reused as
 	// the posterior slab in pass 2) and the per-lane reduction state.
 	laneQ    []float32
@@ -76,21 +65,15 @@ func NewDecoder(c *Code) *Decoder {
 	d.lPrev = make([]float32, nVar)
 	d.hard = make([]byte, nVar+hardPad)
 	d.syn = newSynTrack(c)
-	d.rowOff = make([]int, c.Mb+1)
 	d.eOff = make([]int, c.Mb+1)
-	total, edges, maxDeg := 0, 0, 0
+	edges, maxDeg := 0, 0
 	for i, row := range c.rows {
-		d.rowOff[i] = total
 		d.eOff[i] = edges
-		total += len(row) * c.Z
 		edges += len(row)
-		if len(row) > maxDeg {
-			maxDeg = len(row)
-		}
+		maxDeg = max(maxDeg, len(row))
 	}
-	d.rowOff[c.Mb] = total
 	d.eOff[c.Mb] = edges
-	d.r = make([]float32, total)
+	d.r = make([]float32, edges*c.Z)
 	d.edgeBase = make([]int, edges)
 	d.edgeShf = make([]int, edges)
 	for i, row := range c.rows {
@@ -99,8 +82,6 @@ func NewDecoder(c *Code) *Decoder {
 			d.edgeShf[d.eOff[i]+e] = en.shift
 		}
 	}
-	d.vIdx = make([]int32, maxDeg)
-	d.q = make([]float32, maxDeg)
 	d.laneQ = make([]float32, maxDeg*c.Z)
 	d.laneMin1 = make([]float32, c.Z)
 	d.laneMin2 = make([]float32, c.Z)
@@ -122,19 +103,19 @@ type Result struct {
 	OK         bool // parity satisfied (block decoded successfully)
 }
 
-// Decode runs layered offset min-sum BP on channel LLRs (positive =>
-// bit 0, one per transmitted bit, length N()) for at most maxIter
-// iterations, with early termination once the syndrome is satisfied.
-// The decoded information bits (one per byte) are written to info, which
-// must have length K(). Returns the iteration count and success flag;
-// on failure info holds the best-effort hard decisions.
+// Decode runs layered min-sum BP on channel LLRs (positive => bit 0, one
+// per transmitted bit, length N()) for at most maxIter iterations, with
+// early termination once the syndrome is satisfied. The decoded
+// information bits (one per byte) are written to info, which must have
+// length K(). Returns the iteration count and success flag; on failure
+// info holds the best-effort hard decisions.
 //
-// The default path is the lane-major layered kernel with syndrome
+// The default path is the lane-major layered schedule with syndrome
 // tracking fused into the layer update (layered.go), on the platform's
-// vector layer kernels where init found them (kernel.go); Legacy selects the
-// check-major loop and Flooding the flooding schedule, both of which pay
-// a hard-decision pass and — only when a bit actually flipped — a
-// CheckSyndrome walk per iteration.
+// vector layer kernels where init found them (kernel.go). Flooding
+// selects the flooding schedule (flood.go), which pays a hard-decision
+// pass and — only when a bit actually flipped — a CheckSyndrome walk per
+// iteration.
 func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	c := d.code
 	if len(llr) != c.N() {
@@ -145,93 +126,18 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	}
 	clear(d.r)
 	// Fold the variant into one magnitude rule, m = max(min*scl − off, 0),
-	// hoisting the Alg branch out of the per-check/per-lane hot path:
-	// offset min-sum is scl=1, off=β; normalized min-sum is scl=α, off=0
-	// (min is non-negative, so its clamp never fires).
+	// hoisting the Alg branch out of the per-lane hot path: offset
+	// min-sum is scl=1, off=β; normalized min-sum is scl=α, off=0 (min is
+	// non-negative, so its clamp never fires).
 	scl, off := float32(1), d.Offset
 	if d.Alg == NormalizedMinSum {
 		scl, off = d.Scale, 0
 	}
-	switch {
-	case d.Legacy:
+	if d.Flooding {
 		copy(d.l, llr)
-		return d.decodeWalked(info, maxIter, scl, off, false)
-	case d.Flooding:
-		copy(d.l, llr)
-		return d.decodeWalked(info, maxIter, scl, off, true)
-	default:
-		return d.decodeLayered(info, llr, maxIter, scl, off)
+		return d.decodeFlood(info, maxIter, scl, off)
 	}
-}
-
-// iterateLegacy runs one layered BP iteration check by check — the
-// historical path kept as the lane kernel's ablation partner.
-func (d *Decoder) iterateLegacy(scl, off float32) {
-	c := d.code
-	z := c.Z
-	for i, row := range c.rows {
-		deg := len(row)
-		eo := d.eOff[i]
-		cols := d.edgeBase[eo : eo+deg]
-		shifts := d.edgeShf[eo : eo+deg]
-		vs := d.vIdx[:deg]
-		qs := d.q[:deg]
-		for r := 0; r < z; r++ {
-			rbase := d.rowOff[i] + r*deg
-			rr := d.r[rbase : rbase+deg : rbase+deg]
-			// Pass 1: subtract old messages, find min1/min2/sign. Each
-			// check touches distinct variables, so Q lives in scratch
-			// instead of being round-tripped through the posterior.
-			var min1, min2 float32 = laneInitLLR, laneInitLLR
-			minIdx := -1
-			signProd := float32(1)
-			for e := 0; e < deg; e++ {
-				rs := r + shifts[e]
-				if rs >= z {
-					rs -= z
-				}
-				v := cols[e] + rs
-				q := d.l[v] - rr[e]
-				vs[e] = int32(v)
-				qs[e] = q
-				aq := q
-				if aq < 0 {
-					aq = -aq
-					signProd = -signProd
-				}
-				if aq < min1 {
-					min2 = min1
-					min1 = aq
-					minIdx = e
-				} else if aq < min2 {
-					min2 = aq
-				}
-			}
-			m1 := min1*scl - off
-			if m1 < 0 {
-				m1 = 0
-			}
-			m2 := min2*scl - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			// Pass 2: write new messages and posteriors.
-			for e := 0; e < deg; e++ {
-				q := qs[e]
-				mag := m1
-				if e == minIdx {
-					mag = m2
-				}
-				s := signProd
-				if q < 0 {
-					s = -s
-				}
-				nr := s * mag
-				rr[e] = nr
-				d.l[vs[e]] = q + nr
-			}
-		}
-	}
+	return d.decodeLayered(info, llr, maxIter, scl, off)
 }
 
 // BitsToBytes packs bits (one per byte, MSB first) into bytes; the final

@@ -2,8 +2,8 @@ package ldpc
 
 import "math"
 
-// Flooding-schedule decoding (DESIGN §18): the Table-4 ablation partner
-// of the layered default, selected by Decoder.Flooding / Decoder8.Flooding
+// Flooding-schedule decoding (DESIGN §13): the Table-4 ablation partner
+// of the layered default, selected by Decoder.Flooding
 // (core.Options.DisableLayeredDecode).
 //
 // Under flooding, every check node of an iteration sees the variable
@@ -23,31 +23,25 @@ import "math"
 // iteration counts legitimately differ (TestLayeredVsFloodingBits,
 // FuzzLayeredVsFlooding).
 //
-// Flooding (and the Legacy check-major path) detect convergence the
-// historical way — hard-decision pass plus CheckSyndrome walk per
-// iteration — but both now skip the walk entirely when no hard decision
-// flipped since the last walk: an unchanged bit vector cannot newly
-// satisfy the parity equations, so the skip is behaviour-preserving.
+// Flooding detects convergence with a hard-decision pass plus a
+// CheckSyndrome walk per iteration, but skips the walk when no hard
+// decision flipped since the last one: an unchanged bit vector cannot
+// newly satisfy the parity equations, so the skip is
+// behaviour-preserving.
 
-// decodeWalked is the shared walk-per-iteration decode loop for the
-// flooding and legacy paths of the float decoder. The hard-decision pass
-// counts flips against the previous iteration's decisions; the syndrome
-// walk runs only on the first iteration (hard starts stale) or when at
-// least one bit flipped since the walk that most recently ran.
-func (d *Decoder) decodeWalked(info []byte, maxIter int, scl, off float32, flood bool) Result {
+// decodeFlood is the flooding decode loop. The hard-decision pass counts
+// flips against the previous iteration's decisions; the syndrome walk
+// runs only on the first iteration (hard starts stale) or when at least
+// one bit flipped since the walk that most recently ran.
+func (d *Decoder) decodeFlood(info []byte, maxIter int, scl, off float32) Result {
 	c := d.code
 	res := Result{}
 	walked := false
 	pending := 0
 	for it := 1; it <= maxIter; it++ {
 		res.Iterations = it
-		if flood {
-			copy(d.lPrev, d.l)
-			d.iterateFlood(scl, off)
-		} else {
-			d.iterateLegacy(scl, off)
-		}
-		flips := 0
+		copy(d.lPrev, d.l)
+		d.iterateFlood(scl, off)
 		for v, lv := range d.l {
 			nb := byte(0)
 			if lv < 0 {
@@ -55,10 +49,9 @@ func (d *Decoder) decodeWalked(info []byte, maxIter int, scl, off float32, flood
 			}
 			if nb != d.hard[v] {
 				d.hard[v] = nb
-				flips++
+				pending++
 			}
 		}
-		pending += flips
 		if !walked || pending > 0 {
 			walked, pending = true, 0
 			if c.CheckSyndrome(d.hard) {
@@ -72,53 +65,25 @@ func (d *Decoder) decodeWalked(info []byte, maxIter int, scl, off float32, flood
 }
 
 // iterateFlood runs one flooding iteration over the lane-major slabs:
-// structurally iterateLanes, but pass 1 reads the iteration-start APP
-// snapshot and pass 2 adds message deltas to the live APP array instead
-// of rebuilding posteriors layer-serially.
+// pass 1 and the magnitudes are the layered schedule's, read from the
+// iteration-start APP snapshot, and pass 2 adds message deltas to the
+// live APP array instead of rebuilding posteriors layer-serially.
 func (d *Decoder) iterateFlood(scl, off float32) {
-	c := d.code
-	z := c.Z
-	for i := range c.rows {
+	z := d.code.Z
+	min1 := d.laneMin1[:z]
+	min2 := d.laneMin2[:z]
+	idx := d.laneIdx[:z]
+	sgn := d.laneSgn[:z]
+	for i := range d.code.rows {
+		d.layerReduceFrom(i, d.lPrev)
+		d.layerMag(scl, off)
 		eo := d.eOff[i]
 		deg := d.eOff[i+1] - eo
-		ro := d.rowOff[i]
-		min1 := d.laneMin1[:z]
-		min2 := d.laneMin2[:z]
-		idx := d.laneIdx[:z]
-		sgn := d.laneSgn[:z]
-		for l := range min1 {
-			min1[l] = laneInitLLR
-			min2[l] = laneInitLLR
-			idx[l] = -1
-		}
-		clear(sgn)
 		for e := 0; e < deg; e++ {
 			base := d.edgeBase[eo+e]
 			s := d.edgeShf[eo+e]
 			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			pb := d.lPrev[base : base+z]
-			n := z - s
-			laneReduce(qe[:n], re[:n], pb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
-			laneReduce(qe[n:], re[n:], pb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))
-		}
-		for l, m := range min1 {
-			m = m*scl - off
-			if m < 0 {
-				m = 0
-			}
-			min1[l] = m
-			m2 := min2[l]*scl - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			min2[l] = m2
-		}
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
+			re := d.r[(eo+e)*z : (eo+e+1)*z]
 			lb := d.l[base : base+z]
 			n := z - s
 			laneUpdateFlood(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
@@ -150,129 +115,5 @@ func laneUpdateFlood(q, r, dst []float32, sgn []uint32, m1, m2 []float32, idx []
 		old := r[l]
 		r[l] = nr
 		dst[l] += nr - old
-	}
-}
-
-// decodeWalked8 is decodeWalked for the int8 decoder.
-func (d *Decoder8) decodeWalked8(info []byte, maxIter int, flood bool) Result {
-	c := d.code
-	res := Result{}
-	walked := false
-	pending := 0
-	for it := 1; it <= maxIter; it++ {
-		res.Iterations = it
-		if flood {
-			copy(d.lPrev, d.l)
-			d.iterateFlood8()
-		} else {
-			d.iterateLegacy8()
-		}
-		flips := 0
-		for v, lv := range d.l {
-			nb := byte(0)
-			if lv < 0 {
-				nb = 1
-			}
-			if nb != d.hard[v] {
-				d.hard[v] = nb
-				flips++
-			}
-		}
-		pending += flips
-		if !walked || pending > 0 {
-			walked, pending = true, 0
-			if c.CheckSyndrome(d.hard) {
-				res.OK = true
-				break
-			}
-		}
-	}
-	copy(info, d.hard[:c.K()])
-	return res
-}
-
-// iterateFlood8 is the int8/int16 counterpart of iterateFlood.
-func (d *Decoder8) iterateFlood8() {
-	c := d.code
-	z := c.Z
-	off := int16(d.Offset)
-	for i := range c.rows {
-		eo := d.eOff[i]
-		deg := d.eOff[i+1] - eo
-		ro := d.rowOff[i]
-		min1 := d.laneMin1[:z]
-		min2 := d.laneMin2[:z]
-		idx := d.laneIdx[:z]
-		sgn := d.laneSgn[:z]
-		for l := range min1 {
-			min1[l] = 32767
-			min2[l] = 32767
-			idx[l] = -1
-		}
-		clear(sgn)
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			pb := d.lPrev[base : base+z]
-			n := z - s
-			laneReduce8(qe[:n], re[:n], pb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int16(e))
-			laneReduce8(qe[n:], re[n:], pb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int16(e))
-		}
-		for l, m := range min1 {
-			m -= off
-			if m < 0 {
-				m = 0
-			}
-			if m > 127 {
-				m = 127
-			}
-			min1[l] = m
-			m2 := min2[l] - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			if m2 > 127 {
-				m2 = 127
-			}
-			min2[l] = m2
-		}
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneUpdateFlood8(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int16(e))
-			laneUpdateFlood8(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int16(e))
-		}
-	}
-}
-
-// laneUpdateFlood8 accumulates saturated message deltas into the live APP
-// array.
-func laneUpdateFlood8(q []int16, r []int8, dst []int16, sgn []uint16, m1, m2, idx []int16, e int16) {
-	if len(q) == 0 {
-		return
-	}
-	r = r[:len(q)]
-	dst = dst[:len(q)]
-	sgn = sgn[:len(q)]
-	m1 = m1[:len(q)]
-	m2 = m2[:len(q)]
-	idx = idx[:len(q)]
-	for l := range q {
-		v := q[l]
-		mag := m1[l]
-		if idx[l] == e {
-			mag = m2[l]
-		}
-		neg := -int16(sgn[l] ^ (uint16(v) >> 15)) // 0 or −1
-		nr := (mag ^ neg) - neg
-		old := r[l]
-		r[l] = int8(nr)
-		dst[l] = sat16(int32(dst[l]) + int32(nr) - int32(old))
 	}
 }

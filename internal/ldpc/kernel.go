@@ -1,6 +1,6 @@
 package ldpc
 
-// Kernel selection for the default float32 layered decode (DESIGN §19).
+// Kernel selection for the default float32 layered decode (DESIGN §13).
 //
 // iterateLayered's three per-edge loops have a hand-vectorised
 // implementation on amd64 (lanes_amd64.s). Which one runs is decided by

@@ -2,107 +2,34 @@ package ldpc
 
 import "math"
 
-// Lane-major layer processing (DESIGN §13): the slab kernels the default
-// layered decode path (layered.go) is built from. iterateLanes and
-// iterateLanes8 are the historical PR 5 iteration bodies — identical
-// arithmetic to iterateLayered/iterateLayered8 without the fused
-// syndrome bookkeeping — kept as the bit-identity reference the layered
-// tests pin against.
+// Lane-major layer processing (DESIGN §13): the pass-1 slab reduction
+// both schedules (layered.go, flood.go) are built from.
 //
-// The legacy path walks a block-row layer check by check — for each of
-// the Z lifted checks it chases `col*Z + (r+shift) mod Z` through the
-// posterior array, one modular index computation and one gather per edge
-// per check. The lane-major path turns the loop inside out: for each
-// *edge* of the layer it touches all Z checks ("lanes") at once.
+// A block-row layer is walked per *edge*, touching all Z lifted checks
+// ("lanes") of the layer at once rather than check by check:
 //
-//   - The cyclic shift becomes two `copy`-style contiguous segment loops
-//     instead of Z modular index computations: lane r of an edge with
-//     shift s reads variable (r+s) mod Z, so lanes [0, Z-s) map to one
-//     contiguous run of the variable block and lanes [Z-s, Z) to the
-//     other.
+//   - The cyclic shift becomes two contiguous segment loops instead of Z
+//     modular index computations: lane r of an edge with shift s reads
+//     variable (r+s) mod Z, so lanes [0, Z-s) map to one contiguous run of
+//     the variable block and lanes [Z-s, Z) to the other.
 //   - The min1/min2/sign reduction and the message/posterior update run
 //     as flat loops over equal-length slices (`q`, `r`, `src` all
 //     pre-trimmed to one segment), which lets the compiler eliminate
 //     bounds checks and keep the per-lane state in registers.
 //   - Check-to-variable messages are stored lane-major, r[edge*Z+lane],
-//     so both passes stream r sequentially (the legacy float layout is
-//     check-major, r[rowOff+check*deg+edge]; messages are scratch that
-//     Decode zeroes, so the two paths can share the buffer).
+//     so both passes stream r sequentially.
 //
-// The per-lane arithmetic is the legacy arithmetic: identical values in
-// identical order, so decoded bits and Result are identical
-// (TestLaneDecodeEquivalence pins this across all supported Z and rates).
-// The float kernel tracks signs via IEEE sign-bit XOR rather than `< 0`
-// comparisons; the two agree everywhere except on the sign of zero-valued
-// messages (and NaN inputs), which never changes a comparison, a hard
-// decision, or any nonzero value — see laneReduce.
+// Signs are tracked via IEEE sign-bit XOR rather than `< 0` comparisons;
+// the two agree everywhere except on the sign of zero-valued messages (and
+// NaN inputs), which never changes a comparison, a hard decision, or any
+// nonzero value — see laneReduce.
 
 // laneSignMask is the IEEE-754 float32 sign bit.
 const laneSignMask = 1 << 31
 
-// laneInitLLR is the min1/min2 initializer, matching the legacy path.
+// laneInitLLR is the min1/min2 initializer (the assembly keeps a copy,
+// pinned by TestLaneInitConstant).
 const laneInitLLR = 3.4e38
-
-// iterateLanes runs one layered BP iteration over d.l/d.r in lane-major
-// order. scl/off encode the check-update rule as m = max(min*scl−off, 0)
-// (offset: scl=1, off=β; normalized: scl=α, off=0).
-func (d *Decoder) iterateLanes(scl, off float32) {
-	c := d.code
-	z := c.Z
-	for i := range c.rows {
-		eo := d.eOff[i]
-		deg := d.eOff[i+1] - eo
-		ro := d.rowOff[i]
-		min1 := d.laneMin1[:z]
-		min2 := d.laneMin2[:z]
-		idx := d.laneIdx[:z]
-		sgn := d.laneSgn[:z]
-		for l := range min1 {
-			min1[l] = laneInitLLR
-			min2[l] = laneInitLLR
-			idx[l] = -1
-		}
-		clear(sgn)
-		// Pass 1: per edge, subtract the old message from the rotated
-		// posterior slab and fold the result into the per-lane reduction.
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneReduce(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
-			laneReduce(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))
-		}
-		// Per-lane magnitudes, in place (min1→m1, min2→m2). The Alg
-		// branch was folded into scl/off once per Decode.
-		for l, m := range min1 {
-			m = m*scl - off
-			if m < 0 {
-				m = 0
-			}
-			min1[l] = m
-			m2 := min2[l]*scl - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			min2[l] = m2
-		}
-		// Pass 2: per edge, write the new message lane-major and scatter
-		// the updated posterior back through the inverse rotation.
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneUpdate(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
-			laneUpdate(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))
-		}
-	}
-}
 
 // laneReduce processes one contiguous segment of an edge's lanes:
 // q = src − r, accumulating the sign product and the two smallest
@@ -110,12 +37,13 @@ func (d *Decoder) iterateLanes(scl, off float32) {
 // length; the explicit re-slicing below tells the compiler so, which
 // eliminates the bounds checks inside the loop.
 //
-// The sign product accumulates raw IEEE sign bits where the legacy path
-// tests `q < 0`; they differ only when q is −0.0 (or NaN). A −0.0 q makes
-// min1 zero, so every other edge's magnitude is zero and the flipped
-// product can only change signs of zeros; for the arg-min edge itself the
-// flip cancels against this edge's own sign bit in laneUpdate. Decoded
-// bits, iteration counts and syndrome results are therefore identical.
+// The sign product accumulates raw IEEE sign bits where a textbook
+// min-sum tests `q < 0`; they differ only when q is −0.0 (or NaN). A −0.0
+// q makes min1 zero, so every other edge's magnitude is zero and the
+// flipped product can only change signs of zeros; for the arg-min edge
+// itself the flip cancels against this edge's own sign bit in pass 2.
+// Decoded bits, iteration counts and syndrome results therefore match the
+// textbook rule (TestLaneDecodeEquivalence).
 func laneReduce(q, r, src []float32, sgn []uint32, min1, min2 []float32, idx []int32, e int32) {
 	if len(q) == 0 {
 		return
@@ -139,149 +67,5 @@ func laneReduce(q, r, src []float32, sgn []uint32, min1, min2 []float32, idx []i
 		} else if a < min2[l] {
 			min2[l] = a
 		}
-	}
-}
-
-// laneUpdate writes one segment's new check-to-variable messages and
-// scatters the posteriors q+nr back into the variable block (dst is the
-// rotated destination segment of the posterior array). The message sign
-// is applied by XOR on the sign bit — bit-identical to the legacy
-// s*mag multiply for s = ±1 and the non-negative magnitudes produced by
-// the clamp.
-func laneUpdate(q, r, dst []float32, sgn []uint32, m1, m2 []float32, idx []int32, e int32) {
-	if len(q) == 0 {
-		return
-	}
-	r = r[:len(q)]
-	dst = dst[:len(q)]
-	sgn = sgn[:len(q)]
-	m1 = m1[:len(q)]
-	m2 = m2[:len(q)]
-	idx = idx[:len(q)]
-	for l := range q {
-		v := q[l]
-		mag := m1[l]
-		if idx[l] == e {
-			mag = m2[l]
-		}
-		nr := math.Float32frombits(math.Float32bits(mag) ^ ((sgn[l] ^ math.Float32bits(v)) & laneSignMask))
-		r[l] = nr
-		dst[l] = v + nr
-	}
-}
-
-// iterateLanes8 is the int8/int16 counterpart of iterateLanes, operating
-// on Decoder8's saturating fixed-point state. Unlike the float kernel it
-// is exactly bit-identical to the legacy path (integers have no −0).
-func (d *Decoder8) iterateLanes8() {
-	c := d.code
-	z := c.Z
-	off := int16(d.Offset)
-	for i := range c.rows {
-		eo := d.eOff[i]
-		deg := d.eOff[i+1] - eo
-		ro := d.rowOff[i]
-		min1 := d.laneMin1[:z]
-		min2 := d.laneMin2[:z]
-		idx := d.laneIdx[:z]
-		sgn := d.laneSgn[:z]
-		for l := range min1 {
-			min1[l] = 32767
-			min2[l] = 32767
-			idx[l] = -1
-		}
-		clear(sgn)
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneReduce8(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int16(e))
-			laneReduce8(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int16(e))
-		}
-		for l, m := range min1 {
-			m -= off
-			if m < 0 {
-				m = 0
-			}
-			if m > 127 {
-				m = 127
-			}
-			min1[l] = m
-			m2 := min2[l] - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			if m2 > 127 {
-				m2 = 127
-			}
-			min2[l] = m2
-		}
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneUpdate8(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int16(e))
-			laneUpdate8(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int16(e))
-		}
-	}
-}
-
-// laneReduce8 is laneReduce in saturating int16: q = sat16(src − r) with
-// branch-free abs (the shift-XOR identity; |q| ≤ 2047 after saturation,
-// so no overflow case exists) and the sign bit accumulated by XOR.
-func laneReduce8(q []int16, r []int8, src []int16, sgn []uint16, min1, min2, idx []int16, e int16) {
-	if len(q) == 0 {
-		return
-	}
-	r = r[:len(q)]
-	src = src[:len(q)]
-	sgn = sgn[:len(q)]
-	min1 = min1[:len(q)]
-	min2 = min2[:len(q)]
-	idx = idx[:len(q)]
-	for l := range q {
-		v := sat16(int32(src[l]) - int32(r[l]))
-		q[l] = v
-		sgn[l] ^= uint16(v) >> 15
-		m := v >> 15
-		a := (v ^ m) - m
-		if a < min1[l] {
-			min2[l] = min1[l]
-			min1[l] = a
-			idx[l] = e
-		} else if a < min2[l] {
-			min2[l] = a
-		}
-	}
-}
-
-// laneUpdate8 writes one segment's messages and saturated posteriors; the
-// sign select is the branch-free two's-complement negate-by-mask.
-func laneUpdate8(q []int16, r []int8, dst []int16, sgn []uint16, m1, m2, idx []int16, e int16) {
-	if len(q) == 0 {
-		return
-	}
-	r = r[:len(q)]
-	dst = dst[:len(q)]
-	sgn = sgn[:len(q)]
-	m1 = m1[:len(q)]
-	m2 = m2[:len(q)]
-	idx = idx[:len(q)]
-	for l := range q {
-		v := q[l]
-		mag := m1[l]
-		if idx[l] == e {
-			mag = m2[l]
-		}
-		neg := -int16(sgn[l] ^ (uint16(v) >> 15)) // 0 or −1
-		nr := (mag ^ neg) - neg
-		r[l] = int8(nr)
-		dst[l] = sat16(int32(v) + int32(nr))
 	}
 }

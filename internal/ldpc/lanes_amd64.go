@@ -6,7 +6,7 @@ import (
 	"repro/internal/cpu"
 )
 
-// AVX2 layer kernels (DESIGN §19): the amd64 implementation of
+// AVX2 layer kernels (DESIGN §13): the amd64 implementation of
 // iterateLayered's three per-edge loops, eight lanes per instruction and
 // with no per-lane data-dependent branch. The kernels work on the same
 // unpadded slabs as the Go loops in lanes.go/layered.go — each edge is
@@ -112,7 +112,7 @@ func (d *Decoder) newLayerArgs(scl, off float32) layerArgs {
 func (d *Decoder) setLayer(a *layerArgs, i int) {
 	eo := d.eOff[i]
 	a.deg = d.eOff[i+1] - eo
-	a.r = &d.r[d.rowOff[i]]
+	a.r = &d.r[eo*d.code.Z]
 	a.edgeBase = &d.edgeBase[eo]
 	a.edgeShf = &d.edgeShf[eo]
 	a.flips = &d.syn.flips[0]

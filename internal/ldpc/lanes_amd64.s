@@ -1,7 +1,7 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// AVX2 layer kernels for the float32 layered decode (DESIGN §19). See
+// AVX2 layer kernels for the float32 layered decode (DESIGN §13). See
 // lanes_amd64.go for the contracts; lanes.go/layered.go hold the Go loops
 // these reproduce bit for bit.
 //

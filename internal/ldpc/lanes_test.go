@@ -1,14 +1,16 @@
 package ldpc
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// laneSweepZ is the lifting-size sweep for the lane/legacy equivalence
-// property: both support bounds (2, 512), the paper's sizes (104, 384),
-// powers of two (where the rotation split is even), and odd/prime sizes
-// (where every shift produces two ragged segments).
+// laneSweepZ is the lifting-size sweep for the reference property: both
+// support bounds (2, 512), the paper's sizes (104, 384), powers of two
+// (where the rotation split is even), and odd/prime sizes (where every
+// shift produces two ragged segments).
 var laneSweepZ = []int{2, 3, 4, 5, 7, 8, 13, 16, 31, 63, 64, 104, 127, 128, 255, 256, 384, 511, 512}
 
 // laneSweepZShort trims the sweep for -short runs (the -race pass).
@@ -29,7 +31,7 @@ func noisyLLR(rng *rand.Rand, code *Code) []float32 {
 }
 
 // garbageLLR returns pure-noise LLRs: decoding exhausts every iteration
-// and fails, exercising the non-converging path of both kernels.
+// and fails, exercising the non-converging path.
 func garbageLLR(rng *rand.Rand, code *Code) []float32 {
 	llr := make([]float32, code.N())
 	for i := range llr {
@@ -38,121 +40,157 @@ func garbageLLR(rng *rand.Rand, code *Code) []float32 {
 	return llr
 }
 
-// TestLaneDecodeEquivalence is the tentpole's correctness contract: for
-// every supported rate and a lifting-size sweep covering both bounds and
-// both parities, the lane-major kernel and the legacy check-major path
-// must produce an identical (info, Result) pair — compared exactly, not
-// within tolerance — for both min-sum variants of the float decoder and
-// for the int8 decoder, on both decodable and garbage inputs.
-func TestLaneDecodeEquivalence(t *testing.T) { forEachKernel(t, testLaneDecodeEquivalence) }
+// refDecode is the test oracle: textbook check-major layered min-sum,
+// written straight from the base graph. It walks code.rows with modular
+// indexing, keeps its own messages (msg[i][check*deg+edge]) and detects
+// convergence with a full hard-decision pass and a CheckSyndrome walk
+// every iteration. It shares none of the decoder's edge tables, lane-major
+// layout or fused syndrome, so a bug in those cannot hide in both sides.
+func refDecode(code *Code, alg Alg, offset, scale float32, info []byte, llr []float32, maxIter int) Result {
+	z := code.Z
+	l := append([]float32(nil), llr...)
+	hard := make([]byte, len(l))
+	msg := make([][]float32, len(code.rows))
+	for i, row := range code.rows {
+		msg[i] = make([]float32, z*len(row))
+	}
+	q := make([]float32, KbBlocks+2)
+	res := Result{}
+	for it := 1; it <= maxIter; it++ {
+		res.Iterations = it
+		for i, row := range code.rows {
+			for r := 0; r < z; r++ {
+				m := msg[i][r*len(row) : (r+1)*len(row)]
+				min1, min2, arg, sign := float32(laneInitLLR), float32(laneInitLLR), -1, float32(1)
+				for e, ed := range row {
+					q[e] = l[ed.col*z+(r+ed.shift)%z] - m[e]
+					a := q[e]
+					if a < 0 {
+						a, sign = -a, -sign
+					}
+					if a < min1 {
+						min2, min1, arg = min1, a, e
+					} else if a < min2 {
+						min2 = a
+					}
+				}
+				for e, ed := range row {
+					mag := min1
+					if e == arg {
+						mag = min2
+					}
+					if alg == NormalizedMinSum {
+						mag *= scale
+					} else {
+						mag = max(mag-offset, 0)
+					}
+					s := sign
+					if q[e] < 0 {
+						s = -s
+					}
+					m[e] = s * mag
+					l[ed.col*z+(r+ed.shift)%z] = q[e] + m[e]
+				}
+			}
+		}
+		for v, x := range l {
+			hard[v] = 0
+			if x < 0 {
+				hard[v] = 1
+			}
+		}
+		if code.CheckSyndrome(hard) {
+			res.OK = true
+			break
+		}
+	}
+	copy(info, hard[:code.K()])
+	return res
+}
 
-func testLaneDecodeEquivalence(t *testing.T) {
+// referenceSweep decodes every supported rate, the lifting-size sweep,
+// both min-sum rules and decodable, multi-iteration and garbage inputs
+// with Decode and with refDecode, and hands each pair to check.
+func referenceSweep(t *testing.T, seed int64, check func(where string, d *Decoder, got, want []byte, res, ref Result)) {
 	zs := laneSweepZ
 	if testing.Short() {
 		zs = laneSweepZShort
 	}
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewSource(seed))
 	for _, rate := range []Rate{Rate13, Rate23, Rate89} {
 		for _, z := range zs {
 			code := MustNew(rate, z)
-			inputs := [][]float32{noisyLLR(rng, code), garbageLLR(rng, code)}
+			inputs := [][]float32{noisyLLR(rng, code), harshLLR(rng, code, rate), garbageLLR(rng, code)}
 			for li, llr := range inputs {
 				for _, alg := range []Alg{OffsetMinSum, NormalizedMinSum} {
-					lane := NewDecoder(code)
-					legacy := NewDecoder(code)
-					lane.Alg, legacy.Alg = alg, alg
-					legacy.Legacy = true
-					outL := make([]byte, code.K())
-					outC := make([]byte, code.K())
-					resL := lane.Decode(outL, llr, 6)
-					resC := legacy.Decode(outC, llr, 6)
-					if resL != resC {
-						t.Fatalf("rate %v Z=%d alg=%d input=%d: lane %+v != legacy %+v",
-							rate, z, alg, li, resL, resC)
-					}
-					for i := range outL {
-						if outL[i] != outC[i] {
-							t.Fatalf("rate %v Z=%d alg=%d input=%d: info bit %d differs",
-								rate, z, alg, li, i)
-						}
-					}
-				}
-				// int8 decoder (offset min-sum only, its one rule).
-				lane8 := NewDecoder8(code)
-				legacy8 := NewDecoder8(code)
-				legacy8.Legacy = true
-				q := make([]int8, code.N())
-				lane8.QuantizeLLR(q, llr)
-				outL := make([]byte, code.K())
-				outC := make([]byte, code.K())
-				resL := lane8.Decode(outL, q, 6)
-				resC := legacy8.Decode(outC, q, 6)
-				if resL != resC {
-					t.Fatalf("rate %v Z=%d input=%d: int8 lane %+v != legacy %+v",
-						rate, z, li, resL, resC)
-				}
-				for i := range outL {
-					if outL[i] != outC[i] {
-						t.Fatalf("rate %v Z=%d input=%d: int8 info bit %d differs",
-							rate, z, li, i)
-					}
+					d := NewDecoder(code)
+					d.Alg = alg
+					got := make([]byte, code.K())
+					want := make([]byte, code.K())
+					res := d.Decode(got, llr, 6)
+					ref := refDecode(code, alg, d.Offset, d.Scale, want, llr, 6)
+					check(fmt.Sprintf("rate %v Z=%d alg=%d input=%d", rate, z, alg, li), d, got, want, res, ref)
 				}
 			}
 		}
 	}
 }
 
-// TestLaneMessageLayoutInvariant pins the identity the lane kernel's
-// indexing relies on: the float decoder's rowOff is exactly Z times eOff,
-// so r[rowOff[i] + e*Z + lane] is the global lane-major r[edge*Z + lane].
-func TestLaneMessageLayoutInvariant(t *testing.T) {
-	for _, rate := range []Rate{Rate13, Rate23, Rate89} {
-		code := MustNew(rate, 24)
-		d := NewDecoder(code)
-		d8 := NewDecoder8(code)
-		for i := range d.rowOff {
-			if d.rowOff[i] != code.Z*d.eOff[i] {
-				t.Fatalf("rate %v: rowOff[%d]=%d != Z*eOff=%d", rate, i, d.rowOff[i], code.Z*d.eOff[i])
+// TestLaneDecodeEquivalence is the decoder's correctness contract: over
+// the reference sweep, Decode and refDecode must produce an identical
+// (info, Result) pair — compared exactly, not within tolerance. It runs
+// under every layer kernel the process has.
+func TestLaneDecodeEquivalence(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		referenceSweep(t, 42, func(where string, d *Decoder, got, want []byte, res, ref Result) {
+			if res != ref {
+				t.Fatalf("%s: decoder %+v != reference %+v", where, res, ref)
 			}
-			if d8.rowOff[i] != code.Z*d8.eOff[i] {
-				t.Fatalf("rate %v: int8 rowOff[%d]=%d != Z*eOff=%d", rate, i, d8.rowOff[i], code.Z*d8.eOff[i])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: information bits differ", where)
 			}
-		}
+		})
+	})
+}
+
+// TestFusedSyndromeExact pins the fused incremental syndrome: it must stop
+// on the same iteration, with the same verdict, as refDecode's full
+// hard-decision pass and CheckSyndrome walk, and after every decode the
+// tracked parity state must agree with a fresh CheckSyndrome of the final
+// hard decisions.
+func TestFusedSyndromeExact(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		referenceSweep(t, 18, func(where string, d *Decoder, _, _ []byte, res, ref Result) {
+			if res != ref {
+				t.Fatalf("%s: fused %+v != walked %+v", where, res, ref)
+			}
+			if ok := d.code.CheckSyndrome(d.hard); ok != (d.syn.nUnsat == 0) {
+				t.Fatalf("%s: tracked nUnsat=%d but CheckSyndrome=%v", where, d.syn.nUnsat, ok)
+			}
+		})
+	})
+}
+
+// decodeAfterGarbage runs a garbage block and then a clean one through
+// d: the clean decode must recover its bits, so no state leaks between
+// blocks.
+func decodeAfterGarbage(t *testing.T, d *Decoder, rng *rand.Rand, maxIter int) {
+	t.Helper()
+	code := d.code
+	out := make([]byte, code.K())
+	d.Decode(out, garbageLLR(rng, code), 3)
+	info := randInfo(rng, code.K())
+	cw := make([]byte, code.N())
+	code.Encode(cw, info)
+	if res := d.Decode(out, cleanLLR(cw, 10), maxIter); !res.OK {
+		t.Fatal("clean decode failed after garbage decode")
+	}
+	if !bytes.Equal(out, info) {
+		t.Fatal("clean decode wrong; decoder state leaked")
 	}
 }
 
-// TestLaneDecoderReuse mirrors TestDecoderReuse on the lane path: garbage
-// then clean through one decoder, no state leakage.
+// TestLaneDecoderReuse is the layered twin of TestFloodingDecoderReuse.
 func TestLaneDecoderReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	code := MustNew(Rate23, 64)
-	for _, mk := range []func() (func([]byte, []float32, int) Result, string){
-		func() (func([]byte, []float32, int) Result, string) {
-			d := NewDecoder(code)
-			return d.Decode, "float"
-		},
-		func() (func([]byte, []float32, int) Result, string) {
-			d := NewDecoder8(code)
-			q := make([]int8, code.N())
-			return func(info []byte, llr []float32, it int) Result {
-				d.QuantizeLLR(q, llr)
-				return d.Decode(info, q, it)
-			}, "int8"
-		},
-	} {
-		decode, name := mk()
-		out := make([]byte, code.K())
-		decode(out, garbageLLR(rng, code), 3)
-		info := randInfo(rng, code.K())
-		cw := make([]byte, code.N())
-		code.Encode(cw, info)
-		if res := decode(out, cleanLLR(cw, 10), 5); !res.OK {
-			t.Fatalf("%s: clean decode failed after garbage decode", name)
-		}
-		for i := range info {
-			if out[i] != info[i] {
-				t.Fatalf("%s: bit %d wrong; decoder state leaked", name, i)
-			}
-		}
-	}
+	decodeAfterGarbage(t, NewDecoder(MustNew(Rate23, 64)), rand.New(rand.NewSource(6)), 5)
 }

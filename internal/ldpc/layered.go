@@ -5,22 +5,17 @@ import (
 	"math"
 )
 
-// Layered decoding with fused incremental syndrome (DESIGN §18): the
-// default decode path for both Decoder and Decoder8.
+// Layered decoding with fused incremental syndrome (DESIGN §13): the
+// default decode path.
 //
-// The lane-major kernel (lanes.go) already walks check layers serially —
-// each layer's pass 2 writes updated APP values in place, so the next
-// layer's pass 1 reads beliefs refreshed within the same iteration (the
-// serial-C / turbo-decoding message-passing schedule production 5G
-// decoders use, which converges in roughly half the iterations of a
-// flooding schedule at equal error rate; flood.go keeps flooding as the
-// measurable ablation). What the pre-§18 loop still paid per iteration
-// was convergence detection: a full hard-decision pass over every
-// variable plus a full CheckSyndrome edge walk — one gather with modular
-// indexing per edge per lane — even though late iterations flip almost
-// nothing.
+// Check layers are processed serially — each layer's pass 2 writes updated
+// APP values in place, so the next layer's pass 1 reads beliefs refreshed
+// within the same iteration (the serial-C / turbo-decoding message-passing
+// schedule production 5G decoders use, which converges in roughly half
+// the iterations of a flooding schedule at equal error rate; flood.go
+// keeps flooding as the measurable ablation).
 //
-// The fused path makes convergence detection incremental and exact:
+// Convergence detection is incremental and exact:
 //
 //   - At Decode start, hard decisions are taken once from the channel
 //     LLRs and the per-check parity bits (synTrack.synd, one byte per
@@ -37,15 +32,14 @@ import (
 // Because the parity state is maintained exactly — not approximated from
 // each layer's transient sign products, which later layers may
 // invalidate — nUnsat == 0 holds if and only if CheckSyndrome(hard)
-// would report success, so decoded bits, iteration counts and Result are
-// bit-identical to the per-iteration-walk path (TestLaneDecodeEquivalence
-// and TestFusedSyndromeExact pin this). The per-flip cost is one branch
-// per updated lane plus column-degree parity toggles per actual flip;
-// flips concentrate in the first iteration and vanish as the decoder
-// converges, exactly when the old path kept paying full walks.
+// would report success, so decoded bits, iteration counts and Result
+// equal those of a decoder that walks the full syndrome every iteration
+// (TestFusedSyndromeExact pins this). The per-flip cost is one
+// branch per updated lane plus column-degree parity toggles per actual
+// flip; flips concentrate in the first iteration and vanish as the
+// decoder converges.
 
-// synTrack is the fused incremental-syndrome state shared by both
-// decoders: the transposed adjacency (which checks each variable
+// synTrack is the fused incremental-syndrome state: the transposed adjacency (which checks each variable
 // block-column touches, and with which cyclic shift), the per-check
 // parity bits, and the unsatisfied-check count.
 type synTrack struct {
@@ -171,8 +165,7 @@ func (d *Decoder) loadLLR(llr []float32) {
 }
 
 // decodeLayered is the default decode loop: the lane-major layered
-// kernel with syndrome tracking fused into the layer update. Results are
-// bit-identical to the walk-per-iteration paths.
+// kernel with syndrome tracking fused into the layer update.
 func (d *Decoder) decodeLayered(info []byte, llr []float32, maxIter int, scl, off float32) Result {
 	c := d.code
 	d.loadLLR(llr)
@@ -194,8 +187,8 @@ func (d *Decoder) decodeLayered(info []byte, llr []float32, maxIter int, scl, of
 	return res
 }
 
-// iterateLayered is iterateLanes with the fused pass 2: identical
-// message/posterior arithmetic, plus flip detection against the hard
+// iterateLayered runs one layered iteration: per block-row, the min-sum
+// message/posterior update plus flip detection against the hard
 // decisions and incremental parity maintenance. Each layer runs as the
 // three steps the vector kernels (lanes_amd64.go) implement one for one.
 func (d *Decoder) iterateLayered(scl, off float32) {
@@ -206,13 +199,16 @@ func (d *Decoder) iterateLayered(scl, off float32) {
 	}
 }
 
-// layerReduce is pass 1 of block-row i: reset the per-lane reduction
-// state, then fold every edge's two cyclic-shift segments into it.
-func (d *Decoder) layerReduce(i int) {
+// layerReduce is pass 1 of block-row i over the live posteriors.
+func (d *Decoder) layerReduce(i int) { d.layerReduceFrom(i, d.l) }
+
+// layerReduceFrom resets the per-lane reduction state, then folds both
+// cyclic-shift segments of every edge of block-row i, read from the APP
+// array src, into it.
+func (d *Decoder) layerReduceFrom(i int, src []float32) {
 	z := d.code.Z
 	eo := d.eOff[i]
 	deg := d.eOff[i+1] - eo
-	ro := d.rowOff[i]
 	min1 := d.laneMin1[:z]
 	min2 := d.laneMin2[:z]
 	idx := d.laneIdx[:z]
@@ -227,8 +223,8 @@ func (d *Decoder) layerReduce(i int) {
 		base := d.edgeBase[eo+e]
 		s := d.edgeShf[eo+e]
 		qe := d.laneQ[e*z : (e+1)*z]
-		re := d.r[ro+e*z : ro+(e+1)*z]
-		lb := d.l[base : base+z]
+		re := d.r[(eo+e)*z : (eo+e+1)*z]
+		lb := src[base : base+z]
 		n := z - s
 		laneReduce(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
 		laneReduce(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))
@@ -260,7 +256,6 @@ func (d *Decoder) layerUpdateSyn(i int) {
 	z := d.code.Z
 	eo := d.eOff[i]
 	deg := d.eOff[i+1] - eo
-	ro := d.rowOff[i]
 	min1 := d.laneMin1[:z]
 	min2 := d.laneMin2[:z]
 	idx := d.laneIdx[:z]
@@ -270,7 +265,7 @@ func (d *Decoder) layerUpdateSyn(i int) {
 		s := d.edgeShf[eo+e]
 		col := base / z
 		qe := d.laneQ[e*z : (e+1)*z]
-		re := d.r[ro+e*z : ro+(e+1)*z]
+		re := d.r[(eo+e)*z : (eo+e+1)*z]
 		lb := d.l[base : base+z]
 		hb := d.hard[base : base+z]
 		n := z - s
@@ -279,10 +274,14 @@ func (d *Decoder) layerUpdateSyn(i int) {
 	}
 }
 
-// laneUpdateSyn is laneUpdate plus fused syndrome maintenance: dst[l] is
-// variable (col, j0+l); when its updated posterior crosses the hard
-// decision threshold the adjacent check parities are toggled. The message
-// and posterior values are computed exactly as laneUpdate computes them.
+// laneUpdateSyn writes one segment's new check-to-variable messages and
+// scatters the posteriors q+nr back into the variable block (dst is the
+// rotated destination segment of the posterior array), with fused
+// syndrome maintenance: dst[l] is variable (col, j0+l); when its updated
+// posterior crosses the hard-decision threshold the adjacent check
+// parities are toggled. The message sign is applied by XOR on the sign
+// bit — bit-identical to a s*mag multiply for s = ±1 and the non-negative
+// magnitudes produced by the clamp.
 func (d *Decoder) laneUpdateSyn(q, r, dst []float32, hard []byte, sgn []uint32, m1, m2 []float32, idx []int32, e int32, col, j0 int) {
 	if len(q) == 0 {
 		return
@@ -304,128 +303,8 @@ func (d *Decoder) laneUpdateSyn(q, r, dst []float32, hard []byte, sgn []uint32, 
 		r[l] = nr
 		x := v + nr
 		dst[l] = x
-		// Hard-decision rule matches the walk paths exactly: x < 0 (so
+		// Hard-decision rule matches the flooding walk exactly: x < 0 (so
 		// −0.0 and NaN stay bit 0).
-		nb := byte(0)
-		if x < 0 {
-			nb = 1
-		}
-		if nb != hard[l] {
-			hard[l] = nb
-			d.syn.toggle(col, j0+l)
-		}
-	}
-}
-
-// decodeLayered8 is the int8/int16 counterpart of decodeLayered.
-func (d *Decoder8) decodeLayered8(info []byte, maxIter int) Result {
-	c := d.code
-	for v, lv := range d.l {
-		if lv < 0 {
-			d.hard[v] = 1
-		} else {
-			d.hard[v] = 0
-		}
-	}
-	d.syn.init(c, d.hard)
-	res := Result{}
-	for it := 1; it <= maxIter; it++ {
-		res.Iterations = it
-		d.iterateLayered8()
-		if d.syn.nUnsat == 0 {
-			res.OK = true
-			break
-		}
-	}
-	copy(info, d.hard[:c.K()])
-	return res
-}
-
-// iterateLayered8 is iterateLanes8 with the fused pass 2.
-func (d *Decoder8) iterateLayered8() {
-	c := d.code
-	z := c.Z
-	off := int16(d.Offset)
-	for i := range c.rows {
-		eo := d.eOff[i]
-		deg := d.eOff[i+1] - eo
-		ro := d.rowOff[i]
-		min1 := d.laneMin1[:z]
-		min2 := d.laneMin2[:z]
-		idx := d.laneIdx[:z]
-		sgn := d.laneSgn[:z]
-		for l := range min1 {
-			min1[l] = 32767
-			min2[l] = 32767
-			idx[l] = -1
-		}
-		clear(sgn)
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			n := z - s
-			laneReduce8(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int16(e))
-			laneReduce8(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int16(e))
-		}
-		for l, m := range min1 {
-			m -= off
-			if m < 0 {
-				m = 0
-			}
-			if m > 127 {
-				m = 127
-			}
-			min1[l] = m
-			m2 := min2[l] - off
-			if m2 < 0 {
-				m2 = 0
-			}
-			if m2 > 127 {
-				m2 = 127
-			}
-			min2[l] = m2
-		}
-		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
-			s := d.edgeShf[eo+e]
-			col := base / z
-			qe := d.laneQ[e*z : (e+1)*z]
-			re := d.r[ro+e*z : ro+(e+1)*z]
-			lb := d.l[base : base+z]
-			hb := d.hard[base : base+z]
-			n := z - s
-			d.laneUpdateSyn8(qe[:n], re[:n], lb[s:], hb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int16(e), col, s)
-			d.laneUpdateSyn8(qe[n:], re[n:], lb[:s], hb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int16(e), col, 0)
-		}
-	}
-}
-
-// laneUpdateSyn8 is laneUpdate8 plus fused syndrome maintenance.
-func (d *Decoder8) laneUpdateSyn8(q []int16, r []int8, dst []int16, hard []byte, sgn []uint16, m1, m2, idx []int16, e int16, col, j0 int) {
-	if len(q) == 0 {
-		return
-	}
-	r = r[:len(q)]
-	dst = dst[:len(q)]
-	hard = hard[:len(q)]
-	sgn = sgn[:len(q)]
-	m1 = m1[:len(q)]
-	m2 = m2[:len(q)]
-	idx = idx[:len(q)]
-	for l := range q {
-		v := q[l]
-		mag := m1[l]
-		if idx[l] == e {
-			mag = m2[l]
-		}
-		neg := -int16(sgn[l] ^ (uint16(v) >> 15)) // 0 or −1
-		nr := (mag ^ neg) - neg
-		r[l] = int8(nr)
-		x := sat16(int32(v) + int32(nr))
-		dst[l] = x
 		nb := byte(0)
 		if x < 0 {
 			nb = 1

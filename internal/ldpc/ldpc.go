@@ -1,6 +1,13 @@
 // Package ldpc implements the forward error correction used by the
 // baseband pipeline: a quasi-cyclic LDPC code family with encoding and
-// offset min-sum layered belief-propagation decoding.
+// min-sum (offset or normalized) belief-propagation decoding.
+//
+// Decoder has one serving path — the layered schedule over lane-major
+// message slabs with the syndrome tracked incrementally (layered.go),
+// run on AVX2 layer kernels where the CPU has them (lanes_amd64.s) and
+// on the Go loops they are proven bit-identical against elsewhere — and
+// one ablation, the flooding schedule (flood.go). DESIGN §13 describes
+// both.
 //
 // The original Agora uses Intel FlexRAN's implementation of the 3GPP 5G NR
 // LDPC code (base graph 1). The 3GPP exponent tables are not reproducible

@@ -199,30 +199,8 @@ func TestDecodeReportsFailure(t *testing.T) {
 }
 
 func TestDecoderReuse(t *testing.T) {
-	// A decoder must be reusable across blocks with no state leakage:
-	// decode garbage, then a clean block, then verify the clean result.
-	rng := rand.New(rand.NewSource(5))
-	code := MustNew(Rate23, 64)
-	dec := NewDecoder(code)
-	garbage := make([]float32, code.N())
-	for i := range garbage {
-		garbage[i] = float32(rng.NormFloat64())
-	}
-	out := make([]byte, code.K())
-	dec.Decode(out, garbage, 3)
-
-	info := randInfo(rng, code.K())
-	cw := make([]byte, code.N())
-	code.Encode(cw, info)
-	res := dec.Decode(out, cleanLLR(cw, 10), 5)
-	if !res.OK {
-		t.Fatal("clean decode failed after garbage decode")
-	}
-	for i := range info {
-		if out[i] != info[i] {
-			t.Fatalf("bit %d wrong; decoder state leaked", i)
-		}
-	}
+	// A decoder must be reusable across blocks with no state leakage.
+	decodeAfterGarbage(t, NewDecoder(MustNew(Rate23, 64)), rand.New(rand.NewSource(5)), 5)
 }
 
 func TestBitsBytesRoundTrip(t *testing.T) {

@@ -6,7 +6,7 @@ package modulation
 // implementation on amd64 (demod_amd64.s). Which one runs is decided by
 // what the process can observe — the GOARCH it was built for and, at
 // init, a CPUID/XGETBV probe — never by a user option, the same rule as
-// ldpc.Kernel (DESIGN §19) and fft.Impl (DESIGN §20): a host that cannot
+// ldpc.Kernel (DESIGN §13) and fft.Impl (DESIGN §20): a host that cannot
 // run the fast kernel falls back silently but visibly (Kernel is carried
 // by obs.Metrics.DemodKernel, agora_demod_kernel_info and the cmd/agora
 // start-up line). Both produce the same LLR bits for every input, so

@@ -57,7 +57,7 @@ type Metrics struct {
 	SeqLate      atomic.Int64
 	FECRecovered atomic.Int64
 
-	// Decode-iteration accounting (DESIGN §18). DecodeBlocks counts code
+	// Decode-iteration accounting (DESIGN §13). DecodeBlocks counts code
 	// blocks decoded, DecodeIters the BP iterations they consumed, and
 	// DecodeEarlyExits the blocks whose fused syndrome check terminated
 	// them before the iteration budget — together they expose
@@ -70,7 +70,7 @@ type Metrics struct {
 	DecodeEarlyExits atomic.Int64
 	DecodeIterHist   stats.Hist
 	// DecodeKernel names the LDPC layer kernels the engine's decoders run
-	// ("avx2" or "generic", DESIGN §19). Set once, before the engine's
+	// ("avx2" or "generic", DESIGN §13). Set once, before the engine's
 	// goroutines start; exported so that a host that silently fell back
 	// to the scalar kernels is visible on every obs surface.
 	DecodeKernel string
