@@ -15,7 +15,7 @@ check: vet build test race fuzz benchmark-smoke perf
 # (argument offsets, frame sizes). The arm64 cross-vet type-checks the
 # file set every non-amd64 build gets — the pure-Go LDPC layer kernels,
 # FFT stage loops and demod loop with no assembly behind them (DESIGN
-# §13, §20–§21) — so the fallback cannot rot on a host that never
+# §13, §10, §9) — so the fallback cannot rot on a host that never
 # compiles it.
 vet:
 	$(GO) vet ./...
@@ -85,8 +85,6 @@ baseline:
 # Table1 also matches Table1_SteadyStateFrame, which the zero-alloc gate
 # additionally holds to exactly 0 allocs/op and 0 B/op (DESIGN §14): any
 # allocation creeping back into the recycled frame loop fails the build.
-# The -ingest pass benches acceptPacket in both RX modes and fails if
-# the zero-copy lease path falls behind its copying ablation (DESIGN §15).
 # The -overhead pass benches the SLO/flight recorder on vs off (DESIGN
 # §17) and fails if the recorder's measured cost (documented <2% median
 # in EXPERIMENTS.md) climbs past the noise-tolerant gate; the zero-alloc
@@ -98,7 +96,6 @@ baseline:
 # correct and hide inside the wall-clock tolerance above.
 perf:
 	$(GO) run ./cmd/bench -compare BENCH_BASELINE.json -compare-bench 'Table1|Fig9|Table4_AllOptimizationsOn|Decode_|_AVX2$$|_PureGo$$' -compare-zero-alloc 'SteadyState'
-	$(GO) run ./cmd/bench -ingest
 	$(GO) run ./cmd/bench -overhead
 	$(GO) run ./cmd/bench -iters BENCH_BASELINE.json
 

@@ -281,9 +281,8 @@ func BenchmarkTable4_AllOptimizationsOn(b *testing.B) {
 func BenchmarkTable4_AllOptimizationsOff(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2,
 		DisableBatching: true, DisableMemOpt: true, DisableDirectStore: true,
-		DisableInverseOpt: true, DisableJITGemm: true, DisableBlockGemm: true,
-		DisableSIMDConvert: true, DisableSplitRadixFFT: true,
-		DisableSoALLR: true, DisableZFCache: true})
+		DisableInverseOpt: true, DisableJITGemm: true,
+		DisableSIMDConvert: true, DisableZFCache: true})
 }
 
 // BenchmarkTable4_ZFCacheOff isolates the coherence-cached ZF ablation:
@@ -295,25 +294,11 @@ func BenchmarkTable4_ZFCacheOff(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableZFCache: true})
 }
 
-// BenchmarkTable4_AoSLLR isolates the LLR-layout ablation: only the
-// subcarrier-major SoA buffer and the fused equalize+demod kernel revert
-// to the AoS per-user layout, everything else stays optimized.
-func BenchmarkTable4_AoSLLR(b *testing.B) {
-	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableSoALLR: true})
-}
-
 // BenchmarkTable4_FloodingDecode isolates the decode-schedule ablation:
 // only LDPC decoding reverts to the flooding message-passing schedule,
 // everything else stays optimized (DESIGN §13).
 func BenchmarkTable4_FloodingDecode(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableLayeredDecode: true})
-}
-
-// BenchmarkTable4_Radix2FFT isolates the split-radix engine's ablation:
-// only the FFT kernel (and the fused front end / batched IFFT dispatch
-// that ride on it) reverts, everything else stays optimized.
-func BenchmarkTable4_Radix2FFT(b *testing.B) {
-	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableSplitRadixFFT: true})
 }
 
 // BenchmarkTracerOverhead_On / _Off bound the cost of the per-worker

@@ -48,7 +48,6 @@ func main() {
 		traceF  = flag.String("trace", "", "write the captured frame window as Chrome trace_event JSON on shutdown")
 		noTrace = flag.Bool("no-trace", false, "disable the per-worker event tracer")
 		fec     = flag.Int("fec", 0, "Reed-Solomon parity packets per symbol burst (match the RRU's -fec)")
-		rxCopy  = flag.Bool("rx-copy", false, "use the copying RX ablation instead of zero-copy leases")
 		zfClust = flag.Int("zf-clusters", 0, "decentralized ZF: partition antennas into this many partial-Gram clusters (0/1 = monolithic)")
 		incDir  = flag.String("incident-dir", "", "write flight-recorder post-mortems here on shutdown (incidents.json + one Chrome trace per incident)")
 	)
@@ -66,7 +65,7 @@ func main() {
 	}
 	opts := agora.Options{
 		Workers: *workers, RealTime: *rt, DisableTracing: *noTrace,
-		FECParity: *fec, DisableZeroCopyRX: *rxCopy, ZFClusters: *zfClust,
+		FECParity: *fec, ZFClusters: *zfClust,
 	}
 	tr, err := agora.NewUDP(*listen, "", agora.PacketSizeFor(&cfg))
 	if err != nil {

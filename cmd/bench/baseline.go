@@ -40,7 +40,7 @@ type BaselineEntry struct {
 // internal/ldpc and internal/fft for the kernel A/B pairs that have to
 // flip those packages' unexported kernel dispatch (BenchmarkDecode_AVX2 /
 // _PureGo, DESIGN §13; BenchmarkFFT512_AVX2 / _PureGo and its siblings,
-// DESIGN §20).
+// DESIGN §10).
 var benchPackages = []string{".", "./internal/ldpc", "./internal/fft"}
 
 type benchSample struct {

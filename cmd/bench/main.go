@@ -55,9 +55,6 @@ func main() {
 
 		stages = flag.String("stages", "", "capture a traced uplink run and write the per-stage breakdown JSON (Table-2 analogue) to this path ('-' for stdout)")
 
-		ingest      = flag.Bool("ingest", false, "run the RX ingest microbenchmark pair (zero-copy vs copy) and report the speedup")
-		ingestCount = flag.Int("ingest-count", 5, "samples per ingest benchmark (medians compared)")
-
 		iters    = flag.String("iters", "", "baseline JSON whose decode_iters section gates the deterministic iterations-to-converge measurement (exits non-zero on >iters-tol regression)")
 		itersTol = flag.Float64("iters-tol", 0.10, "allowed fractional mean-iteration regression for -iters")
 
@@ -84,13 +81,6 @@ func main() {
 	if *stages != "" {
 		if err := runStages(*stages, *full, *frames, *workers, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "stages failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ingest {
-		if err := runIngest(*ingestCount); err != nil {
-			fmt.Fprintf(os.Stderr, "ingest failed: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -37,11 +37,11 @@ func runOverhead(count int, tol float64) error {
 		return fmt.Errorf("go test -bench: %w", runErr)
 	}
 	finalizeBaseline(&b, samples)
-	on, err := ingestEntry(&b, "BenchmarkRecorderOverhead_On")
+	on, err := benchEntry(&b, "BenchmarkRecorderOverhead_On")
 	if err != nil {
 		return err
 	}
-	off, err := ingestEntry(&b, "BenchmarkRecorderOverhead_Off")
+	off, err := benchEntry(&b, "BenchmarkRecorderOverhead_Off")
 	if err != nil {
 		return err
 	}
@@ -49,8 +49,8 @@ func runOverhead(count int, tol float64) error {
 	fmt.Printf("overhead: recorder on %.0f ns/16-frame-run, off %.0f ns/16-frame-run\n",
 		on.NsPerOp, off.NsPerOp)
 	fmt.Printf("overhead: recorder cost %+.2f%% (gate: +%.0f%%)\n", 100*frac, 100*tol)
-	// Like the -ingest gate, the tolerance is deliberately looser than the
-	// documented median (<2%): back-to-back medians on a shared host swing
+	// The tolerance is deliberately looser than the documented median
+	// (<2%): back-to-back medians on a shared host swing
 	// a few percent on scheduler noise alone, so the gate only fails when
 	// the recorder path is clearly more expensive than its ablation.
 	if frac > tol {
@@ -58,4 +58,15 @@ func runOverhead(count int, tol float64) error {
 			on.NsPerOp, off.NsPerOp, 100*frac, 100*tol)
 	}
 	return nil
+}
+
+// benchEntry finds one benchmark's median by name prefix (the recorded
+// names carry the -<GOMAXPROCS> suffix).
+func benchEntry(b *Baseline, prefix string) (BaselineEntry, error) {
+	for name, e := range b.Benchmarks {
+		if strings.HasPrefix(name, prefix) {
+			return e, nil
+		}
+	}
+	return BaselineEntry{}, fmt.Errorf("benchmark %s not found in output", prefix)
 }

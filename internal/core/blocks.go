@@ -19,14 +19,12 @@ type worker struct {
 	eng *Engine
 
 	plan    *fft.Plan
-	timeBuf []complex64
-	freqBuf []complex64
-	ifftBuf []complex64 // FFTBatch×OFDMSize lanes for batched FFT runs (uplink) and IFFTs (downlink)
-	stage   []complex64 // staging copy when DisableDirectStore
+	lanes   []complex64 // FFTBatch×OFDMSize: one lane per antenna of an FFT or IFFT run
+	timeBuf []complex64 // unfused front end: one symbol's unpacked samples (nil when fuseRX)
+	stage   []complex64 // staging copy, DisableDirectStore only
 	fuseRX  bool        // CP strip + unpack fused into the FFT permutation
 	yvec    []complex64 // gathered antenna vector (M)
 	xvec    []complex64 // equalized user vector (K)
-	symLLR  []float32   // per-subcarrier LLR scratch
 	bitsBuf []byte      // per-subcarrier modulation bits scratch
 
 	// Blocked-kernel scratch: the BLAS-3 path multiplies whole
@@ -35,28 +33,25 @@ type worker struct {
 	// field assignment, not an allocation.
 	blockMul    mat.BlockKernel // K-row plan for equalization
 	blockMulPre mat.BlockKernel // B-row plan for precoding
-	xblk        []complex64     // K×B equalized tile, user-major
+	xblk        []complex64     // K×strip equalized strip, user-major
 	modBlk      []complex64     // K×B modulated tile, user-major
 	xtBlk       []complex64     // B×K transpose of modBlk (kernel w operand)
-	ytM, xbM    mat.M           // demod: subcarrier block wrap, output tile
+	ytM, xbM    mat.M           // demod: subcarrier strip wrap, output strip
 	xtM, outM   mat.M           // precode: symbol tile, downlink grid wrap
 
-	// SoA LLR state: the fused equalize+demod kernel writes llrSC
-	// directly; the decoder gathers one user's strided lane into
-	// llrGather so the LDPC kernel keeps its contiguous input.
-	soaLLR    bool
+	// The fused equalize+demod kernel writes llrSC directly; the decoder
+	// gathers one user's strided lane into llrGather so the LDPC kernel
+	// keeps its contiguous input.
 	llrGather []float32
-	// payloadRun collects an antenna run's RX payloads for the batched
-	// pilot front end (one lane per payload); leaseRun tracks the
-	// zero-copy leases claimed for the run so they release after the
-	// batched transform consumes them.
+	// payloadRun collects an antenna run's RX payloads (one lane per
+	// payload); leaseRun tracks the leases claimed for the run so they
+	// release after the transform consumes them.
 	payloadRun [][]byte
 	leaseRun   []*rxLease
 
 	dec    *ldpc.Decoder
 	zfws   *mat.ZFWorkspace
 	matvec mat.MatVecKernel
-	gemm   mat.GemmKernel
 	unpack func([]complex64, []byte)
 	tab    *modulation.Table
 	code   *ldpc.Code
@@ -72,16 +67,12 @@ func newWorker(id int, e *Engine) *worker {
 		id:      id,
 		eng:     e,
 		plan:    e.plan,
-		timeBuf: make([]complex64, cfg.SamplesPerSymbol()),
-		freqBuf: make([]complex64, cfg.OFDMSize),
-		stage:   make([]complex64, cfg.DataSubcarriers*cfg.Antennas),
+		lanes:   make([]complex64, cfg.FFTBatch*cfg.OFDMSize),
 		yvec:    make([]complex64, cfg.Antennas),
 		xvec:    make([]complex64, cfg.Users),
-		symLLR:  make([]float32, int(cfg.Order)),
 		bitsBuf: make([]byte, int(cfg.Order)),
 		zfws:    mat.NewZFWorkspace(cfg.Users),
 		matvec:  mat.PlanMatVec(!e.opts.DisableJITGemm),
-		gemm:    mat.PlanGemm(!e.opts.DisableJITGemm),
 		tab:     modulation.Get(cfg.Order),
 		code:    e.code,
 	}
@@ -89,31 +80,21 @@ func newWorker(id int, e *Engine) *worker {
 	// cluster count so both the equalizer and the precoder (which runs the
 	// equalizer internally) partition antennas identically.
 	w.zfws.Clusters = e.opts.ZFClusters
-	// Blocked-kernel plans and tile scratch. A demod tile spans at most one
-	// ZF group (it must share an equalizer) and at most one demod block; a
-	// precode tile spans one ZF group. maxB covers both.
-	maxB := cfg.DemodBlockSize
-	if cfg.ZFGroupSize > maxB {
-		maxB = cfg.ZFGroupSize
-	}
+	// Blocked-kernel plans and tile scratch: a demod strip spans at most
+	// fuseStripCols subcarriers, a precode tile one ZF group.
 	w.blockMul = mat.PlanBlockMul(!e.opts.DisableJITGemm, cfg.Users)
 	w.blockMulPre = mat.PlanBlockMul(!e.opts.DisableJITGemm, cfg.ZFGroupSize)
-	w.xblk = make([]complex64, cfg.Users*maxB)
-	w.modBlk = make([]complex64, cfg.Users*maxB)
-	w.xtBlk = make([]complex64, maxB*cfg.Users)
+	w.xblk = make([]complex64, cfg.Users*fuseStripCols)
+	w.modBlk = make([]complex64, cfg.Users*cfg.ZFGroupSize)
+	w.xtBlk = make([]complex64, cfg.ZFGroupSize*cfg.Users)
 	w.dec = ldpc.NewDecoder(e.code)
 	w.dec.Alg = ldpc.NormalizedMinSum
 	w.dec.Flooding = e.opts.DisableLayeredDecode
-	batchLanes := cfg.FFTBatch
-	if batchLanes < 1 {
-		batchLanes = 1
-	}
-	w.ifftBuf = make([]complex64, batchLanes*cfg.OFDMSize)
-	w.payloadRun = make([][]byte, 0, batchLanes)
-	w.leaseRun = make([]*rxLease, 0, batchLanes)
-	w.soaLLR = !e.opts.DisableSoALLR
-	if w.soaLLR {
-		w.llrGather = make([]float32, e.scUsed*int(cfg.Order))
+	w.payloadRun = make([][]byte, 0, cfg.FFTBatch)
+	w.leaseRun = make([]*rxLease, 0, cfg.FFTBatch)
+	w.llrGather = make([]float32, e.scUsed*int(cfg.Order))
+	if e.opts.DisableDirectStore {
+		w.stage = make([]complex64, cfg.DataSubcarriers)
 	}
 	if e.opts.DisableSIMDConvert {
 		w.unpack = cf.UnpackIQ12Naive
@@ -123,7 +104,10 @@ func newWorker(id int, e *Engine) *worker {
 	// The fused RX front end gathers IQ samples straight into digit-reversed
 	// FFT order, so it needs the real transform (DummyKernels skips it) and
 	// the packed conversion it is built on.
-	w.fuseRX = !e.opts.DummyKernels && !e.opts.DisableSIMDConvert && !e.opts.DisableSplitRadixFFT
+	w.fuseRX = !e.opts.DummyKernels && !e.opts.DisableSIMDConvert
+	if !w.fuseRX {
+		w.timeBuf = make([]complex64, cfg.SamplesPerSymbol())
+	}
 	// Precompute conjugated pilots for CSI extraction.
 	w.pilotFreq = make([][]complex64, cfg.Users)
 	for u := 0; u < cfg.Users; u++ {
@@ -139,63 +123,14 @@ func newWorker(id int, e *Engine) *worker {
 	return w
 }
 
-// fftIntoDataBand unpacks a received payload, strips the cyclic prefix,
-// runs the FFT and leaves the data band in w.freqBuf[dataStart:…].
-//
-// The default path is fused: ForwardIQ12 dequantizes each 24-bit IQ word
-// directly into its digit-reversed slot while skipping the CP, so the
-// symbol's samples are touched once instead of three times (unpack pass,
-// CP-strip copy, permutation pass). The ablations that disable the packed
-// conversion or the split-radix engine fall back to the staged path.
-func (w *worker) fftIntoDataBand(payload []byte) {
+// runPilotFFT is the fused FFT + channel-estimation block (Table 2) over
+// a run of count consecutive antennas of one pilot symbol: one fftRun
+// front-end call, then CSI extraction walks the lanes with the conjugated
+// pilots still cache-resident. Antenna a writes row a of every ZF group's
+// CSI matrix — disjoint from all other tasks.
+func (w *worker) runPilotFFT(slot int, sym uint16, ant0, count, pilotIdx int) {
 	cfg := &w.eng.cfg
-	if w.fuseRX {
-		w.plan.ForwardIQ12(w.freqBuf, payload, cfg.CPLen)
-		return
-	}
-	w.unpack(w.timeBuf[:cfg.SamplesPerSymbol()], payload)
-	if cfg.CPLen > 0 {
-		copy(w.timeBuf, w.timeBuf[cfg.CPLen:cfg.SamplesPerSymbol()])
-	}
-	copy(w.freqBuf, w.timeBuf[:cfg.OFDMSize])
-	if !w.eng.opts.DummyKernels {
-		w.plan.Forward(w.freqBuf)
-	}
-}
-
-// runPilotFFT is the fused FFT + channel-estimation block (Table 2): one
-// task covers one antenna of one pilot symbol. Antenna a writes row a of
-// every ZF group's CSI matrix — disjoint from all other tasks.
-func (w *worker) runPilotFFT(slot int, sym, ant uint16, pilotIdx int) {
-	cfg := &w.eng.cfg
-	pay, l := w.eng.rxPayload(slot, sym, ant)
-	if pay == nil {
-		return // lease reclaimed: the frame died before this task ran
-	}
-	w.fftIntoDataBand(pay)
-	w.eng.releaseRx(l) // payload consumed; the transform lives in freqBuf
-	band := w.freqBuf[cfg.DataStart() : cfg.DataStart()+cfg.DataSubcarriers]
-	w.extractCSI(slot, int(ant), pilotIdx, band)
-}
-
-// runPilotFFTBatch covers a run of count consecutive antennas of one
-// pilot symbol with a single ForwardIQ12Batch call over the worker's lane
-// buffer — the uplink mirror of runIFFTBatch: each lane fuses CP strip,
-// 12-bit unpack and the input permutation, the butterfly passes run back
-// to back while the twiddles are hot, and CSI extraction walks the lanes
-// with the conjugated pilots still cache-resident. Falls back to the
-// per-antenna path when the fused front end is unavailable (ablations,
-// DummyKernels) or the run exceeds the provisioned lanes.
-func (w *worker) runPilotFFTBatch(slot int, sym uint16, ant0, count, pilotIdx int) {
-	e := w.eng
-	cfg := &e.cfg
 	nfft := cfg.OFDMSize
-	if !w.canBatchRX(count) {
-		for i := 0; i < count; i++ {
-			w.runPilotFFT(slot, sym, uint16(ant0+i), pilotIdx)
-		}
-		return
-	}
 	buf, ok := w.fftRun(slot, sym, ant0, count)
 	if !ok {
 		return
@@ -207,21 +142,17 @@ func (w *worker) runPilotFFTBatch(slot int, sym uint16, ant0, count, pilotIdx in
 	}
 }
 
-// canBatchRX reports whether a run of count antennas can go through
-// fftRun: a real run, the fused front end available (not under the
-// ablations that bypass it, nor DummyKernels) and enough lanes.
-func (w *worker) canBatchRX(count int) bool {
-	return count > 1 && w.fuseRX && count*w.eng.cfg.OFDMSize <= len(w.ifftBuf)
-}
-
-// fftRun is the batched RX front end shared by the pilot and data FFT
-// blocks: it claims the payloads of antennas ant0..ant0+count-1 of one
-// symbol, transforms them with a single ForwardIQ12Batch call into the
-// worker's lane buffer (lane l = antenna ant0+l, OFDMSize apart) and
-// releases the leases. ok is false when the frame was torn down mid-run
-// (a lease was already reclaimed): the remaining leases are, or will be,
-// reclaimed by the manager sweep, the ones claimed here are dropped, and
-// the run is skipped. The caller has checked canBatchRX.
+// fftRun is the RX front end shared by the pilot and data FFT blocks: it
+// claims the payloads of antennas ant0..ant0+count-1 of one symbol,
+// transforms them into the worker's lane buffer (lane l = antenna ant0+l,
+// OFDMSize apart) and releases the leases. The fused path is one
+// ForwardIQ12Batch call — CP strip, 12-bit unpack and the input
+// permutation in one pass per lane, the butterfly passes back to back
+// while the twiddles are hot; without it each lane goes through
+// loadLane. ok is false when the frame was torn down mid-run (a lease was
+// already reclaimed): the remaining leases are, or will be, reclaimed by
+// the manager sweep, the ones claimed here are dropped, and the run is
+// skipped.
 func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64, ok bool) {
 	e := w.eng
 	nfft := e.cfg.OFDMSize
@@ -238,12 +169,30 @@ func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64,
 		pay = append(pay, p)
 		leases = append(leases, l)
 	}
-	buf = w.ifftBuf[:count*nfft]
-	w.plan.ForwardIQ12Batch(buf, pay, e.cfg.CPLen, nfft)
+	buf = w.lanes[:count*nfft]
+	if w.fuseRX {
+		w.plan.ForwardIQ12Batch(buf, pay, e.cfg.CPLen, nfft)
+	} else {
+		for l, p := range pay {
+			w.loadLane(buf[l*nfft:(l+1)*nfft], p)
+		}
+	}
 	for _, l := range leases {
 		e.releaseRx(l)
 	}
 	return buf, true
+}
+
+// loadLane is the unfused front end of one antenna, for the ablations
+// that bypass ForwardIQ12 (DisableSIMDConvert, DummyKernels): unpack the
+// whole symbol, strip the cyclic prefix, then transform — the last step
+// skipped under DummyKernels, whose FFT only moves the data.
+func (w *worker) loadLane(lane []complex64, payload []byte) {
+	w.unpack(w.timeBuf, payload)
+	copy(lane, w.timeBuf[w.eng.cfg.CPLen:])
+	if !w.eng.opts.DummyKernels {
+		w.plan.Forward(lane)
+	}
 }
 
 // extractCSI correlates one antenna's pilot data band against the
@@ -333,18 +282,38 @@ func (w *worker) copyCachedZF(slot, g int) {
 	}
 }
 
-// runFFT transforms one antenna of one uplink data symbol and stores the
-// data band in the layout selected by the memory-access option.
-func (w *worker) runFFT(slot int, sym, ant uint16) {
+// runFFT covers a run of count consecutive antennas of one uplink data
+// symbol: one fftRun front-end call, then a transposed store that writes
+// adjacent antennas of each subcarrier row together, so a row's cache
+// line is touched once per antenna pair instead of once per antenna. The
+// ablation stores (DisableMemOpt, DisableDirectStore) run per antenna.
+func (w *worker) runFFT(slot int, sym uint16, ant0, count int) {
 	e := w.eng
 	cfg := &e.cfg
-	pay, l := e.rxPayload(slot, sym, ant)
-	if pay == nil {
-		return // lease reclaimed: the frame died before this task ran
+	nfft := cfg.OFDMSize
+	buf, ok := w.fftRun(slot, sym, ant0, count)
+	if !ok {
+		return
 	}
-	w.fftIntoDataBand(pay)
-	e.releaseRx(l) // payload consumed; the transform lives in freqBuf
-	w.storeDataBand(slot, sym, int(ant), w.freqBuf[cfg.DataStart():cfg.DataStart()+cfg.DataSubcarriers])
+	ds := cfg.DataStart()
+	q := cfg.DataSubcarriers
+	if e.opts.DisableMemOpt || e.opts.DisableDirectStore {
+		for l := 0; l < count; l++ {
+			w.storeDataBand(slot, sym, ant0+l, buf[l*nfft+ds:l*nfft+ds+q])
+		}
+		return
+	}
+	// Two lanes per pass; an odd run's last antenna goes through the
+	// single-antenna store.
+	dst := e.buf.dataFreqSC[slot][sym]
+	l := 0
+	for ; l+1 < count; l += 2 {
+		o := l*nfft + ds
+		storeAntennaPair(dst, cfg.Antennas, ant0+l, buf[o:o+q], buf[o+nfft:o+nfft+q])
+	}
+	if l < count {
+		w.storeDataBand(slot, sym, ant0+l, buf[l*nfft+ds:l*nfft+ds+q])
+	}
 }
 
 // storeDataBand writes one antenna's data band into the frame buffer.
@@ -378,53 +347,12 @@ func (w *worker) storeDataBand(slot int, sym uint16, a int, band []complex64) {
 	}
 }
 
-// runFFTBatch covers a run of count consecutive antennas of one uplink
-// data symbol — the data-symbol counterpart of runPilotFFTBatch: one
-// batched front-end call, then a transposed store that writes adjacent
-// antennas of each subcarrier row together, so a row's cache line is
-// touched once per antenna pair instead of once per antenna. Falls back to
-// the per-antenna path under the same conditions as the pilot block.
-func (w *worker) runFFTBatch(slot int, sym uint16, ant0, count int) {
-	e := w.eng
-	cfg := &e.cfg
-	nfft := cfg.OFDMSize
-	if !w.canBatchRX(count) {
-		for i := 0; i < count; i++ {
-			w.runFFT(slot, sym, uint16(ant0+i))
-		}
-		return
-	}
-	buf, ok := w.fftRun(slot, sym, ant0, count)
-	if !ok {
-		return
-	}
-	ds := cfg.DataStart()
-	q := cfg.DataSubcarriers
-	if e.opts.DisableMemOpt || e.opts.DisableDirectStore {
-		for l := 0; l < count; l++ {
-			w.storeDataBand(slot, sym, ant0+l, buf[l*nfft+ds:l*nfft+ds+q])
-		}
-		return
-	}
-	// Two lanes per pass; an odd run's last antenna goes through the
-	// single-antenna store.
-	dst := e.buf.dataFreqSC[slot][sym]
-	l := 0
-	for ; l+1 < count; l += 2 {
-		o := l*nfft + ds
-		storeAntennaPair(dst, cfg.Antennas, ant0+l, buf[o:o+q], buf[o+nfft:o+nfft+q])
-	}
-	if l < count {
-		w.storeDataBand(slot, sym, ant0+l, buf[l*nfft+ds:l*nfft+ds+q])
-	}
-}
-
 // storeAntennaPair writes the data bands of antennas a and a+1 into a
 // subcarrier-major symbol buffer of m antennas per row: 16 adjacent bytes
 // per row instead of two strided 8-byte stores a whole pass apart.
 //
 // Every row is a cache miss, so the loop runs as fast as the store buffer
-// can keep misses in flight. Inlined into runFFTBatch the loop counter
+// can keep misses in flight. Inlined into runFFT the loop counter
 // spills to the stack — a third store per row, a third fewer rows in
 // flight, 10 % of wide_array's frame rate — hence its own frame.
 //
@@ -443,14 +371,9 @@ const nominalNoise = 0.1
 
 // runDemod is the fused equalization + soft demodulation block: one task
 // covers DemodBlockSize consecutive subcarriers of one uplink symbol and
-// writes every user's LLRs for those subcarriers.
-//
-// The default path is blocked (BLAS-3): each ZF-group-aligned sub-block of
-// B subcarriers is one MulBlockInto call — the subcarrier-major FFT output
-// region [lo*M, hi*M) is wrapped in place as the B×M transposed operand —
-// followed by one batched demodulation call per user covering the whole
-// tile. DisableBlockGemm (and the layouts that preclude it) falls back to
-// the historical per-subcarrier matvec loop.
+// writes every user's LLRs for those subcarriers — through
+// equalizeDemodBlock, or through the per-subcarrier runDemodScalar under
+// the antenna-major layout (DisableMemOpt) and DummyKernels.
 func (w *worker) runDemod(slot int, sym uint16, block int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -465,38 +388,11 @@ func (w *worker) runDemod(slot int, sym uint16, block int) {
 	if hi <= lo {
 		return
 	}
-	if e.opts.DisableBlockGemm || e.opts.DisableMemOpt || e.opts.DummyKernels {
+	if e.opts.DisableMemOpt || e.opts.DummyKernels {
 		w.runDemodScalar(slot, sym, lo, hi)
 		return
 	}
-	if w.soaLLR {
-		w.equalizeDemodBlock(slot, sym, lo, hi)
-		return
-	}
-	b := e.buf
-	m := cfg.Antennas
-	k := cfg.Users
-	order := int(cfg.Order)
-	for s0 := lo; s0 < hi; {
-		g := s0 / cfg.ZFGroupSize
-		s1 := (g + 1) * cfg.ZFGroupSize
-		if s1 > hi {
-			s1 = hi
-		}
-		nb := s1 - s0
-		w.ytM = mat.M{Rows: nb, Cols: m, Data: b.dataFreqSC[slot][sym][s0*m : s1*m]}
-		w.xbM = mat.M{Rows: k, Cols: nb, Data: w.xblk[:k*nb]}
-		w.blockMul(&w.xbM, b.eq[slot][g], &w.ytM)
-		// Row u of the output tile holds user u's equalized symbols for
-		// [s0,s1); their LLRs occupy the contiguous span [s0*order,
-		// s1*order) of the user's LLR buffer, so demodulation writes the
-		// decoder input directly with no per-subcarrier staging.
-		for u := 0; u < k; u++ {
-			w.tab.DemodulateSoftBlock(b.llr[slot][sym][u][s0*order:s1*order],
-				w.xblk[u*nb:(u+1)*nb], nominalNoise)
-		}
-		s0 = s1
-	}
+	w.equalizeDemodBlock(slot, sym, lo, hi)
 }
 
 // fuseStripCols is the strip width of the fused equalize+demodulate
@@ -505,16 +401,17 @@ func (w *worker) runDemod(slot int, sym uint16, block int) {
 // that consumes it, wide enough to amortize the kernel's per-call setup.
 const fuseStripCols = 16
 
-// equalizeDemodBlock is the fused SoA path of runDemod: it never
+// equalizeDemodBlock is the blocked (BLAS-3) path of runDemod: it never
 // materializes the full K×B equalized tile. Each ZF-group-aligned
 // sub-block is processed in strips of fuseStripCols subcarriers — one
-// MulBlockInto into a small K×strip scratch, immediately consumed by one
-// DemodulateSoftSoA call that writes all K users' LLRs for those
-// subcarriers as a single contiguous llrSC span. The equalized symbols
-// are demodulated while still cache-hot and are never written back to
-// shared memory; the per-column arithmetic of MulBlockInto is
-// independent of strip width, so the LLRs are bit-identical to the AoS
-// full-tile path.
+// MulBlockInto, wrapping the subcarrier-major FFT output region in place
+// as the strip×M transposed operand, into a small K×strip scratch,
+// immediately consumed by one DemodulateSoftSoA call that writes all K
+// users' LLRs for those subcarriers as a single contiguous llrSC span.
+// The equalized symbols are demodulated while still cache-hot and are
+// never written back to shared memory; the per-column arithmetic of
+// MulBlockInto is independent of strip width, so the LLRs are
+// bit-identical to a whole-tile multiply.
 func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -566,54 +463,30 @@ func (w *worker) runDemodScalar(slot int, sym uint16, lo, hi int) {
 		} else {
 			copy(w.yvec, b.dataFreqSC[slot][sym][sc*m:(sc+1)*m])
 		}
-		g := sc / cfg.ZFGroupSize
+		dst := b.llrSC[slot][sym][sc*k*order : (sc+1)*k*order]
 		if e.opts.DummyKernels {
-			if w.soaLLR {
-				dst := b.llrSC[slot][sym][sc*k*order : (sc+1)*k*order]
-				for u := 0; u < k; u++ {
-					v := real(w.yvec[u%m])
-					for t := 0; t < order; t++ {
-						dst[u*order+t] = v
-					}
-				}
-				continue
-			}
 			for u := 0; u < k; u++ {
-				off := sc * order
+				v := real(w.yvec[u%m])
 				for t := 0; t < order; t++ {
-					b.llr[slot][sym][u][off+t] = real(w.yvec[u%m])
+					dst[u*order+t] = v
 				}
 			}
 			continue
 		}
-		w.matvec(w.xvec, b.eq[slot][g], w.yvec)
-		if w.soaLLR {
-			// One subcarrier is a users×1 tile: the SoA kernel writes all K
-			// users' LLRs for subcarrier sc as one contiguous span.
-			w.tab.DemodulateSoftSoA(b.llrSC[slot][sym][sc*k*order:(sc+1)*k*order],
-				w.xvec[:k], k, 1, nominalNoise)
-			continue
-		}
-		for u := 0; u < k; u++ {
-			w.tab.DemodulateSoft(w.symLLR, w.xvec[u:u+1], nominalNoise)
-			copy(b.llr[slot][sym][u][sc*order:(sc+1)*order], w.symLLR)
-		}
+		w.matvec(w.xvec, b.eq[slot][sc/cfg.ZFGroupSize], w.yvec)
+		// One subcarrier is a users×1 tile: the SoA kernel writes all K
+		// users' LLRs for subcarrier sc as one contiguous span.
+		w.tab.DemodulateSoftSoA(dst, w.xvec[:k], k, 1, nominalNoise)
 	}
 }
 
-// userLLR returns one user's contiguous LLR view for a symbol. With the
-// AoS layout that is simply the user's buffer; with the SoA layout the
-// user's lane is gathered (stride K*order) into the worker's llrGather
-// scratch — the decoder's only extra traffic under the fused layout, one
-// strided read of data the demodulator wrote exactly once.
+// userLLR returns one user's contiguous LLR view for a symbol: the user's
+// lane of llrSC gathered (stride K*order) into the worker's llrGather
+// scratch — one strided read of data the demodulator wrote exactly once.
 func (w *worker) userLLR(slot int, sym uint16, user int) []float32 {
 	e := w.eng
-	b := e.buf
-	if !w.soaLLR {
-		return b.llr[slot][sym][user]
-	}
 	order := int(e.cfg.Order)
-	gatherLLR(w.llrGather, b.llrSC[slot][sym][user*order:], order, e.cfg.Users*order, e.scUsed)
+	gatherLLR(w.llrGather, e.buf.llrSC[slot][sym][user*order:], order, e.cfg.Users*order, e.scUsed)
 	return w.llrGather
 }
 
@@ -693,7 +566,7 @@ func (w *worker) runEncode(slot int, sym uint16, user int) {
 // frame's precoder to apply: normally the frame's own slot, but with the
 // §3.4.2 stale-precoder optimization it is the previous frame's slot.
 //
-// The default path is blocked: each user's symbols for the whole group are
+// The path is blocked: each user's symbols for the whole group are
 // modulated in one ModulateBlock call, the tile is transposed to B×K, and
 // a single MulBlockInto against the M×K precoder writes the group's B×M
 // region of the subcarrier-major downlink grid in place.
@@ -702,8 +575,8 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	cfg := &e.cfg
 	b := e.buf
 	lo, hi := b.groupBounds(g)
-	if e.opts.DisableBlockGemm || e.opts.DummyKernels {
-		w.runPrecodeScalar(slot, sym, lo, hi, preSlot, g)
+	if e.opts.DummyKernels {
+		w.runPrecodeScalar(slot, sym, lo, hi)
 		return
 	}
 	m := cfg.Antennas
@@ -711,7 +584,7 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	nb := hi - lo
 	n := e.code.N()
 	for u := 0; u < k; u++ {
-		// Bits beyond the codeword zero-pad, matching the scalar path.
+		// Bits beyond the codeword zero-pad.
 		w.tab.ModulateBlock(w.modBlk[u*nb:(u+1)*nb], b.encoded[slot][sym][u][:n], lo)
 	}
 	// Transpose the user-major tile to subcarrier rows: the kernel's w
@@ -729,8 +602,10 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	w.blockMulPre(&w.outM, &w.xtM, b.pre[preSlot][g])
 }
 
-// runPrecodeScalar is the per-subcarrier modulation + precoding path.
-func (w *worker) runPrecodeScalar(slot int, sym uint16, lo, hi, preSlot, g int) {
+// runPrecodeScalar is the DummyKernels precode: per-subcarrier modulation,
+// with the precoder multiply replaced by a copy of the user symbols into
+// the grid row.
+func (w *worker) runPrecodeScalar(slot int, sym uint16, lo, hi int) {
 	e := w.eng
 	cfg := &e.cfg
 	b := e.buf
@@ -752,65 +627,26 @@ func (w *worker) runPrecodeScalar(slot int, sym uint16, lo, hi, preSlot, g int) 
 			}
 			w.tab.Modulate(w.xvec[u:u+1], w.bitsBuf)
 		}
-		if e.opts.DummyKernels {
-			copy(dst[sc*m:sc*m+min(m, k)], w.xvec[:min(m, k)])
-			continue
-		}
-		// y = W_pre (M×K) · x (K) written subcarrier-major.
-		w.matvec(dst[sc*m:(sc+1)*m], b.pre[preSlot][g], w.xvec)
+		copy(dst[sc*m:sc*m+min(m, k)], w.xvec[:min(m, k)])
 	}
 }
 
-// runIFFT gathers one antenna's downlink frequency grid, transforms it to
-// the time domain and leaves it in dlTime ready for packetization.
-func (w *worker) runIFFT(slot int, sym, ant uint16) {
+// runIFFT transforms a run of count consecutive antennas of one downlink
+// symbol with a single strided InverseBatch call over the worker's lane
+// buffer: the gather reads each subcarrier-major source row once (the
+// antennas are adjacent within a row), the butterflies run back-to-back
+// while the twiddles are hot, and the CP/scale epilogue is per lane,
+// leaving each antenna's samples in dlTime ready for packetization.
+// DummyKernels skips the transform.
+func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	e := w.eng
 	cfg := &e.cfg
 	b := e.buf
-	q := cfg.DataSubcarriers
-	m := cfg.Antennas
-	a := int(ant)
-	cf.Fill(w.freqBuf, 0)
-	src := b.dlFreq[slot][sym]
-	band := w.freqBuf[cfg.DataStart() : cfg.DataStart()+q]
-	for sc := 0; sc < q; sc++ {
-		band[sc] = src[sc*m+a]
-	}
-	if !e.opts.DummyKernels {
-		w.plan.Inverse(w.freqBuf)
-	}
-	out := b.dlTime[slot][sym][a]
-	// Cyclic prefix: copy the symbol tail in front.
-	if cfg.CPLen > 0 {
-		copy(out, w.freqBuf[cfg.OFDMSize-cfg.CPLen:])
-	}
-	copy(out[cfg.CPLen:], w.freqBuf)
-	cf.Scale(out, float32(e.dlGain))
-}
-
-// runIFFTBatch transforms a run of count consecutive antennas of one
-// downlink symbol with a single strided InverseBatch call over the
-// worker's lane buffer: the gather reads each subcarrier-major source row
-// once (the antennas are adjacent within a row), the butterflies run
-// back-to-back while the twiddles are hot, and the CP/scale epilogue is
-// per lane. Falls back to the per-antenna path for the ablations and for
-// counts beyond the provisioned lanes.
-func (w *worker) runIFFTBatch(slot int, sym uint16, ant0, count int) {
-	e := w.eng
-	cfg := &e.cfg
 	nfft := cfg.OFDMSize
-	if count <= 1 || e.opts.DummyKernels || e.opts.DisableSplitRadixFFT ||
-		count*nfft > len(w.ifftBuf) {
-		for i := 0; i < count; i++ {
-			w.runIFFT(slot, sym, uint16(ant0+i))
-		}
-		return
-	}
-	b := e.buf
 	q := cfg.DataSubcarriers
 	m := cfg.Antennas
 	ds := cfg.DataStart()
-	buf := w.ifftBuf[:count*nfft]
+	buf := w.lanes[:count*nfft]
 	cf.Fill(buf, 0)
 	src := b.dlFreq[slot][sym]
 	for sc := 0; sc < q; sc++ {
@@ -819,7 +655,9 @@ func (w *worker) runIFFTBatch(slot int, sym uint16, ant0, count int) {
 			buf[l*nfft+ds+sc] = v
 		}
 	}
-	w.plan.InverseBatch(buf, count, nfft)
+	if !e.opts.DummyKernels {
+		w.plan.InverseBatch(buf, count, nfft)
+	}
 	gain := float32(e.dlGain)
 	for l := 0; l < count; l++ {
 		t := buf[l*nfft : (l+1)*nfft]

@@ -13,13 +13,6 @@ type buffers struct {
 	cfg   *frame.Config
 	slots int
 
-	// rxRaw holds the fronthaul payload bytes (24-bit IQ) as copied by
-	// the network threads: [slot][symbol][antenna] -> payload. Allocated
-	// only on the copying ablation path (Options.DisableZeroCopyRX); the
-	// default zero-copy path reads payloads in place through the
-	// engine's lease table (DESIGN §15).
-	rxRaw [][][][]byte
-
 	// csi holds the estimated channel per ZF group: [slot][group] is an
 	// M×K matrix whose row m is written exclusively by the pilot-FFT task
 	// of antenna m.
@@ -33,27 +26,22 @@ type buffers struct {
 	// precoder per group for the downlink: [slot][group], M×K.
 	pre [][]*mat.M
 
-	// dataFreqSC is the subcarrier-major post-FFT buffer used when the
-	// memory-access optimization is ON: [slot][symbol][sc*M + m].
-	dataFreqSC [][][]complex64
-	// dataFreqAnt is the antenna-major layout used when it is OFF:
+	// The post-FFT uplink grid, in exactly one of two layouts per engine:
+	// dataFreqSC is the subcarrier-major buffer the memory-access
+	// optimization writes, [slot][symbol][sc*M + m]; dataFreqAnt is the
+	// antenna-major layout of its ablation (Options.DisableMemOpt),
 	// [slot][symbol][m*Q + sc] over the data band only (Q = data SCs).
+	dataFreqSC  [][][]complex64
 	dataFreqAnt [][][]complex64
 
-	// Soft demodulator output, one of two layouts (see DESIGN §11):
-	//
-	// llrSC is the default subcarrier-major SoA layout:
-	// [slot][symbol][(sc*K + user)*order + bit], so the demod output for a
-	// tile of subcarriers [s0,s1) is the single contiguous span
-	// [s0*K*order, s1*K*order) and the fused equalize+demod kernel writes
-	// one stream. Only the scUsed subcarriers that carry code bits are
-	// provisioned. The decoder gathers its per-user codeword view with a
-	// strided copy (stride K*order) into worker scratch.
+	// llrSC is the soft demodulator output, subcarrier-major SoA
+	// (DESIGN §9): [slot][symbol][(sc*K + user)*order + bit], so the demod
+	// output for a tile of subcarriers [s0,s1) is the single contiguous
+	// span [s0*K*order, s1*K*order) and the fused equalize+demod kernel
+	// writes one stream. Only the scUsed subcarriers that carry code bits
+	// are provisioned. The decoder gathers its per-user codeword view with
+	// a strided copy (stride K*order) into worker scratch.
 	llrSC [][][]float32
-	// llr is the historical AoS (user-major) layout, allocated instead of
-	// llrSC when Options.DisableSoALLR is set: [slot][symbol][user][bit],
-	// contiguous per user, read directly by the decoder.
-	llr [][][][]float32
 
 	// decoded holds uplink hard bits: [slot][symbol][user][K bits], and
 	// decodeOK whether the block passed its parity check.
@@ -72,7 +60,7 @@ type buffers struct {
 	dlTime [][][][]complex64
 }
 
-func newBuffers(cfg *frame.Config, slots int, soaLLR, rxCopies bool) *buffers {
+func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 	b := &buffers{cfg: cfg, slots: slots}
 	nSym := cfg.NumSymbols()
 	m := cfg.Antennas
@@ -83,14 +71,12 @@ func newBuffers(cfg *frame.Config, slots int, soaLLR, rxCopies bool) *buffers {
 	scUsed := (code.N() + int(cfg.Order) - 1) / int(cfg.Order)
 	llrBits := scUsed * int(cfg.Order)
 
-	b.rxRaw = make([][][][]byte, slots)
 	b.csi = make([][]*mat.M, slots)
 	b.eq = make([][]*mat.M, slots)
 	b.pre = make([][]*mat.M, slots)
 	b.dataFreqSC = make([][][]complex64, slots)
 	b.dataFreqAnt = make([][][]complex64, slots)
 	b.llrSC = make([][][]float32, slots)
-	b.llr = make([][][][]float32, slots)
 	b.decoded = make([][][][]byte, slots)
 	b.decodeOK = make([][][]bool, slots)
 	b.macBits = make([][][][]byte, slots)
@@ -98,13 +84,10 @@ func newBuffers(cfg *frame.Config, slots int, soaLLR, rxCopies bool) *buffers {
 	b.dlFreq = make([][][]complex64, slots)
 	b.dlTime = make([][][][]complex64, slots)
 
-	payload := cfg.SamplesPerSymbol() * 3
 	for s := 0; s < slots; s++ {
-		b.rxRaw[s] = make([][][]byte, nSym)
 		b.dataFreqSC[s] = make([][]complex64, nSym)
 		b.dataFreqAnt[s] = make([][]complex64, nSym)
 		b.llrSC[s] = make([][]float32, nSym)
-		b.llr[s] = make([][][]float32, nSym)
 		b.decoded[s] = make([][][]byte, nSym)
 		b.decodeOK[s] = make([][]bool, nSym)
 		b.macBits[s] = make([][][]byte, nSym)
@@ -113,27 +96,15 @@ func newBuffers(cfg *frame.Config, slots int, soaLLR, rxCopies bool) *buffers {
 		b.dlTime[s] = make([][][]complex64, nSym)
 		for sym := 0; sym < nSym; sym++ {
 			st := cfg.SymbolAt(sym)
-			if rxCopies && (st == frame.Pilot || st == frame.Uplink) {
-				b.rxRaw[s][sym] = make([][]byte, m)
-				for a := 0; a < m; a++ {
-					b.rxRaw[s][sym][a] = make([]byte, payload)
-				}
-			}
 			if st == frame.Uplink {
-				b.dataFreqSC[s][sym] = make([]complex64, q*m)
-				b.dataFreqAnt[s][sym] = make([]complex64, q*m)
+				if antMajor {
+					b.dataFreqAnt[s][sym] = make([]complex64, q*m)
+				} else {
+					b.dataFreqSC[s][sym] = make([]complex64, q*m)
+				}
 				b.decoded[s][sym] = make([][]byte, k)
 				b.decodeOK[s][sym] = make([]bool, k)
-				// Exactly one LLR layout is provisioned per engine: the
-				// two hold the same k*llrBits floats, just transposed.
-				if soaLLR {
-					b.llrSC[s][sym] = make([]float32, k*llrBits)
-				} else {
-					b.llr[s][sym] = make([][]float32, k)
-					for u := 0; u < k; u++ {
-						b.llr[s][sym][u] = make([]float32, llrBits)
-					}
-				}
+				b.llrSC[s][sym] = make([]float32, k*llrBits)
 				for u := 0; u < k; u++ {
 					b.decoded[s][sym][u] = make([]byte, code.K())
 				}

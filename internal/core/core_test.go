@@ -195,15 +195,10 @@ func TestAblationsStillCorrect(t *testing.T) {
 		"no-directstore": {Workers: 3, DisableDirectStore: true},
 		"no-inverseopt":  {Workers: 3, DisableInverseOpt: true},
 		"no-jitgemm":     {Workers: 3, DisableJITGemm: true},
-		"no-blockgemm":   {Workers: 3, DisableBlockGemm: true},
 		"no-simdconvert": {Workers: 3, DisableSIMDConvert: true},
-		"no-splitradix":  {Workers: 3, DisableSplitRadixFFT: true},
-		"no-soallr":      {Workers: 3, DisableSoALLR: true},
 		"all-off": {Workers: 3, DisableBatching: true, DisableMemOpt: true,
 			DisableDirectStore: true, DisableInverseOpt: true,
-			DisableJITGemm: true, DisableBlockGemm: true,
-			DisableSIMDConvert: true, DisableSplitRadixFFT: true,
-			DisableSoALLR: true},
+			DisableJITGemm: true, DisableSIMDConvert: true},
 	}
 	for name, opts := range cases {
 		opts := opts

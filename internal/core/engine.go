@@ -114,10 +114,9 @@ type Engine struct {
 	drops  atomic.Int64
 
 	// Zero-copy RX (DESIGN §15, see ingest.go): payloads are leased in
-	// place on transport buffers instead of copied into rxRaw. rxFree
-	// pools payload-sized buffers for injected and FEC-reconstructed
-	// payloads, which have no transport buffer to lease.
-	zeroCopy   bool
+	// place on transport buffers. rxFree pools payload-sized buffers for
+	// injected and FEC-reconstructed payloads, which have no transport
+	// buffer to lease.
 	payloadLen int
 	rxLease    [][][]rxLease // [slot][symbol][antenna]; nil rows off the RX path
 	rxFree     chan []byte
@@ -276,20 +275,14 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		stop:        make(chan struct{}),
 		mgrDone:     make(chan struct{}),
 	}
-	kern := fft.SplitRadix
-	if opts.DisableSplitRadixFFT {
-		kern = fft.Radix2
-	}
 	var err error
-	e.plan, err = fft.NewPlanKernel(cfg.OFDMSize, kern)
+	e.plan, err = fft.NewPlan(cfg.OFDMSize)
 	if err != nil {
 		return nil, err
 	}
 	e.scUsed = (e.code.N() + int(cfg.Order) - 1) / int(cfg.Order)
 	e.dlGain = 0.25 // keeps 12-bit TX quantization comfortable
-	// rxRaw backs the copying RX ablation only; the default zero-copy
-	// path replaces it with the lease table initIngest builds.
-	e.buf = newBuffers(&e.cfg, opts.Slots, !opts.DisableSoALLR, opts.DisableZeroCopyRX)
+	e.buf = newBuffers(&e.cfg, opts.Slots, opts.DisableMemOpt)
 	if err := e.initIngest(); err != nil {
 		return nil, err
 	}
@@ -362,14 +355,9 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		e.met.DecodeKernel = "generic"
 	}
 	e.met.FFTKernel = fft.Impl()
-	if opts.DisableSplitRadixFFT {
-		// The radix-2 ablation is a Go loop everywhere.
-		e.met.FFTKernel = "generic"
-	}
 	e.met.DemodKernel = modulation.Kernel()
-	if opts.DisableSoALLR || opts.DummyKernels {
-		// The AoS layout demodulates with the Go loop everywhere, and the
-		// dummy kernels do not demodulate.
+	if opts.DummyKernels {
+		// The dummy kernels do not demodulate.
 		e.met.DemodKernel = "generic"
 	}
 	e.txLane = opts.Workers
@@ -732,8 +720,8 @@ func (e *Engine) WriteChromeTrace(w io.Writer) error {
 
 // InjectPacket feeds one fronthaul packet directly (test hook bypassing
 // the transport). The packet is parsed synchronously; the payload is
-// always copied — callers reuse the backing array — either into rxRaw
-// (DisableZeroCopyRX) or into a leased engine-pool buffer.
+// always copied — callers reuse the backing array — into a leased
+// engine-pool buffer.
 func (e *Engine) InjectPacket(pkt []byte) error {
 	_, err := e.acceptPacket(pkt, false)
 	return err
@@ -867,20 +855,17 @@ func (e *Engine) execute(w *worker, m queue.Msg) {
 		batch = 1
 	}
 	slot := int(m.Slot)
-	if m.Type == queue.TaskIFFT {
-		// The whole message is one batched call: the antennas in a message
-		// are consecutive, which is exactly InverseBatch's lane layout.
-		w.runIFFTBatch(slot, m.Symbol, int(m.TaskIdx), batch)
+	// An FFT message's antennas are consecutive, so the whole message is
+	// one run: one lane per antenna, a run of one included.
+	switch m.Type {
+	case queue.TaskPilotFFT:
+		w.runPilotFFT(slot, m.Symbol, int(m.TaskIdx), batch, e.pilotIndex(m.Symbol))
 		return
-	}
-	if m.Type == queue.TaskPilotFFT {
-		// Same property on the uplink: a pilot message's antennas are
-		// consecutive, so the whole run is one batched front-end call.
-		w.runPilotFFTBatch(slot, m.Symbol, int(m.TaskIdx), batch, e.pilotIndex(m.Symbol))
+	case queue.TaskFFT:
+		w.runFFT(slot, m.Symbol, int(m.TaskIdx), batch)
 		return
-	}
-	if m.Type == queue.TaskFFT {
-		w.runFFTBatch(slot, m.Symbol, int(m.TaskIdx), batch)
+	case queue.TaskIFFT:
+		w.runIFFT(slot, m.Symbol, int(m.TaskIdx), batch)
 		return
 	}
 	for i := 0; i < batch; i++ {
@@ -906,8 +891,6 @@ func (e *Engine) execute(w *worker, m queue.Msg) {
 				preSlot = int(m.Aux - 1)
 			}
 			w.runPrecode(slot, m.Symbol, idx, preSlot)
-		case queue.TaskIFFT:
-			w.runIFFT(slot, m.Symbol, uint16(idx))
 		default:
 			panic(fmt.Sprintf("core: worker got %v", m.Type))
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cf"
 	"repro/internal/channel"
 	"repro/internal/fft"
 	"repro/internal/frame"
@@ -37,17 +38,12 @@ func wideCfg(fftBatch int) frame.Config {
 	}
 }
 
-// runArrivalFrame is runOneFrame with KeepBits on and the frame's packets
-// passed through reorder before they are sent.
-func runArrivalFrame(t *testing.T, cfg frame.Config, opts Options, reorder func([][]byte) [][]byte) (*Engine, FrameResult) {
+// framePackets emits frame 0 of wideCfg's seeded generator: the same
+// packets for every FFTBatch, since the batch size does not enter the
+// signal chain.
+func framePackets(t *testing.T, cfg frame.Config) [][]byte {
 	t.Helper()
-	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
 	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 28, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.KeepBits = true
-	eng, err := NewEngine(cfg, opts, ring.Side(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +54,21 @@ func runArrivalFrame(t *testing.T, cfg frame.Config, opts Options, reorder func(
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return pkts
+}
+
+// runArrivalFrame sends pkts through a fresh engine with KeepBits on and
+// returns the stopped engine with its frame result.
+func runArrivalFrame(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) (*Engine, FrameResult) {
+	t.Helper()
+	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
+	opts.KeepBits = true
+	eng, err := NewEngine(cfg, opts, ring.Side(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng.Start()
-	for _, p := range reorder(pkts) {
+	for _, p := range pkts {
 		if err := ring.Side(0).Send(p); err != nil {
 			eng.Stop()
 			t.Fatal(err)
@@ -79,26 +88,62 @@ func runArrivalFrame(t *testing.T, cfg frame.Config, opts Options, reorder func(
 	return eng, res
 }
 
-// TestFFTBatchEquivalence pins runFFTBatch to the per-antenna path: the
-// frequency-domain data buffer, the decoded bits and the block outcomes
-// of one frame must be bit-identical whether data-symbol FFT messages
-// carry 1, 2 or 8 antennas — in arrival order, and with the packets
-// shuffled and every fifth one duplicated, which splits the manager's
-// runs into short non-contiguous pieces (odd leftovers included) — on the
-// default path and under every option that reroutes the front end or the
-// store.
-func TestFFTBatchEquivalence(t *testing.T) {
-	inOrder := func(p [][]byte) [][]byte { return p }
-	shuffled := func(p [][]byte) [][]byte {
-		rng := rand.New(rand.NewSource(5))
-		out := make([][]byte, 0, len(p)+len(p)/5+1)
-		for i, j := range rng.Perm(len(p)) {
-			out = append(out, p[j])
-			if i%5 == 0 {
-				out = append(out, p[j])
+// oracleGrid is the post-FFT data grid of each uplink symbol built from
+// the frame's packets with public API only: unpack every sample, strip
+// the cyclic prefix, transform (not under DummyKernels, whose FFT only
+// moves data), and store the data band subcarrier-major — antenna-major
+// under DisableMemOpt.
+func oracleGrid(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) map[int][]complex64 {
+	t.Helper()
+	plan := fft.MustPlan(cfg.OFDMSize)
+	m, q, ds := cfg.Antennas, cfg.DataSubcarriers, cfg.DataStart()
+	samples := make([]complex64, cfg.SamplesPerSymbol())
+	grid := map[int][]complex64{}
+	for _, p := range pkts {
+		var h fronthaul.Header
+		if err := h.Decode(p); err != nil {
+			t.Fatal(err)
+		}
+		sym, a := int(h.Symbol), int(h.Antenna)
+		if cfg.SymbolAt(sym) != frame.Uplink {
+			continue
+		}
+		if grid[sym] == nil {
+			grid[sym] = make([]complex64, q*m)
+		}
+		cf.UnpackIQ12(samples, fronthaul.Payload(p, &h))
+		spec := samples[cfg.CPLen:]
+		if !opts.DummyKernels {
+			plan.Forward(spec)
+		}
+		for sc := 0; sc < q; sc++ {
+			if opts.DisableMemOpt {
+				grid[sym][a*q+sc] = spec[ds+sc]
+			} else {
+				grid[sym][sc*m+a] = spec[ds+sc]
 			}
 		}
-		return out
+	}
+	return grid
+}
+
+// TestFFTBatchEquivalence pins the FFT blocks to a packet-level oracle:
+// the frequency-domain data buffer must equal oracleGrid bit for bit, and
+// the decoded bits and block outcomes must not depend on the run length,
+// whether data-symbol FFT messages carry 1, 2 or 8 antennas — in arrival
+// order, and with the packets shuffled and every fifth one duplicated,
+// which splits the manager's runs into short non-contiguous pieces (odd
+// leftovers included) — on the default path and under every option that
+// reroutes the front end or the store.
+func TestFFTBatchEquivalence(t *testing.T) {
+	pkts := framePackets(t, wideCfg(1))
+	shuffled := make([][]byte, 0, len(pkts)+len(pkts)/5+1)
+	rng := rand.New(rand.NewSource(5))
+	for i, j := range rng.Perm(len(pkts)) {
+		shuffled = append(shuffled, pkts[j])
+		if i%5 == 0 {
+			shuffled = append(shuffled, pkts[j])
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -108,28 +153,31 @@ func TestFFTBatchEquivalence(t *testing.T) {
 		{"DisableMemOpt", Options{DisableMemOpt: true}},
 		{"DisableDirectStore", Options{DisableDirectStore: true}},
 		{"DisableSIMDConvert", Options{DisableSIMDConvert: true}},
-		{"DisableSplitRadixFFT", Options{DisableSplitRadixFFT: true}},
 		{"DummyKernels", Options{DummyKernels: true}},
 	} {
-		for arrival, reorder := range map[string]func([][]byte) [][]byte{"in-order": inOrder, "shuffled": shuffled} {
+		for arrival, order := range map[string][][]byte{"in-order": pkts, "shuffled": shuffled} {
 			t.Run(tc.name+"/"+arrival, func(t *testing.T) {
 				opts := tc.opts
 				opts.Workers = 2
-				refEng, refRes := runArrivalFrame(t, wideCfg(1), opts, reorder)
-				for _, batch := range []int{2, 8} {
-					eng, res := runArrivalFrame(t, wideCfg(batch), opts, reorder)
-					sameBits(t, []FrameResult{refRes}, []FrameResult{res})
+				oracle := oracleGrid(t, wideCfg(1), opts, pkts)
+				var ref FrameResult
+				for _, batch := range []int{1, 2, 8} {
+					eng, res := runArrivalFrame(t, wideCfg(batch), opts, order)
+					if batch == 1 {
+						ref = res
+					}
+					sameBits(t, []FrameResult{ref}, []FrameResult{res})
 					for sym := 1; sym <= 2; sym++ {
-						want, got := refEng.buf.dataFreqSC[0][sym], eng.buf.dataFreqSC[0][sym]
+						want, got := oracle[sym], eng.buf.dataFreqSC[0][sym]
 						if opts.DisableMemOpt {
-							want, got = refEng.buf.dataFreqAnt[0][sym], eng.buf.dataFreqAnt[0][sym]
+							got = eng.buf.dataFreqAnt[0][sym]
 						}
 						if len(want) == 0 || len(got) != len(want) {
 							t.Fatalf("FFTBatch=%d sym %d: buffer lengths %d vs %d", batch, sym, len(got), len(want))
 						}
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("FFTBatch=%d sym %d: frequency sample %d is %v, per-antenna path wrote %v",
+								t.Fatalf("FFTBatch=%d sym %d: frequency sample %d is %v, oracle %v",
 									batch, sym, i, got[i], want[i])
 							}
 						}
@@ -140,7 +188,7 @@ func TestFFTBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestFFTBatchLeaseReclaimedMidRun drives runFFTBatch by hand over a run
+// TestFFTBatchLeaseReclaimedMidRun drives runFFT by hand over a run
 // whose second lease the manager's teardown sweep already reclaimed: the
 // run must be skipped without touching the frame buffer, and the lease it
 // had claimed before noticing must be handed back, not stranded.
@@ -173,7 +221,7 @@ func TestFFTBatchLeaseReclaimedMidRun(t *testing.T) {
 	eng.freeLeaseBuf(victim)
 	victim.state.Store(leaseEmpty)
 
-	eng.workers[0].runFFTBatch(slot, sym, ant0, count)
+	eng.workers[0].runFFT(slot, sym, ant0, count)
 
 	for _, v := range eng.buf.dataFreqSC[slot][sym] {
 		if v != 0 {
@@ -186,7 +234,7 @@ func TestFFTBatchLeaseReclaimedMidRun(t *testing.T) {
 		}
 	}
 	// The rest of the symbol is unaffected: the next run transforms.
-	eng.workers[0].runFFTBatch(slot, sym, ant0+4, count)
+	eng.workers[0].runFFT(slot, sym, ant0+4, count)
 	nonzero := false
 	for sc := 0; sc < cfg.DataSubcarriers; sc++ {
 		if eng.buf.dataFreqSC[slot][sym][sc*cfg.Antennas+ant0+4] != 0 {
@@ -199,23 +247,14 @@ func TestFFTBatchLeaseReclaimedMidRun(t *testing.T) {
 }
 
 // TestFFTKernelReported checks the engine names the FFT implementation its
-// plan runs, and that the radix-2 ablation reports the Go loops.
+// plan runs.
 func TestFFTKernelReported(t *testing.T) {
-	for _, tc := range []struct {
-		opts Options
-		want string
-	}{
-		{Options{Workers: 1}, fft.Impl()},
-		{Options{Workers: 1, DisableSplitRadixFFT: true}, "generic"},
-	} {
-		ring := fronthaul.NewRing(64, 4096)
-		eng, err := NewEngine(smallCfg(), tc.opts, ring.Side(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.MetricsSnapshot().FFTKernel; got != tc.want {
-			t.Fatalf("DisableSplitRadixFFT=%v: engine reports FFT kernel %q, want %q",
-				tc.opts.DisableSplitRadixFFT, got, tc.want)
-		}
+	ring := fronthaul.NewRing(64, 4096)
+	eng, err := NewEngine(smallCfg(), Options{Workers: 1}, ring.Side(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.MetricsSnapshot().FFTKernel; got != fft.Impl() {
+		t.Fatalf("engine reports FFT kernel %q, want %q", got, fft.Impl())
 	}
 }

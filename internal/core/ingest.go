@@ -3,8 +3,8 @@ package core
 // The zero-copy, loss-tolerant RX path (DESIGN §15).
 //
 // Zero-copy leases: instead of memcpy-ing every fronthaul payload into
-// rxRaw, the network thread parses the 64-byte header in place on the
-// transport buffer and *leases* the packed 12-bit IQ payload to the
+// an engine buffer, the network thread parses the 64-byte header in place
+// on the transport buffer and *leases* the packed 12-bit IQ payload to the
 // engine through a per-(slot, symbol, antenna) lease table. The FFT
 // worker consumes the payload straight off the wire bytes (the fused
 // fft.ForwardIQ12 front end reads packed IQ) and releases the buffer
@@ -18,17 +18,18 @@ package core
 //	before their FFTs run — and frees the buffer. A torn-down lease
 //	makes the FFT task a no-op; its completion message still flows.
 //
-// Options.DisableZeroCopyRX restores the copying path (payloads land in
-// rxRaw exactly as before) as a bit-identical ablation.
+// Injected packets (InjectPacket) and FEC-reconstructed payloads have no
+// transport buffer: they are copied into engine-pool buffers and leased
+// the same way.
 //
 // FEC: with Options.FECParity = P, the RRU appends P Reed-Solomon
 // parity packets (Header.Antenna = M..M+P-1) to each pilot/uplink
 // symbol's M-packet burst. The receive path folds every arriving
 // payload into per-symbol syndrome accumulators (fronthaul.FEC);
 // as soon as nData+nParity ≥ M with data missing, the lost payloads
-// are reconstructed into engine-pool buffers (or rxRaw on the copy
-// path) and injected through the normal rxSeen/lease/rxQ flow, so a
-// frame meets its deadline despite up to P lost packets per symbol.
+// are reconstructed into engine-pool buffers and injected through the
+// normal rxSeen/lease/rxQ flow, so a frame meets its deadline despite up
+// to P lost packets per symbol.
 // All FEC state is owned by the single RX goroutine — no locks.
 
 import (
@@ -84,30 +85,27 @@ type fecSlot struct {
 const rxBatchSize = 64
 
 // initIngest allocates the RX-path state NewEngine defers here: the
-// lease table and payload pool (zero-copy mode) and the per-slot FEC
-// accumulators (FECParity > 0).
+// lease table, the payload pool and the per-slot FEC accumulators
+// (FECParity > 0).
 func (e *Engine) initIngest() error {
 	cfg := &e.cfg
-	e.zeroCopy = !e.opts.DisableZeroCopyRX
 	e.payloadLen = cfg.SamplesPerSymbol() * cf.BytesPerIQ
-	if e.zeroCopy {
-		e.rxLease = make([][][]rxLease, e.opts.Slots)
-		for s := range e.rxLease {
-			e.rxLease[s] = make([][]rxLease, cfg.NumSymbols())
-			for sym := range e.rxLease[s] {
-				st := cfg.SymbolAt(sym)
-				if st == frame.Pilot || st == frame.Uplink {
-					e.rxLease[s][sym] = make([]rxLease, cfg.Antennas)
-				}
+	e.rxLease = make([][][]rxLease, e.opts.Slots)
+	for s := range e.rxLease {
+		e.rxLease[s] = make([][]rxLease, cfg.NumSymbols())
+		for sym := range e.rxLease[s] {
+			st := cfg.SymbolAt(sym)
+			if st == frame.Pilot || st == frame.Uplink {
+				e.rxLease[s][sym] = make([]rxLease, cfg.Antennas)
 			}
 		}
-		// The pool only backs injected and FEC-reconstructed payloads;
-		// transport packets ride their own buffers. Capacity covers every
-		// lease the engine can hold at once, so steady-state injection
-		// reaches the same zero-allocation regime rxRaw had.
-		maxLeased := e.opts.Slots * (cfg.NumPilots() + cfg.NumUplink()) * cfg.Antennas
-		e.rxFree = make(chan []byte, maxLeased+16)
 	}
+	// The pool only backs injected and FEC-reconstructed payloads;
+	// transport packets ride their own buffers. Capacity covers every
+	// lease the engine can hold at once, so steady-state injection
+	// allocates nothing.
+	maxLeased := e.opts.Slots * (cfg.NumPilots() + cfg.NumUplink()) * cfg.Antennas
+	e.rxFree = make(chan []byte, maxLeased+16)
 	if e.opts.FECParity > 0 {
 		fec, err := fronthaul.NewFEC(cfg.Antennas, e.opts.FECParity)
 		if err != nil {
@@ -178,15 +176,11 @@ func (e *Engine) leaseStore(slot int, sym, ant uint16, pay, buf []byte) {
 	l.state.Store(leaseFull)
 }
 
-// rxPayload hands a symbol-antenna payload to its FFT task. On the copy
-// path it is simply the rxRaw row (no lease). On the zero-copy path it
-// claims the lease; a nil return means the frame was torn down and the
-// buffer reclaimed — the task skips compute (its completion message
-// still flows, and the dying frame's bookkeeping absorbs it).
+// rxPayload hands a symbol-antenna payload to its FFT task by claiming
+// the lease; a nil return means the frame was torn down and the buffer
+// reclaimed — the task skips compute (its completion message still
+// flows, and the dying frame's bookkeeping absorbs it).
 func (e *Engine) rxPayload(slot int, sym, ant uint16) ([]byte, *rxLease) {
-	if !e.zeroCopy {
-		return e.buf.rxRaw[slot][sym][ant], nil
-	}
 	l := &e.rxLease[slot][sym][ant]
 	if !l.state.CompareAndSwap(leaseFull, leaseBusy) {
 		return nil, nil
@@ -195,12 +189,8 @@ func (e *Engine) rxPayload(slot int, sym, ant uint16) ([]byte, *rxLease) {
 }
 
 // releaseRx returns a claimed lease's buffer to its owner (transport or
-// engine pool) and opens the lease for the slot's next frame. nil (copy
-// path) is a no-op.
+// engine pool) and opens the lease for the slot's next frame.
 func (e *Engine) releaseRx(l *rxLease) {
-	if l == nil {
-		return
-	}
 	e.freeLeaseBuf(l)
 	l.state.Store(leaseEmpty)
 }
@@ -222,9 +212,6 @@ func (e *Engine) freeLeaseBuf(l *rxLease) {
 // frames that die with FFT tasks never run (timeouts, pending reaps)
 // would otherwise strand their transport buffers in FULL leases.
 func (e *Engine) reclaimLeases(slot int) {
-	if !e.zeroCopy {
-		return
-	}
 	for sym := range e.rxLease[slot] {
 		row := e.rxLease[slot][sym]
 		for a := range row {
@@ -275,11 +262,10 @@ func (e *Engine) enqueueRX(frameID uint32, slot int, sym, ant uint16) {
 }
 
 // acceptPacket validates a packet, claims the frame's buffer slot, and
-// either leases the payload in place (zero-copy, fromTransport) or
-// copies it (rxRaw on the ablation path; a pool buffer for injected
-// packets whose caller reuses the backing array). leased reports that
-// the transport buffer's ownership moved to the lease table — the
-// caller must NOT Release it.
+// either leases the payload in place (fromTransport) or copies it into a
+// pool buffer (injected packets, whose caller reuses the backing array)
+// and leases that. leased reports that the transport buffer's ownership
+// moved to the lease table — the caller must NOT Release it.
 func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err error) {
 	var h fronthaul.Header
 	if err := h.Decode(pkt); err != nil {
@@ -358,17 +344,13 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 	if !e.rxSeen[slot][h.Symbol][h.Antenna].CompareAndSwap(false, true) {
 		return false, fmt.Errorf("core: duplicate packet %v", h)
 	}
-	if e.zeroCopy {
-		if fromTransport {
-			e.leaseStore(slot, h.Symbol, h.Antenna, payload, pkt)
-			leased = true
-		} else {
-			buf := e.getRxBuf()
-			copy(buf, payload)
-			e.leaseStore(slot, h.Symbol, h.Antenna, buf, nil)
-		}
+	if fromTransport {
+		e.leaseStore(slot, h.Symbol, h.Antenna, payload, pkt)
+		leased = true
 	} else {
-		copy(e.buf.rxRaw[slot][h.Symbol][h.Antenna], payload)
+		buf := e.getRxBuf()
+		copy(buf, payload)
+		e.leaseStore(slot, h.Symbol, h.Antenna, buf, nil)
 	}
 	if fs != nil && !fs.done {
 		e.fec.AccumulateData(fs.syn, int(h.Antenna), payload)
@@ -409,7 +391,7 @@ func (e *Engine) fecSymFor(slot int, frameID uint32, sym int) *fecSym {
 
 // fecReconstruct rebuilds the symbol's missing payloads from the
 // syndromes and injects them through the normal accept flow (rxSeen
-// claim, lease/rxRaw store, manager notification). Called the moment
+// claim, lease store, manager notification). Called the moment
 // nData+nPar reaches M; the arrival that triggers it pays the O(P²·len)
 // solve, every other packet only paid streaming accumulation.
 func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym) {
@@ -430,18 +412,12 @@ func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym
 		}
 	}
 	dst := e.fecDst[:0]
-	for _, a := range lost {
-		if e.zeroCopy {
-			dst = append(dst, e.getRxBuf())
-		} else {
-			dst = append(dst, e.buf.rxRaw[slot][sym][a])
-		}
+	for range lost {
+		dst = append(dst, e.getRxBuf())
 	}
 	if err := e.fec.Reconstruct(dst, lost, rows, fs.syn); err != nil {
-		if e.zeroCopy {
-			for _, b := range dst {
-				e.putRxBuf(b)
-			}
+		for _, b := range dst {
+			e.putRxBuf(b)
 		}
 		return
 	}
@@ -452,14 +428,10 @@ func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym
 		if !e.rxSeen[slot][sym][a].CompareAndSwap(false, true) {
 			// Unreachable on the single RX goroutine (lost ⇒ unseen), but
 			// never leak the buffer if it ever fires.
-			if e.zeroCopy {
-				e.putRxBuf(dst[i])
-			}
+			e.putRxBuf(dst[i])
 			continue
 		}
-		if e.zeroCopy {
-			e.leaseStore(slot, sym, uint16(a), dst[i], nil)
-		}
+		e.leaseStore(slot, sym, uint16(a), dst[i], nil)
 		e.met.FECRecovered.Add(1)
 		e.enqueueRX(frameID, slot, sym, uint16(a))
 	}

@@ -1,10 +1,10 @@
 package core
 
-// Zero-copy RX and fronthaul FEC behaviour (DESIGN §15): the leased
-// zero-copy path must be observationally identical to the copying
-// ablation, and Reed-Solomon parity must reconstruct lost packets
-// bit-exactly — frames complete despite loss up to the parity budget
-// and degrade to Dropped beyond it.
+// Zero-copy RX and fronthaul FEC behaviour (DESIGN §15): payloads leased
+// in place on transport buffers must be observationally identical to
+// payloads copied into pool buffers, and Reed-Solomon parity must
+// reconstruct lost packets bit-exactly — frames complete despite loss up
+// to the parity budget and degrade to Dropped beyond it.
 
 import (
 	"testing"
@@ -15,15 +15,38 @@ import (
 	"repro/internal/workload"
 )
 
-// TestZeroCopyRXBitIdentity pins the zero-copy lease path against the
-// copying ablation: same traffic, byte-identical decoded bits. Any
-// lease-lifecycle bug — a payload released early, a stale lease served
-// to the wrong frame — shows up as a diff.
+// TestZeroCopyRXBitIdentity pins the transport-lease path against
+// InjectPacket, which copies each payload into an engine-pool buffer
+// before leasing it: same traffic, byte-identical decoded bits. Any
+// lease-lifecycle bug — a transport buffer released early, a stale lease
+// served to the wrong frame — shows up as a diff.
 func TestZeroCopyRXBitIdentity(t *testing.T) {
 	const frames = 6
-	zc, _, _ := runBitFrames(t, Options{Workers: 3}, frames, 0)
-	cp, _, _ := runBitFrames(t, Options{Workers: 3, DisableZeroCopyRX: true}, frames, 0)
-	sameBits(t, zc, cp)
+	leased, _, _ := runBitFrames(t, Options{Workers: 3}, frames, 0)
+	cfg := smallCfg()
+	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 30, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(cfg, Options{Workers: 3, KeepBits: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Stop()
+	injected := make([]FrameResult, 0, frames)
+	for f := 0; f < frames; f++ {
+		if err := gen.EmitFrame(uint32(f), eng.InjectPacket); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-eng.Results():
+			injected = append(injected, r)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("frame %d timed out", f)
+		}
+	}
+	sameBits(t, leased, injected)
 }
 
 // runBitFramesLoss is runBitFrames over a lossy link: parity enables
@@ -80,7 +103,6 @@ func runBitFramesLoss(t *testing.T, opts Options, n, parity int,
 // symbol burst and checks that with FECParity = P every frame still
 // completes with bits byte-identical to a lossless, FEC-free run —
 // Reed-Solomon reconstruction is exact, so the loss must be invisible.
-// Both the zero-copy and the copying RX paths are exercised.
 func TestFECRecoversLostPackets(t *testing.T) {
 	const (
 		frames = 4
@@ -92,24 +114,17 @@ func TestFECRecoversLostPackets(t *testing.T) {
 		return int(h.Antenna) < cfg.Antennas && (h.Antenna == 2 || h.Antenna == 5)
 	}
 	baseline, _, _ := runBitFrames(t, Options{Workers: 3}, frames, 0)
-
-	for name, opts := range map[string]Options{
-		"zerocopy": {Workers: 3},
-		"copy":     {Workers: 3, DisableZeroCopyRX: true},
-	} {
-		res, recovered := runBitFramesLoss(t, opts, frames, parity, drop)
-		for f, r := range res {
-			if r.Dropped {
-				t.Fatalf("%s: frame %d dropped despite parity budget", name, f)
-			}
+	res, recovered := runBitFramesLoss(t, Options{Workers: 3}, frames, parity, drop)
+	for f, r := range res {
+		if r.Dropped {
+			t.Fatalf("frame %d dropped despite parity budget", f)
 		}
-		// 2 recoveries per data-carrying symbol, 3 such symbols per frame.
-		want := int64(frames * 3 * parity)
-		if recovered != want {
-			t.Fatalf("%s: FECRecovered = %d, want %d", name, recovered, want)
-		}
-		sameBits(t, baseline, res)
 	}
+	// 2 recoveries per data-carrying symbol, 3 such symbols per frame.
+	if want := int64(frames * 3 * parity); recovered != want {
+		t.Fatalf("FECRecovered = %d, want %d", recovered, want)
+	}
+	sameBits(t, baseline, res)
 }
 
 // TestFECBudgetExceeded loses parity+1 packets of one frame's pilot
@@ -190,19 +205,19 @@ func TestSeqGapAccounting(t *testing.T) {
 	}
 }
 
-// benchIngest measures the packet-accept hot path in isolation: header
+// BenchmarkIngest measures the packet-accept hot path in isolation: header
 // parse, slot claim, dedupe, payload hand-off. The engine is never
 // started — the bench drives acceptPacket directly and unwinds the slot
 // state each iteration, so the number is pure ingest cost. The cell
 // uses the paper's 2048-point numerology (~6.6 KB payloads): that is
 // the regime the lease path targets — the saved memcpy dwarfs the
 // lease-protocol atomics, which at toy payload sizes it does not.
-func benchIngest(b *testing.B, opts Options) {
+func BenchmarkIngest(b *testing.B) {
 	cfg := smallCfg()
 	cfg.OFDMSize = 2048
 	cfg.DataSubcarriers = 1200
 	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
-	eng, err := NewEngine(cfg, opts, ring.Side(1))
+	eng, err := NewEngine(cfg, Options{Workers: 1}, ring.Side(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,12 +250,4 @@ func benchIngest(b *testing.B, opts Options) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(pkts)*b.N)/b.Elapsed().Seconds(), "pkts/s")
-}
-
-// BenchmarkIngest_ZeroCopy vs _Copy is the ablation pair for the leased
-// RX path (`go run ./cmd/bench -ingest` wraps the two into one report).
-func BenchmarkIngest_ZeroCopy(b *testing.B) { benchIngest(b, Options{Workers: 1}) }
-
-func BenchmarkIngest_Copy(b *testing.B) {
-	benchIngest(b, Options{Workers: 1, DisableZeroCopyRX: true})
 }

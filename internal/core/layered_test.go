@@ -17,8 +17,8 @@ import (
 // iteration-count behaviour lives in ldpc.TestLayeredVsFloodingBits.)
 func TestDisableLayeredDecodeEquivalence(t *testing.T) {
 	cfg := soaCfg(modulation.QAM16)
-	layEng, layRes := runOneFrame(t, cfg, Options{Workers: 2}, 83)
-	fldEng, fldRes := runOneFrame(t, cfg, Options{Workers: 2, DisableLayeredDecode: true}, 83)
+	layEng, layRes, _ := runOneFrame(t, cfg, Options{Workers: 2}, 83)
+	fldEng, fldRes, _ := runOneFrame(t, cfg, Options{Workers: 2, DisableLayeredDecode: true}, 83)
 	if layRes.Dropped || fldRes.Dropped {
 		t.Fatalf("dropped frame: layered=%v flooding=%v", layRes.Dropped, fldRes.Dropped)
 	}

@@ -4,7 +4,7 @@
 // A pipeline-parallel variant (§5.4) shares the same kernels and buffers
 // but statically partitions workers among blocks.
 //
-// Buffer layouts (see DESIGN §§9 and 11). Tasks of one block always write
+// Buffer layouts (see DESIGN §§9 and 10). Tasks of one block always write
 // disjoint regions of the preallocated per-slot buffers, so the hot path
 // takes no locks and allocates nothing:
 //
@@ -15,17 +15,18 @@
 //     ([(sc*K + user)*order + bit]): the LLRs for a tile of subcarriers
 //     are one contiguous span, written in a single pass by the fused
 //     equalize+demod kernel. The decoder gathers its per-user codeword
-//     view with a strided copy. Options.DisableSoALLR reverts to the AoS
-//     per-user layout (llr, [user][sc*order + bit]).
+//     view with a strided copy.
 //   - dlFreq, the precoded downlink grid, is subcarrier-major like
 //     dataFreqSC; precode tiles write it in place and IFFT gathers per
 //     antenna.
 //
-// Kernel entry points live in blocks.go: runPilotFFT(+Batch), runZF,
-// runFFT, runDemod (fused equalizeDemodBlock / blocked AoS /
-// runDemodScalar), runDecode, runEncode, runPrecode, runIFFT(+Batch).
-// Every path has a Table-4-style ablation toggle in Options so layout
-// and kernel changes stay measurable pairs.
+// Kernel entry points live in blocks.go: runPilotFFT, runZF, runFFT,
+// runDemod (fused equalizeDemodBlock, or runDemodScalar), runDecode,
+// runEncode, runPrecode, runIFFT. Each FFT block takes a run of
+// consecutive antennas; a run of one is a batch of one. Options{} selects
+// the serving path. The Disable* toggles are the ablations the paper's
+// evaluation measures (Table 4, §3.4, §4), the flooding decode baseline
+// and two observability switches; no other alternative path is kept.
 package core
 
 import (
@@ -92,20 +93,6 @@ type Options struct {
 	// textbook loops (§4.2).
 	DisableJITGemm bool
 
-	// DisableBlockGemm turns off the blocked (BLAS-3) multi-subcarrier
-	// equalization/precoding kernels and the batched (de)modulation calls
-	// that ride on them, reverting to one matvec and one (de)modulation
-	// call per subcarrier.
-	DisableBlockGemm bool
-
-	// DisableSoALLR turns off the subcarrier-major SoA LLR layout and the
-	// fused equalize+demodulate kernel that writes it, reverting to the
-	// AoS per-user LLR buffers: the equalized tile is materialized in
-	// full, then re-read once per user to scatter each user's LLR run.
-	// LLRs (and decode results) are bit-identical between the two
-	// layouts; only the traversal and memory traffic differ.
-	DisableSoALLR bool
-
 	// DisableLayeredDecode replaces the default layered (serial-C) LDPC
 	// message-passing schedule with a flooding schedule (ldpc/flood.go,
 	// DESIGN §13): every check node of an iteration reads the beliefs from
@@ -120,12 +107,6 @@ type Options struct {
 	// the fused unpack/permute FFT front end, which builds on the packed
 	// conversion.
 	DisableSIMDConvert bool
-
-	// DisableSplitRadixFFT reverts the (I)FFT to the radix-2 kernel and the
-	// unfused unpack -> CP-strip -> transform front end, the Table-4-style
-	// ablation pair for the split-radix engine. Batched IFFT dispatch is
-	// also disabled so the path matches the historical per-antenna loop.
-	DisableSplitRadixFFT bool
 
 	// DisableTracing turns off the per-worker event tracer feeding the
 	// Chrome-trace capture and frame-timeline reconstruction (Engine
@@ -219,17 +200,6 @@ type Options struct {
 	// row); on a static channel the clustered reduce is bit-identical
 	// (see mat's TestGramClusteredBitIdentity).
 	ZFClusters int
-
-	// DisableZeroCopyRX reverts the receive path to the copying ablation:
-	// every fronthaul payload is memcpy'd out of the transport buffer
-	// into the per-slot rxRaw arrays inside acceptPacket, exactly the
-	// pre-lease behaviour. With zero-copy on (the default, zero-value-on
-	// convention), the engine parses headers in place on the transport
-	// buffer, leases the packed 12-bit IQ payload to the FFT front end
-	// through the per-(slot, symbol, antenna) lease table, and returns
-	// the buffer to the transport at fftDone (DESIGN §15). Decoded
-	// output is bit-identical between the two paths.
-	DisableZeroCopyRX bool
 
 	// FECParity enables the fronthaul Reed-Solomon layer: the RRU sends
 	// FECParity parity packets after each pilot/uplink symbol's

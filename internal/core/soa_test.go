@@ -9,11 +9,12 @@ import (
 	"repro/internal/frame"
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
+	"repro/internal/mat"
 	"repro/internal/modulation"
 	"repro/internal/workload"
 )
 
-// soaCfg builds a configuration for the layout-equivalence test: the
+// soaCfg builds a configuration for the LLR equivalence tests: the
 // geometry is chosen so the demod tiling has odd tails at every level —
 // scUsed is not a multiple of DemodBlockSize, ZFGroupSize or
 // fuseStripCols — and three users keep the SoA interleave asymmetric.
@@ -37,8 +38,9 @@ func soaCfg(o modulation.Order) frame.Config {
 
 // runOneFrame pushes frame 0 from a seeded generator through a fresh
 // engine, waits for its result, stops the engine and returns it so the
-// test can inspect slot 0's buffers (Stop leaves buffer contents intact).
-func runOneFrame(t *testing.T, cfg frame.Config, opts Options, seed int64) (*Engine, FrameResult) {
+// test can inspect slot 0's buffers (Stop leaves buffer contents intact),
+// together with the generator that holds the frame's ground truth.
+func runOneFrame(t *testing.T, cfg frame.Config, opts Options, seed int64) (*Engine, FrameResult, *workload.Generator) {
 	t.Helper()
 	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
 	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 28, seed)
@@ -62,18 +64,103 @@ func runOneFrame(t *testing.T, cfg frame.Config, opts Options, seed int64) (*Eng
 		t.Fatal("frame timed out")
 	}
 	eng.Stop()
-	return eng, res
+	return eng, res, gen
 }
 
-// TestSoALLRLayoutEquivalence is the layout ablation's correctness
-// contract: with identical input frames, the default subcarrier-major SoA
-// path (fused equalize+demod) and the DisableSoALLR AoS path must produce
-// bit-identical LLRs for every user, subcarrier and bit — compared with
-// ==, not a tolerance — and identical decode results, across all four QAM
-// orders and a geometry with odd tile tails everywhere. Where the SoA
-// side runs the vector demod kernel (DESIGN §21) this is a
-// cross-implementation check as well: the AoS side is the Go loop on
-// every host.
+// referenceLLR is an independent receiver for one uplink symbol of slot
+// 0: it equalizes the engine's own post-FFT grid with the engine's own
+// equalizers and demodulates each user's symbols one at a time with the
+// Go DemodulateSoft, into a per-user [user][sc*order+bit] layout. On the
+// subcarrier-major grid it multiplies each whole ZF-group tile with
+// mat.PlanBlockMul (the engine cuts tiles into strips); on the
+// antenna-major grid (DisableMemOpt) it runs one mat.PlanMatVec per
+// subcarrier.
+func referenceLLR(eng *Engine, sym int) [][]float32 {
+	cfg := &eng.cfg
+	b := eng.buf
+	m, k, q, order := cfg.Antennas, cfg.Users, cfg.DataSubcarriers, int(cfg.Order)
+	tab := modulation.Get(cfg.Order)
+	llr := make([][]float32, k)
+	for u := range llr {
+		llr[u] = make([]float32, eng.scUsed*order)
+	}
+	x := make([]complex64, k*cfg.ZFGroupSize)
+	demod := func(sc int, col func(u int) []complex64) {
+		for u := 0; u < k; u++ {
+			tab.DemodulateSoft(llr[u][sc*order:(sc+1)*order], col(u), nominalNoise)
+		}
+	}
+	if eng.opts.DisableMemOpt {
+		matvec := mat.PlanMatVec(true)
+		y := make([]complex64, m)
+		for sc := 0; sc < eng.scUsed; sc++ {
+			for a := range y {
+				y[a] = b.dataFreqAnt[0][sym][a*q+sc]
+			}
+			matvec(x[:k], b.eq[0][sc/cfg.ZFGroupSize], y)
+			demod(sc, func(u int) []complex64 { return x[u : u+1] })
+		}
+		return llr
+	}
+	mul := mat.PlanBlockMul(true, k)
+	for g := 0; g < cfg.ZFGroups(); g++ {
+		lo, hi := b.groupBounds(g)
+		hi = min(hi, eng.scUsed)
+		nb := hi - lo
+		if nb <= 0 {
+			break
+		}
+		yt := mat.M{Rows: nb, Cols: m, Data: b.dataFreqSC[0][sym][lo*m : hi*m]}
+		mul(&mat.M{Rows: k, Cols: nb, Data: x[:k*nb]}, b.eq[0][g], &yt)
+		for j := 0; j < nb; j++ {
+			demod(lo+j, func(u int) []complex64 { return x[u*nb+j : u*nb+j+1] })
+		}
+	}
+	return llr
+}
+
+// requireReferenceLLR checks every uplink symbol's llrSC against
+// referenceLLR with ==, not a tolerance, and the decoded bits against the
+// generator's ground truth.
+func requireReferenceLLR(t *testing.T, eng *Engine, gen *workload.Generator) {
+	t.Helper()
+	cfg := &eng.cfg
+	k, order := cfg.Users, int(cfg.Order)
+	decoded := make([][][]byte, k)
+	for u := range decoded {
+		decoded[u] = make([][]byte, cfg.NumSymbols())
+	}
+	for sym := 0; sym < cfg.NumSymbols(); sym++ {
+		if cfg.SymbolAt(sym) != frame.Uplink {
+			continue
+		}
+		want := referenceLLR(eng, sym)
+		got := eng.buf.llrSC[0][sym]
+		for u := 0; u < k; u++ {
+			for sc := 0; sc < eng.scUsed; sc++ {
+				for bit := 0; bit < order; bit++ {
+					if g, w := got[(sc*k+u)*order+bit], want[u][sc*order+bit]; g != w {
+						t.Fatalf("sym %d user %d sc %d bit %d: engine LLR %g != reference %g",
+							sym, u, sc, bit, g, w)
+					}
+				}
+			}
+			decoded[u][sym] = eng.buf.decoded[0][sym][u]
+		}
+	}
+	if bitErrs, bits, _, _ := gen.CompareUplink(decoded); bits == 0 || bitErrs != 0 {
+		t.Fatalf("%d/%d decoded bits differ from the ground truth", bitErrs, bits)
+	}
+}
+
+// TestSoALLRLayoutEquivalence is the engine-level contract of the fused
+// equalize+demod path: its subcarrier-major SoA LLRs must equal
+// referenceLLR's for every user, subcarrier and bit, across all four QAM
+// orders and a geometry with odd tile tails everywhere, and the frame must
+// decode to the transmitted bits. It is two cross-implementation checks
+// at once: the SoA demod (the vector kernel where there is one, DESIGN §9)
+// against the Go DemodulateSoft loop, and strip tiling against whole
+// tiles.
 func TestSoALLRLayoutEquivalence(t *testing.T) {
 	for _, o := range []modulation.Order{
 		modulation.QPSK, modulation.QAM16, modulation.QAM64, modulation.QAM256,
@@ -81,82 +168,29 @@ func TestSoALLRLayoutEquivalence(t *testing.T) {
 		o := o
 		t.Run(o.String(), func(t *testing.T) {
 			cfg := soaCfg(o)
-			soaEng, soaRes := runOneFrame(t, cfg, Options{Workers: 2}, 77)
-			aosEng, aosRes := runOneFrame(t, cfg, Options{Workers: 2, DisableSoALLR: true}, 77)
-			if soaRes.Dropped || aosRes.Dropped {
-				t.Fatalf("dropped frame: soa=%v aos=%v", soaRes.Dropped, aosRes.Dropped)
+			eng, res, gen := runOneFrame(t, cfg, Options{Workers: 2}, 77)
+			if res.Dropped {
+				t.Fatal("dropped frame")
 			}
 			// Guard the geometry claim: odd tails at every tiling level, and
 			// a padding region past scUsed that demod must clamp away.
-			scUsed := soaEng.scUsed
+			scUsed := eng.scUsed
 			if scUsed%cfg.DemodBlockSize == 0 || scUsed%cfg.ZFGroupSize == 0 ||
 				scUsed%fuseStripCols == 0 || scUsed >= cfg.DataSubcarriers {
 				t.Fatalf("geometry lost its odd tails: scUsed=%d", scUsed)
 			}
-			k := cfg.Users
-			order := int(cfg.Order)
-			for sym := 0; sym < cfg.NumSymbols(); sym++ {
-				if cfg.SymbolAt(sym) != frame.Uplink {
-					continue
-				}
-				soa := soaEng.buf.llrSC[0][sym]
-				for u := 0; u < k; u++ {
-					aos := aosEng.buf.llr[0][sym][u]
-					for sc := 0; sc < scUsed; sc++ {
-						for b := 0; b < order; b++ {
-							got := soa[(sc*k+u)*order+b]
-							want := aos[sc*order+b]
-							if got != want {
-								t.Fatalf("sym %d user %d sc %d bit %d: SoA LLR %g != AoS %g",
-									sym, u, sc, b, got, want)
-							}
-						}
-					}
-					for i, v := range aosEng.buf.decoded[0][sym][u] {
-						if soaEng.buf.decoded[0][sym][u][i] != v {
-							t.Fatalf("sym %d user %d: decoded bit %d differs", sym, u, i)
-						}
-					}
-					if soaEng.buf.decodeOK[0][sym][u] != aosEng.buf.decodeOK[0][sym][u] {
-						t.Fatalf("sym %d user %d: decodeOK differs", sym, u)
-					}
-				}
-			}
+			requireReferenceLLR(t, eng, gen)
 		})
 	}
 }
 
-// TestSoAScalarPathEquivalence covers the non-blocked engine paths under
-// the SoA layout: the scalar matvec fallback (DisableBlockGemm) and the
-// strided-gather fallback (DisableMemOpt) must match the AoS scalar path
-// bit for bit too.
+// TestSoAScalarPathEquivalence covers the per-subcarrier demod path the
+// antenna-major layout (DisableMemOpt) selects: strided gather, one
+// matvec and one single-column SoA demod call per subcarrier must match
+// the reference receiver bit for bit too.
 func TestSoAScalarPathEquivalence(t *testing.T) {
-	cfg := soaCfg(modulation.QAM16)
-	base := Options{Workers: 2, DisableBlockGemm: true, DisableMemOpt: true}
-	soaEng, _ := runOneFrame(t, cfg, base, 78)
-	aos := base
-	aos.DisableSoALLR = true
-	aosEng, _ := runOneFrame(t, cfg, aos, 78)
-	k := cfg.Users
-	order := int(cfg.Order)
-	scUsed := soaEng.scUsed
-	for sym := 0; sym < cfg.NumSymbols(); sym++ {
-		if cfg.SymbolAt(sym) != frame.Uplink {
-			continue
-		}
-		soa := soaEng.buf.llrSC[0][sym]
-		for u := 0; u < k; u++ {
-			lane := aosEng.buf.llr[0][sym][u]
-			for sc := 0; sc < scUsed; sc++ {
-				for b := 0; b < order; b++ {
-					if soa[(sc*k+u)*order+b] != lane[sc*order+b] {
-						t.Fatalf("scalar path: sym %d user %d sc %d bit %d differ",
-							sym, u, sc, b)
-					}
-				}
-			}
-		}
-	}
+	eng, _, gen := runOneFrame(t, soaCfg(modulation.QAM16), Options{Workers: 2, DisableMemOpt: true}, 78)
+	requireReferenceLLR(t, eng, gen)
 }
 
 // demodBenchEngine builds an engine at the paper's 64×16 scale with
@@ -201,18 +235,14 @@ func benchDemodSymbol(b *testing.B, opts Options) {
 	}
 }
 
-// BenchmarkDemodSymbol_SoAFused / _AoS are the kernel-level ablation pair
-// for the LLR layout (engine-level pair: Table4 in the root package).
+// BenchmarkDemodSymbol_SoAFused is the fused equalize+demod path over one
+// uplink symbol at the paper's 64×16 scale.
 func BenchmarkDemodSymbol_SoAFused(b *testing.B) {
 	benchDemodSymbol(b, Options{Workers: 1})
 }
 
-func BenchmarkDemodSymbol_AoS(b *testing.B) {
-	benchDemodSymbol(b, Options{Workers: 1, DisableSoALLR: true})
-}
-
-// BenchmarkDecodeGather measures the strided per-user LLR gather the SoA
-// layout adds to the decoder input path (AoS reads its lane directly).
+// BenchmarkDecodeGather measures the strided per-user LLR gather on the
+// decoder input path.
 func BenchmarkDecodeGather(b *testing.B) {
 	eng, sym := demodBenchEngine(b, Options{Workers: 1})
 	w := eng.workers[0]
@@ -227,8 +257,7 @@ func BenchmarkDecodeGather(b *testing.B) {
 }
 
 // TestDemodKernelReported checks the engine names the demod kernel its
-// demod tasks run, and that the AoS layout and the dummy kernels report
-// the Go loop.
+// demod tasks run, and that the dummy kernels report the Go loop.
 func TestDemodKernelReported(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -236,9 +265,7 @@ func TestDemodKernelReported(t *testing.T) {
 		want string
 	}{
 		{"default", Options{Workers: 1}, modulation.Kernel()},
-		{"DisableBlockGemm", Options{Workers: 1, DisableBlockGemm: true}, modulation.Kernel()},
-		{"DisableSoALLR", Options{Workers: 1, DisableSoALLR: true}, "generic"},
-		{"DisableBlockGemm+DisableSoALLR", Options{Workers: 1, DisableBlockGemm: true, DisableSoALLR: true}, "generic"},
+		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, modulation.Kernel()},
 		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, "generic"},
 	} {
 		eng, err := NewEngine(soaCfg(modulation.QAM64), tc.opts, nil)

@@ -200,8 +200,6 @@ func Table4(w io.Writer, o Opt) error {
 		{"matrix inverse off", with(base, func(op *core.Options) { op.DisableInverseOpt = true })},
 		{"JIT gemm off", with(base, func(op *core.Options) { op.DisableJITGemm = true })},
 		{"SIMD convert off", with(base, func(op *core.Options) { op.DisableSIMDConvert = true })},
-		{"split-radix FFT off", with(base, func(op *core.Options) { op.DisableSplitRadixFFT = true })},
-		{"SoA LLR off", with(base, func(op *core.Options) { op.DisableSoALLR = true })},
 		{"layered decode off", with(base, func(op *core.Options) { op.DisableLayeredDecode = true })},
 		{"ZF cache off", with(base, func(op *core.Options) { op.DisableZFCache = true })},
 		// Beyond the paper: decentralized partial-Gram equalization

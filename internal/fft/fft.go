@@ -1,13 +1,12 @@
 // Package fft implements the OFDM (I)FFT used by the baseband.
 //
-// The default kernel is a mixed radix-4/radix-2 (split-radix-style)
+// The transform is a mixed radix-4/radix-2 (split-radix-style)
 // decimation-in-time transform over complex64 samples: a digit-reversal
 // permutation realized as a precomputed transposition list, a specialized
 // unity-twiddle radix-4 first stage, stage-grouped radix-4 butterflies
 // (three multiplies per four outputs — 25% fewer multiplies and half the
 // memory passes of radix-2), and one trailing radix-2 stage when log2(n)
-// is odd. The legacy radix-2 kernel is kept selectable as the Table-4
-// style ablation pair and is bit-identical to its historical output.
+// is odd.
 //
 // A Plan is created once per size and is safe for concurrent use by
 // multiple workers as long as each call supplies its own buffer, matching
@@ -32,35 +31,14 @@ import (
 	"repro/internal/cf"
 )
 
-// Kernel selects the butterfly decomposition of a Plan.
-type Kernel int
-
-const (
-	// SplitRadix is the default mixed radix-4/radix-2 kernel.
-	SplitRadix Kernel = iota
-	// Radix2 is the legacy iterative radix-2 kernel, kept as the ablation
-	// baseline; its output is bit-identical to the historical code.
-	Radix2
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	if k == Radix2 {
-		return "radix-2"
-	}
-	return "split-radix"
-}
-
 // Plan holds the precomputed tables for a fixed power-of-two size.
 type Plan struct {
-	n      int
-	logN   uint
-	kernel Kernel
+	n    int
+	logN uint
 
 	// perm is the input permutation as a gather table: the butterfly
-	// stages expect x'[i] = x[perm[i]]. For the split-radix schedule this
-	// is the mixed digit reversal (base-4 digits, plus one binary digit
-	// when log2 n is odd); for radix-2 it is plain bit reversal.
+	// stages expect x'[i] = x[perm[i]]: the mixed digit reversal (base-4
+	// digits, plus one binary digit when log2 n is odd).
 	perm []uint32
 	// swaps realizes perm in place as a flat list of (i,j) transposition
 	// pairs (one cycle-walk per permutation cycle), so the in-place entry
@@ -71,7 +49,7 @@ type Plan struct {
 	// butterfly i reads input samples q, q+n/4, q+n/2, q+3n/4 with q =
 	// perm[4i], and blk[q] = 4i is where that block starts. The vector
 	// IQ12 front end walks the payload in sample order and uses it to
-	// place whole blocks. nil for Radix2 plans and n < 4.
+	// place whole blocks. nil for n < 4.
 	blk []uint32
 
 	// Radix-4 stage twiddles, stages concatenated in execution order
@@ -84,29 +62,15 @@ type Plan struct {
 	// Trailing radix-2 stage twiddles (odd log2 n only): W_n^j, n/2 of
 	// them. nil when log2 n is even.
 	tw2, tw2Inv []complex64
-
-	// Legacy radix-2 tables (kernel == Radix2): stage with half-block h
-	// uses the h twiddles starting at offset h-1.
-	twid, twidInv []complex64
 }
 
 // NewPlan builds a split-radix plan for size n, a power of two >= 2.
-func NewPlan(n int) (*Plan, error) { return NewPlanKernel(n, SplitRadix) }
-
-// NewPlanKernel builds a plan for size n with an explicit kernel choice.
-func NewPlanKernel(n int, k Kernel) (*Plan, error) {
+func NewPlan(n int) (*Plan, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("fft: size %d is not a power of two >= 2", n)
 	}
-	if k != SplitRadix && k != Radix2 {
-		return nil, fmt.Errorf("fft: unknown kernel %d", int(k))
-	}
-	p := &Plan{n: n, logN: uint(bits.TrailingZeros(uint(n))), kernel: k}
-	if k == Radix2 {
-		p.initRadix2()
-	} else {
-		p.initSplitRadix()
-	}
+	p := &Plan{n: n, logN: uint(bits.TrailingZeros(uint(n)))}
+	p.initSplitRadix()
 	p.swaps = buildSwaps(p.perm)
 	return p, nil
 }
@@ -118,28 +82,6 @@ func MustPlan(n int) *Plan {
 		panic(err)
 	}
 	return p
-}
-
-// initRadix2 fills the legacy tables: bit-reversal permutation and
-// per-stage radix-2 twiddles (1 + 2 + ... + n/2 = n-1 of each).
-func (p *Plan) initRadix2() {
-	n := p.n
-	p.perm = make([]uint32, n)
-	for i := 0; i < n; i++ {
-		p.perm[i] = uint32(bits.Reverse32(uint32(i)) >> (32 - p.logN))
-	}
-	p.twid = make([]complex64, n-1)
-	p.twidInv = make([]complex64, n-1)
-	idx := 0
-	for h := 1; h < n; h *= 2 {
-		for j := 0; j < h; j++ {
-			ang := -math.Pi * float64(j) / float64(h)
-			s, c := math.Sincos(ang)
-			p.twid[idx] = complex(float32(c), float32(s))
-			p.twidInv[idx] = complex(float32(c), float32(-s))
-			idx++
-		}
-	}
 }
 
 // initSplitRadix fills the digit-reversal permutation and the radix-4 /
@@ -245,9 +187,6 @@ func buildSwaps(perm []uint32) []uint32 {
 
 // Size returns the transform length.
 func (p *Plan) Size() int { return p.n }
-
-// KernelType reports which butterfly decomposition the plan uses.
-func (p *Plan) KernelType() Kernel { return p.kernel }
 
 func (p *Plan) check(x []complex64) {
 	if len(x) != p.n {
@@ -363,7 +302,7 @@ func (p *Plan) checkPayload(payload []byte, cpLen int) {
 // loadIQ12 fills dst with the payload's n post-CP samples in permuted
 // order, dst[i] = sample perm[i].
 func (p *Plan) loadIQ12(dst []complex64, payload []byte, cpLen int) {
-	if simd != nil && p.kernel == SplitRadix {
+	if simd != nil {
 		simd.loadIQ12(p, dst, payload, cpLen)
 		return
 	}
@@ -381,19 +320,11 @@ func (p *Plan) gatherIQ12(dst []complex64, payload []byte, cpLen int) {
 // butterflies runs the plan's stage schedule over permuted data; scale
 // additionally applies the inverse transform's 1/n.
 func (p *Plan) butterflies(x []complex64, inverse, scale bool) {
-	switch {
-	case p.kernel == Radix2:
-		tw := p.twid
-		if inverse {
-			tw = p.twidInv
-		}
-		p.stages2(x, tw)
-	case simd != nil:
+	if simd != nil {
 		simd.butterflies(p, x, inverse, scale)
 		return
-	default:
-		p.stages4(x, inverse)
 	}
+	p.stages4(x, inverse)
 	if scale {
 		cf.Scale(x, float32(1)/float32(p.n))
 	}
@@ -438,8 +369,7 @@ func (p *Plan) stages4(x []complex64, inverse bool) {
 }
 
 // stageFirst4 is the L = 1 radix-4 stage: all twiddles are unity, so the
-// butterfly is pure adds plus the implicit rotation — the radix-4 analogue
-// of the old radix-2 first-stage specialization. The forward butterfly
+// butterfly is pure adds plus the implicit rotation. The forward butterfly
 // rotates its odd arm by -i (t3 = -i·(b-d)); the inverse rotation by +i is
 // the same arithmetic with the two odd outputs exchanged, so instead of
 // multiplying by ±i the kernels just swap the q1/q3 write targets — no
@@ -529,32 +459,6 @@ func stageLast2(x []complex64, tw2 []complex64) {
 		v := hi[j] * w
 		lo[j] = u + v
 		hi[j] = u - v
-	}
-}
-
-// stages2 is the legacy radix-2 stage loop, unchanged from the historical
-// kernel so the ablation path stays bit-identical: a unity first stage,
-// then per-stage twiddled butterflies at doubling distances.
-func (p *Plan) stages2(x []complex64, tw []complex64) {
-	n := len(x)
-	for base := 0; base+1 < n; base += 2 {
-		u, v := x[base], x[base+1]
-		x[base] = u + v
-		x[base+1] = u - v
-	}
-	for h := 2; h < n; h *= 2 {
-		st := tw[h-1 : 2*h-1 : 2*h-1]
-		step := 2 * h
-		for base := 0; base < n; base += step {
-			lo := x[base : base+h : base+h]
-			hi := x[base+h : base+step : base+step]
-			for j, w := range st {
-				u := lo[j]
-				v := hi[j] * w
-				lo[j] = u + v
-				hi[j] = u - v
-			}
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package fft
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -18,9 +17,6 @@ func randSignal(rng *rand.Rand, n int) []complex64 {
 	}
 	return x
 }
-
-// kernels enumerates both butterfly decompositions for table-driven tests.
-var kernels = []Kernel{SplitRadix, Radix2}
 
 func TestNewPlanRejectsBadSizes(t *testing.T) {
 	cases := []struct {
@@ -39,20 +35,15 @@ func TestNewPlanRejectsBadSizes(t *testing.T) {
 		{-8, "not a power of two"},
 		{-1 << 20, "not a power of two"},
 	}
-	for _, k := range kernels {
-		for _, tc := range cases {
-			_, err := NewPlanKernel(tc.n, k)
-			if err == nil {
-				t.Errorf("NewPlanKernel(%d, %v) should fail", tc.n, k)
-				continue
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("NewPlanKernel(%d, %v) error %q, want substring %q", tc.n, k, err, tc.want)
-			}
+	for _, tc := range cases {
+		_, err := NewPlan(tc.n)
+		if err == nil {
+			t.Errorf("NewPlan(%d) should fail", tc.n)
+			continue
 		}
-	}
-	if _, err := NewPlanKernel(64, Kernel(42)); err == nil {
-		t.Error("NewPlanKernel with bogus kernel should fail")
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewPlan(%d) error %q, want substring %q", tc.n, err, tc.want)
+		}
 	}
 	if _, err := NewPlan(256); err != nil {
 		t.Errorf("NewPlan(256): %v", err)
@@ -67,44 +58,39 @@ func expectPanic(f func()) (panicked bool) {
 }
 
 func TestUndersizedBuffersPanic(t *testing.T) {
-	for _, k := range kernels {
-		p, err := NewPlanKernel(64, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		short := make([]complex64, 63)
-		long := make([]complex64, 65)
-		cases := []struct {
-			name string
-			f    func()
-		}{
-			{"Forward/short", func() { p.Forward(short) }},
-			{"Forward/long", func() { p.Forward(long) }},
-			{"Inverse/short", func() { p.Inverse(short) }},
-			{"InverseNoScale/short", func() { p.InverseNoScale(short) }},
-			{"ForwardBatch/short", func() { p.ForwardBatch(make([]complex64, 2*64-1), 2, 64) }},
-			{"ForwardBatch/stride", func() { p.ForwardBatch(make([]complex64, 256), 2, 63) }},
-			{"ForwardBatch/count", func() { p.ForwardBatch(make([]complex64, 256), -1, 64) }},
-			{"InverseBatch/short", func() { p.InverseBatch(make([]complex64, 100), 2, 70) }},
-			{"ForwardIQ12/dst", func() { p.ForwardIQ12(short, make([]byte, 64*3), 0) }},
-			{"ForwardIQ12/payload", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 64*3-1), 0) }},
-			{"ForwardIQ12/cp", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 64*3), 4) }},
-			{"ForwardIQ12/negcp", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 80*3), -1) }},
-		}
-		for _, tc := range cases {
-			if !expectPanic(tc.f) {
-				t.Errorf("%v/%s: expected panic", k, tc.name)
-			}
-		}
-		// Exactly-sized calls must NOT panic.
-		p.Forward(make([]complex64, 64))
-		p.ForwardBatch(make([]complex64, 64+70), 2, 70)
-		p.InverseBatch(nil, 0, 64)
-		p.ForwardIQ12(make([]complex64, 64), make([]byte, (64+4)*3), 4)
+	p := MustPlan(64)
+	short := make([]complex64, 63)
+	long := make([]complex64, 65)
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"Forward/short", func() { p.Forward(short) }},
+		{"Forward/long", func() { p.Forward(long) }},
+		{"Inverse/short", func() { p.Inverse(short) }},
+		{"InverseNoScale/short", func() { p.InverseNoScale(short) }},
+		{"ForwardBatch/short", func() { p.ForwardBatch(make([]complex64, 2*64-1), 2, 64) }},
+		{"ForwardBatch/stride", func() { p.ForwardBatch(make([]complex64, 256), 2, 63) }},
+		{"ForwardBatch/count", func() { p.ForwardBatch(make([]complex64, 256), -1, 64) }},
+		{"InverseBatch/short", func() { p.InverseBatch(make([]complex64, 100), 2, 70) }},
+		{"ForwardIQ12/dst", func() { p.ForwardIQ12(short, make([]byte, 64*3), 0) }},
+		{"ForwardIQ12/payload", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 64*3-1), 0) }},
+		{"ForwardIQ12/cp", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 64*3), 4) }},
+		{"ForwardIQ12/negcp", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 80*3), -1) }},
 	}
+	for _, tc := range cases {
+		if !expectPanic(tc.f) {
+			t.Errorf("%s: expected panic", tc.name)
+		}
+	}
+	// Exactly-sized calls must NOT panic.
+	p.Forward(make([]complex64, 64))
+	p.ForwardBatch(make([]complex64, 64+70), 2, 70)
+	p.InverseBatch(nil, 0, 64)
+	p.ForwardIQ12(make([]complex64, 64), make([]byte, (64+4)*3), 4)
 }
 
-// TestKernelMatchesNaiveDFTAllSizes pins both kernels against the O(n^2)
+// TestKernelMatchesNaiveDFTAllSizes pins the transform against the O(n^2)
 // reference for every power of two 4..4096 — both parities of log2 n, so
 // the pure radix-4 schedule and the trailing radix-2 stage are each
 // exercised at every depth.
@@ -114,101 +100,15 @@ func TestKernelMatchesNaiveDFTAllSizes(t *testing.T) {
 		for n := 4; n <= 4096; n *= 2 {
 			x := randSignal(rng, n)
 			want := DFTNaive(x)
-			for _, k := range kernels {
-				p, err := NewPlanKernel(n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := append([]complex64(nil), x...)
-				p.Forward(got)
-				// DFTNaive accumulates in float64; allow float32 butterfly
-				// rounding that grows with transform depth.
-				if d := cf.MaxAbsDiff(got, want); d > 2e-4*float64(n) {
-					t.Errorf("n=%d %v: max diff vs naive DFT %v", n, k, d)
-				}
+			got := append([]complex64(nil), x...)
+			MustPlan(n).Forward(got)
+			// DFTNaive accumulates in float64; allow float32 butterfly
+			// rounding that grows with transform depth.
+			if d := cf.MaxAbsDiff(got, want); d > 2e-4*float64(n) {
+				t.Errorf("n=%d: max diff vs naive DFT %v", n, d)
 			}
 		}
 	})
-}
-
-// TestKernelsAgree checks the split-radix and radix-2 kernels against each
-// other (tight tolerance: both are float32 exact-twiddle pipelines).
-func TestKernelsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for n := 2; n <= 4096; n *= 2 {
-		x := randSignal(rng, n)
-		a := append([]complex64(nil), x...)
-		b := append([]complex64(nil), x...)
-		p4, _ := NewPlanKernel(n, SplitRadix)
-		p2, _ := NewPlanKernel(n, Radix2)
-		p4.Forward(a)
-		p2.Forward(b)
-		if d := cf.MaxAbsDiff(a, b); d > 1e-4*math.Sqrt(float64(n)) {
-			t.Errorf("n=%d: kernels disagree by %v", n, d)
-		}
-	}
-}
-
-// legacyTransform is a frozen copy of the pre-split-radix radix-2 code
-// path (bit-reversal swap loop + stage loop). The Radix2 ablation kernel
-// must produce bit-identical spectra to it.
-func legacyTransform(x []complex64, tw []complex64, logN uint) {
-	n := len(x)
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse32(uint32(i)) >> (32 - logN))
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for base := 0; base+1 < n; base += 2 {
-		u, v := x[base], x[base+1]
-		x[base] = u + v
-		x[base+1] = u - v
-	}
-	for h := 2; h < n; h *= 2 {
-		st := tw[h-1 : 2*h-1]
-		step := 2 * h
-		for base := 0; base < n; base += step {
-			lo := x[base : base+h]
-			hi := x[base+h : base+step]
-			for j, w := range st {
-				u := lo[j]
-				v := hi[j] * w
-				lo[j] = u + v
-				hi[j] = u - v
-			}
-		}
-	}
-}
-
-func TestRadix2BitIdenticalToLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for n := 2; n <= 2048; n *= 2 {
-		p, err := NewPlanKernel(n, Radix2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randSignal(rng, n)
-		got := append([]complex64(nil), x...)
-		want := append([]complex64(nil), x...)
-		p.Forward(got)
-		legacyTransform(want, p.twid, p.logN)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: %v != legacy %v", n, i, got[i], want[i])
-			}
-		}
-		// Inverse too (unnormalized, to compare raw butterflies).
-		got = append(got[:0], x...)
-		want = append(want[:0], x...)
-		p.InverseNoScale(got)
-		legacyTransform(want, p.twidInv, p.logN)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d inverse bin %d: %v != legacy %v", n, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 // TestBatchRoundTrip is the Inverse(Forward(x)) == x property over strided
@@ -217,45 +117,40 @@ func TestRadix2BitIdenticalToLegacy(t *testing.T) {
 func TestBatchRoundTrip(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
-		for _, k := range kernels {
-			for _, tc := range []struct{ n, count, stride int }{
-				{64, 1, 64},
-				{64, 4, 64},   // dense
-				{64, 4, 71},   // ragged stride
-				{256, 8, 256}, // antenna batch
-				{512, 3, 512 + 17},
-				{2048, 2, 2048},
-			} {
-				p, err := NewPlanKernel(tc.n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf := randSignal(rng, (tc.count-1)*tc.stride+tc.n)
-				orig := append([]complex64(nil), buf...)
-				p.ForwardBatch(buf, tc.count, tc.stride)
-				// Each lane must match a standalone Forward.
-				for b := 0; b < tc.count; b++ {
-					lane := append([]complex64(nil), orig[b*tc.stride:b*tc.stride+tc.n]...)
-					p.Forward(lane)
-					for i := range lane {
-						if lane[i] != buf[b*tc.stride+i] {
-							t.Fatalf("%v n=%d lane %d differs from standalone Forward", k, tc.n, b)
-						}
+		for _, tc := range []struct{ n, count, stride int }{
+			{64, 1, 64},
+			{64, 4, 64},   // dense
+			{64, 4, 71},   // ragged stride
+			{256, 8, 256}, // antenna batch
+			{512, 3, 512 + 17},
+			{2048, 2, 2048},
+		} {
+			p := MustPlan(tc.n)
+			buf := randSignal(rng, (tc.count-1)*tc.stride+tc.n)
+			orig := append([]complex64(nil), buf...)
+			p.ForwardBatch(buf, tc.count, tc.stride)
+			// Each lane must match a standalone Forward.
+			for b := 0; b < tc.count; b++ {
+				lane := append([]complex64(nil), orig[b*tc.stride:b*tc.stride+tc.n]...)
+				p.Forward(lane)
+				for i := range lane {
+					if lane[i] != buf[b*tc.stride+i] {
+						t.Fatalf("n=%d lane %d differs from standalone Forward", tc.n, b)
 					}
 				}
-				p.InverseBatch(buf, tc.count, tc.stride)
-				for b := 0; b < tc.count; b++ {
-					lo, hi := b*tc.stride, b*tc.stride+tc.n
-					if d := cf.MaxAbsDiff(buf[lo:hi], orig[lo:hi]); d > 1e-4*math.Sqrt(float64(tc.n)) {
-						t.Errorf("%v n=%d count=%d stride=%d lane %d roundtrip diff %v",
-							k, tc.n, tc.count, tc.stride, b, d)
-					}
-					// Padding between lanes stays byte-for-byte.
-					if b+1 < tc.count {
-						for i := hi; i < lo+tc.stride; i++ {
-							if buf[i] != orig[i] {
-								t.Fatalf("%v n=%d stride=%d: padding at %d clobbered", k, tc.n, tc.stride, i)
-							}
+			}
+			p.InverseBatch(buf, tc.count, tc.stride)
+			for b := 0; b < tc.count; b++ {
+				lo, hi := b*tc.stride, b*tc.stride+tc.n
+				if d := cf.MaxAbsDiff(buf[lo:hi], orig[lo:hi]); d > 1e-4*math.Sqrt(float64(tc.n)) {
+					t.Errorf("n=%d count=%d stride=%d lane %d roundtrip diff %v",
+						tc.n, tc.count, tc.stride, b, d)
+				}
+				// Padding between lanes stays byte-for-byte.
+				if b+1 < tc.count {
+					for i := hi; i < lo+tc.stride; i++ {
+						if buf[i] != orig[i] {
+							t.Fatalf("n=%d stride=%d: padding at %d clobbered", tc.n, tc.stride, i)
 						}
 					}
 				}
@@ -269,33 +164,28 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestForwardIQ12MatchesUnfused(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
-		for _, k := range kernels {
-			for _, tc := range []struct{ n, cp int }{
-				{64, 0}, {64, 16}, {256, 32}, {512, 128}, {2048, 144},
-			} {
-				p, err := NewPlanKernel(tc.n, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total := tc.n + tc.cp
-				iq := make([]int16, 2*total)
-				for i := range iq {
-					iq[i] = int16(rng.Intn(4096) - 2048)
-				}
-				payload := make([]byte, total*cf.BytesPerIQ)
-				cf.PackIQ12(payload, iq)
-				// Unfused reference: unpack all samples, strip CP, transform.
-				ref := make([]complex64, total)
-				cf.UnpackIQ12(ref, payload)
-				want := append([]complex64(nil), ref[tc.cp:]...)
-				p.Forward(want)
-				got := make([]complex64, tc.n)
-				p.ForwardIQ12(got, payload, tc.cp)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v n=%d cp=%d bin %d: fused %v != unfused %v",
-							k, tc.n, tc.cp, i, got[i], want[i])
-					}
+		for _, tc := range []struct{ n, cp int }{
+			{64, 0}, {64, 16}, {256, 32}, {512, 128}, {2048, 144},
+		} {
+			p := MustPlan(tc.n)
+			total := tc.n + tc.cp
+			iq := make([]int16, 2*total)
+			for i := range iq {
+				iq[i] = int16(rng.Intn(4096) - 2048)
+			}
+			payload := make([]byte, total*cf.BytesPerIQ)
+			cf.PackIQ12(payload, iq)
+			// Unfused reference: unpack all samples, strip CP, transform.
+			ref := make([]complex64, total)
+			cf.UnpackIQ12(ref, payload)
+			want := append([]complex64(nil), ref[tc.cp:]...)
+			p.Forward(want)
+			got := make([]complex64, tc.n)
+			p.ForwardIQ12(got, payload, tc.cp)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d cp=%d bin %d: fused %v != unfused %v",
+						tc.n, tc.cp, i, got[i], want[i])
 				}
 			}
 		}
@@ -308,57 +198,52 @@ func TestForwardIQ12MatchesUnfused(t *testing.T) {
 // must panic.
 func TestForwardIQ12BatchMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for _, k := range kernels {
-		for _, tc := range []struct{ n, cp, lanes int }{
-			{64, 16, 1}, {256, 32, 3}, {512, 128, 4},
-		} {
-			p, err := NewPlanKernel(tc.n, k)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct{ n, cp, lanes int }{
+		{64, 16, 1}, {256, 32, 3}, {512, 128, 4},
+	} {
+		p := MustPlan(tc.n)
+		total := tc.n + tc.cp
+		payloads := make([][]byte, tc.lanes)
+		for l := range payloads {
+			iq := make([]int16, 2*total)
+			for i := range iq {
+				iq[i] = int16(rng.Intn(4096) - 2048)
 			}
-			total := tc.n + tc.cp
-			payloads := make([][]byte, tc.lanes)
-			for l := range payloads {
-				iq := make([]int16, 2*total)
-				for i := range iq {
-					iq[i] = int16(rng.Intn(4096) - 2048)
-				}
-				payloads[l] = make([]byte, total*cf.BytesPerIQ)
-				cf.PackIQ12(payloads[l], iq)
-			}
-			stride := tc.n + 8 // spare room between lanes must stay untouched
-			got := make([]complex64, (tc.lanes-1)*stride+tc.n+8)
-			for i := range got {
-				got[i] = complex(-1, -1)
-			}
-			p.ForwardIQ12Batch(got, payloads, tc.cp, stride)
-			want := make([]complex64, tc.n)
-			for l := 0; l < tc.lanes; l++ {
-				p.ForwardIQ12(want, payloads[l], tc.cp)
-				lane := got[l*stride : l*stride+tc.n]
-				for i := range lane {
-					if lane[i] != want[i] {
-						t.Fatalf("%v n=%d cp=%d lane %d bin %d: batch %v != single %v",
-							k, tc.n, tc.cp, l, i, lane[i], want[i])
-					}
-				}
-				// Gap samples after the lane must be untouched.
-				for i := l*stride + tc.n; i < (l+1)*stride && i < len(got); i++ {
-					if got[i] != complex(-1, -1) {
-						t.Fatalf("lane %d wrote past its stride at %d", l, i)
-					}
-				}
-			}
-			// A short payload must panic, like ForwardIQ12.
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatal("short payload did not panic")
-					}
-				}()
-				p.ForwardIQ12Batch(got, [][]byte{payloads[0][:4]}, tc.cp, stride)
-			}()
+			payloads[l] = make([]byte, total*cf.BytesPerIQ)
+			cf.PackIQ12(payloads[l], iq)
 		}
+		stride := tc.n + 8 // spare room between lanes must stay untouched
+		got := make([]complex64, (tc.lanes-1)*stride+tc.n+8)
+		for i := range got {
+			got[i] = complex(-1, -1)
+		}
+		p.ForwardIQ12Batch(got, payloads, tc.cp, stride)
+		want := make([]complex64, tc.n)
+		for l := 0; l < tc.lanes; l++ {
+			p.ForwardIQ12(want, payloads[l], tc.cp)
+			lane := got[l*stride : l*stride+tc.n]
+			for i := range lane {
+				if lane[i] != want[i] {
+					t.Fatalf("n=%d cp=%d lane %d bin %d: batch %v != single %v",
+						tc.n, tc.cp, l, i, lane[i], want[i])
+				}
+			}
+			// Gap samples after the lane must be untouched.
+			for i := l*stride + tc.n; i < (l+1)*stride && i < len(got); i++ {
+				if got[i] != complex(-1, -1) {
+					t.Fatalf("lane %d wrote past its stride at %d", l, i)
+				}
+			}
+		}
+		// A short payload must panic, like ForwardIQ12.
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("short payload did not panic")
+				}
+			}()
+			p.ForwardIQ12Batch(got, [][]byte{payloads[0][:4]}, tc.cp, stride)
+		}()
 	}
 }
 
@@ -503,11 +388,8 @@ func TestPlanConcurrentUse(t *testing.T) {
 }
 
 // benchForward measures one in-place forward transform of size n.
-func benchForward(b *testing.B, n int, k Kernel) {
-	p, err := NewPlanKernel(n, k)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchForward(b *testing.B, n int) {
+	p := MustPlan(n)
 	x := randSignal(rand.New(rand.NewSource(1)), n)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -516,15 +398,10 @@ func benchForward(b *testing.B, n int, k Kernel) {
 	}
 }
 
-// The committed split-radix/radix-2 pairs at the OFDM sizes the engine
-// uses (512 = Fig9 cell, 2048 = paper headline) are the ablation numbers
-// DESIGN §10 records.
-func BenchmarkFFT512(b *testing.B)         { benchForward(b, 512, SplitRadix) }
-func BenchmarkFFT1024(b *testing.B)        { benchForward(b, 1024, SplitRadix) }
-func BenchmarkFFT2048(b *testing.B)        { benchForward(b, 2048, SplitRadix) }
-func BenchmarkFFT512_Radix2(b *testing.B)  { benchForward(b, 512, Radix2) }
-func BenchmarkFFT1024_Radix2(b *testing.B) { benchForward(b, 1024, Radix2) }
-func BenchmarkFFT2048_Radix2(b *testing.B) { benchForward(b, 2048, Radix2) }
+// The OFDM sizes the engine uses (512 = Fig9 cell, 2048 = paper headline).
+func BenchmarkFFT512(b *testing.B)  { benchForward(b, 512) }
+func BenchmarkFFT1024(b *testing.B) { benchForward(b, 1024) }
+func BenchmarkFFT2048(b *testing.B) { benchForward(b, 2048) }
 
 func BenchmarkIFFT2048(b *testing.B) {
 	p := MustPlan(2048)
@@ -535,7 +412,7 @@ func BenchmarkIFFT2048(b *testing.B) {
 	}
 }
 
-// BenchmarkIFFTBatch8x512 is the batched-antenna shape runIFFT uses: 8
+// BenchmarkIFFTBatch8x512 is the antenna-run shape runIFFT uses: 8
 // antenna grids transformed through one call. ns/op is per batch.
 func BenchmarkIFFTBatch8x512(b *testing.B) {
 	p := MustPlan(512)
@@ -588,7 +465,7 @@ func BenchmarkForwardIQ12_512_Unfused(b *testing.B) {
 	}
 }
 
-// Implementation A/B (DESIGN §20): the same three shapes as above — one
+// Implementation A/B (DESIGN §10): the same three shapes as above — one
 // forward transform, the fused RX front end, an 8-antenna inverse batch —
 // on the platform's vector kernels and with the dispatch forced to the Go
 // loops. Unlike the in-place benchmarks above, whose buffer decays to

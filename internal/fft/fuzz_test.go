@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzFFTKernelsSIMD is the whole-transform differential between the
-// platform's vector stage kernels and the Go loops (DESIGN §20): the
+// platform's vector stage kernels and the Go loops (DESIGN §10): the
 // fuzzer supplies raw bytes that are read both as float32 bit patterns —
 // so NaNs with payloads, infinities, signed zeros and denormals all occur
 // — for Forward and Inverse, and as a 24-bit IQ payload for ForwardIQ12

@@ -1,6 +1,6 @@
 package fft
 
-// Implementation selection for the split-radix transform (DESIGN §20).
+// Implementation selection for the split-radix transform (DESIGN §10).
 //
 // The stage loops of stages4 and the IQ12 front end of ForwardIQ12 have a
 // hand-vectorised implementation on amd64 (stages_amd64.s). Which one
@@ -10,11 +10,10 @@ package fft
 // fast kernels falls back silently but visibly (Impl is exported through
 // RunSummary, the cmd/agora start-up line and agora_fft_kernel_info).
 // Both implementations produce the same bits after every stage, so
-// nothing downstream can tell them apart except by the clock. Radix2
-// plans, the Table-4 ablation, always run the Go loops.
+// nothing downstream can tell them apart except by the clock.
 
-// stageKernels is a vector implementation of the two loops a SplitRadix
-// plan spends its time in.
+// stageKernels is a vector implementation of the two loops a plan spends
+// its time in.
 type stageKernels struct {
 	name string // instruction set, "avx2"
 	// butterflies is stages4 plus, when scale is set, the inverse
@@ -30,8 +29,8 @@ type stageKernels struct {
 // against each available implementation.
 var simd *stageKernels
 
-// Impl reports which stage kernels a SplitRadix plan runs in this
-// process: "avx2" or "generic" (the portable Go loops).
+// Impl reports which stage kernels a plan runs in this process: "avx2"
+// or "generic" (the portable Go loops).
 func Impl() string {
 	if simd != nil {
 		return simd.name

@@ -5,7 +5,7 @@ import (
 	"repro/internal/cpu"
 )
 
-// AVX2 stage kernels (DESIGN §20): the amd64 implementation of stages4's
+// AVX2 stage kernels (DESIGN §10): the amd64 implementation of stages4's
 // three loops and of the IQ12 gather, four complex64 per YMM register.
 // They read the same twiddle planes and write the same in-place buffer as
 // the Go loops, one call per stage, so the two implementations are

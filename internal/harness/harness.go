@@ -55,7 +55,7 @@ type RunSummary struct {
 	// blocks decoded, mean/max BP iterations, the early-exit rate of the
 	// fused syndrome check, and which layer kernels ran.
 	Decode obs.DecodeSnap
-	// FFTKernel names the FFT stage kernels that ran (DESIGN §20).
+	// FFTKernel names the FFT stage kernels that ran (DESIGN §10).
 	FFTKernel string
 	// Timeline is the reconstructed multi-frame schedule from the event
 	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil

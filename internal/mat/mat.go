@@ -20,7 +20,7 @@
 // pass over the corresponding yt row (split real/imaginary float32
 // accumulators, ascending inner index), so results are bit-identical
 // regardless of how a caller tiles the column range — the property the
-// engine's fused equalize+demod strips rely on (DESIGN §11).
+// engine's fused equalize+demod strips rely on (DESIGN §9).
 //
 // Matrices are small (K ≤ 64, M ≤ 256) and owned by one task at a time, so
 // no internal locking is needed.

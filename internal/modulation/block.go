@@ -3,37 +3,13 @@ package modulation
 import "math"
 
 // This file implements the batched (de)modulation APIs consumed by the
-// blocked equalization/precoding path: one call covers a whole
-// DemodBlockSize×K tile instead of paying a function call per
-// constellation symbol.
-
-// DemodulateSoftBlock computes max-log-MAP LLRs for a whole block of
-// equalized symbols in one call. It produces bit-identical output to
-// per-symbol DemodulateSoft but hoists the per-level squared distances out
-// of the per-bit scan: each PAM coordinate computes its ≤16 distances
-// once and reuses them for every bit, instead of recomputing them per bit.
-// len(dst) must be >= len(syms)*BitsPerSymbol.
-func (t *Table) DemodulateSoftBlock(dst []float32, syms []complex64, noiseVar float32) {
-	b := t.BitsPerSymbol() / 2
-	if len(dst) < len(syms)*2*b {
-		panic("modulation: DemodulateSoftBlock dst too small")
-	}
-	if noiseVar <= 0 {
-		noiseVar = 1e-6
-	}
-	inv := 1 / noiseVar
-	var d2 [16]float32 // up to 256-QAM: 16 PAM levels per axis
-	for s, v := range syms {
-		o := s * 2 * b
-		t.axisLLR(dst[o:o+b], real(v), inv, &d2)
-		t.axisLLR(dst[o+b:o+2*b], imag(v), inv, &d2)
-	}
-}
+// blocked equalization/precoding path: one call covers a whole tile
+// instead of paying a function call per constellation symbol.
 
 // axisLLR computes the per-bit LLRs of one PAM coordinate: squared
 // distances to all levels first, then a max-log min-scan per bit. The
-// arithmetic (and hence the result) is identical to the historical
-// per-bit exhaustive scan; only the d² computations are shared.
+// arithmetic (and hence the result) is identical to a per-bit exhaustive
+// scan; only the d² computations are shared.
 func (t *Table) axisLLR(dst []float32, x float32, invNoise float32, d2 *[16]float32) {
 	b := len(dst)
 	l := len(t.pam)
@@ -66,11 +42,11 @@ func (t *Table) axisLLR(dst []float32, x float32, invNoise float32, d2 *[16]floa
 // — and dst receives, for each subcarrier j, all users' LLRs contiguously
 // at dst[(j*users+u)*BitsPerSymbol : ...]. One call consumes the whole
 // equalized tile in a single pass, so the fused equalize+demodulate block
-// never revisits the tile per user the way the AoS layout forced. The
-// per-symbol arithmetic is axisLLR's — run by the platform's vector
-// kernel (kernel.go) over the whole groups of four columns where there is
-// one, and by the Go loop over the rest — so each symbol's LLRs are
-// bit-identical to DemodulateSoftBlock's on every host.
+// never revisits the tile per user. The per-symbol arithmetic is
+// axisLLR's — run by the platform's vector kernel (kernel.go) over the
+// whole groups of four columns where there is one, and by the Go loop over
+// the rest — so each symbol's LLRs are bit-identical to DemodulateSoft's
+// on every host.
 // len(dst) must be >= users*nsc*BitsPerSymbol.
 func (t *Table) DemodulateSoftSoA(dst []float32, tile []complex64, users, nsc int, noiseVar float32) {
 	if len(tile) < users*nsc {

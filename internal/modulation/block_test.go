@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// refSoft is the historical per-bit exhaustive max-log scan (the
-// pre-batching DemodulateSoft), kept here as an independent reference:
-// the batched path hoists the squared distances but must remain
+// refSoft is the per-bit exhaustive max-log scan, an independent
+// reference: DemodulateSoft hoists the squared distances but must remain
 // arithmetically identical.
 func refSoft(t *Table, dst []float32, sym []complex64, noiseVar float32) {
 	b := t.BitsPerSymbol() / 2
@@ -53,7 +52,10 @@ func noisySymbols(t *Table, rng *rand.Rand, n int) []complex64 {
 	return syms
 }
 
-func TestDemodulateSoftBlockMatchesReference(t *testing.T) {
+// TestDemodulateSoftMatchesReference pins the shared-distance soft
+// demodulator against the exhaustive per-bit scan, bit for bit, for runs
+// of symbols and for one symbol per call.
+func TestDemodulateSoftMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, o := range allOrders {
 		tab := Get(o)
@@ -61,20 +63,20 @@ func TestDemodulateSoftBlockMatchesReference(t *testing.T) {
 			syms := noisySymbols(tab, rng, n)
 			got := make([]float32, n*int(o))
 			want := make([]float32, n*int(o))
-			tab.DemodulateSoftBlock(got, syms, 0.1)
+			tab.DemodulateSoft(got, syms, 0.1)
 			refSoft(tab, want, syms, 0.1)
 			for i := range got {
 				if got[i] != want[i] { // bit-identical, not approximate
 					t.Fatalf("%v n=%d llr[%d]: got %g want %g", o, n, i, got[i], want[i])
 				}
 			}
-			// The per-symbol public API must agree exactly with the block.
+			// One symbol per call must agree exactly with the run.
 			one := make([]float32, int(o))
 			for s := 0; s < n; s++ {
 				tab.DemodulateSoft(one, syms[s:s+1], 0.1)
 				for k, v := range one {
 					if v != got[s*int(o)+k] {
-						t.Fatalf("%v sym %d bit %d: per-symbol %g vs block %g",
+						t.Fatalf("%v sym %d bit %d: per-symbol %g vs run %g",
 							o, s, k, v, got[s*int(o)+k])
 					}
 				}
@@ -83,13 +85,13 @@ func TestDemodulateSoftBlockMatchesReference(t *testing.T) {
 	}
 }
 
-func TestDemodulateSoftBlockNonPositiveNoise(t *testing.T) {
+func TestDemodulateSoftNonPositiveNoise(t *testing.T) {
 	tab := Get(QPSK)
 	syms := []complex64{complex(0.7, -0.7)}
 	a := make([]float32, 2)
 	b := make([]float32, 2)
-	tab.DemodulateSoftBlock(a, syms, 0)
-	tab.DemodulateSoftBlock(b, syms, 1e-6)
+	tab.DemodulateSoft(a, syms, 0)
+	tab.DemodulateSoft(b, syms, 1e-6)
 	if a[0] != b[0] || a[1] != b[1] {
 		t.Fatalf("zero noiseVar not clamped: %v vs %v", a, b)
 	}
@@ -151,11 +153,11 @@ func TestModulateBlockZeroPadsTail(t *testing.T) {
 }
 
 // TestDemodulateSoftSoAMatchesBlock checks the subcarrier-major kernel
-// against the user-major one symbol by symbol: the SoA entry at
+// against the Go reference symbol by symbol: the SoA entry at
 // [(j*users+u)*order] must be bit-identical to demodulating user u's run
-// with DemodulateSoftBlock, across orders, user counts and tile widths
+// with DemodulateSoft, across orders, user counts and tile widths
 // (including width 1, the scalar engine path, and non-multiples of 4),
-// under each available SoA kernel — the AoS side is the Go loop always.
+// under each available SoA kernel — the reference is the Go loop always.
 func TestDemodulateSoftSoAMatchesBlock(t *testing.T) {
 	forEachKernel(t, testDemodulateSoftSoAMatchesBlock)
 }
@@ -170,15 +172,15 @@ func testDemodulateSoftSoAMatchesBlock(t *testing.T) {
 				tile := noisySymbols(tab, rng, users*nsc)
 				soa := make([]float32, users*nsc*order)
 				tab.DemodulateSoftSoA(soa, tile, users, nsc, 0.1)
-				aos := make([]float32, nsc*order)
+				ref := make([]float32, nsc*order)
 				for u := 0; u < users; u++ {
-					tab.DemodulateSoftBlock(aos, tile[u*nsc:(u+1)*nsc], 0.1)
+					tab.DemodulateSoft(ref, tile[u*nsc:(u+1)*nsc], 0.1)
 					for j := 0; j < nsc; j++ {
 						for k := 0; k < order; k++ {
 							got := soa[(j*users+u)*order+k]
-							if got != aos[j*order+k] {
-								t.Fatalf("%v users=%d nsc=%d u=%d sc=%d bit=%d: SoA %g != AoS %g",
-									o, users, nsc, u, j, k, got, aos[j*order+k])
+							if got != ref[j*order+k] {
+								t.Fatalf("%v users=%d nsc=%d u=%d sc=%d bit=%d: SoA %g != Go %g",
+									o, users, nsc, u, j, k, got, ref[j*order+k])
 							}
 						}
 					}
@@ -217,7 +219,7 @@ func testDemodulateSoftSoAPanics(t *testing.T) {
 	})
 }
 
-func BenchmarkDemodulateSoftBlock(b *testing.B) {
+func BenchmarkDemodulateSoft(b *testing.B) {
 	tab := Get(QAM64)
 	rng := rand.New(rand.NewSource(44))
 	syms := noisySymbols(tab, rng, 32)
@@ -225,7 +227,7 @@ func BenchmarkDemodulateSoftBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.DemodulateSoftBlock(dst, syms, 0.1)
+		tab.DemodulateSoft(dst, syms, 0.1)
 	}
 }
 

@@ -2,7 +2,7 @@ package modulation
 
 import "repro/internal/cpu"
 
-// AVX2 SoA demodulation kernels (DESIGN §21): the amd64 implementation of
+// AVX2 SoA demodulation kernels (DESIGN §9): the amd64 implementation of
 // axisLLR over eight PAM coordinates at once — four complex64 of one
 // user's tile row, re/im interleaved as they lie in memory — with the
 // result interleaved in registers into DemodulateSoftSoA's dst order. One

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzDemodKernelsSIMD is the whole-call differential between the
-// platform's vector SoA kernel and the Go loop (DESIGN §21): the fuzzer
+// platform's vector SoA kernel and the Go loop (DESIGN §9): the fuzzer
 // supplies raw bytes read as float32 bit patterns — so NaNs with
 // payloads, infinities, signed zeros and denormals all occur — for the
 // tile and for the noise variance, and picks the order and the tile

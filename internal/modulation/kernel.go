@@ -1,12 +1,12 @@
 package modulation
 
-// Kernel selection for the SoA soft demodulator (DESIGN §21).
+// Kernel selection for the SoA soft demodulator (DESIGN §9).
 //
 // DemodulateSoftSoA's per-coordinate scan (axisLLR) has a hand-vectorised
 // implementation on amd64 (demod_amd64.s). Which one runs is decided by
 // what the process can observe — the GOARCH it was built for and, at
 // init, a CPUID/XGETBV probe — never by a user option, the same rule as
-// ldpc.Kernel (DESIGN §13) and fft.Impl (DESIGN §20): a host that cannot
+// ldpc.Kernel (DESIGN §13) and fft.Impl (DESIGN §10): a host that cannot
 // run the fast kernel falls back silently but visibly (Kernel is carried
 // by obs.Metrics.DemodKernel, agora_demod_kernel_info and the cmd/agora
 // start-up line). Both produce the same LLR bits for every input, so
@@ -24,8 +24,8 @@ var simdSoA func(t *Table, dst []float32, tile []complex64, users, nsc int, inv 
 var simdName string
 
 // Kernel reports which kernel DemodulateSoftSoA runs in this process:
-// "avx2" or "generic" (the portable Go loop). The AoS entry points
-// (DemodulateSoftBlock, DemodulateSoft) are the Go loop everywhere.
+// "avx2" or "generic" (the portable Go loop). DemodulateSoft is the Go
+// loop everywhere.
 func Kernel() string {
 	if simdSoA != nil {
 		return simdName

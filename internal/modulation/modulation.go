@@ -7,34 +7,33 @@
 // coordinate and the last B bits the Q (imaginary) coordinate, each Gray
 // coded. Constellations are normalized to unit average energy.
 //
-// Kernel entry points. Per-symbol Modulate/Demodulate/DemodulateSoft are
-// the scalar forms; the engine's blocked paths call the batched kernels
-// in block.go, which differ only in traversal order, never in per-symbol
-// arithmetic:
+// Kernel entry points. Modulate/Demodulate are the per-symbol forms; the
+// engine calls the batched kernels, which differ only in traversal order,
+// never in per-symbol arithmetic:
 //
-//   - ModulateBlock maps one user's coded-bit range to a run of
+//   - ModulateBlock (block.go) maps one user's coded-bit range to a run of
 //     constellation points (codeword tail zero-padded).
-//   - DemodulateSoftBlock writes one user's LLRs for a run of symbols
-//     contiguously — the AoS (user-major) layout, where the LLR buffer is
-//     indexed [user][sc*bits+t].
-//   - DemodulateSoftSoA consumes a users×nsc equalized tile (the
-//     mat.MulBlockInto output, user-major rows) column-wise and writes
-//     the subcarrier-major SoA layout [sc][user][bit] in a single pass:
-//     the demod output for a tile of subcarriers is one contiguous span.
+//   - DemodulateSoft writes the LLRs of a run of symbols contiguously,
+//     symbol after symbol: [s*bits+t].
+//   - DemodulateSoftSoA (block.go) consumes a users×nsc equalized tile
+//     (the mat.MulBlockInto output, user-major rows) column-wise and
+//     writes the subcarrier-major layout [sc][user][bit] in a single
+//     pass: the demod output for a tile of subcarriers is one contiguous
+//     span.
 //
 // Reference and kernel. axisLLR (block.go) is the soft demodulator's
 // arithmetic: the squared distance to every PAM level, a min per bit
-// value, one subtract and one multiply per bit. The AoS entry points run
-// it as written, on every host. DemodulateSoftSoA, the layout the engine
-// serves frames with, runs it through the platform's vector kernel where
-// there is one (amd64 with AVX2: demod_amd64.s, selected by CPUID at init,
-// reported by Kernel; see kernel.go) and as written elsewhere and on the
-// columns the kernel does not cover. The contract between them is bit
-// identity: for every input — NaNs, infinities and a clamped noise
-// variance included — every kernel writes the LLR bits axisLLR would, so
-// LLRs are identical across layouts and hosts. The core engine's
-// DisableSoALLR ablation and its equivalence test rely on that, as does
-// every decoder iteration count the benchmark reports.
+// value, one subtract and one multiply per bit. DemodulateSoft runs it as
+// written, on every host, and is the reference. DemodulateSoftSoA, the
+// entry point the engine serves frames with, runs it through the
+// platform's vector kernel where there is one (amd64 with AVX2:
+// demod_amd64.s, selected by CPUID at init, reported by Kernel; see
+// kernel.go) and as written elsewhere and on the columns the kernel does
+// not cover. The contract between them is bit identity: for every input —
+// NaNs, infinities and a clamped noise variance included — every kernel
+// writes the LLR bits axisLLR would, so LLRs are identical across entry
+// points and hosts. The core engine's LLR equivalence tests rely on that,
+// as does every decoder iteration count the benchmark reports.
 package modulation
 
 import (
@@ -194,9 +193,23 @@ func (t *Table) Demodulate(dst []byte, sym []complex64) {
 
 // DemodulateSoft computes max-log-MAP LLRs for each bit given the noise
 // variance of the effective channel after equalization. Positive LLR means
-// bit 0 is more likely (the LDPC decoder uses the same convention).
-// len(dst) must be >= len(sym)*BitsPerSymbol. It shares the batched core
-// with DemodulateSoftBlock (block.go) and produces identical output.
+// bit 0 is more likely (the LDPC decoder uses the same convention). Each
+// PAM coordinate computes its ≤16 squared distances once and reuses them
+// for every bit. A non-positive noiseVar is clamped to 1e-6.
+// len(dst) must be >= len(sym)*BitsPerSymbol.
 func (t *Table) DemodulateSoft(dst []float32, sym []complex64, noiseVar float32) {
-	t.DemodulateSoftBlock(dst, sym, noiseVar)
+	b := t.BitsPerSymbol() / 2
+	if len(dst) < len(sym)*2*b {
+		panic("modulation: DemodulateSoft dst too small")
+	}
+	if noiseVar <= 0 {
+		noiseVar = 1e-6
+	}
+	inv := 1 / noiseVar
+	var d2 [16]float32 // up to 256-QAM: 16 PAM levels per axis
+	for s, v := range sym {
+		o := s * 2 * b
+		t.axisLLR(dst[o:o+b], real(v), inv, &d2)
+		t.axisLLR(dst[o+b:o+2*b], imag(v), inv, &d2)
+	}
 }

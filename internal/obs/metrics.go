@@ -75,10 +75,10 @@ type Metrics struct {
 	// to the scalar kernels is visible on every obs surface.
 	DecodeKernel string
 	// FFTKernel names the split-radix stage kernels the engine's FFT plan
-	// runs ("avx2" or "generic", DESIGN §20), under the same rules.
+	// runs ("avx2" or "generic", DESIGN §10), under the same rules.
 	FFTKernel string
 	// DemodKernel names the SoA soft-demodulation kernel the engine's
-	// demod tasks run ("avx2" or "generic", DESIGN §21), likewise.
+	// demod tasks run ("avx2" or "generic", DESIGN §9), likewise.
 	DemodKernel string
 
 	// StageBusy streams each completed frame's per-stage busy time
