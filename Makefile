@@ -3,20 +3,19 @@
 
 GO ?= go
 
-.PHONY: check vet build test race fuzz benchmark-smoke bench baseline perf clean
+.PHONY: check vet build test generic race fuzz benchmark-smoke bench baseline perf clean
 
-check: vet build test race fuzz benchmark-smoke perf
+check: vet build test generic race fuzz benchmark-smoke perf
 
 # Static checks: go vet plus the staticcheck-style hygiene the toolchain
 # ships — gofmt drift (gofmt -l must print nothing). No external tools:
 # the container has only the Go toolchain. `go vet ./...` includes the
 # asmdecl check of the .s files in internal/ldpc, internal/fft,
 # internal/modulation and internal/cpu against their Go declarations
-# (argument offsets, frame sizes). The arm64 cross-vet type-checks the
-# file set every non-amd64 build gets — the pure-Go LDPC layer kernels,
-# FFT stage loops and demod loop with no assembly behind them (DESIGN
-# §13, §10, §9) — so the fallback cannot rot on a host that never
-# compiles it.
+# (argument offsets, frame sizes). The arm64 cross-vet type-checks
+# internal/fronthaul's recvmmsg batch path against arm64's syscall
+# definitions; the Go kernel fallback is vetted and run by `generic`
+# below.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/...
@@ -28,6 +27,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The whole tree on the Go kernel loops: the purego tag drops every amd64
+# assembly file, so the build every non-amd64 or pre-AVX2 host runs is
+# vetted and tested here too (internal/cpu states the selection rule).
+# `-C` must come first on the benchmark line.
+generic:
+	$(GO) vet -tags purego ./...
+	$(GO) test -tags purego ./...
+	$(GO) test -C benchmark -tags purego ./...
 
 # Short-mode race pass over every internal package. The MPMC queues, the
 # manager-worker engine and the obs tracer/metrics are where a data race

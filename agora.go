@@ -114,6 +114,9 @@ type (
 	// DecodeSnap is the LDPC decode-iteration accounting (DESIGN §13):
 	// blocks decoded, mean/max BP iterations, early-exit rate.
 	DecodeSnap = obs.DecodeSnap
+	// KernelRow names the kernel implementation ("avx2" or "generic") one
+	// vectorised stage runs; Metrics.Kernels holds the engine's table.
+	KernelRow = obs.KernelRow
 	// StageSLO is one stage's live budget-attribution summary: per-frame
 	// busy-time distribution and mean share of the frame budget
 	// (DESIGN §17).

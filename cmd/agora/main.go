@@ -28,9 +28,6 @@ import (
 
 	"repro"
 
-	"repro/internal/fft"
-	"repro/internal/ldpc"
-	"repro/internal/modulation"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -80,8 +77,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("agora: %s\n", cfg.String())
-	fmt.Printf("agora: listening on %s with %d workers, LDPC decode kernel %s, FFT kernel %s, demod kernel %s\n",
-		*listen, *workers, eng.Metrics().DecodeKernel, eng.Metrics().FFTKernel, eng.Metrics().DemodKernel)
+	fmt.Printf("agora: listening on %s with %d workers, kernels %v\n",
+		*listen, *workers, eng.Metrics().Kernels)
 	if *metrics != "" {
 		// expvar registers /debug/vars and net/http/pprof /debug/pprof on
 		// the default mux; the snapshot merges live counters with the
@@ -167,8 +164,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 		fmt.Printf("agora: fleet of %d cells on %s (%d workers each)\n",
 			cells, listen, opts.Workers)
 	}
-	fmt.Printf("agora: LDPC decode kernel %s, FFT kernel %s, demod kernel %s\n",
-		ldpc.Kernel(), fft.Impl(), modulation.Kernel())
+	fmt.Printf("agora: kernels %v\n", fl.Engine(0).Metrics().Kernels)
 	if metrics != "" {
 		expvar.Publish("agora", expvar.Func(func() any { return fl.Snapshot() }))
 		registerObs(obs.PromFleetHandler(fl.Snapshot), fl.Incidents,

@@ -57,9 +57,8 @@ type stagesReport struct {
 	// same way the ZF rows price the coherence cache (DESIGN §13).
 	DecodeIters         agora.DecodeSnap `json:"decode_iters"`
 	DecodeItersFlooding agora.DecodeSnap `json:"decode_iters_flooding"`
-	// FFTKernel is the FFT stage-kernel implementation the run used; the
-	// decode kernel rides in DecodeIters.
-	FFTKernel string `json:"fft_kernel"`
+	// Kernels is the kernel implementation each vectorised stage used.
+	Kernels []agora.KernelRow `json:"kernels"`
 	// SLOAttribution is the live recorder's per-stage budget attribution
 	// (DESIGN §17): per-frame busy-time distribution and mean share of
 	// the frame budget, folded online by the manager — unlike Stages
@@ -109,7 +108,7 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		MedianMS:       sum.Latency.Median().Seconds() * 1e3,
 		P999MS:         sum.Latency.P999().Seconds() * 1e3,
 		DecodeIters:    sum.Decode,
-		FFTKernel:      sum.FFTKernel,
+		Kernels:        sum.Kernels,
 		SLOAttribution: sum.SLO,
 	}
 	totalBusy := tl.TotalBusyNS()

@@ -349,16 +349,19 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.initMACPattern()
 	e.buildPollOrders()
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
-	e.met.DecodeKernel = ldpc.Kernel()
-	if opts.DisableLayeredDecode {
-		// The flooding ablation is a Go loop everywhere.
-		e.met.DecodeKernel = "generic"
-	}
-	e.met.FFTKernel = fft.Impl()
-	e.met.DemodKernel = modulation.Kernel()
-	if opts.DummyKernels {
-		// The dummy kernels do not demodulate.
-		e.met.DemodKernel = "generic"
+	if !opts.DummyKernels {
+		// The platform's kernels (internal/cpu), except that the flooding
+		// ablation is a Go loop everywhere. DummyKernels runs none of the
+		// three, so it reports no rows.
+		decode := ldpc.Kernel()
+		if opts.DisableLayeredDecode {
+			decode = "generic"
+		}
+		e.met.Kernels = []obs.KernelRow{
+			{Stage: "decode", Kernel: decode},
+			{Stage: "fft", Kernel: fft.Kernel()},
+			{Stage: "demod", Kernel: modulation.Kernel()},
+		}
 	}
 	e.txLane = opts.Workers
 	e.epoch = time.Now()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
 	"repro/internal/modulation"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -247,14 +249,15 @@ func TestFFTBatchLeaseReclaimedMidRun(t *testing.T) {
 }
 
 // TestFFTKernelReported checks the engine names the FFT implementation its
-// plan runs.
+// plan runs when a fronthaul ring feeds it.
 func TestFFTKernelReported(t *testing.T) {
 	ring := fronthaul.NewRing(64, 4096)
 	eng, err := NewEngine(smallCfg(), Options{Workers: 1}, ring.Side(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.MetricsSnapshot().FFTKernel; got != fft.Impl() {
-		t.Fatalf("engine reports FFT kernel %q, want %q", got, fft.Impl())
+	want := obs.KernelRow{Stage: "fft", Kernel: fft.Kernel()}
+	if got := eng.MetricsSnapshot().Kernels; !slices.Contains(got, want) {
+		t.Fatalf("engine reports kernels %v, want a row %v", got, want)
 	}
 }

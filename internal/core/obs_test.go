@@ -3,13 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/fft"
 	"repro/internal/frame"
 	"repro/internal/fronthaul"
+	"repro/internal/ldpc"
+	"repro/internal/modulation"
 	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/workload"
@@ -246,4 +250,43 @@ func runFramesObs(t *testing.T, cfg frame.Config, opts Options, n int) obsRun {
 	}
 	eng.Stop()
 	return obsRun{eng: eng}
+}
+
+// TestKernelsReported checks the engine's kernel table against the three
+// packages' Kernel(): the platform's selection on the default path and
+// the antenna-major layout, decode "generic" under the flooding ablation,
+// and no rows under DummyKernels, which runs none of the three kernels.
+func TestKernelsReported(t *testing.T) {
+	platform := []obs.KernelRow{
+		{Stage: "decode", Kernel: ldpc.Kernel()},
+		{Stage: "fft", Kernel: fft.Kernel()},
+		{Stage: "demod", Kernel: modulation.Kernel()},
+	}
+	for _, r := range platform {
+		if r.Kernel != "avx2" && r.Kernel != "generic" {
+			t.Fatalf("%s: Kernel() = %q, want \"avx2\" or \"generic\"", r.Stage, r.Kernel)
+		}
+	}
+	flooding := slices.Clone(platform)
+	flooding[0].Kernel = "generic"
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want []obs.KernelRow
+	}{
+		{"default", Options{Workers: 1}, platform},
+		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, platform},
+		{"DisableLayeredDecode", Options{Workers: 1, DisableLayeredDecode: true}, flooding},
+		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, nil},
+	} {
+		eng, err := NewEngine(smallCfg(), tc.opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := eng.MetricsSnapshot().Kernels
+		t.Logf("%s: %v", tc.name, got)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: engine reports kernels %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }

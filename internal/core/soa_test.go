@@ -256,28 +256,6 @@ func BenchmarkDecodeGather(b *testing.B) {
 	}
 }
 
-// TestDemodKernelReported checks the engine names the demod kernel its
-// demod tasks run, and that the dummy kernels report the Go loop.
-func TestDemodKernelReported(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-		want string
-	}{
-		{"default", Options{Workers: 1}, modulation.Kernel()},
-		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, modulation.Kernel()},
-		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, "generic"},
-	} {
-		eng, err := NewEngine(soaCfg(modulation.QAM64), tc.opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.MetricsSnapshot().DemodKernel; got != tc.want {
-			t.Fatalf("%s: engine reports demod kernel %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
 // gatherLLRCopy is the gather as one copy call per run — what gatherLLR's
 // fixed-width loops replaced, kept as their oracle and as the baseline of
 // BenchmarkUserLLRGather.
@@ -330,5 +308,34 @@ func BenchmarkUserLLRGather(b *testing.B) {
 				impl.f(dst, src[(i%users)*order:], order, users*order, n)
 			}
 		})
+	}
+}
+
+// TestDemodKernelReported checks the engine names the demod kernel its
+// demod tasks run on a 64-QAM cell, and that the dummy kernels, which run
+// no demod, report none.
+func TestDemodKernelReported(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"default", Options{Workers: 1}, modulation.Kernel()},
+		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, modulation.Kernel()},
+		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, ""},
+	} {
+		eng, err := NewEngine(soaCfg(modulation.QAM64), tc.opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, r := range eng.MetricsSnapshot().Kernels {
+			if r.Stage == "demod" {
+				got = r.Kernel
+			}
+		}
+		if got != tc.want {
+			t.Fatalf("%s: engine reports demod kernel %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

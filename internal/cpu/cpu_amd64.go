@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package cpu
 
 // cpuid executes CPUID with the given leaf (EAX) and sub-leaf (ECX).

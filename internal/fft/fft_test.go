@@ -95,7 +95,7 @@ func TestUndersizedBuffersPanic(t *testing.T) {
 // the pure radix-4 schedule and the trailing radix-2 stage are each
 // exercised at every depth.
 func TestKernelMatchesNaiveDFTAllSizes(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	t.Run(Kernel(), func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for n := 4; n <= 4096; n *= 2 {
 			x := randSignal(rng, n)
@@ -115,7 +115,7 @@ func TestKernelMatchesNaiveDFTAllSizes(t *testing.T) {
 // batch layouts: every lane round-trips, and the padding between lanes is
 // untouched.
 func TestBatchRoundTrip(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	t.Run(Kernel(), func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		for _, tc := range []struct{ n, count, stride int }{
 			{64, 1, 64},
@@ -162,7 +162,7 @@ func TestBatchRoundTrip(t *testing.T) {
 // TestForwardIQ12MatchesUnfused checks the fused CP-strip/unpack/permute
 // front end against the three-pass path it replaces, bit for bit.
 func TestForwardIQ12MatchesUnfused(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	t.Run(Kernel(), func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		for _, tc := range []struct{ n, cp int }{
 			{64, 0}, {64, 16}, {256, 32}, {512, 128}, {2048, 144},
@@ -363,7 +363,7 @@ func TestInverseNoScale(t *testing.T) {
 }
 
 func TestPlanConcurrentUse(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	t.Run(Kernel(), func(t *testing.T) {
 		p := MustPlan(512)
 		done := make(chan struct{})
 		for g := 0; g < 4; g++ {

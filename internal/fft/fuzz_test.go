@@ -64,7 +64,7 @@ func FuzzFFTKernelsSIMD(f *testing.F) {
 			op.run(v)
 			if i := firstDiff(g, v, true); i >= 0 {
 				t.Fatalf("n=%d cp=%d %s: sample %d go (%#08x, %#08x) != %s (%#08x, %#08x)", n, cp, op.name, i,
-					math.Float32bits(real(g[i])), math.Float32bits(imag(g[i])), Impl(),
+					math.Float32bits(real(g[i])), math.Float32bits(imag(g[i])), Kernel(),
 					math.Float32bits(real(v[i])), math.Float32bits(imag(v[i])))
 			}
 		}

@@ -14,30 +14,26 @@ func forceGoKernels() (restore func()) {
 	return func() { simd = saved }
 }
 
-// forEachKernel runs f once per stage-kernel implementation this process
-// can run — the Go loops always, then the platform's vector kernels where
-// init selected them — as subtests named after Impl().
-func forEachKernel(t *testing.T, f func(t *testing.T)) {
+// TestImplName pins the two names Kernel reports: "generic" while the
+// Go loops run, "avx2" where init selected the vector stage kernels. The
+// package's kernel-dependent tests run in a subtest named after Kernel(),
+// so a -v run shows which stage kernels a suite exercised.
+func TestImplName(t *testing.T) {
 	restore := forceGoKernels()
-	t.Run(Impl(), f)
+	t.Run(Kernel(), func(t *testing.T) {
+		if got := Kernel(); got != "generic" {
+			t.Fatalf("fallback reports %q, want \"generic\"", got)
+		}
+	})
 	restore()
 	if simd != nil {
-		t.Run(Impl(), f)
+		t.Run(Kernel(), func(t *testing.T) {
+			if got := Kernel(); got != "avx2" {
+				t.Fatalf("vector stage kernels report %q, want \"avx2\"", got)
+			}
+		})
 	}
-}
-
-// TestImplName pins the two names Impl can report and that forcing the
-// fallback is visible through it.
-func TestImplName(t *testing.T) {
-	var seen []string
-	forEachKernel(t, func(t *testing.T) { seen = append(seen, Impl()) })
-	if seen[0] != "generic" {
-		t.Fatalf("fallback reports %q, want \"generic\"", seen[0])
-	}
-	if len(seen) == 2 && seen[1] != "avx2" {
-		t.Fatalf("vector kernels report %q, want \"avx2\"", seen[1])
-	}
-	t.Logf("implementations available: %v; selected: %s", seen, Impl())
+	t.Logf("selected: %s", Kernel())
 }
 
 // firstDiff returns the index of the first sample whose bits differ

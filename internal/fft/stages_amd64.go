@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package fft
 
 import (
@@ -20,7 +22,6 @@ func init() {
 }
 
 var avx2Kernels = &stageKernels{
-	name:        "avx2",
 	butterflies: (*Plan).butterfliesAVX2,
 	loadIQ12:    (*Plan).loadIQ12AVX2,
 }

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // AVX2 stage kernels for the split-radix FFT (DESIGN §20). See

@@ -53,10 +53,10 @@ type RunSummary struct {
 	FECRecovered int64
 	// Decode is the run's LDPC decode-iteration accounting (DESIGN §13):
 	// blocks decoded, mean/max BP iterations, the early-exit rate of the
-	// fused syndrome check, and which layer kernels ran.
+	// fused syndrome check.
 	Decode obs.DecodeSnap
-	// FFTKernel names the FFT stage kernels that ran (DESIGN §10).
-	FFTKernel string
+	// Kernels names the kernel implementation each vectorised stage ran.
+	Kernels []obs.KernelRow
 	// Timeline is the reconstructed multi-frame schedule from the event
 	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil
 	// when Options.DisableTracing is set.
@@ -238,7 +238,7 @@ func RunUplinkLink(cfg frame.Config, opts core.Options, model channel.Model,
 	sum.SeqLate = eng.Metrics().SeqLate.Load()
 	sum.FECRecovered = eng.Metrics().FECRecovered.Load()
 	sum.Decode = eng.Metrics().DecodeSnap()
-	sum.FFTKernel = eng.Metrics().FFTKernel
+	sum.Kernels = eng.Metrics().Kernels
 	sum.SLO = eng.Metrics().SLORows()
 	sum.Incidents = eng.Incidents()
 	if eng.TracingEnabled() {

@@ -144,14 +144,14 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 			post[k] = d.l
 		}
 		if res[0] != res[1] {
-			t.Fatalf("Z=%d: go %+v != %s %+v", code.Z, res[0], simdName, res[1])
+			t.Fatalf("Z=%d: go %+v != %s %+v", code.Z, res[0], Kernel(), res[1])
 		}
 		if !bytes.Equal(info[0], info[1]) {
 			t.Fatalf("Z=%d: information bits differ", code.Z)
 		}
 		for i := range post[0] {
 			if a, b := math.Float32bits(post[0][i]), math.Float32bits(post[1][i]); a != b {
-				t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, a, simdName, b)
+				t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, a, Kernel(), b)
 			}
 		}
 	})

@@ -11,28 +11,24 @@ func forceGoKernels() (restore func()) {
 	return func() { simdIterate = saved }
 }
 
-// forEachKernel runs f once per layer kernel this process can run — the
-// Go loops always, then the platform's vector kernels where init selected
-// them — as subtests named after Kernel().
-func forEachKernel(t *testing.T, f func(t *testing.T)) {
+// TestKernelName pins the two names Kernel reports: "generic" while the
+// Go loops run, "avx2" where init selected the vector layer kernels. The
+// package's kernel-dependent tests run in a subtest named after Kernel(),
+// so a -v run shows which layer kernels a suite exercised.
+func TestKernelName(t *testing.T) {
 	restore := forceGoKernels()
-	t.Run(Kernel(), f)
+	t.Run(Kernel(), func(t *testing.T) {
+		if got := Kernel(); got != "generic" {
+			t.Fatalf("fallback reports %q, want \"generic\"", got)
+		}
+	})
 	restore()
 	if simdIterate != nil {
-		t.Run(Kernel(), f)
+		t.Run(Kernel(), func(t *testing.T) {
+			if got := Kernel(); got != "avx2" {
+				t.Fatalf("vector layer kernels report %q, want \"avx2\"", got)
+			}
+		})
 	}
-}
-
-// TestKernelName pins the two names Kernel can report and that forcing
-// the fallback is visible through it.
-func TestKernelName(t *testing.T) {
-	var seen []string
-	forEachKernel(t, func(t *testing.T) { seen = append(seen, Kernel()) })
-	if seen[0] != "generic" {
-		t.Fatalf("fallback kernel reports %q, want \"generic\"", seen[0])
-	}
-	if len(seen) == 2 && seen[1] != "avx2" {
-		t.Fatalf("vector kernel reports %q, want \"avx2\"", seen[1])
-	}
-	t.Logf("kernels available: %v; selected: %s", seen, Kernel())
+	t.Logf("selected: %s", Kernel())
 }

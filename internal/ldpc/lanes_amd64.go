@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package ldpc
 
 import (
@@ -18,7 +20,6 @@ import (
 func init() {
 	if cpu.HasAVX2() {
 		simdIterate = (*Decoder).iterateLayeredAVX2
-		simdName = "avx2"
 	}
 }
 

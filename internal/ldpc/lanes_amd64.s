@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "go_asm.h"
 #include "textflag.h"
 

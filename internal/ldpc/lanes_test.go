@@ -139,9 +139,10 @@ func referenceSweep(t *testing.T, seed int64, check func(where string, d *Decode
 // TestLaneDecodeEquivalence is the decoder's correctness contract: over
 // the reference sweep, Decode and refDecode must produce an identical
 // (info, Result) pair — compared exactly, not within tolerance. It runs
-// under every layer kernel the process has.
+// in a subtest named after the layer kernels this build selects (make
+// generic runs the Go loops).
 func TestLaneDecodeEquivalence(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	t.Run(Kernel(), func(t *testing.T) {
 		referenceSweep(t, 42, func(where string, d *Decoder, got, want []byte, res, ref Result) {
 			if res != ref {
 				t.Fatalf("%s: decoder %+v != reference %+v", where, res, ref)
@@ -159,7 +160,7 @@ func TestLaneDecodeEquivalence(t *testing.T) {
 // tracked parity state must agree with a fresh CheckSyndrome of the final
 // hard decisions.
 func TestFusedSyndromeExact(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
+	t.Run(Kernel(), func(t *testing.T) {
 		referenceSweep(t, 18, func(where string, d *Decoder, _, _ []byte, res, ref Result) {
 			if res != ref {
 				t.Fatalf("%s: fused %+v != walked %+v", where, res, ref)

@@ -36,7 +36,7 @@ func harshLLR(rng *rand.Rand, code *Code, rate Rate) []float32 {
 // iteration later), but both are fixed points of the same min-sum update.
 // The aggregate iteration counts must also show the layered advantage the
 // tentpole is named for: strictly fewer total iterations across the sweep.
-func TestLayeredVsFloodingBits(t *testing.T) { forEachKernel(t, testLayeredVsFloodingBits) }
+func TestLayeredVsFloodingBits(t *testing.T) { t.Run(Kernel(), testLayeredVsFloodingBits) }
 
 func testLayeredVsFloodingBits(t *testing.T) {
 	zs := laneSweepZ

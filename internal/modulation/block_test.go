@@ -157,9 +157,10 @@ func TestModulateBlockZeroPadsTail(t *testing.T) {
 // [(j*users+u)*order] must be bit-identical to demodulating user u's run
 // with DemodulateSoft, across orders, user counts and tile widths
 // (including width 1, the scalar engine path, and non-multiples of 4),
-// under each available SoA kernel — the reference is the Go loop always.
+// in a subtest named after the SoA kernel this build selects (make generic
+// runs the Go loop) — the reference is the Go loop always.
 func TestDemodulateSoftSoAMatchesBlock(t *testing.T) {
-	forEachKernel(t, testDemodulateSoftSoAMatchesBlock)
+	t.Run(Kernel(), testDemodulateSoftSoAMatchesBlock)
 }
 
 func testDemodulateSoftSoAMatchesBlock(t *testing.T) {
@@ -190,7 +191,7 @@ func testDemodulateSoftSoAMatchesBlock(t *testing.T) {
 	}
 }
 
-func TestDemodulateSoftSoAPanics(t *testing.T) { forEachKernel(t, testDemodulateSoftSoAPanics) }
+func TestDemodulateSoftSoAPanics(t *testing.T) { t.Run(Kernel(), testDemodulateSoftSoAPanics) }
 
 func testDemodulateSoftSoAPanics(t *testing.T) {
 	tab := Get(QPSK)

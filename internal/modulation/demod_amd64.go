@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package modulation
 
 import "repro/internal/cpu"
@@ -14,7 +16,6 @@ import "repro/internal/cpu"
 func init() {
 	if cpu.HasAVX2() {
 		simdSoA = (*Table).soaGroupsAVX2
-		simdName = "avx2"
 	}
 }
 

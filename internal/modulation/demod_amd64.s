@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // AVX2 max-log-MAP kernels for DemodulateSoftSoA (DESIGN §21). See

@@ -14,30 +14,26 @@ func forceGoKernels() (restore func()) {
 	return func() { simdSoA = saved }
 }
 
-// forEachKernel runs f once per SoA kernel this process can run — the Go
-// loop always, then the platform's vector kernel where init selected it —
-// as subtests named after Kernel().
-func forEachKernel(t *testing.T, f func(t *testing.T)) {
+// TestKernelName pins the two names Kernel reports: "generic" while the
+// Go loop run, "avx2" where init selected the vector SoA kernel. The
+// package's kernel-dependent tests run in a subtest named after Kernel(),
+// so a -v run shows which SoA kernel a suite exercised.
+func TestKernelName(t *testing.T) {
 	restore := forceGoKernels()
-	t.Run(Kernel(), f)
+	t.Run(Kernel(), func(t *testing.T) {
+		if got := Kernel(); got != "generic" {
+			t.Fatalf("fallback reports %q, want \"generic\"", got)
+		}
+	})
 	restore()
 	if simdSoA != nil {
-		t.Run(Kernel(), f)
+		t.Run(Kernel(), func(t *testing.T) {
+			if got := Kernel(); got != "avx2" {
+				t.Fatalf("vector SoA kernel report %q, want \"avx2\"", got)
+			}
+		})
 	}
-}
-
-// TestKernelName pins the two names Kernel can report and that forcing
-// the fallback is visible through it.
-func TestKernelName(t *testing.T) {
-	var seen []string
-	forEachKernel(t, func(t *testing.T) { seen = append(seen, Kernel()) })
-	if seen[0] != "generic" {
-		t.Fatalf("fallback kernel reports %q, want \"generic\"", seen[0])
-	}
-	if len(seen) == 2 && seen[1] != "avx2" {
-		t.Fatalf("vector kernel reports %q, want \"avx2\"", seen[1])
-	}
-	t.Logf("kernels available: %v; selected: %s", seen, Kernel())
+	t.Logf("selected: %s", Kernel())
 }
 
 // firstLLRDiff returns the index of the first LLR whose bits differ, or

@@ -69,17 +69,12 @@ type Metrics struct {
 	DecodeIters      atomic.Int64
 	DecodeEarlyExits atomic.Int64
 	DecodeIterHist   stats.Hist
-	// DecodeKernel names the LDPC layer kernels the engine's decoders run
-	// ("avx2" or "generic", DESIGN §13). Set once, before the engine's
-	// goroutines start; exported so that a host that silently fell back
-	// to the scalar kernels is visible on every obs surface.
-	DecodeKernel string
-	// FFTKernel names the split-radix stage kernels the engine's FFT plan
-	// runs ("avx2" or "generic", DESIGN §10), under the same rules.
-	FFTKernel string
-	// DemodKernel names the SoA soft-demodulation kernel the engine's
-	// demod tasks run ("avx2" or "generic", DESIGN §9), likewise.
-	DemodKernel string
+	// Kernels names the implementation each hand-vectorised stage runs,
+	// in pipeline order (decode, fft, demod; internal/cpu states the
+	// selection rule). Filled once by the engine before its goroutines
+	// start, so a host that silently fell back to the Go loops is visible
+	// on every obs surface.
+	Kernels []KernelRow
 
 	// StageBusy streams each completed frame's per-stage busy time
 	// (DESIGN §17): the live SLO-attribution histograms that answer
@@ -213,9 +208,16 @@ type DecodeSnap struct {
 	MaxIters      int64   `json:"max_iters"`
 	EarlyExits    int64   `json:"early_exits"`
 	EarlyExitRate float64 `json:"early_exit_rate"`
-	// Kernel is the LDPC layer-kernel implementation in use.
-	Kernel string `json:"kernel,omitempty"`
 }
+
+// KernelRow names the kernel implementation one pipeline stage runs.
+type KernelRow struct {
+	Stage  string `json:"stage"`  // "decode", "fft" or "demod"
+	Kernel string `json:"kernel"` // "avx2" or "generic"
+}
+
+// String renders the row as stage=kernel, the cmd/agora start-up form.
+func (r KernelRow) String() string { return r.Stage + "=" + r.Kernel }
 
 // GCSnap carries the process-wide garbage-collector totals (from the
 // runtime/metrics sampler in gcstats.go — no stop-the-world, unlike
@@ -238,11 +240,9 @@ type Snapshot struct {
 	Arena         ArenaSnap             `json:"arena"`
 	Fronthaul     FronthaulSnap         `json:"fronthaul"`
 	Decode        DecodeSnap            `json:"decode"`
-	// FFTKernel is the FFT stage-kernel implementation in use.
-	FFTKernel string `json:"fft_kernel,omitempty"`
-	// DemodKernel is the soft-demodulation kernel in use.
-	DemodKernel string `json:"demod_kernel,omitempty"`
-	GC          GCSnap `json:"gc"`
+	// Kernels is Metrics.Kernels.
+	Kernels []KernelRow `json:"kernels,omitempty"`
+	GC      GCSnap      `json:"gc"`
 	// SLO is the live per-stage budget attribution (DESIGN §17),
 	// present once at least one frame has completed with the recorder on.
 	SLO []StageSLO `json:"slo,omitempty"`
@@ -305,8 +305,7 @@ func (m *Metrics) Snap() Snapshot {
 		FECRecovered: m.FECRecovered.Load(),
 	}
 	s.Decode = m.DecodeSnap()
-	s.FFTKernel = m.FFTKernel
-	s.DemodKernel = m.DemodKernel
+	s.Kernels = m.Kernels
 	s.SLO = m.SLORows()
 	s.Incidents = m.Incidents.Load()
 	if t := m.HighWaterReset.Load(); t > 0 {
@@ -323,7 +322,6 @@ func (m *Metrics) DecodeSnap() DecodeSnap {
 		Iters:      m.DecodeIters.Load(),
 		EarlyExits: m.DecodeEarlyExits.Load(),
 		MaxIters:   int64(m.DecodeIterHist.Max()),
-		Kernel:     m.DecodeKernel,
 	}
 	if s.Blocks > 0 {
 		s.MeanIters = float64(s.Iters) / float64(s.Blocks)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,6 +178,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.SampleQueue(int(queue.TaskDecode), 5)
 	m.SampleQueue(int(queue.TaskDecode), 2)
 	m.SampleQueue(GaugeRX, 9)
+	m.Kernels = []KernelRow{{"decode", "avx2"}, {"fft", "generic"}}
 	s := m.Snap()
 	if s.Frames != 2 || s.Dropped != 1 || s.DeadlineMiss != 1 {
 		t.Fatalf("counters wrong: %+v", s)
@@ -191,8 +193,20 @@ func TestMetricsSnapshot(t *testing.T) {
 	if s.Latency.MaxMS < 2.9 || s.Latency.MaxMS > 3.1 {
 		t.Fatalf("latency max = %v ms", s.Latency.MaxMS)
 	}
-	if _, err := json.Marshal(s); err != nil {
+	raw, err := json.Marshal(s)
+	if err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
+	}
+	// The kernel table round-trips under one "kernels" key.
+	if want := `"kernels":[{"stage":"decode","kernel":"avx2"},{"stage":"fft","kernel":"generic"}]`; !bytes.Contains(raw, []byte(want)) {
+		t.Fatalf("snapshot JSON lacks %s:\n%s", want, raw)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back.Kernels, m.Kernels) {
+		t.Fatalf("kernels round-trip %v, want %v", back.Kernels, m.Kernels)
 	}
 }
 

@@ -228,23 +228,12 @@ func collectSnapshot(ps *promSet, s *Snapshot, base []promLabel) {
 }
 
 // collectProcess adds the series that describe the process rather than
-// one engine: the decode, FFT and demod kernels CPUID selected and the GC
-// totals.
+// one engine: the kernel table and the GC totals.
 func collectProcess(ps *promSet, s *Snapshot) {
-	if s.Decode.Kernel != "" {
-		ps.add("agora_decode_kernel_info", "gauge",
-			"LDPC layer kernels in use (value 1; implementation in the label).",
-			1, promLabel{"kernel", s.Decode.Kernel})
-	}
-	if s.FFTKernel != "" {
-		ps.add("agora_fft_kernel_info", "gauge",
-			"FFT stage kernels in use (value 1; implementation in the label).",
-			1, promLabel{"kernel", s.FFTKernel})
-	}
-	if s.DemodKernel != "" {
-		ps.add("agora_demod_kernel_info", "gauge",
-			"Soft-demodulation kernel in use (value 1; implementation in the label).",
-			1, promLabel{"kernel", s.DemodKernel})
+	for _, k := range s.Kernels {
+		ps.add("agora_kernel_info", "gauge",
+			"Kernel implementation each vectorised stage runs (value 1; stage and implementation in the labels).",
+			1, promLabel{"stage", k.Stage}, promLabel{"kernel", k.Kernel})
 	}
 	ps.add("agora_gc_cycles_total", "counter", "Completed GC cycles.", float64(s.GC.NumGC))
 	ps.add("agora_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause time.", s.GC.PauseTotalMS/1e3)

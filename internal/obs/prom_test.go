@@ -20,12 +20,11 @@ func testSnapshot() Snapshot {
 			"Decode": {Count: 100, MeanUS: 30, TotalMS: 3},
 			"ZF":     {Count: 10, MeanUS: 50, TotalMS: 0.5},
 		},
-		Arena:       ArenaSnap{FreeStates: 4, ZFCacheHits: 9, ZFCacheMisses: 1, ZFCacheHitRate: 0.9},
-		Fronthaul:   FronthaulSnap{SeqGaps: 5, SeqLate: 1, FECRecovered: 4, RxPkts: 1000},
-		Decode:      DecodeSnap{Blocks: 100, Iters: 250, MeanIters: 2.5, MaxIters: 8, EarlyExits: 95, EarlyExitRate: 0.95, Kernel: "avx2"},
-		FFTKernel:   "generic",
-		DemodKernel: "avx2",
-		GC:          GCSnap{NumGC: 2, PauseTotalMS: 0.1},
+		Arena:     ArenaSnap{FreeStates: 4, ZFCacheHits: 9, ZFCacheMisses: 1, ZFCacheHitRate: 0.9},
+		Fronthaul: FronthaulSnap{SeqGaps: 5, SeqLate: 1, FECRecovered: 4, RxPkts: 1000},
+		Decode:    DecodeSnap{Blocks: 100, Iters: 250, MeanIters: 2.5, MaxIters: 8, EarlyExits: 95, EarlyExitRate: 0.95},
+		Kernels:   []KernelRow{{"decode", "avx2"}, {"fft", "generic"}, {"demod", "avx2"}},
+		GC:        GCSnap{NumGC: 2, PauseTotalMS: 0.1},
 		SLO: []StageSLO{
 			{Stage: "Decode", Frames: 42, MeanBusyUS: 200, P50BusyUS: 190, P99BusyUS: 260, MaxBusyUS: 300, MeanShare: 0.2},
 		},
@@ -113,9 +112,9 @@ func TestPromSnapshotFormat(t *testing.T) {
 		"agora_decode_iterations_total 250\n",
 		"agora_decode_iterations_mean 2.5\n",
 		"agora_decode_early_exit_rate 0.95\n",
-		`agora_decode_kernel_info{kernel="avx2"} 1` + "\n",
-		`agora_fft_kernel_info{kernel="generic"} 1` + "\n",
-		`agora_demod_kernel_info{kernel="avx2"} 1` + "\n",
+		`agora_kernel_info{stage="decode",kernel="avx2"} 1` + "\n",
+		`agora_kernel_info{stage="fft",kernel="generic"} 1` + "\n",
+		`agora_kernel_info{stage="demod",kernel="avx2"} 1` + "\n",
 		"agora_seq_gaps_total 5\n",
 		"agora_gc_cycles_total 2\n",
 		"agora_queue_max_reset_timestamp_seconds 1.7e+09\n",
@@ -130,6 +129,10 @@ func TestPromSnapshotFormat(t *testing.T) {
 	}
 	if samples["agora_frame_latency_seconds"] != 3 {
 		t.Fatalf("latency quantile samples = %d, want 3", samples["agora_frame_latency_seconds"])
+	}
+	// One kernel family, one sample per stage.
+	if samples["agora_kernel_info"] != 3 {
+		t.Fatalf("agora_kernel_info samples = %d, want 3", samples["agora_kernel_info"])
 	}
 }
 
@@ -164,7 +167,7 @@ func TestPromLabelEscaping(t *testing.T) {
 // TestPromFleetGrouping renders a 2-cell fleet and checks per-cell
 // series interleave inside one family block instead of repeating
 // headers, that cell state and fleet-level series are present, and that
-// process-wide GC appears exactly once (unlabeled).
+// the process-wide GC and kernel series appear once (unlabeled by cell).
 func TestPromFleetGrouping(t *testing.T) {
 	cell := func(id int, frames int64) CellSnap {
 		s := testSnapshot()
@@ -188,18 +191,16 @@ func TestPromFleetGrouping(t *testing.T) {
 		`agora_frames_total{cell="0"} 10` + "\n",
 		`agora_frames_total{cell="1"} 20` + "\n",
 		"agora_gc_cycles_total 2\n",
-		`agora_decode_kernel_info{kernel="avx2"} 1` + "\n",
-		`agora_fft_kernel_info{kernel="generic"} 1` + "\n",
-		`agora_demod_kernel_info{kernel="avx2"} 1` + "\n",
+		`agora_kernel_info{stage="decode",kernel="avx2"} 1` + "\n",
+		`agora_kernel_info{stage="fft",kernel="generic"} 1` + "\n",
+		`agora_kernel_info{stage="demod",kernel="avx2"} 1` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("fleet output missing %q:\n%s", want, text)
 		}
 	}
-	for _, fam := range []string{"agora_decode_kernel_info", "agora_fft_kernel_info", "agora_demod_kernel_info"} {
-		if samples[fam] != 1 {
-			t.Fatalf("%s samples = %d, want exactly 1 (process-wide)", fam, samples[fam])
-		}
+	if samples["agora_kernel_info"] != 3 {
+		t.Fatalf("agora_kernel_info samples = %d, want 3 (process-wide, one per stage)", samples["agora_kernel_info"])
 	}
 	if samples["agora_frames_total"] != 2 {
 		t.Fatalf("agora_frames_total samples = %d, want one per cell", samples["agora_frames_total"])
@@ -209,6 +210,9 @@ func TestPromFleetGrouping(t *testing.T) {
 	}
 	if strings.Contains(text, `agora_gc_cycles_total{`) {
 		t.Fatal("GC series must not carry a cell label")
+	}
+	if strings.Contains(text, `agora_kernel_info{cell=`) {
+		t.Fatal("kernel series must not carry a cell label")
 	}
 }
 
