@@ -46,14 +46,17 @@ generic:
 race:
 	$(GO) test -race -short ./internal/...
 
-# Short fuzz pass over the ldpc bit-packing and schedule-differential
-# targets and the vector-vs-Go kernel differentials of ldpc, fft and
+# Short fuzz pass over the ldpc bit-packing, schedule-differential and
+# codeword-shortcut targets (FuzzCodewordShortcut: a block that arrives
+# as a codeword decodes at 0 iterations to the bits one iteration would
+# give) and the vector-vs-Go kernel differentials of ldpc, fft and
 # modulation (Go runs one -fuzz target per invocation). A few seconds each
 # is a smoke pass; longer exploratory runs are
 # `go test -fuzz <Target> <package>` without -fuzztime.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
+	$(GO) test -run '^$$' -fuzz FuzzCodewordShortcut -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
@@ -67,7 +70,9 @@ benchmark-smoke:
 
 # Key benchmarks (the ones BENCH_BASELINE.json regression checks target).
 # internal/ldpc holds the rotating-input kernel A/B, Decode_AVX2 vs
-# Decode_PureGo, and internal/fft the FFT512 / ForwardIQ12_512 /
+# Decode_PureGo, and beside it Decode_Codeword, decode's fixed term
+# (clean blocks, 0 iterations; not in BENCH_BASELINE.json), internal/fft
+# the FFT512 / ForwardIQ12_512 /
 # IFFTBatch8x512 _AVX2 vs _PureGo pairs, internal/modulation the
 # DemodulateSoftSoA pair (not in BENCH_BASELINE.json: its gate is the
 # within-process ratio, EXPERIMENTS.md); each has to live next to the

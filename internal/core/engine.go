@@ -137,7 +137,6 @@ type Engine struct {
 	macPattern [][][]byte // [symbol][user] downlink truth bits
 
 	stop    chan struct{}
-	mgrDone chan struct{}
 	wg      sync.WaitGroup
 	started bool
 	prevGC  int
@@ -273,7 +272,6 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		hasDownlink: cfg.NumDownlink() > 0,
 		results:     make(chan FrameResult, 1024),
 		stop:        make(chan struct{}),
-		mgrDone:     make(chan struct{}),
 	}
 	var err error
 	e.plan, err = fft.NewPlan(cfg.OFDMSize)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/modulation"
+	"repro/internal/obs"
 )
 
 // TestDisableLayeredDecodeEquivalence is the engine-level contract for
@@ -39,18 +40,21 @@ func TestDisableLayeredDecodeEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// Decode-iteration accounting must have seen every uplink block.
-	for name, eng := range map[string]*Engine{"layered": layEng, "flooding": fldEng} {
-		snap := eng.Metrics().DecodeSnap()
-		want := int64(2 * cfg.Users) // two uplink symbols ("PUU") × users
+	// Decode-iteration accounting must have seen every uplink block, each
+	// an early exit. The clean frame's blocks arrive as codewords, which
+	// Decode's syndrome prologue returns at 0 iterations under either
+	// schedule, so the two schedules' iteration totals are equal (0).
+	lay, fld := layEng.Metrics().DecodeSnap(), fldEng.Metrics().DecodeSnap()
+	want := int64(2 * cfg.Users) // two uplink symbols ("PUU") × users
+	for name, snap := range map[string]obs.DecodeSnap{"layered": lay, "flooding": fld} {
 		if snap.Blocks != want {
 			t.Fatalf("%s: DecodeBlocks=%d want %d", name, snap.Blocks, want)
 		}
-		if snap.Iters < snap.Blocks {
-			t.Fatalf("%s: DecodeIters=%d < blocks %d", name, snap.Iters, snap.Blocks)
+		if snap.EarlyExits != snap.Blocks {
+			t.Fatalf("%s: DecodeEarlyExits=%d want every block (%d)", name, snap.EarlyExits, snap.Blocks)
 		}
-		if snap.MeanIters <= 0 || snap.MaxIters <= 0 {
-			t.Fatalf("%s: empty iteration summary %+v", name, snap)
-		}
+	}
+	if lay.Iters != 0 || fld.Iters != 0 {
+		t.Fatalf("DecodeIters layered %d, flooding %d; want 0 for both", lay.Iters, fld.Iters)
 	}
 }

@@ -99,7 +99,10 @@ const hardPad = 8
 
 // Result summarizes one decode.
 type Result struct {
-	Iterations int  // BP iterations actually run
+	// Iterations counts the BP iterations actually run. It is 0 when the
+	// channel's hard decisions already satisfy every parity check: such a
+	// block is decoded (OK) without iterating.
+	Iterations int
 	OK         bool // parity satisfied (block decoded successfully)
 }
 
@@ -110,12 +113,16 @@ type Result struct {
 // length K(). Returns the iteration count and success flag; on failure
 // info holds the best-effort hard decisions.
 //
-// The default path is the lane-major layered schedule with syndrome
-// tracking fused into the layer update (layered.go), on the platform's
-// vector layer kernels where init found them (kernel.go). Flooding
-// selects the flooding schedule (flood.go), which pays a hard-decision
-// pass and — only when a bit actually flipped — a CheckSyndrome walk per
-// iteration.
+// Both schedules share one prologue: the channel hard decisions are
+// taken while the LLRs are loaded and walked once against every parity
+// check. A block that already is a codeword returns with 0 iterations —
+// a min-sum pass over it would hand every variable messages of its own
+// sign and return the same bits (DESIGN §13). Otherwise the default path
+// is the lane-major layered schedule with syndrome tracking fused into
+// the layer update (layered.go), on the platform's vector layer kernels
+// where init found them (kernel.go). Flooding selects the flooding
+// schedule (flood.go), which pays a hard-decision pass and — only when a
+// bit actually flipped — a CheckSyndrome walk per iteration.
 func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	c := d.code
 	if len(llr) != c.N() {
@@ -124,20 +131,44 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	if len(info) != c.K() {
 		panic(fmt.Sprintf("ldpc: Decode info length %d != K %d", len(info), c.K()))
 	}
-	clear(d.r)
-	// Fold the variant into one magnitude rule, m = max(min*scl − off, 0),
-	// hoisting the Alg branch out of the per-lane hot path: offset
-	// min-sum is scl=1, off=β; normalized min-sum is scl=α, off=0 (min is
-	// non-negative, so its clamp never fires).
-	scl, off := float32(1), d.Offset
-	if d.Alg == NormalizedMinSum {
-		scl, off = d.Scale, 0
+	d.loadLLR(llr)
+	d.syn.init(c, d.hard)
+	if d.syn.nUnsat == 0 {
+		copy(info, d.hard[:c.K()])
+		return Result{OK: true}
 	}
+	clear(d.r)
+	scl, off := d.magnitudeRule()
 	if d.Flooding {
-		copy(d.l, llr)
 		return d.decodeFlood(info, maxIter, scl, off)
 	}
-	return d.decodeLayered(info, llr, maxIter, scl, off)
+	return d.decodeLayered(info, maxIter, scl, off)
+}
+
+// loadLLR copies the channel LLRs into the posterior array and takes the
+// initial hard decisions (x < 0, so −0.0 and NaN are bit 0) in the same
+// pass over them.
+func (d *Decoder) loadLLR(llr []float32) {
+	l, hard := d.l[:len(llr)], d.hard[:len(llr)]
+	for v, lv := range llr {
+		l[v] = lv
+		nb := byte(0)
+		if lv < 0 {
+			nb = 1
+		}
+		hard[v] = nb
+	}
+}
+
+// magnitudeRule folds the variant into one magnitude rule,
+// m = max(min*scl − off, 0), hoisting the Alg branch out of the per-lane
+// hot path: offset min-sum is scl=1, off=β; normalized min-sum is scl=α,
+// off=0 (min is non-negative, so its clamp never fires).
+func (d *Decoder) magnitudeRule() (scl, off float32) {
+	if d.Alg == NormalizedMinSum {
+		return d.Scale, 0
+	}
+	return 1, d.Offset
 }
 
 // BitsToBytes packs bits (one per byte, MSB first) into bytes; the final

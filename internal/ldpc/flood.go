@@ -29,15 +29,16 @@ import "math"
 // newly satisfy the parity equations, so the skip is
 // behaviour-preserving.
 
-// decodeFlood is the flooding decode loop. The hard-decision pass counts
+// decodeFlood is the flooding decode loop. The hard-decision pass notes
 // flips against the previous iteration's decisions; the syndrome walk
-// runs only on the first iteration (hard starts stale) or when at least
-// one bit flipped since the walk that most recently ran.
+// runs only when at least one bit flipped since the walk that most
+// recently ran. Decode's prologue has loaded the posteriors and already
+// walked the channel decisions (they are not a codeword), so iteration 1
+// looks for flips against them.
 func (d *Decoder) decodeFlood(info []byte, maxIter int, scl, off float32) Result {
 	c := d.code
 	res := Result{}
-	walked := false
-	pending := 0
+	flipped := false
 	for it := 1; it <= maxIter; it++ {
 		res.Iterations = it
 		copy(d.lPrev, d.l)
@@ -49,11 +50,11 @@ func (d *Decoder) decodeFlood(info []byte, maxIter int, scl, off float32) Result
 			}
 			if nb != d.hard[v] {
 				d.hard[v] = nb
-				pending++
+				flipped = true
 			}
 		}
-		if !walked || pending > 0 {
-			walked, pending = true, 0
+		if flipped {
+			flipped = false
 			if c.CheckSyndrome(d.hard) {
 				res.OK = true
 				break

@@ -3,6 +3,7 @@ package ldpc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,6 +90,46 @@ func FuzzLayeredVsFlooding(f *testing.F) {
 					t.Fatalf("both schedules converged but info bit %d differs", i)
 				}
 			}
+		}
+	})
+}
+
+// FuzzCodewordShortcut is checkCodewordShortcut (shortcut_test.go) on
+// fuzz-chosen LLR magnitudes: raw float32 bit patterns — signed zeros,
+// infinities, denormals, anything but NaN (excluded there, for the reason
+// given there) — repeated to length and given the signs of a random
+// codeword, at a fuzz-chosen rate, lifting size from laneSweepZ and
+// min-sum rule, on the Go loops and on the vector kernels where they
+// exist.
+func FuzzCodewordShortcut(f *testing.F) {
+	f.Add([]byte{}, uint8(0), int64(1))
+	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0x80, 0x3F}, uint8(0x81), int64(2))             // −0, 1
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0x80, 0x7F, 0, 0, 0, 0x3F}, uint8(0x0e), int64(3)) // denormal, +Inf, 0.5
+	f.Add([]byte{0xFF, 0xFF, 0x7F, 0x7F, 0, 0, 0, 0}, uint8(0x92), int64(4))          // MaxFloat32, +0
+	f.Fuzz(func(t *testing.T, raw []byte, mix uint8, seed int64) {
+		rate := []Rate{Rate13, Rate23, Rate89}[int(mix&3)%3]
+		code := MustNew(rate, laneSweepZ[int(mix>>2&0x1f)%len(laneSweepZ)])
+		alg := OffsetMinSum
+		if mix&0x80 != 0 {
+			alg = NormalizedMinSum
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cw := make([]byte, code.N())
+		code.Encode(cw, randInfo(rng, code.K()))
+		words := len(raw) / 4
+		llr := codewordLLR(cw, func(v int) uint32 {
+			if words == 0 {
+				return math.Float32bits(4)
+			}
+			return binary.LittleEndian.Uint32(raw[4*(v%words):])
+		})
+		where := fmt.Sprintf("rate %v Z=%d alg=%d", rate, code.Z, alg)
+		func() {
+			defer forceGoKernels()()
+			checkCodewordShortcut(t, where+" generic", code, alg, llr)
+		}()
+		if simdIterate != nil {
+			checkCodewordShortcut(t, where+" "+Kernel(), code, alg, llr)
 		}
 	})
 }

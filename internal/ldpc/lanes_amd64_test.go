@@ -281,10 +281,8 @@ func TestDecodeTrajectoryAVX2(t *testing.T) {
 					for i := code.N(); i < len(g.hard); i++ {
 						g.hard[i], v.hard[i] = 0xff, 0xff
 					}
-					scl, off := float32(1), g.Offset
-					if alg == NormalizedMinSum {
-						scl, off = g.Scale, 0
-					}
+					g.Alg = alg
+					scl, off := g.magnitudeRule()
 					for _, d := range []*diffDecoder{g, v} {
 						d.loadLLR(llr)
 						d.syn.init(code, d.hard)

@@ -3,6 +3,7 @@ package ldpc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -44,12 +45,23 @@ func garbageLLR(rng *rand.Rand, code *Code) []float32 {
 // written straight from the base graph. It walks code.rows with modular
 // indexing, keeps its own messages (msg[i][check*deg+edge]) and detects
 // convergence with a full hard-decision pass and a CheckSyndrome walk
-// every iteration. It shares none of the decoder's edge tables, lane-major
-// layout or fused syndrome, so a bug in those cannot hide in both sides.
+// every iteration — and, as textbook BP's step 0, once on the channel
+// decisions before the first, returning 0 iterations on a codeword. It
+// shares none of the decoder's edge tables, lane-major layout or fused
+// syndrome, so a bug in those cannot hide in both sides.
 func refDecode(code *Code, alg Alg, offset, scale float32, info []byte, llr []float32, maxIter int) Result {
 	z := code.Z
 	l := append([]float32(nil), llr...)
 	hard := make([]byte, len(l))
+	for v, x := range l {
+		if x < 0 {
+			hard[v] = 1
+		}
+	}
+	if code.CheckSyndrome(hard) {
+		copy(info, hard[:code.K()])
+		return Result{Iterations: 0, OK: true}
+	}
 	msg := make([][]float32, len(code.rows))
 	for i, row := range code.rows {
 		msg[i] = make([]float32, z*len(row))
@@ -172,9 +184,11 @@ func TestFusedSyndromeExact(t *testing.T) {
 	})
 }
 
-// decodeAfterGarbage runs a garbage block and then a clean one through
-// d: the clean decode must recover its bits, so no state leaks between
-// blocks.
+// decodeAfterGarbage runs a garbage block and then a noisy one through
+// d: the noisy decode must recover its bits with the Result and the
+// posterior array, bit for bit, of a fresh decoder, so no state leaks
+// between blocks. (A clean block would prove little: it is a codeword at
+// Decode's prologue and never reaches the message slab.)
 func decodeAfterGarbage(t *testing.T, d *Decoder, rng *rand.Rand, maxIter int) {
 	t.Helper()
 	code := d.code
@@ -183,11 +197,26 @@ func decodeAfterGarbage(t *testing.T, d *Decoder, rng *rand.Rand, maxIter int) {
 	info := randInfo(rng, code.K())
 	cw := make([]byte, code.N())
 	code.Encode(cw, info)
-	if res := d.Decode(out, cleanLLR(cw, 10), maxIter); !res.OK {
-		t.Fatal("clean decode failed after garbage decode")
+	llr := cleanLLR(cw, 4)
+	for i := range llr {
+		llr[i] += float32(1.5 * rng.NormFloat64())
+	}
+	fresh := NewDecoder(code)
+	fresh.Flooding = d.Flooding
+	want := fresh.Decode(make([]byte, code.K()), llr, maxIter)
+	if want.Iterations == 0 || !want.OK {
+		t.Fatalf("fresh decoder %+v: input must need iterating and converge", want)
+	}
+	if res := d.Decode(out, llr, maxIter); res != want {
+		t.Fatalf("decode after garbage %+v, fresh decoder %+v; decoder state leaked", res, want)
 	}
 	if !bytes.Equal(out, info) {
-		t.Fatal("clean decode wrong; decoder state leaked")
+		t.Fatal("decode after garbage wrong; decoder state leaked")
+	}
+	for i, x := range d.l {
+		if math.Float32bits(x) != math.Float32bits(fresh.l[i]) {
+			t.Fatalf("posterior[%d] after garbage %v, fresh decoder %v; decoder state leaked", i, x, fresh.l[i])
+		}
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 //     LLRs and the per-check parity bits (synTrack.synd, one byte per
 //     lifted check) plus the unsatisfied-check count (nUnsat) are built
 //     with one segment-streamed walk — the only full-code walk the
-//     decode ever performs.
+//     decode ever performs. nUnsat == 0 there ends the decode at
+//     iteration 0 (decoder.go).
 //   - Pass 2 of every layer compares each updated posterior's sign with
 //     the stored hard decision. On a flip it toggles the parity of
 //     exactly the checks that variable participates in, via the
@@ -149,27 +150,11 @@ func (s *synTrack) toggle(col, j int) {
 	}
 }
 
-// loadLLR copies the channel LLRs into the posterior array and takes the
-// initial hard decisions (x < 0, so −0.0 and NaN are bit 0) in the same
-// pass over them.
-func (d *Decoder) loadLLR(llr []float32) {
-	l, hard := d.l[:len(llr)], d.hard[:len(llr)]
-	for v, lv := range llr {
-		l[v] = lv
-		nb := byte(0)
-		if lv < 0 {
-			nb = 1
-		}
-		hard[v] = nb
-	}
-}
-
 // decodeLayered is the default decode loop: the lane-major layered
-// kernel with syndrome tracking fused into the layer update.
-func (d *Decoder) decodeLayered(info []byte, llr []float32, maxIter int, scl, off float32) Result {
+// kernel with syndrome tracking fused into the layer update. Decode's
+// prologue has loaded the posteriors and seeded hard and the syndrome.
+func (d *Decoder) decodeLayered(info []byte, maxIter int, scl, off float32) Result {
 	c := d.code
-	d.loadLLR(llr)
-	d.syn.init(c, d.hard)
 	iterate := simdIterate
 	if iterate == nil {
 		iterate = (*Decoder).iterateLayered

@@ -59,12 +59,14 @@ type Metrics struct {
 
 	// Decode-iteration accounting (DESIGN §13). DecodeBlocks counts code
 	// blocks decoded, DecodeIters the BP iterations they consumed, and
-	// DecodeEarlyExits the blocks whose fused syndrome check terminated
-	// them before the iteration budget — together they expose
-	// mean-iterations-to-converge and the early-exit rate, the live
-	// signals the layered-schedule tentpole moves. DecodeIterHist streams
-	// the per-block iteration counts for max/percentiles (counts are
-	// small integers, which the histogram's unit buckets hold exactly).
+	// DecodeEarlyExits the blocks whose syndrome check terminated them
+	// before the iteration budget — together they expose
+	// mean-iterations-to-converge and the early-exit rate. A block whose
+	// channel decisions already form a codeword is decoded at 0
+	// iterations and counts as an early exit. DecodeIterHist streams the
+	// per-block iteration counts for max/percentiles (counts are small
+	// integers, which the histogram's unit buckets hold exactly; bucket 0
+	// is the blocks that arrived as codewords).
 	DecodeBlocks     atomic.Int64
 	DecodeIters      atomic.Int64
 	DecodeEarlyExits atomic.Int64
@@ -102,7 +104,8 @@ func (m *Metrics) ObserveFrame(latencyNS int64) {
 }
 
 // ObserveDecode records one decoded code block: the BP iterations it ran
-// and whether it converged before exhausting the iteration budget. Called
+// (0 for a block whose channel decisions already form a codeword) and
+// whether it converged before exhausting the iteration budget. Called
 // from the decode workers' hot path, so it is a handful of atomic adds
 // and nothing else (no allocation, no locks).
 func (m *Metrics) ObserveDecode(iters int, earlyExit bool) {

@@ -207,8 +207,8 @@ func collectSnapshot(ps *promSet, s *Snapshot, base []promLabel) {
 
 	add("agora_decode_blocks_total", "counter", "LDPC code blocks decoded.", float64(s.Decode.Blocks))
 	add("agora_decode_iterations_total", "counter", "BP iterations consumed by decoded blocks.", float64(s.Decode.Iters))
-	add("agora_decode_early_exits_total", "counter", "Blocks whose fused syndrome check converged before the iteration budget.", float64(s.Decode.EarlyExits))
-	add("agora_decode_iterations_mean", "gauge", "Mean BP iterations per decoded block.", s.Decode.MeanIters)
+	add("agora_decode_early_exits_total", "counter", "Blocks whose syndrome check converged before the iteration budget, including blocks that arrived as codewords (0 iterations).", float64(s.Decode.EarlyExits))
+	add("agora_decode_iterations_mean", "gauge", "Mean BP iterations per decoded block; a block that arrived as a codeword counts 0.", s.Decode.MeanIters)
 	add("agora_decode_iterations_max", "gauge", "Largest per-block iteration count observed.", float64(s.Decode.MaxIters))
 	add("agora_decode_early_exit_rate", "gauge", "Fraction of blocks that converged before the iteration budget.", s.Decode.EarlyExitRate)
 

@@ -112,6 +112,8 @@ func TestPromSnapshotFormat(t *testing.T) {
 		"agora_decode_iterations_total 250\n",
 		"agora_decode_iterations_mean 2.5\n",
 		"agora_decode_early_exit_rate 0.95\n",
+		"# HELP agora_decode_early_exits_total Blocks whose syndrome check converged before the iteration budget, including blocks that arrived as codewords (0 iterations).\n",
+		"# HELP agora_decode_iterations_mean Mean BP iterations per decoded block; a block that arrived as a codeword counts 0.\n",
 		`agora_kernel_info{stage="decode",kernel="avx2"} 1` + "\n",
 		`agora_kernel_info{stage="fft",kernel="generic"} 1` + "\n",
 		`agora_kernel_info{stage="demod",kernel="avx2"} 1` + "\n",
