@@ -46,14 +46,20 @@ generic:
 race:
 	$(GO) test -race -short ./internal/...
 
-# Short fuzz pass over the ldpc bit-packing, schedule-differential and
-# codeword-shortcut targets (FuzzCodewordShortcut: a block that arrives
-# as a codeword decodes at 0 iterations to the bits one iteration would
-# give) and the vector-vs-Go kernel differentials of ldpc, fft and
-# modulation (Go runs one -fuzz target per invocation). A few seconds each
-# is a smoke pass; longer exploratory runs are
-# `go test -fuzz <Target> <package>` without -fuzztime.
+# Short fuzz pass over the frame DAG (FuzzFrameDAG: packets and task
+# completions of two frames in a seed-chosen order on a fuzz-chosen cell;
+# every task released exactly once, never before its dependencies, and a
+# frame done exactly at its last task), the ldpc bit-packing,
+# schedule-differential (FuzzLayeredVsFlooding: every reported success is
+# the codeword of its own bits) and codeword-shortcut targets
+# (FuzzCodewordShortcut: a block that arrives as a codeword decodes at 0
+# iterations to the bits one iteration would give) and the vector-vs-Go
+# kernel differentials of ldpc, fft and modulation (Go runs one -fuzz
+# target per invocation). A few seconds each is a smoke pass; longer
+# exploratory runs are `go test -fuzz <Target> <package>` without
+# -fuzztime.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzFrameDAG -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzCodewordShortcut -fuzztime 5s ./internal/ldpc

@@ -68,7 +68,7 @@ func TestRunUplinkRealtimePacing(t *testing.T) {
 }
 
 func TestSimulateFacade(t *testing.T) {
-	r, err := Simulate(SimConfig{UplinkSymbols: 13, Workers: 26, Frames: 6})
+	r, err := Simulate(SimConfig{Frame: Default64x16(), Workers: 26, Frames: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

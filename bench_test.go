@@ -83,7 +83,7 @@ func BenchmarkTable1_SteadyStateFrame(b *testing.B) {
 // frame under the data-parallel policy with the paper's 26 workers.
 func BenchmarkFig6_FrameLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(SimConfig{UplinkSymbols: 13, Workers: 26, Frames: 8}); err != nil {
+		if _, err := Simulate(SimConfig{Workers: 26, Frames: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkFig6_FrameLatency(b *testing.B) {
 // BenchmarkFig6_PipelineVariant is the pipeline-parallel counterpart.
 func BenchmarkFig6_PipelineVariant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(SimConfig{UplinkSymbols: 13, Workers: 26, Frames: 8,
+		if _, err := Simulate(SimConfig{Workers: 26, Frames: 8,
 			Mode: PipelineParallel}); err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func BenchmarkFig7_MIMO16x4(b *testing.B) {
 func BenchmarkFig8_WorkerSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, w := range []int{1, 26} {
-			if _, err := Simulate(SimConfig{UplinkSymbols: 13, Workers: w, Frames: 1}); err != nil {
+			if _, err := Simulate(SimConfig{Workers: w, Frames: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -164,7 +164,9 @@ func BenchmarkFig10_DataMovement(b *testing.B) {
 func BenchmarkFig11_SyncSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, m := range []int{16, 64} {
-			if _, err := Simulate(SimConfig{M: m, UplinkSymbols: 13, Workers: 26, Frames: 2}); err != nil {
+			cell := Default64x16()
+			cell.Antennas = m
+			if _, err := Simulate(SimConfig{Frame: cell, Workers: 26, Frames: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -265,7 +267,7 @@ func BenchmarkFig12_LDPCEncode(b *testing.B) {
 func BenchmarkFig13_Milestones(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, mode := range []Mode{DataParallel, PipelineParallel} {
-			if _, err := Simulate(SimConfig{UplinkSymbols: 13, Workers: 26,
+			if _, err := Simulate(SimConfig{Workers: 26,
 				Frames: 4, Mode: mode}); err != nil {
 				b.Fatal(err)
 			}
@@ -374,7 +376,7 @@ func BenchmarkTable5_ServerProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cost := PaperCostModel()
 		cost.DecodeUS *= 1.55 // AVX2-class profile
-		if _, err := Simulate(SimConfig{UplinkSymbols: 13, Workers: 32,
+		if _, err := Simulate(SimConfig{Workers: 32,
 			Frames: 4, Cost: cost}); err != nil {
 			b.Fatal(err)
 		}

@@ -62,11 +62,7 @@ func main() {
 
 	if *sim {
 		fmt.Println("\nscheduling simulation, 26 virtual workers (paper's core count):")
-		r, err := agora.Simulate(agora.SimConfig{
-			UplinkSymbols: *symbols,
-			Workers:       26,
-			Frames:        20,
-		})
+		r, err := agora.Simulate(agora.SimConfig{Frame: cfg, Workers: 26, Frames: 20})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -68,8 +68,7 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 	q := cfg.DataSubcarriers
 	groups := cfg.ZFGroups()
 	code := cfg.Code()
-	scUsed := (code.N() + int(cfg.Order) - 1) / int(cfg.Order)
-	llrBits := scUsed * int(cfg.Order)
+	llrBits := cfg.UsedSubcarriers() * int(cfg.Order)
 
 	b.csi = make([][]*mat.M, slots)
 	b.eq = make([][]*mat.M, slots)

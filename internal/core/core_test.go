@@ -419,7 +419,7 @@ func TestBuildPollOrdersPipelineCoversBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	covered := map[queue.TaskType]bool{}
-	for _, po := range eng.pollOrder {
+	for _, po := range eng.dag.Polls() {
 		if len(po) == 0 {
 			t.Fatal("worker with no assignment")
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/modulation"
 	"repro/internal/obs"
 	"repro/internal/queue"
+	"repro/internal/sched"
 )
 
 // FrameResult reports one processed frame, including the milestones
@@ -76,8 +77,7 @@ type Engine struct {
 	tr      fronthaul.Transport
 	results chan FrameResult
 
-	workers   []*worker
-	pollOrder [][]queue.TaskType
+	workers []*worker
 
 	// Observability (see internal/obs): trace is the per-worker event
 	// tracer (nil when Options.DisableTracing), met the always-on live
@@ -100,8 +100,8 @@ type Engine struct {
 
 	slotOwner []atomic.Uint32 // frame id + 1, 0 = free
 	// Fronthaul counter baselines captured by the RX goroutine at the
-	// moment a frame claims its slot. The manager reads them in
-	// newFrameState (the slotOwner publication orders the writes) so an
+	// moment a frame claims its slot. The manager reads them in admit
+	// (the slotOwner publication orders the writes) so an
 	// incident's SeqGaps/SeqLate/FEC deltas cover the frame's own window
 	// even when RX ingests the whole burst before the manager admits.
 	slotGapBase  []atomic.Int64
@@ -141,23 +141,18 @@ type Engine struct {
 	started bool
 	prevGC  int
 
-	// manager-private. All per-frame book-keeping lives in preallocated
-	// slot-indexed rings so the steady-state loop touches no maps and
-	// allocates nothing (DESIGN §14): a frame's buffer slot (Msg.Slot)
-	// is its index everywhere.
-	lastZF struct {
-		frame uint32
-		slot  int
-		valid bool
-	}
+	// manager-private. dag is the frame DAG (internal/sched): task
+	// counters, release rules, admission gate and poll orders. All other
+	// per-frame book-keeping lives in preallocated slot-indexed rings so
+	// the steady-state loop touches no maps and allocates nothing (DESIGN
+	// §14): a frame's buffer slot (Msg.Slot) is its index everywhere.
+	dag         *sched.Sched
 	zfc         zfCacheState
 	frameBySlot []*frameState  // live frames, indexed by buffer slot
 	pending     []pendingFrame // not-yet-admitted frames, indexed by slot
 	ghosts      []ghostEntry   // rejected-at-admission frames awaiting a Dropped result
 	freeStates  []*frameState  // frameState free-list (LIFO)
-	liveFrames  int
 	pendingCnt  int
-	outstanding int // tasks enqueued but not completed
 	txSeq       uint64
 }
 
@@ -199,44 +194,20 @@ type zfCacheState struct {
 	pre     []*mat.M // nil without downlink symbols
 }
 
-// frameState is the manager's book-keeping for one in-flight frame.
+// frameState is the manager's book-keeping for one in-flight frame: its
+// DAG state (ID, Slot and the task counters) plus what only the engine
+// tracks.
 type frameState struct {
-	id       uint32
-	slot     int
-	admitted bool
+	sched.Frame
+
 	firstPkt time.Time
 	start    time.Time
 
-	pilotDoneT, zfDoneT, decodeDoneT, txDoneT time.Time
-
-	pilotDone, pilotTarget int
-	zfDone, zfTarget       int
-	fftDone, fftTarget     []int // per symbol
-	demodDone, demodTarget []int
-	decodeDone             []int
-	decodeAll, decodeTotal int
-	encodeDone             []int
-	precodeDone            []int
-	ifftDone               []int
-	txDone, txTarget       int
-
-	demodEnq, precodeEnq []bool
-	fftPend              [][]uint16 // per symbol, arrived-but-unbatched antennas
-	arrivals             []int      // per symbol, packets seen
-	gotPkt               [][]bool   // per symbol/antenna: dedupe retransmits
-
-	firstTXT time.Time
-
-	// Stale-precoder state (§3.4.2): when valid, the first staleSyms
-	// downlink symbols may be precoded with slot staleSlot's precoder.
-	staleValid bool
-	staleSlot  int
+	pilotDoneT, zfDoneT, decodeDoneT, txDoneT, firstTXT time.Time
 
 	// zfCached marks a coherence-cache hit: this frame's ZF tasks copy
 	// the cached matrices instead of recomputing.
 	zfCached bool
-
-	remaining int
 
 	// rec is the frame's live SLO attribution record, filled by the
 	// manager from completion stamps; the seq*/fec bases snapshot the
@@ -258,27 +229,28 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		return nil, err
 	}
 	if opts.DisableBatching {
-		cfg.FFTBatch = 1
-		cfg.ZFBatch = 1
-		if cfg.DemodBlockSize > 8 {
-			cfg.DemodBlockSize = 8
-		}
+		cfg = cfg.Unbatched()
+	}
+	dag, err := sched.New(&cfg, sched.Params{Mode: opts.Mode, Workers: opts.Workers,
+		StaleDLSymbols: opts.StaleDLSymbols, PipelineAlloc: opts.PipelineAlloc})
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
 		cfg:         cfg,
 		opts:        opts,
 		tr:          tr,
+		dag:         dag,
 		code:        cfg.Code(),
 		hasDownlink: cfg.NumDownlink() > 0,
 		results:     make(chan FrameResult, 1024),
 		stop:        make(chan struct{}),
 	}
-	var err error
 	e.plan, err = fft.NewPlan(cfg.OFDMSize)
 	if err != nil {
 		return nil, err
 	}
-	e.scUsed = (e.code.N() + int(cfg.Order) - 1) / int(cfg.Order)
+	e.scUsed = cfg.UsedSubcarriers()
 	e.dlGain = 0.25 // keeps 12-bit TX quantization comfortable
 	e.buf = newBuffers(&e.cfg, opts.Slots, opts.DisableMemOpt)
 	if err := e.initIngest(); err != nil {
@@ -345,7 +317,6 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		}
 	}
 	e.initMACPattern()
-	e.buildPollOrders()
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
 	if !opts.DummyKernels {
 		// The platform's kernels (internal/cpu), except that the flooding
@@ -389,37 +360,16 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 // uniform worst-case depth. queue.New rounds each figure up to a power of
 // two.
 func (e *Engine) queueDepths() (task [queue.NumTaskTypes]int, rx, comp int) {
-	cfg := &e.cfg
-	m := cfg.Antennas
-	k := cfg.Users
-	g := cfg.ZFGroups()
-	p := cfg.NumPilots()
-	ul := cfg.NumUplink()
-	dl := cfg.NumDownlink()
-	task[queue.TaskPilotFFT] = p * m
-	task[queue.TaskZF] = g
-	task[queue.TaskFFT] = ul * m
-	task[queue.TaskDemod] = ul * e.demodBlocksUsed()
-	task[queue.TaskDecode] = ul * k
-	task[queue.TaskEncode] = dl * k
-	task[queue.TaskPrecode] = dl * g
-	task[queue.TaskIFFT] = dl * m
-	task[queue.TaskPacketTX] = dl * m
-	total := 0
-	for _, n := range task {
-		total += n
-	}
 	scale := func(n int) int {
-		n *= e.opts.Slots * 2
-		if n < 64 {
-			n = 64
-		}
-		return n
+		return max(n*e.opts.Slots*2, 64)
 	}
+	total := 0
 	for t := range task {
-		task[t] = scale(task[t])
+		n := e.dag.Tasks(queue.TaskType(t))
+		total += n
+		task[t] = scale(n)
 	}
-	rx = scale((p + ul) * m)
+	rx = scale(e.dag.Tasks(queue.TaskPilotFFT) + e.dag.Tasks(queue.TaskFFT))
 	comp = scale(total)
 	return task, rx, comp
 }
@@ -455,106 +405,6 @@ func (e *Engine) DownlinkTruth(sym, u int) []byte {
 		return nil
 	}
 	return e.macPattern[sym][u]
-}
-
-// dataParallelOrder is the static queue-polling priority (§3.3).
-var dataParallelOrder = []queue.TaskType{
-	queue.TaskPilotFFT, queue.TaskZF, queue.TaskFFT, queue.TaskDemod,
-	queue.TaskDecode, queue.TaskEncode, queue.TaskPrecode, queue.TaskIFFT,
-}
-
-// pipelineBlockWeights approximates each block's share of total compute
-// (from Table 3 for the uplink; coarse estimates for downlink blocks).
-var pipelineBlockWeights = map[queue.TaskType]float64{
-	queue.TaskPilotFFT: 0.06,
-	queue.TaskZF:       0.10,
-	queue.TaskFFT:      0.09,
-	queue.TaskDemod:    0.17,
-	queue.TaskDecode:   0.58,
-	queue.TaskEncode:   0.10,
-	queue.TaskPrecode:  0.20,
-	queue.TaskIFFT:     0.15,
-}
-
-func (e *Engine) buildPollOrders() {
-	e.pollOrder = make([][]queue.TaskType, e.opts.Workers)
-	if e.opts.Mode == DataParallel {
-		for i := range e.pollOrder {
-			e.pollOrder[i] = dataParallelOrder
-		}
-		return
-	}
-	// Pipeline-parallel: partition workers among the blocks in use,
-	// proportional to block weight, at least one worker per block.
-	var blocks []queue.TaskType
-	if e.cfg.NumUplink() > 0 || e.cfg.NumPilots() > 0 {
-		blocks = append(blocks, queue.TaskPilotFFT, queue.TaskZF)
-	}
-	if e.cfg.NumUplink() > 0 {
-		blocks = append(blocks, queue.TaskFFT, queue.TaskDemod, queue.TaskDecode)
-	}
-	if e.hasDownlink {
-		blocks = append(blocks, queue.TaskEncode, queue.TaskPrecode, queue.TaskIFFT)
-	}
-	alloc := make(map[queue.TaskType]int)
-	if e.opts.PipelineAlloc != nil {
-		alloc = e.opts.PipelineAlloc
-	} else {
-		var wsum float64
-		for _, b := range blocks {
-			wsum += pipelineBlockWeights[b]
-		}
-		assigned := 0
-		for _, b := range blocks {
-			n := int(float64(e.opts.Workers) * pipelineBlockWeights[b] / wsum)
-			if n < 1 {
-				n = 1
-			}
-			alloc[b] = n
-			assigned += n
-		}
-		// Trim or grow to exactly Workers, adjusting the largest group.
-		for assigned != e.opts.Workers {
-			big := blocks[0]
-			for _, b := range blocks {
-				if alloc[b] > alloc[big] {
-					big = b
-				}
-			}
-			if assigned > e.opts.Workers {
-				if alloc[big] > 1 {
-					alloc[big]--
-					assigned--
-				} else {
-					break
-				}
-			} else {
-				alloc[big]++
-				assigned++
-			}
-		}
-	}
-	wi := 0
-	for _, b := range blocks {
-		for n := 0; n < alloc[b] && wi < e.opts.Workers; n++ {
-			// PilotFFT workers also run ZF-adjacent FFT? No: strict
-			// pipeline — each worker serves exactly one queue, except
-			// PilotFFT workers also take data FFT (one FFT group as in
-			// BigStation's FFT servers).
-			switch b {
-			case queue.TaskPilotFFT:
-				e.pollOrder[wi] = []queue.TaskType{queue.TaskPilotFFT, queue.TaskFFT}
-			case queue.TaskFFT:
-				e.pollOrder[wi] = []queue.TaskType{queue.TaskFFT, queue.TaskPilotFFT}
-			default:
-				e.pollOrder[wi] = []queue.TaskType{b}
-			}
-			wi++
-		}
-	}
-	for ; wi < e.opts.Workers; wi++ { // leftovers help decode
-		e.pollOrder[wi] = []queue.TaskType{queue.TaskDecode}
-	}
 }
 
 // Start launches the manager, workers and network goroutines.
@@ -795,7 +645,7 @@ func (e *Engine) runWorker(w *worker) {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	order := e.pollOrder[w.id]
+	order := e.dag.Polls()[w.id]
 	idle := 0
 	for {
 		var m queue.Msg

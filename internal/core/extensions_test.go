@@ -382,8 +382,8 @@ func TestTaskAccountingExact(t *testing.T) {
 		}
 		eng.Stop()
 		st := eng.TaskStats()
-		// Engine-internal demod block count differs with batching off.
-		demodBlocks := eng.demodBlocksUsed()
+		// The engine's demod block count differs with batching off.
+		demodBlocks := eng.cfg.DemodBlocks()
 		want := map[queue.TaskType]int{
 			queue.TaskPilotFFT: frames * cfg.Antennas,
 			queue.TaskZF:       frames * eng.cfg.ZFGroups(),

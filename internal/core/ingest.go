@@ -303,7 +303,7 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 			return false, nil
 		}
 		// Snapshot the fronthaul counter baselines BEFORE publishing the
-		// claim: newFrameState reads them after observing slotOwner, so
+		// claim: admit reads them after observing slotOwner, so
 		// the CAS release/acquire pair orders the stores. Captured here —
 		// not at admission — because the RX goroutine may ingest an
 		// entire burst (counting its gaps) before the manager pops the

@@ -7,11 +7,13 @@ import (
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/queue"
+	"repro/internal/sched"
 )
 
 // runManager is Agora's manager thread (§3.2): it consumes RX
-// notifications and task completions, tracks per-frame dependency state,
-// and feeds the per-type task queues.
+// notifications and task completions, advances the frame DAG
+// (internal/sched), and flushes the tasks it releases onto the per-type
+// task queues.
 func (e *Engine) runManager() {
 	defer e.wg.Done()
 	if e.opts.RealTime {
@@ -38,6 +40,7 @@ func (e *Engine) runManager() {
 				break
 			}
 			e.onCompletion(m)
+			e.flush()
 			progress = true
 		}
 		for {
@@ -46,6 +49,7 @@ func (e *Engine) runManager() {
 				break
 			}
 			e.onRX(m)
+			e.flush()
 			progress = true
 		}
 		if !progress {
@@ -63,6 +67,7 @@ func (e *Engine) runManager() {
 			if idlePolls&63 == 0 {
 				if now := time.Now(); now.Sub(lastTimeoutCheck) > frameTimeout/4 {
 					e.reapStale(now)
+					e.flush()
 					lastTimeoutCheck = now
 				}
 			}
@@ -89,35 +94,11 @@ func (e *Engine) sampleQueues() {
 }
 
 // allocFrameState allocates one frameState with every slice sized for the
-// frame geometry (fftPend at full antenna capacity so per-frame appends
-// never grow it). Called only at engine construction to stock the
+// frame geometry. Called only at engine construction to stock the
 // free-list, and as overflow when more frames are concurrently tracked
 // than Slots ever provisioned.
 func (e *Engine) allocFrameState() *frameState {
-	cfg := &e.cfg
-	nSym := cfg.NumSymbols()
-	f := &frameState{
-		fftDone:     make([]int, nSym),
-		fftTarget:   make([]int, nSym),
-		demodDone:   make([]int, nSym),
-		demodTarget: make([]int, nSym),
-		decodeDone:  make([]int, nSym),
-		encodeDone:  make([]int, nSym),
-		precodeDone: make([]int, nSym),
-		ifftDone:    make([]int, nSym),
-		demodEnq:    make([]bool, nSym),
-		precodeEnq:  make([]bool, nSym),
-		fftPend:     make([][]uint16, nSym),
-		arrivals:    make([]int, nSym),
-		gotPkt:      make([][]bool, nSym),
-	}
-	for s := range f.fftPend {
-		f.fftPend[s] = make([]uint16, 0, cfg.Antennas)
-	}
-	for s := range f.gotPkt {
-		f.gotPkt[s] = make([]bool, cfg.Antennas)
-	}
-	return f
+	return &frameState{Frame: e.dag.NewFrame()}
 }
 
 // releaseFrameState returns a finished frame's state to the free-list.
@@ -132,9 +113,10 @@ func (e *Engine) releaseFrameState(f *frameState) {
 	e.met.FreeStates.Store(int64(len(e.freeStates)))
 }
 
-// newFrameState recycles a frameState off the free-list and re-derives
-// the per-frame targets. The steady-state path allocates nothing.
-func (e *Engine) newFrameState(id uint32, slot int, t time.Time) *frameState {
+// admit makes frame id live in slot: it recycles a frameState off the
+// free-list (the steady-state path allocates nothing), starts its DAG,
+// which releases any downlink encode tasks, and installs it.
+func (e *Engine) admit(id uint32, slot int, firstPkt time.Time) *frameState {
 	var f *frameState
 	if n := len(e.freeStates); n > 0 {
 		f = e.freeStates[n-1]
@@ -144,35 +126,10 @@ func (e *Engine) newFrameState(id uint32, slot int, t time.Time) *frameState {
 	} else {
 		f = e.allocFrameState()
 	}
-	cfg := &e.cfg
-	f.id, f.slot = id, slot
-	f.admitted = false
-	f.firstPkt, f.start = t, time.Time{}
+	f.firstPkt, f.start = firstPkt, time.Time{}
 	f.pilotDoneT, f.zfDoneT = time.Time{}, time.Time{}
 	f.decodeDoneT, f.txDoneT, f.firstTXT = time.Time{}, time.Time{}, time.Time{}
-	f.pilotDone, f.pilotTarget = 0, 0
-	f.zfDone, f.zfTarget = 0, 0
-	f.decodeAll, f.decodeTotal = 0, 0
-	f.txDone, f.txTarget = 0, 0
-	f.staleValid, f.zfCached = false, false
-	f.remaining = 0
-	clear(f.fftDone)
-	clear(f.fftTarget)
-	clear(f.demodDone)
-	clear(f.demodTarget)
-	clear(f.decodeDone)
-	clear(f.encodeDone)
-	clear(f.precodeDone)
-	clear(f.ifftDone)
-	clear(f.demodEnq)
-	clear(f.precodeEnq)
-	clear(f.arrivals)
-	for s := range f.fftPend {
-		f.fftPend[s] = f.fftPend[s][:0]
-	}
-	for s := range f.gotPkt {
-		clear(f.gotPkt[s])
-	}
+	f.zfCached = false
 	f.rec.Reset(id)
 	// Counter baselines were snapshotted by the RX goroutine when this
 	// frame claimed its slot (see acceptPacket) — reading the live
@@ -181,60 +138,15 @@ func (e *Engine) newFrameState(id uint32, slot int, t time.Time) *frameState {
 	f.seqGapBase = e.slotGapBase[slot].Load()
 	f.seqLateBase = e.slotLateBase[slot].Load()
 	f.fecBase = e.slotFECBase[slot].Load()
-	m := cfg.Antennas
-	g := cfg.ZFGroups()
-	k := cfg.Users
-	f.pilotTarget = cfg.NumPilots() * m
-	f.zfTarget = g
-	total := f.pilotTarget + f.zfTarget
-	for s := 0; s < cfg.NumSymbols(); s++ {
-		switch cfg.SymbolAt(s) {
-		case frame.Uplink:
-			f.fftTarget[s] = m
-			f.demodTarget[s] = e.demodBlocksUsed()
-			total += m + f.demodTarget[s] + k
-			f.decodeTotal += k
-		case frame.Downlink:
-			total += k + g + m // encode + precode + ifft
-			f.txTarget += m
-		}
-	}
-	total += f.txTarget
-	// Stale-precoder eligibility: only the immediately preceding frame's
-	// precoder is fresh enough, and it must live in a different slot.
-	if e.opts.StaleDLSymbols > 0 && e.lastZF.valid &&
-		e.lastZF.frame+1 == id && e.lastZF.slot != slot {
-		f.staleValid = true
-		f.staleSlot = e.lastZF.slot
-	}
-	f.remaining = total
+	e.dag.Admit(&f.Frame, id, slot)
+	e.frameBySlot[slot] = f
 	return f
-}
-
-// demodBlocksUsed counts demod tasks per symbol, covering only the
-// subcarriers that carry code bits.
-func (e *Engine) demodBlocksUsed() int {
-	return (e.scUsed + e.cfg.DemodBlockSize - 1) / e.cfg.DemodBlockSize
-}
-
-// admissible implements the frame-admission gate: the data-parallel policy
-// holds the next frame back until the workers are about to go idle
-// (§3.4.1 inter-frame pipelining), while the pipeline-parallel variant
-// admits every frame immediately.
-func (e *Engine) admissible() bool {
-	if e.opts.Mode == PipelineParallel {
-		return true
-	}
-	if e.liveFrames == 0 {
-		return true
-	}
-	return e.outstanding < e.opts.Workers
 }
 
 // lookupFrame finds a live frame by id (slot scan; Slots is small).
 func (e *Engine) lookupFrame(id uint32) *frameState {
 	for _, f := range e.frameBySlot {
-		if f != nil && f.id == id {
+		if f != nil && f.ID == id {
 			return f
 		}
 	}
@@ -298,12 +210,6 @@ func (e *Engine) expireGhost(g *ghostEntry) {
 	}
 }
 
-// installFrame makes an admitted frame live in its slot.
-func (e *Engine) installFrame(f *frameState) {
-	e.frameBySlot[f.slot] = f
-	e.liveFrames++
-}
-
 // onRX handles one received-packet notification.
 func (e *Engine) onRX(m queue.Msg) {
 	if m.Aux != 0 {
@@ -319,7 +225,7 @@ func (e *Engine) onRX(m queue.Msg) {
 	}
 	e.clearGhost(m.Frame) // a packet got through after all
 	slot := int(m.Slot)
-	if f := e.frameBySlot[slot]; f != nil && f.id == m.Frame {
+	if f := e.frameBySlot[slot]; f != nil && f.ID == m.Frame {
 		e.dispatchRX(f, m)
 		return
 	}
@@ -337,11 +243,8 @@ func (e *Engine) onRX(m queue.Msg) {
 	if e.slotOwner[slot].Load() != m.Frame+1 {
 		return
 	}
-	if e.admissible() {
-		f := e.newFrameState(m.Frame, slot, time.Now())
-		e.installFrame(f)
-		e.admitDownlink(f)
-		e.dispatchRX(f, m)
+	if e.dag.Admissible() {
+		e.dispatchRX(e.admit(m.Frame, slot, time.Now()), m)
 		return
 	}
 	p := &e.pending[slot]
@@ -350,289 +253,103 @@ func (e *Engine) onRX(m queue.Msg) {
 	e.pendingCnt++
 }
 
-// admitDownlink enqueues the encode tasks of a newly admitted frame; the
-// MAC payload is already resident in the slot buffers.
-func (e *Engine) admitDownlink(f *frameState) {
-	if !e.hasDownlink {
-		return
-	}
-	for s := 0; s < e.cfg.NumSymbols(); s++ {
-		if e.cfg.SymbolAt(s) != frame.Downlink {
-			continue
-		}
-		for u := 0; u < e.cfg.Users; u++ {
-			e.enqueueTask(f, queue.Msg{
-				Type: queue.TaskEncode, Frame: f.id, Slot: uint32(f.slot),
-				Symbol: uint16(s), TaskIdx: uint16(u), Batch: 1,
-			})
-		}
-	}
-}
-
-// dispatchRX turns one packet arrival into (batched) FFT work.
-// Duplicate packets (UDP retransmits, misbehaving RRUs) are dropped here:
-// processing an antenna twice would corrupt the frame's task accounting.
+// dispatchRX hands one packet arrival to the frame DAG, which releases
+// (batched) FFT work. Duplicate packets (UDP retransmits, misbehaving
+// RRUs) are dropped here: processing an antenna twice would corrupt the
+// frame's task accounting.
 func (e *Engine) dispatchRX(f *frameState, m queue.Msg) {
-	cfg := &e.cfg
-	sym := int(m.Symbol)
-	if f.gotPkt[sym][m.TaskIdx] {
+	if !e.dag.Arrive(&f.Frame, int(m.Symbol), int(m.TaskIdx)) {
 		e.drops.Add(1)
-		return
 	}
-	f.gotPkt[sym][m.TaskIdx] = true
-	taskType := queue.TaskFFT
-	if cfg.SymbolAt(sym) == frame.Pilot {
-		taskType = queue.TaskPilotFFT
-	}
-	f.arrivals[sym]++
-	f.fftPend[sym] = append(f.fftPend[sym], m.TaskIdx)
-	e.flushFFT(f, sym, taskType)
 }
 
-// flushFFT emits batched FFT messages from the pending-arrival list:
-// contiguous runs of FFTBatch antennas per message (arrival order is
-// near-sequential; everything left flushes once all antennas arrived).
-func (e *Engine) flushFFT(f *frameState, sym int, t queue.TaskType) {
-	batch := e.cfg.FFTBatch
-	pend := f.fftPend[sym]
-	force := f.arrivals[sym] == e.cfg.Antennas
-	// Consume by index rather than re-slicing the front: pend recycles with
-	// the frameState, and advancing its base pointer would strand capacity
-	// and make the per-frame appends in dispatchRX reallocate.
-	i := 0
-	for len(pend)-i >= batch || (force && len(pend)-i > 0) {
-		n := batch
-		if n > len(pend)-i {
-			n = len(pend) - i
+// flush moves the tasks the frame DAG released onto their queues. A full
+// queue is waited out by handling completions; what those release queues
+// up behind the tasks this loop has yet to take.
+func (e *Engine) flush() {
+	for {
+		m, ok := e.dag.Next()
+		if !ok {
+			return
 		}
-		// Emit the next run of contiguous indices.
-		run := 1
-		for run < n && pend[i+run] == pend[i+run-1]+1 {
-			run++
+		if f := e.frameBySlot[m.Slot]; f != nil && f.ID == m.Frame && f.start.IsZero() {
+			f.start = time.Now()
 		}
-		e.enqueueTask(f, queue.Msg{
-			Type: t, Frame: f.id, Slot: uint32(f.slot), Symbol: uint16(sym),
-			TaskIdx: pend[i], Batch: uint8(run),
-		})
-		i += run
-	}
-	f.fftPend[sym] = pend[:copy(pend, pend[i:])]
-}
-
-// enqueueTask puts a message on its task queue and accounts for it.
-func (e *Engine) enqueueTask(f *frameState, m queue.Msg) {
-	if f.start.IsZero() {
-		f.start = time.Now()
-	}
-	b := int(m.Batch)
-	if b < 1 {
-		b = 1
-		m.Batch = 1
-	}
-	e.outstanding += b
-	for !e.taskQ[m.Type].TryEnqueue(m) {
-		// Queue full: drain completions to make progress, then retry.
-		if cm, ok := e.compQ.TryDequeue(); ok {
-			e.onCompletion(cm)
-		} else {
-			runtime.Gosched()
+		for !e.taskQ[m.Type].TryEnqueue(m) {
+			if cm, ok := e.compQ.TryDequeue(); ok {
+				e.onCompletion(cm)
+			} else {
+				runtime.Gosched()
+			}
 		}
 	}
 }
 
-// onCompletion advances the frame state machine.
+// onCompletion advances the frame DAG by one completed task message.
 func (e *Engine) onCompletion(m queue.Msg) {
-	b := int(m.Batch)
-	if b < 1 {
-		b = 1
-	}
-	e.outstanding -= b
 	if m.Type == queue.TaskZF && m.Aux == 1 {
 		// A completed cache-copy task no longer reads the cache matrices;
 		// account it even if its frame was reaped so refresh can proceed.
-		e.zfc.copies -= b
+		e.zfc.copies -= int(m.Batch)
 	}
 	f := e.frameBySlot[m.Slot]
-	if f == nil || f.id != m.Frame {
-		return // frame was reaped
+	if f == nil || f.ID != m.Frame {
+		e.dag.Complete(nil, m) // frame was reaped
+		return
 	}
-	cfg := &e.cfg
-	sym := int(m.Symbol)
-	now := time.Now()
-	f.remaining -= b
 	if e.recorder {
-		f.rec.Observe(m.Type, m.T0, m.T1, b)
+		f.rec.Observe(m.Type, m.T0, m.T1, int(m.Batch))
 	}
-	switch m.Type {
-	case queue.TaskPilotFFT:
-		f.pilotDone += b
-		if f.pilotDone == f.pilotTarget {
-			f.pilotDoneT = now
-			// Coherence-cache decision (DESIGN §14): with the full pilot
-			// estimate in, compare it against the cached CSI snapshot. A
-			// hit turns every ZF task into a cache copy (Aux=1).
-			var aux uint64
-			if e.zfCacheHit(f) {
-				f.zfCached = true
-				aux = 1
-				e.zfc.age++
-				e.met.ZFCacheHits.Add(1)
-			} else if e.zfc.enabled {
-				e.met.ZFCacheMisses.Add(1)
-			}
-			// Enqueue all ZF groups, batched.
-			g := cfg.ZFGroups()
-			for lo := 0; lo < g; lo += cfg.ZFBatch {
-				n := cfg.ZFBatch
-				if lo+n > g {
-					n = g - lo
-				}
-				if aux == 1 {
-					// Count before enqueue: the enqueue may drain this very
-					// completion and decrement.
-					e.zfc.copies += n
-				}
-				e.enqueueTask(f, queue.Msg{
-					Type: queue.TaskZF, Frame: f.id, Slot: uint32(f.slot),
-					TaskIdx: uint16(lo), Batch: uint8(n), Aux: aux,
-				})
-			}
-		}
-	case queue.TaskZF:
-		f.zfDone += b
-		if f.zfDone == f.zfTarget {
-			f.zfDoneT = now
-			e.lastZF.frame = f.id
-			e.lastZF.slot = f.slot
-			e.lastZF.valid = true
-			if e.zfc.enabled && !f.zfCached && e.zfc.copies == 0 {
-				// Fresh recompute finished and no cache-copy task is in
-				// flight: snapshot this frame's CSI and ZF output. (If
-				// copies > 0 an older hit is still copying; skip the
-				// refresh rather than racing it — the next miss retries.)
-				e.refreshZFCache(f.slot)
-			}
-			for s := 0; s < cfg.NumSymbols(); s++ {
-				if cfg.SymbolAt(s) == frame.Uplink && f.fftDone[s] == f.fftTarget[s] {
-					e.enqueueDemod(f, s)
-				}
-				if cfg.SymbolAt(s) == frame.Downlink && f.encodeDone[s] == cfg.Users {
-					e.enqueuePrecode(f, s, 0)
-				}
-			}
-		}
-	case queue.TaskFFT:
-		f.fftDone[sym] += b
-		if f.fftDone[sym] == f.fftTarget[sym] && f.zfDone == f.zfTarget {
-			e.enqueueDemod(f, sym)
-		}
-	case queue.TaskDemod:
-		f.demodDone[sym] += b
-		if f.demodDone[sym] == f.demodTarget[sym] {
-			for u := 0; u < cfg.Users; u++ {
-				e.enqueueTask(f, queue.Msg{
-					Type: queue.TaskDecode, Frame: f.id, Slot: uint32(f.slot),
-					Symbol: uint16(sym), TaskIdx: uint16(u), Batch: 1,
-				})
-			}
-		}
-	case queue.TaskDecode:
-		f.decodeDone[sym] += b
-		f.decodeAll += b
-		if f.decodeAll == f.decodeTotal {
-			f.decodeDoneT = now
-		}
-	case queue.TaskEncode:
-		f.encodeDone[sym] += b
-		if f.encodeDone[sym] == cfg.Users {
-			switch {
-			case f.zfDone == f.zfTarget:
-				e.enqueuePrecode(f, sym, 0)
-			case f.staleValid && e.dlRank(sym) < e.opts.StaleDLSymbols:
-				// §3.4.2: precode the frame's leading downlink symbols
-				// with the previous frame's precoder so the RRU receives
-				// them before this frame's pilots are even processed.
-				e.enqueuePrecode(f, sym, uint64(f.staleSlot)+1)
-			}
-		}
-	case queue.TaskPrecode:
-		f.precodeDone[sym] += b
-		if f.precodeDone[sym] == cfg.ZFGroups() {
-			for a := 0; a < cfg.Antennas; a += cfg.FFTBatch {
-				n := cfg.FFTBatch
-				if a+n > cfg.Antennas {
-					n = cfg.Antennas - a
-				}
-				e.enqueueTask(f, queue.Msg{
-					Type: queue.TaskIFFT, Frame: f.id, Slot: uint32(f.slot),
-					Symbol: uint16(sym), TaskIdx: uint16(a), Batch: uint8(n),
-				})
-			}
-		}
-	case queue.TaskIFFT:
-		f.ifftDone[sym] += b
-		// Emit one TX message per completed antenna immediately.
-		for i := 0; i < b; i++ {
-			e.enqueueTask(f, queue.Msg{
-				Type: queue.TaskPacketTX, Frame: f.id, Slot: uint32(f.slot),
-				Symbol: m.Symbol, TaskIdx: m.TaskIdx + uint16(i), Batch: 1,
-			})
-		}
-	case queue.TaskPacketTX:
-		f.txDone += b
-		if f.firstTXT.IsZero() {
-			f.firstTXT = now
-		}
-		if f.txDone == f.txTarget {
-			f.txDoneT = now
-		}
+	ev := e.dag.Complete(&f.Frame, m)
+	if ev != 0 {
+		e.onMilestones(f, ev)
 	}
-	if f.remaining == 0 {
+	if ev&sched.FrameDone != 0 {
 		e.finishFrame(f, false)
 	} else {
 		e.tryAdmitPending()
 	}
 }
 
-// enqueueDemod schedules all demod blocks of one symbol exactly once.
-func (e *Engine) enqueueDemod(f *frameState, sym int) {
-	if f.demodEnq[sym] {
-		return
+// onMilestones stamps the milestones a completion reached and runs the
+// engine's side of them: the coherence-cache decision that releases the
+// ZF tasks, and the cache refresh once ZF is done.
+func (e *Engine) onMilestones(f *frameState, ev sched.Event) {
+	now := time.Now()
+	if ev&sched.PilotsDone != 0 {
+		f.pilotDoneT = now
+		// Coherence-cache decision (DESIGN §14): with the full pilot
+		// estimate in, compare it against the cached CSI snapshot. A hit
+		// turns every ZF task into a cache copy (Aux=1).
+		f.zfCached = e.zfCacheHit(f)
+		if f.zfCached {
+			e.zfc.age++
+			e.zfc.copies += e.cfg.ZFGroups()
+			e.met.ZFCacheHits.Add(1)
+		} else if e.zfc.enabled {
+			e.met.ZFCacheMisses.Add(1)
+		}
+		e.dag.ReleaseZF(&f.Frame, f.zfCached)
 	}
-	f.demodEnq[sym] = true
-	for blk := 0; blk < f.demodTarget[sym]; blk++ {
-		e.enqueueTask(f, queue.Msg{
-			Type: queue.TaskDemod, Frame: f.id, Slot: uint32(f.slot),
-			Symbol: uint16(sym), TaskIdx: uint16(blk), Batch: 1,
-		})
-	}
-}
-
-// enqueuePrecode schedules all precode groups of one downlink symbol
-// once. aux selects the precoder slot: 0 means the frame's own, otherwise
-// slot aux-1 (the stale-precoder path).
-func (e *Engine) enqueuePrecode(f *frameState, sym int, aux uint64) {
-	if f.precodeEnq[sym] {
-		return
-	}
-	f.precodeEnq[sym] = true
-	for g := 0; g < e.cfg.ZFGroups(); g++ {
-		e.enqueueTask(f, queue.Msg{
-			Type: queue.TaskPrecode, Frame: f.id, Slot: uint32(f.slot),
-			Symbol: uint16(sym), TaskIdx: uint16(g), Batch: 1, Aux: aux,
-		})
-	}
-}
-
-// dlRank returns sym's position among the frame's downlink symbols.
-func (e *Engine) dlRank(sym int) int {
-	r := 0
-	for s := 0; s < sym; s++ {
-		if e.cfg.SymbolAt(s) == frame.Downlink {
-			r++
+	if ev&sched.ZFDone != 0 {
+		f.zfDoneT = now
+		if e.zfc.enabled && !f.zfCached && e.zfc.copies == 0 {
+			// Fresh recompute finished and no cache-copy task is in
+			// flight: snapshot this frame's CSI and ZF output. (If copies
+			// > 0 an older hit is still copying; skip the refresh rather
+			// than racing it — the next miss retries.)
+			e.refreshZFCache(int(f.Slot))
 		}
 	}
-	return r
+	if ev&sched.DecodeDone != 0 {
+		f.decodeDoneT = now
+	}
+	if ev&sched.FirstTX != 0 {
+		f.firstTXT = now
+	}
+	if ev&sched.TXDone != 0 {
+		f.txDoneT = now
+	}
 }
 
 // zfCacheHit decides whether frame f's pilot estimate is within the
@@ -649,7 +366,7 @@ func (e *Engine) zfCacheHit(f *frameState) bool {
 	}
 	var num, den float64
 	for g := range c.csi {
-		num += c.csi[g].FrobDiffSq(e.buf.csi[f.slot][g])
+		num += c.csi[g].FrobDiffSq(e.buf.csi[f.Slot][g])
 		den += c.csi[g].FrobNormSq()
 	}
 	if den <= 0 {
@@ -678,7 +395,7 @@ func (e *Engine) refreshZFCache(slot int) {
 
 // tryAdmitPending admits buffered frames when the gate opens.
 func (e *Engine) tryAdmitPending() {
-	if e.pendingCnt == 0 || !e.admissible() {
+	if e.pendingCnt == 0 || !e.dag.Admissible() {
 		return
 	}
 	// Admit the oldest pending frame.
@@ -695,13 +412,9 @@ func (e *Engine) tryAdmitPending() {
 		return
 	}
 	p := &e.pending[oldest]
-	// Mark the entry free before dispatching: enqueueTask may drain
-	// completions and re-enter tryAdmitPending for other slots.
 	p.used = false
 	e.pendingCnt--
-	f := e.newFrameState(p.id, oldest, p.first)
-	e.installFrame(f)
-	e.admitDownlink(f)
+	f := e.admit(p.id, oldest, p.first)
 	for _, pm := range p.msgs {
 		e.dispatchRX(f, pm)
 	}
@@ -712,7 +425,7 @@ func (e *Engine) tryAdmitPending() {
 func (e *Engine) finishFrame(f *frameState, dropped bool) {
 	cfg := &e.cfg
 	res := FrameResult{
-		Frame:      f.id,
+		Frame:      f.ID,
 		Dropped:    dropped,
 		FirstPkt:   f.firstPkt,
 		Start:      f.start,
@@ -768,7 +481,7 @@ func (e *Engine) finishFrame(f *frameState, dropped bool) {
 			}
 			for u := 0; u < cfg.Users; u++ {
 				res.BlocksTotal++
-				if e.buf.decodeOK[f.slot][s][u] {
+				if e.buf.decodeOK[f.Slot][s][u] {
 					res.BlocksOK++
 				}
 			}
@@ -783,19 +496,19 @@ func (e *Engine) finishFrame(f *frameState, dropped bool) {
 				res.Bits[s] = make([][]byte, cfg.Users)
 				res.OKMask[s] = make([]bool, cfg.Users)
 				for u := 0; u < cfg.Users; u++ {
-					res.Bits[s][u] = append([]byte(nil), e.buf.decoded[f.slot][s][u]...)
-					res.OKMask[s][u] = e.buf.decodeOK[f.slot][s][u]
+					res.Bits[s][u] = append([]byte(nil), e.buf.decoded[f.Slot][s][u]...)
+					res.OKMask[s][u] = e.buf.decodeOK[f.Slot][s][u]
 				}
 			}
 		}
 	}
-	e.frameBySlot[f.slot] = nil
-	e.liveFrames--
+	e.frameBySlot[f.Slot] = nil
+	e.dag.Finish()
 	// Sweep unconsumed RX leases (lost frames abandon payloads mid-symbol)
 	// BEFORE the slot is released: once the owner word clears, netRX may
 	// lease new buffers into the same rows (DESIGN §15).
-	e.reclaimLeases(f.slot)
-	e.releaseSlot(f.slot)
+	e.reclaimLeases(int(f.Slot))
+	e.releaseSlot(int(f.Slot))
 	// Recycle the state only after every read above; late completions for
 	// this frame are filtered by the (slot, id) check in onCompletion and
 	// never touch a recycled frameState (DESIGN §14).

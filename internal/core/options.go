@@ -34,28 +34,17 @@ import (
 	"time"
 
 	"repro/internal/queue"
+	"repro/internal/sched"
 )
 
-// Mode selects the scheduling policy.
-type Mode int
+// Mode selects the scheduling policy (see internal/sched).
+type Mode = sched.Mode
 
 // Scheduling modes.
 const (
-	// DataParallel is Agora's policy: every worker can run every task
-	// type, and all workers gang up on the earliest available frame.
-	DataParallel Mode = iota
-	// PipelineParallel is the BigStation-style baseline: workers are
-	// statically partitioned into per-block groups.
-	PipelineParallel
+	DataParallel     = sched.DataParallel
+	PipelineParallel = sched.PipelineParallel
 )
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	if m == DataParallel {
-		return "data-parallel"
-	}
-	return "pipeline-parallel"
-}
 
 // Options collects the engine knobs, including every optimization the
 // paper ablates in Table 4. The zero value of each toggle is the
@@ -151,8 +140,8 @@ type Options struct {
 	DummyKernels bool
 
 	// PipelineAlloc optionally fixes the per-block worker counts for
-	// PipelineParallel mode; when nil an allocation proportional to
-	// measured block cost is used. Indexed by queue.TaskType.
+	// PipelineParallel mode; when nil Workers are split by Table 3's block
+	// cost shares (internal/sched). Indexed by queue.TaskType.
 	PipelineAlloc map[queue.TaskType]int
 
 	// KeepBits retains decoded uplink bits in each FrameResult (needed by
@@ -265,9 +254,6 @@ func (o Options) withDefaults() Options {
 
 // validate rejects nonsensical combinations.
 func (o Options) validate() error {
-	if o.Mode == PipelineParallel && o.Workers < 4 {
-		return fmt.Errorf("core: pipeline-parallel mode needs >= 4 workers, got %d", o.Workers)
-	}
 	if o.FECParity < 0 {
 		return fmt.Errorf("core: FECParity must be >= 0, got %d", o.FECParity)
 	}

@@ -225,7 +225,7 @@ func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
 func benchDemodSymbol(b *testing.B, opts Options) {
 	eng, sym := demodBenchEngine(b, opts)
 	w := eng.workers[0]
-	blocks := eng.demodBlocksUsed()
+	blocks := eng.cfg.DemodBlocks()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -162,5 +162,13 @@ func minWorkersKeepingUp(base sim.Config, lo, hi int) (int, *sim.Result, error) 
 // simBase returns the canonical 1 ms 64×16 uplink simulation config used
 // by several experiments and tests.
 func simBase() sim.Config {
-	return sim.Config{UplinkSymbols: 13, Frames: 8}
+	return sim.Config{Frames: 8}
+}
+
+// paperCell is the paper's 1 ms 64×16 uplink cell (frame.Default64x16)
+// with m antennas and k users.
+func paperCell(m, k int) frame.Config {
+	c := frame.Default64x16()
+	c.Antennas, c.Users = m, k
+	return c
 }

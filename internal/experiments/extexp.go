@@ -251,7 +251,7 @@ func ScaleUp(w io.Writer, o Opt) error {
 		cases = [][2]int{{64, 16}, {128, 64}}
 	}
 	for _, c := range cases {
-		base := sim.Config{M: c[0], K: c[1], UplinkSymbols: 13, Frames: o.frames(6, 16)}
+		base := sim.Config{Frame: paperCell(c[0], c[1]), Frames: o.frames(6, 16)}
 		cores, r, err := minWorkersKeepingUp(base, 8, 240)
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/frame"
 	"repro/internal/queue"
 	"repro/internal/sim"
 )
@@ -28,11 +29,11 @@ func Fig6(w io.Writer, o Opt) error {
 			"frame_ms", "cores", "pp_cores", "agora_ms", "pipeline_ms", "ratio")
 		for _, ms := range lengths {
 			nData := ms*14 - 1
-			base := sim.Config{Frames: frames}
+			base := sim.Config{Frame: frame.Default64x16(), Frames: frames}
 			if dir == "uplink" {
-				base.UplinkSymbols = nData
+				base.Frame.Symbols = frame.UplinkSchedule(1, nData)
 			} else {
-				base.DownlinkSymbols = nData
+				base.Frame.Symbols = frame.DownlinkSchedule(1, nData)
 			}
 			cores, ragora, err := minWorkersKeepingUp(base, 4, 40)
 			if err != nil {
@@ -66,7 +67,7 @@ func Fig8(w io.Writer, o Opt) error {
 	fmt.Fprintf(w, "%-8s %-14s %-9s %-10s\n", "workers", "processing_ms", "speedup", "keeps_up")
 	var t1 float64
 	for _, nw := range workers {
-		c := sim.Config{UplinkSymbols: 13, Workers: nw, Frames: 1}
+		c := sim.Config{Workers: nw, Frames: 1}
 		r, err := sim.Run(c)
 		if err != nil {
 			return err
@@ -95,8 +96,6 @@ func Fig10(w io.Writer, o Opt) error {
 	o = o.withDefaults()
 	fmt.Fprintln(w, "# Figure 10: cumulative data movement time across cores (simulator)")
 	fmt.Fprintln(w, "# paper: FFT & Demod dominate; grows slightly with cores, linearly with M")
-	blocks := []queue.TaskType{queue.TaskPilotFFT, queue.TaskFFT, queue.TaskDemod,
-		queue.TaskZF, queue.TaskDecode}
 	show := func(r *sim.Result) string {
 		s := ""
 		fft := r.BlockMoveMS[queue.TaskPilotFFT] + r.BlockMoveMS[queue.TaskFFT]
@@ -105,7 +104,6 @@ func Fig10(w io.Writer, o Opt) error {
 			r.BlockMoveMS[queue.TaskDecode])
 		return s
 	}
-	_ = blocks
 	fmt.Fprintln(w, "\n[left: vs workers, 64x16]")
 	fmt.Fprintf(w, "%-8s %-8s %-9s %-7s %-9s (ms, per frame)\n", "workers", "FFT", "Demod", "ZF", "Decode")
 	ws := []int{1, 6, 11, 16, 21, 26}
@@ -113,7 +111,7 @@ func Fig10(w io.Writer, o Opt) error {
 		ws = []int{1, 11, 26}
 	}
 	for _, nw := range ws {
-		r, err := sim.Run(sim.Config{UplinkSymbols: 13, Workers: nw, Frames: 1})
+		r, err := sim.Run(sim.Config{Workers: nw, Frames: 1})
 		if err != nil {
 			return err
 		}
@@ -126,7 +124,7 @@ func Fig10(w io.Writer, o Opt) error {
 		ms = []int{16, 64}
 	}
 	for _, m := range ms {
-		r, err := sim.Run(sim.Config{M: m, UplinkSymbols: 13, Workers: 26, Frames: 1})
+		r, err := sim.Run(sim.Config{Frame: paperCell(m, 16), Workers: 26, Frames: 1})
 		if err != nil {
 			return err
 		}
@@ -147,7 +145,7 @@ func Fig11(w io.Writer, o Opt) error {
 		ms = []int{16, 64}
 	}
 	for _, m := range ms {
-		base := sim.Config{M: m, UplinkSymbols: 13, Frames: o.frames(6, 16)}
+		base := sim.Config{Frame: paperCell(m, 16), Frames: o.frames(6, 16)}
 		cores, r, err := minWorkersKeepingUp(base, 4, 40)
 		if err != nil {
 			return err
@@ -166,7 +164,7 @@ func Fig13(w io.Writer, o Opt) error {
 	o = o.withDefaults()
 	frames := o.frames(6, 16)
 	run := func(mode sim.Mode) (*sim.Result, error) {
-		return sim.Run(sim.Config{UplinkSymbols: 13, Workers: 26, Frames: frames, Mode: mode})
+		return sim.Run(sim.Config{Workers: 26, Frames: frames, Mode: mode})
 	}
 	dp, err := run(sim.DataParallel)
 	if err != nil {
@@ -239,7 +237,7 @@ func Table5(w io.Writer, o Opt) error {
 		cost.ZFUS *= p.scale
 		cost.DemodPerSCUS *= p.scale
 		cost.DecodeUS *= p.scale
-		base := sim.Config{UplinkSymbols: 13, Frames: o.frames(6, 16), Cost: cost}
+		base := sim.Config{Frames: o.frames(6, 16), Cost: cost}
 		cores, r, err := minWorkersKeepingUp(base, 4, 48)
 		if err != nil {
 			return err

@@ -254,9 +254,26 @@ func (c *Config) ZFGroups() int {
 	return (c.DataSubcarriers + c.ZFGroupSize - 1) / c.ZFGroupSize
 }
 
-// DemodBlocks returns the number of demodulation tasks per data symbol.
+// UsedSubcarriers returns how many data subcarriers carry code bits: one
+// codeword per user per symbol, the rest is padding.
+func (c *Config) UsedSubcarriers() int {
+	n := (ldpc.KbBlocks + c.Rate.ParityBlocks()) * c.LiftingZ // codeword bits
+	return (n + int(c.Order) - 1) / int(c.Order)
+}
+
+// DemodBlocks returns the number of demodulation tasks per uplink symbol,
+// covering only the subcarriers that carry code bits.
 func (c *Config) DemodBlocks() int {
-	return (c.DataSubcarriers + c.DemodBlockSize - 1) / c.DemodBlockSize
+	return (c.UsedSubcarriers() + c.DemodBlockSize - 1) / c.DemodBlockSize
+}
+
+// Unbatched returns c with task batching off (§3.4): every scheduler
+// message carries one FFT or ZF task, and demod blocks shrink to at most
+// 8 subcarriers.
+func (c Config) Unbatched() Config {
+	c.FFTBatch, c.ZFBatch = 1, 1
+	c.DemodBlockSize = min(c.DemodBlockSize, 8)
+	return c
 }
 
 // UplinkBitsPerFrame returns the information bits Agora delivers to the

@@ -135,8 +135,10 @@ func TestDerivedGeometry(t *testing.T) {
 	if c.SamplesPerSymbol() != 2192 {
 		t.Fatalf("SamplesPerSymbol with CP %d", c.SamplesPerSymbol())
 	}
-	if c.DemodBlocks() != (1200+63)/64 {
-		t.Fatalf("DemodBlocks %d", c.DemodBlocks())
+	// Rate 1/3, Z=104: 6864 code bits over 64-QAM fill 1144 of the 1200
+	// data subcarriers, and demod tasks cover only those.
+	if c.UsedSubcarriers() != 1144 || c.DemodBlocks() != (1144+63)/64 {
+		t.Fatalf("UsedSubcarriers %d, DemodBlocks %d", c.UsedSubcarriers(), c.DemodBlocks())
 	}
 }
 

@@ -18,10 +18,13 @@ import "math"
 // iteration and is well known to converge in roughly half the iterations
 // at equal error rate — the gap BenchmarkDecode_Layered/_Flooding and the
 // `cmd/bench -iters` table measure. Both schedules are fixed points of
-// the same min-sum update, so on decodable inputs they agree on the
-// decoded information bits even though their LLR trajectories and
-// iteration counts legitimately differ (TestLayeredVsFloodingBits,
-// FuzzLayeredVsFlooding).
+// the same min-sum update, and on the decodable inputs of
+// TestLayeredVsFloodingBits they agree on the decoded information bits
+// even though their LLR trajectories and iteration counts legitimately
+// differ. Min-sum is not maximum-likelihood, though: on a heavily
+// corrupted word the two can converge to different codewords, so
+// FuzzLayeredVsFlooding checks only that each success is a codeword and
+// that a codeword input decodes the same under both.
 //
 // Flooding detects convergence with a hard-decision pass plus a
 // CheckSyndrome walk per iteration, but skips the walk when no hard

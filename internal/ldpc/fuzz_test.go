@@ -43,16 +43,23 @@ func FuzzBitsBytesRoundTrip(f *testing.F) {
 // FuzzLayeredVsFlooding is the differential target for the two
 // message-passing schedules: a random codeword is perturbed with
 // fuzz-chosen noise, then decoded under both the layered default and the
-// flooding ablation. Whenever both schedules report success, they must
-// have landed on the same information bits — they are
-// fixed points of the same min-sum update, so divergence means one of
-// them accepted a word whose syndrome is not actually zero (the fused
-// incremental syndrome drifting from the true parity state is exactly the
-// bug class this hunts). Iteration counts and failures may differ freely.
+// flooding ablation. Every reported success must be the codeword of its
+// own information bits: re-encoding them reproduces the decoder's hard
+// decisions, so a success on a word whose syndrome is not actually zero —
+// the fused incremental syndrome drifting from the true parity state, the
+// bug class this hunts — fails here. Min-sum is not maximum-likelihood:
+// two converged schedules may land on different codewords, one of them
+// the transmitted one (the two "0XX…" seeds are such words). So the
+// schedules are held to agree only where agreement is guaranteed: a
+// channel word that already is a codeword stops both in the shared
+// syndrome prologue, at 0 iterations with the same bits. Iteration counts
+// and failures may otherwise differ freely.
 func FuzzLayeredVsFlooding(f *testing.F) {
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte{0x80, 0x10, 0xFF, 0x7F}, int64(7))
 	f.Add([]byte{0xFF, 0xFF, 0xFF}, int64(42))
+	f.Add([]byte("0XXxcxaxXbAA"), int64(-79))
+	f.Add([]byte("0XXXcAXxAaxX"), int64(-215))
 	f.Fuzz(func(t *testing.T, noise []byte, seed int64) {
 		code := MustNew(Rate23, 16)
 		rng := rand.New(rand.NewSource(seed))
@@ -77,18 +84,27 @@ func FuzzLayeredVsFlooding(f *testing.F) {
 			}
 		}
 		const maxIter = 12
-		lay := NewDecoder(code)
-		flood := NewDecoder(code)
-		flood.Flooding = true
-		outL := make([]byte, code.K())
-		outF := make([]byte, code.K())
-		resL := lay.Decode(outL, llr, maxIter)
-		resF := flood.Decode(outF, llr, maxIter)
-		if resL.OK && resF.OK {
-			for i := range outL {
-				if outL[i] != outF[i] {
-					t.Fatalf("both schedules converged but info bit %d differs", i)
+		var res [2]Result
+		var out [2][]byte
+		for k, flooding := range []bool{false, true} {
+			d := NewDecoder(code)
+			d.Flooding = flooding
+			out[k] = make([]byte, code.K())
+			res[k] = d.Decode(out[k], llr, maxIter)
+			if !res[k].OK {
+				continue
+			}
+			re := make([]byte, code.N())
+			code.Encode(re, out[k])
+			for v, lv := range d.l[:code.N()] {
+				if hard := lv < 0; hard != (re[v] == 1) {
+					t.Fatalf("flooding=%v reported success, but bit %d of its decision is not the codeword of its info bits", flooding, v)
 				}
+			}
+		}
+		if res[0].OK && res[0].Iterations == 0 || res[1].OK && res[1].Iterations == 0 {
+			if res[0] != res[1] || !bytes.Equal(out[0], out[1]) {
+				t.Fatalf("channel word is a codeword, yet layered %+v and flooding %+v differ", res[0], res[1])
 			}
 		}
 	})

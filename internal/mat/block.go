@@ -9,8 +9,8 @@ import "fmt"
 // antenna vector of subcarrier sc occupies the contiguous complex64 run
 // [sc*M, (sc+1)*M). A block of B consecutive subcarriers is therefore a
 // ready-made B×M row-major matrix — the transpose yᵀ of the M×B matrix y
-// whose columns are the received vectors. No gather or copy is needed: the
-// buffer region is wrapped in place with NewFrom and handed to the kernel.
+// whose columns are the received vectors. No gather or copy is needed: an
+// M header over the buffer region wraps it in place for the kernel.
 //
 // MulBlockInto therefore takes the right-hand operand transposed and
 // computes, for dst R×B, w R×C and yt B×C,
@@ -26,7 +26,7 @@ import "fmt"
 
 // BlockKernel is a blocked multiply routine with the MulBlockInto
 // contract. Plans pick between size-specialized, generic and naive
-// versions, extending the "JIT GEMM" registry of gemm.go to BLAS-3.
+// versions, extending gemm.go's PlanMatVec to BLAS-3.
 type BlockKernel func(dst, w, yt *M)
 
 func checkBlockShapes(dst, w, yt *M) {
@@ -269,7 +269,7 @@ func mulBlockRows4Group(dst, w, yt *M) {
 }
 
 // blockPlans is the size-specialized plan registry, the BLAS-3 extension
-// of PlanGemm/PlanMatVec: keyed by the expected dst/w row count. Each
+// of PlanMatVec: keyed by the expected dst/w row count. Each
 // specialized kernel verifies the shape at run time and falls back to the
 // generic kernel on mismatch (tail groups, reconfigured cells). 8 and 16
 // cover the larger-cell user counts and the precode tile widths.

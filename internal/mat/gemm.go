@@ -25,24 +25,6 @@ func MulInto(dst, a, b *M) {
 	}
 }
 
-// MulIntoNaive is the textbook jik dot-product loop with strided access to
-// b. It is what straightforward non-specialized code does, and serves as
-// the "JIT GEMM disabled" baseline for the Table 4 ablation.
-func MulIntoNaive(dst, a, b *M) {
-	checkMulShapes(dst, a, b)
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		for j := 0; j < n; j++ {
-			var s complex64
-			for k := 0; k < a.Cols; k++ {
-				s += arow[k] * b.Data[k*n+j]
-			}
-			dst.Data[i*n+j] = s
-		}
-	}
-}
-
 func checkMulShapes(dst, a, b *M) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: mul shapes %dx%d * %dx%d -> %dx%d",
@@ -209,24 +191,13 @@ func MulVecIntoNaive(dst []complex64, a *M, x []complex64) {
 	}
 }
 
-// GemmKernel is a matrix-multiply routine; MatVecKernel a matrix-vector one.
-// Plans pick between specialized and naive versions, the analogue of MKL
-// JIT code generation for a fixed problem size.
-type (
-	GemmKernel   func(dst, a, b *M)
-	MatVecKernel func(dst []complex64, a *M, x []complex64)
-)
+// MatVecKernel is a matrix-vector routine. PlanMatVec picks between the
+// specialized and naive versions, the analogue of MKL JIT code generation
+// for a fixed problem size.
+type MatVecKernel func(dst []complex64, a *M, x []complex64)
 
-// PlanGemm returns the multiply kernel: the cache-blocked saxpy kernel when
-// specialization is enabled, the textbook loop otherwise.
-func PlanGemm(useSpecialized bool) GemmKernel {
-	if useSpecialized {
-		return MulInto
-	}
-	return MulIntoNaive
-}
-
-// PlanMatVec returns the matvec kernel analogously.
+// PlanMatVec returns the unrolled matvec kernel when specialization is
+// enabled, the textbook loop otherwise.
 func PlanMatVec(useSpecialized bool) MatVecKernel {
 	if useSpecialized {
 		return MulVecInto

@@ -2,8 +2,8 @@
 // precoding, standing in for Intel MKL in the original Agora. It provides:
 //
 //   - dense complex64 matrices with row-major storage,
-//   - GEMM with a generic kernel plus fully-unrolled size-specialized
-//     kernels selected at plan time (the analogue of MKL's JIT GEMM),
+//   - matrix-vector kernels selected at plan time, an unrolled one and
+//     the textbook loop (the analogue of MKL's JIT GEMM),
 //   - blocked BLAS-3 kernels (block.go): MulBlockInto computes
 //     dst = w·ytᵀ over a whole multi-subcarrier tile, with the right
 //     operand transposed so the engine's subcarrier-major buffers wrap
@@ -42,14 +42,6 @@ type M struct {
 // New allocates an r×c zero matrix.
 func New(r, c int) *M {
 	return &M{Rows: r, Cols: c, Data: make([]complex64, r*c)}
-}
-
-// NewFrom wraps existing storage (len(data) must be r*c).
-func NewFrom(r, c int, data []complex64) *M {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: NewFrom storage %d != %d*%d", len(data), r, c))
-	}
-	return &M{Rows: r, Cols: c, Data: data}
 }
 
 // At returns element (i,j).

@@ -29,21 +29,6 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMulNaiveMatchesOptimized(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][3]int{{3, 4, 5}, {16, 16, 16}, {8, 64, 2}, {1, 7, 1}} {
-		a := randM(rng, dims[0], dims[1])
-		b := randM(rng, dims[1], dims[2])
-		x := New(dims[0], dims[2])
-		y := New(dims[0], dims[2])
-		MulInto(x, a, b)
-		MulIntoNaive(y, a, b)
-		if d := x.MaxAbsDiff(y); d > 1e-4*float64(dims[1]) {
-			t.Errorf("dims %v: kernels disagree by %v", dims, d)
-		}
-	}
-}
-
 func TestMulConjA(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randM(rng, 9, 4)
@@ -320,13 +305,6 @@ func TestCond2(t *testing.T) {
 func TestPlanSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randM(rng, 16, 16)
-	b := randM(rng, 16, 16)
-	x, y := New(16, 16), New(16, 16)
-	PlanGemm(true)(x, a, b)
-	PlanGemm(false)(y, a, b)
-	if d := x.MaxAbsDiff(y); d > 1e-3 {
-		t.Fatalf("plan kernels disagree: %v", d)
-	}
 	v := make([]complex64, 16)
 	for i := range v {
 		v[i] = 1
@@ -372,28 +350,6 @@ func BenchmarkPinvSVD64x16(b *testing.B) {
 	p := New(16, 64)
 	for i := 0; i < b.N; i++ {
 		PinvSVDInto(p, h, 1e-10)
-	}
-}
-
-func BenchmarkGemmSpecialized16(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randM(rng, 16, 64)
-	x := randM(rng, 64, 16)
-	dst := New(16, 16)
-	k := PlanGemm(true)
-	for i := 0; i < b.N; i++ {
-		k(dst, a, x)
-	}
-}
-
-func BenchmarkGemmNaive16(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randM(rng, 16, 64)
-	x := randM(rng, 64, 16)
-	dst := New(16, 16)
-	k := PlanGemm(false)
-	for i := 0; i < b.N; i++ {
-		k(dst, a, x)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package sim is a discrete-event simulator of Agora's scheduling: it
-// replays the exact per-frame task DAG (pilot FFT → ZF → FFT → demod →
-// decode, plus the downlink chain) over any number of virtual workers
-// under either the data-parallel or the pipeline-parallel policy, using a
-// per-task cost model calibrated from the paper's Table 3 or from
-// measurements on this machine.
+// drives the engine's own frame DAG (internal/sched: the same release
+// rules, admission gate and poll orders internal/core runs) over any
+// number of virtual workers under either the data-parallel or the
+// pipeline-parallel policy, using a per-task cost model calibrated from
+// the paper's Table 3 or from measurements on this machine.
 //
 // The simulator exists because the paper's scalability results need a
 // 26–64 core server; the evaluation machine for this reproduction has two
@@ -15,49 +15,36 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/queue"
+	"repro/internal/sched"
 )
 
 // Config describes one simulated run.
 type Config struct {
-	M, K int // antennas, users
-	Q    int // data subcarriers
-
-	PilotSymbols    int
-	UplinkSymbols   int
-	DownlinkSymbols int
-
-	SymbolUS float64 // symbol duration in µs (paper: 71.4)
+	// Frame is the cell the engine would run: geometry, symbol schedule
+	// and task granularity (ZFGroupSize, DemodBlockSize, FFTBatch,
+	// ZFBatch). The zero value means frame.Default64x16, the paper's
+	// 1 ms 64×16 uplink frame. Symbols last frame.SymbolDuration.
+	Frame frame.Config
 
 	Workers int
 	Mode    Mode
 
-	// Batch sizes (paper §3.4): tasks per manager->worker message.
-	FFTBatch, ZFBatch, DemodBatch int
-
-	// ZFGroupSize subcarriers share one ZF task (paper: 16).
-	ZFGroupSize int
-
 	Frames int
 
 	Cost CostModel
-
-	// PipelineAlloc fixes per-block worker counts in pipeline mode; nil
-	// derives an allocation proportional to total block cost.
-	PipelineAlloc map[queue.TaskType]int
 }
 
-// Mode aliases core's scheduling modes so callers use one set of
-// constants for both the real engine and the simulator.
-type Mode = core.Mode
+// Mode aliases the scheduler's modes so callers use one set of constants
+// for both the real engine and the simulator.
+type Mode = sched.Mode
 
 // Scheduling modes.
 const (
-	DataParallel     = core.DataParallel
-	PipelineParallel = core.PipelineParallel
+	DataParallel     = sched.DataParallel
+	PipelineParallel = sched.PipelineParallel
 )
 
 // CostModel gives per-task compute and data-movement costs in µs, plus
@@ -118,87 +105,48 @@ func PaperCosts() CostModel {
 // reference size used by the scaling laws.
 const refM, refK = 64.0, 16.0
 
-// scaled per-task costs for this config.
+// taskCosts are the scaled costs of one unit of each task type: a
+// subcarrier for demod, one task otherwise.
 type taskCosts struct {
-	compute map[queue.TaskType]float64
-	move    map[queue.TaskType]float64
-	batch   map[queue.TaskType]int
-	perMsg  float64
+	compute, move [queue.NumTaskTypes]float64
+	perMsg        float64
 }
 
 func (c *Config) costs() taskCosts {
-	m := float64(c.M)
-	k := float64(c.K)
+	m := float64(c.Frame.Antennas)
+	k := float64(c.Frame.Users)
+	group := float64(c.Frame.ZFGroupSize)
 	cm := c.Cost
 	cohere := 1 + cm.CoherencePerWorker*float64(c.Workers-1)
 	mScale := m / refM
-	tc := taskCosts{
-		compute: map[queue.TaskType]float64{
-			queue.TaskPilotFFT: cm.FFTUS,
-			queue.TaskFFT:      cm.FFTUS,
-			queue.TaskZF:       cm.ZFUS * (m * k * k) / (refM * refK * refK),
-			queue.TaskDemod:    cm.DemodPerSCUS * (m * k) / (refM * refK),
-			queue.TaskDecode:   cm.DecodeUS,
-			queue.TaskEncode:   cm.EncodeUS,
-			queue.TaskPrecode:  cm.PrecodePerSCUS * (m * k) / (refM * refK) * float64(c.ZFGroupSize),
-			queue.TaskIFFT:     cm.IFFTUS,
-		},
-		move: map[queue.TaskType]float64{
-			queue.TaskPilotFFT: cm.MoveFFTUS * cohere,
-			queue.TaskFFT:      cm.MoveFFTUS * cohere,
-			queue.TaskZF:       0.05 * cohere,
-			queue.TaskDemod:    cm.MoveDemodPerSCUS * mScale * cohere,
-			queue.TaskDecode:   0.3 * cohere,
-			queue.TaskEncode:   0.2 * cohere,
-			queue.TaskPrecode:  cm.MoveDemodPerSCUS * mScale * cohere * float64(c.ZFGroupSize),
-			queue.TaskIFFT:     cm.MoveFFTUS * cohere,
-		},
-		batch: map[queue.TaskType]int{
-			queue.TaskPilotFFT: c.FFTBatch,
-			queue.TaskFFT:      c.FFTBatch,
-			queue.TaskZF:       c.ZFBatch,
-			queue.TaskDemod:    1, // demod tasks already carry DemodBatch SCs
-			queue.TaskDecode:   1,
-			queue.TaskEncode:   1,
-			queue.TaskPrecode:  1,
-			queue.TaskIFFT:     c.FFTBatch,
-		},
-		perMsg: cm.SyncPerMsgUS * cohere,
-	}
+	var tc taskCosts
+	tc.compute[queue.TaskPilotFFT] = cm.FFTUS
+	tc.compute[queue.TaskFFT] = cm.FFTUS
+	tc.compute[queue.TaskZF] = cm.ZFUS * (m * k * k) / (refM * refK * refK)
+	tc.compute[queue.TaskDemod] = cm.DemodPerSCUS * (m * k) / (refM * refK)
+	tc.compute[queue.TaskDecode] = cm.DecodeUS
+	tc.compute[queue.TaskEncode] = cm.EncodeUS
+	tc.compute[queue.TaskPrecode] = cm.PrecodePerSCUS * (m * k) / (refM * refK) * group
+	tc.compute[queue.TaskIFFT] = cm.IFFTUS
+	tc.move[queue.TaskPilotFFT] = cm.MoveFFTUS * cohere
+	tc.move[queue.TaskFFT] = cm.MoveFFTUS * cohere
+	tc.move[queue.TaskZF] = 0.05 * cohere
+	tc.move[queue.TaskDemod] = cm.MoveDemodPerSCUS * mScale * cohere
+	tc.move[queue.TaskDecode] = 0.3 * cohere
+	tc.move[queue.TaskEncode] = 0.2 * cohere
+	tc.move[queue.TaskPrecode] = cm.MoveDemodPerSCUS * mScale * cohere * group
+	tc.move[queue.TaskIFFT] = cm.MoveFFTUS * cohere
+	tc.perMsg = cm.SyncPerMsgUS * cohere
 	return tc
 }
 
 // withDefaults fills unset fields from the paper's configuration.
 func (c Config) withDefaults() Config {
-	if c.M == 0 {
-		c.M = 64
-	}
-	if c.K == 0 {
-		c.K = 16
-	}
-	if c.Q == 0 {
-		c.Q = 1200
-	}
-	if c.PilotSymbols == 0 {
-		c.PilotSymbols = 1
-	}
-	if c.SymbolUS == 0 {
-		c.SymbolUS = 1000.0 / 14
+	if c.Frame.Antennas == 0 {
+		c.Frame = frame.Default64x16()
 	}
 	if c.Workers == 0 {
 		c.Workers = 26
-	}
-	if c.FFTBatch == 0 {
-		c.FFTBatch = 2
-	}
-	if c.ZFBatch == 0 {
-		c.ZFBatch = 3
-	}
-	if c.DemodBatch == 0 {
-		c.DemodBatch = 64
-	}
-	if c.ZFGroupSize == 0 {
-		c.ZFGroupSize = 16
 	}
 	if c.Frames == 0 {
 		c.Frames = 20
@@ -212,9 +160,10 @@ func (c Config) withDefaults() Config {
 // Result reports one simulated run.
 type Result struct {
 	// FrameLatencyUS is per-frame latency: decode-complete (or TX
-	// complete for downlink-only) minus first packet arrival.
+	// complete for downlink-only) minus the frame's start.
 	FrameLatencyUS []float64
-	// Milestones of the LAST steady-state frame, µs from frame start.
+	// Milestones of the LAST steady-state frame, µs from frame start;
+	// QueueDelayUS is its admission wait after its first packets landed.
 	QueueDelayUS, PilotDoneUS, ZFDoneUS, DecodeDoneUS float64
 	// Per-block wall-clock work split, cumulative across workers, ms.
 	ComputeMS, MoveMS, SyncMS float64
@@ -224,6 +173,9 @@ type Result struct {
 	// BlockSpanUS is the last frame's wall-clock span of each block:
 	// first task dispatched to last task completed (Fig. 13a).
 	BlockSpanUS map[queue.TaskType]float64
+	// Tasks counts the tasks run per type over all frames, the quantity
+	// core.Engine.TaskStats reports.
+	Tasks [queue.NumTaskTypes]int
 	// Throughput check: true when the steady-state inter-completion gap
 	// stays within the frame duration (no backlog growth).
 	KeepsUp bool
@@ -258,23 +210,13 @@ func insertionSort(s []float64) {
 	}
 }
 
-// task is one schedulable unit (a message: Batch underlying tasks).
-type task struct {
-	typ   queue.TaskType
-	frame int
-	sym   int
-	count int // batched task count
-}
-
-// event is a simulator event.
+// event is a simulator event: the packets of one symbol landing
+// (worker < 0) or a worker finishing a task message.
 type event struct {
-	at   float64
-	kind int // 0 = symbol arrival, 1 = worker done
-	// symbol arrival:
+	at         float64
 	frame, sym int
-	// worker done:
-	worker int
-	t      task
+	worker     int
+	msg        queue.Msg
 }
 
 type eventHeap []event
@@ -294,14 +236,15 @@ func (h *eventHeap) Pop() interface{} {
 // Run executes the simulation.
 func Run(c Config) (*Result, error) {
 	c = c.withDefaults()
-	if c.Workers < 1 || c.Frames < 1 {
-		return nil, fmt.Errorf("sim: bad config: %d workers, %d frames", c.Workers, c.Frames)
+	if c.Frames < 1 {
+		return nil, fmt.Errorf("sim: bad config: %d frames", c.Frames)
 	}
-	if c.Mode == PipelineParallel && c.Workers < 4 {
-		return nil, fmt.Errorf("sim: pipeline mode needs >= 4 workers")
+	if err := c.Frame.Validate(); err != nil {
+		return nil, err
 	}
-	s := newSimState(c)
-	return s.run()
+	d, err := sched.New(&c.Frame, sched.Params{Mode: c.Mode, Workers: c.Workers})
+	if err != nil {
+		return nil, err
+	}
+	return newSimState(c, d).run(), nil
 }
-
-var _ = math.Sqrt // keep math import for future jitter extension

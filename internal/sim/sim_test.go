@@ -3,15 +3,17 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/queue"
 )
 
+// ulCfg is the paper's 1 ms 64×16 frame: 1 pilot + 13 uplink symbols.
 func ulCfg(workers int, mode Mode) Config {
 	return Config{
-		UplinkSymbols: 13, // 1 ms frame: 1 pilot + 13 uplink
-		Workers:       workers,
-		Mode:          mode,
-		Frames:        12,
+		Frame:   frame.Default64x16(),
+		Workers: workers,
+		Mode:    mode,
+		Frames:  12,
 	}
 }
 
@@ -123,7 +125,7 @@ func TestMoveAndSyncGrowWithAntennas(t *testing.T) {
 	// Fig. 10 (right) / Fig. 11: movement and sync grow with M.
 	run := func(m int) *Result {
 		c := ulCfg(26, DataParallel)
-		c.M = m
+		c.Frame.Antennas = m
 		r, err := Run(c)
 		if err != nil {
 			t.Fatal(err)
@@ -169,10 +171,12 @@ func TestDecodeDominatesCompute(t *testing.T) {
 }
 
 func TestDownlinkOnly(t *testing.T) {
+	f := frame.Default64x16()
+	f.Symbols = frame.DownlinkSchedule(1, 13)
 	c := Config{
-		DownlinkSymbols: 13,
-		Workers:         21,
-		Frames:          8,
+		Frame:   f,
+		Workers: 21,
+		Frames:  8,
 	}
 	r, err := Run(c)
 	if err != nil {
@@ -191,10 +195,10 @@ func TestDownlinkOnly(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Workers: -1, UplinkSymbols: 1}); err == nil {
+	if _, err := Run(Config{Workers: -1}); err == nil {
 		t.Fatal("negative workers accepted")
 	}
-	if _, err := Run(Config{Workers: 2, Mode: PipelineParallel, UplinkSymbols: 1}); err == nil {
+	if _, err := Run(Config{Workers: 2, Mode: PipelineParallel}); err == nil {
 		t.Fatal("pipeline with 2 workers accepted")
 	}
 }

@@ -3,258 +3,127 @@ package sim
 import (
 	"container/heap"
 
+	"repro/internal/frame"
 	"repro/internal/queue"
+	"repro/internal/sched"
 )
 
-// simFrame tracks one virtual frame's DAG progress.
+// Admission states of a simulated frame, as the engine's manager sees it.
+const (
+	unseen   = iota // no packet landed yet
+	pending         // packets landed, admission gate closed
+	admitted        // live in the frame DAG
+)
+
+// simFrame is one virtual frame: its DAG state plus the virtual times
+// the Result reports.
 type simFrame struct {
-	admitted bool
-	arrivalT float64 // first-packet time
+	sched.Frame
+	state int
+	held  []int // symbols that landed while pending, replayed on admission
 
-	pilotArrived, pilotTotal int // symbols
-	symbolAvail              []bool
-
-	pilotDone, pilotTarget int
-	zfDone, zfTarget       int
-	fftDone                []int
-	demodDone              []int
-	decodeDone, decodeAll  int
-	encodeDone             []int
-	precodeDone            []int
-	ifftDone               int
-
-	demodEnq, precodeEnq []bool
-
-	remaining int // tasks (not messages) outstanding
-
-	pilotDoneT, zfDoneT, decodeDoneT, txDoneT, startT float64
-	started                                           bool
+	arrivalT, firstPktT, startT               float64
+	pilotDoneT, zfDoneT, decodeDoneT, txDoneT float64
 
 	// Per-block first-dispatch and last-completion times (Fig. 13a).
 	blockStart, blockEnd [queue.NumTaskTypes]float64
 	blockStarted         [queue.NumTaskTypes]bool
 }
 
+// simState drives a sched.Sched from an event heap: symbol arrivals feed
+// it packets, idle workers take its released tasks in their poll order,
+// and each task completes after its modelled cost.
 type simState struct {
-	c  Config
-	tc taskCosts
+	c      Config
+	d      *sched.Sched
+	tc     taskCosts
+	scUsed int
+	symUS  float64
 
-	nSym, nUL, nDL, groups, demodMsgs int
-	frameDur                          float64
-
-	events eventHeap
-
-	frames  []*simFrame
-	nextAdm int // next frame index to admit
-
-	ready   [queue.NumTaskTypes][]task
+	events  eventHeap
+	frames  []simFrame
+	pending []int // frames waiting for the admission gate, oldest first
+	ready   [queue.NumTaskTypes][]queue.Msg
 	idle    []int // idle worker ids
-	busy    []bool
-	polls   [][]queue.TaskType
-	outTask int // tasks ready+running (admission gate)
 
 	now float64
-
 	res *Result
 }
 
-func newSimState(c Config) *simState {
-	s := &simState{c: c, tc: c.costs()}
-	s.nUL = c.UplinkSymbols
-	s.nDL = c.DownlinkSymbols
-	s.nSym = c.PilotSymbols + s.nUL + s.nDL
-	s.groups = (c.Q + c.ZFGroupSize - 1) / c.ZFGroupSize
-	s.demodMsgs = (c.Q + c.DemodBatch - 1) / c.DemodBatch
-	s.frameDur = float64(s.nSym) * c.SymbolUS
-	s.busy = make([]bool, c.Workers)
+func newSimState(c Config, d *sched.Sched) *simState {
+	s := &simState{
+		c:      c,
+		d:      d,
+		tc:     c.costs(),
+		scUsed: c.Frame.UsedSubcarriers(),
+		symUS:  float64(frame.SymbolDuration.Nanoseconds()) / 1e3,
+		frames: make([]simFrame, c.Frames),
+		res: &Result{
+			BlockComputeMS: map[queue.TaskType]float64{},
+			BlockMoveMS:    map[queue.TaskType]float64{},
+		},
+	}
 	for w := 0; w < c.Workers; w++ {
 		s.idle = append(s.idle, w)
 	}
-	s.buildPolls()
-	s.frames = make([]*simFrame, c.Frames)
 	for f := range s.frames {
-		s.frames[f] = s.newFrame()
-	}
-	s.res = &Result{
-		BlockComputeMS: map[queue.TaskType]float64{},
-		BlockMoveMS:    map[queue.TaskType]float64{},
+		s.frames[f].Frame = d.NewFrame()
 	}
 	return s
 }
 
-func (s *simState) newFrame() *simFrame {
-	c := &s.c
-	f := &simFrame{
-		pilotTotal:  c.PilotSymbols,
-		symbolAvail: make([]bool, s.nSym),
-		pilotTarget: c.PilotSymbols * c.M,
-		zfTarget:    s.groups,
-		fftDone:     make([]int, s.nSym),
-		demodDone:   make([]int, s.nSym),
-		encodeDone:  make([]int, s.nSym),
-		precodeDone: make([]int, s.nSym),
-		demodEnq:    make([]bool, s.nSym),
-		precodeEnq:  make([]bool, s.nSym),
-	}
-	f.remaining = f.pilotTarget + f.zfTarget +
-		s.nUL*(c.M+c.Q+c.K) +
-		s.nDL*(c.K+s.groups+c.M)
-	return f
-}
-
-// isUL reports whether symbol index sym is an uplink data symbol.
-func (s *simState) isUL(sym int) bool {
-	return sym >= s.c.PilotSymbols && sym < s.c.PilotSymbols+s.nUL
-}
-
-// isDL reports whether symbol index sym is a downlink symbol.
-func (s *simState) isDL(sym int) bool {
-	return sym >= s.c.PilotSymbols+s.nUL
-}
-
-func (s *simState) buildPolls() {
-	order := []queue.TaskType{queue.TaskPilotFFT, queue.TaskZF, queue.TaskFFT,
-		queue.TaskDemod, queue.TaskDecode, queue.TaskEncode,
-		queue.TaskPrecode, queue.TaskIFFT}
-	s.polls = make([][]queue.TaskType, s.c.Workers)
-	if s.c.Mode == DataParallel {
-		for i := range s.polls {
-			s.polls[i] = order
-		}
-		return
-	}
-	// Pipeline: allocate workers proportional to each block's total cost.
-	type blockCost struct {
-		t    queue.TaskType
-		cost float64
-	}
-	var blocks []blockCost
-	add := func(t queue.TaskType, n int) {
-		if n > 0 {
-			blocks = append(blocks, blockCost{t, float64(n) * (s.tc.compute[t] + s.tc.move[t])})
-		}
-	}
-	add(queue.TaskPilotFFT, s.c.PilotSymbols*s.c.M)
-	add(queue.TaskZF, s.groups)
-	add(queue.TaskFFT, s.nUL*s.c.M)
-	add(queue.TaskDemod, s.nUL*s.c.Q) // per-subcarrier cost units
-	add(queue.TaskDecode, s.nUL*s.c.K)
-	add(queue.TaskEncode, s.nDL*s.c.K)
-	add(queue.TaskPrecode, s.nDL*s.groups)
-	add(queue.TaskIFFT, s.nDL*s.c.M)
-	// Paper §5.4: each block must get enough cores to finish within one
-	// frame's time budget, so start from ceil(cost/frameDur); leftover
-	// workers go to the most loaded block (highest cost per worker) to
-	// minimize the frame's critical path.
-	alloc := map[queue.TaskType]int{}
-	assigned := 0
-	for _, b := range blocks {
-		n := int(b.cost/s.frameDur) + 1
-		if override, ok := s.c.PipelineAlloc[b.t]; ok {
-			n = override
-		}
-		if n < 1 {
-			n = 1
-		}
-		alloc[b.t] = n
-		assigned += n
-	}
-	loadOf := func(t queue.TaskType) float64 {
-		for _, b := range blocks {
-			if b.t == t {
-				return b.cost / float64(alloc[t])
+func (s *simState) run() *Result {
+	// Every pilot and uplink symbol's packets land at the end of the
+	// symbol; downlink symbols need no fronthaul arrival.
+	nSym := s.c.Frame.NumSymbols()
+	frameDur := float64(nSym) * s.symUS
+	for f := range s.frames {
+		fr := &s.frames[f]
+		fr.arrivalT = float64(f) * frameDur
+		for sym := 0; sym < nSym; sym++ {
+			if k := s.c.Frame.SymbolAt(sym); k == frame.Pilot || k == frame.Uplink {
+				heap.Push(&s.events, event{
+					at: fr.arrivalT + float64(sym+1)*s.symUS, frame: f, sym: sym, worker: -1,
+				})
 			}
-		}
-		return 0
-	}
-	for assigned != s.c.Workers && len(blocks) > 0 {
-		if assigned < s.c.Workers {
-			// Give the extra worker to the most loaded block.
-			best := blocks[0].t
-			for _, b := range blocks {
-				if loadOf(b.t) > loadOf(best) {
-					best = b.t
-				}
-			}
-			alloc[best]++
-			assigned++
-		} else {
-			// Over-subscribed (cannot keep up regardless): take from the
-			// least loaded block with more than one worker.
-			victim := queue.NumTaskTypes
-			for _, b := range blocks {
-				if alloc[b.t] > 1 && (victim == queue.NumTaskTypes || loadOf(b.t) < loadOf(victim)) {
-					victim = b.t
-				}
-			}
-			if victim == queue.NumTaskTypes {
-				break
-			}
-			alloc[victim]--
-			assigned--
-		}
-	}
-	wi := 0
-	for _, b := range blocks {
-		for n := 0; n < alloc[b.t] && wi < s.c.Workers; n++ {
-			s.polls[wi] = []queue.TaskType{b.t}
-			wi++
-		}
-	}
-	for ; wi < s.c.Workers; wi++ {
-		s.polls[wi] = []queue.TaskType{queue.TaskDecode}
-	}
-}
-
-func (s *simState) run() (*Result, error) {
-	// Seed symbol-arrival events for every frame's pilot+UL symbols; DL
-	// symbols need no fronthaul arrival.
-	for f := 0; f < s.c.Frames; f++ {
-		base := float64(f) * s.frameDur
-		s.frames[f].arrivalT = base
-		for sym := 0; sym < s.c.PilotSymbols+s.nUL; sym++ {
-			heap.Push(&s.events, event{
-				at: base + float64(sym+1)*s.c.SymbolUS, kind: 0, frame: f, sym: sym,
-			})
-		}
-		if s.c.PilotSymbols+s.nUL == 0 {
-			heap.Push(&s.events, event{at: base, kind: 0, frame: f, sym: -1})
 		}
 	}
 	for len(s.events) > 0 {
 		ev := heap.Pop(&s.events).(event)
 		s.now = ev.at
-		switch ev.kind {
-		case 0:
-			s.onSymbolArrival(ev.frame, ev.sym)
-		case 1:
-			s.onWorkerDone(ev.worker, ev.t)
+		if ev.worker < 0 {
+			s.onArrival(ev.frame, ev.sym)
+		} else {
+			s.idle = append(s.idle, ev.worker)
+			fr := &s.frames[ev.msg.Frame]
+			fr.blockEnd[ev.msg.Type] = s.now
+			s.complete(fr, ev.msg)
 		}
-		s.tryAdmit()
+		s.drain()
 		s.assign()
 	}
 	// Collect latencies. A frame that never completed (e.g. a pipeline
 	// allocation that starved a block) marks the run as not keeping up.
 	complete := true
-	for f := 0; f < s.c.Frames; f++ {
-		fr := s.frames[f]
-		if fr.remaining != 0 {
+	for f := range s.frames {
+		fr := &s.frames[f]
+		if fr.Remaining != 0 {
 			complete = false
 		}
 		end := fr.decodeDoneT
-		if s.nUL == 0 {
+		if s.c.Frame.NumUplink() == 0 {
 			end = fr.txDoneT
 		}
 		s.res.FrameLatencyUS = append(s.res.FrameLatencyUS, end-fr.arrivalT)
 	}
-	last := s.frames[s.c.Frames-1]
+	last := &s.frames[len(s.frames)-1]
 	s.res.BlockSpanUS = map[queue.TaskType]float64{}
 	for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
 		if last.blockStarted[t] {
 			s.res.BlockSpanUS[t] = last.blockEnd[t] - last.blockStart[t]
 		}
 	}
-	s.res.QueueDelayUS = last.startT - last.arrivalT
+	s.res.QueueDelayUS = last.startT - last.firstPktT
 	s.res.PilotDoneUS = last.pilotDoneT - last.arrivalT
 	s.res.ZFDoneUS = last.zfDoneT - last.arrivalT
 	s.res.DecodeDoneUS = last.decodeDoneT - last.arrivalT
@@ -264,232 +133,150 @@ func (s *simState) run() (*Result, error) {
 	if n >= 4 {
 		mid := s.res.FrameLatencyUS[n/2]
 		lastL := s.res.FrameLatencyUS[n-1]
-		s.res.KeepsUp = complete && lastL-mid < 0.10*s.frameDur*float64(n-1-n/2)+1
+		s.res.KeepsUp = complete && lastL-mid < 0.10*frameDur*float64(n-1-n/2)+1
 	} else {
 		s.res.KeepsUp = complete
 	}
-	return s.res, nil
+	return s.res
 }
 
-// tryAdmit admits frames in order while the admission gate allows.
-func (s *simState) tryAdmit() {
-	for s.nextAdm < s.c.Frames {
-		fr := s.frames[s.nextAdm]
-		// Frame can only be admitted once its first symbol arrived (or
-		// immediately for downlink-only frames whose time has come).
-		if s.now+1e-9 < fr.arrivalT {
+// onArrival lands one symbol's packets, as the engine's onRX does packet
+// by packet: the frame's first packet admits it if the gate is open and
+// otherwise parks it, and a parked frame's packets are held and retried.
+func (s *simState) onArrival(f, sym int) {
+	fr := &s.frames[f]
+	switch fr.state {
+	case unseen:
+		fr.firstPktT = s.now
+		if !s.d.Admissible() {
+			fr.state = pending
+			fr.held = append(fr.held, sym)
+			s.pending = append(s.pending, f)
 			return
 		}
-		if s.c.Mode == DataParallel && s.nextAdm > 0 {
-			prev := s.frames[s.nextAdm-1]
-			if prev.remaining > 0 && s.outTask >= s.c.Workers {
-				return
-			}
-		}
-		fr.admitted = true
-		if !fr.started {
-			fr.started = true
-			fr.startT = s.now
-			if fr.startT < fr.arrivalT {
-				fr.startT = fr.arrivalT
-			}
-		}
-		// Replay buffered symbol arrivals.
-		for sym := 0; sym < s.nSym; sym++ {
-			if fr.symbolAvail[sym] {
-				s.enqueueSymbolTasks(s.nextAdm, sym)
-			}
-		}
-		// Downlink encodes are ready at admission.
-		for sym := 0; sym < s.nSym; sym++ {
-			if s.isDL(sym) {
-				for u := 0; u < s.c.K; u++ {
-					s.push(task{typ: queue.TaskEncode, frame: s.nextAdm, sym: sym, count: 1})
-				}
-			}
-		}
-		s.nextAdm++
-	}
-}
-
-func (s *simState) onSymbolArrival(f, sym int) {
-	fr := s.frames[f]
-	if sym < 0 {
-		return // downlink-only marker
-	}
-	fr.symbolAvail[sym] = true
-	if fr.admitted {
-		s.enqueueSymbolTasks(f, sym)
-	}
-}
-
-// enqueueSymbolTasks creates the FFT work for one arrived symbol.
-func (s *simState) enqueueSymbolTasks(f, sym int) {
-	fr := s.frames[f]
-	if !fr.symbolAvail[sym] {
+		s.admit(f)
+	case pending:
+		fr.held = append(fr.held, sym)
+		s.tryAdmit()
 		return
 	}
-	fr.symbolAvail[sym] = false // consume
-	t := queue.TaskFFT
-	if sym < s.c.PilotSymbols {
-		t = queue.TaskPilotFFT
-	}
-	for a := 0; a < s.c.M; a += s.c.FFTBatch {
-		n := s.c.FFTBatch
-		if a+n > s.c.M {
-			n = s.c.M - a
-		}
-		s.push(task{typ: t, frame: f, sym: sym, count: n})
+	s.arrive(fr, sym)
+}
+
+// arrive feeds every antenna's packet of sym to the DAG.
+func (s *simState) arrive(fr *simFrame, sym int) {
+	for a := 0; a < s.c.Frame.Antennas; a++ {
+		s.d.Arrive(&fr.Frame, sym, a)
 	}
 }
 
-func (s *simState) push(t task) {
-	s.ready[t.typ] = append(s.ready[t.typ], t)
-	s.outTask += t.count
+// admit starts frame f in the DAG and replays its held symbols.
+func (s *simState) admit(f int) {
+	fr := &s.frames[f]
+	fr.state = admitted
+	fr.startT = s.now
+	s.d.Admit(&fr.Frame, uint32(f), f)
+	for _, sym := range fr.held {
+		s.arrive(fr, sym)
+	}
+}
+
+// tryAdmit admits the oldest parked frame if the gate is open, at the
+// points the engine's manager tries.
+func (s *simState) tryAdmit() {
+	if len(s.pending) == 0 || !s.d.Admissible() {
+		return
+	}
+	f := s.pending[0]
+	s.pending = s.pending[1:]
+	s.admit(f)
+}
+
+// complete hands a finished task message to the DAG and stamps the
+// milestones it reached. The simulated channel never repeats, so ZF is
+// always a recompute.
+func (s *simState) complete(fr *simFrame, m queue.Msg) {
+	s.res.Tasks[m.Type] += int(m.Batch)
+	ev := s.d.Complete(&fr.Frame, m)
+	if ev&sched.PilotsDone != 0 {
+		fr.pilotDoneT = s.now
+		s.d.ReleaseZF(&fr.Frame, false)
+	}
+	if ev&sched.ZFDone != 0 {
+		fr.zfDoneT = s.now
+	}
+	if ev&sched.DecodeDone != 0 {
+		fr.decodeDoneT = s.now
+	}
+	if ev&sched.TXDone != 0 {
+		fr.txDoneT = s.now
+	}
+	if ev&sched.FrameDone != 0 {
+		s.d.Finish()
+	}
+	s.tryAdmit()
+}
+
+// drain moves released tasks to the ready queues. Downlink packets go out
+// on the engine's network thread, not a worker: they complete at once.
+func (s *simState) drain() {
+	for {
+		m, ok := s.d.Next()
+		if !ok {
+			return
+		}
+		if m.Type == queue.TaskPacketTX {
+			s.complete(&s.frames[m.Frame], m)
+			continue
+		}
+		s.ready[m.Type] = append(s.ready[m.Type], m)
+	}
 }
 
 // assign hands ready tasks to idle workers. Every idle worker is offered
 // work according to its own poll order; workers whose queues are all
 // empty stay idle.
 func (s *simState) assign() {
+	polls := s.d.Polls()
 	keep := s.idle[:0]
 	for _, w := range s.idle {
-		var picked *task
-		var typ queue.TaskType
-		for _, t := range s.polls[w] {
-			if len(s.ready[t]) > 0 {
-				tt := s.ready[t][0]
-				s.ready[t] = s.ready[t][1:]
-				picked = &tt
-				typ = t
-				break
-			}
-		}
-		if picked == nil {
+		m, ok := s.take(polls[w])
+		if !ok {
 			keep = append(keep, w)
 			continue
 		}
-		s.busy[w] = true
-		fr := s.frames[picked.frame]
-		if !fr.blockStarted[typ] {
-			fr.blockStarted[typ] = true
-			fr.blockStart[typ] = s.now
+		fr := &s.frames[m.Frame]
+		if !fr.blockStarted[m.Type] {
+			fr.blockStarted[m.Type] = true
+			fr.blockStart[m.Type] = s.now
 		}
-		comp := s.tc.compute[typ] * float64(picked.count)
-		move := s.tc.move[typ] * float64(picked.count)
+		units := float64(m.Batch)
+		if m.Type == queue.TaskDemod {
+			// A demod block covers DemodBlockSize subcarriers, fewer in the
+			// symbol's last block.
+			b := s.c.Frame.DemodBlockSize
+			units = float64(min(b, s.scUsed-int(m.TaskIdx)*b))
+		}
+		comp := s.tc.compute[m.Type] * units
+		move := s.tc.move[m.Type] * units
 		sync := s.tc.perMsg
 		s.res.ComputeMS += comp / 1000
 		s.res.MoveMS += move / 1000
 		s.res.SyncMS += sync / 1000
-		s.res.BlockComputeMS[typ] += comp / 1000
-		s.res.BlockMoveMS[typ] += move / 1000
-		heap.Push(&s.events, event{
-			at: s.now + comp + move + sync, kind: 1, worker: w, t: *picked,
-		})
+		s.res.BlockComputeMS[m.Type] += comp / 1000
+		s.res.BlockMoveMS[m.Type] += move / 1000
+		heap.Push(&s.events, event{at: s.now + comp + move + sync, worker: w, msg: m})
 	}
 	s.idle = keep
 }
 
-// onWorkerDone mirrors the manager's completion state machine.
-func (s *simState) onWorkerDone(w int, t task) {
-	s.busy[w] = false
-	s.idle = append(s.idle, w)
-	fr := s.frames[t.frame]
-	fr.remaining -= t.count
-	s.outTask -= t.count
-	fr.blockEnd[t.typ] = s.now
-	c := &s.c
-	switch t.typ {
-	case queue.TaskPilotFFT:
-		fr.pilotDone += t.count
-		if fr.pilotDone == fr.pilotTarget {
-			fr.pilotDoneT = s.now
-			for g := 0; g < s.groups; g += c.ZFBatch {
-				n := c.ZFBatch
-				if g+n > s.groups {
-					n = s.groups - g
-				}
-				s.push(task{typ: queue.TaskZF, frame: t.frame, count: n})
-			}
-		}
-	case queue.TaskZF:
-		fr.zfDone += t.count
-		if fr.zfDone == fr.zfTarget {
-			fr.zfDoneT = s.now
-			for sym := 0; sym < s.nSym; sym++ {
-				if s.isUL(sym) && fr.fftDone[sym] == c.M {
-					s.enqueueDemod(t.frame, sym)
-				}
-				if s.isDL(sym) && fr.encodeDone[sym] == c.K {
-					s.enqueuePrecode(t.frame, sym)
-				}
-			}
-		}
-	case queue.TaskFFT:
-		fr.fftDone[t.sym] += t.count
-		if fr.fftDone[t.sym] == c.M && fr.zfDone == fr.zfTarget {
-			s.enqueueDemod(t.frame, t.sym)
-		}
-	case queue.TaskDemod:
-		fr.demodDone[t.sym] += t.count
-		if fr.demodDone[t.sym] >= c.Q {
-			for u := 0; u < c.K; u++ {
-				s.push(task{typ: queue.TaskDecode, frame: t.frame, sym: t.sym, count: 1})
-			}
-		}
-	case queue.TaskDecode:
-		fr.decodeAll++
-		if fr.decodeAll == s.nUL*c.K {
-			fr.decodeDoneT = s.now
-		}
-	case queue.TaskEncode:
-		fr.encodeDone[t.sym] += t.count
-		if fr.encodeDone[t.sym] == c.K && fr.zfDone == fr.zfTarget {
-			s.enqueuePrecode(t.frame, t.sym)
-		}
-	case queue.TaskPrecode:
-		fr.precodeDone[t.sym] += t.count
-		if fr.precodeDone[t.sym] == s.groups {
-			for a := 0; a < c.M; a += c.FFTBatch {
-				n := c.FFTBatch
-				if a+n > c.M {
-					n = c.M - a
-				}
-				s.push(task{typ: queue.TaskIFFT, frame: t.frame, sym: t.sym, count: n})
-			}
-		}
-	case queue.TaskIFFT:
-		fr.ifftDone += t.count
-		if fr.ifftDone == s.nDL*c.M {
-			fr.txDoneT = s.now
+// take dequeues the first ready task in poll order.
+func (s *simState) take(order []queue.TaskType) (queue.Msg, bool) {
+	for _, t := range order {
+		if q := s.ready[t]; len(q) > 0 {
+			s.ready[t] = q[1:]
+			return q[0], true
 		}
 	}
-}
-
-func (s *simState) enqueueDemod(f, sym int) {
-	fr := s.frames[f]
-	if fr.demodEnq[sym] {
-		return
-	}
-	fr.demodEnq[sym] = true
-	left := s.c.Q
-	for left > 0 {
-		n := s.c.DemodBatch
-		if n > left {
-			n = left
-		}
-		s.push(task{typ: queue.TaskDemod, frame: f, sym: sym, count: n})
-		left -= n
-	}
-}
-
-func (s *simState) enqueuePrecode(f, sym int) {
-	fr := s.frames[f]
-	if fr.precodeEnq[sym] {
-		return
-	}
-	fr.precodeEnq[sym] = true
-	for g := 0; g < s.groups; g++ {
-		s.push(task{typ: queue.TaskPrecode, frame: f, sym: sym, count: 1})
-	}
+	return queue.Msg{}, false
 }
