@@ -85,8 +85,7 @@ func main() {
 		// per-task cost table (safe to read mid-run).
 		expvar.Publish("agora", expvar.Func(func() any { return eng.MetricsSnapshot() }))
 		registerObs(obs.PromHandler(eng.MetricsSnapshot), eng.Incidents,
-			func() obs.RateCounters { return obs.CountersFromMetrics(eng.Metrics()) },
-			eng.Metrics().ResetHighWater)
+			eng.MetricsSnapshot, eng.Metrics().ResetHighWater)
 		serveMetrics(*metrics)
 	}
 	eng.Start()
@@ -120,13 +119,13 @@ func main() {
 			if *incDir != "" {
 				dumpIncidents(eng.Incidents(), *incDir)
 			}
-			m := eng.Metrics()
+			s := eng.MetricsSnapshot()
 			fmt.Printf("\nagora: processed %d frames\n", frames)
-			fmt.Printf("agora: deadline misses %d (budget %v), incidents %d\n",
-				m.DeadlineMiss.Load(), time.Duration(m.FrameBudgetNS.Load()), m.Incidents.Load())
+			fmt.Printf("agora: deadline misses %d (budget %.3f ms), incidents %d\n",
+				s.DeadlineMiss, s.FrameBudgetMS, s.Incidents)
 			fmt.Printf("agora: latency %s\n", lat.Summary())
 			fmt.Printf("agora: blocks decoded %d/%d, packet drops %d\n", ok, total, eng.Drops())
-			fh := eng.MetricsSnapshot().Fronthaul
+			fh := s.Fronthaul
 			fmt.Printf("agora: fronthaul rx %d pkts, seq gaps %d, late %d, FEC recovered %d\n",
 				fh.RxPkts, fh.SeqGaps, fh.SeqLate, fh.FECRecovered)
 			fmt.Println("agora: per-task costs:")
@@ -168,25 +167,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 	if metrics != "" {
 		expvar.Publish("agora", expvar.Func(func() any { return fl.Snapshot() }))
 		registerObs(obs.PromFleetHandler(fl.Snapshot), fl.Incidents,
-			func() obs.RateCounters {
-				// Sum fronthaul/ZF counters across cell engines (the merged
-				// fleet Metrics only sees frame results), then overlay the
-				// fleet-level frame and incident totals.
-				var c obs.RateCounters
-				for i := 0; i < fl.Cells(); i++ {
-					ec := obs.CountersFromMetrics(fl.Engine(i).Metrics())
-					c.SeqGaps += ec.SeqGaps
-					c.FECRecovered += ec.FECRecovered
-					c.ZFHits += ec.ZFHits
-					c.ZFMisses += ec.ZFMisses
-					c.DeadlineMiss += ec.DeadlineMiss
-					c.Incidents += ec.Incidents
-				}
-				fm := obs.CountersFromMetrics(fl.Metrics())
-				c.Frames, c.Dropped = fm.Frames, fm.Dropped
-				c.Incidents += fm.Incidents
-				return c
-			},
+			func() obs.Snapshot { return fl.Snapshot().Totals },
 			func() {
 				for i := 0; i < fl.Cells(); i++ {
 					fl.Engine(i).Metrics().ResetHighWater()
@@ -243,7 +224,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 			fmt.Printf("agora: blocks decoded %d/%d, shed %d packets\n", ok, total, fl.Shed())
 			fmt.Printf("agora: totals: dropped %d, deadline misses %d, seq gaps %d, FEC recovered %d\n",
 				snap.Totals.Dropped, snap.Totals.DeadlineMiss,
-				snap.Totals.SeqGaps, snap.Totals.FECRecovered)
+				snap.Totals.Fronthaul.SeqGaps, snap.Totals.Fronthaul.FECRecovered)
 			for _, c := range snap.PerCell {
 				fmt.Printf("  cell %d [%s]: %d frames, %d dropped, p99 %.2f ms\n",
 					c.Cell, c.State, c.Frames, c.Dropped, c.Latency.P99MS)
@@ -264,7 +245,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 // /debug/rates (fed by a 1 Hz sampler goroutine), and high-water
 // windowing on /debug/reset-highwater (POST).
 func registerObs(prom http.Handler, incidents func() []agora.Incident,
-	counters func() obs.RateCounters, resetHW func()) {
+	snap func() obs.Snapshot, resetHW func()) {
 	http.Handle("/metrics", prom)
 	http.HandleFunc("/debug/incidents", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -272,7 +253,7 @@ func registerObs(prom http.Handler, incidents func() []agora.Incident,
 			log.Printf("agora: incidents: %v", err)
 		}
 	})
-	sampler := obs.NewRateSampler(300, counters) // 5 min of 1 s deltas
+	sampler := obs.NewRateSampler(300, snap) // 5 min of 1 s deltas
 	go func() {
 		tick := time.NewTicker(time.Second)
 		defer tick.Stop()

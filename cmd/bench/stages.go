@@ -104,12 +104,13 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		Config:         cfg.String(),
 		Frames:         sum.Frames,
 		Workers:        workers,
-		DeadlineMisses: sum.DeadlineMisses,
+		DeadlineMisses: sum.Metrics.DeadlineMiss,
 		MedianMS:       sum.Latency.Median().Seconds() * 1e3,
 		P999MS:         sum.Latency.P999().Seconds() * 1e3,
-		DecodeIters:    sum.Decode,
-		Kernels:        sum.Kernels,
-		SLOAttribution: sum.SLO,
+		ZFCacheHitRate: sum.Metrics.Arena.ZFCacheHitRate,
+		DecodeIters:    sum.Metrics.Decode,
+		Kernels:        sum.Metrics.Kernels,
+		SLOAttribution: sum.Metrics.SLO,
 	}
 	totalBusy := tl.TotalBusyNS()
 	// Mean per-frame wall span per stage, over the frames in the capture
@@ -139,9 +140,6 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 			row.MeanSpanUS = float64(spanSum[name]) / 1e3 / float64(n)
 		}
 		rep.Stages = append(rep.Stages, row)
-	}
-	if hits, misses := sum.ZFCacheHits, sum.ZFCacheMisses; hits+misses > 0 {
-		rep.ZFCacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	for _, r := range rep.Stages {
 		if r.Stage == "ZF" {
@@ -176,7 +174,7 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	rep.DecodeItersFlooding = fld.Decode
+	rep.DecodeItersFlooding = fld.Metrics.Decode
 	for _, w := range tl.Workers {
 		rep.WorkerUtil = append(rep.WorkerUtil, workerRow{
 			Lane:        w.Lane,

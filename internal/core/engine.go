@@ -343,7 +343,7 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		// are single-writer so emission stays lock- and allocation-free.
 		// The tracer shares the engine epoch so trace stamps and the SLO
 		// recorder's completion stamps are directly comparable.
-		e.trace = obs.NewTracer(opts.Workers+1, opts.TraceCapacity, e.epoch)
+		e.trace = obs.NewTracer(opts.Workers+1, opts.TraceCapacity)
 	}
 	for i := 0; i < opts.Workers; i++ {
 		e.workers = append(e.workers, newWorker(i, e))

@@ -44,7 +44,7 @@ func TestDisableLayeredDecodeEquivalence(t *testing.T) {
 	// an early exit. The clean frame's blocks arrive as codewords, which
 	// Decode's syndrome prologue returns at 0 iterations under either
 	// schedule, so the two schedules' iteration totals are equal (0).
-	lay, fld := layEng.Metrics().DecodeSnap(), fldEng.Metrics().DecodeSnap()
+	lay, fld := layEng.Metrics().Snap().Decode, fldEng.Metrics().Snap().Decode
 	want := int64(2 * cfg.Users) // two uplink symbols ("PUU") × users
 	for name, snap := range map[string]obs.DecodeSnap{"layered": lay, "flooding": fld} {
 		if snap.Blocks != want {

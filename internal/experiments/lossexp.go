@@ -50,7 +50,7 @@ func FECLoss(w io.Writer, o Opt) error {
 			}
 			fmt.Fprintf(w, "%-6d %-8.3f %8d %8d %8d %10d %8.4f\n",
 				parity, rate, sum.Frames, sum.Dropped, sum.LossInjected,
-				sum.FECRecovered, sum.BLER())
+				sum.Metrics.Fronthaul.FECRecovered, sum.BLER())
 		}
 	}
 	fmt.Fprintln(w, "# expect: fec=0 frame drops grow with rate; fec=2 absorbs the same loss")

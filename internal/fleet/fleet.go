@@ -15,9 +15,9 @@
 //
 // Observability aggregates the per-engine obs plane: every cell result
 // feeds one merged latency histogram, and Snapshot returns
-// obs.FleetSnapshot — summed counters, true cross-cell percentiles,
-// per-cell drill-down — which cmd/agora publishes on a single expvar
-// endpoint (-cells N).
+// obs.FleetSnapshot — totals merged row by row through the obs metric
+// table, true cross-cell percentiles, per-cell drill-down — which
+// cmd/agora publishes on a single expvar endpoint (-cells N).
 package fleet
 
 import (
@@ -327,10 +327,6 @@ func (f *Fleet) Shed() int64 {
 	return n
 }
 
-// Metrics exposes the fleet-merged live counters (frame totals and the
-// true cross-cell latency histogram).
-func (f *Fleet) Metrics() *obs.Metrics { return &f.met }
-
 // Incidents merges every cell's flight-recorder captures with the
 // fleet's own shed incidents, tagged by cell and ordered by capture
 // time. Safe mid-run.
@@ -351,9 +347,9 @@ func (f *Fleet) Incidents() []obs.Incident {
 func (f *Fleet) Engine(i int) *core.Engine { return f.cells[i].eng }
 
 // Snapshot aggregates every cell's metrics snapshot into the fleet view
-// cmd/agora publishes over expvar. The fleet's own merged histogram
-// supplies the latency percentiles (per-cell percentiles cannot be
-// merged after the fact).
+// cmd/agora publishes over expvar. The fleet's own merged histograms
+// supply the latency percentiles and SLO rows (per-cell summaries cannot
+// be merged after the fact).
 func (f *Fleet) Snapshot() obs.FleetSnapshot {
 	cells := make([]obs.CellSnap, len(f.cells))
 	for i, c := range f.cells {
@@ -363,18 +359,7 @@ func (f *Fleet) Snapshot() obs.FleetSnapshot {
 			Snapshot: c.eng.MetricsSnapshot(),
 		}
 	}
-	fs := obs.AggregateSnapshots(cells)
-	ms := func(d int64) float64 { return float64(d) / 1e6 }
-	fs.Latency = obs.LatencySnap{
-		Count:  f.met.Latency.Count(),
-		MeanMS: ms(int64(f.met.Latency.Mean())),
-		P50MS:  ms(int64(f.met.Latency.Quantile(50))),
-		P99MS:  ms(int64(f.met.Latency.Quantile(99))),
-		P999MS: ms(int64(f.met.Latency.Quantile(99.9))),
-		MaxMS:  ms(int64(f.met.Latency.Max())),
-	}
-	fs.SLO = f.met.SLORows()
-	fs.Totals.Incidents += f.met.Incidents.Load() // fleet shed incidents
-	fs.Totals.Shed = f.Shed()
+	fs := obs.AggregateSnapshots(cells, &f.met)
+	fs.Shed = f.Shed()
 	return fs
 }

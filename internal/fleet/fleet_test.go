@@ -118,8 +118,8 @@ func TestRouterDemuxInterleaved(t *testing.T) {
 	if snap.Cells != cells || snap.Totals.Frames != int64(cells*frames) {
 		t.Fatalf("snapshot totals: %+v", snap.Totals)
 	}
-	if snap.Latency.Count != int64(cells*frames) {
-		t.Fatalf("merged latency count %d", snap.Latency.Count)
+	if snap.Totals.Latency.Count != int64(cells*frames) {
+		t.Fatalf("merged latency count %d", snap.Totals.Latency.Count)
 	}
 }
 

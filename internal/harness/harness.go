@@ -34,36 +34,21 @@ type RunSummary struct {
 	// they are excluded from the latency and block statistics above.
 	Dropped   int
 	TaskStats map[queue.TaskType]core.TaskStat
-	// DeadlineMisses counts frames that finished past the on-air frame
-	// budget (the engine's live deadline counter).
-	DeadlineMisses int64
-	// ZFCacheHits/Misses count the coherence-cache decision at each pilot
-	// completion (DESIGN §14). Both zero when the cache is disabled.
-	ZFCacheHits   int64
-	ZFCacheMisses int64
-	// Fronthaul loss accounting (DESIGN §15). LossInjected is how many
-	// packets the Link's injector discarded on the wire; TxDrops how many
-	// the RRU-side transport dropped (full ring); SeqGaps/SeqLate the
-	// engine's sequence-number view of the loss; FECRecovered how many of
-	// the lost packets Reed-Solomon parity rebuilt before the deadline.
+	// Fronthaul loss on the wire (DESIGN §15): LossInjected is how many
+	// packets the Link's injector discarded; TxDrops how many the
+	// RRU-side transport dropped (full ring). The engine's own view of the
+	// loss (sequence gaps, late packets, FEC recoveries) is in Metrics.
 	LossInjected int64
 	TxDrops      int64
-	SeqGaps      int64
-	SeqLate      int64
-	FECRecovered int64
-	// Decode is the run's LDPC decode-iteration accounting (DESIGN §13):
-	// blocks decoded, mean/max BP iterations, the early-exit rate of the
-	// fused syndrome check.
-	Decode obs.DecodeSnap
-	// Kernels names the kernel implementation each vectorised stage ran.
-	Kernels []obs.KernelRow
+	// Metrics is the engine's metric snapshot taken after Stop: every
+	// live counter (deadline misses, ZF-cache decisions, fronthaul loss
+	// accounting, decode iterations), the kernel table and the per-stage
+	// SLO rows. It includes the warm-up frames.
+	Metrics obs.Snapshot
 	// Timeline is the reconstructed multi-frame schedule from the event
 	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil
 	// when Options.DisableTracing is set.
 	Timeline *obs.Timeline
-	// SLO is the run's per-stage budget attribution (DESIGN §17): the
-	// live histograms' final rows. Empty when Options.DisableRecorder.
-	SLO []obs.StageSLO
 	// Incidents is the flight recorder's retained post-mortems (bad
 	// frames: drops, deadline misses, FEC budget exceeded).
 	Incidents []obs.Incident
@@ -229,17 +214,9 @@ func RunUplinkLink(cfg frame.Config, opts core.Options, model channel.Model,
 	sum.Drops = eng.Drops()
 	eng.Stop() // quiesce workers so the trace rings are readable
 	sum.TaskStats = eng.TaskStats()
-	sum.DeadlineMisses = eng.Metrics().DeadlineMiss.Load()
-	sum.ZFCacheHits = eng.Metrics().ZFCacheHits.Load()
-	sum.ZFCacheMisses = eng.Metrics().ZFCacheMisses.Load()
 	sum.LossInjected = loss.Dropped()
 	sum.TxDrops = rru.Stats().TxDrops
-	sum.SeqGaps = eng.Metrics().SeqGaps.Load()
-	sum.SeqLate = eng.Metrics().SeqLate.Load()
-	sum.FECRecovered = eng.Metrics().FECRecovered.Load()
-	sum.Decode = eng.Metrics().DecodeSnap()
-	sum.Kernels = eng.Metrics().Kernels
-	sum.SLO = eng.Metrics().SLORows()
+	sum.Metrics = eng.MetricsSnapshot()
 	sum.Incidents = eng.Incidents()
 	if eng.TracingEnabled() {
 		sum.Timeline = eng.Timeline()

@@ -27,98 +27,79 @@ type traceEvent struct {
 
 const tracePID = 1
 
+// traceArray streams one process's trace events as a JSON array. Errors
+// stick (a marshal error, or the bufio.Writer's own) and surface from
+// close.
+type traceArray struct {
+	bw  *bufio.Writer
+	sep string
+	err error
+}
+
+// newTraceArray opens the array with the process_name record.
+func newTraceArray(w io.Writer, process string) *traceArray {
+	a := &traceArray{bw: bufio.NewWriter(w), sep: "[\n"}
+	a.emit(traceEvent{Name: "process_name", Ph: "M", PID: tracePID, Args: map[string]any{"name": process}})
+	return a
+}
+
+func (a *traceArray) emit(ev traceEvent) {
+	b, err := json.Marshal(ev)
+	if err != nil {
+		a.err = err
+		return
+	}
+	a.bw.WriteString(a.sep)
+	a.bw.Write(b)
+	a.sep = ",\n"
+}
+
+// thread names track tid.
+func (a *traceArray) thread(tid int, name string) {
+	a.emit(traceEvent{Name: "thread_name", Ph: "M", PID: tracePID, TID: tid, Args: map[string]any{"name": name}})
+}
+
+// slice adds a complete event on track tid; times are engine-epoch ns.
+func (a *traceArray) slice(tid int, name, cat string, startNS, durNS int64, args map[string]any) {
+	a.emit(traceEvent{
+		Name: name, Cat: cat, Ph: "X", PID: tracePID, TID: tid,
+		TS: float64(startNS) / 1e3, Dur: float64(durNS) / 1e3, Args: args,
+	})
+}
+
+func (a *traceArray) close() error {
+	a.bw.WriteString("\n]\n")
+	if err := a.bw.Flush(); err != nil {
+		return err
+	}
+	return a.err
+}
+
 // WriteChromeTrace renders events (a Tracer.Snapshot) as a Chrome
 // trace_event JSON array.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	first := true
-	emit := func(ev traceEvent) error {
-		if first {
-			if _, err := bw.WriteString("[\n"); err != nil {
-				return err
-			}
-			first = false
-		} else {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
+	a := newTraceArray(w, "agora")
 	lanes := 0
 	for i := range events {
-		if int(events[i].Lane) >= lanes {
-			lanes = int(events[i].Lane) + 1
-		}
-	}
-	meta := func(tid int, name string) error {
-		return emit(traceEvent{
-			Name: "thread_name", Ph: "M", PID: tracePID, TID: tid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	if err := emit(traceEvent{
-		Name: "process_name", Ph: "M", PID: tracePID,
-		Args: map[string]any{"name": "agora"},
-	}); err != nil {
-		return err
+		lanes = max(lanes, int(events[i].Lane)+1)
 	}
 	for l := 0; l < lanes; l++ {
-		if err := meta(l, fmt.Sprintf("worker %d", l)); err != nil {
-			return err
-		}
+		a.thread(l, fmt.Sprintf("worker %d", l))
 	}
 	frameTID := lanes + 1
-	if err := meta(frameTID, "frames"); err != nil {
-		return err
-	}
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	a.thread(frameTID, "frames")
 	for i := range events {
 		ev := &events[i]
-		if err := emit(traceEvent{
-			Name: ev.Type.String(),
-			Cat:  "task",
-			Ph:   "X",
-			TS:   us(ev.Start),
-			Dur:  us(ev.End - ev.Start),
-			PID:  tracePID,
-			TID:  int(ev.Lane),
-			Args: map[string]any{
-				"frame":  ev.Frame,
-				"symbol": ev.Symbol,
-				"task":   ev.TaskIdx,
-				"batch":  ev.Batch,
-			},
-		}); err != nil {
-			return err
-		}
+		a.slice(int(ev.Lane), ev.Type.String(), "task", ev.Start, ev.End-ev.Start, map[string]any{
+			"frame":  ev.Frame,
+			"symbol": ev.Symbol,
+			"task":   ev.TaskIdx,
+			"batch":  ev.Batch,
+		})
 	}
 	for _, ft := range Reconstruct(events).Frames {
-		if err := emit(traceEvent{
-			Name: fmt.Sprintf("frame %d", ft.Frame),
-			Cat:  "frame",
-			Ph:   "X",
-			TS:   us(ft.Start),
-			Dur:  us(ft.End - ft.Start),
-			PID:  tracePID,
-			TID:  frameTID,
-			Args: map[string]any{"frame": ft.Frame},
-		}); err != nil {
-			return err
-		}
+		a.slice(frameTID, fmt.Sprintf("frame %d", ft.Frame), "frame", ft.Start, ft.End-ft.Start,
+			map[string]any{"frame": ft.Frame})
 	}
-	if first { // no events at all: still emit a valid (empty) array
-		if _, err := bw.WriteString("["); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return a.close()
 }

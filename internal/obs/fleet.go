@@ -3,9 +3,9 @@ package obs
 // Fleet-level aggregation of the per-engine metrics plane (DESIGN §16).
 // Each cell engine keeps its own Metrics; a multi-cell deployment
 // (internal/fleet) snapshots every cell and merges them here into one
-// JSON document for a single expvar endpoint: summed counters, a
-// frame-weighted latency view, merged per-task totals, and the per-cell
-// snapshots preserved for drill-down.
+// JSON document for a single expvar endpoint: totals merged row by row
+// through the metric table, and the per-cell snapshots preserved for
+// drill-down.
 
 // CellSnap is one cell's snapshot tagged with its id and lifecycle state.
 type CellSnap struct {
@@ -14,112 +14,44 @@ type CellSnap struct {
 	Snapshot
 }
 
-// FleetTotals sums the cross-cell counters. Mean latency is
-// frame-weighted; percentiles are deliberately absent here because they
-// cannot be merged from per-cell percentiles — FleetSnapshot.Latency
-// carries them from the fleet's own merged histogram instead.
-type FleetTotals struct {
-	Frames           int64   `json:"frames"`
-	Dropped          int64   `json:"dropped"`
-	DeadlineMiss     int64   `json:"deadline_miss"`
-	MeanMS           float64 `json:"mean_ms"`
-	MaxMS            float64 `json:"max_ms"`
-	ZFCacheHits      int64   `json:"zf_cache_hits"`
-	ZFCacheMisses    int64   `json:"zf_cache_misses"`
-	ZFCacheHitRate   float64 `json:"zf_cache_hit_rate"`
-	DecodeBlocks     int64   `json:"decode_blocks"`
-	DecodeIters      int64   `json:"decode_iters"`
-	DecodeMeanIters  float64 `json:"decode_mean_iters"`
-	DecodeEarlyExits int64   `json:"decode_early_exits"`
-	SeqGaps          int64   `json:"seq_gaps"`
-	SeqLate          int64   `json:"seq_late"`
-	FECRecovered     int64   `json:"fec_recovered"`
-	RxDrops          int64   `json:"rx_drops"`
-	RxPkts           int64   `json:"rx_pkts"`
-	TxPkts           int64   `json:"tx_pkts"`
-	TxDrops          int64   `json:"tx_drops"`
-	// Incidents sums every cell's flight-recorder captures (plus the
-	// fleet's own shed incidents, added by the caller).
-	Incidents int64 `json:"incidents"`
-	// Shed counts router-refused packets; filled by the caller (the
+// FleetSnapshot is the aggregated view a multi-cell deployment publishes
+// on expvar.
+type FleetSnapshot struct {
+	Cells int `json:"cells"`
+	// Shed counts router-refused packets; filled by the fleet (the
 	// aggregation itself only sees per-cell snapshots).
 	Shed int64 `json:"shed"`
-}
-
-// FleetSnapshot is the aggregated view a multi-cell deployment publishes
-// on expvar: fleet totals, true merged latency percentiles (fed by the
-// fleet's own Metrics over every cell's frame results), merged per-task
-// cost totals, and each cell's full snapshot.
-type FleetSnapshot struct {
-	Cells   int                 `json:"cells"`
-	Totals  FleetTotals         `json:"totals"`
-	Latency LatencySnap         `json:"latency"`
-	Tasks   map[string]TaskSnap `json:"tasks"`
-	PerCell []CellSnap          `json:"per_cell"`
-	// SLO is the fleet-level per-stage budget attribution, fed by the
-	// fleet's own merged StageBusy histograms (per-cell rows live in
-	// each cell's snapshot).
-	SLO []StageSLO `json:"slo,omitempty"`
+	// Totals is every cell's snapshot merged row by row (sums, maxima,
+	// ratios recomputed from the merged counters) plus per-task totals.
+	// Latency percentiles and SLO rows cannot be merged from per-cell
+	// summaries, so they come from the fleet's own histograms, fed by
+	// every cell's frame results. Queue gauges stay per cell.
+	Totals  Snapshot   `json:"totals"`
+	PerCell []CellSnap `json:"per_cell"`
 }
 
 // AggregateSnapshots merges per-cell snapshots into a FleetSnapshot.
-// The Latency field is left zero — callers holding a merged histogram
-// (fleet.Metrics) overwrite it with true cross-cell percentiles.
-func AggregateSnapshots(cells []CellSnap) FleetSnapshot {
+// own is the fleet's own Metrics: its latency and stage histograms give
+// Totals.Latency and Totals.SLO, and its incident count (the fleet's
+// shed captures) adds to the cells'. With own nil those stay zero.
+func AggregateSnapshots(cells []CellSnap, own *Metrics) FleetSnapshot {
 	fs := FleetSnapshot{
 		Cells:   len(cells),
-		Tasks:   make(map[string]TaskSnap),
+		Totals:  Snapshot{Tasks: make(map[string]TaskSnap)},
 		PerCell: cells,
 	}
 	t := &fs.Totals
-	var weightedMeanMS float64
 	for i := range cells {
-		s := &cells[i].Snapshot
-		t.Frames += s.Frames
-		t.Dropped += s.Dropped
-		t.DeadlineMiss += s.DeadlineMiss
-		weightedMeanMS += s.Latency.MeanMS * float64(s.Latency.Count)
-		if s.Latency.MaxMS > t.MaxMS {
-			t.MaxMS = s.Latency.MaxMS
-		}
-		t.ZFCacheHits += s.Arena.ZFCacheHits
-		t.ZFCacheMisses += s.Arena.ZFCacheMisses
-		t.DecodeBlocks += s.Decode.Blocks
-		t.DecodeIters += s.Decode.Iters
-		t.DecodeEarlyExits += s.Decode.EarlyExits
-		t.SeqGaps += s.Fronthaul.SeqGaps
-		t.SeqLate += s.Fronthaul.SeqLate
-		t.FECRecovered += s.Fronthaul.FECRecovered
-		t.RxDrops += s.Fronthaul.RxDrops
-		t.RxPkts += s.Fronthaul.RxPkts
-		t.TxPkts += s.Fronthaul.TxPkts
-		t.TxDrops += s.Fronthaul.TxDrops
-		t.Incidents += s.Incidents
-		for name, task := range s.Tasks {
-			agg := fs.Tasks[name]
-			agg.Count += task.Count
-			agg.TotalMS += task.TotalMS
-			fs.Tasks[name] = agg
-		}
+		t.merge(&cells[i].Snapshot)
 	}
-	if n := t.ZFCacheHits + t.ZFCacheMisses; n > 0 {
-		t.ZFCacheHitRate = float64(t.ZFCacheHits) / float64(n)
+	if len(cells) > 0 {
+		// Process-wide: every cell reads the same runtime and CPU.
+		t.Kernels, t.GC = cells[0].Kernels, cells[0].GC
 	}
-	if t.DecodeBlocks > 0 {
-		t.DecodeMeanIters = float64(t.DecodeIters) / float64(t.DecodeBlocks)
-	}
-	var frames int64
-	for i := range cells {
-		frames += cells[i].Latency.Count
-	}
-	if frames > 0 {
-		t.MeanMS = weightedMeanMS / float64(frames)
-	}
-	for name, task := range fs.Tasks {
-		if task.Count > 0 {
-			task.MeanUS = task.TotalMS * 1e3 / float64(task.Count)
-			fs.Tasks[name] = task
-		}
+	if own != nil {
+		t.Latency = latencySnap(&own.Latency)
+		t.SLO = own.SLORows()
+		t.Incidents += own.Incidents.Load()
 	}
 	return fs
 }

@@ -6,97 +6,64 @@ import (
 	"repro/internal/stats"
 )
 
-// Per-second rate series over the live counter set (DESIGN §17): a
+// Per-second rate series over the live counter set (DESIGN §12): a
 // dashboard wants frames/sec and drops/sec, not lifetime sums. The
-// sampler wraps a RateRing with a fixed schema; cmd/agora drives it from
-// a 1s ticker and serves the window at /debug/rates.
+// sampler reads a Snapshot (an engine's, or a fleet's merged totals)
+// and folds the table rows that name a rate series into a RateRing;
+// cmd/agora drives it from a 1s ticker and serves the window at
+// /debug/rates.
 
-// RateCounters is one cumulative reading of the counters the rate window
-// tracks. ZFHits/ZFMisses feed the derived zf_hit_rate series.
-type RateCounters struct {
-	Frames       int64
-	Dropped      int64
-	DeadlineMiss int64
-	SeqGaps      int64
-	FECRecovered int64
-	Incidents    int64
-	ZFHits       int64
-	ZFMisses     int64
-}
-
-// rateNames is the series schema, aligned with the values slice below.
-var rateNames = []string{
-	"frames_per_sec",
-	"drops_per_sec",
-	"deadline_miss_per_sec",
-	"seq_gaps_per_sec",
-	"fec_recovered_per_sec",
-	"incidents_per_sec",
-	"zf_hit_rate", // fraction of ZF cache decisions that hit, per interval
-}
-
-// RateSampler periodically folds a counter reading into a fixed-size
-// per-second rate window. Single sampler goroutine; concurrent readers.
+// RateSampler periodically folds a snapshot into a fixed-size per-second
+// rate window. Single sampler goroutine; concurrent readers.
 type RateSampler struct {
 	ring *stats.RateRing
-	read func() RateCounters
-	// Derived zf_hit_rate state (single-sampler memory): the ring stores
+	read func() Snapshot
+	// Ratio series state (single-sampler memory): the ring stores
 	// per-second deltas, so the sampler feeds it a synthetic cumulative
-	// Σ fraction·dt whose delta/dt recovers the interval's hit fraction.
-	lastHits, lastMisses int64
-	lastAt               time.Time
-	cumHit               float64
+	// Σ ratio·dt whose delta/dt recovers the interval's ratio of deltas.
+	num, den []int64
+	cum      []float64
+	lastAt   time.Time
 }
 
 // NewRateSampler creates a sampler retaining the most recent window
-// samples, reading counters via read.
-func NewRateSampler(window int, read func() RateCounters) *RateSampler {
-	return &RateSampler{ring: stats.NewRateRing(window, rateNames), read: read}
+// samples, reading snapshots via read.
+func NewRateSampler(window int, read func() Snapshot) *RateSampler {
+	names := make([]string, len(rateRows))
+	for k, r := range rateRows {
+		names[k] = r.rate.name
+	}
+	n := len(rateRows)
+	return &RateSampler{
+		ring: stats.NewRateRing(window, names), read: read,
+		num: make([]int64, n), den: make([]int64, n), cum: make([]float64, n),
+	}
 }
 
 // Sample takes one reading at time now. Call from a single goroutine on
 // a tick.
 func (s *RateSampler) Sample(now time.Time) {
-	c := s.read()
-	dh := c.ZFHits - s.lastHits
-	dm := c.ZFMisses - s.lastMisses
-	var hitRate float64
-	if dh+dm > 0 {
-		hitRate = float64(dh) / float64(dh+dm)
+	snap := s.read()
+	vals := make([]float64, len(rateRows))
+	for k, r := range rateRows {
+		if r.kind != ratio {
+			vals[k] = r.value(&snap)
+			continue
+		}
+		num, den := r.of(&snap)
+		var frac float64
+		if d := den - s.den[k]; d > 0 {
+			frac = float64(num-s.num[k]) / float64(d)
+		}
+		if !s.lastAt.IsZero() {
+			s.cum[k] += frac * now.Sub(s.lastAt).Seconds()
+		}
+		s.num[k], s.den[k] = num, den
+		vals[k] = s.cum[k]
 	}
-	if !s.lastAt.IsZero() {
-		s.cumHit += hitRate * now.Sub(s.lastAt).Seconds()
-	}
-	s.lastHits, s.lastMisses, s.lastAt = c.ZFHits, c.ZFMisses, now
-	s.ring.Observe(now, []float64{
-		float64(c.Frames),
-		float64(c.Dropped),
-		float64(c.DeadlineMiss),
-		float64(c.SeqGaps),
-		float64(c.FECRecovered),
-		float64(c.Incidents),
-		s.cumHit,
-	})
+	s.lastAt = now
+	s.ring.Observe(now, vals)
 }
 
 // Snapshot returns the windowed series, oldest first.
 func (s *RateSampler) Snapshot() []stats.RateSeries { return s.ring.Snapshot() }
-
-// Latest returns the most recent per-second rates (nil before two
-// samples).
-func (s *RateSampler) Latest() map[string]float64 { return s.ring.Latest() }
-
-// CountersFromMetrics reads the rate schema's counters from a Metrics
-// set — the engine (or merged fleet) reading cmd/agora samples.
-func CountersFromMetrics(m *Metrics) RateCounters {
-	return RateCounters{
-		Frames:       m.FramesDone.Load(),
-		Dropped:      m.FramesDropped.Load(),
-		DeadlineMiss: m.DeadlineMiss.Load(),
-		SeqGaps:      m.SeqGaps.Load(),
-		FECRecovered: m.FECRecovered.Load(),
-		Incidents:    m.Incidents.Load(),
-		ZFHits:       m.ZFCacheHits.Load(),
-		ZFMisses:     m.ZFCacheMisses.Load(),
-	}
-}
