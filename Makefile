@@ -40,9 +40,12 @@ generic:
 # Short-mode race pass over every internal package. The MPMC queues, the
 # manager-worker engine and the obs tracer/metrics are where a data race
 # would hide; TestMetricsSnapshotLive exercises the mid-run TaskStats /
-# MetricsSnapshot readers against running workers under the detector, and
-# internal/fleet's lifecycle tests (drain under in-flight frames, degrade
-# and recover) put the router/forwarder/engine interplay under it too.
+# MetricsSnapshot readers against running workers under the detector,
+# TestPromLiveMidRun (internal/core) and TestPromFleetLiveMidRun
+# (internal/obs) scrape /metrics from a running engine and a running
+# fleet, and internal/fleet's lifecycle tests (drain under in-flight
+# frames, degrade and recover) put the router/forwarder/engine interplay
+# under it too.
 race:
 	$(GO) test -race -short ./internal/...
 
