@@ -49,10 +49,18 @@ generic:
 race:
 	$(GO) test -race -short ./internal/...
 
-# Short fuzz pass over the frame DAG (FuzzFrameDAG: packets and task
-# completions of two frames in a seed-chosen order on a fuzz-chosen cell;
-# every task released exactly once, never before its dependencies, and a
-# frame done exactly at its last task), the ldpc bit-packing,
+# Short fuzz pass over the wire and the frame lifecycle, then the
+# kernels. FuzzHeaderDecode (internal/fronthaul): Decode never panics and
+# Encode→Decode round-trips. FuzzAcceptPacket (internal/core): fuzzed
+# schedules of packets (duplicated, reordered, late, truncated,
+# bit-flipped, parity-only, lost, reused and wrapped ids), task runs, a
+# stalled worker and reaps through acceptPacket and the manager; every
+# frame that claimed or was refused a slot gets exactly one result, and
+# slots, leases and queues return to their initial occupancy. The frame
+# DAG (FuzzFrameDAG: packets and task completions of two frames in a
+# seed-chosen order on a fuzz-chosen cell; every task released exactly
+# once, never before its dependencies, and a frame done exactly at its
+# last task), the ldpc bit-packing,
 # schedule-differential (FuzzLayeredVsFlooding: every reported success is
 # the codeword of its own bits) and codeword-shortcut targets
 # (FuzzCodewordShortcut: a block that arrives as a codeword decodes at 0
@@ -62,6 +70,8 @@ race:
 # exploratory runs are `go test -fuzz <Target> <package>` without
 # -fuzztime.
 fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzHeaderDecode -fuzztime 5s ./internal/fronthaul
+	$(GO) test -run '^$$' -fuzz FuzzAcceptPacket -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFrameDAG -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc

@@ -344,7 +344,7 @@ func benchTracerOverhead(b *testing.B, disable bool) {
 // Options.DisableRecorder. Same 16-frame-per-iteration shape as the
 // tracer pair, so the delta isolates the recorder's steady-state cost
 // (<2% median, gated by `make perf`). The attribution path allocates
-// nothing — FrameRec lives inside the recycled frameState — so the
+// nothing — FrameRec lives inside the reused slot record — so the
 // SteadyState zero-alloc gate holds with the recorder on.
 func BenchmarkRecorderOverhead_On(b *testing.B) {
 	benchRecorderOverhead(b, false)

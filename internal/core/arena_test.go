@@ -1,9 +1,9 @@
 package core
 
-// Arena / free-list and ZF coherence-cache behaviour (DESIGN §14): the
-// recycled steady state must be observationally identical to the
-// allocate-per-frame baseline, and the cached ZF path bit-identical to
-// recompute whenever it hits.
+// Arena / slot-reuse and ZF coherence-cache behaviour (DESIGN §14): a
+// buffer slot reused frame after frame must be observationally identical
+// to a fresh one, and the cached ZF path bit-identical to recompute
+// whenever it hits.
 
 import (
 	"bytes"
@@ -88,18 +88,18 @@ func sameBits(t *testing.T, a, b []FrameResult) {
 	}
 }
 
-// TestFrameStateRecycling runs back-to-back frames so every frame after
-// the first reuses a recycled frameState from the free-list, and checks
-// the output is bit-identical to a run where recycling is bypassed and
-// every frame gets a freshly allocated state. Any reset the recycler
-// misses (a stale counter, an uncleared dedupe bitmap, a fftPend row
-// left partially consumed) shows up as a diff. Runs in short mode so
-// `go test -race -short` covers the recycled path under the detector.
+// TestFrameStateRecycling runs back-to-back frames through two buffer
+// slots, so each slot's record and buffers serve three frames, and checks
+// the output is bit-identical to a run with a slot per frame, where
+// nothing is reused. Any reset the slot lifecycle misses (a stale
+// counter, an uncleared dedupe bitmap, a fftPend row left partially
+// consumed, FEC or lease state) shows up as a diff. Runs in short mode so
+// `go test -race -short` covers the reuse path under the detector.
 func TestFrameStateRecycling(t *testing.T) {
 	const frames = 6
-	recycled, _, _ := runBitFrames(t, Options{Workers: 3}, frames, 0)
-	fresh, _, _ := runBitFrames(t, Options{Workers: 3, noRecycle: true}, frames, 0)
-	sameBits(t, recycled, fresh)
+	reused, _, _ := runBitFrames(t, Options{Workers: 3, Slots: 2}, frames, 0)
+	fresh, _, _ := runBitFrames(t, Options{Workers: 3, Slots: frames}, frames, 0)
+	sameBits(t, reused, fresh)
 }
 
 // TestZFCacheEquivalence pins the coherence cache's contract from both

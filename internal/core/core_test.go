@@ -52,9 +52,15 @@ func runFrames(t *testing.T, cfg frame.Config, opts Options, n int, snrDB float6
 	defer eng.Stop()
 	rru := ring.Side(0)
 	results := make([]FrameResult, 0, n)
-	// Keep at most a few frames in flight: buffer slots are finite, and a
-	// real RRU paces frames at the frame rate anyway.
+	// Keep at most a few frames in flight, as a real RRU pacing frames at
+	// the frame rate does, and never send frame f before f-Slots has
+	// answered: results can arrive out of order, and while f-Slots holds
+	// the shared buffer slot the engine refuses f (DESIGN §15).
 	inflight := make(chan struct{}, 3)
+	answered := make([]chan struct{}, n)
+	for f := range answered {
+		answered[f] = make(chan struct{})
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -65,6 +71,7 @@ func runFrames(t *testing.T, cfg frame.Config, opts Options, n int, snrDB float6
 					return
 				}
 				results = append(results, r)
+				close(answered[r.Frame])
 				<-inflight
 			case <-time.After(30 * time.Second):
 				return
@@ -73,6 +80,12 @@ func runFrames(t *testing.T, cfg frame.Config, opts Options, n int, snrDB float6
 	}()
 	for f := 0; f < n; f++ {
 		inflight <- struct{}{}
+		if prev := f - eng.opts.Slots; prev >= 0 {
+			select {
+			case <-answered[prev]:
+			case <-done:
+			}
+		}
 		if err := gen.EmitFrame(uint32(f), rru.Send); err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ import (
 // Figure 13(b) plots.
 type FrameResult struct {
 	Frame                                 uint32
-	Dropped                               bool // abandoned (missing packets / slot conflict / timeout)
+	Dropped                               bool // abandoned at FrameTimeout, or refused: slot held (DESIGN §15)
 	FirstPkt                              time.Time
 	Start                                 time.Time // first task enqueued (queuing delay = Start-FirstPkt)
 	PilotDone, ZFDone, DecodeDone, TXDone time.Time
@@ -98,9 +98,12 @@ type Engine struct {
 	recorder  bool
 	incidents *obs.IncidentRing
 
-	slotOwner []atomic.Uint32 // frame id + 1, 0 = free
+	// slotOwner is each buffer slot's owner word: heldBy(id) while frame
+	// id holds the slot, 0 when it is free. Only the RX goroutine sets a
+	// held word (claim) and only the manager frees one (releaseSlot).
+	slotOwner []atomic.Uint64
 	// Fronthaul counter baselines captured by the RX goroutine at the
-	// moment a frame claims its slot. The manager reads them in admit
+	// moment a frame claims its slot. The manager reads them in open
 	// (the slotOwner publication orders the writes) so an
 	// incident's SeqGaps/SeqLate/FEC deltas cover the frame's own window
 	// even when RX ingests the whole burst before the manager admits.
@@ -121,11 +124,12 @@ type Engine struct {
 	rxLease    [][][]rxLease // [slot][symbol][antenna]; nil rows off the RX path
 	rxFree     chan []byte
 
-	// Reed-Solomon FEC state (Options.FECParity, see ingest.go). All of
-	// it is owned by the single RX goroutine; the fec* slices are its
-	// reconstruction scratch.
+	// rxSlots is the RX goroutine's private per-slot state: the newest
+	// frame id of each slot and its Reed-Solomon accumulators
+	// (Options.FECParity, see ingest.go). fec is the code and the fec*
+	// slices are its reconstruction scratch.
+	rxSlots []rxSlot
 	fec     *fronthaul.FEC
-	fecRx   []fecSlot
 	fecLost []int
 	fecRows []int
 	fecDst  [][]byte
@@ -142,39 +146,16 @@ type Engine struct {
 	prevGC  int
 
 	// manager-private. dag is the frame DAG (internal/sched): task
-	// counters, release rules, admission gate and poll orders. All other
-	// per-frame book-keeping lives in preallocated slot-indexed rings so
-	// the steady-state loop touches no maps and allocates nothing (DESIGN
-	// §14): a frame's buffer slot (Msg.Slot) is its index everywhere.
-	dag         *sched.Sched
-	zfc         zfCacheState
-	frameBySlot []*frameState  // live frames, indexed by buffer slot
-	pending     []pendingFrame // not-yet-admitted frames, indexed by slot
-	ghosts      []ghostEntry   // rejected-at-admission frames awaiting a Dropped result
-	freeStates  []*frameState  // frameState free-list (LIFO)
-	pendingCnt  int
-	txSeq       uint64
-}
-
-// pendingFrame buffers RX notifications for a not-yet-admitted frame. The
-// msgs backing array is allocated once per slot at engine construction
-// (capacity = the frame's maximum RX count, enforced by the rxSeen
-// dedupe) and reused across frames.
-type pendingFrame struct {
-	id    uint32
-	used  bool
-	first time.Time
-	msgs  []queue.Msg
-}
-
-// ghostEntry records a frame every packet of which bounced off an
-// occupied buffer slot; reapStale turns stale entries into Dropped
-// results. The ring is fixed-size: a full ring evicts its oldest entry by
-// emitting that entry's Dropped result early.
-type ghostEntry struct {
-	id   uint32
-	t    time.Time
-	used bool
+	// counters, release rules, admission gate and poll orders. slots holds
+	// one record per buffer slot, allocated here and reused by every frame
+	// the slot holds, so the steady-state loop touches no maps and
+	// allocates nothing (DESIGN §14): a frame's buffer slot (Msg.Slot) is
+	// its index everywhere. pendingCnt counts the slotPending records.
+	dag        *sched.Sched
+	zfc        zfCacheState
+	slots      []slotRec
+	pendingCnt int
+	txSeq      uint64
 }
 
 // zfCacheState is the coherence-cached zero-forcing state (DESIGN §14):
@@ -194,11 +175,31 @@ type zfCacheState struct {
 	pre     []*mat.M // nil without downlink symbols
 }
 
-// frameState is the manager's book-keeping for one in-flight frame: its
-// DAG state (ID, Slot and the task counters) plus what only the engine
-// tracks.
-type frameState struct {
+// slotPhase is where a buffer slot's record is in the frame lifecycle.
+type slotPhase uint8
+
+const (
+	// slotFree: no frame. A claim the RX goroutine has made is still
+	// free here until its first RX message reaches the manager.
+	slotFree slotPhase = iota
+	// slotPending: a frame's RX messages are held until the admission
+	// gate opens.
+	slotPending
+	// slotLive: admitted; the frame DAG runs it.
+	slotLive
+)
+
+// slotRec is the manager's record of one buffer slot and the frame it
+// holds: the frame's DAG state (ID, Slot and the task counters), its
+// phase, the RX messages held while it is pending, and what only the
+// engine tracks. Every frame that held the slot leaves it through retire.
+type slotRec struct {
 	sched.Frame
+	phase slotPhase
+	// held buffers a pending frame's RX messages. Its backing array is
+	// allocated in NewEngine with the frame's maximum RX count (the
+	// rxSeen dedupe bounds it) and reused across frames.
+	held []queue.Msg
 
 	firstPkt time.Time
 	start    time.Time
@@ -211,7 +212,7 @@ type frameState struct {
 
 	// rec is the frame's live SLO attribution record, filled by the
 	// manager from completion stamps; the seq*/fec bases snapshot the
-	// fronthaul counters at admission so an incident can report the
+	// fronthaul counters at the slot claim so an incident can report the
 	// deltas attributable to this frame's window (DESIGN §17).
 	rec                              obs.FrameRec
 	seqGapBase, seqLateBase, fecBase int64
@@ -256,7 +257,7 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	if err := e.initIngest(); err != nil {
 		return nil, err
 	}
-	e.slotOwner = make([]atomic.Uint32, opts.Slots)
+	e.slotOwner = make([]atomic.Uint64, opts.Slots)
 	e.slotGapBase = make([]atomic.Int64, opts.Slots)
 	e.slotLateBase = make([]atomic.Int64, opts.Slots)
 	e.slotFECBase = make([]atomic.Int64, opts.Slots)
@@ -267,39 +268,24 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 			e.rxSeen[s][sym] = make([]atomic.Bool, cfg.Antennas)
 		}
 	}
-	if opts.QueueDepth > 0 {
-		for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
-			e.taskQ[t] = queue.New(opts.QueueDepth)
-		}
-		e.compQ = queue.New(opts.QueueDepth)
-		e.rxQ = queue.New(opts.QueueDepth)
-	} else {
-		task, rx, comp := e.queueDepths()
-		for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
-			e.taskQ[t] = queue.New(task[t])
-		}
-		e.compQ = queue.New(comp)
-		e.rxQ = queue.New(rx)
+	task, rx, comp := e.queueDepths()
+	for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
+		e.taskQ[t] = queue.New(task[t])
 	}
-	// Slot-indexed frame rings and the frameState free-list: everything
-	// the manager touches per frame is provisioned here, so the
-	// steady-state loop allocates nothing.
-	e.frameBySlot = make([]*frameState, opts.Slots)
-	e.pending = make([]pendingFrame, opts.Slots)
+	e.compQ = queue.New(comp)
+	e.rxQ = queue.New(rx)
+	// One record per buffer slot: everything the manager touches per
+	// frame is provisioned here, so the steady-state loop allocates
+	// nothing.
+	e.slots = make([]slotRec, opts.Slots)
 	maxRx := (cfg.NumPilots() + cfg.NumUplink()) * cfg.Antennas
-	for s := range e.pending {
-		e.pending[s].msgs = make([]queue.Msg, 0, maxRx)
+	for s := range e.slots {
+		f := &e.slots[s]
+		f.Frame = dag.NewFrame()
+		f.Slot = uint32(s)
+		f.held = make([]queue.Msg, 0, maxRx)
 	}
-	nGhosts := 4 * opts.Slots
-	if nGhosts < 32 {
-		nGhosts = 32
-	}
-	e.ghosts = make([]ghostEntry, nGhosts)
-	e.freeStates = make([]*frameState, 0, opts.Slots)
-	for i := 0; i < opts.Slots; i++ {
-		e.freeStates = append(e.freeStates, e.allocFrameState())
-	}
-	e.met.FreeStates.Store(int64(len(e.freeStates)))
+	e.met.FreeStates.Store(int64(opts.Slots))
 	e.zfc.enabled = !opts.DisableZFCache
 	if e.zfc.enabled {
 		g := cfg.ZFGroups()
@@ -336,7 +322,7 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.epoch = time.Now()
 	e.recorder = !opts.DisableRecorder
 	if e.recorder {
-		e.incidents = obs.NewIncidentRing(opts.IncidentCapacity)
+		e.incidents = obs.NewIncidentRing(incidentCapacity)
 	}
 	if !opts.DisableTracing {
 		// One lane per worker plus one for the network TX thread; lanes
@@ -432,7 +418,8 @@ func (e *Engine) Start() {
 	}
 }
 
-// Results delivers one FrameResult per completed (or dropped) frame.
+// Results delivers exactly one FrameResult per frame that claimed a
+// buffer slot or was refused one (DESIGN §15), completed or Dropped.
 func (e *Engine) Results() <-chan FrameResult { return e.results }
 
 // Drops returns the count of fronthaul packets discarded at admission.
@@ -576,16 +563,6 @@ func (e *Engine) WriteChromeTrace(w io.Writer) error {
 func (e *Engine) InjectPacket(pkt []byte) error {
 	_, err := e.acceptPacket(pkt, false)
 	return err
-}
-
-// notifyGhost tells the manager a packet for frame id was rejected at
-// admission because its buffer slot is occupied. Without this the frame
-// would vanish without a FrameResult and downstream consumers that expect
-// one result per injected frame would block until their own timeout. The
-// notification is best-effort (a full rxQ means the manager has plenty of
-// other evidence the system is overloaded).
-func (e *Engine) notifyGhost(id uint32) {
-	e.rxQ.TryEnqueue(queue.Msg{Type: queue.TaskPacketRX, Frame: id, Aux: 1})
 }
 
 // runNetTX drains TaskPacketTX messages, packetizes downlink time-domain

@@ -31,8 +31,19 @@ package core
 // normal rxSeen/lease/rxQ flow, so a frame meets its deadline despite up
 // to P lost packets per symbol.
 // All FEC state is owned by the single RX goroutine — no locks.
+//
+// The id rule: whether a packet's frame gets its buffer slot (slot =
+// Frame mod Slots) is decided here, once per packet, on the RX goroutine.
+// A packet of the slot's owner is accepted — one load and one compare.
+// Otherwise claim compares the id with the newest id the slot has seen,
+// serial-number style modulo 2³² (RFC 1982) inside a claim window: an id
+// 1 to claimWindow−1 ahead is newer and claims a free slot, or, if an
+// older frame still holds it, is refused as a frame (one Dropped result
+// and one incident, emitted by the manager at once). Any other id is
+// late: its packet is dropped and counted and costs no frame.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -73,12 +84,43 @@ type fecSym struct {
 	done bool
 }
 
-// fecSlot is one buffer slot's FEC state, lazily re-zeroed when the
-// slot is claimed by a new frame (owner = frame id + 1).
-type fecSlot struct {
-	owner uint32
-	syms  []fecSym
+// rxSlot is the RX goroutine's private state of one buffer slot: the
+// newest frame id that claimed it or was refused it, and the FEC
+// accumulators of the frame holding it, re-zeroed at each claim.
+type rxSlot struct {
+	newest uint32
+	seen   bool     // newest is set: some frame has claimed or been refused the slot
+	fec    []fecSym // per symbol; nil without FECParity
 }
+
+// ownerHeld is the owner word's occupied bit, above the 32-bit frame id,
+// so every id (2³²−1 included) is distinct from a free slot's 0.
+const ownerHeld uint64 = 1 << 32
+
+// heldBy is the owner word of a slot frame id holds.
+func heldBy(id uint32) uint64 { return ownerHeld | uint64(id) }
+
+// newer reports whether frame id a is newer than b in serial-number
+// order modulo 2³² (RFC 1982): a lies less than 2³¹ ahead of b.
+func newer(a, b uint32) bool { return int32(a-b) > 0 }
+
+// claimWindow bounds how far ahead of a slot's newest id a claim may
+// land. Serial order is not transitive across jumps of 2³¹, so without
+// the bound two far-ahead ids (a corrupted high id byte is one) could walk
+// the newest id around the circle and let an already retired or refused
+// id claim again, a second result for one frame. With it that takes
+// 2³¹/claimWindow = 2048 claims, and a sender's gap must reach 2²⁰ frames
+// before its ids count as late.
+const claimWindow = 1 << 20
+
+// rxRefused in an RX message's Aux marks the refusal of frame Msg.Frame.
+const rxRefused = 1
+
+// Errors acceptPacket returns for well-formed packets it drops.
+var (
+	errLate    = errors.New("core: late packet of a retired or refused frame")
+	errRefused = errors.New("core: frame refused: an older frame holds its buffer slot")
+)
 
 // rxBatchSize bounds one RecvBatch drain. Sized to cover a full
 // antenna burst of the paper's 64-antenna cell in one wakeup.
@@ -106,14 +148,14 @@ func (e *Engine) initIngest() error {
 	// allocates nothing.
 	maxLeased := e.opts.Slots * (cfg.NumPilots() + cfg.NumUplink()) * cfg.Antennas
 	e.rxFree = make(chan []byte, maxLeased+16)
+	e.rxSlots = make([]rxSlot, e.opts.Slots)
 	if e.opts.FECParity > 0 {
 		fec, err := fronthaul.NewFEC(cfg.Antennas, e.opts.FECParity)
 		if err != nil {
 			return err
 		}
 		e.fec = fec
-		e.fecRx = make([]fecSlot, e.opts.Slots)
-		for s := range e.fecRx {
+		for s := range e.rxSlots {
 			syms := make([]fecSym, cfg.NumSymbols())
 			for sym := range syms {
 				st := cfg.SymbolAt(sym)
@@ -130,7 +172,7 @@ func (e *Engine) initIngest() error {
 					parGot:  make([]bool, e.opts.FECParity),
 				}
 			}
-			e.fecRx[s].syms = syms
+			e.rxSlots[s].fec = syms
 		}
 		e.fecLost = make([]int, 0, e.opts.FECParity)
 		e.fecRows = make([]int, 0, e.opts.FECParity)
@@ -208,9 +250,9 @@ func (e *Engine) freeLeaseBuf(l *rxLease) {
 }
 
 // reclaimLeases frees every unconsumed lease of a slot. The manager
-// calls it during frame teardown, BEFORE releaseSlot reopens the slot:
-// frames that die with FFT tasks never run (timeouts, pending reaps)
-// would otherwise strand their transport buffers in FULL leases.
+// calls it in retire, BEFORE releaseSlot reopens the slot: frames that
+// die with FFT tasks never run (timeouts, pending reaps) would otherwise
+// strand their transport buffers in FULL leases.
 func (e *Engine) reclaimLeases(slot int) {
 	for sym := range e.rxLease[slot] {
 		row := e.rxLease[slot][sym]
@@ -241,15 +283,17 @@ func (e *Engine) accountSeq(seq uint64) {
 	}
 }
 
-// enqueueRX notifies the manager of an accepted payload, spinning if
-// the queue is momentarily full.
-func (e *Engine) enqueueRX(frameID uint32, slot int, sym, ant uint16) {
+// enqueueRX hands the manager one RX message — an accepted payload, or
+// with Aux rxRefused a refused frame — spinning while the queue is
+// momentarily full: neither may be lost.
+func (e *Engine) enqueueRX(frameID uint32, slot int, sym, ant uint16, aux uint64) {
 	m := queue.Msg{
 		Type:    queue.TaskPacketRX,
 		Frame:   frameID,
 		Slot:    uint32(slot),
 		Symbol:  sym,
 		TaskIdx: ant,
+		Aux:     aux,
 	}
 	for !e.rxQ.TryEnqueue(m) {
 		select {
@@ -261,7 +305,7 @@ func (e *Engine) enqueueRX(frameID uint32, slot int, sym, ant uint16) {
 	}
 }
 
-// acceptPacket validates a packet, claims the frame's buffer slot, and
+// acceptPacket validates a packet, applies the id rule to its frame, and
 // either leases the payload in place (fromTransport) or copies it into a
 // pool buffer (injected packets, whose caller reuses the backing array)
 // and leases that. leased reports that the transport buffer's ownership
@@ -291,42 +335,23 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 	}
 	e.accountSeq(h.Seq)
 	slot := int(h.Frame) % e.opts.Slots
-	owner := e.slotOwner[slot].Load()
-	switch owner {
-	case h.Frame + 1: // already ours
-	case 0:
+	if e.slotOwner[slot].Load() != heldBy(h.Frame) {
 		if parity {
-			// Parity never claims a fresh slot: it is emitted after the
-			// burst's data, so under sane ordering data claims first. A
-			// parity-only claim could strand the slot with no frameState
-			// to reap it.
+			// Parity never claims a slot: it is emitted after the burst's
+			// data, so under sane ordering data claims first. The manager
+			// learns of a claim only through the claiming packet's RX
+			// message, and parity sends none, so a parity claim would
+			// strand the slot.
 			return false, nil
 		}
-		// Snapshot the fronthaul counter baselines BEFORE publishing the
-		// claim: admit reads them after observing slotOwner, so
-		// the CAS release/acquire pair orders the stores. Captured here —
-		// not at admission — because the RX goroutine may ingest an
-		// entire burst (counting its gaps) before the manager pops the
-		// first rxQ message.
-		e.slotGapBase[slot].Store(e.met.SeqGaps.Load())
-		e.slotLateBase[slot].Store(e.met.SeqLate.Load())
-		e.slotFECBase[slot].Store(e.met.FECRecovered.Load())
-		if !e.slotOwner[slot].CompareAndSwap(0, h.Frame+1) &&
-			e.slotOwner[slot].Load() != h.Frame+1 {
-			e.notifyGhost(h.Frame)
-			return false, fmt.Errorf("core: slot %d contended", slot)
+		if err := e.claim(slot, h.Frame); err != nil {
+			return false, err
 		}
-	default:
-		if parity {
-			return false, nil
-		}
-		e.notifyGhost(h.Frame)
-		return false, fmt.Errorf("core: slot %d busy with frame %d", slot, owner-1)
 	}
 	payload := fronthaul.Payload(pkt, &h)
 	var fs *fecSym
 	if e.fec != nil {
-		fs = e.fecSymFor(slot, h.Frame, int(h.Symbol))
+		fs = &e.rxSlots[slot].fec[h.Symbol]
 	}
 	if parity {
 		p := int(h.Antenna) - cfg.Antennas
@@ -362,31 +387,49 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 			e.fecReconstruct(slot, h.Frame, h.Symbol, fs)
 		}
 	}
-	e.enqueueRX(h.Frame, slot, h.Symbol, h.Antenna)
+	e.enqueueRX(h.Frame, slot, h.Symbol, h.Antenna, 0)
 	return leased, nil
 }
 
-// fecSymFor returns the symbol's syndrome state, lazily re-zeroing the
-// slot's accumulators the first time a new frame touches them. Callers
-// guarantee slotOwner == frameID+1, so the epoch can't flip mid-burst.
-func (e *Engine) fecSymFor(slot int, frameID uint32, sym int) *fecSym {
-	fs := &e.fecRx[slot]
-	if fs.owner != frameID+1 {
-		for i := range fs.syms {
-			s := &fs.syms[i]
-			if s.syn == nil || (s.nData == 0 && s.nPar == 0 && !s.done) {
-				continue
-			}
-			for _, row := range s.syn {
-				clear(row)
-			}
-			clear(s.dataGot)
-			clear(s.parGot)
-			s.nData, s.nPar, s.done = 0, 0, false
-		}
-		fs.owner = frameID + 1
+// claim applies the id rule to a data packet of frame id that does not
+// own its slot. An id 1 to claimWindow−1 ahead of the newest the slot has
+// seen claims the slot if it is free, and is refused as a frame if an
+// older frame holds it; both make id the slot's newest, so the refused
+// frame's later packets are late. Only the RX goroutine sets a held owner
+// word and only the manager frees one, so a free word read here stays
+// free until the Store below.
+func (e *Engine) claim(slot int, id uint32) error {
+	rs := &e.rxSlots[slot]
+	if rs.seen && id-rs.newest-1 >= claimWindow-1 {
+		return errLate
 	}
-	return &fs.syms[sym]
+	rs.newest, rs.seen = id, true
+	if e.slotOwner[slot].Load()&ownerHeld != 0 {
+		e.enqueueRX(id, slot, 0, 0, rxRefused)
+		return errRefused
+	}
+	// Snapshot the fronthaul counter baselines BEFORE publishing the
+	// claim: the manager reads them after observing slotOwner, so the
+	// atomic store/load pair orders them. Captured here — not at
+	// admission — because the RX goroutine may ingest an entire burst
+	// (counting its gaps) before the manager pops the first rxQ message.
+	e.slotGapBase[slot].Store(e.met.SeqGaps.Load())
+	e.slotLateBase[slot].Store(e.met.SeqLate.Load())
+	e.slotFECBase[slot].Store(e.met.FECRecovered.Load())
+	for i := range rs.fec {
+		s := &rs.fec[i]
+		if s.syn == nil || (s.nData == 0 && s.nPar == 0 && !s.done) {
+			continue
+		}
+		for _, row := range s.syn {
+			clear(row)
+		}
+		clear(s.dataGot)
+		clear(s.parGot)
+		s.nData, s.nPar, s.done = 0, 0, false
+	}
+	e.slotOwner[slot].Store(heldBy(id))
+	return nil
 }
 
 // fecReconstruct rebuilds the symbol's missing payloads from the
@@ -433,7 +476,7 @@ func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym
 		}
 		e.leaseStore(slot, sym, uint16(a), dst[i], nil)
 		e.met.FECRecovered.Add(1)
-		e.enqueueRX(frameID, slot, sym, uint16(a))
+		e.enqueueRX(frameID, slot, sym, uint16(a), 0)
 	}
 }
 

@@ -33,54 +33,61 @@ func (e *Engine) runManager() {
 		if loops&0xff == 0 {
 			e.sampleQueues()
 		}
-		progress := false
-		for {
-			m, ok := e.compQ.TryDequeue()
-			if !ok {
-				break
-			}
-			e.onCompletion(m)
-			e.flush()
-			progress = true
-		}
-		for {
-			m, ok := e.rxQ.TryDequeue()
-			if !ok {
-				break
-			}
-			e.onRX(m)
-			e.flush()
-			progress = true
-		}
-		if !progress {
-			select {
-			case <-e.stop:
-				return
-			default:
-			}
-			// The reap deadline is FrameTimeout/4 (hundreds of ms); reading
-			// the clock on every empty poll to test it was 5 % of a busy
-			// engine's CPU. Every 64th empty poll is at most 64 backoff
-			// sleeps (~1.3 ms) late. The count never resets on progress, so
-			// a stale frame is still reaped while other traffic flows.
-			idlePolls++
-			if idlePolls&63 == 0 {
-				if now := time.Now(); now.Sub(lastTimeoutCheck) > frameTimeout/4 {
-					e.reapStale(now)
-					e.flush()
-					lastTimeoutCheck = now
-				}
-			}
-			idle++
-			if idle > 256 && !e.opts.RealTime {
-				time.Sleep(20 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
-		} else {
+		if e.drain() {
 			idle = 0
+			continue
+		}
+		select {
+		case <-e.stop:
+			return
+		default:
+		}
+		// The reap deadline is FrameTimeout/4 (hundreds of ms); reading the
+		// clock on every empty poll to test it was 5 % of a busy engine's
+		// CPU. Every 64th empty poll is at most 64 backoff sleeps (~1.3 ms)
+		// late. The count never resets on progress, so a stale frame is
+		// still reaped while other traffic flows.
+		idlePolls++
+		if idlePolls&63 == 0 {
+			if now := time.Now(); now.Sub(lastTimeoutCheck) > frameTimeout/4 {
+				e.reapStale(now)
+				e.flush()
+				lastTimeoutCheck = now
+			}
+		}
+		idle++
+		if idle > 256 && !e.opts.RealTime {
+			time.Sleep(20 * time.Microsecond)
+		} else {
+			runtime.Gosched()
 		}
 	}
+}
+
+// drain handles every task completion and then every RX message queued
+// so far, flushing the tasks each releases, and reports whether there
+// was any.
+func (e *Engine) drain() bool {
+	progress := false
+	for {
+		m, ok := e.compQ.TryDequeue()
+		if !ok {
+			break
+		}
+		e.onCompletion(m)
+		e.flush()
+		progress = true
+	}
+	for {
+		m, ok := e.rxQ.TryDequeue()
+		if !ok {
+			break
+		}
+		e.onRX(m)
+		e.flush()
+		progress = true
+	}
+	return progress
 }
 
 // sampleQueues records every queue's instantaneous depth into the live
@@ -93,171 +100,69 @@ func (e *Engine) sampleQueues() {
 	e.met.SampleQueue(obs.GaugeComp, e.compQ.Len())
 }
 
-// allocFrameState allocates one frameState with every slice sized for the
-// frame geometry. Called only at engine construction to stock the
-// free-list, and as overflow when more frames are concurrently tracked
-// than Slots ever provisioned.
-func (e *Engine) allocFrameState() *frameState {
-	return &frameState{Frame: e.dag.NewFrame()}
-}
-
-// releaseFrameState returns a finished frame's state to the free-list.
-// Ownership rule (DESIGN §14): after finishFrame nothing may retain the
-// pointer — late completions are filtered by (slot, frame-id) before any
-// frameState is touched.
-func (e *Engine) releaseFrameState(f *frameState) {
-	if e.opts.noRecycle {
-		return
-	}
-	e.freeStates = append(e.freeStates, f)
-	e.met.FreeStates.Store(int64(len(e.freeStates)))
-}
-
-// admit makes frame id live in slot: it recycles a frameState off the
-// free-list (the steady-state path allocates nothing), starts its DAG,
-// which releases any downlink encode tasks, and installs it.
-func (e *Engine) admit(id uint32, slot int, firstPkt time.Time) *frameState {
-	var f *frameState
-	if n := len(e.freeStates); n > 0 {
-		f = e.freeStates[n-1]
-		e.freeStates[n-1] = nil
-		e.freeStates = e.freeStates[:n-1]
-		e.met.FreeStates.Store(int64(n - 1))
-	} else {
-		f = e.allocFrameState()
-	}
-	f.firstPkt, f.start = firstPkt, time.Time{}
-	f.pilotDoneT, f.zfDoneT = time.Time{}, time.Time{}
-	f.decodeDoneT, f.txDoneT, f.firstTXT = time.Time{}, time.Time{}, time.Time{}
-	f.zfCached = false
-	f.rec.Reset(id)
-	// Counter baselines were snapshotted by the RX goroutine when this
-	// frame claimed its slot (see acceptPacket) — reading the live
-	// counters here would fold in gaps RX already counted inside this
-	// frame's burst, zeroing the incident deltas.
-	f.seqGapBase = e.slotGapBase[slot].Load()
-	f.seqLateBase = e.slotLateBase[slot].Load()
-	f.fecBase = e.slotFECBase[slot].Load()
-	e.dag.Admit(&f.Frame, id, slot)
-	e.frameBySlot[slot] = f
-	return f
-}
-
-// lookupFrame finds a live frame by id (slot scan; Slots is small).
-func (e *Engine) lookupFrame(id uint32) *frameState {
-	for _, f := range e.frameBySlot {
-		if f != nil && f.ID == id {
-			return f
-		}
-	}
-	return nil
-}
-
-// pendingFor finds a buffered not-yet-admitted frame by id.
-func (e *Engine) pendingFor(id uint32) *pendingFrame {
-	for s := range e.pending {
-		if e.pending[s].used && e.pending[s].id == id {
-			return &e.pending[s]
-		}
-	}
-	return nil
-}
-
-// noteGhost records a rejected-at-admission frame in the fixed ghost
-// ring. A full ring evicts its oldest entry by emitting that entry's
-// Dropped result immediately instead of at timeout.
-func (e *Engine) noteGhost(id uint32) {
-	free := -1
-	for i := range e.ghosts {
-		g := &e.ghosts[i]
-		if g.used && g.id == id {
-			return
-		}
-		if !g.used && free < 0 {
-			free = i
-		}
-	}
-	if free < 0 {
-		oldest := 0
-		for i := range e.ghosts {
-			if e.ghosts[i].t.Before(e.ghosts[oldest].t) {
-				oldest = i
-			}
-		}
-		e.expireGhost(&e.ghosts[oldest])
-		free = oldest
-	}
-	e.ghosts[free] = ghostEntry{id: id, t: time.Now(), used: true}
-}
-
-// clearGhost forgets a ghost once one of its packets lands after all.
-func (e *Engine) clearGhost(id uint32) {
-	for i := range e.ghosts {
-		if e.ghosts[i].used && e.ghosts[i].id == id {
-			e.ghosts[i].used = false
-			return
-		}
-	}
-}
-
-// expireGhost emits a ghost's Dropped result and frees its ring entry.
-func (e *Engine) expireGhost(g *ghostEntry) {
-	g.used = false
-	e.met.FramesDropped.Add(1)
-	select {
-	case e.results <- FrameResult{Frame: g.id, Dropped: true, FirstPkt: g.t}:
-	default: // consumer too slow; drop the report, not the pipeline
-	}
-}
-
-// onRX handles one received-packet notification.
+// onRX handles one RX-goroutine message: an accepted packet, or the
+// refusal of a frame whose buffer slot an older frame holds.
 func (e *Engine) onRX(m queue.Msg) {
-	if m.Aux != 0 {
-		// Ghost notification: every packet of frame m.Frame is bouncing off
-		// an occupied buffer slot. If no packet ever lands, reapStale emits
-		// a Dropped result so consumers expecting one result per frame are
-		// not left waiting on a frame the engine silently rejected.
-		if e.lookupFrame(m.Frame) != nil || e.pendingFor(m.Frame) != nil {
-			return
-		}
-		e.noteGhost(m.Frame)
+	if m.Aux == rxRefused {
+		e.retire(m.Frame, nil, true)
 		return
 	}
-	e.clearGhost(m.Frame) // a packet got through after all
-	slot := int(m.Slot)
-	if f := e.frameBySlot[slot]; f != nil && f.ID == m.Frame {
+	f := &e.slots[m.Slot]
+	switch {
+	case f.phase == slotLive && f.ID == m.Frame:
+		e.dispatchRX(f, m)
+	case f.phase == slotPending && f.ID == m.Frame:
+		f.held = append(f.held, m)
+		e.tryAdmitPending()
+	case f.phase == slotFree && e.slotOwner[m.Slot].Load() == heldBy(m.Frame):
+		e.open(f, m)
+	}
+	// Anything else was queued by a frame before its retirement: its slot
+	// is free again or held by a newer frame, whose state it must not
+	// touch.
+}
+
+// open starts slot record f for the frame whose first RX message m just
+// arrived: admitted at once when the gate is open, held pending
+// otherwise.
+func (e *Engine) open(f *slotRec, m queue.Msg) {
+	f.ID, f.firstPkt = m.Frame, time.Now()
+	f.rec.Reset(m.Frame)
+	// Counter baselines were snapshotted by the RX goroutine when this
+	// frame claimed its slot (see claim) — reading the live counters here
+	// would fold in gaps RX already counted inside this frame's burst,
+	// zeroing the incident deltas.
+	f.seqGapBase = e.slotGapBase[m.Slot].Load()
+	f.seqLateBase = e.slotLateBase[m.Slot].Load()
+	f.fecBase = e.slotFECBase[m.Slot].Load()
+	if e.dag.Admissible() {
+		e.admit(f)
 		e.dispatchRX(f, m)
 		return
 	}
-	// acceptPacket only passes packets of the slot's owner, so a used
-	// pending entry at this slot can only belong to the same frame.
-	if p := &e.pending[slot]; p.used && p.id == m.Frame {
-		p.msgs = append(p.msgs, m)
-		e.tryAdmitPending()
-		return
-	}
-	// Admission guard: only messages of the slot's CURRENT owner may
-	// create frame state. A notification from a frame that was already
-	// reaped (slot released and possibly re-claimed by a newer frame)
-	// must not re-admit the dead frame or clobber the new owner's state.
-	if e.slotOwner[slot].Load() != m.Frame+1 {
-		return
-	}
-	if e.dag.Admissible() {
-		e.dispatchRX(e.admit(m.Frame, slot, time.Now()), m)
-		return
-	}
-	p := &e.pending[slot]
-	p.id, p.used, p.first = m.Frame, true, time.Now()
-	p.msgs = append(p.msgs[:0], m)
+	f.phase = slotPending
+	f.held = append(f.held, m)
 	e.pendingCnt++
+}
+
+// admit makes slot record f's frame live: it clears the milestone stamps
+// and starts the frame's DAG state, which releases any downlink encode
+// tasks. The steady-state path allocates nothing.
+func (e *Engine) admit(f *slotRec) {
+	f.start = time.Time{}
+	f.pilotDoneT, f.zfDoneT = time.Time{}, time.Time{}
+	f.decodeDoneT, f.txDoneT, f.firstTXT = time.Time{}, time.Time{}, time.Time{}
+	f.zfCached = false
+	e.dag.Admit(&f.Frame, f.ID, int(f.Slot))
+	f.phase = slotLive
+	e.met.FreeStates.Add(-1)
 }
 
 // dispatchRX hands one packet arrival to the frame DAG, which releases
 // (batched) FFT work. Duplicate packets (UDP retransmits, misbehaving
 // RRUs) are dropped here: processing an antenna twice would corrupt the
 // frame's task accounting.
-func (e *Engine) dispatchRX(f *frameState, m queue.Msg) {
+func (e *Engine) dispatchRX(f *slotRec, m queue.Msg) {
 	if !e.dag.Arrive(&f.Frame, int(m.Symbol), int(m.TaskIdx)) {
 		e.drops.Add(1)
 	}
@@ -272,7 +177,7 @@ func (e *Engine) flush() {
 		if !ok {
 			return
 		}
-		if f := e.frameBySlot[m.Slot]; f != nil && f.ID == m.Frame && f.start.IsZero() {
+		if f := &e.slots[m.Slot]; f.phase == slotLive && f.ID == m.Frame && f.start.IsZero() {
 			f.start = time.Now()
 		}
 		for !e.taskQ[m.Type].TryEnqueue(m) {
@@ -292,9 +197,9 @@ func (e *Engine) onCompletion(m queue.Msg) {
 		// account it even if its frame was reaped so refresh can proceed.
 		e.zfc.copies -= int(m.Batch)
 	}
-	f := e.frameBySlot[m.Slot]
-	if f == nil || f.ID != m.Frame {
-		e.dag.Complete(nil, m) // frame was reaped
+	f := &e.slots[m.Slot]
+	if f.phase != slotLive || f.ID != m.Frame {
+		e.dag.Complete(nil, m) // the frame was retired
 		return
 	}
 	if e.recorder {
@@ -305,7 +210,7 @@ func (e *Engine) onCompletion(m queue.Msg) {
 		e.onMilestones(f, ev)
 	}
 	if ev&sched.FrameDone != 0 {
-		e.finishFrame(f, false)
+		e.retire(f.ID, f, false)
 	} else {
 		e.tryAdmitPending()
 	}
@@ -314,7 +219,7 @@ func (e *Engine) onCompletion(m queue.Msg) {
 // onMilestones stamps the milestones a completion reached and runs the
 // engine's side of them: the coherence-cache decision that releases the
 // ZF tasks, and the cache refresh once ZF is done.
-func (e *Engine) onMilestones(f *frameState, ev sched.Event) {
+func (e *Engine) onMilestones(f *slotRec, ev sched.Event) {
 	now := time.Now()
 	if ev&sched.PilotsDone != 0 {
 		f.pilotDoneT = now
@@ -354,14 +259,11 @@ func (e *Engine) onMilestones(f *frameState, ev sched.Event) {
 
 // zfCacheHit decides whether frame f's pilot estimate is within the
 // coherence window of the cached snapshot: relative Frobenius delta under
-// ZFCacheDelta, summed over ZF groups, and snapshot age under
-// ZFCacheMaxAge frames.
-func (e *Engine) zfCacheHit(f *frameState) bool {
+// zfCacheDelta, summed over ZF groups, and snapshot age under
+// zfCacheMaxAge frames.
+func (e *Engine) zfCacheHit(f *slotRec) bool {
 	c := &e.zfc
-	if !c.enabled || !c.valid {
-		return false
-	}
-	if e.opts.ZFCacheMaxAge > 0 && c.age >= e.opts.ZFCacheMaxAge {
+	if !c.enabled || !c.valid || c.age >= zfCacheMaxAge {
 		return false
 	}
 	var num, den float64
@@ -372,7 +274,7 @@ func (e *Engine) zfCacheHit(f *frameState) bool {
 	if den <= 0 {
 		return false
 	}
-	d := e.opts.ZFCacheDelta
+	d := float64(zfCacheDelta) // squared in float64, not as an exact constant
 	return num <= d*d*den
 }
 
@@ -393,131 +295,150 @@ func (e *Engine) refreshZFCache(slot int) {
 	c.age = 0
 }
 
-// tryAdmitPending admits buffered frames when the gate opens.
+// tryAdmitPending admits the oldest pending frame, in serial-number order,
+// when the gate is open.
 func (e *Engine) tryAdmitPending() {
 	if e.pendingCnt == 0 || !e.dag.Admissible() {
 		return
 	}
-	// Admit the oldest pending frame.
-	oldest := -1
-	for s := range e.pending {
-		if !e.pending[s].used {
-			continue
-		}
-		if oldest < 0 || e.pending[s].id < e.pending[oldest].id {
-			oldest = s
+	var f *slotRec
+	for s := range e.slots {
+		p := &e.slots[s]
+		if p.phase == slotPending && (f == nil || newer(f.ID, p.ID)) {
+			f = p
 		}
 	}
-	if oldest < 0 {
-		return
-	}
-	p := &e.pending[oldest]
-	p.used = false
 	e.pendingCnt--
-	f := e.admit(p.id, oldest, p.first)
-	for _, pm := range p.msgs {
-		e.dispatchRX(f, pm)
+	e.admit(f)
+	for _, m := range f.held {
+		e.dispatchRX(f, m)
 	}
-	p.msgs = p.msgs[:0]
+	f.held = f.held[:0]
 }
 
-// finishFrame emits the FrameResult and releases the slot.
-func (e *Engine) finishFrame(f *frameState, dropped bool) {
-	cfg := &e.cfg
-	res := FrameResult{
-		Frame:      f.ID,
-		Dropped:    dropped,
-		FirstPkt:   f.firstPkt,
-		Start:      f.start,
-		PilotDone:  f.pilotDoneT,
-		ZFDone:     f.zfDoneT,
-		DecodeDone: f.decodeDoneT,
-		TXDone:     f.txDoneT,
-		FirstTX:    f.firstTXT,
-	}
-	end := f.decodeDoneT
-	if cfg.NumUplink() == 0 {
-		end = f.txDoneT
-	}
-	if !end.IsZero() {
-		res.Latency = end.Sub(f.firstPkt)
+// retire is the one exit of every frame, completed or Dropped: it emits
+// the frame's FrameResult and, for a Dropped frame or one past its
+// deadline, its incident. f is the record of the slot the frame held,
+// pending or live, whose leases retire sweeps before it frees the slot;
+// f is nil for a frame refused at RX, which never held one.
+func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
+	res := FrameResult{Frame: id, Dropped: dropped}
+	var refused obs.FrameRec
+	rec := &refused
+	var gapBase, lateBase, fecBase int64
+	var end time.Time
+	if f == nil {
+		res.FirstPkt = time.Now()
+		refused.Frame = id
+		gapBase, lateBase, fecBase = e.met.SeqGaps.Load(), e.met.SeqLate.Load(), e.met.FECRecovered.Load()
+	} else {
+		rec = &f.rec
+		res.FirstPkt = f.firstPkt
+		gapBase, lateBase, fecBase = f.seqGapBase, f.seqLateBase, f.fecBase
+		if f.phase == slotLive {
+			res.Start, res.PilotDone, res.ZFDone = f.start, f.pilotDoneT, f.zfDoneT
+			res.DecodeDone, res.TXDone, res.FirstTX = f.decodeDoneT, f.txDoneT, f.firstTXT
+			end = f.decodeDoneT
+			if e.cfg.NumUplink() == 0 {
+				end = f.txDoneT
+			}
+			if !end.IsZero() {
+				res.Latency = end.Sub(f.firstPkt)
+			}
+		}
 	}
 	if e.recorder {
 		// Seal the attribution record: frame bounds + latency in epoch
 		// nanoseconds, then hand a copy to the result and the SLO
 		// histograms. Healthy frames take only the two comparisons in
 		// the incident gate below.
-		f.rec.FirstPktNS = e.stamp(f.firstPkt)
+		rec.FirstPktNS = e.stamp(res.FirstPkt)
 		if !end.IsZero() {
-			f.rec.DoneNS = e.stamp(end)
+			rec.DoneNS = e.stamp(end)
 		}
-		f.rec.LatencyNS = res.Latency.Nanoseconds()
-		f.rec.Dropped = dropped
-		res.Rec = f.rec
+		rec.LatencyNS = res.Latency.Nanoseconds()
+		rec.Dropped = dropped
+		res.Rec = *rec
 		if !dropped {
-			e.met.ObserveStages(&f.rec)
+			e.met.ObserveStages(rec)
 		}
 		budget := e.met.FrameBudgetNS.Load()
-		if dropped || (budget > 0 && f.rec.LatencyNS > budget) {
+		if dropped || (budget > 0 && rec.LatencyNS > budget) {
 			reason := obs.IncidentDeadline
 			if dropped {
 				reason = obs.IncidentDrop
-				if e.met.SeqGaps.Load() > f.seqGapBase {
+				if e.met.SeqGaps.Load() > gapBase {
 					reason = obs.IncidentLoss
 				}
 			}
-			e.captureIncident(&f.rec, reason, f.seqGapBase, f.seqLateBase, f.fecBase)
+			e.captureIncident(rec, reason, gapBase, lateBase, fecBase)
 		}
 	}
 	if dropped {
 		e.met.FramesDropped.Add(1)
-	} else if res.Latency > 0 {
-		e.met.ObserveFrame(res.Latency.Nanoseconds())
-	}
-	if !dropped {
-		for s := 0; s < cfg.NumSymbols(); s++ {
-			if cfg.SymbolAt(s) != frame.Uplink {
-				continue
-			}
-			for u := 0; u < cfg.Users; u++ {
-				res.BlocksTotal++
-				if e.buf.decodeOK[f.Slot][s][u] {
-					res.BlocksOK++
-				}
-			}
+	} else {
+		if res.Latency > 0 {
+			e.met.ObserveFrame(res.Latency.Nanoseconds())
 		}
-		if e.opts.KeepBits {
-			res.Bits = make([][][]byte, cfg.NumSymbols())
-			res.OKMask = make([][]bool, cfg.NumSymbols())
-			for s := 0; s < cfg.NumSymbols(); s++ {
-				if cfg.SymbolAt(s) != frame.Uplink {
-					continue
-				}
-				res.Bits[s] = make([][]byte, cfg.Users)
-				res.OKMask[s] = make([]bool, cfg.Users)
-				for u := 0; u < cfg.Users; u++ {
-					res.Bits[s][u] = append([]byte(nil), e.buf.decoded[f.Slot][s][u]...)
-					res.OKMask[s][u] = e.buf.decodeOK[f.Slot][s][u]
-				}
-			}
-		}
+		e.blockResults(&res, int(f.Slot))
 	}
-	e.frameBySlot[f.Slot] = nil
-	e.dag.Finish()
-	// Sweep unconsumed RX leases (lost frames abandon payloads mid-symbol)
-	// BEFORE the slot is released: once the owner word clears, netRX may
-	// lease new buffers into the same rows (DESIGN §15).
-	e.reclaimLeases(int(f.Slot))
-	e.releaseSlot(int(f.Slot))
-	// Recycle the state only after every read above; late completions for
-	// this frame are filtered by the (slot, id) check in onCompletion and
-	// never touch a recycled frameState (DESIGN §14).
-	e.releaseFrameState(f)
+	if f != nil {
+		switch f.phase {
+		case slotLive:
+			e.dag.Finish()
+			e.met.FreeStates.Add(1)
+		case slotPending:
+			e.pendingCnt--
+			f.held = f.held[:0]
+		}
+		f.phase = slotFree
+		// Sweep unconsumed RX leases (lost frames abandon payloads
+		// mid-symbol) BEFORE the slot is released: once the owner word
+		// clears, netRX may lease new buffers into the same rows (DESIGN
+		// §15). Completions still in flight for this frame are filtered
+		// by the (phase, id) check in onCompletion and never touch the
+		// record's next frame (DESIGN §14).
+		e.reclaimLeases(int(f.Slot))
+		e.releaseSlot(int(f.Slot))
+	}
 	select {
 	case e.results <- res:
 	default: // consumer too slow; drop the report, not the pipeline
 	}
 	e.tryAdmitPending()
+}
+
+// blockResults fills a completed frame's code-block outcomes from slot's
+// buffers, and its decoded bits under Options.KeepBits.
+func (e *Engine) blockResults(res *FrameResult, slot int) {
+	cfg := &e.cfg
+	for s := 0; s < cfg.NumSymbols(); s++ {
+		if cfg.SymbolAt(s) != frame.Uplink {
+			continue
+		}
+		for u := 0; u < cfg.Users; u++ {
+			res.BlocksTotal++
+			if e.buf.decodeOK[slot][s][u] {
+				res.BlocksOK++
+			}
+		}
+	}
+	if !e.opts.KeepBits {
+		return
+	}
+	res.Bits = make([][][]byte, cfg.NumSymbols())
+	res.OKMask = make([][]bool, cfg.NumSymbols())
+	for s := 0; s < cfg.NumSymbols(); s++ {
+		if cfg.SymbolAt(s) != frame.Uplink {
+			continue
+		}
+		res.Bits[s] = make([][]byte, cfg.Users)
+		res.OKMask[s] = make([]bool, cfg.Users)
+		for u := 0; u < cfg.Users; u++ {
+			res.Bits[s][u] = append([]byte(nil), e.buf.decoded[slot][s][u]...)
+			res.OKMask[s][u] = e.buf.decodeOK[slot][s][u]
+		}
+	}
 }
 
 // captureIncident records a bad frame's post-mortem into the flight
@@ -545,7 +466,7 @@ func (e *Engine) captureIncident(rec *obs.FrameRec, reason obs.IncidentReason,
 
 // releaseSlot clears the RX-dedupe bitmap and frees the slot-owner word.
 // The bitmap clear must come BEFORE releasing the slot: once the owner
-// word is zero a new frame may claim the slot and start setting flags,
+// word is free a new frame may claim the slot and start setting flags,
 // which a late clear would wipe.
 func (e *Engine) releaseSlot(slot int) {
 	for sym := range e.rxSeen[slot] {
@@ -556,49 +477,15 @@ func (e *Engine) releaseSlot(slot int) {
 	e.slotOwner[slot].Store(0)
 }
 
-// reapStale abandons frames that stopped making progress (lost packets).
+// reapStale drops every frame, pending or live, that stopped making
+// progress (lost packets): one whose first packet is older than
+// FrameTimeout at now.
 func (e *Engine) reapStale(now time.Time) {
-	frameTimeout := e.opts.FrameTimeout
-	for s := range e.frameBySlot {
-		if f := e.frameBySlot[s]; f != nil && now.Sub(f.firstPkt) > frameTimeout {
+	for s := range e.slots {
+		f := &e.slots[s]
+		if f.phase != slotFree && now.Sub(f.firstPkt) > e.opts.FrameTimeout {
 			e.drops.Add(1)
-			e.finishFrame(f, true)
-		}
-	}
-	for s := range e.pending {
-		p := &e.pending[s]
-		if !p.used || now.Sub(p.first) <= frameTimeout {
-			continue
-		}
-		p.used = false
-		e.pendingCnt--
-		p.msgs = p.msgs[:0]
-		e.drops.Add(1)
-		// The pending frame claimed its buffer slot at acceptPacket; free
-		// it so later frames hashing to this slot are not ghosted forever
-		// (the old map-based path leaked the slot here), and report the
-		// drop like any other abandoned frame. Its buffered packets hold
-		// leases that no FFT task will ever consume — sweep them first.
-		e.reclaimLeases(s)
-		e.releaseSlot(s)
-		e.met.FramesDropped.Add(1)
-		if e.recorder {
-			// Never-admitted frame: no task ever ran, so the post-mortem
-			// is the empty record plus the gauges — still enough to see
-			// an admission stall (free-list at zero, deep RX queue).
-			rec := obs.FrameRec{Frame: p.id, Dropped: true,
-				FirstPktNS: e.stamp(p.first)}
-			e.captureIncident(&rec, obs.IncidentDrop,
-				e.met.SeqGaps.Load(), e.met.SeqLate.Load(), e.met.FECRecovered.Load())
-		}
-		select {
-		case e.results <- FrameResult{Frame: p.id, Dropped: true, FirstPkt: p.first}:
-		default: // consumer too slow; drop the report, not the pipeline
-		}
-	}
-	for i := range e.ghosts {
-		if g := &e.ghosts[i]; g.used && now.Sub(g.t) > frameTimeout {
-			e.expireGhost(g)
+			e.retire(f.ID, f, true)
 		}
 	}
 }

@@ -124,10 +124,6 @@ type Options struct {
 	// setting allocates on the hot path (see BenchmarkRecorderOverhead).
 	DisableRecorder bool
 
-	// IncidentCapacity sets how many post-mortems the flight recorder
-	// ring retains (oldest overwritten). Zero means 64.
-	IncidentCapacity int
-
 	// RealTime pins workers to OS threads and disables GC assists during
 	// the run, the analogue of running Agora as a real-time process with
 	// isolated cores (§4.3). Unlike the other knobs this one defaults to
@@ -159,25 +155,12 @@ type Options struct {
 	// package's zero-value-on convention), the manager compares each
 	// frame's pilot-estimated CSI against the snapshot taken when the
 	// cache was last refreshed and — while the relative Frobenius delta
-	// stays under ZFCacheDelta and the snapshot is younger than
-	// ZFCacheMaxAge frames — replaces the Gram/Cholesky recompute with a
+	// stays under zfCacheDelta and the snapshot is younger than
+	// zfCacheMaxAge frames — replaces the Gram/Cholesky recompute with a
 	// plain copy of the cached matrices (DESIGN §14). Decoded output is
 	// bit-identical whenever the cache never hits (e.g. i.i.d. per-frame
 	// channels), making this a Table-4-style ablation pair.
 	DisableZFCache bool
-
-	// ZFCacheDelta is the coherence window's relative CSI-change
-	// threshold: the cache serves frame f only while
-	// ‖H_f − H_cache‖_F ≤ ZFCacheDelta·‖H_cache‖_F summed over ZF
-	// groups. Zero means 0.05 (≈ the estimation-noise floor at the
-	// paper's operating SNRs; channel motion quickly exceeds it).
-	ZFCacheDelta float64
-
-	// ZFCacheMaxAge caps how many consecutive frames one cached ZF may
-	// serve before a forced recompute, bounding error accumulation under
-	// slow drift the norm test cannot see. Zero means 64 frames;
-	// negative means no age limit.
-	ZFCacheMaxAge int
 
 	// ZFClusters enables decentralized equalization (DESIGN §16): the M
 	// antennas are partitioned into ZFClusters contiguous clusters, each
@@ -206,22 +189,27 @@ type Options struct {
 	// precoder staleness.
 	StaleDLSymbols int
 
-	// QueueDepth sizes each task queue (messages). Zero (the default)
-	// derives each queue's depth from the frame geometry: a queue only
-	// needs to hold the messages its task type can have in flight across
-	// every buffer slot, which for small cells is far less than a uniform
-	// worst-case depth and shrinks per-engine memory accordingly.
-	QueueDepth int
-
 	// FrameTimeout abandons a frame whose packets stopped arriving,
 	// keeping the engine live under fronthaul loss. Zero means 2s.
 	FrameTimeout time.Duration
-
-	// noRecycle (tests only) bypasses the frameState free-list so every
-	// admitted frame gets a freshly allocated state, the reference
-	// behaviour TestFrameStateRecycling pins recycled output against.
-	noRecycle bool
 }
+
+// Flight-recorder and coherence-cache constants.
+const (
+	// incidentCapacity is how many post-mortems the flight recorder ring
+	// retains (oldest overwritten).
+	incidentCapacity = 64
+	// zfCacheDelta is the coherence window's relative CSI-change
+	// threshold: the cache serves frame f only while
+	// ‖H_f − H_cache‖_F ≤ zfCacheDelta·‖H_cache‖_F summed over ZF groups
+	// (≈ the estimation-noise floor at the paper's operating SNRs;
+	// channel motion quickly exceeds it).
+	zfCacheDelta = 0.05
+	// zfCacheMaxAge caps how many consecutive frames one cached ZF may
+	// serve before a forced recompute, bounding error accumulation under
+	// slow drift the norm test cannot see.
+	zfCacheMaxAge = 64
+)
 
 // withDefaults fills unset fields.
 func (o Options) withDefaults() Options {
@@ -239,15 +227,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceCapacity <= 0 {
 		o.TraceCapacity = 1 << 10
-	}
-	if o.IncidentCapacity <= 0 {
-		o.IncidentCapacity = 64
-	}
-	if o.ZFCacheDelta <= 0 {
-		o.ZFCacheDelta = 0.05
-	}
-	if o.ZFCacheMaxAge == 0 {
-		o.ZFCacheMaxAge = 64
 	}
 	return o
 }

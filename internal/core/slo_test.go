@@ -186,7 +186,7 @@ func TestLossIncident(t *testing.T) {
 	rru := ring.Side(0)
 	// Lose antenna 3's data symbols but keep its pilot, so the frame is
 	// admitted (pilot complete) and then starves mid-flight — the
-	// finishFrame reap path, with sequence gaps inside the frame window.
+	// live-frame reap path, with sequence gaps inside the frame window.
 	err = gen.EmitFrame(0, func(pkt []byte) error {
 		var h fronthaul.Header
 		_ = h.Decode(pkt)

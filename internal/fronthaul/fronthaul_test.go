@@ -41,6 +41,33 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// FuzzHeaderDecode: Decode never panics on arbitrary wire bytes, a header
+// it accepts has its whole payload in bounds, and every header
+// round-trips Encode→Decode field for field.
+func FuzzHeaderDecode(f *testing.F) {
+	valid := make([]byte, PacketSize(4))
+	(&Header{Frame: 7, Symbol: 1, Antenna: 2, Samples: 4, Cell: 3, Seq: 99}).Encode(valid)
+	f.Add(valid, uint32(0), uint16(0), uint16(0), uint8(0), uint64(0))
+	f.Add(valid[:HeaderSize], uint32(1<<32-1), uint16(13), uint16(63), uint8(255), uint64(1<<63))
+	f.Add([]byte{}, uint32(8), uint16(2), uint16(9), uint8(1), uint64(1))
+	f.Fuzz(func(t *testing.T, wire []byte, frame uint32, sym, ant uint16, cell uint8, seq uint64) {
+		var h Header
+		if h.Decode(wire) == nil {
+			if n := len(Payload(wire, &h)); n != int(h.Samples)*cf.BytesPerIQ {
+				t.Fatalf("%v: payload of %d bytes", h, n)
+			}
+		}
+		want := Header{Frame: frame, Symbol: sym, Antenna: ant,
+			Samples: uint32(len(wire) / cf.BytesPerIQ), Dir: Direction(cell & 1), Cell: cell, Seq: seq}
+		pkt := BuildPacketRaw(make([]byte, 0, PacketSize(len(wire))), want,
+			wire[:int(want.Samples)*cf.BytesPerIQ])
+		var got Header
+		if err := got.Decode(pkt); err != nil || got != want {
+			t.Fatalf("round trip: got %+v (%v), want %+v", got, err, want)
+		}
+	})
+}
+
 func TestBuildPacketRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	samples := make([]complex64, 512)

@@ -124,10 +124,11 @@ func RunUplinkLink(cfg frame.Config, opts core.Options, model channel.Model,
 	}
 	frameDur := cfg.FrameDuration()
 	results := eng.Results()
-	// The engine emits a FrameResult for every frame it sees — including
-	// ones rejected outright at admission, which surface as Dropped after
-	// the engine's frame timeout (2s default) — so a healthy run never
-	// comes near this deadline; it only catches a wedged engine.
+	// The engine emits exactly one FrameResult for every frame it sees —
+	// a frame refused because an older one still holds its buffer slot
+	// surfaces as Dropped at once, a frame missing packets at the frame
+	// timeout (2s default) — so a healthy run never comes near this
+	// deadline; it only catches a wedged engine.
 	recv := func() (core.FrameResult, error) {
 		select {
 		case r := <-results:

@@ -8,20 +8,13 @@ import (
 // ErrSingular is returned when a matrix is numerically singular.
 var ErrSingular = errors.New("mat: singular matrix")
 
-// InvertInto writes a⁻¹ into dst using Gauss–Jordan elimination with
-// partial pivoting. The elimination runs in complex128 for stability; the
-// matrices involved are small (K×K with K ≤ 64) so the cost is negligible
-// next to the rest of the zero-forcing task.
-func InvertInto(dst, a *M) error {
-	n := a.Rows
-	if a.Cols != n || dst.Rows != n || dst.Cols != n {
-		panic("mat: InvertInto needs square matrices of equal size")
-	}
-	return invertScratch(dst, a, make([]complex128, n*2*n))
-}
-
-// invertScratch is InvertInto over caller-provided scratch (len >= 2n²),
-// the allocation-free path ZFEqualizerInto takes through its workspace.
+// invertScratch writes a⁻¹ into dst (both n×n) using Gauss–Jordan
+// elimination with partial pivoting over caller-provided scratch
+// (len >= 2n²): the allocation-free fallback ZFEqualizerInto takes through
+// its workspace when the Cholesky factorization fails. The elimination
+// runs in complex128 for stability; the matrices involved are small (K×K
+// with K ≤ 64) so the cost is negligible next to the rest of the
+// zero-forcing task.
 func invertScratch(dst, a *M, w []complex128) error {
 	n := a.Rows
 	// Augmented [A | I] in complex128 scratch.

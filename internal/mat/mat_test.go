@@ -94,7 +94,7 @@ func TestInvertKnown(t *testing.T) {
 	a.Set(1, 0, 3)
 	a.Set(1, 1, 4)
 	inv := New(2, 2)
-	if err := InvertInto(inv, a); err != nil {
+	if err := invertScratch(inv, a, make([]complex128, 2*2*2)); err != nil {
 		t.Fatal(err)
 	}
 	want := New(2, 2)
@@ -117,7 +117,7 @@ func TestInvertProperty(t *testing.T) {
 			a.Set(i, i, a.At(i, i)+complex(float32(n), 0))
 		}
 		inv := New(n, n)
-		if err := InvertInto(inv, a); err != nil {
+		if err := invertScratch(inv, a, make([]complex128, 2*n*n)); err != nil {
 			return false
 		}
 		prod := New(n, n)
@@ -133,7 +133,7 @@ func TestInvertProperty(t *testing.T) {
 
 func TestInvertSingular(t *testing.T) {
 	a := New(3, 3) // all zeros
-	if err := InvertInto(New(3, 3), a); err != ErrSingular {
+	if err := invertScratch(New(3, 3), a, make([]complex128, 2*3*3)); err != ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 // Live SLO attribution (DESIGN §12). The quiescence-only trace rings can
 // explain a frame after the run; FrameRec explains it while the engine is
 // live. The manager owns one FrameRec per in-flight frame (embedded in
-// the arena-recycled frameState, so the steady state allocates nothing)
+// the manager's reused slot record, so the steady state allocates nothing)
 // and folds every task completion's execution stamps into it — the
 // completion messages already flow through the manager, so attribution
 // costs a few adds per completion and no extra synchronization. On frame

@@ -25,8 +25,9 @@ type IncidentReason uint8
 
 // Incident reasons.
 const (
-	// IncidentDrop: the engine abandoned the frame (timeout, slot
-	// conflict, or packets that never arrived).
+	// IncidentDrop: the engine abandoned the frame at FrameTimeout
+	// (packets that never arrived), or refused it at RX because an older
+	// frame still held its buffer slot.
 	IncidentDrop IncidentReason = iota
 	// IncidentDeadline: the frame completed but past the on-air budget.
 	IncidentDeadline
@@ -68,7 +69,8 @@ type Incident struct {
 	// Queues/QueueMax snapshot the queue-depth gauges at capture.
 	Queues   [NumGauges]int64
 	QueueMax [NumGauges]int64
-	// FreeStates is the frameState free-list occupancy at capture.
+	// FreeStates is the number of buffer slots without an admitted
+	// frame at capture.
 	FreeStates int64
 	// Fronthaul counter deltas over the frame's lifetime: gaps/late
 	// arrivals/FEC recoveries attributable to this frame's window.

@@ -40,8 +40,8 @@ type Metrics struct {
 	QueueDepth [NumGauges]atomic.Int64
 	QueueMax   [NumGauges]atomic.Int64
 
-	// Arena/GC health (DESIGN §14): FreeStates gauges the frameState
-	// free-list occupancy (it sitting at zero under load means more
+	// Arena/GC health (DESIGN §14): FreeStates gauges the buffer slots
+	// without an admitted frame (it sitting at zero under load means more
 	// concurrent frames than provisioned slots); ZFCacheHits/Misses
 	// count the coherence-cache decision at each pilot completion.
 	FreeStates    atomic.Int64
@@ -176,8 +176,8 @@ type TaskSnap struct {
 	TotalMS float64 `json:"total_ms"`
 }
 
-// ArenaSnap reports steady-state memory health: free-list occupancy and
-// the ZF coherence-cache hit rate.
+// ArenaSnap reports steady-state memory health: slots without an
+// admitted frame and the ZF coherence-cache hit rate.
 type ArenaSnap struct {
 	FreeStates     int64   `json:"free_states"`
 	ZFCacheHits    int64   `json:"zf_cache_hits"`

@@ -244,6 +244,11 @@ func (s *Sched) Admit(f *Frame, id uint32, slot int) {
 // abandoned frame still in flight are retired by Complete(nil, m).
 func (s *Sched) Finish() { s.live-- }
 
+// Idle reports that no frame is admitted and no released task is waiting
+// in the FIFO or outstanding: the state a driver returns to once every
+// frame has finished and every task has completed.
+func (s *Sched) Idle() bool { return s.live == 0 && s.outstanding == 0 && s.head == len(s.out) }
+
 // Arrive records antenna ant's packet of pilot or uplink symbol sym and
 // releases FFT work in runs of up to FFTBatch consecutive antennas
 // (arrival order is near-sequential; what is left flushes once every
