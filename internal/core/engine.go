@@ -233,7 +233,7 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		cfg = cfg.Unbatched()
 	}
 	dag, err := sched.New(&cfg, sched.Params{Mode: opts.Mode, Workers: opts.Workers,
-		StaleDLSymbols: opts.StaleDLSymbols, PipelineAlloc: opts.PipelineAlloc})
+		StaleDLSymbols: opts.StaleDLSymbols})
 	if err != nil {
 		return nil, err
 	}

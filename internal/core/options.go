@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/queue"
 	"repro/internal/sched"
 )
 
@@ -121,7 +120,7 @@ type Options struct {
 	// histograms stay empty, and no incidents are captured. Zero-value-on
 	// convention: the enabled recorder adds a few manager-side integer
 	// folds per completion and one branch per healthy frame, and neither
-	// setting allocates on the hot path (see BenchmarkRecorderOverhead).
+	// setting allocates on the hot path (see BenchmarkRecorderGate).
 	DisableRecorder bool
 
 	// RealTime pins workers to OS threads and disables GC assists during
@@ -134,11 +133,6 @@ type Options struct {
 	// performs the kernel's memory reads and writes, isolating data
 	// movement from computation (§6.2.2 methodology).
 	DummyKernels bool
-
-	// PipelineAlloc optionally fixes the per-block worker counts for
-	// PipelineParallel mode; when nil Workers are split by Table 3's block
-	// cost shares (internal/sched). Indexed by queue.TaskType.
-	PipelineAlloc map[queue.TaskType]int
 
 	// KeepBits retains decoded uplink bits in each FrameResult (needed by
 	// BER/BLER experiments; adds per-frame allocation).

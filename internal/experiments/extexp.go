@@ -21,13 +21,13 @@ import (
 
 // The experiments in this file go beyond the paper's evaluation section,
 // covering its discussion items: the §3.4.2 stale-precoder optimization,
-// the §4.2 conjugate-beamforming alternative, fronthaul-loss robustness,
-// and the §8 scaling projection to 128×64 MIMO.
+// the §4.2 conjugate-beamforming alternative, the §8 scaling projection
+// to 128×64 MIMO and the ZF-group-size ablation. Fronthaul-loss
+// robustness is lossexp.go's fecloss.
 
 func init() {
 	All["stale"] = Stale
 	All["mrc"] = MRC
-	All["loss"] = Loss
 	All["scaleup"] = ScaleUp
 	All["selective"] = Selective
 }
@@ -176,65 +176,6 @@ func MRC(w io.Writer, o Opt) error {
 	}
 	fmt.Fprintln(w, "# expect: ZF clean everywhere; MRC limited by inter-user interference,")
 	fmt.Fprintln(w, "#   recovering as M/K grows (favorable propagation)")
-	return nil
-}
-
-// Loss measures robustness to fronthaul packet loss: the fraction of
-// frames delivered as the loss rate grows, and that the engine stays
-// live throughout (reaping incomplete frames rather than wedging).
-func Loss(w io.Writer, o Opt) error {
-	o = o.withDefaults()
-	frames := o.frames(10, 40)
-	fmt.Fprintln(w, "# Extension: fronthaul packet-loss robustness")
-	fmt.Fprintf(w, "%-10s %-12s %-12s %-10s\n", "loss_rate", "delivered", "reaped", "blocksOK")
-	cfg := scaledCfg(8, 2)
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	for _, rate := range []float64{0, 0.001, 0.01, 0.05} {
-		ring := fronthaul.NewRing(8192, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
-		gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 25, o.Seed)
-		if err != nil {
-			return err
-		}
-		eng, err := core.NewEngine(cfg, core.Options{Workers: o.Workers,
-			FrameTimeout: 300 * time.Millisecond}, ring.Side(1))
-		if err != nil {
-			return err
-		}
-		eng.Start()
-		rru := ring.Side(0)
-		rng := rand.New(rand.NewSource(o.Seed))
-		lossy := func(pkt []byte) error {
-			if rng.Float64() < rate {
-				return nil // dropped on the wire
-			}
-			return rru.Send(pkt)
-		}
-		delivered, reaped, blocksOK, blocksTotal := 0, 0, 0, 0
-		for f := 0; f < frames; f++ {
-			if err := gen.EmitFrame(uint32(f), lossy); err != nil {
-				return err
-			}
-			select {
-			case r := <-eng.Results():
-				if r.Dropped {
-					reaped++
-				} else {
-					delivered++
-					blocksOK += r.BlocksOK
-					blocksTotal += r.BlocksTotal
-				}
-			case <-time.After(60 * time.Second):
-				eng.Stop()
-				return fmt.Errorf("loss: engine wedged at rate %v", rate)
-			}
-		}
-		eng.Stop()
-		fmt.Fprintf(w, "%-10g %-12s %-12d %d/%d\n", rate,
-			fmt.Sprintf("%d/%d", delivered, frames), reaped, blocksOK, blocksTotal)
-	}
-	fmt.Fprintln(w, "# expect: every frame accounted for (delivered+reaped); lossless frames clean")
 	return nil
 }
 

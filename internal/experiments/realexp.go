@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -85,7 +86,6 @@ func Fig7(w io.Writer, o Opt) error {
 		configs = [][2]int{{8, 2}, {16, 4}, {32, 8}}
 	}
 	fmt.Fprintf(w, "%-8s %-10s %-10s %-10s %-10s\n", "MIMO", "median", "p99", "p99.9", "max")
-	var prevMedian time.Duration
 	for _, c := range configs {
 		cfg := scaledCfg(c[0], c[1])
 		if !o.Quick {
@@ -102,8 +102,6 @@ func Fig7(w io.Writer, o Opt) error {
 			fmt.Sprintf("%dx%d", c[0], c[1]),
 			l.Median().Round(time.Microsecond), l.Percentile(99).Round(time.Microsecond),
 			l.P999().Round(time.Microsecond), l.Max().Round(time.Microsecond))
-		_ = prevMedian
-		prevMedian = l.Median()
 	}
 	return nil
 }
@@ -317,7 +315,7 @@ func worstUserBLER(cfg frame.Config, o Opt, snrDB float64, frames int) (float64,
 			}
 			for u := 0; u < cfg.Users; u++ {
 				tot[u]++
-				if !res.OKMask[s][u] || !bytesEq(res.Bits[s][u], gen.TruthBits[u][s]) {
+				if !res.OKMask[s][u] || !bytes.Equal(res.Bits[s][u], gen.TruthBits[u][s]) {
 					errs[u]++
 				}
 			}
@@ -333,16 +331,4 @@ func worstUserBLER(cfg frame.Config, o Opt, snrDB float64, frames int) (float64,
 		}
 	}
 	return worst, nil
-}
-
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cf"
+	"repro/internal/perfgate"
 )
 
 func randSignal(rng *rand.Rand, n int) []complex64 {
@@ -425,9 +426,12 @@ func BenchmarkIFFTBatch8x512(b *testing.B) {
 
 // BenchmarkForwardIQ12_512 is the fused RX front end (CP strip + unpack +
 // permute + transform) vs its unfused counterpart below.
-func BenchmarkForwardIQ12_512(b *testing.B) {
+func BenchmarkForwardIQ12_512(b *testing.B) { benchCalls(b, forwardIQ12()) }
+
+// iq12Payload512 packs one 512-point symbol plus a 128-sample cyclic
+// prefix of random 12-bit IQ.
+func iq12Payload512() []byte {
 	const n, cp = 512, 128
-	p := MustPlan(n)
 	rng := rand.New(rand.NewSource(1))
 	iq := make([]int16, 2*(n+cp))
 	for i := range iq {
@@ -435,24 +439,21 @@ func BenchmarkForwardIQ12_512(b *testing.B) {
 	}
 	payload := make([]byte, (n+cp)*cf.BytesPerIQ)
 	cf.PackIQ12(payload, iq)
-	dst := make([]complex64, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForwardIQ12(dst, payload, cp)
-	}
+	return payload
+}
+
+// forwardIQ12 returns one fused front-end call on iq12Payload512.
+func forwardIQ12() func() {
+	p := MustPlan(512)
+	payload := iq12Payload512()
+	dst := make([]complex64, 512)
+	return func() { p.ForwardIQ12(dst, payload, 128) }
 }
 
 func BenchmarkForwardIQ12_512_Unfused(b *testing.B) {
 	const n, cp = 512, 128
 	p := MustPlan(n)
-	rng := rand.New(rand.NewSource(1))
-	iq := make([]int16, 2*(n+cp))
-	for i := range iq {
-		iq[i] = int16(rng.Intn(4096) - 2048)
-	}
-	payload := make([]byte, (n+cp)*cf.BytesPerIQ)
-	cf.PackIQ12(payload, iq)
+	payload := iq12Payload512()
 	timeBuf := make([]complex64, n+cp)
 	dst := make([]complex64, n)
 	b.ReportAllocs()
@@ -472,43 +473,87 @@ func BenchmarkForwardIQ12_512_Unfused(b *testing.B) {
 // Inf/NaN after a few dozen iterations, each iteration starts from the
 // same finite signal (the refresh copy is inside the timed loop on both
 // sides).
-func benchImpl(b *testing.B, vector bool, run func(b *testing.B)) {
+func benchImpl(b *testing.B, vector bool, call func()) {
 	if vector && simd == nil {
 		b.Skip("no vector kernels on this CPU/GOARCH")
 	}
 	if !vector {
 		defer forceGoKernels()()
 	}
-	run(b)
+	benchCalls(b, call)
 }
 
-func benchForwardFresh(b *testing.B) {
-	p := MustPlan(512)
-	src := randSignal(rand.New(rand.NewSource(1)), 512)
-	x := make([]complex64, 512)
+// benchCalls times b.N calls of call.
+func benchCalls(b *testing.B, call func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		call()
+	}
+}
+
+// forwardFresh returns one forward 512-point transform of a fixed signal.
+func forwardFresh() func() {
+	p := MustPlan(512)
+	src := randSignal(rand.New(rand.NewSource(1)), 512)
+	x := make([]complex64, 512)
+	return func() {
 		copy(x, src)
 		p.Forward(x)
 	}
 }
 
-func benchInverseBatchFresh(b *testing.B) {
+// inverseBatchFresh returns one 8×512 inverse batch of a fixed signal.
+func inverseBatchFresh() func() {
 	p := MustPlan(512)
 	src := randSignal(rand.New(rand.NewSource(1)), 8*512)
 	x := make([]complex64, 8*512)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		copy(x, src)
 		p.InverseBatch(x, 8, 512)
 	}
 }
 
-func BenchmarkFFT512_AVX2(b *testing.B)            { benchImpl(b, true, benchForwardFresh) }
-func BenchmarkFFT512_PureGo(b *testing.B)          { benchImpl(b, false, benchForwardFresh) }
-func BenchmarkForwardIQ12_512_AVX2(b *testing.B)   { benchImpl(b, true, BenchmarkForwardIQ12_512) }
-func BenchmarkForwardIQ12_512_PureGo(b *testing.B) { benchImpl(b, false, BenchmarkForwardIQ12_512) }
-func BenchmarkIFFTBatch8x512_AVX2(b *testing.B)    { benchImpl(b, true, benchInverseBatchFresh) }
-func BenchmarkIFFTBatch8x512_PureGo(b *testing.B)  { benchImpl(b, false, benchInverseBatchFresh) }
+func BenchmarkFFT512_AVX2(b *testing.B)            { benchImpl(b, true, forwardFresh()) }
+func BenchmarkFFT512_PureGo(b *testing.B)          { benchImpl(b, false, forwardFresh()) }
+func BenchmarkForwardIQ12_512_AVX2(b *testing.B)   { benchImpl(b, true, forwardIQ12()) }
+func BenchmarkForwardIQ12_512_PureGo(b *testing.B) { benchImpl(b, false, forwardIQ12()) }
+func BenchmarkIFFTBatch8x512_AVX2(b *testing.B)    { benchImpl(b, true, inverseBatchFresh()) }
+func BenchmarkIFFTBatch8x512_PureGo(b *testing.B)  { benchImpl(b, false, inverseBatchFresh()) }
+
+// BenchmarkKernelGate is the stage kernels' perf gate (`make perf`): the
+// _PureGo/_AVX2 ratio of each pair above, measured in one process by
+// alternating the two sides over gateRounds rounds of calls calls each.
+// Only the ratio is checked, so host speed cannot move it much. Each
+// floor is about half of the median on a 2-vCPU AVX2 VM, stated beside it.
+func BenchmarkKernelGate(b *testing.B) {
+	if Kernel() == "generic" {
+		b.Skip("Go loops only: no vector kernels to gate")
+	}
+	const gateRounds = 11
+	for _, g := range []struct {
+		name  string
+		call  func()
+		calls int
+		floor float64
+	}{
+		{"FFT512", forwardFresh(), 512, 2},             // median 4.1×
+		{"ForwardIQ12_512", forwardIQ12(), 1024, 4},    // median 8.2×
+		{"IFFTBatch8x512", inverseBatchFresh(), 64, 2}, // median 3.9×
+	} {
+		batch := func() {
+			for i := 0; i < g.calls; i++ {
+				g.call()
+			}
+		}
+		goSide := func() {
+			defer forceGoKernels()()
+			batch()
+		}
+		ratio := perfgate.Ratio(gateRounds, goSide, batch)
+		b.ReportMetric(ratio, g.name+"-x")
+		if ratio < g.floor {
+			b.Fatalf("%s: vector stage kernels %.2f× the Go loops, floor %.1f×", g.name, ratio, g.floor)
+		}
+	}
+}

@@ -170,6 +170,9 @@ func New(cfg Config) (*Fleet, error) {
 	mtu := fronthaul.PacketSize(cfg.Frame.SamplesPerSymbol()) + 64
 	for i := range f.cells {
 		ring := fronthaul.NewRing(cfg.RingDepth, mtu)
+		// One frame's packets, so the router's steady state allocates no
+		// packet buffers (DESIGN §14).
+		ring.Reserve((cfg.Frame.NumPilots() + cfg.Frame.NumUplink()) * cfg.Frame.Antennas)
 		eng, err := core.NewEngine(cfg.Frame, opts, ring.Side(1))
 		if err != nil {
 			for _, c := range f.cells[:i] {

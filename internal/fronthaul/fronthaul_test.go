@@ -116,6 +116,36 @@ func TestRingDelivery(t *testing.T) {
 	}
 }
 
+// TestRingReserve pins the preallocated free-list: reserved buffers are
+// what Send draws from, and Release puts them back.
+func TestRingReserve(t *testing.T) {
+	r := NewRing(16, 256)
+	r.Reserve(4)
+	if n := len(r.free); n != 4 {
+		t.Fatalf("free-list holds %d buffers after Reserve(4)", n)
+	}
+	rru, agora := r.Side(0), r.Side(1)
+	pkt := make([]byte, 100)
+	for i := 0; i < 4; i++ {
+		if err := rru.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.free); n != 0 {
+		t.Fatalf("4 sends left %d reserved buffers unused", n)
+	}
+	for i := 0; i < 4; i++ {
+		got, ok := agora.Recv()
+		if !ok || cap(got) != 256 {
+			t.Fatalf("recv %d: ok=%v cap=%d", i, ok, cap(got))
+		}
+		agora.Release(got)
+	}
+	if n := len(r.free); n != 4 {
+		t.Fatalf("free-list holds %d buffers after releasing 4", n)
+	}
+}
+
 func TestRingDropsWhenFull(t *testing.T) {
 	r := NewRing(2, 64)
 	rru := r.Side(0)

@@ -83,6 +83,17 @@ func NewRing(depth, mtu int) *Ring {
 	return r
 }
 
+// Reserve puts n fresh packet buffers on the free-list, the way a DPDK
+// mempool is sized up front: a sender that never has more than the
+// reserved packets in flight then never allocates, where the lazily grown
+// free-list would keep allocating each time the in-flight count reached
+// a new high.
+func (r *Ring) Reserve(n int) {
+	for i := 0; i < n; i++ {
+		r.putBuf(make([]byte, 0, r.mtu))
+	}
+}
+
 // getBuf pops a recycled buffer, allocating only when the free-list is
 // empty (startup, or bursts beyond anything previously in flight).
 func (r *Ring) getBuf() []byte {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/perfgate"
 )
 
 // Kernel A/B on rotating inputs (DESIGN §13). The repo-root Decode_ pairs
@@ -43,19 +45,31 @@ func rotatingLLRs(code *Code, sigma float64) [][]float32 {
 	return out
 }
 
+// rotatingDecode returns a function that decodes the next of the
+// rotating blocks at lifting size z per call and returns its iterations.
+func rotatingDecode(z int, sigma float64) func() int {
+	code := MustNew(Rate13, z)
+	dec := NewDecoder(code)
+	dec.Alg = NormalizedMinSum
+	llrs := rotatingLLRs(code, sigma)
+	out := make([]byte, code.K())
+	next := 0
+	return func() int {
+		r := dec.Decode(out, llrs[next], 5)
+		next = (next + 1) % rotatingBlocks
+		return r.Iterations
+	}
+}
+
 func benchDecodeRotating(b *testing.B, sigma float64) {
 	for _, z := range []int{27, 104} {
 		b.Run(fmt.Sprintf("Z%d", z), func(b *testing.B) {
-			code := MustNew(Rate13, z)
-			dec := NewDecoder(code)
-			dec.Alg = NormalizedMinSum
-			llrs := rotatingLLRs(code, sigma)
-			out := make([]byte, code.K())
+			decode := rotatingDecode(z, sigma)
 			iters := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				iters += dec.Decode(out, llrs[i%rotatingBlocks], 5).Iterations
+				iters += decode()
 			}
 			b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 		})
@@ -75,3 +89,37 @@ func BenchmarkDecode_PureGo(b *testing.B) {
 }
 
 func BenchmarkDecode_Codeword(b *testing.B) { benchDecodeRotating(b, codewordSigma) }
+
+// BenchmarkKernelGate is the layer kernels' perf gate (`make perf`): the
+// Decode_PureGo/_AVX2 ratio on the rotating workload, measured in one
+// process by alternating the two sides over gateRounds rounds of one
+// pass over the rotating blocks each. Only the ratio is checked, so host
+// speed cannot move it much; a floor at about half of the median on a
+// 2-vCPU AVX2 VM (4.9× at Z27, 6.4× at Z104) fails when the vector
+// kernels lose most of their lead.
+func BenchmarkKernelGate(b *testing.B) {
+	if Kernel() == "generic" {
+		b.Skip("Go loops only: no vector kernels to gate")
+	}
+	const gateRounds = 11
+	for _, g := range []struct {
+		z     int
+		floor float64
+	}{{27, 2.5}, {104, 3}} {
+		decode := rotatingDecode(g.z, rotatingSigma)
+		batch := func() {
+			for i := 0; i < rotatingBlocks; i++ {
+				decode()
+			}
+		}
+		goSide := func() {
+			defer forceGoKernels()()
+			batch()
+		}
+		ratio := perfgate.Ratio(gateRounds, goSide, batch)
+		b.ReportMetric(ratio, fmt.Sprintf("Z%d-x", g.z))
+		if ratio < g.floor {
+			b.Fatalf("Z%d: vector layer kernels %.2f× the Go loops, floor %.1f×", g.z, ratio, g.floor)
+		}
+	}
+}

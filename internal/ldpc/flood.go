@@ -16,8 +16,9 @@ import "math"
 // so no check benefits from another's update until the next iteration.
 // The layered schedule propagates updated APP values within the same
 // iteration and is well known to converge in roughly half the iterations
-// at equal error rate — the gap BenchmarkDecode_Layered/_Flooding and the
-// `cmd/bench -iters` table measure. Both schedules are fixed points of
+// at equal error rate — the gap BenchmarkDecode_Layered/_Flooding time
+// and TestDecodeItersReference pins as exact iteration counts. Both
+// schedules are fixed points of
 // the same min-sum update, and on the decodable inputs of
 // TestLayeredVsFloodingBits they agree on the decoded information bits
 // even though their LLR trajectories and iteration counts legitimately

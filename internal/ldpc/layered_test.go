@@ -84,6 +84,46 @@ func testLayeredVsFloodingBits(t *testing.T) {
 		layTotal, floodTotal, converged, float64(floodTotal)/float64(layTotal))
 }
 
+// TestDecodeItersReference is the convergence-speed tripwire (DESIGN
+// §13): the reference decode workload — seed 1, 32 blocks of the default
+// code (rate 1/3, Z=104), ±4 LLRs plus σ=2.5 noise (harshLLR), a
+// 20-iteration cap — is fully deterministic, so its iteration sums are
+// exact. A scheduling or kernel change that stays correct but costs
+// iterations moves them; every block must converge under both schedules.
+// The sums are the means 2.09375 (layered) and 3.78125 (flooding) over
+// 32 blocks.
+func TestDecodeItersReference(t *testing.T) { t.Run(Kernel(), testDecodeItersReference) }
+
+func testDecodeItersReference(t *testing.T) {
+	const (
+		blocks       = 32
+		maxIter      = 20
+		wantLayered  = 67
+		wantFlooding = 121
+	)
+	rng := rand.New(rand.NewSource(1))
+	code := MustNew(Rate13, 104)
+	lay := NewDecoder(code)
+	flood := NewDecoder(code)
+	flood.Flooding = true
+	out := make([]byte, code.K())
+	layIters, floodIters := 0, 0
+	for blk := 0; blk < blocks; blk++ {
+		llr := harshLLR(rng, code, Rate13)
+		rl := lay.Decode(out, llr, maxIter)
+		rf := flood.Decode(out, llr, maxIter)
+		if !rl.OK || !rf.OK {
+			t.Fatalf("block %d did not converge (layered=%v flooding=%v)", blk, rl.OK, rf.OK)
+		}
+		layIters += rl.Iterations
+		floodIters += rf.Iterations
+	}
+	if layIters != wantLayered || floodIters != wantFlooding {
+		t.Fatalf("iterations over %d blocks: layered %d (want %d), flooding %d (want %d)",
+			blocks, layIters, wantLayered, floodIters, wantFlooding)
+	}
+}
+
 // TestFloodingDecoderReuse mirrors TestLaneDecoderReuse on the flooding
 // path: garbage then clean through one decoder must not leak state (the
 // lPrev snapshot is rebuilt every iteration, the messages every Decode).

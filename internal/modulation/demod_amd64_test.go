@@ -3,7 +3,6 @@
 package modulation
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -190,51 +189,4 @@ func TestDemodKernelsAVX2NoiseVar(t *testing.T) {
 			requireSameLLR(t, tab, tile, users, nsc, math.Float32frombits(bits))
 		}
 	}
-}
-
-// benchSoA times DemodulateSoftSoA on one tile shape; bytes/op is the
-// LLR bytes written.
-func benchSoA(b *testing.B, o Order, users, nsc int) {
-	tab := Get(o)
-	rng := rand.New(rand.NewSource(44))
-	tile := noisySymbols(tab, rng, users*nsc)
-	dst := make([]float32, users*nsc*tab.BitsPerSymbol())
-	b.SetBytes(int64(4 * len(dst)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.DemodulateSoftSoA(dst, tile, users, nsc, 0.1)
-	}
-}
-
-// soaBenchShapes are the two serving shapes — the reference cell's and
-// the QPSK cells' 4-user × 16-subcarrier strip — and the largest tile the
-// engine can form.
-var soaBenchShapes = []struct {
-	o          Order
-	users, nsc int
-}{
-	{QAM64, 4, 16},
-	{QPSK, 4, 16},
-	{QAM256, 16, 16},
-}
-
-// benchSoAShapes runs benchSoA over soaBenchShapes as sub-benchmarks.
-func benchSoAShapes(b *testing.B) {
-	for _, s := range soaBenchShapes {
-		b.Run(fmt.Sprintf("%v_%dx%d", s.o, s.users, s.nsc), func(b *testing.B) { benchSoA(b, s.o, s.users, s.nsc) })
-	}
-}
-
-// BenchmarkDemodulateSoftSoA_AVX2 and _PureGo are the within-process
-// kernel A/B: the same tiles through the vector kernel and through the Go
-// loop.
-func BenchmarkDemodulateSoftSoA_AVX2(b *testing.B) {
-	requireAVX2(b)
-	benchSoAShapes(b)
-}
-
-func BenchmarkDemodulateSoftSoA_PureGo(b *testing.B) {
-	defer forceGoKernels()()
-	benchSoAShapes(b)
 }

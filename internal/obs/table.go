@@ -160,7 +160,7 @@ var table = []row{
 				emit("", r.MeanShare, promLabel{"stage", r.Stage})
 			}
 		}},
-	{name: "agora_free_states", help: "frameState free-list occupancy.", kind: gauge,
+	{name: "agora_free_states", help: "Buffer slots without an admitted frame.", kind: gauge,
 		live: func(m *Metrics) *atomic.Int64 { return &m.FreeStates },
 		i:    func(s *Snapshot) *int64 { return &s.Arena.FreeStates }},
 	{name: "agora_zf_cache_hits_total", help: "ZF coherence-cache hits.", kind: counter,

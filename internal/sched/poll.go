@@ -46,10 +46,7 @@ func pollOrders(cfg *frame.Config, p Params) [][]queue.TaskType {
 	if cfg.NumDownlink() > 0 {
 		blocks = append(blocks, queue.TaskEncode, queue.TaskPrecode, queue.TaskIFFT)
 	}
-	alloc := p.PipelineAlloc
-	if alloc == nil {
-		alloc = weightedAlloc(blocks, p.Workers)
-	}
+	alloc := weightedAlloc(blocks, p.Workers)
 	wi := 0
 	for _, b := range blocks {
 		for n := 0; n < alloc[b] && wi < p.Workers; n++ {

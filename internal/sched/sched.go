@@ -49,9 +49,6 @@ type Params struct {
 	// StaleDLSymbols lets a frame's first n downlink symbols be precoded
 	// with the previous frame's precoder (§3.4.2).
 	StaleDLSymbols int
-	// PipelineAlloc fixes the per-block worker counts in PipelineParallel
-	// mode; nil splits Workers by pipelineBlockWeights.
-	PipelineAlloc map[queue.TaskType]int
 }
 
 // Event is the set of frame milestones one call reached.
