@@ -39,8 +39,9 @@ generic:
 
 # Short-mode race pass over every internal package. The MPMC queues, the
 # manager-worker engine and the obs tracer/metrics are where a data race
-# would hide; TestMetricsSnapshotLive exercises the mid-run TaskStats /
-# MetricsSnapshot readers against running workers under the detector,
+# would hide; TestMetricsSnapshotLive exercises the mid-run
+# MetricsSnapshot reader against the manager's task-time fold under the
+# detector,
 # TestPromLiveMidRun (internal/core) and TestPromFleetLiveMidRun
 # (internal/obs) scrape /metrics from a running engine and a running
 # fleet, and internal/fleet's lifecycle tests (drain under in-flight

@@ -66,8 +66,6 @@ type (
 	Engine = core.Engine
 	// FrameResult reports a processed frame with its latency milestones.
 	FrameResult = core.FrameResult
-	// TaskStat summarizes per-block task costs (paper Table 3).
-	TaskStat = core.TaskStat
 	// Generator is the software RRU: it synthesizes uplink IQ traffic
 	// with known ground-truth bits.
 	Generator = workload.Generator
@@ -109,8 +107,6 @@ type (
 	// FleetSnapshot is the aggregated multi-cell metrics view a fleet
 	// publishes on one expvar endpoint.
 	FleetSnapshot = obs.FleetSnapshot
-	// FleetSummary aggregates a multi-cell harness run (RunFleetUplink).
-	FleetSummary = harness.FleetSummary
 	// DecodeSnap is the LDPC decode-iteration accounting (DESIGN §13):
 	// blocks decoded, mean/max BP iterations, early-exit rate.
 	DecodeSnap = obs.DecodeSnap
@@ -119,7 +115,7 @@ type (
 	KernelRow = obs.KernelRow
 	// StageSLO is one stage's live budget-attribution summary: per-frame
 	// busy-time distribution and mean share of the frame budget
-	// (DESIGN §17).
+	// (DESIGN §12).
 	StageSLO = obs.StageSLO
 	// FrameRec is one frame's per-stage attribution record, carried on
 	// every FrameResult when the recorder is on.
@@ -238,6 +234,9 @@ func NewLossInjector(every int, rate float64, seed int64) *LossInjector {
 // When realtimePacing is true, frames are emitted at the configured frame
 // rate (as a real RRU would); otherwise each frame is emitted as soon as
 // the previous result arrives (pure processing-speed measurement).
+// Options.KeepBits scores decoded bits against the ground truth, which
+// needs back-to-back frames: with realtimePacing it is an error. The
+// per-block task costs (paper Table 3) are in RunSummary.Metrics.Tasks.
 func RunUplink(cfg Config, opts Options, model ChannelModel, snrDB float64,
 	nFrames int, realtimePacing bool, seed int64) (*RunSummary, error) {
 	return harness.RunUplink(cfg, opts, model, snrDB, nFrames, realtimePacing, seed)
@@ -255,11 +254,3 @@ func RunUplinkLink(cfg Config, opts Options, model ChannelModel, snrDB float64,
 // engines, each behind its own fronthaul ring, demuxed by the packet
 // header's Cell byte (DESIGN §16).
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return fleet.New(cfg) }
-
-// RunFleetUplink drives nFrames uplink frames through each cell of a
-// fleet (one software RRU per cell, packets demuxed by the router) and
-// reports merged latency percentiles and aggregate frames/s.
-func RunFleetUplink(cfg Config, opts Options, cells, totalWorkers int,
-	snrDB float64, nFrames int, seed int64) (*FleetSummary, error) {
-	return harness.RunFleetUplink(cfg, opts, cells, totalWorkers, snrDB, nFrames, seed)
-}

@@ -45,7 +45,7 @@ func TestRunUplinkEndToEnd(t *testing.T) {
 	if sum.Latency.Count() != 5 || sum.Latency.Median() <= 0 {
 		t.Fatalf("latency reservoir: %s", sum.Latency.Summary())
 	}
-	if sum.TaskStats[TaskDecode].Count == 0 {
+	if sum.Metrics.Tasks[TaskDecode.String()].Count == 0 {
 		t.Fatal("no decode task stats")
 	}
 }

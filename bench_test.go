@@ -386,7 +386,7 @@ func benchTracerOverhead(b *testing.B, disable bool) {
 }
 
 // BenchmarkRecorderGate is the SLO recorder + flight recorder's perf
-// gate (DESIGN §17, `make perf`): 16-frame Table-1 runs with the
+// gate (DESIGN §12, `make perf`): 16-frame Table-1 runs with the
 // recorder on (the default engine: per-frame stage attribution folded
 // into the budget histograms, incident ring armed) alternate with runs
 // that set Options.DisableRecorder, and the gate fails when the median

@@ -131,11 +131,11 @@ func main() {
 			fmt.Println("agora: per-task costs:")
 			for _, t := range []agora.TaskType{agora.TaskPilotFFT, agora.TaskZF,
 				agora.TaskFFT, agora.TaskDemod, agora.TaskDecode} {
-				s := eng.TaskStats()[t]
-				if s.Count == 0 {
+				ts := s.Tasks[t.String()]
+				if ts.Count == 0 {
 					continue
 				}
-				fmt.Printf("  %-9s %6d tasks %8.2f µs/task\n", t, s.Count, s.MeanUS)
+				fmt.Printf("  %-9s %6d tasks %8.2f µs/task\n", t, ts.Count, ts.MeanUS)
 			}
 			return
 		case <-time.After(30 * time.Second):
@@ -239,7 +239,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 	}
 }
 
-// registerObs wires the DESIGN §17 observability surface onto the
+// registerObs wires the DESIGN §12 observability surface onto the
 // default mux (served by serveMetrics): Prometheus text on /metrics,
 // the flight recorder on /debug/incidents, per-second rate series on
 // /debug/rates (fed by a 1 Hz sampler goroutine), and high-water

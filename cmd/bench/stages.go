@@ -9,14 +9,15 @@ import (
 )
 
 // Per-stage breakdown capture (the Table-2 analogue): run a traced uplink
-// workload, reconstruct the frame timeline from the engine's event tracer,
-// and emit per-stage task counts, worker time, compute share and mean
-// per-frame wall span as JSON (plus a human-readable table on stdout).
+// workload and emit per-stage task counts, worker time and compute share
+// from the engine's per-type task totals, and the mean per-frame wall span
+// from the timeline the event tracer reconstructs, as JSON (plus a
+// human-readable table on stdout).
 
 // stageRow is one pipeline stage's aggregate in the JSON report.
 type stageRow struct {
 	Stage      string  `json:"stage"`
-	Tasks      int     `json:"tasks"`
+	Tasks      int64   `json:"tasks"`
 	MeanUS     float64 `json:"mean_us"`
 	BusyMS     float64 `json:"busy_ms"`
 	BusyShare  float64 `json:"busy_share"`
@@ -60,9 +61,9 @@ type stagesReport struct {
 	// Kernels is the kernel implementation each vectorised stage used.
 	Kernels []agora.KernelRow `json:"kernels"`
 	// SLOAttribution is the live recorder's per-stage budget attribution
-	// (DESIGN §17): per-frame busy-time distribution and mean share of
-	// the frame budget, folded online by the manager — unlike Stages
-	// above, which are reconstructed from the trace rings at quiescence.
+	// (DESIGN §12): per-frame busy-time distribution and mean share of
+	// the frame budget — where Stages above totals the run, these rows
+	// describe the spread across frames.
 	SLOAttribution []agora.StageSLO `json:"slo_attribution"`
 }
 
@@ -112,7 +113,6 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		Kernels:        sum.Metrics.Kernels,
 		SLOAttribution: sum.Metrics.SLO,
 	}
-	totalBusy := tl.TotalBusyNS()
 	// Mean per-frame wall span per stage, over the frames in the capture
 	// window (the ring holds the most recent frames of a long run).
 	spanSum := map[string]int64{}
@@ -123,28 +123,26 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 			spanN[s.Type.String()]++
 		}
 	}
-	for _, s := range tl.Stages {
-		name := s.Type.String()
-		row := stageRow{
-			Stage:  name,
-			Tasks:  s.Tasks,
-			BusyMS: float64(s.BusyNS) / 1e6,
+	totalMS := busyMS(&sum.Metrics)
+	for _, t := range uplinkStages {
+		name := t.String()
+		s, ok := sum.Metrics.Tasks[name]
+		if !ok {
+			continue
 		}
-		if s.Tasks > 0 {
-			row.MeanUS = float64(s.BusyNS) / 1e3 / float64(s.Tasks)
-		}
-		if totalBusy > 0 {
-			row.BusyShare = float64(s.BusyNS) / float64(totalBusy)
+		row := stageRow{Stage: name, Tasks: s.Count, MeanUS: s.MeanUS, BusyMS: s.TotalMS}
+		if totalMS > 0 {
+			row.BusyShare = s.TotalMS / totalMS
 		}
 		if n := spanN[name]; n > 0 {
 			row.MeanSpanUS = float64(spanSum[name]) / 1e3 / float64(n)
 		}
 		rep.Stages = append(rep.Stages, row)
 	}
-	for _, r := range rep.Stages {
-		if r.Stage == "ZF" {
-			rep.ZFShareCached, rep.ZFBusyMSCached = r.BusyShare, r.BusyMS
-		}
+	zf := agora.TaskZF.String()
+	rep.ZFBusyMSCached = sum.Metrics.Tasks[zf].TotalMS
+	if totalMS > 0 {
+		rep.ZFShareCached = rep.ZFBusyMSCached / totalMS
 	}
 	// Second, identically-seeded run with the cache ablated: the ZF rows'
 	// delta is the per-frame inverse recompute the cache removes.
@@ -154,15 +152,9 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if unc.Timeline != nil {
-		if tb := unc.Timeline.TotalBusyNS(); tb > 0 {
-			for _, s := range unc.Timeline.Stages {
-				if s.Type.String() == "ZF" {
-					rep.ZFShareUncached = float64(s.BusyNS) / float64(tb)
-					rep.ZFBusyMSUncached = float64(s.BusyNS) / 1e6
-				}
-			}
-		}
+	rep.ZFBusyMSUncached = unc.Metrics.Tasks[zf].TotalMS
+	if tb := busyMS(&unc.Metrics); tb > 0 {
+		rep.ZFShareUncached = rep.ZFBusyMSUncached / tb
 	}
 	// Third identically-seeded run with the flooding decode schedule: the
 	// iteration-count delta against the layered main run is the convergence
@@ -235,4 +227,17 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		return err
 	}
 	return os.WriteFile(out, b, 0o644)
+}
+
+// uplinkStages is the report's stage order: the uplink pipeline.
+var uplinkStages = []agora.TaskType{agora.TaskPilotFFT, agora.TaskZF,
+	agora.TaskFFT, agora.TaskDemod, agora.TaskDecode}
+
+// busyMS sums the worker time of every task type in s, milliseconds.
+func busyMS(s *agora.MetricsSnapshot) float64 {
+	var ms float64
+	for _, t := range s.Tasks {
+		ms += t.TotalMS
+	}
+	return ms
 }

@@ -63,8 +63,8 @@ func main() {
 	fmt.Println("\nper-task costs (paper Table 3 analogue):")
 	for _, t := range []agora.TaskType{agora.TaskPilotFFT, agora.TaskZF,
 		agora.TaskFFT, agora.TaskDemod, agora.TaskDecode} {
-		s := sum.TaskStats[t]
-		fmt.Printf("  %-9s %6d tasks  %8.2f µs/task (±%.2f)  total %7.2f ms\n",
-			t.String(), s.Count, s.MeanUS, s.StdUS, s.TotalMS)
+		s := sum.Metrics.Tasks[t.String()]
+		fmt.Printf("  %-9s %6d tasks  %8.2f µs/task  total %7.2f ms\n",
+			t.String(), s.Count, s.MeanUS, s.TotalMS)
 	}
 }

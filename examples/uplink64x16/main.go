@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("\n  per-task costs (compare paper Table 3):")
 	for _, t := range []agora.TaskType{agora.TaskPilotFFT, agora.TaskZF,
 		agora.TaskFFT, agora.TaskDemod, agora.TaskDecode} {
-		s := sum.TaskStats[t]
+		s := sum.Metrics.Tasks[t.String()]
 		fmt.Printf("    %-9s %6d tasks  %8.2f µs/task  total %8.2f ms\n",
 			t.String(), s.Count, s.MeanUS, s.TotalMS)
 	}

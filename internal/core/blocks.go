@@ -8,8 +8,6 @@ import (
 	"repro/internal/ldpc"
 	"repro/internal/mat"
 	"repro/internal/modulation"
-	"repro/internal/obs"
-	"repro/internal/queue"
 )
 
 // worker holds one worker's private scratch so task execution allocates
@@ -57,8 +55,6 @@ type worker struct {
 	code   *ldpc.Code
 
 	pilotFreq [][]complex64 // conj of each user's pilot over the data band
-
-	perTask [queue.NumTaskTypes]obs.TaskAcc
 }
 
 func newWorker(id int, e *Engine) *worker {

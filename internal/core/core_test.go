@@ -399,20 +399,20 @@ func TestTaskStatsPopulated(t *testing.T) {
 		}
 	}
 	eng.Stop()
-	st := eng.TaskStats()
+	st := eng.MetricsSnapshot().Tasks
 	for _, tt := range []queue.TaskType{queue.TaskPilotFFT, queue.TaskZF,
 		queue.TaskFFT, queue.TaskDemod, queue.TaskDecode} {
-		s, ok := st[tt]
+		s, ok := st[tt.String()]
 		if !ok || s.Count == 0 || s.MeanUS <= 0 {
 			t.Errorf("no stats for %v: %+v", tt, s)
 		}
 	}
 	// Sanity: per-frame task counts. 2 frames: pilot 8*2, zf 8*2, fft 2sym*8ant*2 ...
-	if st[queue.TaskZF].Count != 2*cfg.ZFGroups() {
-		t.Errorf("ZF count %d, want %d", st[queue.TaskZF].Count, 2*cfg.ZFGroups())
+	if n := st[queue.TaskZF.String()].Count; n != int64(2*cfg.ZFGroups()) {
+		t.Errorf("ZF count %d, want %d", n, 2*cfg.ZFGroups())
 	}
-	if st[queue.TaskDecode].Count != 2*cfg.NumUplink()*cfg.Users {
-		t.Errorf("decode count %d", st[queue.TaskDecode].Count)
+	if n := st[queue.TaskDecode.String()].Count; n != int64(2*cfg.NumUplink()*cfg.Users) {
+		t.Errorf("decode count %d", n)
 	}
 }
 

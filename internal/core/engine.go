@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -43,18 +42,10 @@ type FrameResult struct {
 	Bits [][][]byte
 	// OKMask mirrors Bits with per-block parity outcomes.
 	OKMask [][]bool
-	// Rec is the frame's live SLO attribution record (DESIGN §17):
+	// Rec is the frame's live SLO attribution record (DESIGN §12):
 	// per-stage busy/span nanoseconds relative to the engine epoch.
 	// Zero when Options.DisableRecorder is set.
 	Rec obs.FrameRec
-}
-
-// TaskStat summarizes per-task execution cost for one block type.
-type TaskStat struct {
-	Count   int
-	MeanUS  float64 // mean microseconds per task
-	StdUS   float64
-	TotalMS float64 // cumulative across all workers, milliseconds
 }
 
 // Engine is one Agora instance bound to a fronthaul transport.
@@ -81,17 +72,15 @@ type Engine struct {
 
 	// Observability (see internal/obs): trace is the per-worker event
 	// tracer (nil when Options.DisableTracing), met the always-on live
-	// counter set, txAcc the network-TX cost accumulator (the TX thread
-	// has no worker), and txLane the TX thread's trace lane.
+	// counter set, and txLane the TX thread's trace lane.
 	trace  *obs.Tracer
 	met    obs.Metrics
-	txAcc  obs.TaskAcc
 	txLane int
 
 	// epoch anchors every nanosecond stamp in the obs plane — trace
 	// events, Msg.T0/T1 completion stamps, FrameRec bounds — so the live
 	// SLO attribution and the quiescent timeline reconstruction agree
-	// bit-for-bit on the same frame (DESIGN §17).
+	// bit-for-bit on the same frame (DESIGN §12).
 	epoch time.Time
 	// recorder gates the SLO attribution + flight recorder
 	// (!Options.DisableRecorder); incidents is the post-mortem ring.
@@ -213,7 +202,7 @@ type slotRec struct {
 	// rec is the frame's live SLO attribution record, filled by the
 	// manager from completion stamps; the seq*/fec bases snapshot the
 	// fronthaul counters at the slot claim so an incident can report the
-	// deltas attributable to this frame's window (DESIGN §17).
+	// deltas attributable to this frame's window (DESIGN §12).
 	rec                              obs.FrameRec
 	seqGapBase, seqLateBase, fecBase int64
 }
@@ -437,52 +426,19 @@ func (e *Engine) Stop() {
 		_ = e.tr.Close()
 	}
 	e.wg.Wait()
+	// Completions the workers queued after the manager's last drain still
+	// count toward the per-type task totals.
+	for {
+		m, ok := e.compQ.TryDequeue()
+		if !ok {
+			break
+		}
+		e.observeTask(m)
+	}
 	if e.opts.RealTime {
 		debug.SetGCPercent(e.prevGC)
 	}
 	close(e.results)
-}
-
-// TaskStats merges the per-worker task cost accumulators into per-type
-// summaries. It is safe to call at ANY time, including while the engine is
-// running: each accumulator has a single writer (its worker) and atomically
-// readable state, so this returns a monotone snapshot rather than racing
-// the workers. Mid-run, a worker caught between updates may contribute a
-// count that lags its sums by one sample — far below the reported
-// resolution. Call after Stop for the run's final totals.
-func (e *Engine) TaskStats() map[queue.TaskType]TaskStat {
-	out := make(map[queue.TaskType]TaskStat)
-	for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
-		var n int64
-		var sum, sum2 float64
-		for _, w := range e.workers {
-			wn, ws, ws2 := w.perTask[t].Snapshot()
-			n += wn
-			sum += ws
-			sum2 += ws2
-		}
-		if t == queue.TaskPacketTX {
-			tn, ts, ts2 := e.txAcc.Snapshot()
-			n += tn
-			sum += ts
-			sum2 += ts2
-		}
-		if n == 0 {
-			continue
-		}
-		mean := sum / float64(n)
-		variance := sum2/float64(n) - mean*mean // population, as the old pooled form
-		if variance < 0 {
-			variance = 0
-		}
-		out[t] = TaskStat{
-			Count:   int(n),
-			MeanUS:  mean,
-			StdUS:   math.Sqrt(variance),
-			TotalMS: sum / 1000,
-		}
-	}
-	return out
 }
 
 // stamp converts t to nanoseconds since the engine epoch — the time base
@@ -518,22 +474,17 @@ func (e *Engine) IncidentCount() uint64 {
 }
 
 // MetricsSnapshot builds the JSON-friendly snapshot cmd/agora publishes
-// over expvar: live counters plus the per-task cost table. Safe mid-run.
+// over expvar: the live counters, the per-task cost table (paper Table 3)
+// included, plus the transport's packet counters. Safe mid-run; after
+// Stop its Tasks cover every task the engine ran.
 func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	s := e.met.Snap()
-	for t, st := range e.TaskStats() {
-		s.Tasks[t.String()] = obs.TaskSnap{
-			Count: int64(st.Count), MeanUS: st.MeanUS, TotalMS: st.TotalMS,
-		}
-	}
 	s.Fronthaul.RxDrops = e.drops.Load()
 	if e.tr != nil {
-		if sr, ok := e.tr.(fronthaul.StatsReporter); ok {
-			st := sr.Stats()
-			s.Fronthaul.TxPkts = st.TxPkts
-			s.Fronthaul.TxDrops = st.TxDrops
-			s.Fronthaul.RxPkts = st.RxPkts
-		}
+		st := e.tr.Stats()
+		s.Fronthaul.TxPkts = st.TxPkts
+		s.Fronthaul.TxDrops = st.TxDrops
+		s.Fronthaul.RxPkts = st.RxPkts
 	}
 	return s
 }
@@ -594,7 +545,6 @@ func (e *Engine) runNetTX() {
 		pkt := fronthaul.BuildPacket(buf, iq, h, e.buf.dlTime[m.Slot][m.Symbol][m.TaskIdx])
 		_ = e.tr.Send(pkt)
 		t1 := e.nowStamp()
-		e.txAcc.Add(float64(t1-t0) / 1000)
 		if e.trace != nil {
 			e.trace.Emit(obs.Event{
 				Start: t0, End: t1,
@@ -650,24 +600,17 @@ func (e *Engine) runWorker(w *worker) {
 		}
 		idle = 0
 		// Execution stamps ride back to the manager on the completion
-		// message itself (former Msg padding), feeding the live SLO
-		// attribution without touching the quiescence-only trace rings;
-		// the per-task accumulator and the trace event derive from the
-		// same two clock reads.
+		// message itself (former Msg padding): the manager's fold accounts
+		// the task time from them (onCompletion), and the trace event
+		// carries the same two clock reads.
 		m.T0 = e.nowStamp()
 		e.execute(w, m)
 		m.T1 = e.nowStamp()
-		batch := int(m.Batch)
-		if batch < 1 {
-			batch = 1
-		}
-		perTask := float64(m.T1-m.T0) / 1000 / float64(batch)
-		w.perTask[m.Type].AddN(batch, perTask)
 		if e.trace != nil {
 			e.trace.Emit(obs.Event{
 				Start: m.T0, End: m.T1,
 				Frame: m.Frame, Symbol: m.Symbol, TaskIdx: m.TaskIdx,
-				Lane: uint16(w.id), Type: m.Type, Batch: uint8(batch),
+				Lane: uint16(w.id), Type: m.Type, Batch: m.Batch,
 			})
 		}
 		for !e.compQ.TryEnqueue(m) {

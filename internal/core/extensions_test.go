@@ -340,8 +340,8 @@ func TestQAM256EndToEnd(t *testing.T) {
 }
 
 func TestTaskAccountingExact(t *testing.T) {
-	// Every task must execute exactly once per frame: the merged task
-	// stats must equal the analytic per-frame counts, uplink and
+	// Every task must execute exactly once per frame: the manager's
+	// per-type totals must equal the analytic per-frame counts, uplink and
 	// downlink, with batching both on and off.
 	for _, batching := range []bool{false, true} {
 		cfg := smallCfg()
@@ -381,7 +381,7 @@ func TestTaskAccountingExact(t *testing.T) {
 			}
 		}
 		eng.Stop()
-		st := eng.TaskStats()
+		st := eng.MetricsSnapshot().Tasks
 		// The engine's demod block count differs with batching off.
 		demodBlocks := eng.cfg.DemodBlocks()
 		want := map[queue.TaskType]int{
@@ -395,9 +395,9 @@ func TestTaskAccountingExact(t *testing.T) {
 			queue.TaskIFFT:     frames * 1 * cfg.Antennas,
 		}
 		for tt, n := range want {
-			if st[tt].Count != n {
+			if got := st[tt.String()].Count; got != int64(n) {
 				t.Errorf("batching=%v: %v executed %d times, want %d",
-					batching, tt, st[tt].Count, n)
+					batching, tt, got, n)
 			}
 		}
 	}

@@ -481,33 +481,23 @@ func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym
 }
 
 // runNetRX is the dedicated network receive thread (§4.3 uses two DPDK
-// threads; a single goroutine saturates the in-process ring here). When
-// the transport supports batched receives, one wakeup drains a whole
-// burst.
+// threads; a single goroutine saturates the in-process ring here). One
+// wakeup drains a whole burst.
 func (e *Engine) runNetRX() {
 	defer e.wg.Done()
 	if e.opts.RealTime {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
-	if br, ok := e.tr.(fronthaul.BatchRecver); ok {
-		pkts := make([][]byte, rxBatchSize)
-		for {
-			n, ok := br.RecvBatch(pkts)
-			if !ok {
-				return
-			}
-			for i := 0; i < n; i++ {
-				e.ingest(pkts[i])
-			}
-		}
-	}
+	pkts := make([][]byte, rxBatchSize)
 	for {
-		pkt, ok := e.tr.Recv()
+		n, ok := e.tr.RecvBatch(pkts)
 		if !ok {
 			return
 		}
-		e.ingest(pkt)
+		for i := 0; i < n; i++ {
+			e.ingest(pkts[i])
+		}
 	}
 }
 

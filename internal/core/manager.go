@@ -190,8 +190,11 @@ func (e *Engine) flush() {
 	}
 }
 
-// onCompletion advances the frame DAG by one completed task message.
+// onCompletion advances the frame DAG by one completed task message. It
+// first folds the message's task time into the per-type totals, for
+// every completion, the retired frame's included.
 func (e *Engine) onCompletion(m queue.Msg) {
+	e.observeTask(m)
 	if m.Type == queue.TaskZF && m.Aux == 1 {
 		// A completed cache-copy task no longer reads the cache matrices;
 		// account it even if its frame was reaped so refresh can proceed.
@@ -214,6 +217,12 @@ func (e *Engine) onCompletion(m queue.Msg) {
 	} else {
 		e.tryAdmitPending()
 	}
+}
+
+// observeTask is the engine's one account of task time (paper Table 3):
+// the message's batch of tasks and its execution stamps.
+func (e *Engine) observeTask(m queue.Msg) {
+	e.met.ObserveTask(m.Type, int(m.Batch), m.T1-m.T0)
 }
 
 // onMilestones stamps the milestones a completion reached and runs the
@@ -442,7 +451,7 @@ func (e *Engine) blockResults(res *FrameResult, slot int) {
 }
 
 // captureIncident records a bad frame's post-mortem into the flight
-// recorder ring (DESIGN §17): the attribution record plus the system
+// recorder ring (DESIGN §12): the attribution record plus the system
 // gauges at capture time. Rare by construction, so it re-samples the
 // queue depths for freshness before snapshotting them.
 func (e *Engine) captureIncident(rec *obs.FrameRec, reason obs.IncidentReason,

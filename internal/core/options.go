@@ -115,7 +115,7 @@ type Options struct {
 	TraceCapacity int
 
 	// DisableRecorder turns off the live SLO attribution and the anomaly
-	// flight recorder (DESIGN §17): completion messages stop carrying
+	// flight recorder (DESIGN §12): completion messages stop carrying
 	// execution stamps into per-frame FrameRecs, the per-stage budget
 	// histograms stay empty, and no incidents are captured. Zero-value-on
 	// convention: the enabled recorder adds a few manager-side integer

@@ -15,7 +15,7 @@ import (
 )
 
 // TestSLOAttributionMatchesTimeline pins the equivalence at the heart of
-// DESIGN §17: the live FrameRec the manager assembles from completion
+// DESIGN §12: the live FrameRec the manager assembles from completion
 // stamps and the quiescence-only timeline reconstructed from the trace
 // rings describe the SAME schedule. Both are fed the identical worker
 // stamps (Msg.T0/T1, nanoseconds since the shared engine epoch), so per

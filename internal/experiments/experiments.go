@@ -74,10 +74,6 @@ var All = map[string]Func{
 	"fig13":  Fig13,
 	"table4": Table4,
 	"table5": Table5,
-	// Beyond the paper's evaluation: fronthaul loss tolerance (DESIGN §15)
-	// and multi-cell fleet scaling (DESIGN §16).
-	"fecloss":    FECLoss,
-	"fleetscale": FleetScale,
 }
 
 // Names returns experiment ids in a stable order.

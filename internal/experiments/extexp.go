@@ -21,15 +21,13 @@ import (
 
 // The experiments in this file go beyond the paper's evaluation section,
 // covering its discussion items: the §3.4.2 stale-precoder optimization,
-// the §4.2 conjugate-beamforming alternative, the §8 scaling projection
-// to 128×64 MIMO and the ZF-group-size ablation. Fronthaul-loss
-// robustness is lossexp.go's fecloss.
+// the §4.2 conjugate-beamforming alternative and the §8 scaling
+// projection to 128×64 MIMO.
 
 func init() {
 	All["stale"] = Stale
 	All["mrc"] = MRC
 	All["scaleup"] = ScaleUp
-	All["selective"] = Selective
 }
 
 // Stale quantifies the §3.4.2 optimization: how much earlier the downlink
@@ -218,84 +216,4 @@ func harnessUplink(cfg frameConfig, opts core.Options, snr float64, frames int, 
 		return 0, err
 	}
 	return sum.BLER(), nil
-}
-
-// Selective is the ZF-group-size ablation the paper's flat-channel
-// emulation cannot show: over a frequency-selective multipath channel,
-// Agora's "one precoder per 16 subcarriers" design (§6.2.1) trades
-// matrix-inversion count against equalization accuracy. The table
-// reports BLER per (group size, delay spread) plus the ZF task count,
-// the cost side of the trade.
-func Selective(w io.Writer, o Opt) error {
-	o = o.withDefaults()
-	frames := o.frames(4, 16)
-	fmt.Fprintln(w, "# Extension: ZF group size vs channel selectivity (design ablation)")
-	fmt.Fprintln(w, "# 16-QAM R=2/3, 8x2 over 256-pt OFDM; multipath with 3 dB/tap profile")
-	groupSizes := []int{4, 16, 64, 128}
-	taps := []int{1, 4, 16, 32}
-	if o.Quick {
-		groupSizes = []int{4, 128}
-		taps = []int{1, 32}
-	}
-	fmt.Fprintf(w, "%-8s %-8s", "group", "ZFtasks")
-	for _, tp := range taps {
-		fmt.Fprintf(w, " %10s", fmt.Sprintf("%d-tap", tp))
-	}
-	fmt.Fprintln(w, "   (BLER)")
-	for _, gs := range groupSizes {
-		cfg := scaledCfg(8, 2)
-		cfg.OFDMSize = 256
-		cfg.DataSubcarriers = 128
-		cfg.Symbols = frame.UplinkSchedule(1, 4)
-		cfg.ZFGroupSize = gs
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-8d %-8d", gs, cfg.ZFGroups())
-		for _, tp := range taps {
-			bler, err := selectiveBLER(cfg, o, tp, frames)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, " %10.3f", bler)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "# expect: flat channel insensitive to group size; selective channels")
-	fmt.Fprintln(w, "#   punish wide groups; narrow groups cost more ZF tasks")
-	return nil
-}
-
-func selectiveBLER(cfg frameConfig, o Opt, taps, frames int) (float64, error) {
-	ring := fronthaul.NewRing(8192, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
-	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 30, o.Seed)
-	if err != nil {
-		return 0, err
-	}
-	gen.SetSelective(taps)
-	eng, err := core.NewEngine(cfg, core.Options{Workers: o.Workers}, ring.Side(1))
-	if err != nil {
-		return 0, err
-	}
-	eng.Start()
-	defer eng.Stop()
-	rru := ring.Side(0)
-	ok, total := 0, 0
-	for f := 0; f < frames; f++ {
-		gen.Redraw()
-		if err := gen.EmitFrame(uint32(f), rru.Send); err != nil {
-			return 0, err
-		}
-		select {
-		case r := <-eng.Results():
-			ok += r.BlocksOK
-			total += r.BlocksTotal
-		case <-time.After(60 * time.Second):
-			return 0, fmt.Errorf("selective: frame timeout")
-		}
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("selective: no blocks")
-	}
-	return float64(total-ok) / float64(total), nil
 }

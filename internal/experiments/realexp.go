@@ -58,7 +58,7 @@ func Table1(w io.Writer, o Opt) error {
 			return err
 		}
 		for _, r := range rows {
-			costs[r.t] = append(costs[r.t], sum.TaskStats[r.t].MeanUS)
+			costs[r.t] = append(costs[r.t], sum.Metrics.Tasks[r.t.String()].MeanUS)
 		}
 	}
 	for _, r := range rows {
@@ -130,7 +130,7 @@ func Table3(w io.Writer, o Opt) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-10s %-12s %-16s %-8s %-14s\n",
+	fmt.Fprintf(w, "%-10s %-12s %-12s %-8s %-14s\n",
 		"block", "tasks/frame", "us_per_task", "batch", "total_ms/frame")
 	batches := map[queue.TaskType]int{
 		queue.TaskPilotFFT: cfg.FFTBatch,
@@ -139,18 +139,20 @@ func Table3(w io.Writer, o Opt) error {
 		queue.TaskDemod:    cfg.DemodBlockSize,
 		queue.TaskDecode:   1,
 	}
+	// The task totals cover the harness's warm-up frames too.
+	perFrame := sum.Metrics.Frames
 	for _, t := range []queue.TaskType{queue.TaskPilotFFT, queue.TaskZF,
 		queue.TaskFFT, queue.TaskDemod, queue.TaskDecode} {
-		s := sum.TaskStats[t]
-		fmt.Fprintf(w, "%-10s %-12d %7.2f ± %-6.2f %-8d %-14.2f\n",
-			blockName(t), s.Count/frames, s.MeanUS, s.StdUS,
-			batches[t], s.TotalMS/float64(frames))
+		s := sum.Metrics.Tasks[t.String()]
+		fmt.Fprintf(w, "%-10s %-12d %-12.2f %-8d %-14.2f\n",
+			blockName(t), s.Count/perFrame, s.MeanUS,
+			batches[t], s.TotalMS/float64(perFrame))
 	}
 	var total float64
-	for _, s := range sum.TaskStats {
+	for _, s := range sum.Metrics.Tasks {
 		total += s.TotalMS
 	}
-	fmt.Fprintf(w, "cumulative compute across cores: %.2f ms/frame\n", total/float64(frames))
+	fmt.Fprintf(w, "cumulative compute across cores: %.2f ms/frame\n", total/float64(perFrame))
 	return nil
 }
 

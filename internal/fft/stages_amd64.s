@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 stage kernels for the split-radix FFT (DESIGN §20). See
+// AVX2 stage kernels for the split-radix FFT (DESIGN §10). See
 // stages_amd64.go for the contracts; fft.go holds the Go loops these
 // reproduce bit for bit.
 //

@@ -253,7 +253,7 @@ func (f *Fleet) degradeStep(c *cell, bad bool, rec *obs.FrameRec) {
 		c.state.Store(int32(Degraded))
 		c.badStreak = 0
 		// Shed incident: the frame that tipped the streak, plus the
-		// cell's queue/arena gauges at the edge (DESIGN §17).
+		// cell's queue/arena gauges at the edge (DESIGN §12).
 		inc := obs.Incident{Cell: c.id, Reason: obs.IncidentShed, Rec: *rec}
 		em := c.eng.Metrics()
 		for i := 0; i < obs.NumGauges; i++ {

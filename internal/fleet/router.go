@@ -86,26 +86,16 @@ func (f *Fleet) Serve(tr fronthaul.Transport) {
 	f.serveWG.Add(1)
 	go func() {
 		defer f.serveWG.Done()
-		if br, ok := tr.(fronthaul.BatchRecver); ok {
-			batch := make([][]byte, 64)
-			for {
-				n, ok := br.RecvBatch(batch)
-				if !ok {
-					return
-				}
-				for _, pkt := range batch[:n] {
-					_ = f.Route(pkt)
-					tr.Release(pkt)
-				}
-			}
-		}
+		batch := make([][]byte, 64)
 		for {
-			pkt, ok := tr.Recv()
+			n, ok := tr.RecvBatch(batch)
 			if !ok {
 				return
 			}
-			_ = f.Route(pkt)
-			tr.Release(pkt)
+			for _, pkt := range batch[:n] {
+				_ = f.Route(pkt)
+				tr.Release(pkt)
+			}
 		}
 	}()
 }

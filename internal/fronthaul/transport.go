@@ -18,19 +18,17 @@ type Transport interface {
 	// which case ok is false. The returned buffer belongs to the caller;
 	// return it with Release when done to recycle it.
 	Recv() (pkt []byte, ok bool)
-	// Release returns a buffer obtained from Recv to the pool.
+	// RecvBatch blocks for the first packet, then opportunistically
+	// fills pkts with whatever is already queued, so the receive
+	// goroutine wakes once per burst instead of once per packet. Every
+	// returned buffer follows the same Release contract as Recv.
+	RecvBatch(pkts [][]byte) (n int, ok bool)
+	// Release returns a buffer obtained from Recv or RecvBatch to the pool.
 	Release(pkt []byte)
+	// Stats reports the endpoint's packet counters.
+	Stats() Stats
 	// Close shuts the transport down; pending Recv calls unblock.
 	Close() error
-}
-
-// BatchRecver is an optional Transport extension: RecvBatch blocks for
-// the first packet, then opportunistically fills pkts with whatever is
-// already queued, so the receive goroutine wakes once per burst instead
-// of once per packet. Every returned buffer follows the same Release
-// contract as Recv.
-type BatchRecver interface {
-	RecvBatch(pkts [][]byte) (n int, ok bool)
 }
 
 // Stats counts a transport endpoint's packet-level events. TxDrops is
@@ -40,11 +38,6 @@ type Stats struct {
 	TxPkts  int64
 	TxDrops int64
 	RxPkts  int64
-}
-
-// StatsReporter is an optional Transport extension exposing Stats.
-type StatsReporter interface {
-	Stats() Stats
 }
 
 // ErrClosed is returned by Send on a closed transport.
@@ -177,7 +170,7 @@ func (e *Endpoint) Recv() ([]byte, bool) {
 	}
 }
 
-// RecvBatch implements BatchRecver: block for one packet, then drain
+// RecvBatch implements Transport: block for one packet, then drain
 // whatever the sender already queued without further channel parks.
 func (e *Endpoint) RecvBatch(pkts [][]byte) (int, bool) {
 	if len(pkts) == 0 {
@@ -206,7 +199,7 @@ func (e *Endpoint) RecvBatch(pkts [][]byte) (int, bool) {
 // Release implements Transport.
 func (e *Endpoint) Release(pkt []byte) { e.r.putBuf(pkt) }
 
-// Stats implements StatsReporter.
+// Stats implements Transport.
 func (e *Endpoint) Stats() Stats {
 	return Stats{
 		TxPkts:  e.txPkts.Load(),
@@ -227,11 +220,7 @@ func (e *Endpoint) Close() error {
 	return nil
 }
 
-var (
-	_ Transport     = (*Endpoint)(nil)
-	_ BatchRecver   = (*Endpoint)(nil)
-	_ StatsReporter = (*Endpoint)(nil)
-)
+var _ Transport = (*Endpoint)(nil)
 
 // UDP is the cross-process transport used by cmd/rru and cmd/agora. The
 // paper uses one UDP packet per antenna per symbol over a 40 GbE link
@@ -372,7 +361,7 @@ func (u *UDP) Recv() ([]byte, bool) {
 	}
 }
 
-// RecvBatch implements BatchRecver: one blocking read for the first
+// RecvBatch implements Transport: one blocking read for the first
 // datagram (which also learns the peer and honors close/deadlines),
 // then a non-blocking recvmmsg drain of everything the socket already
 // holds — one syscall per burst instead of one per packet.
@@ -393,7 +382,7 @@ func (u *UDP) RecvBatch(pkts [][]byte) (int, bool) {
 // Release implements Transport.
 func (u *UDP) Release(pkt []byte) { u.putBuf(pkt[:cap(pkt)]) }
 
-// Stats implements StatsReporter. UDP sends never drop locally (the
+// Stats implements Transport. UDP sends never drop locally (the
 // kernel socket absorbs or discards); loss shows up as Seq gaps on the
 // receive side instead.
 func (u *UDP) Stats() Stats {
@@ -414,8 +403,4 @@ func (u *UDP) Close() error {
 // LocalAddr returns the bound address, useful with port 0.
 func (u *UDP) LocalAddr() net.Addr { return u.conn.LocalAddr() }
 
-var (
-	_ Transport     = (*UDP)(nil)
-	_ BatchRecver   = (*UDP)(nil)
-	_ StatsReporter = (*UDP)(nil)
-)
+var _ Transport = (*UDP)(nil)

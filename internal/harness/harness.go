@@ -1,12 +1,11 @@
-// Package harness drives complete runs — software RRU feeding a real
-// engine over the in-process ring (RunUplink and friends), or several
-// per-cell RRUs feeding a multi-cell fleet through its router
-// (RunFleetUplink) — and aggregates latency and error statistics.
-// Both the public API (package agora) and the experiment suite build
-// on it.
+// Package harness drives complete runs — a software RRU feeding a real
+// engine over the in-process ring (RunUplink, RunUplinkLink) — and
+// aggregates latency and error statistics. Both the public API (package
+// agora) and the experiment suite build on it.
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/fronthaul"
 	"repro/internal/obs"
-	"repro/internal/queue"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -32,8 +30,7 @@ type RunSummary struct {
 	Drops       int64
 	// Dropped counts frames the engine abandoned (timeout/rejection);
 	// they are excluded from the latency and block statistics above.
-	Dropped   int
-	TaskStats map[queue.TaskType]core.TaskStat
+	Dropped int
 	// Fronthaul loss on the wire (DESIGN §15): LossInjected is how many
 	// packets the Link's injector discarded; TxDrops how many the
 	// RRU-side transport dropped (full ring). The engine's own view of the
@@ -42,8 +39,9 @@ type RunSummary struct {
 	TxDrops      int64
 	// Metrics is the engine's metric snapshot taken after Stop: every
 	// live counter (deadline misses, ZF-cache decisions, fronthaul loss
-	// accounting, decode iterations), the kernel table and the per-stage
-	// SLO rows. It includes the warm-up frames.
+	// accounting, decode iterations), the per-task cost table (Tasks,
+	// paper Table 3), the kernel table and the per-stage SLO rows. It
+	// includes the warm-up frames.
 	Metrics obs.Snapshot
 	// Timeline is the reconstructed multi-frame schedule from the event
 	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil
@@ -83,7 +81,8 @@ type Link struct {
 // through a fresh engine. With realtimePacing the RRU emits at the frame
 // rate; otherwise frames go back-to-back, one in flight at a time (pure
 // processing-speed measurement). With opts.KeepBits set, decoded bits
-// are scored against the generator's ground truth.
+// are scored against the generator's ground truth; that needs one frame
+// in flight, so KeepBits with realtimePacing is an error.
 func RunUplink(cfg frame.Config, opts core.Options, model channel.Model,
 	snrDB float64, nFrames int, realtimePacing bool, seed int64) (*RunSummary, error) {
 	return RunUplinkLink(cfg, opts, model, snrDB, nFrames, realtimePacing, seed, Link{})
@@ -96,6 +95,11 @@ func RunUplinkLink(cfg frame.Config, opts core.Options, model channel.Model,
 	snrDB float64, nFrames int, realtimePacing bool, seed int64, link Link) (*RunSummary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.KeepBits && realtimePacing {
+		// The generator keeps only the last emitted frame's truth bits, and
+		// paced frames overlap.
+		return nil, errors.New("harness: KeepBits needs back-to-back frames, not realtimePacing")
 	}
 	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
 	gen, err := workload.NewGenerator(cfg, model, snrDB, seed)
@@ -214,7 +218,6 @@ func RunUplinkLink(cfg frame.Config, opts core.Options, model channel.Model,
 	}
 	sum.Drops = eng.Drops()
 	eng.Stop() // quiesce workers so the trace rings are readable
-	sum.TaskStats = eng.TaskStats()
 	sum.LossInjected = loss.Dropped()
 	sum.TxDrops = rru.Stats().TxDrops
 	sum.Metrics = eng.MetricsSnapshot()

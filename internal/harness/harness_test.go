@@ -9,6 +9,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/ldpc"
 	"repro/internal/modulation"
+	"repro/internal/queue"
 )
 
 func cfg() frame.Config {
@@ -41,7 +42,7 @@ func TestRunUplinkCollectsEverything(t *testing.T) {
 	if sum.Drops != 0 {
 		t.Fatalf("drops %d", sum.Drops)
 	}
-	if sum.TaskStats == nil || sum.TaskStats[3].Count == 0 { // TaskDemod
+	if sum.Metrics.Tasks[queue.TaskDemod.String()].Count == 0 {
 		t.Fatal("task stats missing")
 	}
 }
@@ -67,8 +68,19 @@ func TestRunUplinkPacedMatchesFrameRate(t *testing.T) {
 func TestRunUplinkRejectsBadConfig(t *testing.T) {
 	bad := cfg()
 	bad.OFDMSize = 100
-	if _, err := RunUplink(bad, core.Options{Workers: 2}, channel.Rayleigh, 25, 1, false, 1); err == nil {
-		t.Fatal("invalid config accepted")
+	for _, c := range []struct {
+		name  string
+		cfg   frame.Config
+		opts  core.Options
+		paced bool
+	}{
+		{"invalid config", bad, core.Options{Workers: 2}, false},
+		// Paced frames overlap, so their decoded bits cannot be scored.
+		{"KeepBits with realtimePacing", cfg(), core.Options{Workers: 2, KeepBits: true}, true},
+	} {
+		if _, err := RunUplink(c.cfg, c.opts, channel.Rayleigh, 25, 1, c.paced, 1); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

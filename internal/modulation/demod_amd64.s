@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 max-log-MAP kernels for DemodulateSoftSoA (DESIGN §21). See
+// AVX2 max-log-MAP kernels for DemodulateSoftSoA (DESIGN §9). See
 // demod_amd64.go for the contract; block.go's axisLLR is the Go loop
 // these reproduce bit for bit.
 //

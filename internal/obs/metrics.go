@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -71,6 +70,12 @@ type Metrics struct {
 	DecodeIters      atomic.Int64
 	DecodeEarlyExits atomic.Int64
 	DecodeIterHist   stats.Hist
+	// TaskCount and TaskBusyNS total each task type's executed tasks
+	// (batches expanded) and the worker time they took (paper Table 3).
+	// The manager folds every completion message into them (ObserveTask),
+	// so each has one writer; Snap turns them into Snapshot.Tasks.
+	TaskCount  [queue.NumTaskTypes]atomic.Int64
+	TaskBusyNS [queue.NumTaskTypes]atomic.Int64
 	// Kernels names the implementation each hand-vectorised stage runs,
 	// in pipeline order (decode, fft, demod; internal/cpu states the
 	// selection rule). Filled once by the engine before its goroutines
@@ -115,6 +120,15 @@ func (m *Metrics) ObserveDecode(iters int, earlyExit bool) {
 		m.DecodeEarlyExits.Add(1)
 	}
 	m.DecodeIterHist.AddNS(int64(iters))
+}
+
+// ObserveTask records one completed task message: tasks individual tasks
+// of type t (the message's batch) that took busyNS of worker time in all.
+// The manager calls it once per completion; two atomic adds, no
+// allocation.
+func (m *Metrics) ObserveTask(t queue.TaskType, tasks int, busyNS int64) {
+	m.TaskCount[t].Add(int64(tasks))
+	m.TaskBusyNS[t].Add(busyNS)
 }
 
 // ObserveStages folds one completed frame's attribution record into the
@@ -189,7 +203,7 @@ type ArenaSnap struct {
 // late/duplicate arrivals seen by the engine's RX path, FEC recoveries,
 // engine-side rejected packets (RxDrops), and the transport's own
 // send-queue overflow drops (TxDrops, filled from the transport's
-// StatsReporter when it has one).
+// Stats).
 type FronthaulSnap struct {
 	SeqGaps      int64 `json:"seq_gaps"`
 	SeqLate      int64 `json:"seq_late"`
@@ -291,6 +305,16 @@ func (m *Metrics) Snap() Snapshot {
 	}
 	s.Decode.MaxIters = int64(m.DecodeIterHist.Max())
 	s.ratios()
+	for t := range m.TaskCount {
+		n := m.TaskCount[t].Load()
+		if n == 0 {
+			continue
+		}
+		busy := float64(m.TaskBusyNS[t].Load())
+		s.Tasks[queue.TaskType(t).String()] = TaskSnap{
+			Count: n, MeanUS: busy / 1e3 / float64(n), TotalMS: busy / 1e6,
+		}
+	}
 	for i := 0; i < NumGauges; i++ {
 		s.Queues[gaugeName(i)] = QueueGauge{
 			Depth: m.QueueDepth[i].Load(),
@@ -339,36 +363,4 @@ func (m *Metrics) SLORows() []StageSLO {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// TaskAcc is a single-writer mean/std accumulator whose state is
-// atomically readable: the owning worker is the only goroutine that
-// writes, so updates are plain load-modify-store on atomic cells (no CAS),
-// while a monitoring thread may snapshot mid-run without a data race. A
-// reader can observe a count that lags the sums by a few samples; for
-// microsecond-scale task costs that skew is far below reporting
-// resolution.
-type TaskAcc struct {
-	n    atomic.Int64
-	sum  atomic.Uint64 // Float64bits of Σx
-	sum2 atomic.Uint64 // Float64bits of Σx²
-}
-
-// AddN records n samples of value x each. Only the owning goroutine may
-// call it.
-func (a *TaskAcc) AddN(n int, x float64) {
-	fn := float64(n)
-	a.sum.Store(math.Float64bits(math.Float64frombits(a.sum.Load()) + fn*x))
-	a.sum2.Store(math.Float64bits(math.Float64frombits(a.sum2.Load()) + fn*x*x))
-	a.n.Add(int64(n))
-}
-
-// Add records one sample.
-func (a *TaskAcc) Add(x float64) { a.AddN(1, x) }
-
-// Snapshot returns (count, Σx, Σx²) as of now; safe from any goroutine.
-func (a *TaskAcc) Snapshot() (n int64, sum, sum2 float64) {
-	return a.n.Load(),
-		math.Float64frombits(a.sum.Load()),
-		math.Float64frombits(a.sum2.Load())
 }

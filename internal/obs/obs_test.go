@@ -68,10 +68,6 @@ func TestEmitZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { m.ObserveFrame(12345) }); n != 0 {
 		t.Fatalf("ObserveFrame allocates %v times per call", n)
 	}
-	var a TaskAcc
-	if n := testing.AllocsPerRun(1000, func() { a.AddN(2, 1.5) }); n != 0 {
-		t.Fatalf("TaskAcc.AddN allocates %v times per call", n)
-	}
 }
 
 // BenchmarkEmit pins the per-event hot-path cost: one ring store plus
@@ -124,8 +120,12 @@ func TestReconstructTimeline(t *testing.T) {
 	if u := w0.Utilization(); u < 0.66 || u > 0.67 {
 		t.Fatalf("worker 0 utilization = %v, want 30/45", u)
 	}
-	if got := tl.TotalBusyNS(); got != 58+10 {
-		t.Fatalf("total busy = %d", got)
+	var busy int64
+	for _, st := range f0.Stages {
+		busy += st.BusyNS
+	}
+	if busy != 58 {
+		t.Fatalf("frame 0 busy = %d, want 58", busy)
 	}
 }
 
@@ -227,20 +227,27 @@ func TestObserveDecode(t *testing.T) {
 	}
 }
 
+// TestTaskAcc checks the per-type task fold behind Snapshot.Tasks: a
+// batched message counts each of its tasks, busy time sums per type, a
+// type that never ran has no entry, and a call allocates nothing.
 func TestTaskAcc(t *testing.T) {
-	var a TaskAcc
+	var m Metrics
 	for i := 0; i < 100; i++ {
-		a.Add(2.0)
+		m.ObserveTask(queue.TaskFFT, 1, 2000)
 	}
-	a.AddN(50, 5.0)
-	n, sum, sum2 := a.Snapshot()
-	if n != 150 {
-		t.Fatalf("n = %d", n)
+	m.ObserveTask(queue.TaskFFT, 50, 250000) // one message of 50 tasks
+	m.ObserveTask(queue.TaskDecode, 3, 9000)
+	tasks := m.Snap().Tasks
+	if got, want := tasks[queue.TaskFFT.String()], (TaskSnap{Count: 150, MeanUS: 3, TotalMS: 0.45}); got != want {
+		t.Fatalf("FFT = %+v, want %+v", got, want)
 	}
-	if sum != 100*2+50*5 {
-		t.Fatalf("sum = %v", sum)
+	if got, want := tasks[queue.TaskDecode.String()], (TaskSnap{Count: 3, MeanUS: 3, TotalMS: 0.009}); got != want {
+		t.Fatalf("Decode = %+v, want %+v", got, want)
 	}
-	if sum2 != 100*4+50*25 {
-		t.Fatalf("sum2 = %v", sum2)
+	if len(tasks) != 2 {
+		t.Fatalf("types that never ran have entries: %+v", tasks)
+	}
+	if n := testing.AllocsPerRun(1000, func() { m.ObserveTask(queue.TaskZF, 2, 100) }); n != 0 {
+		t.Fatalf("ObserveTask allocates %v times per call", n)
 	}
 }

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -52,16 +53,19 @@ func TestSurfacesAgreeEngine(t *testing.T) {
 // TestSurfacesAgreeFleet runs a real 2-cell fleet: each fleet total is
 // the merge of its cells, and each cell's surfaces agree.
 func TestSurfacesAgreeFleet(t *testing.T) {
-	sum, err := harness.RunFleetUplink(smallCfg(), core.Options{}, 2, 2, 25, 4, 3)
+	fl, err := fleet.New(fleet.Config{Cells: 2, Frame: smallCfg(), TotalWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &sum.Snapshot
+	fl.Start()
+	defer fl.Stop()
+	runFleetFrames(t, fl, 6, 3, runtime.Gosched)
+	fs := fl.Snapshot()
 	if fs.Totals.Frames == 0 || fs.Totals.Latency.Count != fs.Totals.Frames {
 		t.Fatalf("fleet totals: frames %d, merged latency count %d",
 			fs.Totals.Frames, fs.Totals.Latency.Count)
 	}
-	obs.CheckFleetTotals(t, fs)
+	obs.CheckFleetTotals(t, &fs)
 	for i := range fs.PerCell {
 		obs.CheckSurfaces(t, &fs.PerCell[i].Snapshot)
 	}
@@ -72,49 +76,61 @@ func TestSurfacesAgreeFleet(t *testing.T) {
 // by make race).
 func TestPromFleetLiveMidRun(t *testing.T) {
 	const cells, frames = 2, 4
-	cfg := smallCfg()
-	fl, err := fleet.New(fleet.Config{Cells: cells, Frame: cfg, TotalWorkers: 2})
+	fl, err := fleet.New(fleet.Config{Cells: cells, Frame: smallCfg(), TotalWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl.Start()
 	defer fl.Stop()
-	gens := make([]*workload.Generator, cells)
-	for c := range gens {
-		if gens[c], err = workload.NewGenerator(cfg, channel.Rayleigh, 25, 40+int64(c)); err != nil {
-			t.Fatal(err)
-		}
-		gens[c].SetCell(uint8(c))
-	}
 	h := obs.PromFleetHandler(fl.Snapshot)
 	scrape := func() string {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		return rec.Body.String()
 	}
-	deadline := time.After(20 * time.Second)
 	scrapes := 0
+	runFleetFrames(t, fl, frames, 40, func() {
+		obs.CheckPromFormat(t, scrape())
+		scrapes++
+	})
+	samples := obs.CheckPromFormat(t, scrape())
+	if samples["agora_frames_total"] != cells || scrapes == 0 {
+		t.Fatalf("final scrape: %d agora_frames_total samples after %d mid-run scrapes",
+			samples["agora_frames_total"], scrapes)
+	}
+}
+
+// runFleetFrames sends frames uplink frames through fl's router, one
+// generator per cell seeded seed+cell, and waits for every cell's result
+// of a frame before emitting the next. idle runs whenever no result is
+// waiting.
+func runFleetFrames(t *testing.T, fl *fleet.Fleet, frames int, seed int64, idle func()) {
+	t.Helper()
+	gens := make([]*workload.Generator, fl.Cells())
+	for c := range gens {
+		g, err := workload.NewGenerator(smallCfg(), channel.Rayleigh, 25, seed+int64(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SetCell(uint8(c))
+		gens[c] = g
+	}
+	deadline := time.After(20 * time.Second)
 	for f := 0; f < frames; f++ {
 		for _, g := range gens {
 			if err := g.EmitFrame(uint32(f), fl.Route); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for got := 0; got < cells; {
+		for got := 0; got < len(gens); {
 			select {
 			case <-fl.Results():
 				got++
 			case <-deadline:
 				t.Fatal("timeout")
 			default:
-				obs.CheckPromFormat(t, scrape())
-				scrapes++
+				idle()
 			}
 		}
-	}
-	samples := obs.CheckPromFormat(t, scrape())
-	if samples["agora_frames_total"] != cells || scrapes == 0 {
-		t.Fatalf("final scrape: %d agora_frames_total samples after %d mid-run scrapes",
-			samples["agora_frames_total"], scrapes)
 	}
 }

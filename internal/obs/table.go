@@ -205,7 +205,7 @@ var table = []row{
 		live: func(m *Metrics) *atomic.Int64 { return &m.FECRecovered },
 		i:    func(s *Snapshot) *int64 { return &s.Fronthaul.FECRecovered }},
 	// The engine fills the packet counters from its own RX path and the
-	// transport's StatsReporter (core.Engine.MetricsSnapshot).
+	// transport's Stats (core.Engine.MetricsSnapshot).
 	{name: "agora_rx_drops_total", help: "Packets rejected at admission.", kind: counter,
 		i: func(s *Snapshot) *int64 { return &s.Fronthaul.RxDrops }},
 	{name: "agora_rx_packets_total", help: "Packets received.", kind: counter,

@@ -6,8 +6,7 @@ import (
 	"repro/internal/queue"
 )
 
-// StageAgg aggregates the events of one task type (within a frame or
-// across the whole capture): when the stage's first task started, when its
+// StageAgg aggregates the events of one task type within a frame: when the stage's first task started, when its
 // last task ended, and how much worker time it consumed.
 type StageAgg struct {
 	Type   queue.TaskType
@@ -50,7 +49,6 @@ func (w *WorkerUtil) Utilization() float64 {
 // Timeline is the full reconstruction of a captured event window.
 type Timeline struct {
 	Frames  []FrameTimeline // ordered by frame start
-	Stages  []StageAgg      // capture-wide aggregate per task type
 	Workers []WorkerUtil    // per lane
 }
 
@@ -62,66 +60,40 @@ func Reconstruct(events []Event) *Timeline {
 	if len(events) == 0 {
 		return tl
 	}
-	type key struct {
-		frame uint32
-	}
-	frames := make(map[key]*FrameTimeline)
-	global := make(map[queue.TaskType]*StageAgg)
+	frames := make(map[uint32]*FrameTimeline)
+	frameStages := make(map[uint32]map[queue.TaskType]*StageAgg)
 	workers := make(map[int]*WorkerUtil)
 	perLane := make(map[int][]Event)
-	addStage := func(m map[queue.TaskType]*StageAgg, ev *Event) *StageAgg {
-		s, ok := m[ev.Type]
-		if !ok {
-			s = &StageAgg{Type: ev.Type, Start: ev.Start, End: ev.End}
-			m[ev.Type] = s
-		}
-		if ev.Start < s.Start {
-			s.Start = ev.Start
-		}
-		if ev.End > s.End {
-			s.End = ev.End
-		}
-		s.Count++
-		b := int(ev.Batch)
-		if b < 1 {
-			b = 1
-		}
-		s.Tasks += b
-		s.BusyNS += ev.End - ev.Start
-		return s
-	}
-	frameStages := make(map[key]map[queue.TaskType]*StageAgg)
 	for i := range events {
 		ev := &events[i]
-		k := key{ev.Frame}
-		ft, ok := frames[k]
+		ft, ok := frames[ev.Frame]
 		if !ok {
 			ft = &FrameTimeline{Frame: ev.Frame, Start: ev.Start, End: ev.End}
-			frames[k] = ft
-			frameStages[k] = make(map[queue.TaskType]*StageAgg)
+			frames[ev.Frame] = ft
+			frameStages[ev.Frame] = make(map[queue.TaskType]*StageAgg)
 		}
-		if ev.Start < ft.Start {
-			ft.Start = ev.Start
+		ft.Start = min(ft.Start, ev.Start)
+		ft.End = max(ft.End, ev.End)
+		s, ok := frameStages[ev.Frame][ev.Type]
+		if !ok {
+			s = &StageAgg{Type: ev.Type, Start: ev.Start, End: ev.End}
+			frameStages[ev.Frame][ev.Type] = s
 		}
-		if ev.End > ft.End {
-			ft.End = ev.End
-		}
-		addStage(frameStages[k], ev)
-		addStage(global, ev)
+		s.Start = min(s.Start, ev.Start)
+		s.End = max(s.End, ev.End)
+		s.Count++
+		s.Tasks += max(int(ev.Batch), 1)
+		s.BusyNS += ev.End - ev.Start
 		perLane[int(ev.Lane)] = append(perLane[int(ev.Lane)], *ev)
 	}
-	for k, ft := range frames {
-		for _, s := range frameStages[k] {
+	for id, ft := range frames {
+		for _, s := range frameStages[id] {
 			ft.Stages = append(ft.Stages, *s)
 		}
 		sort.Slice(ft.Stages, func(i, j int) bool { return ft.Stages[i].Start < ft.Stages[j].Start })
 		tl.Frames = append(tl.Frames, *ft)
 	}
 	sort.Slice(tl.Frames, func(i, j int) bool { return tl.Frames[i].Start < tl.Frames[j].Start })
-	for _, s := range global {
-		tl.Stages = append(tl.Stages, *s)
-	}
-	sort.Slice(tl.Stages, func(i, j int) bool { return tl.Stages[i].Type < tl.Stages[j].Type })
 	for laneID, evs := range perLane {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
 		w := &WorkerUtil{Lane: laneID, Events: len(evs)}
@@ -143,13 +115,4 @@ func Reconstruct(events []Event) *Timeline {
 	}
 	sort.Slice(tl.Workers, func(i, j int) bool { return tl.Workers[i].Lane < tl.Workers[j].Lane })
 	return tl
-}
-
-// TotalBusyNS sums worker time across all stages.
-func (tl *Timeline) TotalBusyNS() int64 {
-	var total int64
-	for i := range tl.Stages {
-		total += tl.Stages[i].BusyNS
-	}
-	return total
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
 	"repro/internal/modulation"
+	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/workload"
 )
@@ -36,8 +37,8 @@ func cell8x2(symbols string) frame.Config {
 // TestSimTasksMatchEngine pins the simulator to the engine: on the
 // benchmark geometries and the PUUD cell, with batching on and off, the
 // tasks per type per frame that sim.Run schedules equal what a real
-// core.Engine executes (Engine.TaskStats, the counts the benchmark
-// reports as core.tasks_per_frame.*), exactly.
+// core.Engine executes (the per-type totals of its metric snapshot; the
+// benchmark reports the same counts as core.tasks_per_frame.*), exactly.
 func TestSimTasksMatchEngine(t *testing.T) {
 	wide := cell16x4(modulation.QPSK, ldpc.Rate89, frame.UplinkSchedule(1, 6))
 	wide.Antennas = 64
@@ -64,7 +65,7 @@ func TestSimTasksMatchEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			for tt := queue.TaskType(0); tt < queue.TaskPacketRX; tt++ {
-				if got, want := r.Tasks[tt], eng[tt].Count; got != want {
+				if got, want := r.Tasks[tt], int(eng[tt.String()].Count); got != want {
 					t.Errorf("%s batching=%v: %v sim %d tasks over %d frames, engine %d",
 						c.name, batching, tt, got, frames, want)
 				}
@@ -74,8 +75,8 @@ func TestSimTasksMatchEngine(t *testing.T) {
 }
 
 // engineTasks runs n frames of cfg through a real engine and returns its
-// per-type task counts.
-func engineTasks(t *testing.T, cfg frame.Config, opts core.Options, n int) map[queue.TaskType]core.TaskStat {
+// per-type task totals.
+func engineTasks(t *testing.T, cfg frame.Config, opts core.Options, n int) map[string]obs.TaskSnap {
 	t.Helper()
 	ring := fronthaul.NewRing(8192, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
 	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 30, 5)
@@ -111,5 +112,5 @@ func engineTasks(t *testing.T, cfg frame.Config, opts core.Options, n int) map[q
 		}
 	}
 	eng.Stop()
-	return eng.TaskStats()
+	return eng.MetricsSnapshot().Tasks
 }

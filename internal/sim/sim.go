@@ -174,7 +174,7 @@ type Result struct {
 	// first task dispatched to last task completed (Fig. 13a).
 	BlockSpanUS map[queue.TaskType]float64
 	// Tasks counts the tasks run per type over all frames, the quantity
-	// core.Engine.TaskStats reports.
+	// a core.Engine's metric snapshot reports as Tasks[type].Count.
 	Tasks [queue.NumTaskTypes]int
 	// Throughput check: true when the steady-state inter-completion gap
 	// stays within the frame duration (no backlog growth).
