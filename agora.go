@@ -85,8 +85,8 @@ type (
 	// TraceEvent is one tracer record: lane, task, frame coordinates and
 	// start/end timestamps (ns since the engine's trace epoch).
 	TraceEvent = obs.Event
-	// Timeline is the reconstructed multi-frame schedule: per-frame stage
-	// spans (Fig. 7), worker utilization and idle gaps.
+	// Timeline is the trace's worker-lane utilisation: busy time, span
+	// and longest idle gap per lane.
 	Timeline = obs.Timeline
 	// Metrics is the engine's live, race-safe counter set (frames,
 	// deadline misses, latency histogram, queue-depth gauges).
@@ -114,7 +114,7 @@ type (
 	// vectorised stage runs; Metrics.Kernels holds the engine's table.
 	KernelRow = obs.KernelRow
 	// StageSLO is one stage's live budget-attribution summary: per-frame
-	// busy-time distribution and mean share of the frame budget
+	// busy-time and span distributions and mean share of the frame budget
 	// (DESIGN §12).
 	StageSLO = obs.StageSLO
 	// FrameRec is one frame's per-stage attribution record, carried on

@@ -11,8 +11,9 @@ import (
 // Per-stage breakdown capture (the Table-2 analogue): run a traced uplink
 // workload and emit per-stage task counts, worker time and compute share
 // from the engine's per-type task totals, and the mean per-frame wall span
-// from the timeline the event tracer reconstructs, as JSON (plus a
-// human-readable table on stdout).
+// over every frame from the live SLO rows, as JSON (plus a human-readable
+// table on stdout). The event tracer adds only the worker-lane
+// utilisation.
 
 // stageRow is one pipeline stage's aggregate in the JSON report.
 type stageRow struct {
@@ -21,7 +22,7 @@ type stageRow struct {
 	MeanUS     float64 `json:"mean_us"`
 	BusyMS     float64 `json:"busy_ms"`
 	BusyShare  float64 `json:"busy_share"`
-	MeanSpanUS float64 `json:"mean_span_us"` // mean per-frame wall span
+	MeanSpanUS float64 `json:"mean_span_us"` // mean per-frame wall span, every frame
 }
 
 // workerRow is one worker lane's utilization in the JSON report.
@@ -61,9 +62,9 @@ type stagesReport struct {
 	// Kernels is the kernel implementation each vectorised stage used.
 	Kernels []agora.KernelRow `json:"kernels"`
 	// SLOAttribution is the live recorder's per-stage budget attribution
-	// (DESIGN §12): per-frame busy-time distribution and mean share of
-	// the frame budget — where Stages above totals the run, these rows
-	// describe the spread across frames.
+	// (DESIGN §12): per-frame busy-time and span distributions and mean
+	// share of the frame budget — where Stages above totals the run,
+	// these rows describe the spread across frames.
 	SLOAttribution []agora.StageSLO `json:"slo_attribution"`
 }
 
@@ -113,15 +114,9 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		Kernels:        sum.Metrics.Kernels,
 		SLOAttribution: sum.Metrics.SLO,
 	}
-	// Mean per-frame wall span per stage, over the frames in the capture
-	// window (the ring holds the most recent frames of a long run).
-	spanSum := map[string]int64{}
-	spanN := map[string]int{}
-	for _, ft := range tl.Frames {
-		for _, s := range ft.Stages {
-			spanSum[s.Type.String()] += s.SpanNS()
-			spanN[s.Type.String()]++
-		}
+	spanUS := map[string]float64{}
+	for _, r := range sum.Metrics.SLO {
+		spanUS[r.Stage] = r.MeanSpanUS
 	}
 	totalMS := busyMS(&sum.Metrics)
 	for _, t := range uplinkStages {
@@ -130,12 +125,10 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		if !ok {
 			continue
 		}
-		row := stageRow{Stage: name, Tasks: s.Count, MeanUS: s.MeanUS, BusyMS: s.TotalMS}
+		row := stageRow{Stage: name, Tasks: s.Count, MeanUS: s.MeanUS, BusyMS: s.TotalMS,
+			MeanSpanUS: spanUS[name]}
 		if totalMS > 0 {
 			row.BusyShare = s.TotalMS / totalMS
-		}
-		if n := spanN[name]; n > 0 {
-			row.MeanSpanUS = float64(spanSum[name]) / 1e3 / float64(n)
 		}
 		rep.Stages = append(rep.Stages, row)
 	}
@@ -190,14 +183,14 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 			w.Lane, w.Events, w.Utilization*100, w.MaxGapUS)
 	}
 	if len(rep.SLOAttribution) > 0 {
-		fmt.Printf("live SLO attribution (per-frame busy µs over %d frames)\n",
-			rep.Frames)
-		fmt.Printf("%-9s %10s %10s %10s %10s %7s\n",
-			"stage", "mean", "p50", "p99", "max", "share")
+		fmt.Printf("live SLO attribution (per-frame busy and span µs over %d frames, incl. warmup)\n",
+			rep.SLOAttribution[0].Frames)
+		fmt.Printf("%-9s %10s %10s %10s %10s %7s %10s %10s\n",
+			"stage", "busy mean", "busy p50", "busy p99", "busy max", "share", "span p50", "span p99")
 		for _, r := range rep.SLOAttribution {
-			fmt.Printf("%-9s %10.1f %10.1f %10.1f %10.1f %6.1f%%\n",
+			fmt.Printf("%-9s %10.1f %10.1f %10.1f %10.1f %6.1f%% %10.1f %10.1f\n",
 				r.Stage, r.MeanBusyUS, r.P50BusyUS, r.P99BusyUS, r.MaxBusyUS,
-				r.MeanShare*100)
+				r.MeanShare*100, r.P50SpanUS, r.P99SpanUS)
 		}
 	}
 	if d := rep.DecodeIters; d.Blocks > 0 {

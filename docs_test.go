@@ -1,0 +1,115 @@
+package agora
+
+import (
+	"bufio"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+var (
+	citedTest   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	citedOption = regexp.MustCompile(`\bOptions\.([A-Z]\w*)(\*?)|\b(Disable[A-Z]\w*)(\*?)`)
+	citedMake   = regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
+	inlineCode  = regexp.MustCompile("`[^`]*`")
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	makeTarget  = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):`)
+)
+
+// TestDocsCiteExistingNames keeps the root documents and the benchmark's
+// README in step with the code: every test, benchmark or fuzz target they
+// name must be a prefix of a function in some _test.go file (the way -run
+// and -bench match, so BenchmarkTable4_* names a family), every Options.X
+// or DisableX must be a field of Options (a trailing * makes it a
+// prefix), and every `make <target>` in code must be a Makefile target.
+func TestDocsCiteExistingNames(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Options{})) {
+		fields = append(fields, f.Name)
+	}
+	hasPrefix := func(names []string, p string) bool {
+		return slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, p) })
+	}
+	isField := func(name, star string) bool {
+		if star == "*" {
+			return hasPrefix(fields, name)
+		}
+		return slices.Contains(fields, name)
+	}
+
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "benchmark/README.md"} {
+		f, err := os.Open(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(f)
+		fenced := false
+		for n := 1; sc.Scan(); n++ {
+			line := sc.Text()
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			for _, name := range citedTest.FindAllString(line, -1) {
+				if !hasPrefix(funcs, name) {
+					t.Errorf("%s:%d cites %s, which no _test.go function starts with", doc, n, name)
+				}
+			}
+			for _, m := range citedOption.FindAllStringSubmatch(line, -1) {
+				name, star := m[1]+m[3], m[2]+m[4]
+				if !isField(name, star) {
+					t.Errorf("%s:%d cites %s%s, which is not a field of Options", doc, n, name, star)
+				}
+			}
+			code := line
+			if !fenced {
+				code = strings.Join(inlineCode.FindAllString(line, -1), " ")
+			}
+			for _, m := range citedMake.FindAllStringSubmatch(code, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s:%d cites make %s, which is not a Makefile target", doc, n, m[1])
+				}
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

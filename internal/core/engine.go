@@ -79,7 +79,7 @@ type Engine struct {
 
 	// epoch anchors every nanosecond stamp in the obs plane — trace
 	// events, Msg.T0/T1 completion stamps, FrameRec bounds — so the live
-	// SLO attribution and the quiescent timeline reconstruction agree
+	// SLO attribution and the trace events folded per frame agree
 	// bit-for-bit on the same frame (DESIGN §12).
 	epoch time.Time
 	// recorder gates the SLO attribution + flight recorder
@@ -497,8 +497,8 @@ func (e *Engine) TracingEnabled() bool { return e.trace.Enabled() }
 // only at quiescence (live dashboards should use Metrics instead).
 func (e *Engine) TraceEvents() []obs.Event { return e.trace.Snapshot() }
 
-// Timeline reconstructs per-frame stage spans and worker utilization
-// from the captured trace. Call after Stop.
+// Timeline folds the captured trace into worker-lane utilisation. Call
+// after Stop. Per-frame stage spans are each FrameResult's Rec.
 func (e *Engine) Timeline() *obs.Timeline { return obs.Reconstruct(e.TraceEvents()) }
 
 // WriteChromeTrace renders the captured trace window as Chrome

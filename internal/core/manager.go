@@ -44,9 +44,11 @@ func (e *Engine) runManager() {
 		}
 		// The reap deadline is FrameTimeout/4 (hundreds of ms); reading the
 		// clock on every empty poll to test it was 5 % of a busy engine's
-		// CPU. Every 64th empty poll is at most 64 backoff sleeps (~1.3 ms)
-		// late. The count never resets on progress, so a stale frame is
-		// still reaped while other traffic flows.
+		// CPU. Checking every 64th empty poll makes the check at most 64
+		// backoff sleeps late. A 20 µs sleep can take a millisecond to
+		// return, so that is up to ~70 ms, still far inside the deadline.
+		// The count never resets on progress, so a stale frame is still
+		// reaped while other traffic flows.
 		idlePolls++
 		if idlePolls&63 == 0 {
 			if now := time.Now(); now.Sub(lastTimeoutCheck) > frameTimeout/4 {

@@ -26,8 +26,10 @@ var uplinkStages = []queue.TaskType{
 }
 
 // TestTraceCapturesUplinkPipeline runs frames through a traced engine and
-// checks the reconstruction: every frame shows all four uplink stages in
-// dependency order, and the Chrome export is valid trace_event JSON.
+// checks each frame's attribution record: all four uplink stages in
+// dependency order with the frame geometry's task counts. The trace
+// itself yields lane utilisation and a valid Chrome trace_event export
+// with task slices and one frames-track slice per frame.
 func TestTraceCapturesUplinkPipeline(t *testing.T) {
 	cfg := smallCfg()
 	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
@@ -49,43 +51,39 @@ func TestTraceCapturesUplinkPipeline(t *testing.T) {
 		if err := gen.EmitFrame(uint32(f), rru.Send); err != nil {
 			t.Fatal(err)
 		}
+		var r FrameResult
 		select {
-		case <-eng.Results():
+		case r = <-eng.Results():
 		case <-time.After(20 * time.Second):
 			t.Fatal("timeout")
+		}
+		if r.Dropped {
+			t.Fatalf("frame %d dropped", r.Frame)
+		}
+		st := &r.Rec.Stages
+		for _, ty := range append([]queue.TaskType{queue.TaskFFT}, uplinkStages...) {
+			if st[ty].Tasks == 0 {
+				t.Fatalf("frame %d missing stage %v: %+v", r.Frame, ty, *st)
+			}
+		}
+		// Dependency order: a stage cannot START before its predecessor
+		// started, and decode cannot end before demod started.
+		if st[queue.TaskZF].StartNS < st[queue.TaskPilotFFT].StartNS ||
+			st[queue.TaskDemod].StartNS < st[queue.TaskZF].StartNS ||
+			st[queue.TaskDecode].StartNS < st[queue.TaskDemod].StartNS {
+			t.Fatalf("frame %d stages out of dependency order: %+v", r.Frame, *st)
+		}
+		// Task counts match the frame geometry.
+		if int(st[queue.TaskDecode].Tasks) != cfg.NumUplink()*cfg.Users {
+			t.Fatalf("frame %d decode tasks = %d", r.Frame, st[queue.TaskDecode].Tasks)
+		}
+		if int(st[queue.TaskPilotFFT].Tasks) != cfg.NumPilots()*cfg.Antennas {
+			t.Fatalf("frame %d pilot tasks = %d", r.Frame, st[queue.TaskPilotFFT].Tasks)
 		}
 	}
 	eng.Stop()
 
 	tl := eng.Timeline()
-	if len(tl.Frames) != nFrames {
-		t.Fatalf("timeline has %d frames, want %d", len(tl.Frames), nFrames)
-	}
-	for _, ft := range tl.Frames {
-		got := map[queue.TaskType]obs.StageAgg{}
-		for _, s := range ft.Stages {
-			got[s.Type] = s
-		}
-		for _, st := range append([]queue.TaskType{queue.TaskFFT}, uplinkStages...) {
-			if _, ok := got[st]; !ok {
-				t.Fatalf("frame %d missing stage %v: %+v", ft.Frame, ft.Stages, st)
-			}
-		}
-		// Dependency order: a stage cannot START before its predecessor
-		// started, and decode cannot end before demod started.
-		if got[queue.TaskZF].Start < got[queue.TaskPilotFFT].Start ||
-			got[queue.TaskDemod].Start < got[queue.TaskZF].Start ||
-			got[queue.TaskDecode].Start < got[queue.TaskDemod].Start {
-			t.Fatalf("frame %d stages out of dependency order: %+v", ft.Frame, ft.Stages)
-		}
-		// Task counts match the frame geometry.
-		if got[queue.TaskDecode].Tasks != cfg.NumUplink()*cfg.Users {
-			t.Fatalf("frame %d decode tasks = %d", ft.Frame, got[queue.TaskDecode].Tasks)
-		}
-		if got[queue.TaskPilotFFT].Tasks != cfg.NumPilots()*cfg.Antennas {
-			t.Fatalf("frame %d pilot tasks = %d", ft.Frame, got[queue.TaskPilotFFT].Tasks)
-		}
-	}
 	if len(tl.Workers) == 0 {
 		t.Fatal("no worker utilization rows")
 	}
@@ -131,8 +129,8 @@ func TestTracingDisabled(t *testing.T) {
 	if evs := eng.TraceEvents(); len(evs) != 0 {
 		t.Fatalf("disabled tracer captured %d events", len(evs))
 	}
-	if tl := eng.Timeline(); len(tl.Frames) != 0 {
-		t.Fatal("disabled tracer produced a timeline")
+	if tl := eng.Timeline(); len(tl.Workers) != 0 {
+		t.Fatal("disabled tracer produced lane utilisation")
 	}
 	var buf bytes.Buffer
 	if err := eng.WriteChromeTrace(&buf); err != nil {

@@ -97,8 +97,9 @@ type Options struct {
 	DisableSIMDConvert bool
 
 	// DisableTracing turns off the per-worker event tracer feeding the
-	// Chrome-trace capture and frame-timeline reconstruction (Engine
-	// TraceEvents/Timeline/WriteChromeTrace). It follows the package's
+	// Chrome-trace capture and the worker-lane utilisation (Engine
+	// TraceEvents/Timeline/WriteChromeTrace); per-frame stage spans come
+	// from the recorder either way. It follows the package's
 	// zero-value-on convention: the enabled tracer appends fixed-size
 	// events to preallocated single-writer rings (<2% end-to-end, see
 	// BenchmarkTracerOverhead) and neither setting allocates on the hot

@@ -16,11 +16,12 @@ import (
 
 // TestSLOAttributionMatchesTimeline pins the equivalence at the heart of
 // DESIGN §12: the live FrameRec the manager assembles from completion
-// stamps and the quiescence-only timeline reconstructed from the trace
-// rings describe the SAME schedule. Both are fed the identical worker
-// stamps (Msg.T0/T1, nanoseconds since the shared engine epoch), so per
-// frame and per stage the task counts, span bounds, and busy sums must
-// agree exactly — not approximately.
+// stamps and the trace events the workers emit describe the SAME
+// schedule. Both carry the identical worker stamps (Msg.T0/T1,
+// nanoseconds since the shared engine epoch), so the events folded per
+// frame and per stage here must give the record's task counts, span
+// bounds and busy sums exactly — not approximately. The live SLO rows'
+// span distribution must then be consistent with those records.
 func TestSLOAttributionMatchesTimeline(t *testing.T) {
 	cfg := smallCfg()
 	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
@@ -51,41 +52,54 @@ func TestSLOAttributionMatchesTimeline(t *testing.T) {
 		}
 	}
 	eng.Stop()
-	tl := eng.Timeline()
-	if len(tl.Frames) != nFrames {
-		t.Fatalf("timeline has %d frames, want %d", len(tl.Frames), nFrames)
-	}
-	for _, ft := range tl.Frames {
-		rec, ok := recs[ft.Frame]
+
+	// Fold the trace events the way the manager folds completions.
+	traced := map[uint32]*obs.FrameRec{}
+	for _, ev := range eng.TraceEvents() {
+		fr, ok := traced[ev.Frame]
 		if !ok {
-			t.Fatalf("no FrameRec for frame %d", ft.Frame)
+			fr = &obs.FrameRec{Frame: ev.Frame}
+			traced[ev.Frame] = fr
 		}
-		seen := map[queue.TaskType]bool{}
-		for _, agg := range ft.Stages {
-			seen[agg.Type] = true
-			sr := &rec.Stages[agg.Type]
-			if int(sr.Tasks) != agg.Tasks {
-				t.Fatalf("frame %d %v: rec tasks %d, timeline %d",
-					ft.Frame, agg.Type, sr.Tasks, agg.Tasks)
-			}
-			if sr.StartNS != agg.Start || sr.EndNS != agg.End {
-				t.Fatalf("frame %d %v: rec span [%d,%d], timeline [%d,%d]",
-					ft.Frame, agg.Type, sr.StartNS, sr.EndNS, agg.Start, agg.End)
-			}
-			if sr.BusyNS != agg.BusyNS {
-				t.Fatalf("frame %d %v: rec busy %d, timeline %d",
-					ft.Frame, agg.Type, sr.BusyNS, agg.BusyNS)
-			}
+		sr := &fr.Stages[ev.Type]
+		if sr.Tasks == 0 || ev.Start < sr.StartNS {
+			sr.StartNS = ev.Start
 		}
-		// And nothing extra: every stage the record saw, the trace saw.
+		sr.EndNS = max(sr.EndNS, ev.End)
+		sr.Tasks += int32(max(ev.Batch, 1))
+		sr.BusyNS += ev.End - ev.Start
+	}
+	if len(traced) != nFrames {
+		t.Fatalf("trace has %d frames, want %d", len(traced), nFrames)
+	}
+	maxSpan, sumSpan := map[string]int64{}, map[string]int64{}
+	for id, fr := range traced {
+		rec, ok := recs[id]
+		if !ok {
+			t.Fatalf("no FrameRec for frame %d", id)
+		}
 		for ty := range rec.Stages {
-			if rec.Stages[ty].Tasks > 0 && !seen[queue.TaskType(ty)] {
-				t.Fatalf("frame %d: rec has %v but timeline does not",
-					ft.Frame, queue.TaskType(ty))
+			sr, ev := &rec.Stages[ty], &fr.Stages[ty]
+			name := queue.TaskType(ty).String()
+			if sr.Tasks != ev.Tasks {
+				t.Fatalf("frame %d %s: rec tasks %d, trace %d", id, name, sr.Tasks, ev.Tasks)
 			}
+			if sr.Tasks == 0 {
+				continue
+			}
+			if sr.StartNS != ev.StartNS || sr.EndNS != ev.EndNS {
+				t.Fatalf("frame %d %s: rec span [%d,%d], trace [%d,%d]",
+					id, name, sr.StartNS, sr.EndNS, ev.StartNS, ev.EndNS)
+			}
+			if sr.BusyNS != ev.BusyNS {
+				t.Fatalf("frame %d %s: rec busy %d, trace %d", id, name, sr.BusyNS, ev.BusyNS)
+			}
+			maxSpan[name] = max(maxSpan[name], sr.SpanNS())
+			sumSpan[name] += sr.SpanNS()
 		}
 	}
-	// The live histograms saw every completed frame.
+	// The live histograms saw every completed frame, and their span rows
+	// lie within the records' spans (the histogram mean is exact).
 	rows := eng.Metrics().SLORows()
 	if len(rows) == 0 {
 		t.Fatal("no SLO rows after a recorded run")
@@ -96,6 +110,13 @@ func TestSLOAttributionMatchesTimeline(t *testing.T) {
 		}
 		if row.MeanBusyUS <= 0 || row.MaxBusyUS < row.P50BusyUS || row.MeanShare <= 0 {
 			t.Fatalf("SLO row %s inconsistent: %+v", row.Stage, row)
+		}
+		largest := float64(maxSpan[row.Stage]) / 1e3
+		mean := float64(sumSpan[row.Stage]/nFrames) / 1e3
+		if row.MeanSpanUS <= 0 || row.MeanSpanUS != mean || row.P50SpanUS <= 0 ||
+			row.P50SpanUS > row.P99SpanUS || row.P99SpanUS > largest {
+			t.Fatalf("SLO row %s spans inconsistent with the records (largest %.3f µs): %+v",
+				row.Stage, largest, row)
 		}
 	}
 }

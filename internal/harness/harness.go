@@ -40,12 +40,13 @@ type RunSummary struct {
 	// Metrics is the engine's metric snapshot taken after Stop: every
 	// live counter (deadline misses, ZF-cache decisions, fronthaul loss
 	// accounting, decode iterations), the per-task cost table (Tasks,
-	// paper Table 3), the kernel table and the per-stage SLO rows. It
+	// paper Table 3), the kernel table and the per-stage SLO rows (busy
+	// time and span per frame). It
 	// includes the warm-up frames.
 	Metrics obs.Snapshot
-	// Timeline is the reconstructed multi-frame schedule from the event
-	// tracer: per-frame stage spans, worker utilization, idle gaps. Nil
-	// when Options.DisableTracing is set.
+	// Timeline is the event tracer's worker-lane utilisation: busy time,
+	// span and longest idle gap per lane. Nil when Options.DisableTracing
+	// is set. Per-frame stage spans are in Metrics.SLO.
 	Timeline *obs.Timeline
 	// Incidents is the flight recorder's retained post-mortems (bad
 	// frames: drops, deadline misses, FEC budget exceeded).

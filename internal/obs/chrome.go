@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Chrome trace_event export: the captured window rendered in the JSON
@@ -88,6 +89,14 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	frameTID := lanes + 1
 	a.thread(frameTID, "frames")
+	// The frames track spans each frame's earliest task start to its
+	// latest task end.
+	type bounds struct {
+		frame      uint32
+		start, end int64
+	}
+	var frames []bounds
+	at := make(map[uint32]int)
 	for i := range events {
 		ev := &events[i]
 		a.slice(int(ev.Lane), ev.Type.String(), "task", ev.Start, ev.End-ev.Start, map[string]any{
@@ -96,10 +105,19 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			"task":   ev.TaskIdx,
 			"batch":  ev.Batch,
 		})
+		j, ok := at[ev.Frame]
+		if !ok {
+			j = len(frames)
+			at[ev.Frame] = j
+			frames = append(frames, bounds{ev.Frame, ev.Start, ev.End})
+		}
+		frames[j].start = min(frames[j].start, ev.Start)
+		frames[j].end = max(frames[j].end, ev.End)
 	}
-	for _, ft := range Reconstruct(events).Frames {
-		a.slice(frameTID, fmt.Sprintf("frame %d", ft.Frame), "frame", ft.Start, ft.End-ft.Start,
-			map[string]any{"frame": ft.Frame})
+	sort.Slice(frames, func(i, j int) bool { return frames[i].start < frames[j].start })
+	for _, f := range frames {
+		a.slice(frameTID, fmt.Sprintf("frame %d", f.frame), "frame", f.start, f.end-f.start,
+			map[string]any{"frame": f.frame})
 	}
 	return a.close()
 }

@@ -4,17 +4,18 @@ import (
 	"repro/internal/queue"
 )
 
-// Live SLO attribution (DESIGN §12). The quiescence-only trace rings can
-// explain a frame after the run; FrameRec explains it while the engine is
-// live. The manager owns one FrameRec per in-flight frame (embedded in
-// the manager's reused slot record, so the steady state allocates nothing)
-// and folds every task completion's execution stamps into it — the
-// completion messages already flow through the manager, so attribution
-// costs a few adds per completion and no extra synchronization. On frame
-// completion the record is folded into the always-live per-stage
-// budget-share histograms (Metrics.StageBusy) and copied into the
-// FrameResult; on a bad frame it becomes the heart of the incident
-// post-mortem (incident.go).
+// Live SLO attribution (DESIGN §12). FrameRec is the one account of a
+// frame's per-stage spans and busy time, kept while the engine is live;
+// the quiescence-only trace rings add only lane utilisation and the
+// Chrome view. The manager owns one FrameRec per in-flight frame
+// (embedded in the manager's reused slot record, so the steady state
+// allocates nothing) and folds every task completion's execution stamps
+// into it — the completion messages already flow through the manager, so
+// attribution costs a few adds per completion and no extra
+// synchronization. On frame completion the record is folded into the
+// always-live per-stage busy and span histograms (Metrics.StageBusy,
+// Metrics.StageSpan) and copied into the FrameResult; on a bad frame it
+// becomes the heart of the incident post-mortem (incident.go).
 
 // StageRec accumulates one pipeline stage's work within a single frame.
 type StageRec struct {
@@ -69,8 +70,8 @@ func (r *FrameRec) Observe(t queue.TaskType, t0, t1 int64, tasks int) {
 }
 
 // StageSLO is one stage's live budget-attribution summary in a snapshot:
-// the distribution of per-frame busy time, and its mean share of the
-// frame budget.
+// the distributions of per-frame busy time and wall-clock span, and the
+// mean busy share of the frame budget.
 type StageSLO struct {
 	Stage string `json:"stage"`
 	// Frames is the number of completed frames that ran this stage.
@@ -80,6 +81,11 @@ type StageSLO struct {
 	P50BusyUS  float64 `json:"p50_busy_us"`
 	P99BusyUS  float64 `json:"p99_busy_us"`
 	MaxBusyUS  float64 `json:"max_busy_us"`
+	// Span distribution across frames, microseconds: each frame's first
+	// task start to last task end in the stage (paper Fig. 7's bars).
+	MeanSpanUS float64 `json:"mean_span_us"`
+	P50SpanUS  float64 `json:"p50_span_us"`
+	P99SpanUS  float64 `json:"p99_span_us"`
 	// MeanShare is mean busy time over the frame budget (0 with no
 	// budget): "which stage ate the budget", averaged over frames.
 	MeanShare float64 `json:"mean_share"`

@@ -83,11 +83,13 @@ type Metrics struct {
 	// on every obs surface.
 	Kernels []KernelRow
 
-	// StageBusy streams each completed frame's per-stage busy time
-	// (DESIGN §12): the live SLO-attribution histograms that answer
-	// "which stage ate the budget" mid-run, unlike the quiescence-only
-	// timeline. Fed by ObserveStages from FrameRec folds.
+	// StageBusy and StageSpan stream each completed frame's per-stage
+	// busy time and wall-clock span (DESIGN §12): the live
+	// SLO-attribution histograms that answer "which stage ate the
+	// budget" and "which stage stretched the tail" mid-run. Fed by
+	// ObserveStages from FrameRec folds.
 	StageBusy [queue.NumTaskTypes]stats.Hist
+	StageSpan [queue.NumTaskTypes]stats.Hist
 
 	// Incidents counts flight-recorder captures (see IncidentRing);
 	// mirrored here so a counter-only poller sees bad frames without
@@ -132,13 +134,14 @@ func (m *Metrics) ObserveTask(t queue.TaskType, tasks int, busyNS int64) {
 }
 
 // ObserveStages folds one completed frame's attribution record into the
-// live per-stage histograms. Called by the manager (or a fleet's result
+// live per-stage busy and span histograms. Called by the manager (or a fleet's result
 // forwarder) once per completed frame; stages the frame never ran are
 // skipped so downlink rows stay empty on uplink-only runs.
 func (m *Metrics) ObserveStages(rec *FrameRec) {
 	for i := range rec.Stages {
-		if rec.Stages[i].Tasks > 0 {
-			m.StageBusy[i].AddNS(rec.Stages[i].BusyNS)
+		if st := &rec.Stages[i]; st.Tasks > 0 {
+			m.StageBusy[i].AddNS(st.BusyNS)
+			m.StageSpan[i].AddNS(st.SpanNS())
 		}
 	}
 }
@@ -337,18 +340,18 @@ func latencySnap(h *stats.Hist) LatencySnap {
 	}
 }
 
-// SLORows summarizes the live per-stage budget-attribution histograms,
+// SLORows summarizes the live per-stage busy and span histograms,
 // ordered by pipeline stage; stages with no completed frames are omitted.
 func (m *Metrics) SLORows() []StageSLO {
 	budget := float64(m.FrameBudgetNS.Load())
 	var rows []StageSLO
+	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
 	for i := range m.StageBusy {
-		h := &m.StageBusy[i]
+		h, sp := &m.StageBusy[i], &m.StageSpan[i]
 		n := h.Count()
 		if n == 0 {
 			continue
 		}
-		us := func(d time.Duration) float64 { return float64(d) / 1e3 }
 		row := StageSLO{
 			Stage:      queue.TaskType(i).String(),
 			Frames:     n,
@@ -356,6 +359,9 @@ func (m *Metrics) SLORows() []StageSLO {
 			P50BusyUS:  us(h.Quantile(50)),
 			P99BusyUS:  us(h.Quantile(99)),
 			MaxBusyUS:  us(h.Max()),
+			MeanSpanUS: us(sp.Mean()),
+			P50SpanUS:  us(sp.Quantile(50)),
+			P99SpanUS:  us(sp.Quantile(99)),
 		}
 		if budget > 0 {
 			row.MeanShare = float64(h.Mean()) / budget

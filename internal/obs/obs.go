@@ -1,7 +1,7 @@
 // Package obs is the engine's observability layer (DESIGN §12): a
-// lock-free per-worker event tracer with its frame-timeline
-// reconstructor and Chrome trace_event exporter; per-frame SLO
-// attribution (FrameRec) and the anomaly flight recorder
+// lock-free per-worker event tracer with its lane-utilisation fold and
+// Chrome trace_event exporter; per-frame SLO attribution (FrameRec, the
+// one account of per-frame stage spans) and the anomaly flight recorder
 // (IncidentRing); and the live Metrics with the metric table
 // (table.go) from which the expvar Snapshot, Prometheus /metrics, fleet
 // totals and the /debug/rates sampler are all rendered.

@@ -86,7 +86,7 @@ func BenchmarkEmit(b *testing.B) {
 
 func TestReconstructTimeline(t *testing.T) {
 	// Two frames, two workers: frame 1's FFT overlaps frame 0's decode
-	// (inter-frame pipelining).
+	// (inter-frame pipelining). Reconstruct folds them per lane only.
 	evs := []Event{
 		{Start: 0, End: 10, Frame: 0, Lane: 0, Type: queue.TaskPilotFFT, Batch: 2},
 		{Start: 10, End: 20, Frame: 0, Lane: 0, Type: queue.TaskZF, Batch: 1},
@@ -96,36 +96,24 @@ func TestReconstructTimeline(t *testing.T) {
 		{Start: 35, End: 45, Frame: 1, Lane: 0, Type: queue.TaskPilotFFT, Batch: 1},
 	}
 	tl := Reconstruct(evs)
-	if len(tl.Frames) != 2 {
-		t.Fatalf("got %d frames, want 2", len(tl.Frames))
-	}
-	f0 := tl.Frames[0]
-	if f0.Frame != 0 || f0.Start != 0 || f0.End != 50 {
-		t.Fatalf("frame 0 span wrong: %+v", f0)
-	}
-	if len(f0.Stages) != 5 {
-		t.Fatalf("frame 0 should have 5 stages, got %d", len(f0.Stages))
-	}
-	if f0.Stages[0].Type != queue.TaskPilotFFT || f0.Stages[0].Tasks != 2 {
-		t.Fatalf("stage 0 wrong: %+v", f0.Stages[0])
-	}
-	// Workers: lane 0 busy 10+10+10=30 over span 45; max gap 15 (20→35).
 	if len(tl.Workers) != 2 {
 		t.Fatalf("got %d workers, want 2", len(tl.Workers))
 	}
+	// Lane 0: busy 10+10+10=30 over span 45; max gap 15 (20→35).
 	w0 := tl.Workers[0]
-	if w0.BusyNS != 30 || w0.SpanNS != 45 || w0.MaxGapNS != 15 {
+	if w0.Lane != 0 || w0.Events != 3 || w0.BusyNS != 30 || w0.SpanNS != 45 || w0.MaxGapNS != 15 {
 		t.Fatalf("worker 0 util wrong: %+v", w0)
 	}
 	if u := w0.Utilization(); u < 0.66 || u > 0.67 {
 		t.Fatalf("worker 0 utilization = %v, want 30/45", u)
 	}
-	var busy int64
-	for _, st := range f0.Stages {
-		busy += st.BusyNS
+	// Lane 1: back to back from 12 to 50, busy 38, no gap.
+	w1 := tl.Workers[1]
+	if w1.Lane != 1 || w1.Events != 3 || w1.BusyNS != 38 || w1.SpanNS != 38 || w1.MaxGapNS != 0 {
+		t.Fatalf("worker 1 util wrong: %+v", w1)
 	}
-	if busy != 58 {
-		t.Fatalf("frame 0 busy = %d, want 58", busy)
+	if len(Reconstruct(nil).Workers) != 0 {
+		t.Fatal("empty capture produced lanes")
 	}
 }
 

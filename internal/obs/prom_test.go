@@ -27,7 +27,8 @@ func testSnapshot() Snapshot {
 		Kernels:   []KernelRow{{"decode", "avx2"}, {"fft", "generic"}, {"demod", "avx2"}},
 		GC:        GCSnap{NumGC: 2, PauseTotalMS: 0.1},
 		SLO: []StageSLO{
-			{Stage: "Decode", Frames: 42, MeanBusyUS: 200, P50BusyUS: 190, P99BusyUS: 260, MaxBusyUS: 300, MeanShare: 0.2},
+			{Stage: "Decode", Frames: 42, MeanBusyUS: 200, P50BusyUS: 190, P99BusyUS: 260, MaxBusyUS: 300, MeanShare: 0.2,
+				MeanSpanUS: 120, P50SpanUS: 110, P99SpanUS: 180},
 		},
 		Incidents:           6,
 		QueueMaxResetUnixMS: 1700000000000,

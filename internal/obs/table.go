@@ -154,6 +154,16 @@ var table = []row{
 				emit("_count", float64(r.Frames), stage)
 			}
 		}},
+	{name: "agora_stage_span_seconds", help: "Per-frame wall-clock span by pipeline stage (live SLO attribution).", kind: summary,
+		samples: func(s *Snapshot, emit emitFn) {
+			for _, r := range s.SLO {
+				stage := promLabel{"stage", r.Stage}
+				emit("", r.P50SpanUS/1e6, stage, promLabel{"quantile", "0.5"})
+				emit("", r.P99SpanUS/1e6, stage, promLabel{"quantile", "0.99"})
+				emit("_sum", r.MeanSpanUS/1e6*float64(r.Frames), stage)
+				emit("_count", float64(r.Frames), stage)
+			}
+		}},
 	{name: "agora_stage_budget_share", help: "Mean fraction of the frame budget consumed by each stage.", kind: gauge,
 		samples: func(s *Snapshot, emit emitFn) {
 			for _, r := range s.SLO {

@@ -1,33 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"repro/internal/queue"
-)
-
-// StageAgg aggregates the events of one task type within a frame: when the stage's first task started, when its
-// last task ended, and how much worker time it consumed.
-type StageAgg struct {
-	Type   queue.TaskType
-	Count  int   // messages executed (a batched message counts once)
-	Tasks  int   // individual tasks (batch expanded)
-	Start  int64 // ns since epoch, earliest task start
-	End    int64 // ns since epoch, latest task end
-	BusyNS int64 // Σ task durations (worker CPU time, overlaps allowed)
-}
-
-// SpanNS is the stage's wall-clock extent (Fig. 7's bar length).
-func (s *StageAgg) SpanNS() int64 { return s.End - s.Start }
-
-// FrameTimeline is one frame's reconstructed schedule: per-stage spans in
-// execution order, exactly the rows of the paper's Figure 7 timeline.
-type FrameTimeline struct {
-	Frame  uint32
-	Start  int64 // earliest task start
-	End    int64 // latest task end
-	Stages []StageAgg
-}
+import "sort"
 
 // WorkerUtil summarizes one lane's activity over the capture window.
 type WorkerUtil struct {
@@ -46,57 +19,24 @@ func (w *WorkerUtil) Utilization() float64 {
 	return float64(w.BusyNS) / float64(w.SpanNS)
 }
 
-// Timeline is the full reconstruction of a captured event window.
+// Timeline is the lane utilisation of a captured event window. Per-frame
+// stage spans are not here: the manager's FrameRec accounts them live
+// (FrameResult.Rec, Snapshot.SLO).
 type Timeline struct {
-	Frames  []FrameTimeline // ordered by frame start
-	Workers []WorkerUtil    // per lane
+	Workers []WorkerUtil // per lane, ordered by lane
 }
 
-// Reconstruct builds per-frame stage breakdowns and worker utilization
-// from a Snapshot. Events need not be sorted; incomplete frames at the
-// window edges simply show the stages that were captured.
+// Reconstruct folds a Tracer.Snapshot into per-lane utilisation. Events
+// need not be sorted.
 func Reconstruct(events []Event) *Timeline {
 	tl := &Timeline{}
-	if len(events) == 0 {
-		return tl
-	}
-	frames := make(map[uint32]*FrameTimeline)
-	frameStages := make(map[uint32]map[queue.TaskType]*StageAgg)
-	workers := make(map[int]*WorkerUtil)
 	perLane := make(map[int][]Event)
 	for i := range events {
-		ev := &events[i]
-		ft, ok := frames[ev.Frame]
-		if !ok {
-			ft = &FrameTimeline{Frame: ev.Frame, Start: ev.Start, End: ev.End}
-			frames[ev.Frame] = ft
-			frameStages[ev.Frame] = make(map[queue.TaskType]*StageAgg)
-		}
-		ft.Start = min(ft.Start, ev.Start)
-		ft.End = max(ft.End, ev.End)
-		s, ok := frameStages[ev.Frame][ev.Type]
-		if !ok {
-			s = &StageAgg{Type: ev.Type, Start: ev.Start, End: ev.End}
-			frameStages[ev.Frame][ev.Type] = s
-		}
-		s.Start = min(s.Start, ev.Start)
-		s.End = max(s.End, ev.End)
-		s.Count++
-		s.Tasks += max(int(ev.Batch), 1)
-		s.BusyNS += ev.End - ev.Start
-		perLane[int(ev.Lane)] = append(perLane[int(ev.Lane)], *ev)
+		perLane[int(events[i].Lane)] = append(perLane[int(events[i].Lane)], events[i])
 	}
-	for id, ft := range frames {
-		for _, s := range frameStages[id] {
-			ft.Stages = append(ft.Stages, *s)
-		}
-		sort.Slice(ft.Stages, func(i, j int) bool { return ft.Stages[i].Start < ft.Stages[j].Start })
-		tl.Frames = append(tl.Frames, *ft)
-	}
-	sort.Slice(tl.Frames, func(i, j int) bool { return tl.Frames[i].Start < tl.Frames[j].Start })
 	for laneID, evs := range perLane {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
-		w := &WorkerUtil{Lane: laneID, Events: len(evs)}
+		w := WorkerUtil{Lane: laneID, Events: len(evs)}
 		w.SpanNS = evs[len(evs)-1].End - evs[0].Start
 		prevEnd := evs[0].Start
 		for i := range evs {
@@ -108,10 +48,7 @@ func Reconstruct(events []Event) *Timeline {
 				prevEnd = evs[i].End
 			}
 		}
-		workers[laneID] = w
-	}
-	for _, w := range workers {
-		tl.Workers = append(tl.Workers, *w)
+		tl.Workers = append(tl.Workers, w)
 	}
 	sort.Slice(tl.Workers, func(i, j int) bool { return tl.Workers[i].Lane < tl.Workers[j].Lane })
 	return tl
