@@ -2,6 +2,9 @@ package agora
 
 import (
 	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,6 +19,7 @@ var (
 	citedTest   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	citedOption = regexp.MustCompile(`\bOptions\.([A-Z]\w*)(\*?)|\b(Disable[A-Z]\w*)(\*?)`)
 	citedMake   = regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
+	citedQual   = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	inlineCode  = regexp.MustCompile("`[^`]*`")
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	makeTarget  = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):`)
@@ -26,8 +30,16 @@ var (
 // name must be a prefix of a function in some _test.go file (the way -run
 // and -bench match, so BenchmarkTable4_* names a family), every Options.X
 // or DisableX must be a field of Options (a trailing * makes it a
-// prefix), and every `make <target>` in code must be a Makefile target.
+// prefix), every `make <target>` in code must be a Makefile target, and
+// every `pkg.Name` in inline code whose pkg is a directory of internal/
+// must name an exported type, func, method, field, const or var declared
+// in that package.
 func TestDocsCiteExistingNames(t *testing.T) {
+	decls := internalDecls(t)
+	// The qualified-name check must catch a deleted name.
+	if unknownQualified("`mat.PlanBlockMul(true, k)` and `mat.PlanMatVec`", decls) != "mat.PlanMatVec" {
+		t.Fatal("qualified-name check does not flag mat.PlanMatVec")
+	}
 	var funcs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -100,6 +112,10 @@ func TestDocsCiteExistingNames(t *testing.T) {
 			code := line
 			if !fenced {
 				code = strings.Join(inlineCode.FindAllString(line, -1), " ")
+				if bad := unknownQualified(code, decls); bad != "" {
+					t.Errorf("%s:%d cites %s, which internal/%s does not declare", doc, n, bad,
+						strings.Split(bad, ".")[0])
+				}
 			}
 			for _, m := range citedMake.FindAllStringSubmatch(code, -1) {
 				if !targets[m[1]] {
@@ -112,4 +128,74 @@ func TestDocsCiteExistingNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// unknownQualified returns the first pkg.Name in code whose pkg is an
+// internal package that declares no exported Name, or "" if there is
+// none. Other qualifiers (standard library, local variables) pass.
+func unknownQualified(code string, decls map[string]map[string]bool) string {
+	for _, m := range citedQual.FindAllStringSubmatch(code, -1) {
+		if names, ok := decls[m[1]]; ok && !names[m[2]] {
+			return m[0]
+		}
+	}
+	return ""
+}
+
+// internalDecls parses every non-test Go file under internal/ and maps
+// each package directory to the exported names it declares: types, funcs,
+// methods, struct fields, interface methods, consts and vars.
+func internalDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		names := map[string]bool{}
+		decls[d.Name()] = names
+		files, err := filepath.Glob(filepath.Join("internal", d.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := func(ids ...*ast.Ident) {
+				for _, id := range ids {
+					if id.IsExported() {
+						names[id.Name] = true
+					}
+				}
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					add(fn.Name)
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.TypeSpec:
+						add(n.Name)
+					case *ast.ValueSpec:
+						add(n.Names...)
+					case *ast.Field:
+						add(n.Names...)
+					}
+					return true
+				})
+			}
+		}
+	}
+	return decls
 }

@@ -20,10 +20,8 @@ type worker struct {
 	lanes   []complex64 // FFTBatch×OFDMSize: one lane per antenna of an FFT or IFFT run
 	timeBuf []complex64 // unfused front end: one symbol's unpacked samples (nil when fuseRX)
 	stage   []complex64 // staging copy, DisableDirectStore only
+	ytAnt   []complex64 // strip×M gather of the antenna-major grid, DisableMemOpt only
 	fuseRX  bool        // CP strip + unpack fused into the FFT permutation
-	yvec    []complex64 // gathered antenna vector (M)
-	xvec    []complex64 // equalized user vector (K)
-	bitsBuf []byte      // per-subcarrier modulation bits scratch
 
 	// Blocked-kernel scratch: the BLAS-3 path multiplies whole
 	// multi-subcarrier tiles instead of one matvec per subcarrier. The
@@ -49,7 +47,6 @@ type worker struct {
 
 	dec    *ldpc.Decoder
 	zfws   *mat.ZFWorkspace
-	matvec mat.MatVecKernel
 	unpack func([]complex64, []byte)
 	tab    *modulation.Table
 	code   *ldpc.Code
@@ -60,17 +57,13 @@ type worker struct {
 func newWorker(id int, e *Engine) *worker {
 	cfg := &e.cfg
 	w := &worker{
-		id:      id,
-		eng:     e,
-		plan:    e.plan,
-		lanes:   make([]complex64, cfg.FFTBatch*cfg.OFDMSize),
-		yvec:    make([]complex64, cfg.Antennas),
-		xvec:    make([]complex64, cfg.Users),
-		bitsBuf: make([]byte, int(cfg.Order)),
-		zfws:    mat.NewZFWorkspace(cfg.Users),
-		matvec:  mat.PlanMatVec(!e.opts.DisableJITGemm),
-		tab:     modulation.Get(cfg.Order),
-		code:    e.code,
+		id:    id,
+		eng:   e,
+		plan:  e.plan,
+		lanes: make([]complex64, cfg.FFTBatch*cfg.OFDMSize),
+		zfws:  mat.NewZFWorkspace(cfg.Users),
+		tab:   modulation.Get(cfg.Order),
+		code:  e.code,
 	}
 	// Decentralized Gram formation (DESIGN §16): the workspace carries the
 	// cluster count so both the equalizer and the precoder (which runs the
@@ -91,6 +84,9 @@ func newWorker(id int, e *Engine) *worker {
 	w.llrGather = make([]float32, e.scUsed*int(cfg.Order))
 	if e.opts.DisableDirectStore {
 		w.stage = make([]complex64, cfg.DataSubcarriers)
+	}
+	if e.opts.DisableMemOpt {
+		w.ytAnt = make([]complex64, fuseStripCols*cfg.Antennas)
 	}
 	if e.opts.DisableSIMDConvert {
 		w.unpack = cf.UnpackIQ12Naive
@@ -367,9 +363,8 @@ const nominalNoise = 0.1
 
 // runDemod is the fused equalization + soft demodulation block: one task
 // covers DemodBlockSize consecutive subcarriers of one uplink symbol and
-// writes every user's LLRs for those subcarriers — through
-// equalizeDemodBlock, or through the per-subcarrier runDemodScalar under
-// the antenna-major layout (DisableMemOpt) and DummyKernels.
+// writes every user's LLRs for those subcarriers through
+// equalizeDemodBlock.
 func (w *worker) runDemod(slot int, sym uint16, block int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -384,10 +379,6 @@ func (w *worker) runDemod(slot int, sym uint16, block int) {
 	if hi <= lo {
 		return
 	}
-	if e.opts.DisableMemOpt || e.opts.DummyKernels {
-		w.runDemodScalar(slot, sym, lo, hi)
-		return
-	}
 	w.equalizeDemodBlock(slot, sym, lo, hi)
 }
 
@@ -397,17 +388,22 @@ func (w *worker) runDemod(slot int, sym uint16, block int) {
 // that consumes it, wide enough to amortize the kernel's per-call setup.
 const fuseStripCols = 16
 
-// equalizeDemodBlock is the blocked (BLAS-3) path of runDemod: it never
-// materializes the full K×B equalized tile. Each ZF-group-aligned
-// sub-block is processed in strips of fuseStripCols subcarriers — one
-// MulBlockInto, wrapping the subcarrier-major FFT output region in place
-// as the strip×M transposed operand, into a small K×strip scratch,
-// immediately consumed by one DemodulateSoftSoA call that writes all K
-// users' LLRs for those subcarriers as a single contiguous llrSC span.
-// The equalized symbols are demodulated while still cache-hot and are
-// never written back to shared memory; the per-column arithmetic of
-// MulBlockInto is independent of strip width, so the LLRs are
-// bit-identical to a whole-tile multiply.
+// equalizeDemodBlock is the blocked (BLAS-3) demod path, and the only
+// one: it never materializes the full K×B equalized tile. Each
+// ZF-group-aligned sub-block is processed in strips of fuseStripCols
+// subcarriers — one MulBlockInto of the strip×M transposed operand into a
+// small K×strip scratch, immediately consumed by one DemodulateSoftSoA
+// call that writes all K users' LLRs for those subcarriers as a single
+// contiguous llrSC span. The equalized symbols are demodulated while
+// still cache-hot and are never written back to shared memory; the
+// per-column arithmetic of MulBlockInto is independent of strip width,
+// so the LLRs are bit-identical to a whole-tile multiply.
+//
+// The ablations swap one step each. The strip operand wraps the
+// subcarrier-major grid in place, or under DisableMemOpt is gathered
+// from the antenna-major grid into ytAnt — the strided reads are all the
+// layout costs. DummyKernels replaces the multiply and demodulation with
+// a copy of the strip's samples into the LLR span.
 func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -418,61 +414,56 @@ func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
 	dst := b.llrSC[slot][sym]
 	for s0 := lo; s0 < hi; {
 		g := s0 / cfg.ZFGroupSize
-		s1 := (g + 1) * cfg.ZFGroupSize
-		if s1 > hi {
-			s1 = hi
-		}
+		s1 := min((g+1)*cfg.ZFGroupSize, hi)
 		for j0 := s0; j0 < s1; {
-			j1 := j0 + fuseStripCols
-			if j1 > s1 {
-				j1 = s1
-			}
+			j1 := min(j0+fuseStripCols, s1)
 			ns := j1 - j0
-			w.ytM = mat.M{Rows: ns, Cols: m, Data: b.dataFreqSC[slot][sym][j0*m : j1*m]}
-			w.xbM = mat.M{Rows: k, Cols: ns, Data: w.xblk[:k*ns]}
-			w.blockMul(&w.xbM, b.eq[slot][g], &w.ytM)
-			w.tab.DemodulateSoftSoA(dst[j0*k*order:j1*k*order],
-				w.xblk[:k*ns], k, ns, nominalNoise)
+			if e.opts.DisableMemOpt {
+				gatherStrip(w.ytAnt[:ns*m], b.dataFreqAnt[slot][sym], m, cfg.DataSubcarriers, j0)
+				w.ytM = mat.M{Rows: ns, Cols: m, Data: w.ytAnt[:ns*m]}
+			} else {
+				w.ytM = mat.M{Rows: ns, Cols: m, Data: b.dataFreqSC[slot][sym][j0*m : j1*m]}
+			}
+			llr := dst[j0*k*order : j1*k*order]
+			if e.opts.DummyKernels {
+				copyStripLLR(llr, &w.ytM, k, order)
+			} else {
+				w.xbM = mat.M{Rows: k, Cols: ns, Data: w.xblk[:k*ns]}
+				w.blockMul(&w.xbM, b.eq[slot][g], &w.ytM)
+				w.tab.DemodulateSoftSoA(llr, w.xblk[:k*ns], k, ns, nominalNoise)
+			}
 			j0 = j1
 		}
 		s0 = s1
 	}
 }
 
-// runDemodScalar is the per-subcarrier demod path over [lo, hi): one
-// gather, one matvec and one per-symbol demodulation per subcarrier.
-func (w *worker) runDemodScalar(slot int, sym uint16, lo, hi int) {
-	e := w.eng
-	cfg := &e.cfg
-	b := e.buf
-	q := cfg.DataSubcarriers
-	m := cfg.Antennas
-	k := cfg.Users
-	order := int(cfg.Order)
-	for sc := lo; sc < hi; sc++ {
-		// Gather received vector y across antennas.
-		if e.opts.DisableMemOpt {
-			src := b.dataFreqAnt[slot][sym]
-			for a := 0; a < m; a++ {
-				w.yvec[a] = src[a*q+sc]
-			}
-		} else {
-			copy(w.yvec, b.dataFreqSC[slot][sym][sc*m:(sc+1)*m])
+// gatherStrip fills dst, an ns×m subcarrier-major strip, with
+// subcarriers [sc0, sc0+ns) of an antenna-major grid of q subcarriers per
+// antenna: one contiguous run per antenna, written m apart.
+func gatherStrip(dst, grid []complex64, m, q, sc0 int) {
+	ns := len(dst) / m
+	for a := 0; a < m; a++ {
+		for j, v := range grid[a*q+sc0 : a*q+sc0+ns] {
+			dst[j*m+a] = v
 		}
-		dst := b.llrSC[slot][sym][sc*k*order : (sc+1)*k*order]
-		if e.opts.DummyKernels {
-			for u := 0; u < k; u++ {
-				v := real(w.yvec[u%m])
-				for t := 0; t < order; t++ {
-					dst[u*order+t] = v
-				}
+	}
+}
+
+// copyStripLLR is DummyKernels' demodulation of one strip: every LLR of
+// user u on a subcarrier is the real part of that subcarrier's sample
+// from antenna u mod M — the reads and the write of the real step,
+// without its arithmetic.
+func copyStripLLR(llr []float32, yt *mat.M, k, order int) {
+	for j := 0; j < yt.Rows; j++ {
+		y := yt.Row(j)
+		out := llr[j*k*order : (j+1)*k*order]
+		for u := 0; u < k; u++ {
+			v := real(y[u%yt.Cols])
+			for t := 0; t < order; t++ {
+				out[u*order+t] = v
 			}
-			continue
 		}
-		w.matvec(w.xvec, b.eq[slot][sc/cfg.ZFGroupSize], w.yvec)
-		// One subcarrier is a users×1 tile: the SoA kernel writes all K
-		// users' LLRs for subcarrier sc as one contiguous span.
-		w.tab.DemodulateSoftSoA(dst, w.xvec[:k], k, 1, nominalNoise)
 	}
 }
 
@@ -565,16 +556,14 @@ func (w *worker) runEncode(slot int, sym uint16, user int) {
 // The path is blocked: each user's symbols for the whole group are
 // modulated in one ModulateBlock call, the tile is transposed to B×K, and
 // a single MulBlockInto against the M×K precoder writes the group's B×M
-// region of the subcarrier-major downlink grid in place.
+// region of the subcarrier-major downlink grid in place. DummyKernels
+// replaces the multiply with a copy of each subcarrier's user symbols
+// into its grid row.
 func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	e := w.eng
 	cfg := &e.cfg
 	b := e.buf
 	lo, hi := b.groupBounds(g)
-	if e.opts.DummyKernels {
-		w.runPrecodeScalar(slot, sym, lo, hi)
-		return
-	}
 	m := cfg.Antennas
 	k := cfg.Users
 	nb := hi - lo
@@ -594,37 +583,15 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	}
 	w.xtM = mat.M{Rows: nb, Cols: k, Data: w.xtBlk[:nb*k]}
 	w.outM = mat.M{Rows: nb, Cols: m, Data: b.dlFreq[slot][sym][lo*m : hi*m]}
+	if e.opts.DummyKernels {
+		n := min(m, k)
+		for j := 0; j < nb; j++ {
+			copy(w.outM.Row(j)[:n], w.xtM.Row(j)[:n])
+		}
+		return
+	}
 	// dlFreq[sc][a] = Σ_u Xt[sc][u] · pre[a][u]: exactly dst = w·ytᵀ.
 	w.blockMulPre(&w.outM, &w.xtM, b.pre[preSlot][g])
-}
-
-// runPrecodeScalar is the DummyKernels precode: per-subcarrier modulation,
-// with the precoder multiply replaced by a copy of the user symbols into
-// the grid row.
-func (w *worker) runPrecodeScalar(slot int, sym uint16, lo, hi int) {
-	e := w.eng
-	cfg := &e.cfg
-	b := e.buf
-	m := cfg.Antennas
-	k := cfg.Users
-	order := int(cfg.Order)
-	n := e.code.N()
-	dst := b.dlFreq[slot][sym]
-	for sc := lo; sc < hi; sc++ {
-		// Modulate each user's bits for this subcarrier.
-		for u := 0; u < k; u++ {
-			off := sc * order
-			for t := 0; t < order; t++ {
-				if off+t < n {
-					w.bitsBuf[t] = b.encoded[slot][sym][u][off+t]
-				} else {
-					w.bitsBuf[t] = 0
-				}
-			}
-			w.tab.Modulate(w.xvec[u:u+1], w.bitsBuf)
-		}
-		copy(dst[sc*m:sc*m+min(m, k)], w.xvec[:min(m, k)])
-	}
 }
 
 // runIFFT transforms a run of count consecutive antennas of one downlink
@@ -664,11 +631,4 @@ func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 		copy(out[cfg.CPLen:], t)
 		cf.Scale(out, gain)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -21,7 +21,7 @@
 //     antenna.
 //
 // Kernel entry points live in blocks.go: runPilotFFT, runZF, runFFT,
-// runDemod (fused equalizeDemodBlock, or runDemodScalar), runDecode,
+// runDemod (the fused equalizeDemodBlock), runDecode,
 // runEncode, runPrecode, runIFFT. Each FFT block takes a run of
 // consecutive antennas; a run of one is a batch of one. Options{} selects
 // the serving path. The Disable* toggles are the ablations the paper's
@@ -64,7 +64,10 @@ type Options struct {
 	// DisableMemOpt turns off the memory-access optimization (§4.1):
 	// instead of FFT workers writing transposed (subcarrier-major) output
 	// that demodulation reads contiguously, FFT writes antenna-major and
-	// demodulation gathers across strided cache lines.
+	// demodulation gathers each strip across strided cache lines into
+	// worker scratch. The multiply and demodulation that follow are the
+	// default's, so the LLRs are bit-identical and the option prices the
+	// layout alone.
 	DisableMemOpt bool
 
 	// DisableDirectStore turns off the non-temporal-store analogue
@@ -77,8 +80,9 @@ type Options struct {
 	// zero-forcing with the robust SVD pseudo-inverse (§4.2).
 	DisableInverseOpt bool
 
-	// DisableJITGemm replaces the specialized matrix kernels with
-	// textbook loops (§4.2).
+	// DisableJITGemm replaces the size-specialized blocked multiplies of
+	// equalization and precoding (mat.PlanBlockMul) with the textbook loop
+	// (§4.2).
 	DisableJITGemm bool
 
 	// DisableLayeredDecode replaces the default layered (serial-C) LDPC
@@ -132,7 +136,10 @@ type Options struct {
 
 	// DummyKernels replaces every compute kernel with a version that only
 	// performs the kernel's memory reads and writes, isolating data
-	// movement from computation (§6.2.2 methodology).
+	// movement from computation (§6.2.2 methodology). Demod and precode
+	// keep their loops and swap only the multiply and demodulation for
+	// copies: LLRs copied from the strip's samples, user symbols copied
+	// into the grid row.
 	DummyKernels bool
 
 	// KeepBits retains decoded uplink bits in each FrameResult (needed by

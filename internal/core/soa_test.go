@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -70,11 +71,11 @@ func runOneFrame(t *testing.T, cfg frame.Config, opts Options, seed int64) (*Eng
 // referenceLLR is an independent receiver for one uplink symbol of slot
 // 0: it equalizes the engine's own post-FFT grid with the engine's own
 // equalizers and demodulates each user's symbols one at a time with the
-// Go DemodulateSoft, into a per-user [user][sc*order+bit] layout. On the
-// subcarrier-major grid it multiplies each whole ZF-group tile with
-// mat.PlanBlockMul (the engine cuts tiles into strips); on the
-// antenna-major grid (DisableMemOpt) it runs one mat.PlanMatVec per
-// subcarrier.
+// Go DemodulateSoft, into a per-user [user][sc*order+bit] layout. It
+// multiplies each whole ZF-group tile with mat.PlanBlockMul (the engine
+// cuts tiles into strips): on the subcarrier-major grid the tile is
+// wrapped in place, on the antenna-major grid (DisableMemOpt) it is
+// gathered first.
 func referenceLLR(eng *Engine, sym int) [][]float32 {
 	cfg := &eng.cfg
 	b := eng.buf
@@ -85,23 +86,7 @@ func referenceLLR(eng *Engine, sym int) [][]float32 {
 		llr[u] = make([]float32, eng.scUsed*order)
 	}
 	x := make([]complex64, k*cfg.ZFGroupSize)
-	demod := func(sc int, col func(u int) []complex64) {
-		for u := 0; u < k; u++ {
-			tab.DemodulateSoft(llr[u][sc*order:(sc+1)*order], col(u), nominalNoise)
-		}
-	}
-	if eng.opts.DisableMemOpt {
-		matvec := mat.PlanMatVec(true)
-		y := make([]complex64, m)
-		for sc := 0; sc < eng.scUsed; sc++ {
-			for a := range y {
-				y[a] = b.dataFreqAnt[0][sym][a*q+sc]
-			}
-			matvec(x[:k], b.eq[0][sc/cfg.ZFGroupSize], y)
-			demod(sc, func(u int) []complex64 { return x[u : u+1] })
-		}
-		return llr
-	}
+	y := make([]complex64, cfg.ZFGroupSize*m)
 	mul := mat.PlanBlockMul(true, k)
 	for g := 0; g < cfg.ZFGroups(); g++ {
 		lo, hi := b.groupBounds(g)
@@ -110,10 +95,22 @@ func referenceLLR(eng *Engine, sym int) [][]float32 {
 		if nb <= 0 {
 			break
 		}
-		yt := mat.M{Rows: nb, Cols: m, Data: b.dataFreqSC[0][sym][lo*m : hi*m]}
+		yt := mat.M{Rows: nb, Cols: m}
+		if eng.opts.DisableMemOpt {
+			for j := 0; j < nb; j++ {
+				for a := 0; a < m; a++ {
+					y[j*m+a] = b.dataFreqAnt[0][sym][a*q+lo+j]
+				}
+			}
+			yt.Data = y[:nb*m]
+		} else {
+			yt.Data = b.dataFreqSC[0][sym][lo*m : hi*m]
+		}
 		mul(&mat.M{Rows: k, Cols: nb, Data: x[:k*nb]}, b.eq[0][g], &yt)
 		for j := 0; j < nb; j++ {
-			demod(lo+j, func(u int) []complex64 { return x[u*nb+j : u*nb+j+1] })
+			for u := 0; u < k; u++ {
+				tab.DemodulateSoft(llr[u][(lo+j)*order:(lo+j+1)*order], x[u*nb+j:u*nb+j+1], nominalNoise)
+			}
 		}
 	}
 	return llr
@@ -184,18 +181,54 @@ func TestSoALLRLayoutEquivalence(t *testing.T) {
 	}
 }
 
-// TestSoAScalarPathEquivalence covers the per-subcarrier demod path the
-// antenna-major layout (DisableMemOpt) selects: strided gather, one
-// matvec and one single-column SoA demod call per subcarrier must match
-// the reference receiver bit for bit too.
+// TestSoAScalarPathEquivalence holds the layout and store ablations to
+// the default engine's bits. On one seed, DisableMemOpt (antenna-major
+// grid, each strip gathered before the same multiply and demod),
+// DisableDirectStore (FFT output staged before the store) and both
+// together must give the default engine's llrSC, decoded bits and decode
+// iterations exactly, and match the reference receiver.
 func TestSoAScalarPathEquivalence(t *testing.T) {
-	eng, _, gen := runOneFrame(t, soaCfg(modulation.QAM16), Options{Workers: 2, DisableMemOpt: true}, 78)
-	requireReferenceLLR(t, eng, gen)
+	const seed = 78
+	cfg := soaCfg(modulation.QAM16)
+	base, _, _ := runOneFrame(t, cfg, Options{Workers: 2}, seed)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"no-memopt", Options{Workers: 2, DisableMemOpt: true}},
+		{"no-directstore", Options{Workers: 2, DisableDirectStore: true}},
+		{"no-memopt-no-directstore", Options{Workers: 2, DisableMemOpt: true, DisableDirectStore: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, gen := runOneFrame(t, cfg, tc.opts, seed)
+			requireReferenceLLR(t, eng, gen)
+			for sym := 0; sym < cfg.NumSymbols(); sym++ {
+				if cfg.SymbolAt(sym) != frame.Uplink {
+					continue
+				}
+				want, got := base.buf.llrSC[0][sym], eng.buf.llrSC[0][sym]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("sym %d: llrSC[%d] = %g, default engine %g", sym, i, got[i], want[i])
+					}
+				}
+				for u := 0; u < cfg.Users; u++ {
+					if !bytes.Equal(eng.buf.decoded[0][sym][u], base.buf.decoded[0][sym][u]) {
+						t.Fatalf("sym %d user %d: decoded bits differ from the default engine", sym, u)
+					}
+				}
+			}
+			if got, want := eng.met.DecodeIters.Load(), base.met.DecodeIters.Load(); got != want {
+				t.Fatalf("%d decode iterations, default engine %d", got, want)
+			}
+		})
+	}
 }
 
 // demodBenchEngine builds an engine at the paper's 64×16 scale with
-// slot 0's equalizers and post-FFT grid filled directly, so the demod
-// kernel benchmarks run without the manager or transport.
+// slot 0's equalizers and post-FFT grid (whichever layout opts select)
+// filled directly, so the demod kernel benchmarks run without the manager
+// or transport.
 func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
 	b.Helper()
 	cfg := frame.Default64x16()
@@ -212,6 +245,9 @@ func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
 	}
 	sym := 1 // first uplink symbol of "PUUU..."
 	grid := eng.buf.dataFreqSC[0][sym]
+	if opts.DisableMemOpt {
+		grid = eng.buf.dataFreqAnt[0][sym]
+	}
 	for i := range grid {
 		grid[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
@@ -239,6 +275,13 @@ func benchDemodSymbol(b *testing.B, opts Options) {
 // uplink symbol at the paper's 64×16 scale.
 func BenchmarkDemodSymbol_SoAFused(b *testing.B) {
 	benchDemodSymbol(b, Options{Workers: 1})
+}
+
+// BenchmarkDemodSymbol_AntennaMajor is the same sweep on the
+// antenna-major grid of DisableMemOpt: the gap to _SoAFused is what the
+// layout costs demod, the strided strip gather and nothing else.
+func BenchmarkDemodSymbol_AntennaMajor(b *testing.B) {
+	benchDemodSymbol(b, Options{Workers: 1, DisableMemOpt: true})
 }
 
 // BenchmarkDecodeGather measures the strided per-user LLR gather on the

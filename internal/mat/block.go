@@ -10,7 +10,9 @@ import "fmt"
 // [sc*M, (sc+1)*M). A block of B consecutive subcarriers is therefore a
 // ready-made B×M row-major matrix — the transpose yᵀ of the M×B matrix y
 // whose columns are the received vectors. No gather or copy is needed: an
-// M header over the buffer region wraps it in place for the kernel.
+// M header over the buffer region wraps it in place for the kernel. (The
+// antenna-major grid of the memory-access ablation is gathered into
+// that shape first; the multiply is the same.)
 //
 // MulBlockInto therefore takes the right-hand operand transposed and
 // computes, for dst R×B, w R×C and yt B×C,
@@ -25,8 +27,10 @@ import "fmt"
 // B×M: exactly the subcarrier-major downlink grid region).
 
 // BlockKernel is a blocked multiply routine with the MulBlockInto
-// contract. Plans pick between size-specialized, generic and naive
-// versions, extending gemm.go's PlanMatVec to BLAS-3.
+// contract. PlanBlockMul picks between size-specialized, generic and
+// naive versions, the analogue of MKL JIT code generation for a fixed
+// problem size. A one-column block (B=1) is a matvec: the engine runs
+// those on strips cut to one subcarrier by a group or block boundary.
 type BlockKernel func(dst, w, yt *M)
 
 func checkBlockShapes(dst, w, yt *M) {
@@ -72,7 +76,10 @@ func mulBlockCols4(drow, wr []complex64, yt *M, j int) {
 // of the paper's configurations (ZFGroupSize 16) per pass, so full tiles
 // never hit tail handling — with the remainder drained by a four-wide
 // pass, a two-wide pass and a final single column, all with split
-// real/imaginary accumulators like MulVecInto.
+// real/imaginary accumulators. Every output element is one accumulation
+// over ascending m in the same operand order, so every specialized plan
+// returns exactly its bits: it is the reference the plans are tested
+// against.
 func MulBlockInto(dst, w, yt *M) {
 	checkBlockShapes(dst, w, yt)
 	b := yt.Rows
@@ -165,76 +172,12 @@ func mulBlockRows2(dst, w, yt *M) {
 	}
 }
 
-// mulBlockRows3 is the three-row plan.
-func mulBlockRows3(dst, w, yt *M) {
-	if w.Rows != 3 {
-		MulBlockInto(dst, w, yt)
-		return
-	}
-	checkBlockShapes(dst, w, yt)
-	w0, w1, w2 := w.Row(0), w.Row(1), w.Row(2)
-	d0, d1, d2 := dst.Row(0), dst.Row(1), dst.Row(2)
-	for j := 0; j < yt.Rows; j++ {
-		yr := yt.Row(j)
-		var r0, i0, r1, i1, r2, i2 float32
-		for m, v := range yr {
-			vr, vi := real(v), imag(v)
-			a := w0[m]
-			r0 += real(a)*vr - imag(a)*vi
-			i0 += real(a)*vi + imag(a)*vr
-			a = w1[m]
-			r1 += real(a)*vr - imag(a)*vi
-			i1 += real(a)*vi + imag(a)*vr
-			a = w2[m]
-			r2 += real(a)*vr - imag(a)*vi
-			i2 += real(a)*vi + imag(a)*vr
-		}
-		d0[j] = complex(r0, i0)
-		d1[j] = complex(r1, i1)
-		d2[j] = complex(r2, i2)
-	}
-}
-
-// mulBlockRows4 is the four-row plan (K=4, the 16×4 hardware-RRU cell).
-func mulBlockRows4(dst, w, yt *M) {
-	if w.Rows != 4 {
-		MulBlockInto(dst, w, yt)
-		return
-	}
-	checkBlockShapes(dst, w, yt)
-	w0, w1, w2, w3 := w.Row(0), w.Row(1), w.Row(2), w.Row(3)
-	d0, d1, d2, d3 := dst.Row(0), dst.Row(1), dst.Row(2), dst.Row(3)
-	for j := 0; j < yt.Rows; j++ {
-		yr := yt.Row(j)
-		var r0, i0, r1, i1, r2, i2, r3, i3 float32
-		for m, v := range yr {
-			vr, vi := real(v), imag(v)
-			a := w0[m]
-			r0 += real(a)*vr - imag(a)*vi
-			i0 += real(a)*vi + imag(a)*vr
-			a = w1[m]
-			r1 += real(a)*vr - imag(a)*vi
-			i1 += real(a)*vi + imag(a)*vr
-			a = w2[m]
-			r2 += real(a)*vr - imag(a)*vi
-			i2 += real(a)*vi + imag(a)*vr
-			a = w3[m]
-			r3 += real(a)*vr - imag(a)*vi
-			i3 += real(a)*vi + imag(a)*vr
-		}
-		d0[j] = complex(r0, i0)
-		d1[j] = complex(r1, i1)
-		d2[j] = complex(r2, i2)
-		d3[j] = complex(r3, i3)
-	}
-}
-
 // mulBlockRows4Group streams yt once per group of four output rows: the
-// plan for the 8- and 16-user cells (and any other multiple of four). Each
-// group runs the same split-accumulator pass as mulBlockRows4, so the
-// whole multiply reads yt rows/4 times instead of rows times.
+// plan for the 4-user cells (one group) and for 8, 16 or any other
+// multiple of four users, so the whole multiply reads yt rows/4 times
+// instead of rows times.
 func mulBlockRows4Group(dst, w, yt *M) {
-	if w.Rows < 8 || w.Rows%4 != 0 {
+	if w.Rows < 4 || w.Rows%4 != 0 {
 		MulBlockInto(dst, w, yt)
 		return
 	}
@@ -268,32 +211,20 @@ func mulBlockRows4Group(dst, w, yt *M) {
 	}
 }
 
-// blockPlans is the size-specialized plan registry, the BLAS-3 extension
-// of PlanMatVec: keyed by the expected dst/w row count. Each
-// specialized kernel verifies the shape at run time and falls back to the
-// generic kernel on mismatch (tail groups, reconfigured cells). 8 and 16
-// cover the larger-cell user counts and the precode tile widths.
-var blockPlans = map[int]BlockKernel{
-	2:  mulBlockRows2,
-	3:  mulBlockRows3,
-	4:  mulBlockRows4,
-	8:  mulBlockRows4Group,
-	16: mulBlockRows4Group,
-}
-
 // PlanBlockMul returns the blocked-multiply kernel for problems expected
-// to have the given number of output rows: a fully-unrolled plan when one
-// is registered, the grouped four-row streamer for any other multiple of
-// four at 8+, the generic sixteen-column kernel otherwise, and the
-// textbook loop when specialization is disabled (Table 4 "JIT gemm" off).
+// to have the given number of output rows: the unrolled two-row plan for
+// 2, the grouped four-row streamer for any multiple of four, the generic
+// sixteen-column kernel otherwise, and the textbook loop when
+// specialization is disabled (Table 4 "JIT gemm" off). Each specialized
+// plan checks the shape at run time and falls back to MulBlockInto on a
+// mismatch (tail groups, reconfigured cells).
 func PlanBlockMul(useSpecialized bool, rows int) BlockKernel {
-	if !useSpecialized {
+	switch {
+	case !useSpecialized:
 		return MulBlockIntoNaive
-	}
-	if k, ok := blockPlans[rows]; ok {
-		return k
-	}
-	if rows >= 8 && rows%4 == 0 {
+	case rows == 2:
+		return mulBlockRows2
+	case rows >= 4 && rows%4 == 0:
 		return mulBlockRows4Group
 	}
 	return MulBlockInto

@@ -6,19 +6,33 @@ import (
 	"testing"
 )
 
-// blockRef computes the blocked-multiply reference column by column: the
-// j-th output column is the naive matvec of w against yt's j-th row (the
-// j-th column of the untransposed right operand).
+// blockRef computes the blocked-multiply reference column by column with
+// the textbook loop: the j-th output column is w times yt's j-th row (the
+// j-th column of the untransposed right operand), one complex
+// accumulator per element.
 func blockRef(w, yt *M) *M {
 	ref := New(w.Rows, yt.Rows)
-	col := make([]complex64, w.Rows)
 	for j := 0; j < yt.Rows; j++ {
-		MulVecIntoNaive(col, w, yt.Row(j))
-		for i := range col {
-			ref.Set(i, j, col[i])
+		y := yt.Row(j)
+		for i := 0; i < w.Rows; i++ {
+			var s complex64
+			for c, wv := range w.Row(i) {
+				s += wv * y[c]
+			}
+			ref.Set(i, j, s)
 		}
 	}
 	return ref
+}
+
+// requireExact fails unless got and want hold the same bits.
+func requireExact(t *testing.T, name string, got, want *M) {
+	t.Helper()
+	for i, v := range want.Data {
+		if got.Data[i] != v {
+			t.Fatalf("%s: element %d = %v, MulBlockInto gives %v", name, i, got.Data[i], v)
+		}
+	}
 }
 
 // blockShapes covers the plan-registry row counts, a tail-prone odd
@@ -57,17 +71,38 @@ func TestMulBlockIntoMatchesColumnMatVec(t *testing.T) {
 	}
 }
 
-// TestMulBlockPlanFallback feeds every registered specialized plan a
-// problem whose row count does NOT match its specialization; the shape
-// guard must route to the generic kernel instead of misindexing.
+// TestMulBlockPlansExact holds every specialized plan to MulBlockInto's
+// bits, not a tolerance: the engine's strip width (DESIGN §9) and any
+// vector tile that replaces a Go plan must not move an LLR. Each shape
+// runs through the plan for its own row count and through every other
+// plan, so the shape guards' fallbacks are covered too.
+func TestMulBlockPlansExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, s := range blockShapes {
+		w := randM(rng, s.k, s.m)
+		yt := randM(rng, s.b, s.m)
+		want := New(s.k, s.b)
+		MulBlockInto(want, w, yt)
+		for _, rows := range []int{s.k, 1, 2, 3, 4, 8, 12, 16} {
+			dst := randM(rng, s.k, s.b)
+			PlanBlockMul(true, rows)(dst, w, yt)
+			requireExact(t, fmt.Sprintf("%dx%d_B%d plan %d", s.k, s.m, s.b, rows), dst, want)
+		}
+	}
+}
+
+// TestMulBlockPlanFallback feeds each specialized plan PlanBlockMul
+// returns a problem whose row count does NOT match its specialization;
+// the shape guard must route to the generic kernel instead of
+// misindexing.
 func TestMulBlockPlanFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for rows, kern := range blockPlans {
+	for _, rows := range []int{2, 4, 8, 12, 16} {
 		k := rows + 1
 		w := randM(rng, k, 8)
 		yt := randM(rng, 5, 8)
 		dst := New(k, 5)
-		kern(dst, w, yt)
+		PlanBlockMul(true, rows)(dst, w, yt)
 		if d := dst.MaxAbsDiff(blockRef(w, yt)); d > 1e-4 {
 			t.Errorf("plan %d on %d rows: max |diff| = %g", rows, k, d)
 		}
@@ -114,19 +149,20 @@ func BenchmarkMulBlockInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMulBlockColumnwise is the same problem solved the pre-blocking
-// way: one matvec per subcarrier. The gap between the two is the BLAS-3
+// BenchmarkMulBlockColumnwise is the same problem solved one subcarrier
+// at a time: a B=1 MulBlockInto call per column, the matvec the engine
+// runs on a one-wide tail strip. The gap between the two is the BLAS-3
 // win in isolation.
 func BenchmarkMulBlockColumnwise(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	w := randM(rng, 16, 64)
 	yt := randM(rng, 32, 64)
-	col := make([]complex64, 16)
+	col := New(16, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < yt.Rows; j++ {
-			MulVecInto(col, w, yt.Row(j))
+			MulBlockInto(col, w, &M{Rows: 1, Cols: yt.Cols, Data: yt.Row(j)})
 		}
 	}
 }

@@ -141,66 +141,3 @@ func GramClusteredInto(dst, part, a *M, clusters int) {
 	}
 	mirrorGram(dst)
 }
-
-// MulVecInto computes dst = a*x for a column vector x with the inner loop
-// unrolled 4-wide over split real/imaginary accumulators — the hot
-// per-subcarrier equalization kernel (K×M · M×1).
-func MulVecInto(dst []complex64, a *M, x []complex64) {
-	if len(x) != a.Cols || len(dst) != a.Rows {
-		panic("mat: MulVecInto shape mismatch")
-	}
-	c := a.Cols
-	c4 := c &^ 3
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var r0, i0, r1, i1, r2, i2, r3, i3 float32
-		for j := 0; j < c4; j += 4 {
-			a0, a1, a2, a3 := row[j], row[j+1], row[j+2], row[j+3]
-			x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3]
-			r0 += real(a0)*real(x0) - imag(a0)*imag(x0)
-			i0 += real(a0)*imag(x0) + imag(a0)*real(x0)
-			r1 += real(a1)*real(x1) - imag(a1)*imag(x1)
-			i1 += real(a1)*imag(x1) + imag(a1)*real(x1)
-			r2 += real(a2)*real(x2) - imag(a2)*imag(x2)
-			i2 += real(a2)*imag(x2) + imag(a2)*real(x2)
-			r3 += real(a3)*real(x3) - imag(a3)*imag(x3)
-			i3 += real(a3)*imag(x3) + imag(a3)*real(x3)
-		}
-		for j := c4; j < c; j++ {
-			v := row[j] * x[j]
-			r0 += real(v)
-			i0 += imag(v)
-		}
-		dst[i] = complex(r0+r1+r2+r3, i0+i1+i2+i3)
-	}
-}
-
-// MulVecIntoNaive is the straightforward matvec used when specialized
-// kernels are disabled.
-func MulVecIntoNaive(dst []complex64, a *M, x []complex64) {
-	if len(x) != a.Cols || len(dst) != a.Rows {
-		panic("mat: MulVecIntoNaive shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		var s complex64
-		for j, av := range row {
-			s += av * x[j]
-		}
-		dst[i] = s
-	}
-}
-
-// MatVecKernel is a matrix-vector routine. PlanMatVec picks between the
-// specialized and naive versions, the analogue of MKL JIT code generation
-// for a fixed problem size.
-type MatVecKernel func(dst []complex64, a *M, x []complex64)
-
-// PlanMatVec returns the unrolled matvec kernel when specialization is
-// enabled, the textbook loop otherwise.
-func PlanMatVec(useSpecialized bool) MatVecKernel {
-	if useSpecialized {
-		return MulVecInto
-	}
-	return MulVecIntoNaive
-}

@@ -1,8 +1,11 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -66,22 +69,26 @@ func TestGram(t *testing.T) {
 	}
 }
 
+// TestMatVecKernels runs every plan on B=1 blocks, the matvecs of the
+// engine's one-wide tail strips: the specialized plans must give
+// MulBlockInto's bits and the textbook plan must agree within rounding.
 func TestMatVecKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, c := range []int{1, 3, 4, 16, 63, 64} {
-		a := randM(rng, 7, c)
-		x := make([]complex64, c)
-		for i := range x {
-			x[i] = complex(rng.Float32(), rng.Float32())
-		}
-		got := make([]complex64, 7)
-		want := make([]complex64, 7)
-		MulVecInto(got, a, x)
-		MulVecIntoNaive(want, a, x)
-		for i := range got {
-			d := got[i] - want[i]
-			if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-3 {
-				t.Fatalf("cols=%d row %d: %v vs %v", c, i, got[i], want[i])
+	for _, rows := range []int{2, 4, 7, 16} {
+		for _, c := range []int{1, 3, 4, 16, 63, 64} {
+			a := randM(rng, rows, c)
+			x := randM(rng, 1, c)
+			want := New(rows, 1)
+			MulBlockInto(want, a, x)
+			got := New(rows, 1)
+			PlanBlockMul(true, rows)(got, a, x)
+			requireExact(t, fmt.Sprintf("rows=%d cols=%d", rows, c), got, want)
+			PlanBlockMul(false, rows)(got, a, x)
+			for i := range got.Data {
+				d := got.Data[i] - want.Data[i]
+				if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-3 {
+					t.Fatalf("rows=%d cols=%d row %d: naive %v vs %v", rows, c, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
@@ -302,21 +309,41 @@ func TestCond2(t *testing.T) {
 	}
 }
 
+// TestPlanSelection pins which kernel PlanBlockMul picks for each row
+// count, and that the specialized and textbook plans agree on a B=1
+// block.
 func TestPlanSelection(t *testing.T) {
+	name := func(k BlockKernel) string {
+		return runtime.FuncForPC(reflect.ValueOf(k).Pointer()).Name()
+	}
+	for _, c := range []struct {
+		spec bool
+		rows int
+		want BlockKernel
+	}{
+		{true, 1, MulBlockInto}, {true, 2, mulBlockRows2}, {true, 3, MulBlockInto},
+		{true, 4, mulBlockRows4Group}, {true, 8, mulBlockRows4Group},
+		{true, 12, mulBlockRows4Group}, {true, 16, mulBlockRows4Group},
+		{true, 6, MulBlockInto}, {false, 4, MulBlockIntoNaive}, {false, 16, MulBlockIntoNaive},
+	} {
+		if got := name(PlanBlockMul(c.spec, c.rows)); got != name(c.want) {
+			t.Errorf("PlanBlockMul(%v, %d) = %s, want %s", c.spec, c.rows, got, name(c.want))
+		}
+	}
 	rng := rand.New(rand.NewSource(12))
 	a := randM(rng, 16, 16)
-	v := make([]complex64, 16)
-	for i := range v {
-		v[i] = 1
+	v := New(1, 16)
+	for i := range v.Data {
+		v.Data[i] = 1
 	}
-	g1 := make([]complex64, 16)
-	g2 := make([]complex64, 16)
-	PlanMatVec(true)(g1, a, v)
-	PlanMatVec(false)(g2, a, v)
-	for i := range g1 {
-		d := g1[i] - g2[i]
+	g1 := New(16, 1)
+	g2 := New(16, 1)
+	PlanBlockMul(true, 16)(g1, a, v)
+	PlanBlockMul(false, 16)(g2, a, v)
+	for i := range g1.Data {
+		d := g1.Data[i] - g2.Data[i]
 		if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-3 {
-			t.Fatalf("matvec plans disagree at %d", i)
+			t.Fatalf("block plans disagree at %d", i)
 		}
 	}
 }
