@@ -11,7 +11,8 @@ check: vet build test generic race fuzz benchmark-smoke perf
 # ships — gofmt drift (gofmt -l must print nothing). No external tools:
 # the container has only the Go toolchain. `go vet ./...` includes the
 # asmdecl check of the .s files in internal/ldpc, internal/fft,
-# internal/modulation and internal/cpu against their Go declarations
+# internal/modulation, internal/mat and internal/cpu against their Go
+# declarations
 # (argument offsets, frame sizes). The arm64 cross-vet type-checks
 # internal/fronthaul's recvmmsg batch path against arm64's syscall
 # definitions; the Go kernel fallback is vetted and run by `generic`
@@ -66,8 +67,8 @@ race:
 # the codeword of its own bits) and codeword-shortcut targets
 # (FuzzCodewordShortcut: a block that arrives as a codeword decodes at 0
 # iterations to the bits one iteration would give) and the vector-vs-Go
-# kernel differentials of ldpc, fft and modulation (Go runs one -fuzz
-# target per invocation). A few seconds each is a smoke pass; longer
+# kernel differentials of ldpc, fft, modulation and mat (Go runs one
+# -fuzz target per invocation). A few seconds each is a smoke pass; longer
 # exploratory runs are `go test -fuzz <Target> <package>` without
 # -fuzztime.
 fuzz:
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
+	$(GO) test -run '^$$' -fuzz FuzzMulBlockKernelsSIMD -fuzztime 5s ./internal/mat
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of
 # its own, so `go test ./...` never reaches it; its smoke test runs every
@@ -93,21 +95,22 @@ benchmark-smoke:
 # Decode_AVX2 vs Decode_PureGo pair and beside it Decode_Codeword,
 # decode's fixed term (clean blocks, 0 iterations); internal/fft the
 # FFT512 / ForwardIQ12_512 / IFFTBatch8x512 _AVX2 vs _PureGo pairs;
-# internal/modulation the DemodulateSoftSoA pair. Each pair has to live
+# internal/modulation the DemodulateSoftSoA pair; internal/mat the
+# MulBlockRows4 pair (the four-row GEMM tile). Each pair has to live
 # next to the unexported dispatch it flips. Absolute ns/op moves 25–30%
 # between windows on a shared host: compare within one run.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat
 
 # Perf gate: ratios measured within one process, never absolute times.
-# BenchmarkKernelGate (ldpc, fft, modulation) alternates each kernel's
+# BenchmarkKernelGate (ldpc, fft, modulation, mat) alternates each kernel's
 # vector and Go sides and fails when the median Go/vector ratio falls
 # below its floor; BenchmarkRecorderGate fails when the recorder's median
 # on/off ratio exceeds 1.10. The exact counts — TestDecodeItersReference
 # (iterations to converge) and TestSteadyStateZeroAlloc (0 allocs/op) —
 # are tier-1 tests.
 perf:
-	$(GO) test -run '^$$' -bench 'Gate$$' -benchtime 1x . ./internal/ldpc ./internal/fft ./internal/modulation
+	$(GO) test -run '^$$' -bench 'Gate$$' -benchtime 1x . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat
 
 clean:
 	$(GO) clean

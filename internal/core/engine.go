@@ -295,16 +295,21 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
 	if !opts.DummyKernels {
 		// The platform's kernels (internal/cpu), except that the flooding
-		// ablation is a Go loop everywhere. DummyKernels runs none of the
-		// three, so it reports no rows.
-		decode := ldpc.Kernel()
+		// ablation and the textbook GEMM (DisableJITGemm) are Go loops
+		// everywhere. DummyKernels runs none of the four, so it reports no
+		// rows.
+		decode, gemm := ldpc.Kernel(), mat.Kernel()
 		if opts.DisableLayeredDecode {
 			decode = "generic"
+		}
+		if opts.DisableJITGemm {
+			gemm = "generic"
 		}
 		e.met.Kernels = []obs.KernelRow{
 			{Stage: "decode", Kernel: decode},
 			{Stage: "fft", Kernel: fft.Kernel()},
 			{Stage: "demod", Kernel: modulation.Kernel()},
+			{Stage: "gemm", Kernel: gemm},
 		}
 	}
 	e.txLane = opts.Workers

@@ -13,6 +13,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
+	"repro/internal/mat"
 	"repro/internal/modulation"
 	"repro/internal/obs"
 	"repro/internal/queue"
@@ -250,15 +251,17 @@ func runFramesObs(t *testing.T, cfg frame.Config, opts Options, n int) obsRun {
 	return obsRun{eng: eng}
 }
 
-// TestKernelsReported checks the engine's kernel table against the three
+// TestKernelsReported checks the engine's kernel table against the four
 // packages' Kernel(): the platform's selection on the default path and
 // the antenna-major layout, decode "generic" under the flooding ablation,
-// and no rows under DummyKernels, which runs none of the three kernels.
+// gemm "generic" under the textbook GEMM, and no rows under DummyKernels,
+// which runs none of the four kernels.
 func TestKernelsReported(t *testing.T) {
 	platform := []obs.KernelRow{
 		{Stage: "decode", Kernel: ldpc.Kernel()},
 		{Stage: "fft", Kernel: fft.Kernel()},
 		{Stage: "demod", Kernel: modulation.Kernel()},
+		{Stage: "gemm", Kernel: mat.Kernel()},
 	}
 	for _, r := range platform {
 		if r.Kernel != "avx2" && r.Kernel != "generic" {
@@ -267,6 +270,8 @@ func TestKernelsReported(t *testing.T) {
 	}
 	flooding := slices.Clone(platform)
 	flooding[0].Kernel = "generic"
+	textbook := slices.Clone(platform)
+	textbook[3].Kernel = "generic"
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -275,6 +280,7 @@ func TestKernelsReported(t *testing.T) {
 		{"default", Options{Workers: 1}, platform},
 		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, platform},
 		{"DisableLayeredDecode", Options{Workers: 1, DisableLayeredDecode: true}, flooding},
+		{"DisableJITGemm", Options{Workers: 1, DisableJITGemm: true}, textbook},
 		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, nil},
 	} {
 		eng, err := NewEngine(smallCfg(), tc.opts, nil)

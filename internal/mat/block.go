@@ -172,20 +172,46 @@ func mulBlockRows2(dst, w, yt *M) {
 	}
 }
 
+// simdRows4 is the platform's vector implementation of
+// mulBlockRows4Group's loop over one group of four output rows and the
+// whole groups of four columns (m >= 1, b >= 4), nil where the build has
+// none or the CPU/OS cannot run it. It is set once at package init and
+// afterwards only flipped by tests (forceGoKernels).
+var simdRows4 func(dst, w, yt *complex64, m, b int)
+
+// Kernel reports which kernel mulBlockRows4Group — the plan PlanBlockMul
+// returns for any multiple of four rows — runs in this process: "avx2"
+// or "generic" (the portable Go loop). MulBlockInto, the two-row plan and
+// the textbook loop are Go everywhere.
+func Kernel() string {
+	if simdRows4 != nil {
+		return "avx2"
+	}
+	return "generic"
+}
+
 // mulBlockRows4Group streams yt once per group of four output rows: the
 // plan for the 4-user cells (one group) and for 8, 16 or any other
 // multiple of four users, so the whole multiply reads yt rows/4 times
-// instead of rows times.
+// instead of rows times. Where simdRows4 is set it covers the whole
+// groups of four columns and the Go loop drains the last b mod 4.
 func mulBlockRows4Group(dst, w, yt *M) {
 	if w.Rows < 4 || w.Rows%4 != 0 {
 		MulBlockInto(dst, w, yt)
 		return
 	}
 	checkBlockShapes(dst, w, yt)
+	cols, b := w.Cols, yt.Rows
 	for r := 0; r < w.Rows; r += 4 {
 		w0, w1, w2, w3 := w.Row(r), w.Row(r+1), w.Row(r+2), w.Row(r+3)
 		d0, d1, d2, d3 := dst.Row(r), dst.Row(r+1), dst.Row(r+2), dst.Row(r+3)
-		for j := 0; j < yt.Rows; j++ {
+		j := 0
+		if simdRows4 != nil && cols > 0 && b >= 4 {
+			_ = yt.Data[b*cols-1] // the tile reads rows [0, b) unchecked
+			simdRows4(&d0[0], &w0[0], &yt.Data[0], cols, b)
+			j = b &^ 3
+		}
+		for ; j < b; j++ {
 			yr := yt.Row(j)
 			var r0, i0, r1, i1, r2, i2, r3, i3 float32
 			for m, v := range yr {

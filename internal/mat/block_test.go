@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -25,14 +26,70 @@ func blockRef(w, yt *M) *M {
 	return ref
 }
 
-// requireExact fails unless got and want hold the same bits.
+// sameResult reports whether two floats are the same result: the same
+// bits, or both NaN. A NaN's payload and sign are not compared, because
+// the vector tile adds the two products of an imaginary part in the other
+// order (DESIGN §9) and x86 returns the first NaN operand.
+func sameResult(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// requireExact fails unless got and want hold the same results, element
+// by element and part by part (sameResult: ±0 differ, NaN by class).
 func requireExact(t *testing.T, name string, got, want *M) {
 	t.Helper()
 	for i, v := range want.Data {
-		if got.Data[i] != v {
-			t.Fatalf("%s: element %d = %v, MulBlockInto gives %v", name, i, got.Data[i], v)
+		g := got.Data[i]
+		if !sameResult(real(g), real(v)) || !sameResult(imag(g), imag(v)) {
+			t.Fatalf("%s: element %d = %v (%#08x %#08x), MulBlockInto gives %v (%#08x %#08x)", name, i,
+				g, math.Float32bits(real(g)), math.Float32bits(imag(g)),
+				v, math.Float32bits(real(v)), math.Float32bits(imag(v)))
 		}
 	}
+}
+
+// specialBits are the floats with special arithmetic: signed zeros,
+// subnormals, infinities, magnitudes whose products overflow float32 or
+// underflow to a subnormal, and quiet NaNs of both signs with payloads.
+var specialBits = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // subnormals
+	0x7f800000, 0xff800000, // ±Inf
+	0x7f7fffff, 0xff7fffff, 0x60ad78ec, 0xe0ad78ec, // ±MaxFloat32, ±1e20
+	0x1e3ce508, 0x9e3ce508, // ±1e-20: products underflow
+	0x7fc00000, 0xffc12345, // NaNs
+}
+
+// specialM returns an r×c matrix of ordinary values with one part in
+// four drawn from specialBits, infinities and NaNs at most once per
+// matrix each, so that most outputs stay finite and the overflow,
+// underflow and signed-zero cases are not all swallowed by one NaN.
+func specialM(rng *rand.Rand, r, c int) *M {
+	m := randM(rng, r, c)
+	part := func(x float32) float32 {
+		if rng.Intn(4) != 0 {
+			return x
+		}
+		b := specialBits[rng.Intn(len(specialBits))]
+		if b&0x7f800000 == 0x7f800000 { // Inf or NaN: keep them rare
+			b = specialBits[rng.Intn(6)]
+		}
+		return math.Float32frombits(b)
+	}
+	for i, v := range m.Data {
+		m.Data[i] = complex(part(real(v)), part(imag(v)))
+	}
+	for _, b := range []uint32{0x7f800000, 0xff800000, 0x7fc00000} {
+		if rng.Intn(2) == 0 {
+			i := rng.Intn(len(m.Data))
+			if rng.Intn(2) == 0 {
+				m.Data[i] = complex(math.Float32frombits(b), imag(m.Data[i]))
+			} else {
+				m.Data[i] = complex(real(m.Data[i]), math.Float32frombits(b))
+			}
+		}
+	}
+	return m
 }
 
 // blockShapes covers the plan-registry row counts, a tail-prone odd
@@ -72,21 +129,38 @@ func TestMulBlockIntoMatchesColumnMatVec(t *testing.T) {
 }
 
 // TestMulBlockPlansExact holds every specialized plan to MulBlockInto's
-// bits, not a tolerance: the engine's strip width (DESIGN §9) and any
-// vector tile that replaces a Go plan must not move an LLR. Each shape
-// runs through the plan for its own row count and through every other
-// plan, so the shape guards' fallbacks are covered too.
+// bits, not a tolerance: the engine's strip width (DESIGN §9) and the
+// vector tile must not move an LLR. Each shape runs through the plan for
+// its own row count and through every other plan, so the shape guards'
+// fallbacks are covered too, once on ordinary values and once with
+// specialM's signed zeros, subnormals, overflow, infinities and NaNs. It
+// runs on the Go loops and — where init selected it — on the vector tile,
+// each in a subtest named after Kernel().
 func TestMulBlockPlansExact(t *testing.T) {
+	restore := forceGoKernels()
+	t.Run(Kernel(), testMulBlockPlansExact)
+	restore()
+	if simdRows4 != nil {
+		t.Run(Kernel(), testMulBlockPlansExact)
+	}
+}
+
+func testMulBlockPlansExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, s := range blockShapes {
-		w := randM(rng, s.k, s.m)
-		yt := randM(rng, s.b, s.m)
-		want := New(s.k, s.b)
-		MulBlockInto(want, w, yt)
-		for _, rows := range []int{s.k, 1, 2, 3, 4, 8, 12, 16} {
-			dst := randM(rng, s.k, s.b)
-			PlanBlockMul(true, rows)(dst, w, yt)
-			requireExact(t, fmt.Sprintf("%dx%d_B%d plan %d", s.k, s.m, s.b, rows), dst, want)
+	for _, fill := range []struct {
+		name string
+		m    func(*rand.Rand, int, int) *M
+	}{{"random", randM}, {"special", specialM}} {
+		for _, s := range blockShapes {
+			w := fill.m(rng, s.k, s.m)
+			yt := fill.m(rng, s.b, s.m)
+			want := New(s.k, s.b)
+			MulBlockInto(want, w, yt)
+			for _, rows := range []int{s.k, 1, 2, 3, 4, 8, 12, 16} {
+				dst := randM(rng, s.k, s.b)
+				PlanBlockMul(true, rows)(dst, w, yt)
+				requireExact(t, fmt.Sprintf("%s %dx%d_B%d plan %d", fill.name, s.k, s.m, s.b, rows), dst, want)
+			}
 		}
 	}
 }

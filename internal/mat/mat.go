@@ -2,14 +2,13 @@
 // precoding, standing in for Intel MKL in the original Agora. It provides:
 //
 //   - dense complex64 matrices with row-major storage,
-//   - matrix-vector kernels selected at plan time, an unrolled one and
-//     the textbook loop (the analogue of MKL's JIT GEMM),
 //   - blocked BLAS-3 kernels (block.go): MulBlockInto computes
 //     dst = w·ytᵀ over a whole multi-subcarrier tile, with the right
 //     operand transposed so the engine's subcarrier-major buffers wrap
 //     in place as the B×M operand — no gather, copy or allocation
-//     (DESIGN §9). PlanBlockMul extends the JIT-style plan registry to
-//     these kernels.
+//     (DESIGN §9). PlanBlockMul picks size-specialized plans or the
+//     textbook loop (the analogue of MKL's JIT GEMM); the four-row plan
+//     runs an AVX2 tile where the host has one (block_amd64.s, Kernel),
 //   - Gauss–Jordan inversion with partial pivoting (complex128 internally),
 //   - the direct zero-forcing pseudo-inverse W = (HᴴH)⁻¹Hᴴ,
 //   - a one-sided Jacobi SVD and an SVD-based pseudo-inverse (the
@@ -19,8 +18,9 @@
 // Every blocked kernel computes each output column from an independent
 // pass over the corresponding yt row (split real/imaginary float32
 // accumulators, ascending inner index), so results are bit-identical
-// regardless of how a caller tiles the column range — the property the
-// engine's fused equalize+demod strips rely on (DESIGN §9).
+// regardless of how a caller tiles the column range (the AVX2 tile too,
+// up to a NaN's payload) — the property the engine's fused equalize+demod
+// strips rely on (DESIGN §9).
 //
 // Matrices are small (K ≤ 64, M ≤ 256) and owned by one task at a time, so
 // no internal locking is needed.

@@ -72,7 +72,19 @@ func TestGram(t *testing.T) {
 // TestMatVecKernels runs every plan on B=1 blocks, the matvecs of the
 // engine's one-wide tail strips: the specialized plans must give
 // MulBlockInto's bits and the textbook plan must agree within rounding.
+// It runs on the Go loops and, where init selected it, beside the vector
+// tile (whose B=1 columns are the Go tail's), each in a subtest named
+// after Kernel().
 func TestMatVecKernels(t *testing.T) {
+	restore := forceGoKernels()
+	t.Run(Kernel(), testMatVecKernels)
+	restore()
+	if simdRows4 != nil {
+		t.Run(Kernel(), testMatVecKernels)
+	}
+}
+
+func testMatVecKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, rows := range []int{2, 4, 7, 16} {
 		for _, c := range []int{1, 3, 4, 16, 63, 64} {

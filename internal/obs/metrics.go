@@ -76,9 +76,9 @@ type Metrics struct {
 	// so each has one writer; Snap turns them into Snapshot.Tasks.
 	TaskCount  [queue.NumTaskTypes]atomic.Int64
 	TaskBusyNS [queue.NumTaskTypes]atomic.Int64
-	// Kernels names the implementation each hand-vectorised stage runs,
-	// in pipeline order (decode, fft, demod; internal/cpu states the
-	// selection rule). Filled once by the engine before its goroutines
+	// Kernels names the implementation each hand-vectorised stage runs
+	// (decode, fft, demod, gemm; internal/cpu states the selection
+	// rule). Filled once by the engine before its goroutines
 	// start, so a host that silently fell back to the Go loops is visible
 	// on every obs surface.
 	Kernels []KernelRow

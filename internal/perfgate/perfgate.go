@@ -1,10 +1,10 @@
 // Package perfgate times two sides of one workload against each other in
 // one process, for the gate benchmarks `make perf` runs
-// (BenchmarkKernelGate in ldpc, fft and modulation, BenchmarkRecorderGate
-// in the root package). A shared host moves its whole-process speed by
-// tens of percent between runs, which no absolute ns/op threshold
-// survives; the ratio of two sides measured in alternation moves far less,
-// so the gates assert ratios only.
+// (BenchmarkKernelGate in ldpc, fft, modulation and mat,
+// BenchmarkRecorderGate in the root package). A shared host moves its
+// whole-process speed by tens of percent between runs, which no absolute
+// ns/op threshold survives; the ratio of two sides measured in
+// alternation moves far less, so the gates assert ratios only.
 package perfgate
 
 import (
