@@ -67,7 +67,9 @@ race:
 # the codeword of its own bits) and codeword-shortcut targets
 # (FuzzCodewordShortcut: a block that arrives as a codeword decodes at 0
 # iterations to the bits one iteration would give) and the vector-vs-Go
-# kernel differentials of ldpc, fft, modulation and mat (Go runs one
+# kernel differentials of ldpc (layer kernels and the LLR sign pack,
+# FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the packed
+# words), fft, modulation and mat (Go runs one
 # -fuzz target per invocation). A few seconds each is a smoke pass; longer
 # exploratory runs are `go test -fuzz <Target> <package>` without
 # -fuzztime.
@@ -79,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzCodewordShortcut -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
+	$(GO) test -run '^$$' -fuzz FuzzLoadLLRKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
 	$(GO) test -run '^$$' -fuzz FuzzMulBlockKernelsSIMD -fuzztime 5s ./internal/mat

@@ -1,6 +1,10 @@
 package ldpc
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // Alg selects the min-sum variant.
 type Alg int
@@ -38,16 +42,17 @@ type Decoder struct {
 	// r holds the check-to-variable messages lane-major: lane j of edge
 	// eOff[i]+e is r[(eOff[i]+e)*Z + j], so block-row i's slab starts at
 	// eOff[i]*Z.
-	r    []float32
-	hard []byte   // hard decisions, one per variable plus hardPad
+	r []float32
+	// hard holds the hard decisions bit-packed, blockWords(Z) words per
+	// block-column: bit j%64 of word c·W+j/64 is variable c·Z+j. Bits at
+	// and past Z of a block-column are always 0.
+	hard []uint64
 	syn  synTrack // fused incremental syndrome (layered.go)
-	// Flat per-edge tables (indexed by eOff[i]+e): the variable-block base
-	// column*Z and the cyclic shift, precomputed so the hot loop does one
-	// add and one conditional subtract per edge instead of a multiply and
-	// two struct field loads.
-	eOff     []int
-	edgeBase []int
-	edgeShf  []int
+	// Flat per-edge tables (indexed by eOff[i]+e): the variable
+	// block-column and the cyclic shift.
+	eOff    []int
+	edgeCol []int
+	edgeShf []int
 	// Lane-major scratch (lanes.go): the layer's Q slab (deg×Z, reused as
 	// the posterior slab in pass 2) and the per-lane reduction state.
 	laneQ    []float32
@@ -63,8 +68,8 @@ func NewDecoder(c *Code) *Decoder {
 	nVar := (KbBlocks + c.Mb) * c.Z
 	d.l = make([]float32, nVar)
 	d.lPrev = make([]float32, nVar)
-	d.hard = make([]byte, nVar+hardPad)
 	d.syn = newSynTrack(c)
+	d.hard = make([]uint64, (KbBlocks+c.Mb)*d.syn.w)
 	d.eOff = make([]int, c.Mb+1)
 	edges, maxDeg := 0, 0
 	for i, row := range c.rows {
@@ -74,11 +79,11 @@ func NewDecoder(c *Code) *Decoder {
 	}
 	d.eOff[c.Mb] = edges
 	d.r = make([]float32, edges*c.Z)
-	d.edgeBase = make([]int, edges)
+	d.edgeCol = make([]int, edges)
 	d.edgeShf = make([]int, edges)
 	for i, row := range c.rows {
 		for e, en := range row {
-			d.edgeBase[d.eOff[i]+e] = en.col * c.Z
+			d.edgeCol[d.eOff[i]+e] = en.col
 			d.edgeShf[d.eOff[i]+e] = en.shift
 		}
 	}
@@ -91,11 +96,13 @@ func NewDecoder(c *Code) *Decoder {
 	return d
 }
 
-// hardPad is the slack after the last hard decision: the vector pass 2
-// (lanes_amd64.s) compares hard bits eight at a time, so the tail of a
-// segment that ends with the last variable block reads — never writes,
-// and masks off — up to seven bytes past it.
-const hardPad = 8
+// blockWords is the stride W of the packed hard decisions and parities:
+// ⌈(Z+8)/64⌉ uint64 words per block-column of Decoder.hard and per
+// block-row of synTrack.synd, one word for every Z ≤ 56. The eight or
+// more zero bits past Z let the vector pass 2 (lanes_amd64.s) read any
+// column bit with the one after it as a two-byte load that stays inside
+// the block-column.
+func blockWords(z int) int { return (z + 8 + 63) / 64 }
 
 // Result summarizes one decode.
 type Result struct {
@@ -114,15 +121,16 @@ type Result struct {
 // info holds the best-effort hard decisions.
 //
 // Both schedules share one prologue: the channel hard decisions are
-// taken while the LLRs are loaded and walked once against every parity
-// check. A block that already is a codeword returns with 0 iterations —
-// a min-sum pass over it would hand every variable messages of its own
-// sign and return the same bits (DESIGN §13). Otherwise the default path
+// packed while the LLRs are loaded, and the packed words are rotated
+// once against every parity check. A block that already is a codeword
+// returns with 0 iterations — a min-sum pass over it would hand every
+// variable messages of its own sign and return the same bits (DESIGN
+// §13). Otherwise the default path
 // is the lane-major layered schedule with syndrome tracking fused into
 // the layer update (layered.go), on the platform's vector layer kernels
 // where init found them (kernel.go). Flooding selects the flooding
 // schedule (flood.go), which pays a hard-decision pass and — only when a
-// bit actually flipped — a CheckSyndrome walk per iteration.
+// bit actually flipped — a syndrome recount per iteration.
 func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	c := d.code
 	if len(llr) != c.N() {
@@ -134,7 +142,7 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	d.loadLLR(llr)
 	d.syn.init(c, d.hard)
 	if d.syn.nUnsat == 0 {
-		copy(info, d.hard[:c.K()])
+		d.unpackInfo(info)
 		return Result{OK: true}
 	}
 	clear(d.r)
@@ -145,18 +153,71 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	return d.decodeLayered(info, maxIter, scl, off)
 }
 
-// loadLLR copies the channel LLRs into the posterior array and takes the
+// loadLLR copies the channel LLRs into the posterior array and packs the
 // initial hard decisions (x < 0, so −0.0 and NaN are bit 0) in the same
-// pass over them.
+// pass over them, on the platform's vector kernel where init found one
+// (kernel.go).
 func (d *Decoder) loadLLR(llr []float32) {
-	l, hard := d.l[:len(llr)], d.hard[:len(llr)]
-	for v, lv := range llr {
-		l[v] = lv
-		nb := byte(0)
-		if lv < 0 {
-			nb = 1
+	if simdLoad != nil {
+		simdLoad(d, llr)
+		return
+	}
+	z, w := d.code.Z, d.syn.w
+	copy(d.l, llr)
+	for c := 0; c < len(llr)/z; c++ {
+		packSigns(d.hard[c*w:(c+1)*w], llr[c*z:(c+1)*z])
+	}
+}
+
+// packSigns stores the hard decisions of one block's values x into its
+// words and reports whether any bit changed. Words past the last one x
+// reaches are left alone (they stay 0).
+func packSigns(words []uint64, x []float32) (changed bool) {
+	for k := 0; k*64 < len(x); k++ {
+		nw := signWord(x[k*64 : min(k*64+64, len(x))])
+		changed = changed || nw != words[k]
+		words[k] = nw
+	}
+	return changed
+}
+
+// signWord returns bit k set where x[k] < 0, for up to 64 values. The
+// test is branch-free on the float bits — the sign of a noisy LLR is a
+// coin flip — and x < 0 exactly when the bits lie in [0x80000001,
+// 0xff800000], −0.0 through −Inf: −0.0 and every NaN give 0.
+func signWord(x []float32) uint64 {
+	var w uint64
+	for k, v := range x {
+		w |= (uint64(math.Float32bits(v)-0x80000001) - 0x7f800000) >> 63 << k
+	}
+	return w
+}
+
+// byteSpread[b] holds bit k of b in byte k, so one lookup unpacks eight
+// hard decisions into Decode's one-bit-per-byte output.
+var byteSpread = func() (t [256]uint64) {
+	for b := range t {
+		for k := 0; k < 8; k++ {
+			t[b] |= uint64(b>>k&1) << (8 * k)
 		}
-		hard[v] = nb
+	}
+	return t
+}()
+
+// unpackInfo writes the hard decisions of the information block-columns
+// to info, one bit per byte.
+func (d *Decoder) unpackInfo(info []byte) {
+	z, w := d.code.Z, d.syn.w
+	for c := 0; c < KbBlocks; c++ {
+		col := d.hard[c*w : (c+1)*w]
+		out := info[c*z : (c+1)*z]
+		j := 0
+		for ; j+8 <= z; j += 8 {
+			binary.LittleEndian.PutUint64(out[j:], byteSpread[byte(col[j>>6]>>(j&63))])
+		}
+		for ; j < z; j++ {
+			out[j] = byte(col[j>>6] >> (j & 63) & 1)
+		}
 	}
 }
 

@@ -27,45 +27,43 @@ import "math"
 // FuzzLayeredVsFlooding checks only that each success is a codeword and
 // that a codeword input decodes the same under both.
 //
-// Flooding detects convergence with a hard-decision pass plus a
-// CheckSyndrome walk per iteration, but skips the walk when no hard
+// Flooding detects convergence with a hard-decision pass that repacks the
+// decisions into Decoder.hard plus a recount of the packed syndrome
+// (synTrack.init) per iteration, but skips the recount when no hard
 // decision flipped since the last one: an unchanged bit vector cannot
 // newly satisfy the parity equations, so the skip is
 // behaviour-preserving.
 
 // decodeFlood is the flooding decode loop. The hard-decision pass notes
-// flips against the previous iteration's decisions; the syndrome walk
+// flips against the previous iteration's decisions; the syndrome recount
 // runs only when at least one bit flipped since the walk that most
 // recently ran. Decode's prologue has loaded the posteriors and already
 // walked the channel decisions (they are not a codeword), so iteration 1
 // looks for flips against them.
 func (d *Decoder) decodeFlood(info []byte, maxIter int, scl, off float32) Result {
 	c := d.code
+	z, w := c.Z, d.syn.w
 	res := Result{}
 	flipped := false
 	for it := 1; it <= maxIter; it++ {
 		res.Iterations = it
 		copy(d.lPrev, d.l)
 		d.iterateFlood(scl, off)
-		for v, lv := range d.l {
-			nb := byte(0)
-			if lv < 0 {
-				nb = 1
-			}
-			if nb != d.hard[v] {
-				d.hard[v] = nb
+		for col := 0; col < KbBlocks+c.Mb; col++ {
+			if packSigns(d.hard[col*w:(col+1)*w], d.l[col*z:(col+1)*z]) {
 				flipped = true
 			}
 		}
 		if flipped {
 			flipped = false
-			if c.CheckSyndrome(d.hard) {
+			d.syn.init(c, d.hard)
+			if d.syn.nUnsat == 0 {
 				res.OK = true
 				break
 			}
 		}
 	}
-	copy(info, d.hard[:c.K()])
+	d.unpackInfo(info)
 	return res
 }
 
@@ -85,7 +83,7 @@ func (d *Decoder) iterateFlood(scl, off float32) {
 		eo := d.eOff[i]
 		deg := d.eOff[i+1] - eo
 		for e := 0; e < deg; e++ {
-			base := d.edgeBase[eo+e]
+			base := d.edgeCol[eo+e] * z
 			s := d.edgeShf[eo+e]
 			qe := d.laneQ[e*z : (e+1)*z]
 			re := d.r[(eo+e)*z : (eo+e+1)*z]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -156,8 +157,10 @@ func FuzzCodewordShortcut(f *testing.F) {
 // infinities, signed zeros and denormals all occur — for the LLRs of one
 // block (repeated to length, XORed onto a valid noisy codeword when
 // `mix` is odd so that converging decodes are explored too), and both
-// kernels must return the same Result, the same information bits and a
-// bit-identical posterior array. Skips where no vector kernel exists.
+// kernels must return the same Result, the same information bits, a
+// bit-identical posterior array and the same packed hard and synd words
+// and nUnsat, with every bit past Z still 0. Skips where no vector kernel
+// exists.
 func FuzzLaneKernelsSIMD(f *testing.F) {
 	f.Add([]byte{}, uint8(0), int64(1))
 	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF}, uint8(1), int64(2))          // NaN, -Inf
@@ -184,7 +187,7 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 		}
 		var res [2]Result
 		var info [2][]byte
-		var post [2][]float32
+		var dec [2]*Decoder
 		for k := range res {
 			d := NewDecoder(code)
 			if mix&0x80 != 0 {
@@ -198,7 +201,8 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 			} else {
 				res[k] = d.Decode(info[k], llr, 8)
 			}
-			post[k] = d.l
+			checkPackedTails(t, fmt.Sprintf("Z=%d kernel %d", code.Z, k), d)
+			dec[k] = d
 		}
 		if res[0] != res[1] {
 			t.Fatalf("Z=%d: go %+v != %s %+v", code.Z, res[0], Kernel(), res[1])
@@ -206,10 +210,71 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 		if !bytes.Equal(info[0], info[1]) {
 			t.Fatalf("Z=%d: information bits differ", code.Z)
 		}
-		for i := range post[0] {
-			if a, b := math.Float32bits(post[0][i]), math.Float32bits(post[1][i]); a != b {
+		for i := range dec[0].l {
+			if a, b := math.Float32bits(dec[0].l[i]), math.Float32bits(dec[1].l[i]); a != b {
 				t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, a, Kernel(), b)
 			}
+		}
+		if !slices.Equal(dec[0].hard, dec[1].hard) || !slices.Equal(dec[0].syn.synd, dec[1].syn.synd) || dec[0].syn.nUnsat != dec[1].syn.nUnsat {
+			t.Fatalf("Z=%d: packed hard/synd/nUnsat differ between go and %s", code.Z, Kernel())
+		}
+	})
+}
+
+// FuzzLoadLLRKernelsSIMD is loadLLR's differential between the platform's
+// vector sign pack and the Go loop (DESIGN §13): the fuzzer supplies raw
+// float32 bit patterns, repeated to length, for one block at a
+// fuzz-chosen lifting size from 2 to 128 (one to three words per
+// block-column). Both must copy the same posterior bits and pack the same
+// hard words, with every bit past Z still 0, and neither may write past
+// its slabs: l and hard sit between poisoned margins, and hard's words
+// start from the last block's decisions. Skips where no vector kernel
+// exists.
+func FuzzLoadLLRKernelsSIMD(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0x80, 1, 0, 0, 0x80}, uint8(25))                                // −0, −denormal
+	f.Add([]byte{0, 0, 0xC0, 0xFF, 0x45, 0x23, 0xC1, 0x7F}, uint8(62))                    // NaNs
+	f.Add([]byte{0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0, 0, 0x80, 0x3F}, uint8(102)) // −Inf, −MaxFloat32, 1
+	f.Fuzz(func(t *testing.T, raw []byte, zsel uint8) {
+		if simdLoad == nil {
+			t.Skip("no vector kernels on this CPU/GOARCH")
+		}
+		code := MustNew(Rate89, 2+int(zsel)%127)
+		llr := make([]float32, code.N())
+		if words := len(raw) / 4; words > 0 {
+			for v := range llr {
+				llr[v] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(v%words):]))
+			}
+		}
+		prev := make([]float32, code.N())
+		for v := range prev {
+			prev[v] = float32(v%3) - 1
+		}
+		var dec [2]*Decoder
+		for k := range dec {
+			d := NewDecoder(code)
+			var lOK, hardOK func() bool
+			d.l, lOK = guard(len(d.l), float32(-12345.5))
+			d.hard, hardOK = guard(len(d.hard), uint64(0xa5a5a5a5a5a5a5a5))
+			clear(d.hard)
+			restore := func() {}
+			if k == 0 {
+				restore = forceGoKernels()
+			}
+			d.loadLLR(prev)
+			d.loadLLR(llr)
+			restore()
+			if !lOK() || !hardOK() {
+				t.Fatalf("Z=%d kernel %d: loadLLR wrote past its slabs", code.Z, k)
+			}
+			checkPackedTails(t, fmt.Sprintf("Z=%d kernel %d", code.Z, k), d)
+			dec[k] = d
+		}
+		if i := floatBitsEqual(dec[0].l, dec[1].l); i >= 0 {
+			t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, math.Float32bits(dec[0].l[i]), Kernel(), math.Float32bits(dec[1].l[i]))
+		}
+		if !slices.Equal(dec[0].hard, dec[1].hard) {
+			t.Fatalf("Z=%d: hard words differ\n go  %016x\n %s %016x", code.Z, dec[0].hard, Kernel(), dec[1].hard)
 		}
 	})
 }

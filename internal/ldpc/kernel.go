@@ -1,16 +1,19 @@
 package ldpc
 
 // Kernel selection for the default float32 layered decode (DESIGN §13):
-// iterateLayered's three per-edge loops have an AVX2 implementation
-// (lanes_amd64.s), chosen by the rule in the internal/cpu package doc.
-// Both produce bit-identical posteriors, messages, hard decisions and
-// syndrome state after every layer.
+// iterateLayered's three per-edge loops and loadLLR's sign pack have an
+// AVX2 implementation (lanes_amd64.s), chosen by the rule in the
+// internal/cpu package doc. Both produce bit-identical posteriors,
+// messages, hard decisions and syndrome state after every layer.
 
-// simdIterate is the platform's vector implementation of iterateLayered,
-// nil where the build has none or the CPU/OS cannot run it. It is set
-// once at package init and afterwards only flipped by tests
-// (forceGoKernels).
-var simdIterate func(d *Decoder, scl, off float32)
+// simdIterate and simdLoad are the platform's vector implementations of
+// iterateLayered and of loadLLR's Go loop, nil where the build has none or
+// the CPU/OS cannot run them. They are set together once at package init
+// and afterwards only flipped by tests (forceGoKernels).
+var (
+	simdIterate func(d *Decoder, scl, off float32)
+	simdLoad    func(d *Decoder, llr []float32)
+)
 
 // Kernel reports which layer kernels Decoder.Decode's default path runs
 // in this process: "avx2" or "generic" (the portable Go loops).

@@ -6,9 +6,9 @@ import "testing"
 // function is called. (The vector kernels need no forcing: where init
 // selected them they are what runs.)
 func forceGoKernels() (restore func()) {
-	saved := simdIterate
-	simdIterate = nil
-	return func() { simdIterate = saved }
+	savedIterate, savedLoad := simdIterate, simdLoad
+	simdIterate, simdLoad = nil, nil
+	return func() { simdIterate, simdLoad = savedIterate, savedLoad }
 }
 
 // TestKernelName pins the two names Kernel reports: "generic" while the

@@ -7,12 +7,12 @@
 // lanes_amd64.go for the contracts; lanes.go/layered.go hold the Go loops
 // these reproduce bit for bit.
 //
-// All three kernels take one *layerArgs (fields via go_asm.h) and walk
-// lanes in units of eight. A run of lanes [CX, DX) is processed as full
-// vectors while eight lanes remain, then one masked group for the 1..7
-// left over: VMASKMOVPS neither reads nor writes (nor faults on) the
-// masked-off lanes, so the slabs need no padding. The tail mask is
-// (lane index < remaining) built from the iota constant in Y14.
+// The three layer kernels take one *layerArgs (fields via go_asm.h); they
+// and the sign pack walk lanes in units of eight. A run of lanes [CX, DX)
+// is processed as full vectors while eight lanes remain, then one masked
+// group for the 1..7 left over: VMASKMOVPS neither reads nor writes (nor
+// faults on) the masked-off lanes, so the slabs need no padding. The tail
+// mask is (lane index < remaining) built from the iota constant in Y14.
 //
 // Operand order is what makes the results bit-identical to the Go code,
 // including for NaN, ±0 and ties (Intel semantics, SRC1 first):
@@ -113,8 +113,9 @@ redges:
 redge:
 	CMPQ BX, layerArgs_deg(AX)
 	JGE  rdone
-	MOVQ layerArgs_edgeBase(AX), SI
-	MOVQ (SI)(BX*8), SI                // base
+	MOVQ layerArgs_edgeCol(AX), SI
+	MOVQ (SI)(BX*8), SI
+	IMULQ R13, SI                      // base = col*z
 	MOVQ layerArgs_edgeShf(AX), DX
 	MOVQ (DX)(BX*8), DX                // shift
 	ADDQ DX, SI
@@ -229,13 +230,14 @@ mdone:
 // UPDATE computes the new message and posterior from q Y0, idx Y1,
 // m1 Y2, m2 Y3, sgn Y4 (edge number in Y9, sign mask Y13, zero Y11):
 // message in Y2, posterior in Y0, and in Y4 a per-lane sign bit set where
-// (posterior < 0) differs from the hard byte loaded from (R13)(CX).
-// Line by line:
+// (posterior < 0) differs from the lane's hard bit, read from the 16
+// column bits at byte R13 (HARDSHIFTS' counts in Y15). Line by line:
 //   Y1 = idx == e;  Y2 = mag = Y1 ? m2 : m1
 //   Y4 = (sgn ^ q) & sign mask;  Y2 = message = mag ^ Y4
 //   Y0 = posterior = q + message (q in SRC1)
 //   Y4 = posterior < 0, all-ones or zero (false for -0 and NaN, as in Go)
-//   Y5 = the eight hard bytes widened to dwords, moved to the sign bit
+//   Y5 = the 16 hard bits in every lane, lane k's own bit shifted to the
+//        sign bit
 //   Y4 ^= Y5: sign bit set exactly where the hard decision flips
 #define UPDATE \
 	VPCMPEQD  Y9, Y1, Y1; \
@@ -245,14 +247,26 @@ mdone:
 	VPXOR     Y4, Y2, Y2; \
 	VADDPS    Y2, Y0, Y0; \
 	VCMPPS    LT_OQ, Y11, Y0, Y4; \
-	VPMOVZXBD (R13)(CX*1), Y5; \
-	VPSLLD    $31, Y5, Y5; \
+	MOVWLZX   (R13), R14; \
+	VMOVQ     R14, X5; \
+	VPBROADCASTD X5, Y5; \
+	VPSLLVD   Y15, Y5, Y5; \
 	VPXOR     Y5, Y4, Y4
+
+// HARDSHIFTS sets Y15 to the VPSLLVD counts 31 - R14 - k for lane k,
+// R14 (0..7) being the bit offset of lane 0 in the byte at R13.
+#define HARDSHIFTS \
+	NEGQ         R14; \
+	ADDQ         $31, R14; \
+	VMOVQ        R14, X15; \
+	VPBROADCASTD X15, Y15; \
+	VPSUBD       Y14, Y15, Y15
 
 // RECORD appends (variable index of lane CX | BX<<32) to the flip list.
 #define RECORD \
-	LEAQ (R13)(CX*1), R14; \
-	SUBQ layerArgs_hard(AX), R14; \
+	LEAQ (SI)(CX*4), R14; \
+	SUBQ layerArgs_l(AX), R14; \
+	SHRQ $2, R14; \
 	SHLQ $32, BX; \
 	ORQ  R14, BX; \
 	MOVQ layerArgs_flips(AX), R14; \
@@ -264,9 +278,14 @@ mdone:
 //
 // AX args, BX flip mask, CX lane, DX segment end, SI destination row of
 // l, DI/R8 the edge's q/r rows, R9 m1, R10 m2, R11 idx, R12 sgn, R13 the
-// hard bytes of the destination row, R14 scratch; the edge counter lives
-// in the frame.
-TEXT ·layerUpdateAVX2(SB), NOSPLIT, $8-8
+// byte of the column's packed hard bits that holds lane CX's, R14
+// scratch; the edge counter and the column's first hard byte live in
+// the frame. Lane j of the first segment is column bit shift+j, so R13
+// starts at byte shift>>3 with bit offset shift&7 and moves one byte per
+// eight lanes; the second segment starts at bit 0. The two-byte read
+// never leaves the column: its first byte holds a bit below z, and
+// blockWords leaves at least one byte past bit z-1.
+TEXT ·layerUpdateAVX2(SB), NOSPLIT, $16-8
 	MOVQ a+0(FP), AX
 	MOVQ layerArgs_q(AX), DI
 	MOVQ layerArgs_r(AX), R8
@@ -285,15 +304,24 @@ uedge:
 	JGE  udone
 	VMOVQ        BX, X9
 	VPBROADCASTD X9, Y9
-	MOVQ layerArgs_edgeBase(AX), SI
-	MOVQ (SI)(BX*8), SI                // base
+	MOVQ layerArgs_edgeCol(AX), SI
+	MOVQ (SI)(BX*8), SI                // col
+	MOVQ SI, R13
+	IMULQ layerArgs_hw(AX), R13
+	ADDQ layerArgs_hard(AX), R13
+	MOVQ R13, colhard-16(SP)           // the column's hard bytes
+	IMULQ layerArgs_z(AX), SI          // base = col*z
 	MOVQ layerArgs_edgeShf(AX), DX
 	MOVQ (DX)(BX*8), DX                // shift
 	ADDQ DX, SI
-	MOVQ layerArgs_hard(AX), R13
-	ADDQ SI, R13                       // lane j is variable base+shift+j
 	MOVQ layerArgs_l(AX), R14
-	LEAQ (R14)(SI*4), SI
+	LEAQ (R14)(SI*4), SI               // lane j is variable base+shift+j
+	MOVQ DX, R14
+	SHRQ $3, R14
+	ADDQ R14, R13
+	MOVQ DX, R14
+	ANDQ $7, R14
+	HARDSHIFTS
 	NEGQ DX
 	ADDQ layerArgs_z(AX), DX           // first segment ends at z-shift
 	XORQ CX, CX
@@ -313,6 +341,7 @@ uvec:
 	TESTL BX, BX
 	JNZ  uvecflip
 uvecnext:
+	INCQ R13
 	ADDQ $8, CX
 	JMP  uvec
 uvecflip:
@@ -328,9 +357,9 @@ utail:
 	VMASKMOVPS (R9)(CX*4), Y10, Y2
 	VMASKMOVPS (R10)(CX*4), Y10, Y3
 	VMASKMOVPS (R12)(CX*4), Y10, Y4
-	// The eight hard bytes are loaded whole: up to seven of them belong
-	// to the lanes after the tail (hardPad keeps that inside the slice)
-	// and are masked out of the flip bits below.
+	// The hard bits of the lanes after the tail are column bits past the
+	// segment (past z, or the first segment's) and are masked out of the
+	// flip bits below.
 	UPDATE
 	VMASKMOVPS Y2, Y10, (R8)(CX*4)
 	VMASKMOVPS Y0, Y10, (SI)(CX*4)
@@ -345,11 +374,13 @@ usegdone:
 	MOVQ layerArgs_z(AX), R14
 	CMPQ DX, R14
 	JGE  unext
-	// Second segment: lanes [z-shift, z) are variables base.., the same
-	// rows moved back by z.
-	SUBQ R14, R13
+	// Second segment: lanes [z-shift, z) are variables base.. and column
+	// bits 0.., the l row moved back by z.
 	SHLQ $2, R14
 	SUBQ R14, SI
+	MOVQ colhard-16(SP), R13
+	XORQ R14, R14
+	HARDSHIFTS
 	MOVQ layerArgs_z(AX), DX
 	JMP  uvec
 unext:
@@ -359,5 +390,56 @@ unext:
 	INCQ edge-8(SP)
 	JMP  uedge
 udone:
+	VZEROUPPER
+	RET
+
+// func loadSignsAVX2(l, llr *float32, hard *uint64, cols, z, hw int)
+//
+// DI/SI the block-column's l and llr rows, R8 its hard bytes, R9 columns
+// left, R10 hw, R11 the hard byte of lane CX, R13 z, R14 scratch. A
+// masked tail loads +0.0 into the lanes past z, which compare false.
+TEXT ·loadSignsAVX2(SB), NOSPLIT, $0-48
+	MOVQ l+0(FP), DI
+	MOVQ llr+8(FP), SI
+	MOVQ hard+16(FP), R8
+	MOVQ cols+24(FP), R9
+	MOVQ z+32(FP), R13
+	MOVQ hw+40(FP), R10
+	VMOVDQU laneIota<>(SB), Y14
+	VPXOR   Y11, Y11, Y11
+lcol:
+	TESTQ R9, R9
+	JZ    ldone
+	MOVQ R8, R11
+	XORQ CX, CX
+lvec:
+	LEAQ 8(CX), R14
+	CMPQ R14, R13
+	JA   ltail
+	VMOVUPS   (SI)(CX*4), Y0
+	VMOVUPS   Y0, (DI)(CX*4)
+	VCMPPS    LT_OQ, Y11, Y0, Y1
+	VMOVMSKPS Y1, BX
+	MOVB      BX, (R11)
+	INCQ R11
+	MOVQ R14, CX
+	JMP  lvec
+ltail:
+	MOVQ R13, R14
+	SUBQ CX, R14
+	JZ   lnext
+	TAILMASK
+	VMASKMOVPS (SI)(CX*4), Y10, Y0
+	VMASKMOVPS Y0, Y10, (DI)(CX*4)
+	VCMPPS     LT_OQ, Y11, Y0, Y1
+	VMOVMSKPS  Y1, BX
+	MOVB       BX, (R11)
+lnext:
+	LEAQ (SI)(R13*4), SI
+	LEAQ (DI)(R13*4), DI
+	ADDQ R10, R8
+	DECQ R9
+	JMP  lcol
+ldone:
 	VZEROUPPER
 	RET

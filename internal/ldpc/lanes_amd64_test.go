@@ -57,24 +57,6 @@ func nastyFloat(rng *rand.Rand) float32 {
 	}
 }
 
-// guard allocates an n-element slice inside a larger array whose margins
-// hold a sentinel, so that a kernel writing outside its slab is caught.
-func guard[T comparable](n int, sentinel T) (s []T, intact func() bool) {
-	const margin = 16
-	buf := make([]T, n+2*margin)
-	for i := range buf {
-		buf[i] = sentinel
-	}
-	return buf[margin : margin+n : margin+n], func() bool {
-		for i := 0; i < margin; i++ {
-			if buf[i] != sentinel || buf[margin+n+i] != sentinel {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // diffDecoder is a Decoder whose kernel-written slabs sit between guard
 // margins, plus the checks on those margins.
 type diffDecoder struct {
@@ -99,30 +81,30 @@ func newDiffDecoder(c *Code) *diffDecoder {
 	d.intact = append(d.intact, ok)
 	d.laneSgn, ok = guard(len(d.laneSgn), uint32(0xa5a5a5a5))
 	d.intact = append(d.intact, ok)
-	// hard keeps its own allocation: its hardPad bytes are part of the
-	// contract (read and masked, never written) and checked separately.
+	// The layer kernels only read hard, never past a block-column's
+	// words; inside them it starts at NewDecoder's zeros.
+	d.hard, ok = guard(len(d.hard), uint64(0xa5a5a5a5a5a5a5a5))
+	clear(d.hard)
+	d.intact = append(d.intact, ok)
 	return d
 }
 
 // seedState fills two decoders of one code with the same adversarial
 // state: posteriors and messages from nastyFloat, hard decisions that
 // disagree with the posterior signs about half the time (so flips are
-// dense), garbage in every lane-state slab and in hard's padding, and a
-// syndrome consistent with the hard decisions.
+// dense), garbage in every lane-state slab, and a syndrome consistent
+// with the hard decisions.
 func seedState(rng *rand.Rand, a, b *diffDecoder) {
 	c := a.code
-	nVar := c.N()
 	for i := range a.l {
 		a.l[i] = nastyFloat(rng)
 	}
 	for i := range a.r {
 		a.r[i] = nastyFloat(rng)
 	}
-	for i := 0; i < nVar; i++ {
-		a.hard[i] = byte(rng.Intn(2))
-	}
-	for i := nVar; i < len(a.hard); i++ {
-		a.hard[i] = 0xff
+	mask := blockMask(c.Z, a.syn.w)
+	for i := range a.hard {
+		a.hard[i] = rng.Uint64() & mask[i%len(mask)]
 	}
 	for i := range a.laneQ {
 		a.laneQ[i] = nastyFloat(rng)
@@ -143,15 +125,6 @@ func seedState(rng *rand.Rand, a, b *diffDecoder) {
 	copy(b.laneIdx, a.laneIdx)
 	copy(b.laneSgn, a.laneSgn)
 	b.syn.init(c, b.hard)
-}
-
-func floatBitsEqual(a, b []float32) int {
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return i
-		}
-	}
-	return -1
 }
 
 // compareState fails the test on the first bit that differs between the
@@ -177,10 +150,10 @@ func compareState(t *testing.T, where string, g, v *diffDecoder) {
 		t.Fatalf("%s: idx differs\n go  %v\n asm %v", where, g.laneIdx, v.laneIdx)
 	}
 	if !slices.Equal(g.hard, v.hard) {
-		t.Fatalf("%s: hard differs", where)
+		t.Fatalf("%s: hard differs\n go  %016x\n asm %016x", where, g.hard, v.hard)
 	}
 	if !slices.Equal(g.syn.synd, v.syn.synd) {
-		t.Fatalf("%s: synd differs", where)
+		t.Fatalf("%s: synd differs\n go  %016x\n asm %016x", where, g.syn.synd, v.syn.synd)
 	}
 	if g.syn.nUnsat != v.syn.nUnsat {
 		t.Fatalf("%s: nUnsat go %d != asm %d", where, g.syn.nUnsat, v.syn.nUnsat)
@@ -190,11 +163,7 @@ func compareState(t *testing.T, where string, g, v *diffDecoder) {
 			t.Fatalf("%s: assembly kernel wrote outside slab %d", where, i)
 		}
 	}
-	for i := g.code.N(); i < len(v.hard); i++ {
-		if v.hard[i] != 0xff {
-			t.Fatalf("%s: assembly kernel wrote hard padding", where)
-		}
-	}
+	checkPackedTails(t, where, g.Decoder)
 }
 
 // shiftCode builds a two-layer code over lifting size z whose first edge
@@ -216,7 +185,8 @@ func shiftCode(z, s int) *Code {
 // benchmark/paper sizes, every cyclic shift, both min-sum rules, it runs
 // each layer step on the Go loops and on the assembly from the same
 // adversarial state and demands bit equality of q, r, l, sgn, min1, min2,
-// idx, hard, synd and nUnsat after each step.
+// idx, the packed hard and synd words and nUnsat after each step, with
+// every bit past Z still 0.
 func TestLayerKernelsAVX2(t *testing.T) {
 	requireAVX2(t)
 	var zs []int
@@ -278,9 +248,6 @@ func TestDecodeTrajectoryAVX2(t *testing.T) {
 			for li, llr := range [][]float32{harshLLR(rng, code, rate), garbageLLR(rng, code), salted} {
 				for _, alg := range []Alg{OffsetMinSum, NormalizedMinSum} {
 					g, v := newDiffDecoder(code), newDiffDecoder(code)
-					for i := code.N(); i < len(g.hard); i++ {
-						g.hard[i], v.hard[i] = 0xff, 0xff
-					}
 					g.Alg = alg
 					scl, off := g.magnitudeRule()
 					for _, d := range []*diffDecoder{g, v} {

@@ -1,8 +1,8 @@
 package ldpc
 
 import (
-	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // Layered decoding with fused incremental syndrome (DESIGN §13): the
@@ -17,12 +17,13 @@ import (
 //
 // Convergence detection is incremental and exact:
 //
-//   - At Decode start, hard decisions are taken once from the channel
-//     LLRs and the per-check parity bits (synTrack.synd, one byte per
-//     lifted check) plus the unsatisfied-check count (nUnsat) are built
-//     with one segment-streamed walk — the only full-code walk the
-//     decode ever performs. nUnsat == 0 there ends the decode at
-//     iteration 0 (decoder.go).
+//   - At Decode start, hard decisions are packed once from the channel
+//     LLRs, one bit per variable, and the per-check parity bits
+//     (synTrack.synd, one bit per lifted check, in the same word layout)
+//     plus the unsatisfied-check count (nUnsat) are built with one
+//     rotate-and-XOR per edge — the only full-code walk the decode ever
+//     performs. nUnsat == 0 there ends the decode at iteration 0
+//     (decoder.go).
 //   - Pass 2 of every layer compares each updated posterior's sign with
 //     the stored hard decision. On a flip it toggles the parity of
 //     exactly the checks that variable participates in, via the
@@ -32,54 +33,47 @@ import (
 //
 // Because the parity state is maintained exactly — not approximated from
 // each layer's transient sign products, which later layers may
-// invalidate — nUnsat == 0 holds if and only if CheckSyndrome(hard)
-// would report success, so decoded bits, iteration counts and Result
-// equal those of a decoder that walks the full syndrome every iteration
-// (TestFusedSyndromeExact pins this). The per-flip cost is one
-// branch per updated lane plus column-degree parity toggles per actual
-// flip; flips concentrate in the first iteration and vanish as the
-// decoder converges.
+// invalidate — nUnsat == 0 holds if and only if the hard decisions
+// satisfy every parity check, so decoded bits, iteration counts and
+// Result equal those of a decoder that walks the full syndrome every
+// iteration (TestFusedSyndromeExact pins this against the textbook
+// checkSyndrome). The per-flip cost is one branch per updated lane plus
+// column-degree parity toggles per actual flip; flips concentrate in the
+// first iteration and vanish as the decoder converges.
 
-// synTrack is the fused incremental-syndrome state: the transposed adjacency (which checks each variable
-// block-column touches, and with which cyclic shift), the per-check
-// parity bits, and the unsatisfied-check count.
+// synTrack is the fused incremental-syndrome state: the transposed
+// adjacency (which checks each variable block-column touches, and with
+// which cyclic shift), the per-check parity bits, and the
+// unsatisfied-check count.
 type synTrack struct {
 	// colOff[c]..colOff[c+1] index colRow/colShf with the block-rows
 	// containing column c and the circulant shift of that edge.
 	colOff []int32
 	colRow []int32
 	colShf []int32
-	// synd[i*Z+r] is the current parity of lifted check (i, r) under the
-	// decoder's hard-decision bits; nUnsat counts the nonzero entries.
-	synd   []byte
+	// synd holds the current parity of every lifted check under the
+	// decoder's hard decisions, packed like Decoder.hard: bit r%64 of
+	// word i·w+r/64 is check (i, r), and bits at and past Z are 0.
+	// nUnsat counts the set bits.
+	synd   []uint64
 	nUnsat int
 	z      int
+	w      int // blockWords(z)
 	// flips is the vector pass 2's output list (lanes_amd64.go): the
 	// lanes of one layer whose hard decision changed, for toggle to be
 	// applied to. Empty where the build has no vector kernels.
 	flips []uint64
 }
 
-// xorBytes XORs src into dst (equal lengths) eight bytes per step: the
-// circulant-segment accumulate shared by synTrack.init and Code.Encode.
-func xorBytes(dst, src []byte) {
-	src = src[:len(dst)]
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for ; i < len(dst); i++ {
-		dst[i] ^= src[i]
-	}
-}
-
 // newSynTrack builds the adjacency tables and parity storage for code c.
 func newSynTrack(c *Code) synTrack {
 	cols := KbBlocks + c.Mb
+	w := blockWords(c.Z)
 	s := synTrack{
 		colOff: make([]int32, cols+1),
-		synd:   make([]byte, c.Mb*c.Z),
+		synd:   make([]uint64, c.Mb*w),
 		z:      c.Z,
+		w:      w,
 	}
 	cnt := make([]int32, cols)
 	for _, row := range c.rows {
@@ -106,28 +100,77 @@ func newSynTrack(c *Code) synTrack {
 }
 
 // init rebuilds the parity bits and unsatisfied count from scratch for
-// the given hard decisions — the one full-code walk per Decode. Unlike
-// CheckSyndrome it streams each circulant as two contiguous segments
-// instead of a modular index per edge.
-func (s *synTrack) init(c *Code, hard []byte) {
-	z := c.Z
-	unsat := 0
-	for i := 0; i < c.Mb; i++ {
-		out := s.synd[i*z : (i+1)*z]
-		clear(out)
-		for _, e := range c.rows[i] {
-			blk := hard[e.col*z : (e.col+1)*z]
-			n := z - e.shift
-			xorBytes(out[:n], blk[e.shift:])
-			xorBytes(out[n:], blk[:e.shift])
-		}
-		// Parities are 0/1, so the unsatisfied count is their sum — no
-		// branch on what is a coin flip per check on a noisy block.
-		for _, v := range out {
-			unsat += int(v)
+// the given hard decisions — the one full-code walk per Decode. Check
+// lane r of an edge with shift s reads variable (r+s) mod Z, so each
+// edge XORs its column's bits rotated right by s into the row's: one
+// rotate of one word per edge where a block fits a word (initWord),
+// rotXor's word walk otherwise. Bits past Z collect rotation spill, so
+// each row's last word is masked once after its edges.
+func (s *synTrack) init(c *Code, hard []uint64) {
+	z, w := c.Z, s.w
+	if w == 1 {
+		s.initWord(c.rows, hard, z)
+	} else {
+		last := (z - 1) >> 6
+		mask := ^uint64(0) >> uint(63-(z-1)&63)
+		for i, row := range c.rows {
+			out := s.synd[i*w : (i+1)*w]
+			clear(out)
+			for _, e := range row {
+				rotXor(out, hard[e.col*w:(e.col+1)*w], e.shift, z)
+			}
+			out[last] &= mask
 		}
 	}
+	unsat := 0
+	for _, x := range s.synd {
+		unsat += bits.OnesCount64(x)
+	}
 	s.nUnsat = unsat
+}
+
+// initWord is init's walk for one word per block (Z ≤ 56). Both shift
+// counts lie in [0, 56], so masking them to six bits changes nothing but
+// lets the compiler emit bare shifts.
+func (s *synTrack) initWord(rows [][]edge, hard []uint64, z int) {
+	uz := uint(z)
+	mask := uint64(1)<<uz - 1
+	synd := s.synd[:len(rows)]
+	for i, row := range rows {
+		var acc uint64
+		for _, e := range row {
+			x := hard[e.col]
+			sh := uint(e.shift) & 63
+			acc ^= x>>sh | x<<((uz-sh)&63)
+		}
+		synd[i] = acc & mask
+	}
+}
+
+// rotXor XORs the z-bit block src rotated right by sh into dst's words
+// below z: bit r of dst takes bit (r+sh) mod z of src. It relies on src's
+// bits at and past z being 0, and leaves garbage past z in dst's last
+// word for the caller to mask.
+func rotXor(dst, src []uint64, sh, z int) {
+	for k := 0; k*64 < z; k++ {
+		t := k*64 + sh
+		if t >= z {
+			t -= z
+		}
+		// Bits t.. of src, then from bit z−t on the wrap to src's start.
+		dst[k] ^= bitsAt(src, t) | src[0]<<uint(z-t)
+	}
+}
+
+// bitsAt returns the 64 bits of src from bit off on; bits past the end
+// of src read as 0.
+func bitsAt(src []uint64, off int) uint64 {
+	k, b := off>>6, uint(off&63)
+	v := src[k] >> b
+	if k+1 < len(src) {
+		v |= src[k+1] << (64 - b)
+	}
+	return v
 }
 
 // toggle flips the parity of every check adjacent to variable (col, j):
@@ -139,14 +182,10 @@ func (s *synTrack) toggle(col, j int) {
 		if r < 0 {
 			r += s.z
 		}
-		p := int(s.colRow[k])*s.z + r
-		if s.synd[p] == 0 {
-			s.synd[p] = 1
-			s.nUnsat++
-		} else {
-			s.synd[p] = 0
-			s.nUnsat--
-		}
+		p := int(s.colRow[k])*s.w + r>>6
+		old := s.synd[p] >> (r & 63) & 1
+		s.synd[p] ^= 1 << (r & 63)
+		s.nUnsat += 1 - 2*int(old)
 	}
 }
 
@@ -154,7 +193,6 @@ func (s *synTrack) toggle(col, j int) {
 // kernel with syndrome tracking fused into the layer update. Decode's
 // prologue has loaded the posteriors and seeded hard and the syndrome.
 func (d *Decoder) decodeLayered(info []byte, maxIter int, scl, off float32) Result {
-	c := d.code
 	iterate := simdIterate
 	if iterate == nil {
 		iterate = (*Decoder).iterateLayered
@@ -168,7 +206,7 @@ func (d *Decoder) decodeLayered(info []byte, maxIter int, scl, off float32) Resu
 			break
 		}
 	}
-	copy(info, d.hard[:c.K()])
+	d.unpackInfo(info)
 	return res
 }
 
@@ -205,7 +243,7 @@ func (d *Decoder) layerReduceFrom(i int, src []float32) {
 	}
 	clear(sgn)
 	for e := 0; e < deg; e++ {
-		base := d.edgeBase[eo+e]
+		base := d.edgeCol[eo+e] * z
 		s := d.edgeShf[eo+e]
 		qe := d.laneQ[e*z : (e+1)*z]
 		re := d.r[(eo+e)*z : (eo+e+1)*z]
@@ -245,35 +283,35 @@ func (d *Decoder) layerUpdateSyn(i int) {
 	min2 := d.laneMin2[:z]
 	idx := d.laneIdx[:z]
 	sgn := d.laneSgn[:z]
+	w := d.syn.w
 	for e := 0; e < deg; e++ {
-		base := d.edgeBase[eo+e]
+		col := d.edgeCol[eo+e]
 		s := d.edgeShf[eo+e]
-		col := base / z
 		qe := d.laneQ[e*z : (e+1)*z]
 		re := d.r[(eo+e)*z : (eo+e+1)*z]
-		lb := d.l[base : base+z]
-		hb := d.hard[base : base+z]
+		lb := d.l[col*z : (col+1)*z]
+		hb := d.hard[col*w : (col+1)*w]
 		n := z - s
-		d.laneUpdateSyn(qe[:n], re[:n], lb[s:], hb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e), col, s)
-		d.laneUpdateSyn(qe[n:], re[n:], lb[:s], hb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e), col, 0)
+		d.laneUpdateSyn(qe[:n], re[:n], lb[s:], hb, sgn[:n], min1[:n], min2[:n], idx[:n], int32(e), col, s)
+		d.laneUpdateSyn(qe[n:], re[n:], lb[:s], hb, sgn[n:], min1[n:], min2[n:], idx[n:], int32(e), col, 0)
 	}
 }
 
 // laneUpdateSyn writes one segment's new check-to-variable messages and
 // scatters the posteriors q+nr back into the variable block (dst is the
 // rotated destination segment of the posterior array), with fused
-// syndrome maintenance: dst[l] is variable (col, j0+l); when its updated
-// posterior crosses the hard-decision threshold the adjacent check
-// parities are toggled. The message sign is applied by XOR on the sign
-// bit — bit-identical to a s*mag multiply for s = ±1 and the non-negative
-// magnitudes produced by the clamp.
-func (d *Decoder) laneUpdateSyn(q, r, dst []float32, hard []byte, sgn []uint32, m1, m2 []float32, idx []int32, e int32, col, j0 int) {
+// syndrome maintenance: dst[l] is variable (col, j0+l), whose hard
+// decision is bit j0+l of the block-column's words hard; when its
+// updated posterior crosses the hard-decision threshold the bit and the
+// adjacent check parities are toggled. The message sign is applied by
+// XOR on the sign bit — bit-identical to a s*mag multiply for s = ±1 and
+// the non-negative magnitudes produced by the clamp.
+func (d *Decoder) laneUpdateSyn(q, r, dst []float32, hard []uint64, sgn []uint32, m1, m2 []float32, idx []int32, e int32, col, j0 int) {
 	if len(q) == 0 {
 		return
 	}
 	r = r[:len(q)]
 	dst = dst[:len(q)]
-	hard = hard[:len(q)]
 	sgn = sgn[:len(q)]
 	m1 = m1[:len(q)]
 	m2 = m2[:len(q)]
@@ -288,15 +326,12 @@ func (d *Decoder) laneUpdateSyn(q, r, dst []float32, hard []byte, sgn []uint32, 
 		r[l] = nr
 		x := v + nr
 		dst[l] = x
-		// Hard-decision rule matches the flooding walk exactly: x < 0 (so
-		// −0.0 and NaN stay bit 0).
-		nb := byte(0)
-		if x < 0 {
-			nb = 1
-		}
-		if nb != hard[l] {
-			hard[l] = nb
-			d.syn.toggle(col, j0+l)
+		// Hard-decision rule matches the load exactly: x < 0 (so −0.0 and
+		// NaN stay bit 0).
+		j := j0 + l
+		if (x < 0) != (hard[j>>6]>>(j&63)&1 != 0) {
+			hard[j>>6] ^= 1 << (j & 63)
+			d.syn.toggle(col, j)
 		}
 	}
 }

@@ -22,6 +22,7 @@
 package ldpc
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -230,20 +231,15 @@ func (c *Code) Encode(dst, info []byte) {
 	}
 }
 
-// CheckSyndrome reports whether the hard-decision bits satisfy every
-// parity equation.
-func (c *Code) CheckSyndrome(bits []byte) bool {
-	z := c.Z
-	for i := 0; i < c.Mb; i++ {
-		for r := 0; r < z; r++ {
-			var s byte
-			for _, e := range c.rows[i] {
-				s ^= bits[e.col*z+(r+e.shift)%z]
-			}
-			if s != 0 {
-				return false
-			}
-		}
+// xorBytes XORs src into dst (equal lengths) eight bytes per step: the
+// circulant-segment accumulate of Encode.
+func xorBytes(dst, src []byte) {
+	src = src[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
 	}
-	return true
+	for ; i < len(dst); i++ {
+		dst[i] ^= src[i]
+	}
 }

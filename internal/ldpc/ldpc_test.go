@@ -56,7 +56,7 @@ func TestEncodeProducesValidCodeword(t *testing.T) {
 			info := randInfo(rng, code.K())
 			cw := make([]byte, code.N())
 			code.Encode(cw, info)
-			if !code.CheckSyndrome(cw) {
+			if !checkSyndrome(code, cw) {
 				t.Errorf("rate %v Z=%d: encoder output fails parity check", rate, z)
 			}
 			for i := range info {

@@ -85,7 +85,7 @@ func checkCodewordShortcut(t *testing.T, where string, code *Code, alg Alg, llr 
 			hard[v] = 1
 		}
 	}
-	if !code.CheckSyndrome(hard) {
+	if !checkSyndrome(code, hard) {
 		t.Fatalf("%s: input is not a codeword", where)
 	}
 	got := make([]byte, code.K())
@@ -106,7 +106,7 @@ func checkCodewordShortcut(t *testing.T, where string, code *Code, alg Alg, llr 
 	}
 	scl, off := d.magnitudeRule()
 	iterate(d, scl, off)
-	if !bytes.Equal(d.hard[:code.N()], hard) {
+	if !bytes.Equal(hardBits(d), hard) {
 		t.Fatalf("%s: one iteration flipped a hard decision of a codeword", where)
 	}
 	if d.syn.nUnsat != 0 {
