@@ -12,6 +12,12 @@ import (
 
 // worker holds one worker's private scratch so task execution allocates
 // nothing. Workers are created by the engine; each runs runWorker.
+// Private means per cache line, not just per object: the engine
+// allocates its workers back to back, so scratch a hot kernel writes must
+// not share a 64-byte line with another worker's allocations. The LDPC
+// decoder's slabs are isolated that way inside ldpc.NewDecoder (DESIGN
+// §13, Scratch ownership); padding this struct, payloadRun and leaseRun
+// measured no change.
 type worker struct {
 	id  int
 	eng *Engine

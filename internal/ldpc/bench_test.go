@@ -3,6 +3,9 @@ package ldpc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/perfgate"
@@ -89,6 +92,65 @@ func BenchmarkDecode_PureGo(b *testing.B) {
 }
 
 func BenchmarkDecode_Codeword(b *testing.B) { benchDecodeRotating(b, codewordSigma) }
+
+// BenchmarkDecode_Workers is Decode_AVX2's Z27 workload placed the way
+// the engine places it (DESIGN §13, Scratch ownership): one decoder per
+// P, allocated back to back on one goroutine as core's newWorker does,
+// interleaved with Z-float fillers that one extra goroutine keeps
+// writing, and every P decoding its own rotating blocks at once. us/block
+// is P × wall time per block, the per-core cost to set beside
+// Decode_AVX2/Z27: it matches it only while no decoder shares a cache
+// line with another core's writes.
+func BenchmarkDecode_Workers(b *testing.B) {
+	const z = 27
+	code := MustNew(Rate13, z)
+	llrs := rotatingLLRs(code, rotatingSigma)
+	procs := runtime.GOMAXPROCS(0)
+	decs := make([]*Decoder, procs)
+	fillers := [][]float32{make([]float32, z)}
+	for i := range decs {
+		decs[i] = NewDecoder(code)
+		decs[i].Alg = NormalizedMinSum
+		fillers = append(fillers, make([]float32, z))
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for v := 0; ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, f := range fillers {
+				for j := range f {
+					f[j] = float32(v)
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	var claimed, iters atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := int(claimed.Add(1) - 1)
+		dec, out := decs[w], make([]byte, code.K())
+		next, n := w, 0
+		for pb.Next() {
+			n += dec.Decode(out, llrs[next], 5).Iterations
+			next = (next + 1) % rotatingBlocks
+		}
+		iters.Add(int64(n))
+	})
+	b.StopTimer()
+	close(stop)
+	writer.Wait()
+	b.ReportMetric(float64(procs)*float64(b.Elapsed().Microseconds())/float64(b.N), "us/block")
+	b.ReportMetric(float64(iters.Load())/float64(b.N), "iters/op")
+}
 
 // BenchmarkKernelGate is the decode kernels' perf gate (`make perf`):
 // Go/vector ratios measured in one process by alternating the two sides

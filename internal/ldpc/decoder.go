@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // Alg selects the min-sum variant.
@@ -20,7 +21,10 @@ const (
 
 // Decoder holds the per-worker scratch for iterative decoding of one Code
 // so the hot decode path allocates nothing. A Decoder is not safe for
-// concurrent use; Agora gives each worker its own.
+// concurrent use; Agora gives each worker its own. Every slab a decode
+// writes owns its cache lines (isolated): no line of it holds a byte of
+// another allocation, so another core writing its own data never
+// invalidates a line this decoder's layers are read-modify-writing.
 type Decoder struct {
 	code *Code
 	// Alg selects the check-node update rule.
@@ -66,10 +70,10 @@ type Decoder struct {
 func NewDecoder(c *Code) *Decoder {
 	d := &Decoder{code: c, Offset: 0.5, Scale: 0.75}
 	nVar := (KbBlocks + c.Mb) * c.Z
-	d.l = make([]float32, nVar)
-	d.lPrev = make([]float32, nVar)
+	d.l = isolated[float32](nVar)
+	d.lPrev = isolated[float32](nVar)
 	d.syn = newSynTrack(c)
-	d.hard = make([]uint64, (KbBlocks+c.Mb)*d.syn.w)
+	d.hard = isolated[uint64]((KbBlocks + c.Mb) * d.syn.w)
 	d.eOff = make([]int, c.Mb+1)
 	edges, maxDeg := 0, 0
 	for i, row := range c.rows {
@@ -78,7 +82,7 @@ func NewDecoder(c *Code) *Decoder {
 		maxDeg = max(maxDeg, len(row))
 	}
 	d.eOff[c.Mb] = edges
-	d.r = make([]float32, edges*c.Z)
+	d.r = isolated[float32](edges * c.Z)
 	d.edgeCol = make([]int, edges)
 	d.edgeShf = make([]int, edges)
 	for i, row := range c.rows {
@@ -87,13 +91,33 @@ func NewDecoder(c *Code) *Decoder {
 			d.edgeShf[d.eOff[i]+e] = en.shift
 		}
 	}
-	d.laneQ = make([]float32, maxDeg*c.Z)
-	d.laneMin1 = make([]float32, c.Z)
-	d.laneMin2 = make([]float32, c.Z)
-	d.laneIdx = make([]int32, c.Z)
-	d.laneSgn = make([]uint32, c.Z)
-	d.syn.flips = make([]uint64, flipRecords(maxDeg, c.Z))
+	d.laneQ = isolated[float32](maxDeg * c.Z)
+	d.laneMin1 = isolated[float32](c.Z)
+	d.laneMin2 = isolated[float32](c.Z)
+	d.laneIdx = isolated[int32](c.Z)
+	d.laneSgn = isolated[uint32](c.Z)
+	d.syn.flips = isolated[uint64](flipRecords(maxDeg, c.Z))
 	return d
+}
+
+// lineBytes is the cache-line size isolated pads for: 64 bytes on x86-64
+// and on most arm64 cores.
+const lineBytes = 64
+
+// isolated returns n zeroed elements (cap n) cut from the middle of a
+// backing array that keeps at least lineBytes of its own on each side.
+// Every cache line holding one of the n elements then lies inside that
+// array, whatever size class and offset the allocator gives it, so no
+// other allocation shares a line with them (DESIGN §13, Scratch
+// ownership). Written decoder slabs use it; read-only tables do not
+// need it. The reduction state is why: a Z=27 lane array is 108 bytes,
+// Go's 112-byte size class packs such objects across 64-byte lines,
+// and pass 1 read-modify-writes all four of them on every vector of
+// every edge.
+func isolated[T any](n int) []T {
+	size := int(reflect.TypeFor[T]().Size())
+	pad := (lineBytes + size - 1) / size
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
 }
 
 // blockWords is the stride W of the packed hard decisions and parities:

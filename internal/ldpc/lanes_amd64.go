@@ -27,7 +27,10 @@ func init() {
 
 // layerArgs is the argument block of the assembly kernels, describing
 // one check layer. The .s file addresses the fields through the
-// go_asm.h offsets the toolchain generates from this declaration.
+// go_asm.h offsets the toolchain generates from this declaration. Every
+// state pointer it carries (l, hard, r, q, min1, min2, idx, sgn, flips)
+// points into an isolated slab, which shares no cache line with another
+// allocation (NewDecoder); edgeCol and edgeShf are read-only tables.
 type layerArgs struct {
 	l       *float32 // posterior array (d.l)
 	hard    *uint64  // packed hard decisions (d.hard), read-only to the kernels

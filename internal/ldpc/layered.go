@@ -71,7 +71,7 @@ func newSynTrack(c *Code) synTrack {
 	w := blockWords(c.Z)
 	s := synTrack{
 		colOff: make([]int32, cols+1),
-		synd:   make([]uint64, c.Mb*w),
+		synd:   isolated[uint64](c.Mb * w),
 		z:      c.Z,
 		w:      w,
 	}
