@@ -69,8 +69,9 @@ race:
 # iterations to the bits one iteration would give) and the vector-vs-Go
 # kernel differentials of ldpc (layer kernels and the LLR sign pack,
 # FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the packed
-# words), fft, modulation and mat (Go runs one
-# -fuzz target per invocation). A few seconds each is a smoke pass; longer
+# words), fft, modulation and mat (the block multiply and the tile
+# multiply on the uplink grid's layout; Go runs one -fuzz target per
+# invocation). A few seconds each is a smoke pass; longer
 # exploratory runs are `go test -fuzz <Target> <package>` without
 # -fuzztime.
 fuzz:
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
 	$(GO) test -run '^$$' -fuzz FuzzMulBlockKernelsSIMD -fuzztime 5s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzMulTileKernelsSIMD -fuzztime 5s ./internal/mat
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of
 # its own, so `go test ./...` never reaches it; its smoke test runs every
@@ -99,7 +101,8 @@ benchmark-smoke:
 # decode's fixed term (clean blocks, 0 iterations); internal/fft the
 # FFT512 / ForwardIQ12_512 / IFFTBatch8x512 _AVX2 vs _PureGo pairs;
 # internal/modulation the DemodulateSoftSoA pair; internal/mat the
-# MulBlockRows4 pair (the four-row GEMM tile). Each pair has to live
+# MulBlockRows4 pair (the four-row GEMM tile, on blocks and on grid
+# tiles read in place). Each pair has to live
 # next to the unexported dispatch it flips. Absolute ns/op moves 25–30%
 # between windows on a shared host: compare within one run.
 bench:

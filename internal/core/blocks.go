@@ -26,19 +26,19 @@ type worker struct {
 	lanes   []complex64 // FFTBatch×OFDMSize: one lane per antenna of an FFT or IFFT run
 	timeBuf []complex64 // unfused front end: one symbol's unpacked samples (nil when fuseRX)
 	stage   []complex64 // staging copy, DisableDirectStore only
-	ytAnt   []complex64 // strip×M gather of the antenna-major grid, DisableMemOpt only
+	tileAnt []complex64 // M×8 tile copied from the antenna-major grid, DisableMemOpt only
 	fuseRX  bool        // CP strip + unpack fused into the FFT permutation
 
 	// Blocked-kernel scratch: the BLAS-3 path multiplies whole
 	// multi-subcarrier tiles instead of one matvec per subcarrier. The
 	// mat.M headers are worker fields so wrapping a buffer region is a
 	// field assignment, not an allocation.
-	blockMul    mat.BlockKernel // K-row plan for equalization
+	tileMul     mat.TileKernel  // equalization plan
 	blockMulPre mat.BlockKernel // B-row plan for precoding
 	xblk        []complex64     // K×strip equalized strip, user-major
 	modBlk      []complex64     // K×B modulated tile, user-major
 	xtBlk       []complex64     // B×K transpose of modBlk (kernel w operand)
-	ytM, xbM    mat.M           // demod: subcarrier strip wrap, output strip
+	xbM         mat.M           // demod: output strip
 	xtM, outM   mat.M           // precode: symbol tile, downlink grid wrap
 
 	// The fused equalize+demod kernel writes llrSC directly; the decoder
@@ -76,10 +76,11 @@ func newWorker(id int, e *Engine) *worker {
 	// equalizer internally) partition antennas identically.
 	w.zfws.Clusters = e.opts.ZFClusters
 	// Blocked-kernel plans and tile scratch: a demod strip spans at most
-	// fuseStripCols subcarriers, a precode tile one ZF group.
-	w.blockMul = mat.PlanBlockMul(!e.opts.DisableJITGemm, cfg.Users)
+	// one grid tile (mat.TileCols subcarriers), a precode tile one ZF
+	// group.
+	w.tileMul = mat.PlanTileMul(!e.opts.DisableJITGemm)
 	w.blockMulPre = mat.PlanBlockMul(!e.opts.DisableJITGemm, cfg.ZFGroupSize)
-	w.xblk = make([]complex64, cfg.Users*fuseStripCols)
+	w.xblk = make([]complex64, cfg.Users*mat.TileCols)
 	w.modBlk = make([]complex64, cfg.Users*cfg.ZFGroupSize)
 	w.xtBlk = make([]complex64, cfg.ZFGroupSize*cfg.Users)
 	w.dec = ldpc.NewDecoder(e.code)
@@ -92,7 +93,7 @@ func newWorker(id int, e *Engine) *worker {
 		w.stage = make([]complex64, cfg.DataSubcarriers)
 	}
 	if e.opts.DisableMemOpt {
-		w.ytAnt = make([]complex64, fuseStripCols*cfg.Antennas)
+		w.tileAnt = make([]complex64, cfg.Antennas*mat.TileCols)
 	}
 	if e.opts.DisableSIMDConvert {
 		w.unpack = cf.UnpackIQ12Naive
@@ -281,85 +282,61 @@ func (w *worker) copyCachedZF(slot, g int) {
 }
 
 // runFFT covers a run of count consecutive antennas of one uplink data
-// symbol: one fftRun front-end call, then a transposed store that writes
-// adjacent antennas of each subcarrier row together, so a row's cache
-// line is touched once per antenna pair instead of once per antenna. The
-// ablation stores (DisableMemOpt, DisableDirectStore) run per antenna.
+// symbol: one fftRun front-end call, then storeRun.
 func (w *worker) runFFT(slot int, sym uint16, ant0, count int) {
-	e := w.eng
-	cfg := &e.cfg
-	nfft := cfg.OFDMSize
 	buf, ok := w.fftRun(slot, sym, ant0, count)
 	if !ok {
 		return
 	}
-	ds := cfg.DataStart()
-	q := cfg.DataSubcarriers
-	if e.opts.DisableMemOpt || e.opts.DisableDirectStore {
-		for l := 0; l < count; l++ {
-			w.storeDataBand(slot, sym, ant0+l, buf[l*nfft+ds:l*nfft+ds+q])
-		}
-		return
-	}
-	// Two lanes per pass; an odd run's last antenna goes through the
-	// single-antenna store.
-	dst := e.buf.dataFreqSC[slot][sym]
-	l := 0
-	for ; l+1 < count; l += 2 {
-		o := l*nfft + ds
-		storeAntennaPair(dst, cfg.Antennas, ant0+l, buf[o:o+q], buf[o+nfft:o+nfft+q])
-	}
-	if l < count {
-		w.storeDataBand(slot, sym, ant0+l, buf[l*nfft+ds:l*nfft+ds+q])
-	}
+	w.storeRun(slot, sym, ant0, buf)
 }
 
-// storeDataBand writes one antenna's data band into the frame buffer.
-func (w *worker) storeDataBand(slot int, sym uint16, a int, band []complex64) {
+// storeRun writes the data band of each lane of an FFT run (lane l is
+// antenna ant0+l, OFDMSize apart in buf) into the frame's grid: whole
+// 64-byte tile lines of the tiled grid (storeTiles), or one contiguous
+// run per antenna of the antenna-major grid under DisableMemOpt. Under
+// DisableDirectStore each band is first copied into worker-private
+// staging, then stored from there.
+func (w *worker) storeRun(slot int, sym uint16, ant0 int, buf []complex64) {
 	e := w.eng
 	cfg := &e.cfg
-	b := e.buf
-	q := cfg.DataSubcarriers
-	m := cfg.Antennas
-	if e.opts.DisableMemOpt {
-		// Antenna-major: contiguous write here, strided gather in demod.
-		dst := b.dataFreqAnt[slot][sym][a*q : (a+1)*q]
+	nfft, ds, q := cfg.OFDMSize, cfg.DataStart(), cfg.DataSubcarriers
+	for l := 0; l < len(buf)/nfft; l++ {
+		band := buf[l*nfft+ds : l*nfft+ds+q]
 		if e.opts.DisableDirectStore {
-			copy(w.stage[:q], band)
-			copy(dst, w.stage[:q])
-		} else {
-			copy(dst, band)
+			copy(w.stage, band)
+			band = w.stage
 		}
-		return
-	}
-	// Subcarrier-major: strided transposed write here (the analogue of
-	// the paper's non-temporal transposed stores), contiguous read in
-	// demod where the data is consumed many times.
-	dst := b.dataFreqSC[slot][sym]
-	if e.opts.DisableDirectStore {
-		copy(w.stage[:q], band)
-		band = w.stage[:q]
-	}
-	for sc := 0; sc < q; sc++ {
-		dst[sc*m+a] = band[sc]
+		a := ant0 + l
+		if e.opts.DisableMemOpt {
+			copy(e.buf.dataFreqAnt[slot][sym][a*q:(a+1)*q], band)
+		} else {
+			storeTiles(e.buf.dataFreqTile[slot][sym], cfg.Antennas, a, band)
+		}
 	}
 }
 
-// storeAntennaPair writes the data bands of antennas a and a+1 into a
-// subcarrier-major symbol buffer of m antennas per row: 16 adjacent bytes
-// per row instead of two strided 8-byte stores a whole pass apart.
-//
-// Every row is a cache miss, so the loop runs as fast as the store buffer
-// can keep misses in flight. Inlined into runFFT the loop counter
-// spills to the stack — a third store per row, a third fewer rows in
-// flight, 10 % of wide_array's frame rate — hence its own frame.
-//
-//go:noinline
-func storeAntennaPair(dst []complex64, m, a int, b0, b1 []complex64) {
-	b1 = b1[:len(b0)]
-	for sc, v := range b0 {
-		row := dst[sc*m+a : sc*m+a+2 : sc*m+a+2]
-		row[0], row[1] = v, b1[sc]
+// storeTiles writes antenna a's data band into a tiled grid of m
+// antennas: each mat.TileCols-subcarrier piece is the antenna's whole
+// 64-byte line of one tile, a line no other antenna's store writes. The
+// line goes as four 16-byte moves, the widest array assignment the
+// compiler inlines when dst and src may overlap; one 64-byte assignment
+// is a memmove call per line and runs at half the speed. A band that
+// does not fill its last tile leaves that line's tail as it was; no strip
+// reads it.
+func storeTiles(grid []complex64, m, a int, band []complex64) {
+	const tc = mat.TileCols
+	o := a * tc
+	for ; len(band) >= tc; band = band[tc:] {
+		d := grid[o : o+tc : o+tc]
+		*(*[2]complex64)(d) = *(*[2]complex64)(band)
+		*(*[2]complex64)(d[2:]) = *(*[2]complex64)(band[2:])
+		*(*[2]complex64)(d[4:]) = *(*[2]complex64)(band[4:])
+		*(*[2]complex64)(d[6:]) = *(*[2]complex64)(band[6:])
+		o += m * tc
+	}
+	if len(band) > 0 {
+		copy(grid[o:], band)
 	}
 }
 
@@ -388,29 +365,25 @@ func (w *worker) runDemod(slot int, sym uint16, block int) {
 	w.equalizeDemodBlock(slot, sym, lo, hi)
 }
 
-// fuseStripCols is the strip width of the fused equalize+demodulate
-// kernel: narrow enough that the K×strip equalized scratch stays L1/L2
-// resident between the multiply that produces it and the demodulation
-// that consumes it, wide enough to amortize the kernel's per-call setup.
-const fuseStripCols = 16
-
 // equalizeDemodBlock is the blocked (BLAS-3) demod path, and the only
-// one: it never materializes the full K×B equalized tile. Each
-// ZF-group-aligned sub-block is processed in strips of fuseStripCols
-// subcarriers — one MulBlockInto of the strip×M transposed operand into a
-// small K×strip scratch, immediately consumed by one DemodulateSoftSoA
-// call that writes all K users' LLRs for those subcarriers as a single
-// contiguous llrSC span. The equalized symbols are demodulated while
-// still cache-hot and are never written back to shared memory; the
-// per-column arithmetic of MulBlockInto is independent of strip width,
-// so the LLRs are bit-identical to a whole-tile multiply.
+// one: it never materializes the full K×B equalized tile. [lo, hi) is cut
+// into strips at ZF-group and grid-tile boundaries, so a strip is at most
+// mat.TileCols subcarriers of one tile under one equalizer. Each strip is
+// one tile-plan multiply, dst = W·Y with Y the M×ns strip read in place
+// from the tiled grid, into a small K×strip scratch, immediately consumed
+// by one DemodulateSoftSoA call that writes all K users' LLRs for those
+// subcarriers as a single contiguous llrSC span. The equalized symbols
+// are demodulated while still cache-hot and are never written back to
+// shared memory; every column's arithmetic is MulBlockInto's (mat's
+// tile.go), so the LLRs do not depend on the strip cut.
 //
-// The ablations swap one step each. The strip operand wraps the
-// subcarrier-major grid in place, or under DisableMemOpt is gathered
-// from the antenna-major grid into ytAnt — the strided reads are all the
-// layout costs. DummyKernels replaces the multiply and demodulation with
-// a copy of the strip's samples into the LLR span.
+// The ablations swap one step each. Under DisableMemOpt the strip is
+// first copied, one contiguous run of samples per antenna, from the
+// antenna-major grid into an M×8 worker tile — the strided reads are all
+// the layout costs. DummyKernels replaces the multiply and demodulation
+// with a copy of the strip's samples into the LLR span.
 func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
+	const tc = mat.TileCols
 	e := w.eng
 	cfg := &e.cfg
 	b := e.buf
@@ -418,54 +391,43 @@ func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
 	k := cfg.Users
 	order := int(cfg.Order)
 	dst := b.llrSC[slot][sym]
-	for s0 := lo; s0 < hi; {
-		g := s0 / cfg.ZFGroupSize
-		s1 := min((g+1)*cfg.ZFGroupSize, hi)
-		for j0 := s0; j0 < s1; {
-			j1 := min(j0+fuseStripCols, s1)
-			ns := j1 - j0
-			if e.opts.DisableMemOpt {
-				gatherStrip(w.ytAnt[:ns*m], b.dataFreqAnt[slot][sym], m, cfg.DataSubcarriers, j0)
-				w.ytM = mat.M{Rows: ns, Cols: m, Data: w.ytAnt[:ns*m]}
-			} else {
-				w.ytM = mat.M{Rows: ns, Cols: m, Data: b.dataFreqSC[slot][sym][j0*m : j1*m]}
+	for j0 := lo; j0 < hi; {
+		g := j0 / cfg.ZFGroupSize
+		j1 := min((g+1)*cfg.ZFGroupSize, (j0/tc+1)*tc, hi)
+		ns := j1 - j0
+		var y []complex64
+		if e.opts.DisableMemOpt {
+			y = w.tileAnt
+			grid, q := b.dataFreqAnt[slot][sym], cfg.DataSubcarriers
+			for a := 0; a < m; a++ {
+				copy(y[a*tc:a*tc+ns], grid[a*q+j0:a*q+j1])
 			}
-			llr := dst[j0*k*order : j1*k*order]
-			if e.opts.DummyKernels {
-				copyStripLLR(llr, &w.ytM, k, order)
-			} else {
-				w.xbM = mat.M{Rows: k, Cols: ns, Data: w.xblk[:k*ns]}
-				w.blockMul(&w.xbM, b.eq[slot][g], &w.ytM)
-				w.tab.DemodulateSoftSoA(llr, w.xblk[:k*ns], k, ns, nominalNoise)
-			}
-			j0 = j1
+		} else {
+			t := j0 / tc * m * tc
+			y = b.dataFreqTile[slot][sym][t+j0%tc : t+m*tc]
 		}
-		s0 = s1
+		llr := dst[j0*k*order : j1*k*order]
+		if e.opts.DummyKernels {
+			copyStripLLR(llr, y, m, ns, k, order)
+		} else {
+			w.xbM = mat.M{Rows: k, Cols: ns, Data: w.xblk[:k*ns]}
+			w.tileMul(&w.xbM, b.eq[slot][g], y)
+			w.tab.DemodulateSoftSoA(llr, w.xblk[:k*ns], k, ns, nominalNoise)
+		}
+		j0 = j1
 	}
 }
 
-// gatherStrip fills dst, an ns×m subcarrier-major strip, with
-// subcarriers [sc0, sc0+ns) of an antenna-major grid of q subcarriers per
-// antenna: one contiguous run per antenna, written m apart.
-func gatherStrip(dst, grid []complex64, m, q, sc0 int) {
-	ns := len(dst) / m
-	for a := 0; a < m; a++ {
-		for j, v := range grid[a*q+sc0 : a*q+sc0+ns] {
-			dst[j*m+a] = v
-		}
-	}
-}
-
-// copyStripLLR is DummyKernels' demodulation of one strip: every LLR of
-// user u on a subcarrier is the real part of that subcarrier's sample
-// from antenna u mod M — the reads and the write of the real step,
-// without its arithmetic.
-func copyStripLLR(llr []float32, yt *mat.M, k, order int) {
-	for j := 0; j < yt.Rows; j++ {
-		y := yt.Row(j)
+// copyStripLLR is DummyKernels' demodulation of one strip of ns
+// subcarriers read in place from a tile of m antennas: every LLR of user
+// u on a subcarrier is the real part of that subcarrier's sample from
+// antenna u mod M — the reads and the write of the real step, without its
+// arithmetic.
+func copyStripLLR(llr []float32, y []complex64, m, ns, k, order int) {
+	for j := 0; j < ns; j++ {
 		out := llr[j*k*order : (j+1)*k*order]
 		for u := 0; u < k; u++ {
-			v := real(y[u%yt.Cols])
+			v := real(y[(u%m)*mat.TileCols+j])
 			for t := 0; t < order; t++ {
 				out[u*order+t] = v
 			}

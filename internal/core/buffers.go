@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/frame"
 	"repro/internal/mat"
 )
@@ -26,13 +28,19 @@ type buffers struct {
 	// precoder per group for the downlink: [slot][group], M×K.
 	pre [][]*mat.M
 
-	// The post-FFT uplink grid, in exactly one of two layouts per engine:
-	// dataFreqSC is the subcarrier-major buffer the memory-access
-	// optimization writes, [slot][symbol][sc*M + m]; dataFreqAnt is the
-	// antenna-major layout of its ablation (Options.DisableMemOpt),
-	// [slot][symbol][m*Q + sc] over the data band only (Q = data SCs).
-	dataFreqSC  [][][]complex64
-	dataFreqAnt [][][]complex64
+	// The post-FFT uplink grid, in exactly one of two layouts per engine.
+	// dataFreqTile is the tiled grid the memory-access optimization
+	// writes, [slot][symbol][(sc/8)*M*8 + m*8 + sc%8] (mat.TileCols = 8):
+	// tile t holds each antenna's samples of subcarriers [8t, 8t+8) as
+	// one 64-byte line, so an FFT task stores whole lines that no other
+	// task writes, and the equalizer reads an M×8 tile in place. Each
+	// symbol's grid is padded to ⌈Q/8⌉ tiles and starts on a 64-byte
+	// boundary (tileGrid); the lanes past Q are never written or read.
+	// dataFreqAnt is the antenna-major layout of its ablation
+	// (Options.DisableMemOpt), [slot][symbol][m*Q + sc] over the data band
+	// only (Q = data SCs).
+	dataFreqTile [][][]complex64
+	dataFreqAnt  [][][]complex64
 
 	// llrSC is the soft demodulator output, subcarrier-major SoA
 	// (DESIGN §9): [slot][symbol][(sc*K + user)*order + bit], so the demod
@@ -73,7 +81,7 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 	b.csi = make([][]*mat.M, slots)
 	b.eq = make([][]*mat.M, slots)
 	b.pre = make([][]*mat.M, slots)
-	b.dataFreqSC = make([][][]complex64, slots)
+	b.dataFreqTile = make([][][]complex64, slots)
 	b.dataFreqAnt = make([][][]complex64, slots)
 	b.llrSC = make([][][]float32, slots)
 	b.decoded = make([][][][]byte, slots)
@@ -84,7 +92,7 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 	b.dlTime = make([][][][]complex64, slots)
 
 	for s := 0; s < slots; s++ {
-		b.dataFreqSC[s] = make([][]complex64, nSym)
+		b.dataFreqTile[s] = make([][]complex64, nSym)
 		b.dataFreqAnt[s] = make([][]complex64, nSym)
 		b.llrSC[s] = make([][]float32, nSym)
 		b.decoded[s] = make([][][]byte, nSym)
@@ -99,7 +107,7 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 				if antMajor {
 					b.dataFreqAnt[s][sym] = make([]complex64, q*m)
 				} else {
-					b.dataFreqSC[s][sym] = make([]complex64, q*m)
+					b.dataFreqTile[s][sym] = tileGrid(q, m)
 				}
 				b.decoded[s][sym] = make([][]byte, k)
 				b.decodeOK[s][sym] = make([]bool, k)
@@ -142,4 +150,17 @@ func (b *buffers) groupBounds(g int) (int, int) {
 		hi = b.cfg.DataSubcarriers
 	}
 	return lo, hi
+}
+
+// tileGrid returns a zeroed tiled grid of q subcarriers and m antennas:
+// ⌈q/8⌉ tiles of m 64-byte lines, starting on a 64-byte boundary, so
+// every line of it belongs to exactly one antenna of one tile and to no
+// other allocation. The Go heap does not move objects, so the alignment
+// found here holds for the grid's lifetime.
+func tileGrid(q, m int) []complex64 {
+	const tc = mat.TileCols // complex64 per 64-byte line
+	n := (q + tc - 1) / tc * tc * m
+	s := make([]complex64, n+tc-1)
+	off := (tc - int(uintptr(unsafe.Pointer(&s[0]))%64/8)) % tc
+	return s[off : off+n : off+n]
 }

@@ -19,8 +19,8 @@ import (
 
 // wideCfg is a 64-antenna cell small enough to run many times: one pilot
 // and two data symbols of a 256-point OFDM with a cyclic prefix, so the
-// batched front end strips a CP and a row of the subcarrier-major buffer
-// spans eight cache lines.
+// batched front end strips a CP and each grid tile spans 64 cache lines,
+// one per antenna.
 func wideCfg(fftBatch int) frame.Config {
 	return frame.Config{
 		Antennas:        64,
@@ -93,8 +93,9 @@ func runArrivalFrame(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte
 // oracleGrid is the post-FFT data grid of each uplink symbol built from
 // the frame's packets with public API only: unpack every sample, strip
 // the cyclic prefix, transform (not under DummyKernels, whose FFT only
-// moves data), and store the data band subcarrier-major — antenna-major
-// under DisableMemOpt.
+// moves data), and store the data band in 8-subcarrier tiles, sample
+// (sc, a) at (sc/8)·8M + 8a + sc%8 — antenna-major, a·Q + sc, under
+// DisableMemOpt.
 func oracleGrid(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) map[int][]complex64 {
 	t.Helper()
 	plan := fft.MustPlan(cfg.OFDMSize)
@@ -111,7 +112,7 @@ func oracleGrid(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) map
 			continue
 		}
 		if grid[sym] == nil {
-			grid[sym] = make([]complex64, q*m)
+			grid[sym] = make([]complex64, (q+7)/8*8*m)
 		}
 		cf.UnpackIQ12(samples, fronthaul.Payload(p, &h))
 		spec := samples[cfg.CPLen:]
@@ -122,7 +123,7 @@ func oracleGrid(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) map
 			if opts.DisableMemOpt {
 				grid[sym][a*q+sc] = spec[ds+sc]
 			} else {
-				grid[sym][sc*m+a] = spec[ds+sc]
+				grid[sym][sc/8*8*m+a*8+sc%8] = spec[ds+sc]
 			}
 		}
 	}
@@ -170,7 +171,7 @@ func TestFFTBatchEquivalence(t *testing.T) {
 					}
 					sameBits(t, []FrameResult{ref}, []FrameResult{res})
 					for sym := 1; sym <= 2; sym++ {
-						want, got := oracle[sym], eng.buf.dataFreqSC[0][sym]
+						want, got := oracle[sym], eng.buf.dataFreqTile[0][sym]
 						if opts.DisableMemOpt {
 							got = eng.buf.dataFreqAnt[0][sym]
 						}
@@ -225,7 +226,7 @@ func TestFFTBatchLeaseReclaimedMidRun(t *testing.T) {
 
 	eng.workers[0].runFFT(slot, sym, ant0, count)
 
-	for _, v := range eng.buf.dataFreqSC[slot][sym] {
+	for _, v := range eng.buf.dataFreqTile[slot][sym] {
 		if v != 0 {
 			t.Fatal("aborted run wrote into the frame buffer")
 		}
@@ -239,7 +240,7 @@ func TestFFTBatchLeaseReclaimedMidRun(t *testing.T) {
 	eng.workers[0].runFFT(slot, sym, ant0+4, count)
 	nonzero := false
 	for sc := 0; sc < cfg.DataSubcarriers; sc++ {
-		if eng.buf.dataFreqSC[slot][sym][sc*cfg.Antennas+ant0+4] != 0 {
+		if eng.buf.dataFreqTile[slot][sym][sc/8*8*cfg.Antennas+(ant0+4)*8+sc%8] != 0 {
 			nonzero = true
 		}
 	}

@@ -8,17 +8,19 @@
 // disjoint regions of the preallocated per-slot buffers, so the hot path
 // takes no locks and allocates nothing:
 //
-//   - dataFreqSC, the post-FFT uplink grid, is subcarrier-major
-//     ([sc*M + m]): B consecutive subcarriers form a contiguous B×M
-//     row-major matrix that the blocked equalizer wraps in place.
+//   - dataFreqTile, the post-FFT uplink grid, is cut into tiles of
+//     8 subcarriers ([(sc/8)*8M + 8m + sc%8]): each antenna's samples
+//     of a tile are one 64-byte line, so every FFT task stores whole
+//     lines no other task writes, and the equalizer reads an M×8 tile
+//     in place (mat.PlanTileMul).
 //   - llrSC, the demodulator output, is subcarrier-major SoA
 //     ([(sc*K + user)*order + bit]): the LLRs for a tile of subcarriers
 //     are one contiguous span, written in a single pass by the fused
 //     equalize+demod kernel. The decoder gathers its per-user codeword
 //     view with a strided copy.
-//   - dlFreq, the precoded downlink grid, is subcarrier-major like
-//     dataFreqSC; precode tiles write it in place and IFFT gathers per
-//     antenna.
+//   - dlFreq, the precoded downlink grid, is subcarrier-major
+//     ([sc*M + m]); precode tiles write it in place and IFFT gathers
+//     per antenna.
 //
 // Kernel entry points live in blocks.go: runPilotFFT, runZF, runFFT,
 // runDemod (the fused equalizeDemodBlock), runDecode,
@@ -62,10 +64,10 @@ type Options struct {
 	DisableBatching bool
 
 	// DisableMemOpt turns off the memory-access optimization (§4.1):
-	// instead of FFT workers writing transposed (subcarrier-major) output
-	// that demodulation reads contiguously, FFT writes antenna-major and
-	// demodulation gathers each strip across strided cache lines into
-	// worker scratch. The multiply and demodulation that follow are the
+	// instead of FFT workers writing the tiled grid that demodulation
+	// reads in place, FFT writes antenna-major and demodulation copies
+	// each strip, one run per antenna across strided cache lines, into a
+	// worker scratch tile. The multiply and demodulation that follow are the
 	// default's, so the LLRs are bit-identical and the option prices the
 	// layout alone.
 	DisableMemOpt bool

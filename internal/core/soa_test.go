@@ -17,8 +17,8 @@ import (
 
 // soaCfg builds a configuration for the LLR equivalence tests: the
 // geometry is chosen so the demod tiling has odd tails at every level —
-// scUsed is not a multiple of DemodBlockSize, ZFGroupSize or
-// fuseStripCols — and three users keep the SoA interleave asymmetric.
+// scUsed is not a multiple of DemodBlockSize, ZFGroupSize or the grid's
+// mat.TileCols — and three users keep the SoA interleave asymmetric.
 func soaCfg(o modulation.Order) frame.Config {
 	return frame.Config{
 		Antennas:        8,
@@ -72,10 +72,11 @@ func runOneFrame(t *testing.T, cfg frame.Config, opts Options, seed int64) (*Eng
 // 0: it equalizes the engine's own post-FFT grid with the engine's own
 // equalizers and demodulates each user's symbols one at a time with the
 // Go DemodulateSoft, into a per-user [user][sc*order+bit] layout. It
-// multiplies each whole ZF-group tile with mat.PlanBlockMul (the engine
-// cuts tiles into strips): on the subcarrier-major grid the tile is
-// wrapped in place, on the antenna-major grid (DisableMemOpt) it is
-// gathered first.
+// gathers each whole ZF group into a group×M subcarrier-major matrix with
+// its own index formula for the grid — sample (sc, a) at
+// (sc/8)·8M + 8a + sc%8 in the tiled grid, a·Q + sc in the antenna-major
+// one (DisableMemOpt) — and multiplies it with mat.PlanBlockMul (the
+// engine cuts groups into strips of one tile and reads them in place).
 func referenceLLR(eng *Engine, sym int) [][]float32 {
 	cfg := &eng.cfg
 	b := eng.buf
@@ -95,17 +96,17 @@ func referenceLLR(eng *Engine, sym int) [][]float32 {
 		if nb <= 0 {
 			break
 		}
-		yt := mat.M{Rows: nb, Cols: m}
-		if eng.opts.DisableMemOpt {
-			for j := 0; j < nb; j++ {
-				for a := 0; a < m; a++ {
-					y[j*m+a] = b.dataFreqAnt[0][sym][a*q+lo+j]
+		for j := 0; j < nb; j++ {
+			sc := lo + j
+			for a := 0; a < m; a++ {
+				if eng.opts.DisableMemOpt {
+					y[j*m+a] = b.dataFreqAnt[0][sym][a*q+sc]
+				} else {
+					y[j*m+a] = b.dataFreqTile[0][sym][sc/8*8*m+a*8+sc%8]
 				}
 			}
-			yt.Data = y[:nb*m]
-		} else {
-			yt.Data = b.dataFreqSC[0][sym][lo*m : hi*m]
 		}
+		yt := mat.M{Rows: nb, Cols: m, Data: y[:nb*m]}
 		mul(&mat.M{Rows: k, Cols: nb, Data: x[:k*nb]}, b.eq[0][g], &yt)
 		for j := 0; j < nb; j++ {
 			for u := 0; u < k; u++ {
@@ -173,7 +174,7 @@ func TestSoALLRLayoutEquivalence(t *testing.T) {
 			// a padding region past scUsed that demod must clamp away.
 			scUsed := eng.scUsed
 			if scUsed%cfg.DemodBlockSize == 0 || scUsed%cfg.ZFGroupSize == 0 ||
-				scUsed%fuseStripCols == 0 || scUsed >= cfg.DataSubcarriers {
+				scUsed%mat.TileCols == 0 || scUsed >= cfg.DataSubcarriers {
 				t.Fatalf("geometry lost its odd tails: scUsed=%d", scUsed)
 			}
 			requireReferenceLLR(t, eng, gen)
@@ -181,12 +182,37 @@ func TestSoALLRLayoutEquivalence(t *testing.T) {
 	}
 }
 
+// oddCfg is a geometry whose every cut falls inside a grid tile: Q = 300
+// and scUsed = 275 (Z = 44) are not multiples of mat.TileCols, ZF groups
+// of 12 subcarriers end mid-tile, and k users run the tile plan of their
+// row count (2: the Go loop; 8: the four-row plan).
+func oddCfg(k int) frame.Config {
+	return frame.Config{
+		Antennas:        16,
+		Users:           k,
+		OFDMSize:        512,
+		DataSubcarriers: 300,
+		Order:           modulation.QAM16,
+		Rate:            ldpc.Rate89,
+		LiftingZ:        44,
+		DecodeIter:      8,
+		Pilots:          frame.FreqOrthogonal,
+		Symbols:         "PUU",
+		ZFGroupSize:     12,
+		DemodBlockSize:  32,
+		FFTBatch:        2,
+		ZFBatch:         3,
+	}
+}
+
 // TestSoAScalarPathEquivalence holds the layout and store ablations to
 // the default engine's bits. On one seed, DisableMemOpt (antenna-major
-// grid, each strip gathered before the same multiply and demod),
-// DisableDirectStore (FFT output staged before the store) and both
-// together must give the default engine's llrSC, decoded bits and decode
-// iterations exactly, and match the reference receiver.
+// grid, each strip copied into a worker tile before the same multiply and
+// demod), DisableDirectStore (FFT output staged before the store) and
+// both together must give the default engine's llrSC, decoded bits and
+// decode iterations exactly, and match the reference receiver. The
+// odd-geometry subtest repeats the default and DisableMemOpt engines on
+// oddCfg's tile-crossing cuts at K = 2 and 8.
 func TestSoAScalarPathEquivalence(t *testing.T) {
 	const seed = 78
 	cfg := soaCfg(modulation.QAM16)
@@ -202,26 +228,51 @@ func TestSoAScalarPathEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, _, gen := runOneFrame(t, cfg, tc.opts, seed)
 			requireReferenceLLR(t, eng, gen)
-			for sym := 0; sym < cfg.NumSymbols(); sym++ {
-				if cfg.SymbolAt(sym) != frame.Uplink {
-					continue
-				}
-				want, got := base.buf.llrSC[0][sym], eng.buf.llrSC[0][sym]
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("sym %d: llrSC[%d] = %g, default engine %g", sym, i, got[i], want[i])
-					}
-				}
-				for u := 0; u < cfg.Users; u++ {
-					if !bytes.Equal(eng.buf.decoded[0][sym][u], base.buf.decoded[0][sym][u]) {
-						t.Fatalf("sym %d user %d: decoded bits differ from the default engine", sym, u)
-					}
-				}
-			}
-			if got, want := eng.met.DecodeIters.Load(), base.met.DecodeIters.Load(); got != want {
-				t.Fatalf("%d decode iterations, default engine %d", got, want)
-			}
+			requireSameEngine(t, eng, base)
 		})
+	}
+	t.Run("odd-geometry", func(t *testing.T) {
+		for _, k := range []int{2, 8} {
+			cfg := oddCfg(k)
+			def, res, gen := runOneFrame(t, cfg, Options{Workers: 2}, seed)
+			if res.Dropped {
+				t.Fatalf("K=%d: dropped frame", k)
+			}
+			if q, sc := cfg.DataSubcarriers, def.scUsed; q%mat.TileCols == 0 || sc%mat.TileCols == 0 ||
+				sc >= q || cfg.ZFGroupSize%mat.TileCols == 0 {
+				t.Fatalf("K=%d: geometry lost its mid-tile cuts: Q=%d scUsed=%d", k, q, sc)
+			}
+			requireReferenceLLR(t, def, gen)
+			eng, _, gen := runOneFrame(t, cfg, Options{Workers: 2, DisableMemOpt: true}, seed)
+			requireReferenceLLR(t, eng, gen)
+			requireSameEngine(t, eng, def)
+		}
+	})
+}
+
+// requireSameEngine checks eng's uplink llrSC, decoded bits and decode
+// iterations against base's, which ran the same frame.
+func requireSameEngine(t *testing.T, eng, base *Engine) {
+	t.Helper()
+	cfg := &eng.cfg
+	for sym := 0; sym < cfg.NumSymbols(); sym++ {
+		if cfg.SymbolAt(sym) != frame.Uplink {
+			continue
+		}
+		want, got := base.buf.llrSC[0][sym], eng.buf.llrSC[0][sym]
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("sym %d: llrSC[%d] = %g, default engine %g", sym, i, got[i], want[i])
+			}
+		}
+		for u := 0; u < cfg.Users; u++ {
+			if !bytes.Equal(eng.buf.decoded[0][sym][u], base.buf.decoded[0][sym][u]) {
+				t.Fatalf("sym %d user %d: decoded bits differ from the default engine", sym, u)
+			}
+		}
+	}
+	if got, want := eng.met.DecodeIters.Load(), base.met.DecodeIters.Load(); got != want {
+		t.Fatalf("%d decode iterations, default engine %d", got, want)
 	}
 }
 
@@ -244,7 +295,7 @@ func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
 		}
 	}
 	sym := 1 // first uplink symbol of "PUUU..."
-	grid := eng.buf.dataFreqSC[0][sym]
+	grid := eng.buf.dataFreqTile[0][sym]
 	if opts.DisableMemOpt {
 		grid = eng.buf.dataFreqAnt[0][sym]
 	}

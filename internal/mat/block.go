@@ -3,28 +3,28 @@ package mat
 import "fmt"
 
 // This file implements the blocked (BLAS-3) multi-subcarrier kernels used
-// by the fused equalization+demodulation and modulation+precoding blocks.
+// by the modulation+precoding block, and the reference the equalizer's
+// tile kernels (tile.go) are held to.
 //
-// Layout. The engine's post-FFT uplink buffer is subcarrier-major: the
-// antenna vector of subcarrier sc occupies the contiguous complex64 run
-// [sc*M, (sc+1)*M). A block of B consecutive subcarriers is therefore a
-// ready-made B×M row-major matrix — the transpose yᵀ of the M×B matrix y
-// whose columns are the received vectors. No gather or copy is needed: an
-// M header over the buffer region wraps it in place for the kernel. (The
-// antenna-major grid of the memory-access ablation is gathered into
-// that shape first; the multiply is the same.)
+// Layout. A subcarrier-major buffer holds the antenna vector of
+// subcarrier sc as the contiguous complex64 run [sc*M, (sc+1)*M), so a
+// block of B consecutive subcarriers is a ready-made B×M row-major matrix
+// — the transpose yᵀ of the M×B matrix y whose columns are the vectors.
+// An M header over the buffer region wraps it in place for the kernel.
 //
 // MulBlockInto therefore takes the right-hand operand transposed and
 // computes, for dst R×B, w R×C and yt B×C,
 //
 //	dst = w · ytᵀ        i.e.  dst[i][j] = Σ_c w[i][c]·yt[j][c],
 //
-// so every inner product runs over two contiguous rows. For equalization
-// w is the K×M beamweight matrix and yt the B×M subcarrier block (dst
-// K×B: row u holds user u's equalized symbols across the block, feeding
-// one batched demodulation call). For precoding the same kernel is reused
-// with w = the B×K modulated-symbol block and yt = the M×K precoder (dst
-// B×M: exactly the subcarrier-major downlink grid region).
+// so every inner product runs over two contiguous rows. For precoding w
+// is the B×K modulated-symbol block and yt the M×K precoder (dst B×M:
+// exactly the subcarrier-major downlink grid region). For equalization w
+// is the K×M beamweight matrix and yt a B×M block of received vectors
+// (dst K×B: row u holds user u's equalized symbols, feeding one batched
+// demodulation call) — the engine's tile kernels compute exactly this on
+// the uplink grid's tiles without transposing them, and the benchmark's
+// layer walk runs it on a subcarrier-major grid of its own.
 
 // BlockKernel is a blocked multiply routine with the MulBlockInto
 // contract. PlanBlockMul picks between size-specialized, generic and
@@ -179,10 +179,11 @@ func mulBlockRows2(dst, w, yt *M) {
 // afterwards only flipped by tests (forceGoKernels).
 var simdRows4 func(dst, w, yt *complex64, m, b int)
 
-// Kernel reports which kernel mulBlockRows4Group — the plan PlanBlockMul
-// returns for any multiple of four rows — runs in this process: "avx2"
-// or "generic" (the portable Go loop). MulBlockInto, the two-row plan and
-// the textbook loop are Go everywhere.
+// Kernel reports which kernel the four-row plans — mulBlockRows4Group,
+// which PlanBlockMul returns for any multiple of four rows, and
+// mulTileRows4, PlanTileMul's specialized plan — run in this process:
+// "avx2" or "generic" (the portable Go loops). MulBlockInto, the two-row plan, the Go tile loop and the
+// textbook loops are Go everywhere.
 func Kernel() string {
 	if simdRows4 != nil {
 		return "avx2"

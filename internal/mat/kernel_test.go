@@ -10,13 +10,13 @@ import (
 	"repro/internal/perfgate"
 )
 
-// forceGoKernels switches mulBlockRows4Group to the Go loop until the
-// returned function is called. (The vector tile needs no forcing: where
-// init selected it, it is what runs.)
+// forceGoKernels switches mulBlockRows4Group and mulTileRows4 to the Go
+// loops until the returned function is called. (The vector tiles need no
+// forcing: where init selected them, they are what runs.)
 func forceGoKernels() (restore func()) {
-	saved := simdRows4
-	simdRows4 = nil
-	return func() { simdRows4 = saved }
+	saved, savedTile := simdRows4, simdTile4
+	simdRows4, simdTile4 = nil, nil
+	return func() { simdRows4, simdTile4 = saved, savedTile }
 }
 
 // TestKernelName pins the two names Kernel reports: "generic" while the
@@ -101,35 +101,55 @@ func FuzzMulBlockKernelsSIMD(f *testing.F) {
 	})
 }
 
-// rows4Shapes are the gate's and the A/B pair's shapes: the 4-user
-// equalize strip of the 16- and 64-antenna cells (K×M = 4×16 and 4×64,
-// 16 subcarriers) and the 16-subcarrier × 4-user precode block against a
-// 16-antenna precoder. calls is the gate's batch per side and round;
-// floor is the gate's, stated beside the median on a 2-vCPU AVX2 VM.
+// rows4Shapes are the gate's and the A/B pair's shapes: the 16- and
+// 64-antenna cells' 4-user equalize strips as the engine reads them, one
+// whole grid tile in place (K×M = 4×16 and 4×64, TileCols subcarriers,
+// PlanTileMul), the same strips 16 subcarriers wide through PlanBlockMul
+// (the shape the benchmark's layer walk multiplies), and the
+// 16-subcarrier × 4-user precode block against a 16-antenna precoder.
+// calls is the gate's batch per side and round; floor is the gate's,
+// stated beside the median on a 2-vCPU AVX2 VM.
 var rows4Shapes = []struct {
 	k, m, b int
+	tile    bool // b = TileCols columns of an M×TileCols tile
 	calls   int
 	floor   float64
 }{
-	{4, 16, 16, 4096, 3}, // median 6–8×
-	{4, 64, 16, 1024, 3}, // median 6–7×
-	{16, 4, 16, 4096, 3}, // median 5–6×
+	{4, 16, TileCols, true, 8192, 3}, // median 5.4–6.6×
+	{4, 64, TileCols, true, 2048, 3}, // median 6.7–7.9×
+	{4, 16, 16, false, 4096, 3},      // median 6–8×
+	{4, 64, 16, false, 1024, 3},      // median 6–7×
+	{16, 4, 16, false, 4096, 3},      // median 5–6×
+}
+
+// rows4Name is a shape's row name: _T8 for a tile, _B<b> for a block.
+func rows4Name(k, m, b int, tile bool) string {
+	if tile {
+		return fmt.Sprintf("%dx%d_T%d", k, m, b)
+	}
+	return fmt.Sprintf("%dx%d_B%d", k, m, b)
 }
 
 // rows4Call returns one four-row plan call on fixed random operands of
 // one shape.
-func rows4Call(k, m, b int) func() {
+func rows4Call(k, m, b int, tile bool) func() {
 	rng := rand.New(rand.NewSource(37))
-	w, yt, dst := randM(rng, k, m), randM(rng, b, m), New(k, b)
+	w, dst := randM(rng, k, m), New(k, b)
+	if tile {
+		y := randM(rng, m, TileCols).Data
+		kern := PlanTileMul(true)
+		return func() { kern(dst, w, y) }
+	}
+	yt := randM(rng, b, m)
 	kern := PlanBlockMul(true, k)
 	return func() { kern(dst, w, yt) }
 }
 
-// benchRows4 times the four-row plan over rows4Shapes as sub-benchmarks.
+// benchRows4 times the four-row plans over rows4Shapes as sub-benchmarks.
 func benchRows4(b *testing.B) {
 	for _, s := range rows4Shapes {
-		b.Run(fmt.Sprintf("%dx%d_B%d", s.k, s.m, s.b), func(b *testing.B) {
-			call := rows4Call(s.k, s.m, s.b)
+		b.Run(rows4Name(s.k, s.m, s.b, s.tile), func(b *testing.B) {
+			call := rows4Call(s.k, s.m, s.b, s.tile)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -163,7 +183,7 @@ func BenchmarkKernelGate(b *testing.B) {
 	}
 	const gateRounds = 11
 	for _, s := range rows4Shapes {
-		call := rows4Call(s.k, s.m, s.b)
+		call := rows4Call(s.k, s.m, s.b, s.tile)
 		batch := func() {
 			for i := 0; i < s.calls; i++ {
 				call()
@@ -174,7 +194,7 @@ func BenchmarkKernelGate(b *testing.B) {
 			batch()
 		}
 		ratio := perfgate.Ratio(gateRounds, goSide, batch)
-		name := fmt.Sprintf("%dx%d_B%d", s.k, s.m, s.b)
+		name := rows4Name(s.k, s.m, s.b, s.tile)
 		b.ReportMetric(ratio, name+"-x")
 		if ratio < s.floor {
 			b.Fatalf("%s: vector tile %.1f× the Go loop, floor %.0f×", name, ratio, s.floor)
