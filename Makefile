@@ -11,8 +11,8 @@ check: vet build test generic race fuzz benchmark-smoke perf
 # ships — gofmt drift (gofmt -l must print nothing). No external tools:
 # the container has only the Go toolchain. `go vet ./...` includes the
 # asmdecl check of the .s files in internal/ldpc, internal/fft,
-# internal/modulation, internal/mat and internal/cpu against their Go
-# declarations
+# internal/modulation, internal/mat, internal/fronthaul and internal/cpu
+# against their Go declarations
 # (argument offsets, frame sizes). The arm64 cross-vet type-checks
 # internal/fronthaul's recvmmsg batch path against arm64's syscall
 # definitions; the Go kernel fallback is vetted and run by `generic`
@@ -69,9 +69,10 @@ race:
 # iterations to the bits one iteration would give) and the vector-vs-Go
 # kernel differentials of ldpc (layer kernels and the LLR sign pack,
 # FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the packed
-# words), fft, modulation and mat (the block multiply and the tile
-# multiply on the uplink grid's layout; Go runs one -fuzz target per
-# invocation). A few seconds each is a smoke pass; longer
+# words), fft, modulation, mat (the block multiply and the tile
+# multiply on the uplink grid's layout) and fronthaul (FuzzGFKernelsSIMD:
+# the GF(2^8) multiply-XOR, single and paired rows, poisoned margins past
+# each destination; Go runs one -fuzz target per invocation). A few seconds each is a smoke pass; longer
 # exploratory runs are `go test -fuzz <Target> <package>` without
 # -fuzztime.
 fuzz:
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
 	$(GO) test -run '^$$' -fuzz FuzzMulBlockKernelsSIMD -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzMulTileKernelsSIMD -fuzztime 5s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzGFKernelsSIMD -fuzztime 5s ./internal/fronthaul
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is a Go module of
 # its own, so `go test ./...` never reaches it; its smoke test runs every
@@ -102,21 +104,22 @@ benchmark-smoke:
 # FFT512 / ForwardIQ12_512 / IFFTBatch8x512 _AVX2 vs _PureGo pairs;
 # internal/modulation the DemodulateSoftSoA pair; internal/mat the
 # MulBlockRows4 pair (the four-row GEMM tile, on blocks and on grid
-# tiles read in place). Each pair has to live
+# tiles read in place); internal/fronthaul the AccumulateData pair (one
+# 16×2 FEC burst of 1536-byte payloads). Each pair has to live
 # next to the unexported dispatch it flips. Absolute ns/op moves 25–30%
 # between windows on a shared host: compare within one run.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul
 
 # Perf gate: ratios measured within one process, never absolute times.
-# BenchmarkKernelGate (ldpc, fft, modulation, mat) alternates each kernel's
+# BenchmarkKernelGate (ldpc, fft, modulation, mat, fronthaul) alternates each kernel's
 # vector and Go sides and fails when the median Go/vector ratio falls
 # below its floor; BenchmarkRecorderGate fails when the recorder's median
 # on/off ratio exceeds 1.10. The exact counts — TestDecodeItersReference
 # (iterations to converge) and TestSteadyStateZeroAlloc (0 allocs/op) —
 # are tier-1 tests.
 perf:
-	$(GO) test -run '^$$' -bench 'Gate$$' -benchtime 1x . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat
+	$(GO) test -run '^$$' -bench 'Gate$$' -benchtime 1x . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul
 
 clean:
 	$(GO) clean

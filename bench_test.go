@@ -48,10 +48,26 @@ func BenchmarkTable1_BlockTasks(b *testing.B) {
 // 0 B/op. Allocation counting is process-wide, so the zero covers every
 // engine goroutine, not just the driver.
 func BenchmarkTable1_SteadyStateFrame(b *testing.B) {
+	steadyStateFrame(b, 0, 0)
+}
+
+// BenchmarkSteadyStateFrame_LossyFEC is the same loop over a lossy
+// fronthaul link with Reed-Solomon parity, as the repository benchmark's
+// lossy_fec workload runs it: 2 parity packets per symbol burst and every
+// 37th packet dropped, so the RX goroutine folds syndromes and rebuilds a
+// lost payload almost every frame (DESIGN §15). It too must allocate
+// nothing.
+func BenchmarkSteadyStateFrame_LossyFEC(b *testing.B) {
+	steadyStateFrame(b, 2, 37)
+}
+
+// steadyStateFrame runs the warm frame loop with parity packets per
+// symbol burst and every lossEvery-th packet dropped (0: none).
+func steadyStateFrame(b *testing.B, parity, lossEvery int) {
 	cfg := laptopCfg()
 	ring := NewRing(4096, PacketSizeFor(&cfg))
-	ring.Reserve((cfg.NumPilots() + cfg.NumUplink()) * cfg.Antennas)
-	eng, err := New(cfg, Options{Workers: 2}, ring.Side(1))
+	ring.Reserve((cfg.NumPilots() + cfg.NumUplink()) * (cfg.Antennas + parity))
+	eng, err := New(cfg, Options{Workers: 2, FECParity: parity}, ring.Side(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +77,11 @@ func BenchmarkTable1_SteadyStateFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	send := ring.Side(0).Send // bound once; a per-call method value allocates
+	if err := gen.SetFECParity(parity); err != nil {
+		b.Fatal(err)
+	}
+	// Bound once; a per-call method value allocates.
+	send := NewLossInjector(lossEvery, 0, 1).Wrap(ring.Side(0).Send)
 	results := eng.Results()
 	const warm = 8
 	for f := 0; f < warm; f++ {
@@ -80,11 +100,16 @@ func BenchmarkTable1_SteadyStateFrame(b *testing.B) {
 			b.Fatal("dropped frame")
 		}
 	}
+	b.StopTimer()
+	if lossEvery > 0 && eng.MetricsSnapshot().Fronthaul.FECRecovered == 0 {
+		b.Fatal("lossy link: no payload was rebuilt")
+	}
 }
 
-// TestSteadyStateZeroAlloc runs the warm single-engine frame loop and the
-// 2-cell fleet round trip through testing.Benchmark and requires exactly 0
-// allocs/op and 0 B/op from both (DESIGN §14): any allocation creeping
+// TestSteadyStateZeroAlloc runs the warm single-engine frame loop, the
+// same loop over a lossy link with FEC and the 2-cell fleet round trip
+// through testing.Benchmark and requires exactly 0 allocs/op and 0 B/op
+// from each (DESIGN §14): any allocation creeping
 // back into a recycled frame loop fails tier 1. Counts, not times, so
 // host speed cannot move it.
 func TestSteadyStateZeroAlloc(t *testing.T) {
@@ -96,6 +121,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		bench func(*testing.B)
 	}{
 		{"Table1_SteadyStateFrame", BenchmarkTable1_SteadyStateFrame},
+		{"SteadyStateFrame_LossyFEC", BenchmarkSteadyStateFrame_LossyFEC},
 		{"Fleet_Cells2", BenchmarkFleet_Cells2},
 	} {
 		for attempt := 1; ; attempt++ {

@@ -312,6 +312,10 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 			{Stage: "gemm", Kernel: gemm},
 		}
 	}
+	if opts.FECParity > 0 {
+		// The RX goroutine folds parity under DummyKernels too.
+		e.met.Kernels = append(e.met.Kernels, obs.KernelRow{Stage: "fec", Kernel: fronthaul.Kernel()})
+	}
 	e.txLane = opts.Workers
 	e.epoch = time.Now()
 	e.recorder = !opts.DisableRecorder

@@ -255,7 +255,9 @@ func runFramesObs(t *testing.T, cfg frame.Config, opts Options, n int) obsRun {
 // packages' Kernel(): the platform's selection on the default path and
 // the antenna-major layout, decode "generic" under the flooding ablation,
 // gemm "generic" under the textbook GEMM, and no rows under DummyKernels,
-// which runs none of the four kernels.
+// which runs none of the four kernels. FECParity adds internal/fronthaul's
+// fec row, DummyKernels or not: the RX goroutine's parity folds run
+// either way.
 func TestKernelsReported(t *testing.T) {
 	platform := []obs.KernelRow{
 		{Stage: "decode", Kernel: ldpc.Kernel()},
@@ -263,7 +265,9 @@ func TestKernelsReported(t *testing.T) {
 		{Stage: "demod", Kernel: modulation.Kernel()},
 		{Stage: "gemm", Kernel: mat.Kernel()},
 	}
-	for _, r := range platform {
+	fecRow := obs.KernelRow{Stage: "fec", Kernel: fronthaul.Kernel()}
+	withFEC := append(slices.Clone(platform), fecRow)
+	for _, r := range withFEC {
 		if r.Kernel != "avx2" && r.Kernel != "generic" {
 			t.Fatalf("%s: Kernel() = %q, want \"avx2\" or \"generic\"", r.Stage, r.Kernel)
 		}
@@ -282,6 +286,8 @@ func TestKernelsReported(t *testing.T) {
 		{"DisableLayeredDecode", Options{Workers: 1, DisableLayeredDecode: true}, flooding},
 		{"DisableJITGemm", Options{Workers: 1, DisableJITGemm: true}, textbook},
 		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, nil},
+		{"FECParity", Options{Workers: 1, FECParity: 2}, withFEC},
+		{"DummyKernels+FECParity", Options{Workers: 1, DummyKernels: true, FECParity: 2}, []obs.KernelRow{fecRow}},
 	} {
 		eng, err := NewEngine(smallCfg(), tc.opts, nil)
 		if err != nil {

@@ -12,7 +12,7 @@ package fronthaul
 // The code is a systematic Reed-Solomon over GF(2^8) (polynomial
 // 0x11d). The encode matrix is the Cauchy matrix
 //
-//	coef[p][a] = 1 / (x_p ^ y_a),  x_p = M+p, y_a = a
+//	C[i][a] = 1 / (x_i ^ y_a),  x_i = M+i, y_a = a
 //
 // whose every square submatrix is invertible, so any combination of
 // ≤ P erasures is solvable from the parity rows that did arrive.
@@ -25,7 +25,10 @@ package fronthaul
 // recovered by solving the |lost|×|lost| system against the syndromes
 // (Reconstruct) — no shard is ever buffered twice.
 
-import "errors"
+import (
+	"crypto/subtle"
+	"errors"
+)
 
 var (
 	// ErrFECShards rejects impossible geometry at construction.
@@ -35,7 +38,9 @@ var (
 )
 
 // GF(2^8) tables, generated once at init. gfMulTab is the full 64 KiB
-// product table so the per-byte hot loop is a single indexed load.
+// product table: mulSliceXorGo's byte loop, the Go reference of the
+// vector kernels, indexes it once per byte, and on amd64 the vector
+// kernels' nibble tables are built from it (gf_amd64.go).
 var (
 	gfExp    [510]byte
 	gfLog    [256]byte
@@ -68,24 +73,82 @@ func init() {
 
 func gfMul(a, b byte) byte { return gfMulTab[a][b] }
 
+// simdMulXor and simdMulXor2 are the platform's vector implementations
+// of mulSliceXor and mulSliceXor2 over equal-length slices whose length
+// is a positive multiple of 32, nil where the build has none or the
+// CPU/OS cannot run it. They are set once at package init and afterwards
+// only flipped by tests (forceGoKernels).
+var (
+	simdMulXor  func(dst, src []byte, c byte)
+	simdMulXor2 func(dst0, dst1, src []byte, c0, c1 byte)
+)
+
+// Kernel reports which kernel the FEC multiply-XOR folds run in this
+// process: "avx2" or "generic" (the byte-table loop).
+func Kernel() string {
+	if simdMulXor != nil {
+		return "avx2"
+	}
+	return "generic"
+}
+
 // mulSliceXor folds dst[i] ^= c·src[i] over the shorter of the two
-// slices. c == 0 is a no-op; c == 1 degenerates to XOR.
+// slices. c == 0 is a no-op; c == 1 is a plain XOR.
 func mulSliceXor(dst, src []byte, c byte) {
-	if c == 0 {
+	n := min(len(dst), len(src))
+	dst, src = dst[:n], src[:n]
+	switch c {
+	case 0:
+		return
+	case 1:
+		subtle.XORBytes(dst, dst, src)
 		return
 	}
-	if len(src) > len(dst) {
-		src = src[:len(dst)]
+	if v := n &^ 31; v > 0 && simdMulXor != nil {
+		simdMulXor(dst[:v], src[:v], c)
+		dst, src = dst[v:], src[v:]
 	}
-	if c == 1 {
-		for i, s := range src {
-			dst[i] ^= s
-		}
+	mulSliceXorGo(dst, src, c)
+}
+
+// mulSliceXor2 is mulSliceXor into two rows at once, reading src once
+// per pair: dst0 ^= c0·src and dst1 ^= c1·src. Neither row may overlap
+// src.
+func mulSliceXor2(dst0, dst1, src []byte, c0, c1 byte) {
+	if c0 <= 1 || c1 <= 1 || simdMulXor2 == nil {
+		mulSliceXor(dst0, src, c0)
+		mulSliceXor(dst1, src, c1)
 		return
 	}
+	v := min(len(dst0), len(dst1), len(src)) &^ 31
+	if v > 0 {
+		simdMulXor2(dst0[:v], dst1[:v], src[:v], c0, c1)
+	}
+	mulSliceXor(dst0[v:], src[v:], c0)
+	mulSliceXor(dst1[v:], src[v:], c1)
+}
+
+// mulSliceXorGo is the byte-table loop, dst[i] ^= c·src[i] for i <
+// len(src) (dst at least as long): the Go reference the vector kernels
+// are tested against, the whole fold where the build has none, and
+// their tail.
+func mulSliceXorGo(dst, src []byte, c byte) {
 	row := &gfMulTab[c]
+	dst = dst[:len(src)]
 	for i, s := range src {
 		dst[i] ^= row[s]
+	}
+}
+
+// mulRowsXor folds src into len(c) rows, rows[k] ^= c[k]·src, two rows
+// per pass so that src is read once per pair.
+func mulRowsXor(rows [][]byte, src, c []byte) {
+	k := 0
+	for ; k+1 < len(c); k += 2 {
+		mulSliceXor2(rows[k], rows[k+1], src, c[k], c[k+1])
+	}
+	if k < len(c) {
+		mulSliceXor(rows[k], src, c[k])
 	}
 }
 
@@ -94,7 +157,7 @@ func mulSliceXor(dst, src []byte, c byte) {
 // the accumulator slices (one set per in-flight symbol).
 type FEC struct {
 	m, p int
-	coef [][]byte // [p][m] Cauchy encode matrix
+	coef [][]byte // [m][p]: coef[a][i] = C[i][a], data shard a's weight in parity row i
 }
 
 // NewFEC builds the Cauchy encode matrix for m data and p parity
@@ -103,11 +166,11 @@ func NewFEC(m, p int) (*FEC, error) {
 	if m < 1 || p < 1 || m+p > 256 {
 		return nil, ErrFECShards
 	}
-	f := &FEC{m: m, p: p, coef: make([][]byte, p)}
-	for i := 0; i < p; i++ {
-		f.coef[i] = make([]byte, m)
-		for j := 0; j < m; j++ {
-			f.coef[i][j] = gfInv[byte(m+i)^byte(j)]
+	f := &FEC{m: m, p: p, coef: make([][]byte, m)}
+	for a := range f.coef {
+		f.coef[a] = make([]byte, p)
+		for i := range f.coef[a] {
+			f.coef[a][i] = gfInv[byte(m+i)^byte(a)]
 		}
 	}
 	return f, nil
@@ -119,19 +182,20 @@ func (f *FEC) DataShards() int { return f.m }
 // ParityShards returns p.
 func (f *FEC) ParityShards() int { return f.p }
 
+// fixedLost is the most erasures Reconstruct solves without allocating.
+const fixedLost = 8
+
 // AccumulateData folds data shard `shard` into every accumulator row:
-// acc[i] ^= coef[i][shard]·payload. The sender uses this to build
-// parity; the receiver uses it to build syndromes.
+// acc[i] ^= coef[shard][i]·payload, two rows per pass. The sender uses
+// this to build parity; the receiver uses it to build syndromes.
 func (f *FEC) AccumulateData(acc [][]byte, shard int, payload []byte) {
-	for i := 0; i < f.p; i++ {
-		mulSliceXor(acc[i], payload, f.coef[i][shard])
-	}
+	mulRowsXor(acc[:f.p], payload, f.coef[shard])
 }
 
 // AccumulateParity folds a received parity shard into its syndrome row:
 // acc[parity] ^= payload. After all received shards are folded,
-// acc[i] = parity_i ^ Σ_{received j} coef[i][j]·d_j, i.e. exactly
-// Σ_{lost j} coef[i][j]·d_j for rows whose parity arrived.
+// acc[i] = parity_i ^ Σ_{received j} coef[j][i]·d_j, i.e. exactly
+// Σ_{lost j} coef[j][i]·d_j for rows whose parity arrived.
 func (f *FEC) AccumulateParity(acc [][]byte, parity int, payload []byte) {
 	mulSliceXor(acc[parity], payload, 1)
 }
@@ -151,16 +215,23 @@ func (f *FEC) Reconstruct(dst [][]byte, lost, rows []int, acc [][]byte) error {
 		return ErrFECInsufficient
 	}
 	rows = rows[:n]
-	// Invert A[r][c] = coef[rows[r]][lost[c]] by Gauss-Jordan on the
-	// augmented [A | I]. n ≤ p is tiny, so the O(n³) byte work is noise
-	// next to the O(n²·len) payload accumulation below.
-	a := make([]byte, n*n)
-	inv := make([]byte, n*n)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			a[r*n+c] = f.coef[rows[r]][lost[c]]
+	// The lost payloads x solve A·x = b, A[r][c] = coef[lost[c]][rows[r]]
+	// and b_r = acc[rows[r]]. Invert the transpose T = Aᵀ by Gauss-Jordan
+	// on the augmented [T | I]: row r of T⁻¹ = (A⁻¹)ᵀ holds b_r's
+	// coefficient in every x_c, which is the order the folds below read.
+	// n ≤ p is tiny, so the O(n³) byte work is noise next to the
+	// O(n²·len) payload folds. Up to fixedLost erasures the two matrices
+	// live on the stack, so a rebuilt burst allocates nothing.
+	var aFix, invFix [fixedLost * fixedLost]byte
+	a, inv := aFix[:], invFix[:]
+	if n > fixedLost {
+		a, inv = make([]byte, n*n), make([]byte, n*n)
+	}
+	for c := 0; c < n; c++ {
+		for r := 0; r < n; r++ {
+			a[c*n+r] = f.coef[lost[c]][rows[r]]
 		}
-		inv[r*n+r] = 1
+		inv[c*n+c] = 1
 	}
 	for col := 0; col < n; col++ {
 		piv := -1
@@ -195,23 +266,22 @@ func (f *FEC) Reconstruct(dst [][]byte, lost, rows []int, acc [][]byte) error {
 			}
 		}
 	}
-	// x_c = Σ_r inv[c][r]·b_r with b_r = acc[rows[r]]. Writing into the
-	// caller's dst keeps each recovered payload in the buffer that owns
-	// that antenna slot — no post-hoc row permutation.
-	for c := 0; c < n; c++ {
-		d := dst[c]
-		for i := range d {
-			d[i] = 0
-		}
-		for r := 0; r < n; r++ {
-			mulSliceXor(d, acc[rows[r]], inv[c*n+r])
-		}
+	// x_c = Σ_r inv[r][c]·b_r: each syndrome row is read once and folded
+	// into every x_c, two at a time. Writing into the caller's dst keeps
+	// each recovered payload in the buffer that owns that antenna slot —
+	// no post-hoc row permutation.
+	dst = dst[:n]
+	for _, d := range dst {
+		clear(d)
+	}
+	for r := 0; r < n; r++ {
+		mulRowsXor(dst, acc[rows[r]], inv[r*n:(r+1)*n])
 	}
 	return nil
 }
 
 // EncodeInto computes all parity shards for a complete burst in one
-// call: parity[i] = Σ_j coef[i][j]·data[j]. Convenience for tests and
+// call: parity[i] = Σ_j coef[j][i]·data[j]. Convenience for tests and
 // non-streaming senders; the hot path uses AccumulateData per packet.
 func (f *FEC) EncodeInto(parity, data [][]byte) {
 	for i := 0; i < f.p; i++ {

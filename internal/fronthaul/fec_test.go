@@ -28,8 +28,12 @@ func combinations(n, k int, fn func(sub []int)) {
 // of up to P data shards and every choice of surviving parity rows that
 // is large enough, rebuild the syndromes the way the receiver does
 // (streaming folds of whatever arrived) and check Reconstruct returns
-// the lost payloads byte-identical.
+// the lost payloads byte-identical. It runs on both kernel sides.
 func TestFECRoundTrip(t *testing.T) {
+	onEachKernel(t, testFECRoundTrip)
+}
+
+func testFECRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const payload = 96
 	for _, geo := range []struct{ m, p int }{{4, 1}, {4, 2}, {8, 2}, {8, 3}, {16, 2}} {
