@@ -69,7 +69,8 @@ race:
 # iterations to the bits one iteration would give) and the vector-vs-Go
 # kernel differentials of ldpc (layer kernels and the LLR sign pack,
 # FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the packed
-# words), fft, modulation, mat (the block multiply and the tile
+# words), fft (the transforms, and FuzzStoreIQ12KernelsSIMD: the TX
+# quantize-pack, poisoned bytes on either side of the payload), modulation, mat (the block multiply and the tile
 # multiply on the uplink grid's layout) and fronthaul (FuzzGFKernelsSIMD:
 # the GF(2^8) multiply-XOR, single and paired rows, poisoned margins past
 # each destination; Go runs one -fuzz target per invocation). A few seconds each is a smoke pass; longer
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLoadLLRKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
+	$(GO) test -run '^$$' -fuzz FuzzStoreIQ12KernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
 	$(GO) test -run '^$$' -fuzz FuzzMulBlockKernelsSIMD -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzMulTileKernelsSIMD -fuzztime 5s ./internal/mat
@@ -101,7 +103,8 @@ benchmark-smoke:
 # the kernel A/B pairs. internal/ldpc holds the rotating-input
 # Decode_AVX2 vs Decode_PureGo pair and beside it Decode_Codeword,
 # decode's fixed term (clean blocks, 0 iterations); internal/fft the
-# FFT512 / ForwardIQ12_512 / IFFTBatch8x512 _AVX2 vs _PureGo pairs;
+# FFT512 / ForwardIQ12_512 / IFFTBatch8x512 / StoreIQ12_512 _AVX2 vs
+# _PureGo pairs;
 # internal/modulation the DemodulateSoftSoA pair; internal/mat the
 # MulBlockRows4 pair (the four-row GEMM tile, on blocks and on grid
 # tiles read in place); internal/fronthaul the AccumulateData pair (one

@@ -48,7 +48,7 @@ func BenchmarkTable1_BlockTasks(b *testing.B) {
 // 0 B/op. Allocation counting is process-wide, so the zero covers every
 // engine goroutine, not just the driver.
 func BenchmarkTable1_SteadyStateFrame(b *testing.B) {
-	steadyStateFrame(b, 0, 0)
+	steadyStateFrame(b, laptopCfg(), 0, 0)
 }
 
 // BenchmarkSteadyStateFrame_LossyFEC is the same loop over a lossy
@@ -58,13 +58,25 @@ func BenchmarkTable1_SteadyStateFrame(b *testing.B) {
 // lost payload almost every frame (DESIGN §15). It too must allocate
 // nothing.
 func BenchmarkSteadyStateFrame_LossyFEC(b *testing.B) {
-	steadyStateFrame(b, 2, 37)
+	steadyStateFrame(b, laptopCfg(), 2, 37)
 }
 
-// steadyStateFrame runs the warm frame loop with parity packets per
-// symbol burst and every lossEvery-th packet dropped (0: none).
-func steadyStateFrame(b *testing.B, parity, lossEvery int) {
+// BenchmarkSteadyStateFrame_Downlink is the same loop on a downlink
+// frame, as the repository benchmark's downlink workload runs it: a
+// pilot symbol, then data symbols the engine encodes, precodes and
+// transforms, each antenna's packet written by its IFFT task and sent by
+// netTX. The RRU side drains the frame's packets after each result. It
+// too must allocate nothing.
+func BenchmarkSteadyStateFrame_Downlink(b *testing.B) {
 	cfg := laptopCfg()
+	cfg.Symbols = DownlinkSchedule(1, 4)
+	steadyStateFrame(b, cfg, 0, 0)
+}
+
+// steadyStateFrame runs the warm frame loop on cfg with parity packets
+// per symbol burst and every lossEvery-th packet dropped (0: none),
+// draining each frame's downlink packets on the RRU side.
+func steadyStateFrame(b *testing.B, cfg Config, parity, lossEvery int) {
 	ring := NewRing(4096, PacketSizeFor(&cfg))
 	ring.Reserve((cfg.NumPilots() + cfg.NumUplink()) * (cfg.Antennas + parity))
 	eng, err := New(cfg, Options{Workers: 2, FECParity: parity}, ring.Side(1))
@@ -81,14 +93,26 @@ func steadyStateFrame(b *testing.B, parity, lossEvery int) {
 		b.Fatal(err)
 	}
 	// Bound once; a per-call method value allocates.
-	send := NewLossInjector(lossEvery, 0, 1).Wrap(ring.Side(0).Send)
+	rru := ring.Side(0)
+	send := NewLossInjector(lossEvery, 0, 1).Wrap(rru.Send)
 	results := eng.Results()
+	// A frame's result comes after its last downlink Send.
+	drain := func() {
+		for range cfg.Antennas * cfg.NumDownlink() {
+			pkt, ok := rru.Recv()
+			if !ok {
+				b.Fatal("ring closed while draining downlink")
+			}
+			rru.Release(pkt)
+		}
+	}
 	const warm = 8
 	for f := 0; f < warm; f++ {
 		if err := gen.EmitFrame(uint32(f), send); err != nil {
 			b.Fatal(err)
 		}
 		<-results
+		drain()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -99,6 +123,7 @@ func steadyStateFrame(b *testing.B, parity, lossEvery int) {
 		if r := <-results; r.Dropped {
 			b.Fatal("dropped frame")
 		}
+		drain()
 	}
 	b.StopTimer()
 	if lossEvery > 0 && eng.MetricsSnapshot().Fronthaul.FECRecovered == 0 {
@@ -107,9 +132,9 @@ func steadyStateFrame(b *testing.B, parity, lossEvery int) {
 }
 
 // TestSteadyStateZeroAlloc runs the warm single-engine frame loop, the
-// same loop over a lossy link with FEC and the 2-cell fleet round trip
-// through testing.Benchmark and requires exactly 0 allocs/op and 0 B/op
-// from each (DESIGN §14): any allocation creeping
+// same loop over a lossy link with FEC and on a downlink frame, and the
+// 2-cell fleet round trip through testing.Benchmark and requires exactly
+// 0 allocs/op and 0 B/op from each (DESIGN §14): any allocation creeping
 // back into a recycled frame loop fails tier 1. Counts, not times, so
 // host speed cannot move it.
 func TestSteadyStateZeroAlloc(t *testing.T) {
@@ -122,6 +147,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}{
 		{"Table1_SteadyStateFrame", BenchmarkTable1_SteadyStateFrame},
 		{"SteadyStateFrame_LossyFEC", BenchmarkSteadyStateFrame_LossyFEC},
+		{"SteadyStateFrame_Downlink", BenchmarkSteadyStateFrame_Downlink},
 		{"Fleet_Cells2", BenchmarkFleet_Cells2},
 	} {
 		for attempt := 1; ; attempt++ {

@@ -46,14 +46,20 @@ func dequant12(x uint32) float32 {
 	return math.Float32frombits(magicBits|((x&0xFFF)^0x800)) - iq12Bias
 }
 
-// quant12 rounds a float32 (nominally within ±2047) to the nearest
-// integer (ties to even) via the magic-number addition and clamps it to
-// the signed 12-bit range without branches. Values beyond ±2^22 are out
-// of the trick's domain; the TX path feeds ±2048·|sample| with samples
-// nominally in [-1, 1), far inside it.
+// quant12 rounds a float32 to the nearest integer (ties to even) and
+// clamps it to the signed 12-bit range, for every float32: the clamp
+// comes first, in float, so the magic-number addition only ever sees
+// [-2048, 2047], far inside the trick's ±2^22 domain. NaN maps to 2047
+// whatever its sign (it fails v < 2047). This is the rule the vector TX
+// kernel implements with VMINPS/VMAXPS (internal/fft, StoreIQ12).
 func quant12(v float32) int32 {
-	i := int32(math.Float32bits(v+magicF32)) - magicBits
-	return clampI32(i, -2048, 2047)
+	if !(v < 2047) {
+		v = 2047
+	}
+	if v < -2048 {
+		v = -2048
+	}
+	return int32(math.Float32bits(v+magicF32)) - magicBits
 }
 
 // clampI32 clamps v to [lo, hi] branch-free: min/max via the sign bit of
@@ -140,10 +146,8 @@ func UnpackIQ12Naive(dst []complex64, src []byte) {
 
 // Quantize12 converts float32-domain complex samples (nominally in [-1,1))
 // into interleaved int16 I/Q with 12-bit clipping, the TX-side inverse of
-// UnpackIQ12. The magic-number addition performs the round-to-even that
-// used to cost a float64 math.RoundToEven call per component, and the
-// clamp is branch-free; results match the old formula exactly for inputs
-// within ±16 (and clamp identically far beyond the 12-bit range).
+// UnpackIQ12. Each component is ×2048, then quant12: round to even and
+// clamp to [-2048, 2047] for every float32 input (NaN gives 2047).
 func Quantize12(dst []int16, src []complex64) {
 	if len(dst) < 2*len(src) {
 		panic("cf: Quantize12 dst too small")
@@ -151,6 +155,28 @@ func Quantize12(dst []int16, src []complex64) {
 	for s, v := range src {
 		dst[2*s] = int16(quant12(real(v) * 2048))
 		dst[2*s+1] = int16(quant12(imag(v) * 2048))
+	}
+}
+
+// QuantizeIQ12 writes src×gain to dst in the 3-byte wire format: one
+// fused pass, bit-identical to Scale(gain), Quantize12 and PackIQ12 in
+// turn (each component is ×gain, then ×2048, as two float32 roundings).
+// len(dst) must be >= len(src)*BytesPerIQ. It is the reference and the
+// tail of the vector TX kernel behind fft.StoreIQ12.
+func QuantizeIQ12(dst []byte, src []complex64, gain float32) {
+	n := len(src) * BytesPerIQ
+	if len(dst) < n {
+		panic(fmt.Sprintf("cf: QuantizeIQ12 dst too small: %d < %d", len(dst), n))
+	}
+	dst = dst[:n]
+	for s, v := range src {
+		i := quant12(real(v) * gain * 2048)
+		q := quant12(imag(v) * gain * 2048)
+		w := uint32(i)&0xFFF | (uint32(q)&0xFFF)<<12
+		o := dst[s*BytesPerIQ : s*BytesPerIQ+BytesPerIQ]
+		o[0] = byte(w)
+		o[1] = byte(w >> 8)
+		o[2] = byte(w >> 16)
 	}
 }
 

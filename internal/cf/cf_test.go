@@ -99,14 +99,7 @@ func TestQuant12MatchesRoundToEven(t *testing.T) {
 	// half-integer in range (the tie cases), a fine sweep, and random
 	// floats including out-of-range values that must clamp.
 	check := func(v float32) {
-		got := quant12(v)
-		want := int32(math.RoundToEven(float64(v)))
-		if want > 2047 {
-			want = 2047
-		} else if want < -2048 {
-			want = -2048
-		}
-		if got != want {
+		if got, want := quant12(v), quant12Ref(v); got != want {
 			t.Fatalf("quant12(%v) = %d, want %d", v, got, want)
 		}
 	}
@@ -154,6 +147,48 @@ func TestIQ12AtMatchesUnpack(t *testing.T) {
 		if got := IQ12At(wire, i); got != dst[i] {
 			t.Fatalf("IQ12At(%d) = %v, UnpackIQ12 gives %v", i, got, dst[i])
 		}
+	}
+}
+
+// quant12Ref is quant12's definition: round to even in float64, clamp to
+// the signed 12-bit range, and 2047 for a NaN of either sign.
+func quant12Ref(v float32) int32 {
+	if v != v {
+		return 2047
+	}
+	r := math.RoundToEven(float64(v))
+	if r > 2047 {
+		return 2047
+	}
+	if r < -2048 {
+		return -2048
+	}
+	return int32(r)
+}
+
+// TestQuantize12Total checks quant12 against quant12Ref on every float32
+// whose magnitude lies in [2040, 2^26] — the clamp boundaries and the
+// stretch around -1.5·2^23 where adding the magic number used to cancel —
+// and on ±0, subnormals, ±MaxFloat32, ±Inf and NaNs of both signs.
+func TestQuantize12Total(t *testing.T) {
+	check := func(v float32) {
+		if got, want := quant12(v), quant12Ref(v); got != want {
+			t.Fatalf("quant12(%v = %#08x) = %d, want %d", v, math.Float32bits(v), got, want)
+		}
+	}
+	lo, hi := math.Float32bits(2040), math.Float32bits(1<<26)
+	for b := lo; b <= hi; b++ {
+		check(math.Float32frombits(b))
+		check(math.Float32frombits(b | 1<<31))
+	}
+	for _, b := range []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // subnormals
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xffa12345, // NaNs of both signs
+	} {
+		check(math.Float32frombits(b))
 	}
 }
 

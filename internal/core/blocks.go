@@ -5,6 +5,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/fft"
 	"repro/internal/frame"
+	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
 	"repro/internal/mat"
 	"repro/internal/modulation"
@@ -566,9 +567,11 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 // symbol with a single strided InverseBatch call over the worker's lane
 // buffer: the gather reads each subcarrier-major source row once (the
 // antennas are adjacent within a row), the butterflies run back-to-back
-// while the twiddles are hot, and the CP/scale epilogue is per lane,
-// leaving each antenna's samples in dlTime ready for packetization.
-// DummyKernels skips the transform.
+// while the twiddles are hot, and the TX back end (fft.StoreIQ12) writes
+// each lane, cyclic prefix first, scaled by the TX gain, as the 12-bit IQ
+// payload of its antenna's packet in dlTime. Only the guard bins are
+// zeroed; the gather overwrites the data band. DummyKernels skips the
+// transform.
 func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -578,7 +581,11 @@ func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	m := cfg.Antennas
 	ds := cfg.DataStart()
 	buf := w.lanes[:count*nfft]
-	cf.Fill(buf, 0)
+	for l := 0; l < count; l++ {
+		lane := buf[l*nfft : (l+1)*nfft]
+		cf.Fill(lane[:ds], 0)
+		cf.Fill(lane[ds+q:], 0)
+	}
 	src := b.dlFreq[slot][sym]
 	for sc := 0; sc < q; sc++ {
 		row := src[sc*m+ant0 : sc*m+ant0+count]
@@ -591,12 +598,7 @@ func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	}
 	gain := float32(e.dlGain)
 	for l := 0; l < count; l++ {
-		t := buf[l*nfft : (l+1)*nfft]
-		out := b.dlTime[slot][sym][ant0+l]
-		if cfg.CPLen > 0 {
-			copy(out, t[nfft-cfg.CPLen:])
-		}
-		copy(out[cfg.CPLen:], t)
-		cf.Scale(out, gain)
+		pkt := b.dlTime[slot][sym][ant0+l]
+		fft.StoreIQ12(pkt[fronthaul.HeaderSize:], buf[l*nfft:(l+1)*nfft], cfg.CPLen, gain)
 	}
 }

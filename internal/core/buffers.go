@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"repro/internal/frame"
+	"repro/internal/fronthaul"
 	"repro/internal/mat"
 )
 
@@ -63,9 +64,11 @@ type buffers struct {
 	// dlFreq is the precoded downlink frequency grid, subcarrier-major:
 	// [slot][symbol][sc*M + m].
 	dlFreq [][][]complex64
-	// dlTime is the downlink time-domain output per antenna:
-	// [slot][symbol][antenna][samples].
-	dlTime [][][][]complex64
+	// dlTime is the downlink output per antenna as whole wire packets:
+	// [slot][symbol][antenna][fronthaul.PacketSize(samples)]. runIFFT
+	// writes the 12-bit IQ payload past the header; netTX stamps the
+	// header in front of it and sends.
+	dlTime [][][][]byte
 }
 
 func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
@@ -89,7 +92,7 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 	b.macBits = make([][][][]byte, slots)
 	b.encoded = make([][][][]byte, slots)
 	b.dlFreq = make([][][]complex64, slots)
-	b.dlTime = make([][][][]complex64, slots)
+	b.dlTime = make([][][][]byte, slots)
 
 	for s := 0; s < slots; s++ {
 		b.dataFreqTile[s] = make([][]complex64, nSym)
@@ -100,7 +103,7 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 		b.macBits[s] = make([][][]byte, nSym)
 		b.encoded[s] = make([][][]byte, nSym)
 		b.dlFreq[s] = make([][]complex64, nSym)
-		b.dlTime[s] = make([][][]complex64, nSym)
+		b.dlTime[s] = make([][][]byte, nSym)
 		for sym := 0; sym < nSym; sym++ {
 			st := cfg.SymbolAt(sym)
 			if st == frame.Uplink {
@@ -124,9 +127,9 @@ func newBuffers(cfg *frame.Config, slots int, antMajor bool) *buffers {
 					b.encoded[s][sym][u] = make([]byte, code.N())
 				}
 				b.dlFreq[s][sym] = make([]complex64, q*m)
-				b.dlTime[s][sym] = make([][]complex64, m)
+				b.dlTime[s][sym] = make([][]byte, m)
 				for a := 0; a < m; a++ {
-					b.dlTime[s][sym][a] = make([]complex64, cfg.SamplesPerSymbol())
+					b.dlTime[s][sym][a] = make([]byte, fronthaul.PacketSize(cfg.SamplesPerSymbol()))
 				}
 			}
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"repro/internal/cf"
 	"repro/internal/channel"
+	"repro/internal/fft"
 	"repro/internal/frame"
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
@@ -236,15 +239,28 @@ func TestDummyKernelsComplete(t *testing.T) {
 	}
 }
 
+// TestDownlinkProducesPackets runs one downlink frame and requires one
+// packet per antenna and downlink symbol whose header carries the
+// symbol's sample count and whose payload is byte-identical to the TX
+// path the IFFT task fuses, recomputed from the engine's own precoded
+// grid: inverse FFT, cyclic-prefix copy, cf.Scale by the TX gain,
+// cf.Quantize12 and cf.PackIQ12. Under DummyKernels only the transform
+// drops out.
 func TestDownlinkProducesPackets(t *testing.T) {
+	t.Run("FFT", func(t *testing.T) { testDownlinkWire(t, Options{Workers: 3}) })
+	t.Run("DummyKernels", func(t *testing.T) { testDownlinkWire(t, Options{Workers: 3, DummyKernels: true}) })
+}
+
+func testDownlinkWire(t *testing.T, opts Options) {
 	cfg := smallCfg()
 	cfg.Symbols = "PDD"
+	cfg.CPLen = 18 // a prefix the vector kernel ends with a Go tail on
 	ring := fronthaul.NewRing(4096, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
 	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 28, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, Options{Workers: 3}, ring.Side(1))
+	eng, err := NewEngine(cfg, opts, ring.Side(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +269,12 @@ func TestDownlinkProducesPackets(t *testing.T) {
 	rru := ring.Side(0)
 	// Collect downlink packets at the RRU side.
 	type pktInfo struct{ sym, ant int }
-	pkts := make(chan pktInfo, 256)
+	type dlPkt struct {
+		pktInfo
+		h   fronthaul.Header
+		pkt []byte
+	}
+	pkts := make(chan dlPkt, 256)
 	go func() {
 		for {
 			pkt, ok := rru.Recv()
@@ -263,7 +284,7 @@ func TestDownlinkProducesPackets(t *testing.T) {
 			}
 			var h fronthaul.Header
 			if err := h.Decode(pkt); err == nil && h.Dir == fronthaul.DirDownlink {
-				pkts <- pktInfo{int(h.Symbol), int(h.Antenna)}
+				pkts <- dlPkt{pktInfo{int(h.Symbol), int(h.Antenna)}, h, bytes.Clone(pkt)}
 			}
 			rru.Release(pkt)
 		}
@@ -285,7 +306,7 @@ func TestDownlinkProducesPackets(t *testing.T) {
 	}
 	// Expect one packet per antenna per DL symbol.
 	want := cfg.Antennas * cfg.NumDownlink()
-	got := map[pktInfo]bool{}
+	got := map[pktInfo]dlPkt{}
 	deadline := time.After(10 * time.Second)
 	for len(got) < want {
 		select {
@@ -293,9 +314,41 @@ func TestDownlinkProducesPackets(t *testing.T) {
 			if !ok {
 				t.Fatalf("ring closed with %d/%d packets", len(got), want)
 			}
-			got[p] = true
+			got[p.pktInfo] = p
 		case <-deadline:
 			t.Fatalf("timeout: %d/%d DL packets", len(got), want)
+		}
+	}
+
+	nfft, cp, m, ds := cfg.OFDMSize, cfg.CPLen, cfg.Antennas, cfg.DataStart()
+	n := cfg.SamplesPerSymbol()
+	plan := fft.MustPlan(nfft)
+	lane := make([]complex64, nfft)
+	sym := make([]complex64, n)
+	iq := make([]int16, 2*n)
+	wire := make([]byte, n*cf.BytesPerIQ)
+	slot := int(res.Frame) % eng.opts.Slots
+	for key, p := range got {
+		if p.h.Samples != uint32(n) || len(p.pkt) != fronthaul.PacketSize(n) {
+			t.Fatalf("symbol %d antenna %d: header says %d samples in %d bytes, want %d in %d",
+				key.sym, key.ant, p.h.Samples, len(p.pkt), n, fronthaul.PacketSize(n))
+		}
+		grid := eng.buf.dlFreq[slot][key.sym]
+		cf.Fill(lane, 0)
+		for sc := 0; sc < cfg.DataSubcarriers; sc++ {
+			lane[ds+sc] = grid[sc*m+key.ant]
+		}
+		if !opts.DummyKernels {
+			plan.Inverse(lane)
+		}
+		copy(sym, lane[nfft-cp:])
+		copy(sym[cp:], lane)
+		cf.Scale(sym, float32(eng.dlGain))
+		cf.Quantize12(iq, sym)
+		cf.PackIQ12(wire, iq)
+		if !bytes.Equal(fronthaul.Payload(p.pkt, &p.h), wire) {
+			t.Fatalf("symbol %d antenna %d: payload differs from IFFT + CP + Scale + Quantize12 + PackIQ12",
+				key.sym, key.ant)
 		}
 	}
 }

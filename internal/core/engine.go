@@ -525,13 +525,14 @@ func (e *Engine) InjectPacket(pkt []byte) error {
 	return err
 }
 
-// runNetTX drains TaskPacketTX messages, packetizes downlink time-domain
-// samples and sends them to the RRU.
+// runNetTX drains TaskPacketTX messages and sends each antenna's
+// downlink packet to the RRU. The IFFT task has already written the
+// payload in wire form (DESIGN §10, TX back end), so this goroutine only
+// stamps the header in front of it; Send copies the packet out before it
+// returns.
 func (e *Engine) runNetTX() {
 	defer e.wg.Done()
-	n := e.cfg.SamplesPerSymbol()
-	buf := make([]byte, 0, fronthaul.PacketSize(n))
-	iq := make([]int16, 2*n)
+	n := uint32(e.cfg.SamplesPerSymbol())
 	for {
 		m, ok := e.taskQ[queue.TaskPacketTX].TryDequeue()
 		if !ok {
@@ -550,8 +551,10 @@ func (e *Engine) runNetTX() {
 			Antenna: m.TaskIdx,
 			Dir:     fronthaul.DirDownlink,
 			Seq:     atomic.AddUint64(&e.txSeq, 1),
+			Samples: n,
 		}
-		pkt := fronthaul.BuildPacket(buf, iq, h, e.buf.dlTime[m.Slot][m.Symbol][m.TaskIdx])
+		pkt := e.buf.dlTime[m.Slot][m.Symbol][m.TaskIdx]
+		h.Encode(pkt)
 		_ = e.tr.Send(pkt)
 		t1 := e.nowStamp()
 		if e.trace != nil {

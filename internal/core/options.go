@@ -99,7 +99,8 @@ type Options struct {
 	// DisableSIMDConvert replaces the word-packed IQ conversion with the
 	// byte-at-a-time version (§4, data type conversions). It also precludes
 	// the fused unpack/permute FFT front end, which builds on the packed
-	// conversion.
+	// conversion. It is an RX ablation only: the downlink's TX conversion
+	// (fft.StoreIQ12 in the IFFT task) runs either way.
 	DisableSIMDConvert bool
 
 	// DisableTracing turns off the per-worker event tracer feeding the

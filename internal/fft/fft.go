@@ -317,6 +317,31 @@ func (p *Plan) gatherIQ12(dst []complex64, payload []byte, cpLen int) {
 	}
 }
 
+// StoreIQ12 is the TX back end, the counterpart of ForwardIQ12: it writes
+// the symbol x with its cyclic prefix — x's last cpLen samples, then x —
+// into payload as 24-bit IQ, each component ×gain, ×2048, clamped to the
+// signed 12-bit range and rounded to even (a NaN gives 2047). The bytes
+// are those of copying the prefix, cf.Scale(gain), cf.Quantize12 and
+// cf.PackIQ12; payload must hold (cpLen+len(x))*cf.BytesPerIQ bytes and
+// nothing past them is written.
+func StoreIQ12(payload []byte, x []complex64, cpLen int, gain float32) {
+	n := len(x)
+	if cpLen < 0 || cpLen > n || len(payload) < (cpLen+n)*cf.BytesPerIQ {
+		panic(fmt.Sprintf("fft: StoreIQ12 of %d samples + CP %d into %d bytes", n, cpLen, len(payload)))
+	}
+	storeIQ12(payload, x[n-cpLen:], gain)
+	storeIQ12(payload[cpLen*cf.BytesPerIQ:], x, gain)
+}
+
+// storeIQ12 is cf.QuantizeIQ12 on the selected kernel.
+func storeIQ12(dst []byte, src []complex64, gain float32) {
+	if simd != nil {
+		simd.storeIQ12(dst, src, gain)
+		return
+	}
+	cf.QuantizeIQ12(dst, src, gain)
+}
+
 // butterflies runs the plan's stage schedule over permuted data; scale
 // additionally applies the inverse transform's 1/n.
 func (p *Plan) butterflies(x []complex64, inverse, scale bool) {

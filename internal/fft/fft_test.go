@@ -514,12 +514,23 @@ func inverseBatchFresh() func() {
 	}
 }
 
+// storeIQ12Call returns one TX back-end call as runIFFT makes it: a
+// 512-sample symbol with a 128-sample prefix at the engine's gain of 0.25.
+func storeIQ12Call() func() {
+	const n, cp = 512, 128
+	x := randSignal(rand.New(rand.NewSource(1)), n)
+	payload := make([]byte, (cp+n)*cf.BytesPerIQ)
+	return func() { StoreIQ12(payload, x, cp, 0.25) }
+}
+
 func BenchmarkFFT512_AVX2(b *testing.B)            { benchImpl(b, true, forwardFresh()) }
 func BenchmarkFFT512_PureGo(b *testing.B)          { benchImpl(b, false, forwardFresh()) }
 func BenchmarkForwardIQ12_512_AVX2(b *testing.B)   { benchImpl(b, true, forwardIQ12()) }
 func BenchmarkForwardIQ12_512_PureGo(b *testing.B) { benchImpl(b, false, forwardIQ12()) }
 func BenchmarkIFFTBatch8x512_AVX2(b *testing.B)    { benchImpl(b, true, inverseBatchFresh()) }
 func BenchmarkIFFTBatch8x512_PureGo(b *testing.B)  { benchImpl(b, false, inverseBatchFresh()) }
+func BenchmarkStoreIQ12_512_AVX2(b *testing.B)     { benchImpl(b, true, storeIQ12Call()) }
+func BenchmarkStoreIQ12_512_PureGo(b *testing.B)   { benchImpl(b, false, storeIQ12Call()) }
 
 // BenchmarkKernelGate is the stage kernels' perf gate (`make perf`): the
 // _PureGo/_AVX2 ratio of each pair above, measured in one process by
@@ -540,6 +551,7 @@ func BenchmarkKernelGate(b *testing.B) {
 		{"FFT512", forwardFresh(), 512, 2},             // median 4.1×
 		{"ForwardIQ12_512", forwardIQ12(), 1024, 4},    // median 8.2×
 		{"IFFTBatch8x512", inverseBatchFresh(), 64, 2}, // median 3.9×
+		{"StoreIQ12_512", storeIQ12Call(), 1024, 4},    // median 12×
 	} {
 		batch := func() {
 			for i := 0; i < g.calls; i++ {

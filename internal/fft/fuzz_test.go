@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -67,6 +68,57 @@ func FuzzFFTKernelsSIMD(f *testing.F) {
 					math.Float32bits(real(g[i])), math.Float32bits(imag(g[i])), Kernel(),
 					math.Float32bits(real(v[i])), math.Float32bits(imag(v[i])))
 			}
+		}
+	})
+}
+
+// FuzzStoreIQ12KernelsSIMD is the TX back end's differential: the fuzzer
+// supplies raw bytes read as float32 bit patterns for the samples, the
+// symbol length (0–143, so every tail of the eight-sample loop), the
+// cyclic prefix and the gain's bits; the vector kernel must write the
+// same payload as the Go loop and leave the poisoned bytes on either side
+// of it alone. Skips where no vector kernel exists.
+func FuzzStoreIQ12KernelsSIMD(f *testing.F) {
+	f.Add([]byte{}, uint8(8), uint8(0), uint32(0x3e800000))                                    // 0.25
+	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF}, uint8(17), uint8(3), uint32(0x3f800000)) // NaN, -Inf at gain 1
+	f.Add([]byte{0, 0, 0x80, 0xCB, 1, 0, 0, 0}, uint8(64), uint8(16), uint32(0x3f800000))      // -16777216, subnormal
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50}, uint8(143), uint8(200), uint32(0x7fc00000))    // NaN gain
+	f.Fuzz(func(t *testing.T, raw []byte, size, cp uint8, gainBits uint32) {
+		if simd == nil {
+			t.Skip("no vector kernels on this CPU/GOARCH")
+		}
+		n := int(size) % 144
+		cpLen := int(cp) % (n + 1)
+		gain := math.Float32frombits(gainBits)
+		at := func(i int) byte {
+			if len(raw) == 0 {
+				return byte(i)
+			}
+			return raw[i%len(raw)] + byte(i/len(raw))
+		}
+		x := make([]complex64, n)
+		var w [8]byte
+		for i := range x {
+			for k := range w {
+				w[k] = at(8*i + k)
+			}
+			x[i] = complex(math.Float32frombits(binary.LittleEndian.Uint32(w[:4])),
+				math.Float32frombits(binary.LittleEndian.Uint32(w[4:])))
+		}
+		size3 := (cpLen + n) * cf.BytesPerIQ
+		g := bytes.Repeat([]byte{storePoison}, size3+2*storeMargin)
+		v := bytes.Clone(g)
+		restore := forceGoKernels()
+		StoreIQ12(g[storeMargin:storeMargin+size3], x, cpLen, gain)
+		restore()
+		StoreIQ12(v[storeMargin:storeMargin+size3], x, cpLen, gain)
+		if !bytes.Equal(g, v) {
+			i := 0
+			for g[i] == v[i] {
+				i++
+			}
+			t.Fatalf("n=%d cp=%d gain=%#08x: byte %d of the buffer (payload at %d) go %#02x != %s %#02x",
+				n, cpLen, gainBits, i, storeMargin, g[i], Kernel(), v[i])
 		}
 	})
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // AVX2 stage kernels (DESIGN §10): the amd64 implementation of stages4's
-// three loops and of the IQ12 gather, four complex64 per YMM register.
+// three loops, of the IQ12 gather and of the TX quantize-pack, four
+// complex64 per YMM register.
 // They read the same twiddle planes and write the same in-place buffer as
 // the Go loops, one call per stage, so the two implementations are
 // interchangeable stage by stage — which is what the differential tests
@@ -24,6 +25,7 @@ func init() {
 var avx2Kernels = &stageKernels{
 	butterflies: (*Plan).butterfliesAVX2,
 	loadIQ12:    (*Plan).loadIQ12AVX2,
+	storeIQ12:   storeIQ12AVX2,
 }
 
 // Mode bits of the stage kernels. Only an inverse transform scales, so
@@ -59,6 +61,12 @@ func stageLast2AVX2(x *complex64, n int, tw *complex64, mode int, scale float32)
 //
 //go:noescape
 func unpackIQ12AVX2(dst *complex64, src *byte, n int, blk *uint32)
+
+// quantIQ12AVX2 is cf.QuantizeIQ12 over n samples, n a positive multiple
+// of 8: it reads src[0:n] and writes exactly dst[0 : 3n].
+//
+//go:noescape
+func quantIQ12AVX2(dst *byte, src *complex64, n int, gain float32)
 
 // butterfliesAVX2 is stages4 on the assembly kernels, with the inverse
 // 1/n folded into whichever stage runs last.
@@ -113,4 +121,15 @@ func (p *Plan) loadIQ12AVX2(dst []complex64, payload []byte, cpLen int) {
 		return
 	}
 	unpackIQ12AVX2(&dst[0], &payload[cpLen*cf.BytesPerIQ], p.n, &p.blk[0])
+}
+
+// storeIQ12AVX2 runs the kernel over the whole groups of eight samples
+// and cf.QuantizeIQ12 over the rest.
+func storeIQ12AVX2(dst []byte, src []complex64, gain float32) {
+	dst = dst[:len(src)*cf.BytesPerIQ] // the kernel's stores, bounds-checked once
+	k := len(src) &^ 7
+	if k > 0 {
+		quantIQ12AVX2(&dst[0], &src[0], k, gain)
+	}
+	cf.QuantizeIQ12(dst[k*cf.BytesPerIQ:], src[k:], gain)
 }

@@ -364,3 +364,91 @@ unpack_loop:
 	JNZ       unpack_loop
 	VZEROUPPER
 	RET
+
+// Constants of quantIQ12AVX2.
+DATA iq12Max<>+0(SB)/4, $0x44ffe000 // 2047.0
+GLOBL iq12Max<>(SB), RODATA|NOPTR, $4
+DATA iq12Min<>+0(SB)/4, $0xc5000000 // -2048.0
+GLOBL iq12Min<>(SB), RODATA|NOPTR, $4
+DATA iq12Full<>+0(SB)/4, $0x45000000 // 2048.0
+GLOBL iq12Full<>(SB), RODATA|NOPTR, $4
+DATA iq12Mask<>+0(SB)/4, $0x0fff0fff // 12-bit field of each word
+GLOBL iq12Mask<>(SB), RODATA|NOPTR, $4
+DATA iq12Madd<>+0(SB)/4, $0x10000001 // word pair (1, 4096): I | Q<<12
+GLOBL iq12Madd<>(SB), RODATA|NOPTR, $4
+
+// VPSHUFB control: the low three bytes of each dword, 12 bytes per lane.
+DATA iq12Pack<>+0(SB)/4, $0x04020100
+DATA iq12Pack<>+4(SB)/4, $0x09080605
+DATA iq12Pack<>+8(SB)/4, $0x0e0d0c0a
+DATA iq12Pack<>+12(SB)/4, $0x80808080
+DATA iq12Pack<>+16(SB)/4, $0x04020100
+DATA iq12Pack<>+20(SB)/4, $0x09080605
+DATA iq12Pack<>+24(SB)/4, $0x0e0d0c0a
+DATA iq12Pack<>+28(SB)/4, $0x80808080
+GLOBL iq12Pack<>(SB), RODATA|NOPTR, $32
+
+// VPERMD indices joining the lanes' 12 bytes into 24 contiguous ones.
+DATA iq12Join<>+0(SB)/4, $0
+DATA iq12Join<>+4(SB)/4, $1
+DATA iq12Join<>+8(SB)/4, $2
+DATA iq12Join<>+12(SB)/4, $4
+DATA iq12Join<>+16(SB)/4, $5
+DATA iq12Join<>+20(SB)/4, $6
+DATA iq12Join<>+24(SB)/4, $3
+DATA iq12Join<>+28(SB)/4, $7
+GLOBL iq12Join<>(SB), RODATA|NOPTR, $32
+
+// func quantIQ12AVX2(dst *byte, src *complex64, n int, gain float32)
+//
+// Eight samples per iteration: Y0 = samples 0–3, Y1 = samples 4–7 (I, Q
+// interleaved). Each float is ×gain, ×2048, clamped and rounded to even
+// (VCVTPS2DQ under the default MXCSR). The clamp constant is VMINPS's
+// second Intel source, so a NaN, which fails every compare, becomes 2047
+// as in cf's quant12. VPACKSSDW packs lane-wise, leaving the words as
+// samples 0-1, 4-5, 2-3, 6-7; VPERMQ $0xD8 restores sample order. Every
+// instruction is VEX-encoded (VMOVQ, not MOVQ, for the last 8 bytes): a
+// legacy-SSE instruction while upper YMM halves are dirty can cost an
+// SSE/AVX transition. SI cursor, DI output cursor, CX iterations.
+TEXT ·quantIQ12AVX2(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $3, CX
+	VBROADCASTSS gain+24(FP), Y15
+	VBROADCASTSS iq12Full<>(SB), Y14
+	VBROADCASTSS iq12Max<>(SB), Y13
+	VBROADCASTSS iq12Min<>(SB), Y12
+	VPBROADCASTD iq12Mask<>(SB), Y11
+	VPBROADCASTD iq12Madd<>(SB), Y10
+	VMOVDQU      iq12Pack<>(SB), Y9
+	VMOVDQU      iq12Join<>(SB), Y8
+
+quant_loop:
+	VMOVUPS      (SI), Y0
+	VMOVUPS      32(SI), Y1
+	VMULPS       Y15, Y0, Y0
+	VMULPS       Y15, Y1, Y1
+	VMULPS       Y14, Y0, Y0
+	VMULPS       Y14, Y1, Y1
+	VMINPS       Y13, Y0, Y0
+	VMINPS       Y13, Y1, Y1
+	VMAXPS       Y12, Y0, Y0
+	VMAXPS       Y12, Y1, Y1
+	VCVTPS2DQ    Y0, Y0
+	VCVTPS2DQ    Y1, Y1
+	VPACKSSDW    Y1, Y0, Y0
+	VPERMQ       $0xD8, Y0, Y0
+	VPAND        Y11, Y0, Y0
+	VPMADDWD     Y10, Y0, Y0
+	VPSHUFB      Y9, Y0, Y0
+	VPERMD       Y0, Y8, Y0
+	VMOVDQU      X0, (DI)
+	VEXTRACTI128 $1, Y0, X1
+	VMOVQ        X1, 16(DI)
+	ADDQ         $64, SI
+	ADDQ         $24, DI
+	DECQ         CX
+	JNZ          quant_loop
+	VZEROUPPER
+	RET

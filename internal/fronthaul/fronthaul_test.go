@@ -1,6 +1,7 @@
 package fronthaul
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -75,8 +76,7 @@ func TestBuildPacketRoundTrip(t *testing.T) {
 		samples[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
 	}
 	dst := make([]byte, 0, PacketSize(len(samples)))
-	iq := make([]int16, 2*len(samples))
-	pkt := BuildPacket(dst, iq, Header{Frame: 7, Symbol: 3, Antenna: 11}, samples)
+	pkt := BuildPacket(dst, Header{Frame: 7, Symbol: 3, Antenna: 11}, samples)
 	if len(pkt) != PacketSize(512) {
 		t.Fatalf("packet size %d", len(pkt))
 	}
@@ -86,6 +86,13 @@ func TestBuildPacketRoundTrip(t *testing.T) {
 	}
 	if h.Frame != 7 || h.Symbol != 3 || h.Antenna != 11 || h.Samples != 512 {
 		t.Fatalf("header %+v", h)
+	}
+	iq := make([]int16, 2*len(samples))
+	cf.Quantize12(iq, samples)
+	wire := make([]byte, len(samples)*cf.BytesPerIQ)
+	cf.PackIQ12(wire, iq)
+	if !bytes.Equal(Payload(pkt, &h), wire) {
+		t.Fatal("payload differs from Quantize12 + PackIQ12")
 	}
 	out := make([]complex64, 512)
 	cf.UnpackIQ12(out, Payload(pkt, &h))

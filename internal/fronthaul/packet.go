@@ -103,10 +103,11 @@ func Payload(pkt []byte, h *Header) []byte {
 	return pkt[HeaderSize:PacketSize(int(h.Samples))]
 }
 
-// BuildPacket assembles a complete packet into dst: header plus quantized
-// samples. dst must have capacity PacketSize(len(samples)); the scratch
-// iq buffer must hold 2*len(samples) int16s. Returns the packet slice.
-func BuildPacket(dst []byte, iq []int16, h Header, samples []complex64) []byte {
+// BuildPacket assembles a complete packet into dst: header plus the
+// samples quantized to 12-bit IQ in one pass (cf.QuantizeIQ12 at unit
+// gain). dst must have capacity PacketSize(len(samples)). Returns the
+// packet slice.
+func BuildPacket(dst []byte, h Header, samples []complex64) []byte {
 	h.Samples = uint32(len(samples))
 	n := PacketSize(len(samples))
 	if cap(dst) < n {
@@ -114,8 +115,7 @@ func BuildPacket(dst []byte, iq []int16, h Header, samples []complex64) []byte {
 	}
 	dst = dst[:n]
 	h.Encode(dst)
-	cf.Quantize12(iq, samples)
-	cf.PackIQ12(dst[HeaderSize:], iq[:2*len(samples)])
+	cf.QuantizeIQ12(dst[HeaderSize:], samples, 1)
 	return dst
 }
 

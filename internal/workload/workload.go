@@ -51,7 +51,6 @@ type Generator struct {
 	mixFreq  []complex64   // M×Q all-antenna mixed band (blocked-mix output)
 	antGrid  []complex64   // M×OFDMSize lanes, IFFT'd in one batched call
 	antCP    []complex64   // one antenna's time symbol with the cyclic prefix prepended
-	iq       []int16
 	pkt      []byte
 	zcRoot   int
 
@@ -113,7 +112,6 @@ func NewGenerator(cfg frame.Config, model channel.Model, snrDB float64, seed int
 	g.mixFreq = make([]complex64, cfg.Antennas*cfg.DataSubcarriers)
 	g.antGrid = make([]complex64, cfg.Antennas*cfg.OFDMSize)
 	g.antCP = make([]complex64, cfg.SamplesPerSymbol())
-	g.iq = make([]int16, 2*cfg.SamplesPerSymbol())
 	g.pkt = make([]byte, 0, fronthaul.PacketSize(cfg.SamplesPerSymbol()))
 	g.TruthBits = make([][][]byte, cfg.Users)
 	for u := range g.TruthBits {
@@ -431,7 +429,7 @@ func (g *Generator) mixAndEmit(frameID uint32, sym int, emit func([]byte) error)
 			Cell:    g.cell,
 			Seq:     g.txSeq,
 		}
-		pkt := fronthaul.BuildPacket(g.pkt, g.iq, h, g.antCP)
+		pkt := fronthaul.BuildPacket(g.pkt, h, g.antCP)
 		if g.fec != nil {
 			g.fec.AccumulateData(g.fecAcc, a, pkt[fronthaul.HeaderSize:])
 		}
