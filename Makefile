@@ -63,7 +63,7 @@ race:
 # seed-chosen order on a fuzz-chosen cell; every task released exactly
 # once, never before its dependencies, and a frame done exactly at its
 # last task), the ldpc bit-packing,
-# schedule-differential (FuzzLayeredVsFlooding: every reported success is
+# decode-success (FuzzDecodeSuccessIsCodeword: every reported success is
 # the codeword of its own bits) and codeword-shortcut targets
 # (FuzzCodewordShortcut: a block that arrives as a codeword decodes at 0
 # iterations to the bits one iteration would give) and the vector-vs-Go
@@ -81,7 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAcceptPacket -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFrameDAG -fuzztime 5s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzBitsBytesRoundTrip -fuzztime 5s ./internal/ldpc
-	$(GO) test -run '^$$' -fuzz FuzzLayeredVsFlooding -fuzztime 5s ./internal/ldpc
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSuccessIsCodeword -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzCodewordShortcut -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLaneKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzLoadLLRKernelsSIMD -fuzztime 5s ./internal/ldpc
@@ -119,8 +119,8 @@ bench:
 # vector and Go sides and fails when the median Go/vector ratio falls
 # below its floor; BenchmarkRecorderGate fails when the recorder's median
 # on/off ratio exceeds 1.10. The exact counts — TestDecodeItersReference
-# (iterations to converge) and TestSteadyStateZeroAlloc (0 allocs/op) —
-# are tier-1 tests.
+# (67 layered iterations to converge) and TestSteadyStateZeroAlloc
+# (0 allocs/op) — are tier-1 tests.
 perf:
 	$(GO) test -run '^$$' -bench 'Gate$$' -benchtime 1x . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul
 

@@ -303,10 +303,10 @@ func BenchmarkFig12_LDPCDecode(b *testing.B) {
 // schedBenchLLR is the decode-schedule reference workload: a random
 // codeword at the default 64×16 code whose ±4 LLRs carry σ=2.5 Gaussian
 // noise — harsh enough that min-sum runs several real iterations (unit
-// noise decodes in one, hiding any schedule difference) while still
-// converging under both schedules. Shared by the Decode_Layered/_Flooding
-// pair; internal/ldpc's TestDecodeItersReference (harshLLR) decodes the
-// same workload and pins its iteration counts.
+// noise decodes in one, hiding any iteration count change) while still
+// converging. BenchmarkDecode_Layered decodes it; internal/ldpc's
+// TestDecodeItersReference (harshLLR) decodes the same workload and pins
+// its iteration count.
 func schedBenchLLR(rng *rand.Rand, code *ldpc.Code) []float32 {
 	info := make([]byte, code.K())
 	for i := range info {
@@ -326,20 +326,16 @@ func schedBenchLLR(rng *rand.Rand, code *ldpc.Code) []float32 {
 	return llr
 }
 
-// benchDecodeSched measures the float decoder with the message-passing
-// schedule selectable: the layered default (fused incremental syndrome)
-// against the flooding ablation (DESIGN §13). The two sides run
-// different iteration counts by design — the gap is the combined effect
-// of the halved iterations-to-converge and the O(1) convergence test.
-func benchDecodeSched(b *testing.B, flooding bool) {
+// BenchmarkDecode_Layered measures the layered decoder (fused
+// incremental syndrome, DESIGN §13) on the schedBenchLLR workload.
+func BenchmarkDecode_Layered(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	code := ldpc.MustNew(ldpc.Rate13, 104)
 	dec := ldpc.NewDecoder(code)
-	dec.Flooding = flooding
 	llr := schedBenchLLR(rng, code)
 	out := make([]byte, code.K())
 	if res := dec.Decode(out, llr, 20); !res.OK {
-		b.Fatalf("reference workload did not converge (flooding=%v)", flooding)
+		b.Fatal("reference workload did not converge")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -347,9 +343,6 @@ func benchDecodeSched(b *testing.B, flooding bool) {
 		dec.Decode(out, llr, 20)
 	}
 }
-
-func BenchmarkDecode_Layered(b *testing.B)  { benchDecodeSched(b, false) }
-func BenchmarkDecode_Flooding(b *testing.B) { benchDecodeSched(b, true) }
 
 // BenchmarkFig12_LDPCEncode is the encoding counterpart.
 func BenchmarkFig12_LDPCEncode(b *testing.B) {
@@ -396,13 +389,6 @@ func BenchmarkTable4_AllOptimizationsOff(b *testing.B) {
 // on every post-warm-up frame (Table 4 / DESIGN §14).
 func BenchmarkTable4_ZFCacheOff(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableZFCache: true})
-}
-
-// BenchmarkTable4_FloodingDecode isolates the decode-schedule ablation:
-// only LDPC decoding reverts to the flooding message-passing schedule,
-// everything else stays optimized (DESIGN §13).
-func BenchmarkTable4_FloodingDecode(b *testing.B) {
-	benchFrame(b, laptopCfg(), Options{Workers: 2, DisableLayeredDecode: true})
 }
 
 // BenchmarkTracerOverhead_On / _Off bound the cost of the per-worker

@@ -53,12 +53,9 @@ type stagesReport struct {
 	ZFShareUncached  float64 `json:"zf_share_uncached"`
 	ZFBusyMSCached   float64 `json:"zf_busy_ms_cached"`
 	ZFBusyMSUncached float64 `json:"zf_busy_ms_uncached"`
-	// DecodeIters is the decode-iteration accounting of the main (layered)
-	// run; DecodeItersFlooding is from a third identically-seeded run with
-	// DisableLayeredDecode, so the pair prices the layered schedule the
-	// same way the ZF rows price the coherence cache (DESIGN §13).
-	DecodeIters         agora.DecodeSnap `json:"decode_iters"`
-	DecodeItersFlooding agora.DecodeSnap `json:"decode_iters_flooding"`
+	// DecodeIters is the decode-iteration accounting of the main run
+	// (DESIGN §13).
+	DecodeIters agora.DecodeSnap `json:"decode_iters"`
 	// Kernels is the kernel implementation each vectorised stage used.
 	Kernels []agora.KernelRow `json:"kernels"`
 	// SLOAttribution is the live recorder's per-stage budget attribution
@@ -149,17 +146,6 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 	if tb := busyMS(&unc.Metrics); tb > 0 {
 		rep.ZFShareUncached = rep.ZFBusyMSUncached / tb
 	}
-	// Third identically-seeded run with the flooding decode schedule: the
-	// iteration-count delta against the layered main run is the convergence
-	// speedup the layered schedule buys (the busy-time effect shows up in
-	// the Decode stage row of a DisableLayeredDecode capture).
-	fldOpts := opts
-	fldOpts.DisableLayeredDecode = true
-	fld, err := agora.RunUplink(cfg, fldOpts, agora.Rayleigh, 25, frames, false, seed)
-	if err != nil {
-		return err
-	}
-	rep.DecodeItersFlooding = fld.Metrics.Decode
 	for _, w := range tl.Workers {
 		rep.WorkerUtil = append(rep.WorkerUtil, workerRow{
 			Lane:        w.Lane,
@@ -194,14 +180,8 @@ func runStages(out string, full bool, frames, workers int, seed int64) error {
 		}
 	}
 	if d := rep.DecodeIters; d.Blocks > 0 {
-		fmt.Printf("decode iterations (per code block, %d blocks)\n", d.Blocks)
-		fmt.Printf("%-9s %10s %8s %12s\n", "schedule", "mean iter", "max", "early-exit")
-		fmt.Printf("%-9s %10.2f %8d %11.1f%%\n",
-			"layered", d.MeanIters, d.MaxIters, d.EarlyExitRate*100)
-		if f := rep.DecodeItersFlooding; f.Blocks > 0 {
-			fmt.Printf("%-9s %10.2f %8d %11.1f%%\n",
-				"flooding", f.MeanIters, f.MaxIters, f.EarlyExitRate*100)
-		}
+		fmt.Printf("decode iterations per code block (%d blocks): mean %.2f, max %d, early-exit %.1f%%\n",
+			d.Blocks, d.MeanIters, d.MaxIters, d.EarlyExitRate*100)
 	}
 	fmt.Printf("deadline misses: %d (incl. warmup); latency median %.3f ms, p99.9 %.3f ms\n",
 		rep.DeadlineMisses, rep.MedianMS, rep.P999MS)

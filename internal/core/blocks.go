@@ -86,7 +86,6 @@ func newWorker(id int, e *Engine) *worker {
 	w.xtBlk = make([]complex64, cfg.ZFGroupSize*cfg.Users)
 	w.dec = ldpc.NewDecoder(e.code)
 	w.dec.Alg = ldpc.NormalizedMinSum
-	w.dec.Flooding = e.opts.DisableLayeredDecode
 	w.payloadRun = make([][]byte, 0, cfg.FFTBatch)
 	w.leaseRun = make([]*rxLease, 0, cfg.FFTBatch)
 	w.llrGather = make([]float32, e.scUsed*int(cfg.Order))
@@ -247,17 +246,12 @@ func (w *worker) runZF(slot int, g int) {
 		copy(b.eq[slot][g].Data, h.Data[:len(b.eq[slot][g].Data)])
 		return
 	}
-	switch {
-	case e.opts.UseMRC:
-		mat.ConjugateEqualizerIntoWS(b.eq[slot][g], h, w.zfws)
-	case e.opts.DisableInverseOpt:
+	if e.opts.DisableInverseOpt {
 		mat.PinvSVDInto(b.eq[slot][g], h, 1e-9)
-	default:
-		if err := mat.ZFEqualizerInto(b.eq[slot][g], h, w.zfws); err != nil {
-			// Singular channel estimate: fall back to conjugate
-			// beamforming (§4.2 suggests MRC when ill-conditioned).
-			mat.ConjugateEqualizerIntoWS(b.eq[slot][g], h, w.zfws)
-		}
+	} else if err := mat.ZFEqualizerInto(b.eq[slot][g], h, w.zfws); err != nil {
+		// Singular channel estimate: fall back to conjugate beamforming
+		// (§4.2 suggests MRC when ill-conditioned).
+		mat.ConjugateEqualizerIntoWS(b.eq[slot][g], h, w.zfws)
 	}
 	if e.hasDownlink {
 		if err := mat.ZFPrecoderInto(b.pre[slot][g], h, w.zfws); err != nil {

@@ -294,19 +294,15 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.initMACPattern()
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
 	if !opts.DummyKernels {
-		// The platform's kernels (internal/cpu), except that the flooding
-		// ablation and the textbook GEMM (DisableJITGemm) are Go loops
-		// everywhere. DummyKernels runs none of the four, so it reports no
-		// rows.
-		decode, gemm := ldpc.Kernel(), mat.Kernel()
-		if opts.DisableLayeredDecode {
-			decode = "generic"
-		}
+		// The platform's kernels (internal/cpu), except that the textbook
+		// GEMM (DisableJITGemm) is a Go loop everywhere. DummyKernels runs
+		// none of the four, so it reports no rows.
+		gemm := mat.Kernel()
 		if opts.DisableJITGemm {
 			gemm = "generic"
 		}
 		e.met.Kernels = []obs.KernelRow{
-			{Stage: "decode", Kernel: decode},
+			{Stage: "decode", Kernel: ldpc.Kernel()},
 			{Stage: "fft", Kernel: fft.Kernel()},
 			{Stage: "demod", Kernel: modulation.Kernel()},
 			{Stage: "gemm", Kernel: gemm},

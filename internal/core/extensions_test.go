@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,48 +11,69 @@ import (
 	"repro/internal/frame"
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
+	"repro/internal/mat"
 	"repro/internal/modulation"
 	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
-func TestMRCEqualizerDecodesSingleStream(t *testing.T) {
-	// MRC is interference-limited with many users but exact for one
-	// stream: a K=1 run must decode perfectly.
-	cfg := smallCfg()
-	cfg.Users = 1
-	res := runFrames(t, cfg, Options{Workers: 3, UseMRC: true}, 3, 28)
-	for _, r := range res {
-		if r.Dropped || r.BlocksOK != r.BlocksTotal {
-			t.Fatalf("MRC K=1 frame %d: %d/%d", r.Frame, r.BlocksOK, r.BlocksTotal)
+// TestZFSingularFallsBackToConjugate drives runZF on a CSI group with
+// one all-zero user column: the Gram matrix is singular, so the Cholesky
+// factorization and the Gauss–Jordan inverse both fail, and the task
+// must install the conjugate equalizer of the same H, bit for bit, and
+// zero the downlink precoder.
+func TestZFSingularFallsBackToConjugate(t *testing.T) {
+	for _, symbols := range []string{"PUU", "PUD"} {
+		cfg := smallCfg()
+		cfg.Users = 3
+		cfg.Symbols = symbols
+		eng, err := NewEngine(cfg, Options{Workers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const dead = 1
+		rng := rand.New(rand.NewSource(5))
+		h := eng.buf.csi[0][0]
+		for r := 0; r < h.Rows; r++ {
+			for c := range h.Row(r) {
+				if c != dead {
+					h.Row(r)[c] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+				}
+			}
+		}
+		ws := mat.NewZFWorkspace(cfg.Users)
+		if err := mat.ZFEqualizerInto(mat.New(cfg.Users, cfg.Antennas), h, ws); err != mat.ErrSingular {
+			t.Fatalf("%s: ZFEqualizerInto on a dead user column returned %v, want ErrSingular", symbols, err)
+		}
+		want := mat.New(cfg.Users, cfg.Antennas)
+		mat.ConjugateEqualizerIntoWS(want, h, ws)
+		pre := eng.buf.pre[0][0]
+		if eng.hasDownlink {
+			for i := range pre.Data {
+				pre.Data[i] = 1
+			}
+		}
+		eng.workers[0].runZF(0, 0)
+		eq := eng.buf.eq[0][0]
+		for i, v := range eq.Data {
+			if math.Float32bits(real(v)) != math.Float32bits(real(want.Data[i])) ||
+				math.Float32bits(imag(v)) != math.Float32bits(imag(want.Data[i])) {
+				t.Fatalf("%s: eq[%d] = %v, conjugate equalizer %v", symbols, i, v, want.Data[i])
+			}
+		}
+		for u := 0; u < cfg.Users; u++ {
+			live := slices.ContainsFunc(eq.Row(u), func(v complex64) bool { return v != 0 })
+			if live != (u != dead) {
+				t.Fatalf("%s: user %d row nonzero=%v, want %v", symbols, u, live, u != dead)
+			}
+		}
+		if eng.hasDownlink != (symbols == "PUD") {
+			t.Fatalf("%s: hasDownlink=%v", symbols, eng.hasDownlink)
+		}
+		if eng.hasDownlink && slices.ContainsFunc(pre.Data, func(v complex64) bool { return v != 0 }) {
+			t.Fatalf("%s: precoder not zeroed on a singular channel", symbols)
 		}
 	}
-}
-
-func TestMRCWorseThanZFWithManyUsers(t *testing.T) {
-	// With M/K = 2 the MRC signal-to-interference ratio is only ~4 dB,
-	// below what the rate-8/9 code needs, while ZF still decodes cleanly.
-	cfg := smallCfg()
-	cfg.Users = 4
-	cfg.Symbols = "PUUUU"
-	zfOK, zfTot := blocksOver(t, cfg, Options{Workers: 3}, 16, 12)
-	mrcOK, mrcTot := blocksOver(t, cfg, Options{Workers: 3, UseMRC: true}, 16, 12)
-	if zfOK != zfTot {
-		t.Fatalf("ZF baseline should be clean: %d/%d", zfOK, zfTot)
-	}
-	if mrcOK >= mrcTot {
-		t.Fatalf("MRC with K=2 streams decoded everything (%d/%d); interference should bite", mrcOK, mrcTot)
-	}
-}
-
-func blocksOver(t *testing.T, cfg frameConfig, opts Options, snr float64, frames int) (ok, total int) {
-	t.Helper()
-	res := runFrames(t, cfg, opts, frames, snr)
-	for _, r := range res {
-		ok += r.BlocksOK
-		total += r.BlocksTotal
-	}
-	return
 }
 
 func TestStalePrecoderSendsBeforeZF(t *testing.T) {

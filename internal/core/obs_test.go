@@ -253,8 +253,7 @@ func runFramesObs(t *testing.T, cfg frame.Config, opts Options, n int) obsRun {
 
 // TestKernelsReported checks the engine's kernel table against the four
 // packages' Kernel(): the platform's selection on the default path and
-// the antenna-major layout, decode "generic" under the flooding ablation,
-// gemm "generic" under the textbook GEMM, and no rows under DummyKernels,
+// the antenna-major layout, gemm "generic" under the textbook GEMM, and no rows under DummyKernels,
 // which runs none of the four kernels. FECParity adds internal/fronthaul's
 // fec row, DummyKernels or not: the RX goroutine's parity folds run
 // either way.
@@ -272,8 +271,6 @@ func TestKernelsReported(t *testing.T) {
 			t.Fatalf("%s: Kernel() = %q, want \"avx2\" or \"generic\"", r.Stage, r.Kernel)
 		}
 	}
-	flooding := slices.Clone(platform)
-	flooding[0].Kernel = "generic"
 	textbook := slices.Clone(platform)
 	textbook[3].Kernel = "generic"
 	for _, tc := range []struct {
@@ -283,7 +280,6 @@ func TestKernelsReported(t *testing.T) {
 	}{
 		{"default", Options{Workers: 1}, platform},
 		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, platform},
-		{"DisableLayeredDecode", Options{Workers: 1, DisableLayeredDecode: true}, flooding},
 		{"DisableJITGemm", Options{Workers: 1, DisableJITGemm: true}, textbook},
 		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, nil},
 		{"FECParity", Options{Workers: 1, FECParity: 2}, withFEC},

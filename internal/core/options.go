@@ -27,8 +27,8 @@
 // runEncode, runPrecode, runIFFT. Each FFT block takes a run of
 // consecutive antennas; a run of one is a batch of one. Options{} selects
 // the serving path. The Disable* toggles are the ablations the paper's
-// evaluation measures (Table 4, §3.4, §4), the flooding decode baseline
-// and two observability switches; no other alternative path is kept.
+// evaluation measures (Table 4, §3.4, §4) and two observability
+// switches; no other alternative path is kept.
 package core
 
 import (
@@ -87,15 +87,6 @@ type Options struct {
 	// (§4.2).
 	DisableJITGemm bool
 
-	// DisableLayeredDecode replaces the default layered (serial-C) LDPC
-	// message-passing schedule with a flooding schedule (ldpc/flood.go,
-	// DESIGN §13): every check node of an iteration reads the beliefs from
-	// the previous full iteration instead of the freshest within-iteration
-	// values. Decoded information bits match the layered schedule on
-	// decodable inputs, but iterations-to-converge roughly double — the
-	// Table-4-style ablation that prices the layered schedule.
-	DisableLayeredDecode bool
-
 	// DisableSIMDConvert replaces the word-packed IQ conversion with the
 	// byte-at-a-time version (§4, data type conversions). It also precludes
 	// the fused unpack/permute FFT front end, which builds on the packed
@@ -148,11 +139,6 @@ type Options struct {
 	// KeepBits retains decoded uplink bits in each FrameResult (needed by
 	// BER/BLER experiments; adds per-frame allocation).
 	KeepBits bool
-
-	// UseMRC replaces the zero-forcing equalizer with conjugate
-	// (maximum-ratio-combining) beamforming, the lower-overhead method
-	// the paper suggests for ill-conditioned channels (§4.2).
-	UseMRC bool
 
 	// DisableZFCache turns off the coherence-cached zero-forcing path:
 	// every frame recomputes its equalizer (and precoder) from its own

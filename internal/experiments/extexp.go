@@ -10,9 +10,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/frame"
 	"repro/internal/fronthaul"
-	"repro/internal/harness"
 	"repro/internal/mat"
 	"repro/internal/queue"
 	"repro/internal/sim"
@@ -20,13 +18,11 @@ import (
 )
 
 // The experiments in this file go beyond the paper's evaluation section,
-// covering its discussion items: the §3.4.2 stale-precoder optimization,
-// the §4.2 conjugate-beamforming alternative and the §8 scaling
-// projection to 128×64 MIMO.
+// covering its discussion items: the §3.4.2 stale-precoder optimization
+// and the §8 scaling projection to 128×64 MIMO.
 
 func init() {
 	All["stale"] = Stale
-	All["mrc"] = MRC
 	All["scaleup"] = ScaleUp
 }
 
@@ -147,36 +143,6 @@ func staleSIRdB(rho float64, m, k int, rng *rand.Rand) float64 {
 	return 10 * math.Log10(sig/leak)
 }
 
-// MRC compares zero-forcing against conjugate (maximum-ratio-combining)
-// beamforming — the lower-overhead linear method the paper cites for
-// ill-conditioned channels (§4.2): BLER on the real engine plus the
-// post-equalization SINR scaling with M/K.
-func MRC(w io.Writer, o Opt) error {
-	o = o.withDefaults()
-	frames := o.frames(6, 20)
-	fmt.Fprintln(w, "# Extension (paper §4.2): zero-forcing vs conjugate beamforming")
-	fmt.Fprintf(w, "%-8s %-7s %-10s %-10s\n", "MIMO", "SNR_dB", "ZF_BLER", "MRC_BLER")
-	for _, c := range [][2]int{{8, 4}, {16, 4}, {32, 4}} {
-		cfg := scaledCfg(c[0], c[1])
-		run := func(mrc bool) (float64, error) {
-			return harnessUplink(cfg, core.Options{Workers: o.Workers, UseMRC: mrc}, 16, frames, o.Seed)
-		}
-		zf, err := run(false)
-		if err != nil {
-			return err
-		}
-		mrc, err := run(true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-8s %-7d %-10.3f %-10.3f\n",
-			fmt.Sprintf("%dx%d", c[0], c[1]), 16, zf, mrc)
-	}
-	fmt.Fprintln(w, "# expect: ZF clean everywhere; MRC limited by inter-user interference,")
-	fmt.Fprintln(w, "#   recovering as M/K grows (favorable propagation)")
-	return nil
-}
-
 // ScaleUp runs the paper's §8 projection: 128 antennas and 64 users
 // roughly 16x the zero-forcing cost and 4x the decoding cost — how many
 // workers does the frame rate need, and where does the time go?
@@ -204,16 +170,4 @@ func ScaleUp(w io.Writer, o Opt) error {
 	}
 	fmt.Fprintln(w, "# paper: ~200-core servers should cover 128x64; ZF grows ~16x, decode ~4x")
 	return nil
-}
-
-// frameConfig aliases the cell config type for brevity.
-type frameConfig = frame.Config
-
-// harnessUplink runs frames and returns the run's BLER.
-func harnessUplink(cfg frameConfig, opts core.Options, snr float64, frames int, seed int64) (float64, error) {
-	sum, err := harness.RunUplink(cfg, opts, channel.Rayleigh, snr, frames, false, seed)
-	if err != nil {
-		return 0, err
-	}
-	return sum.BLER(), nil
 }

@@ -200,7 +200,6 @@ func Table4(w io.Writer, o Opt) error {
 		{"matrix inverse off", with(base, func(op *core.Options) { op.DisableInverseOpt = true })},
 		{"JIT gemm off", with(base, func(op *core.Options) { op.DisableJITGemm = true })},
 		{"SIMD convert off", with(base, func(op *core.Options) { op.DisableSIMDConvert = true })},
-		{"layered decode off", with(base, func(op *core.Options) { op.DisableLayeredDecode = true })},
 		{"ZF cache off", with(base, func(op *core.Options) { op.DisableZFCache = true })},
 		// Beyond the paper: decentralized partial-Gram equalization
 		// (DESIGN §16) — same math reassociated across 4 antenna clusters,

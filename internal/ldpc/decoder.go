@@ -33,16 +33,7 @@ type Decoder struct {
 	Offset float32
 	// Scale is the α of normalized min-sum (conventional 0.75).
 	Scale float32
-	// Flooding replaces the default layered (serial-C) schedule with a
-	// flooding schedule (flood.go, DESIGN §13): every check of an
-	// iteration reads the APP values from the previous full iteration.
-	// The Table-4-style ablation behind core's Options.DisableLayeredDecode.
-	// On decodable inputs the decoded information bits match the layered
-	// schedule's; iteration counts are roughly doubled (the point of the
-	// ablation) and LLR trajectories legitimately differ.
-	Flooding bool
-	l        []float32 // posterior LLR per variable
-	lPrev    []float32 // flooding only: APP snapshot at iteration start
+	l     []float32 // posterior LLR per variable
 	// r holds the check-to-variable messages lane-major: lane j of edge
 	// eOff[i]+e is r[(eOff[i]+e)*Z + j], so block-row i's slab starts at
 	// eOff[i]*Z.
@@ -71,7 +62,6 @@ func NewDecoder(c *Code) *Decoder {
 	d := &Decoder{code: c, Offset: 0.5, Scale: 0.75}
 	nVar := (KbBlocks + c.Mb) * c.Z
 	d.l = isolated[float32](nVar)
-	d.lPrev = isolated[float32](nVar)
 	d.syn = newSynTrack(c)
 	d.hard = isolated[uint64]((KbBlocks + c.Mb) * d.syn.w)
 	d.eOff = make([]int, c.Mb+1)
@@ -144,17 +134,14 @@ type Result struct {
 // length K(). Returns the iteration count and success flag; on failure
 // info holds the best-effort hard decisions.
 //
-// Both schedules share one prologue: the channel hard decisions are
-// packed while the LLRs are loaded, and the packed words are rotated
-// once against every parity check. A block that already is a codeword
-// returns with 0 iterations — a min-sum pass over it would hand every
-// variable messages of its own sign and return the same bits (DESIGN
-// §13). Otherwise the default path
-// is the lane-major layered schedule with syndrome tracking fused into
-// the layer update (layered.go), on the platform's vector layer kernels
-// where init found them (kernel.go). Flooding selects the flooding
-// schedule (flood.go), which pays a hard-decision pass and — only when a
-// bit actually flipped — a syndrome recount per iteration.
+// The prologue packs the channel hard decisions while the LLRs are
+// loaded and rotates the packed words once against every parity check.
+// A block that already is a codeword returns with 0 iterations — a
+// min-sum pass over it would hand every variable messages of its own
+// sign and return the same bits (DESIGN §13). Otherwise it runs the
+// lane-major layered schedule with syndrome tracking fused into the
+// layer update (layered.go), on the platform's vector layer kernels
+// where init found them (kernel.go).
 func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	c := d.code
 	if len(llr) != c.N() {
@@ -171,9 +158,6 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	}
 	clear(d.r)
 	scl, off := d.magnitudeRule()
-	if d.Flooding {
-		return d.decodeFlood(info, maxIter, scl, off)
-	}
 	return d.decodeLayered(info, maxIter, scl, off)
 }
 
@@ -194,15 +178,11 @@ func (d *Decoder) loadLLR(llr []float32) {
 }
 
 // packSigns stores the hard decisions of one block's values x into its
-// words and reports whether any bit changed. Words past the last one x
-// reaches are left alone (they stay 0).
-func packSigns(words []uint64, x []float32) (changed bool) {
+// words. Words past the last one x reaches are left alone (they stay 0).
+func packSigns(words []uint64, x []float32) {
 	for k := 0; k*64 < len(x); k++ {
-		nw := signWord(x[k*64 : min(k*64+64, len(x))])
-		changed = changed || nw != words[k]
-		words[k] = nw
+		words[k] = signWord(x[k*64 : min(k*64+64, len(x))])
 	}
-	return changed
 }
 
 // signWord returns bit k set where x[k] < 0, for up to 64 values. The

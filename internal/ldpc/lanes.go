@@ -3,7 +3,7 @@ package ldpc
 import "math"
 
 // Lane-major layer processing (DESIGN §13): the pass-1 slab reduction
-// both schedules (layered.go, flood.go) are built from.
+// the layered schedule (layered.go) is built from.
 //
 // A block-row layer is walked per *edge*, touching all Z lifted checks
 // ("lanes") of the layer at once rather than check by check:

@@ -294,7 +294,6 @@ func decodeAfterGarbage(t *testing.T, d *Decoder, rng *rand.Rand, maxIter int) {
 		llr[i] += float32(1.5 * rng.NormFloat64())
 	}
 	fresh := NewDecoder(code)
-	fresh.Flooding = d.Flooding
 	want := fresh.Decode(make([]byte, code.K()), llr, maxIter)
 	if want.Iterations == 0 || !want.OK {
 		t.Fatalf("fresh decoder %+v: input must need iterating and converge", want)
@@ -312,7 +311,7 @@ func decodeAfterGarbage(t *testing.T, d *Decoder, rng *rand.Rand, maxIter int) {
 	}
 }
 
-// TestLaneDecoderReuse is the layered twin of TestFloodingDecoderReuse.
+// TestLaneDecoderReuse runs decodeAfterGarbage on one decoder.
 func TestLaneDecoderReuse(t *testing.T) {
 	decodeAfterGarbage(t, NewDecoder(MustNew(Rate23, 64)), rand.New(rand.NewSource(6)), 5)
 }

@@ -6,14 +6,13 @@ import (
 )
 
 // Layered decoding with fused incremental syndrome (DESIGN §13): the
-// default decode path.
+// decode path.
 //
 // Check layers are processed serially — each layer's pass 2 writes updated
 // APP values in place, so the next layer's pass 1 reads beliefs refreshed
 // within the same iteration (the serial-C / turbo-decoding message-passing
 // schedule production 5G decoders use, which converges in roughly half
-// the iterations of a flooding schedule at equal error rate; flood.go
-// keeps flooding as the measurable ablation).
+// the iterations of a flooding schedule at equal error rate).
 //
 // Convergence detection is incremental and exact:
 //
@@ -222,13 +221,10 @@ func (d *Decoder) iterateLayered(scl, off float32) {
 	}
 }
 
-// layerReduce is pass 1 of block-row i over the live posteriors.
-func (d *Decoder) layerReduce(i int) { d.layerReduceFrom(i, d.l) }
-
-// layerReduceFrom resets the per-lane reduction state, then folds both
-// cyclic-shift segments of every edge of block-row i, read from the APP
-// array src, into it.
-func (d *Decoder) layerReduceFrom(i int, src []float32) {
+// layerReduce is pass 1 of block-row i: it resets the per-lane
+// reduction state, then folds both cyclic-shift segments of every edge,
+// read from the live posteriors, into it.
+func (d *Decoder) layerReduce(i int) {
 	z := d.code.Z
 	eo := d.eOff[i]
 	deg := d.eOff[i+1] - eo
@@ -247,7 +243,7 @@ func (d *Decoder) layerReduceFrom(i int, src []float32) {
 		s := d.edgeShf[eo+e]
 		qe := d.laneQ[e*z : (e+1)*z]
 		re := d.r[(eo+e)*z : (eo+e+1)*z]
-		lb := src[base : base+z]
+		lb := d.l[base : base+z]
 		n := z - s
 		laneReduce(qe[:n], re[:n], lb[s:], sgn[:n], min1[:n], min2[:n], idx[:n], int32(e))
 		laneReduce(qe[n:], re[n:], lb[:s], sgn[n:], min1[n:], min2[n:], idx[n:], int32(e))

@@ -36,7 +36,6 @@ func (r byteRange) touchesLinesOf(w byteRange) bool {
 func writtenRanges(d *Decoder) []byteRange {
 	return []byteRange{
 		sliceRange("l", d.l),
-		sliceRange("lPrev", d.lPrev),
 		sliceRange("r", d.r),
 		sliceRange("hard", d.hard),
 		sliceRange("laneQ", d.laneQ),

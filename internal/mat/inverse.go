@@ -193,26 +193,19 @@ func ZFPrecoderInto(dst, h *M, ws *ZFWorkspace) error {
 	return nil
 }
 
-// ConjugateEqualizerInto computes the maximum-ratio-combining (conjugate)
-// equalizer W = D⁻¹Hᴴ where D = diag(‖h_k‖²), the lower-overhead
-// alternative the paper cites for ill-conditioned channels (§4.2).
-func ConjugateEqualizerInto(dst, h *M) {
-	conjugateEqualizer(dst, h, make([]float64, h.Cols))
-}
-
-// ConjugateEqualizerIntoWS is ConjugateEqualizerInto over workspace
-// scratch, the allocation-free path the engine's ZF task takes (both for
-// Options.UseMRC and as the singular-channel fallback).
+// ConjugateEqualizerIntoWS computes the maximum-ratio-combining
+// (conjugate) equalizer W = D⁻¹Hᴴ where D = diag(‖h_k‖²), the
+// lower-overhead alternative the paper cites for ill-conditioned
+// channels (§4.2), over workspace scratch: the engine's ZF task falls
+// back to it when the channel estimate is singular. A user column of
+// zero norm gets an all-zero row.
 func ConjugateEqualizerIntoWS(dst, h *M, ws *ZFWorkspace) {
-	conjugateEqualizer(dst, h, ws.norms[:h.Cols])
-}
-
-func conjugateEqualizer(dst, h *M, norms []float64) {
 	k := h.Cols
 	m := h.Rows
 	if dst.Rows != k || dst.Cols != m {
-		panic("mat: ConjugateEqualizerInto shape mismatch")
+		panic("mat: ConjugateEqualizerIntoWS shape mismatch")
 	}
+	norms := ws.norms[:k]
 	for i := range norms {
 		norms[i] = 0
 	}

@@ -227,7 +227,7 @@ func TestConjugateEqualizerUnbiased(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	h := randM(rng, 16, 1)
 	w := New(1, 16)
-	ConjugateEqualizerInto(w, h)
+	ConjugateEqualizerIntoWS(w, h, NewZFWorkspace(1))
 	prod := New(1, 1)
 	MulInto(prod, w, h)
 	if math.Abs(float64(real(prod.At(0, 0)))-1) > 1e-4 || math.Abs(float64(imag(prod.At(0, 0)))) > 1e-4 {
