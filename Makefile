@@ -67,9 +67,12 @@ race:
 # the codeword of its own bits) and codeword-shortcut targets
 # (FuzzCodewordShortcut: a block that arrives as a codeword decodes at 0
 # iterations to the bits one iteration would give) and the vector-vs-Go
-# kernel differentials of ldpc (layer kernels and the LLR sign pack,
-# FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the packed
-# words), fft (the transforms, and FuzzStoreIQ12KernelsSIMD: the TX
+# kernel differentials of ldpc (FuzzLaneKernelsSIMD: whole decodes on the
+# rotated, padded layout from raw float bits at Z below 8, at and either
+# side of a multiple of 8 and past one word per block, real lanes
+# compared, poisoned slack around l, r and the Q slab; and the LLR sign
+# pack, FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the
+# packed words), fft (the transforms, and FuzzStoreIQ12KernelsSIMD: the TX
 # quantize-pack, poisoned bytes on either side of the payload), modulation, mat (the block multiply and the tile
 # multiply on the uplink grid's layout) and fronthaul (FuzzGFKernelsSIMD:
 # the GF(2^8) multiply-XOR, single and paired rows, poisoned margins past

@@ -415,6 +415,7 @@ func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
 	select {
 	case e.results <- res:
 	default: // consumer too slow; drop the report, not the pipeline
+		e.met.ResultsLost.Add(1)
 	}
 	e.tryAdmitPending()
 }

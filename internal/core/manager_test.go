@@ -27,41 +27,69 @@ import (
 
 // BenchmarkManagerFrame is the manager's own cost per frame, with no
 // worker, kernel or transport: each iteration feeds one small_frames
-// frame's RX notifications (8×2, "PUU") through onRX and completes every
-// task the frame DAG releases straight back through onCompletion, as
-// runManager does. It must stay at 0 allocs/op.
+// frame through managerFrame. It must stay at 0 allocs/op.
 func BenchmarkManagerFrame(b *testing.B) {
-	cfg := smallCfg()
-	e, err := NewEngine(cfg, Options{Workers: 2, DisableRecorder: true, DisableZFCache: true}, nil)
+	e, err := NewEngine(smallCfg(), Options{Workers: 2, DisableRecorder: true, DisableZFCache: true}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := uint32(i)
-		slot := i % e.opts.Slots
-		e.slotOwner[slot].Store(heldBy(id)) // what acceptPacket's claim does
-		for sym := 0; sym < cfg.NumSymbols(); sym++ {
-			for a := 0; a < cfg.Antennas; a++ {
-				e.onRX(queue.Msg{Type: queue.TaskPacketRX, Frame: id, Slot: uint32(slot),
-					Symbol: uint16(sym), TaskIdx: uint16(a)})
-				e.flush()
-			}
-		}
-		for busy := true; busy; {
-			busy = false
-			for t := range e.taskQ {
-				for m, ok := e.taskQ[t].TryDequeue(); ok; m, ok = e.taskQ[t].TryDequeue() {
-					busy = true
-					e.onCompletion(m)
-					e.flush()
-				}
-			}
-		}
+		managerFrame(e, uint32(i))
 		if r := <-e.results; r.Dropped {
 			b.Fatal("frame dropped")
 		}
+	}
+}
+
+// managerFrame runs frame id through an un-started engine's manager
+// alone: its RX notifications (8×2, "PUU") go through onRX, and every
+// task the frame DAG releases goes straight back through onCompletion,
+// as runManager does, until the frame retires.
+func managerFrame(e *Engine, id uint32) {
+	cfg := &e.cfg
+	slot := int(id) % e.opts.Slots
+	e.slotOwner[slot].Store(heldBy(id)) // what acceptPacket's claim does
+	for sym := 0; sym < cfg.NumSymbols(); sym++ {
+		for a := 0; a < cfg.Antennas; a++ {
+			e.onRX(queue.Msg{Type: queue.TaskPacketRX, Frame: id, Slot: uint32(slot),
+				Symbol: uint16(sym), TaskIdx: uint16(a)})
+			e.flush()
+		}
+	}
+	for busy := true; busy; {
+		busy = false
+		for t := range e.taskQ {
+			for m, ok := e.taskQ[t].TryDequeue(); ok; m, ok = e.taskQ[t].TryDequeue() {
+				busy = true
+				e.onCompletion(m)
+				e.flush()
+			}
+		}
+	}
+}
+
+// TestResultsLostCounted retires more frames than Results() holds with
+// nobody reading it: every frame past the channel's capacity loses its
+// report, and each such loss is counted, so delivered + lost equals the
+// frames retired.
+func TestResultsLostCounted(t *testing.T) {
+	e, err := NewEngine(smallCfg(), Options{Workers: 2, DisableRecorder: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := cap(e.results) + 37
+	for i := 0; i < frames; i++ {
+		managerFrame(e, uint32(i))
+	}
+	retired := e.met.FramesDone.Load() + e.met.FramesDropped.Load()
+	delivered, lost := int64(len(e.results)), e.met.ResultsLost.Load()
+	if retired != int64(frames) || delivered+lost != retired || lost != 37 {
+		t.Fatalf("%d frames: %d retired, %d results delivered + %d lost", frames, retired, delivered, lost)
+	}
+	if s := e.met.Snap(); s.ResultsLost != lost {
+		t.Fatalf("snapshot results_lost %d, metric %d", s.ResultsLost, lost)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"unsafe"
 )
 
 // Alg selects the min-sum variant.
@@ -25,6 +26,10 @@ const (
 // writes owns its cache lines (isolated): no line of it holds a byte of
 // another allocation, so another core writing its own data never
 // invalidates a line this decoder's layers are read-modify-writing.
+//
+// Every float slab is padded to zp = ⌈Z/8⌉·8 lanes per block, so the
+// vector kernels run whole vectors; lanes [Z, zp) are junk that no real
+// lane ever reads (layered.go).
 type Decoder struct {
 	code *Code
 	// Alg selects the check-node update rule.
@@ -33,23 +38,35 @@ type Decoder struct {
 	Offset float32
 	// Scale is the α of normalized min-sum (conventional 0.75).
 	Scale float32
-	l     []float32 // posterior LLR per variable
+	zp    int
+	// l holds the posterior LLRs, zp lanes per block-column: column c is
+	// l[c·zp : c·zp+Z], rotated by the shift of the edge that last wrote
+	// it (layered.go). Its allocation keeps zp floats of slack before the
+	// first column and after the last, which the vector pass 1 reads and
+	// never uses.
+	l []float32
 	// r holds the check-to-variable messages lane-major: lane j of edge
-	// eOff[i]+e is r[(eOff[i]+e)*Z + j], so block-row i's slab starts at
-	// eOff[i]*Z.
+	// eOff[i]+e is r[(eOff[i]+e)·zp + j].
 	r []float32
-	// hard holds the hard decisions bit-packed, blockWords(Z) words per
-	// block-column: bit j%64 of word c·W+j/64 is variable c·Z+j. Bits at
-	// and past Z of a block-column are always 0.
+	// hard holds the hard decisions bit-packed in natural order,
+	// blockWords(Z) words per block-column: bit j%64 of word c·W+j/64 is
+	// variable c·Z+j. Bits at and past Z of a block-column are always 0.
 	hard []uint64
-	syn  synTrack // fused incremental syndrome (layered.go)
-	// Flat per-edge tables (indexed by eOff[i]+e): the variable
-	// block-column and the cyclic shift.
-	eOff    []int
-	edgeCol []int
-	edgeShf []int
-	// Lane-major scratch (lanes.go): the layer's Q slab (deg×Z, reused as
-	// the posterior slab in pass 2) and the per-lane reduction state.
+	w    int // blockWords(Z)
+	// signs is hard's layout holding the decisions of l in its rotated
+	// order, packed at the end of every iteration (packHard).
+	signs []uint64
+	eOff  []int // block-row i's edges are eOff[i]..eOff[i+1]
+	// first and steady place every edge in l for the first iteration
+	// (every column starts unrotated) and for the later ones (every
+	// column starts in sLast's rotation); see layerEdge.
+	first, steady []layerEdge
+	sLast         []int // per block-column: the shift of its last edge
+	// zeros stands in for the message slab in the first iteration's
+	// pass 1, when every message is still 0.
+	zeros []float32
+	// Layer scratch: the Q slab (deg×zp, read back by pass 2) and the
+	// per-lane reduction state, zp lanes each.
 	laneQ    []float32
 	laneMin1 []float32
 	laneMin2 []float32
@@ -57,13 +74,16 @@ type Decoder struct {
 	laneSgn  []uint32
 }
 
-// NewDecoder allocates scratch for code c.
+// NewDecoder allocates scratch for code c and builds its layout tables.
 func NewDecoder(c *Code) *Decoder {
-	d := &Decoder{code: c, Offset: 0.5, Scale: 0.75}
-	nVar := (KbBlocks + c.Mb) * c.Z
-	d.l = isolated[float32](nVar)
-	d.syn = newSynTrack(c)
-	d.hard = isolated[uint64]((KbBlocks + c.Mb) * d.syn.w)
+	z := c.Z
+	zp := (z + 7) &^ 7
+	cols := KbBlocks + c.Mb
+	w := blockWords(z)
+	d := &Decoder{code: c, Offset: 0.5, Scale: 0.75, zp: zp, w: w}
+	d.l = isolated[float32]((cols + 2) * zp)[zp : (cols+1)*zp]
+	d.hard = isolated[uint64](cols * w)
+	d.signs = isolated[uint64](cols * w)
 	d.eOff = make([]int, c.Mb+1)
 	edges, maxDeg := 0, 0
 	for i, row := range c.rows {
@@ -72,21 +92,30 @@ func NewDecoder(c *Code) *Decoder {
 		maxDeg = max(maxDeg, len(row))
 	}
 	d.eOff[c.Mb] = edges
-	d.r = isolated[float32](edges * c.Z)
-	d.edgeCol = make([]int, edges)
-	d.edgeShf = make([]int, edges)
-	for i, row := range c.rows {
-		for e, en := range row {
-			d.edgeCol[d.eOff[i]+e] = en.col
-			d.edgeShf[d.eOff[i]+e] = en.shift
+	d.r = isolated[float32](edges * zp)
+	// rot is each column's rotation as the schedule reaches an edge: 0
+	// entering the first iteration, after that the shift of the edge that
+	// wrote the column last. The first walk fills first and leaves rot at
+	// every column's last shift, where the second walk, for steady,
+	// starts.
+	rot := make([]int, cols)
+	for _, tab := range []*[]layerEdge{&d.first, &d.steady} {
+		*tab = make([]layerEdge, edges)
+		for i, row := range c.rows {
+			for e, en := range row {
+				dd := (en.shift - rot[en.col] + z) % z
+				(*tab)[d.eOff[i]+e] = layerEdge{rd: en.col*zp + dd, wr: en.col * zp, t: z - 1 - dd}
+				rot[en.col] = en.shift
+			}
 		}
 	}
-	d.laneQ = isolated[float32](maxDeg * c.Z)
-	d.laneMin1 = isolated[float32](c.Z)
-	d.laneMin2 = isolated[float32](c.Z)
-	d.laneIdx = isolated[int32](c.Z)
-	d.laneSgn = isolated[uint32](c.Z)
-	d.syn.flips = isolated[uint64](flipRecords(maxDeg, c.Z))
+	d.sLast = rot
+	d.zeros = make([]float32, zp)
+	d.laneQ = isolated[float32](maxDeg * zp)
+	d.laneMin1 = isolated[float32](zp)
+	d.laneMin2 = isolated[float32](zp)
+	d.laneIdx = isolated[int32](zp)
+	d.laneSgn = isolated[uint32](zp)
 	return d
 }
 
@@ -94,29 +123,30 @@ func NewDecoder(c *Code) *Decoder {
 // and on most arm64 cores.
 const lineBytes = 64
 
-// isolated returns n zeroed elements (cap n) cut from the middle of a
-// backing array that keeps at least lineBytes of its own on each side.
-// Every cache line holding one of the n elements then lies inside that
-// array, whatever size class and offset the allocator gives it, so no
-// other allocation shares a line with them (DESIGN §13, Scratch
-// ownership). Written decoder slabs use it; read-only tables do not
-// need it. The reduction state is why: a Z=27 lane array is 108 bytes,
-// Go's 112-byte size class packs such objects across 64-byte lines,
-// and pass 1 read-modify-writes all four of them on every vector of
-// every edge.
+// isolated returns n zeroed elements (cap n) starting on a lineBytes
+// boundary of a backing array that keeps at least lineBytes of its own
+// on each side. Every cache line holding one of the n elements then lies
+// inside that array, whatever size class and offset the allocator gives
+// it, so no other allocation shares a line with them (DESIGN §13,
+// Scratch ownership). Written decoder slabs use it; read-only tables do
+// not need it. The reduction state is why: unpadded, a Z=27 lane array
+// was 108 bytes, Go's 112-byte size class packs such objects across
+// 64-byte lines, and pass 1 writes all four of them on every vector of
+// every layer. The alignment is for the vector kernel: a whole-vector
+// load or store at a lane multiple of 8 then splits no line; with every
+// such access split, a layered iteration took 8–18 % longer.
 func isolated[T any](n int) []T {
 	size := int(reflect.TypeFor[T]().Size())
 	pad := (lineBytes + size - 1) / size
-	return make([]T, n+2*pad)[pad : pad+n : pad+n]
+	buf := make([]T, n+3*pad)
+	skew := int(uintptr(unsafe.Pointer(&buf[pad]))%lineBytes) / size
+	lo := pad + (pad-skew)%pad
+	return buf[lo : lo+n : lo+n]
 }
 
-// blockWords is the stride W of the packed hard decisions and parities:
-// ⌈(Z+8)/64⌉ uint64 words per block-column of Decoder.hard and per
-// block-row of synTrack.synd, one word for every Z ≤ 56. The eight or
-// more zero bits past Z let the vector pass 2 (lanes_amd64.s) read any
-// column bit with the one after it as a two-byte load that stays inside
-// the block-column.
-func blockWords(z int) int { return (z + 8 + 63) / 64 }
+// blockWords is the stride W of the packed hard decisions: ⌈Z/64⌉ uint64
+// words per block-column, one word for every Z ≤ 64.
+func blockWords(z int) int { return (z + 63) / 64 }
 
 // Result summarizes one decode.
 type Result struct {
@@ -135,13 +165,13 @@ type Result struct {
 // info holds the best-effort hard decisions.
 //
 // The prologue packs the channel hard decisions while the LLRs are
-// loaded and rotates the packed words once against every parity check.
+// loaded and walks the parity checks on the packed words.
 // A block that already is a codeword returns with 0 iterations — a
 // min-sum pass over it would hand every variable messages of its own
 // sign and return the same bits (DESIGN §13). Otherwise it runs the
-// lane-major layered schedule with syndrome tracking fused into the
-// layer update (layered.go), on the platform's vector layer kernels
-// where init found them (kernel.go).
+// layered schedule (layered.go), on the platform's vector layer kernel
+// where init found one (kernel.go), and checks the syndrome after every
+// iteration.
 func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 	c := d.code
 	if len(llr) != c.N() {
@@ -151,29 +181,28 @@ func (d *Decoder) Decode(info []byte, llr []float32, maxIter int) Result {
 		panic(fmt.Sprintf("ldpc: Decode info length %d != K %d", len(info), c.K()))
 	}
 	d.loadLLR(llr)
-	d.syn.init(c, d.hard)
-	if d.syn.nUnsat == 0 {
+	if d.satisfied() {
 		d.unpackInfo(info)
 		return Result{OK: true}
 	}
-	clear(d.r)
 	scl, off := d.magnitudeRule()
 	return d.decodeLayered(info, maxIter, scl, off)
 }
 
-// loadLLR copies the channel LLRs into the posterior array and packs the
-// initial hard decisions (x < 0, so −0.0 and NaN are bit 0) in the same
-// pass over them, on the platform's vector kernel where init found one
-// (kernel.go).
+// loadLLR copies the channel LLRs into the posterior slab, unrotated,
+// and packs the initial hard decisions (x < 0, so −0.0 and NaN are bit
+// 0) in the same pass over them, on the platform's vector kernel where
+// init found one (kernel.go).
 func (d *Decoder) loadLLR(llr []float32) {
 	if simdLoad != nil {
 		simdLoad(d, llr)
 		return
 	}
-	z, w := d.code.Z, d.syn.w
-	copy(d.l, llr)
+	z, zp, w := d.code.Z, d.zp, d.w
 	for c := 0; c < len(llr)/z; c++ {
-		packSigns(d.hard[c*w:(c+1)*w], llr[c*z:(c+1)*z])
+		x := llr[c*z : (c+1)*z]
+		copy(d.l[c*zp:], x)
+		packSigns(d.hard[c*w:(c+1)*w], x)
 	}
 }
 
@@ -211,7 +240,7 @@ var byteSpread = func() (t [256]uint64) {
 // unpackInfo writes the hard decisions of the information block-columns
 // to info, one bit per byte.
 func (d *Decoder) unpackInfo(info []byte) {
-	z, w := d.code.Z, d.syn.w
+	z, w := d.code.Z, d.w
 	for c := 0; c < KbBlocks; c++ {
 		col := d.hard[c*w : (c+1)*w]
 		out := info[c*z : (c+1)*z]

@@ -45,8 +45,9 @@ func FuzzBitsBytesRoundTrip(f *testing.F) {
 // fuzz-chosen noise and decodes it. Every reported success must be the
 // codeword of its own information bits: re-encoding them reproduces the
 // decoder's hard decisions, so a success on a word whose syndrome is not
-// actually zero — the fused incremental syndrome drifting from the true
-// parity state, the bug class this hunts — fails here. Min-sum is not
+// actually zero — the packed syndrome drifting from the true parity
+// state, or a column's bits rotated back by the wrong shift, the bug
+// classes this hunts — fails here. Min-sum is not
 // maximum-likelihood, so a success need not be the transmitted codeword
 // (the two "0XX…" seeds converge to another one).
 func FuzzDecodeSuccessIsCodeword(f *testing.F) {
@@ -86,10 +87,8 @@ func FuzzDecodeSuccessIsCodeword(f *testing.F) {
 		}
 		re := make([]byte, code.N())
 		code.Encode(re, out)
-		for v, lv := range d.l[:code.N()] {
-			if hard := lv < 0; hard != (re[v] == 1) {
-				t.Fatalf("reported success, but bit %d of its decision is not the codeword of its info bits", v)
-			}
+		if !bytes.Equal(hardBits(d), re) {
+			t.Fatal("reported success, but its decisions are not the codeword of its info bits")
 		}
 	})
 }
@@ -135,27 +134,30 @@ func FuzzCodewordShortcut(f *testing.F) {
 }
 
 // FuzzLaneKernelsSIMD is the whole-decode differential between the
-// platform's vector layer kernels and the Go loops (DESIGN §13): the
-// fuzzer supplies raw float32 bit patterns — so NaNs with payloads,
-// infinities, signed zeros and denormals all occur — for the LLRs of one
-// block (repeated to length, XORed onto a valid noisy codeword when
-// `mix` is odd so that converging decodes are explored too), and both
-// kernels must return the same Result, the same information bits, a
-// bit-identical posterior array and the same packed hard and synd words
-// and nUnsat, with every bit past Z still 0. Skips where no vector kernel
-// exists.
+// platform's vector kernels and the Go loops (DESIGN §13): the fuzzer
+// supplies raw float32 bit patterns — so NaNs with payloads, infinities,
+// signed zeros and subnormals all occur — for the LLRs of one block
+// (repeated to length, XORed onto a valid noisy codeword when `mix` is
+// odd so that converging decodes are explored too) at a lifting size
+// below 8, a multiple of 8, one either side of one, or past one word per
+// block. Both kernels must return the same Result and information bits,
+// bit-identical posteriors on every real lane (lanes [Z, zp) are junk)
+// and the same packed hard decisions, with every bit past Z still 0, and
+// neither may write into the poisoned slack around l, r
+// or the Q slab. Skips where no vector kernel exists.
 func FuzzLaneKernelsSIMD(f *testing.F) {
 	f.Add([]byte{}, uint8(0), int64(1))
 	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF}, uint8(1), int64(2))          // NaN, -Inf
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3F}, uint8(2), int64(3)) // denormal, -0, 1
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3F}, uint8(2), int64(3)) // subnormal, -0, 1
 	f.Add([]byte{0xFF, 0xFF, 0x7F, 0x7F, 0, 0, 0x80, 0x7F}, uint8(7), int64(4))    // MaxFloat32, +Inf
 	f.Add([]byte{0x10, 0x20, 0x30, 0x40}, uint8(5), int64(5))
+	f.Add([]byte{0x9a, 0x99, 0x19, 0xbf}, uint8(21), int64(6)) // -0.6, Z=65
 	f.Fuzz(func(t *testing.T, raw []byte, mix uint8, seed int64) {
 		if simdIterate == nil {
 			t.Skip("no vector kernels on this CPU/GOARCH")
 		}
-		zs := []int{2, 7, 8, 10, 27, 33}
-		code := MustNew(Rate23, zs[int(mix>>1)%len(zs)])
+		zs := []int{2, 7, 8, 9, 15, 16, 17, 27, 33, 57, 65, 104}
+		code := MustNew(Rate23, zs[int(mix>>1&0x3f)%len(zs)])
 		rng := rand.New(rand.NewSource(seed))
 		llr := noisyLLR(rng, code)
 		if mix&1 == 0 {
@@ -176,6 +178,12 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 			if mix&0x80 != 0 {
 				d.Alg = NormalizedMinSum
 			}
+			intact := []func() bool{guardPosteriors(d)}
+			var ok func() bool
+			d.r, ok = guard(len(d.r), float32(-23456.25))
+			intact = append(intact, ok)
+			d.laneQ, ok = guard(len(d.laneQ), float32(-34567.75))
+			intact = append(intact, ok)
 			info[k] = make([]byte, code.K())
 			if k == 0 {
 				restore := forceGoKernels()
@@ -183,6 +191,11 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 				restore()
 			} else {
 				res[k] = d.Decode(info[k], llr, 8)
+			}
+			for _, ok := range intact {
+				if !ok() {
+					t.Fatalf("Z=%d kernel %d: decode wrote into the slack around l, r or q", code.Z, k)
+				}
 			}
 			checkPackedTails(t, fmt.Sprintf("Z=%d kernel %d", code.Z, k), d)
 			dec[k] = d
@@ -193,13 +206,11 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 		if !bytes.Equal(info[0], info[1]) {
 			t.Fatalf("Z=%d: information bits differ", code.Z)
 		}
-		for i := range dec[0].l {
-			if a, b := math.Float32bits(dec[0].l[i]), math.Float32bits(dec[1].l[i]); a != b {
-				t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, a, Kernel(), b)
-			}
+		if i := lanesEqual(dec[0].l, dec[1].l, code.Z, dec[0].zp); i >= 0 {
+			t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, math.Float32bits(dec[0].l[i]), Kernel(), math.Float32bits(dec[1].l[i]))
 		}
-		if !slices.Equal(dec[0].hard, dec[1].hard) || !slices.Equal(dec[0].syn.synd, dec[1].syn.synd) || dec[0].syn.nUnsat != dec[1].syn.nUnsat {
-			t.Fatalf("Z=%d: packed hard/synd/nUnsat differ between go and %s", code.Z, Kernel())
+		if !slices.Equal(dec[0].hard, dec[1].hard) {
+			t.Fatalf("Z=%d: packed hard decisions differ between go and %s", code.Z, Kernel())
 		}
 	})
 }
@@ -207,11 +218,12 @@ func FuzzLaneKernelsSIMD(f *testing.F) {
 // FuzzLoadLLRKernelsSIMD is loadLLR's differential between the platform's
 // vector sign pack and the Go loop (DESIGN §13): the fuzzer supplies raw
 // float32 bit patterns, repeated to length, for one block at a
-// fuzz-chosen lifting size from 2 to 128 (one to three words per
-// block-column). Both must copy the same posterior bits and pack the same
-// hard words, with every bit past Z still 0, and neither may write past
-// its slabs: l and hard sit between poisoned margins, and hard's words
-// start from the last block's decisions. Skips where no vector kernel
+// fuzz-chosen lifting size from 2 to 128 (one or two words per
+// block-column). Both must copy the same posterior bits to the real lanes
+// of the padded slab and pack the same hard words, with every bit past Z
+// still 0, and neither may write past its slabs: l and hard sit between
+// poisoned margins, and hard's words start from the last block's
+// decisions. Skips where no vector kernel
 // exists.
 func FuzzLoadLLRKernelsSIMD(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
@@ -236,8 +248,8 @@ func FuzzLoadLLRKernelsSIMD(f *testing.F) {
 		var dec [2]*Decoder
 		for k := range dec {
 			d := NewDecoder(code)
-			var lOK, hardOK func() bool
-			d.l, lOK = guard(len(d.l), float32(-12345.5))
+			lOK := guardPosteriors(d)
+			var hardOK func() bool
 			d.hard, hardOK = guard(len(d.hard), uint64(0xa5a5a5a5a5a5a5a5))
 			clear(d.hard)
 			restore := func() {}
@@ -253,7 +265,7 @@ func FuzzLoadLLRKernelsSIMD(f *testing.F) {
 			checkPackedTails(t, fmt.Sprintf("Z=%d kernel %d", code.Z, k), d)
 			dec[k] = d
 		}
-		if i := floatBitsEqual(dec[0].l, dec[1].l); i >= 0 {
+		if i := lanesEqual(dec[0].l, dec[1].l, code.Z, dec[0].zp); i >= 0 {
 			t.Fatalf("Z=%d: posterior[%d] go %#08x != %s %#08x", code.Z, i, math.Float32bits(dec[0].l[i]), Kernel(), math.Float32bits(dec[1].l[i]))
 		}
 		if !slices.Equal(dec[0].hard, dec[1].hard) {

@@ -6,9 +6,9 @@ import "testing"
 // function is called. (The vector kernels need no forcing: where init
 // selected them they are what runs.)
 func forceGoKernels() (restore func()) {
-	savedIterate, savedLoad := simdIterate, simdLoad
-	simdIterate, simdLoad = nil, nil
-	return func() { simdIterate, simdLoad = savedIterate, savedLoad }
+	savedIterate, savedLoad, savedSigns := simdIterate, simdLoad, simdSigns
+	simdIterate, simdLoad, simdSigns = nil, nil, nil
+	return func() { simdIterate, simdLoad, simdSigns = savedIterate, savedLoad, savedSigns }
 }
 
 // TestKernelName pins the two names Kernel reports: "generic" while the

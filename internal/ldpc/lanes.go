@@ -2,21 +2,20 @@ package ldpc
 
 import "math"
 
-// Lane-major layer processing (DESIGN §13): the pass-1 slab reduction
-// the layered schedule (layered.go) is built from.
+// Lane-major layer processing (DESIGN §13): the per-edge loops the Go
+// layer (layered.go) is built from.
 //
 // A block-row layer is walked per *edge*, touching all Z lifted checks
 // ("lanes") of the layer at once rather than check by check:
 //
-//   - The cyclic shift becomes two contiguous segment loops instead of Z
-//     modular index computations: lane r of an edge with shift s reads
-//     variable (r+s) mod Z, so lanes [0, Z-s) map to one contiguous run of
-//     the variable block and lanes [Z-s, Z) to the other.
+//   - Pass 1 reads an edge's column through its differential shift δ as
+//     two contiguous segments instead of Z modular index computations:
+//     lanes [0, Z−δ) read slots [δ, Z) and lanes [Z−δ, Z) slots [0, δ).
+//     Pass 2 writes lane r to slot r, one aligned run.
 //   - The min1/min2/sign reduction and the message/posterior update run
-//     as flat loops over equal-length slices (`q`, `r`, `src` all
-//     pre-trimmed to one segment), which lets the compiler eliminate
-//     bounds checks and keep the per-lane state in registers.
-//   - Check-to-variable messages are stored lane-major, r[edge*Z+lane],
+//     as flat loops over equal-length slices, which lets the compiler
+//     eliminate bounds checks and keep the per-lane state in registers.
+//   - Check-to-variable messages are stored lane-major, r[edge*zp+lane],
 //     so both passes stream r sequentially.
 //
 // Signs are tracked via IEEE sign-bit XOR rather than `< 0` comparisons;
@@ -31,7 +30,7 @@ const laneSignMask = 1 << 31
 // pinned by TestLaneInitConstant).
 const laneInitLLR = 3.4e38
 
-// laneReduce processes one contiguous segment of an edge's lanes:
+// laneReduce is pass 1 over one contiguous segment of an edge's lanes:
 // q = src − r, accumulating the sign product and the two smallest
 // magnitudes (with the arg-min edge) per lane. All slices share one
 // length; the explicit re-slicing below tells the compiler so, which
@@ -67,5 +66,29 @@ func laneReduce(q, r, src []float32, sgn []uint32, min1, min2 []float32, idx []i
 		} else if a < min2[l] {
 			min2[l] = a
 		}
+	}
+}
+
+// laneUpdate is pass 2 over one edge's lanes: it writes the new
+// check-to-variable messages to r and the posteriors q + r to dst, the
+// edge's own lanes of its column. The message sign is applied by XOR on
+// the sign bit — bit-identical to a s*mag multiply for s = ±1 and the
+// non-negative magnitudes produced by the clamp.
+func laneUpdate(q, r, dst []float32, sgn []uint32, m1, m2 []float32, idx []int32, e int32) {
+	r = r[:len(q)]
+	dst = dst[:len(q)]
+	sgn = sgn[:len(q)]
+	m1 = m1[:len(q)]
+	m2 = m2[:len(q)]
+	idx = idx[:len(q)]
+	for l := range q {
+		v := q[l]
+		mag := m1[l]
+		if idx[l] == e {
+			mag = m2[l]
+		}
+		nr := math.Float32frombits(math.Float32bits(mag) ^ ((sgn[l] ^ math.Float32bits(v)) & laneSignMask))
+		r[l] = nr
+		dst[l] = v + nr
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/cpu"
 )
 
-// Kernel-level differential tests: the assembly layer kernels against the
-// Go loops they replace, on identical state, compared bit for bit after
-// every step of every layer.
+// Kernel-level differential tests: the assembly layer kernel and sign
+// packs against the Go loops they replace, on identical state, compared
+// bit for bit on every real lane after every layer.
 
 func requireAVX2(t testing.TB) {
 	if !cpu.HasAVX2() {
@@ -57,8 +57,19 @@ func nastyFloat(rng *rand.Rand) float32 {
 	}
 }
 
+func init() {
+	if cpu.HasAVX2() {
+		layerKernels = append(layerKernels, layerKernel{"avx2", func(d *Decoder, i int, first bool, scl, off float32) {
+			a := d.newLayerArgs(scl, off)
+			d.setLayer(&a, i, first)
+			layerAVX2(&a)
+		}})
+	}
+}
+
 // diffDecoder is a Decoder whose kernel-written slabs sit between guard
-// margins, plus the checks on those margins.
+// margins — l's past the zp floats of slack the vector pass 1 reads —
+// plus the checks on those margins.
 type diffDecoder struct {
 	*Decoder
 	intact []func() bool
@@ -66,12 +77,12 @@ type diffDecoder struct {
 
 func newDiffDecoder(c *Code) *diffDecoder {
 	d := &diffDecoder{Decoder: NewDecoder(c)}
+	d.intact = append(d.intact, guardPosteriors(d.Decoder))
 	g := func(s *[]float32) {
 		var ok func() bool
 		*s, ok = guard(len(*s), float32(-12345.5))
 		d.intact = append(d.intact, ok)
 	}
-	g(&d.l)
 	g(&d.r)
 	g(&d.laneQ)
 	g(&d.laneMin1)
@@ -81,56 +92,58 @@ func newDiffDecoder(c *Code) *diffDecoder {
 	d.intact = append(d.intact, ok)
 	d.laneSgn, ok = guard(len(d.laneSgn), uint32(0xa5a5a5a5))
 	d.intact = append(d.intact, ok)
-	// The layer kernels only read hard, never past a block-column's
-	// words; inside them it starts at NewDecoder's zeros.
 	d.hard, ok = guard(len(d.hard), uint64(0xa5a5a5a5a5a5a5a5))
 	clear(d.hard)
+	d.intact = append(d.intact, ok)
+	// The sign pack writes only the bytes of a column's lanes; the rest
+	// of its words stay at NewDecoder's zeros.
+	d.signs, ok = guard(len(d.signs), uint64(0xa5a5a5a5a5a5a5a5))
+	clear(d.signs)
 	d.intact = append(d.intact, ok)
 	return d
 }
 
 // seedState fills two decoders of one code with the same adversarial
-// state: posteriors and messages from nastyFloat, hard decisions that
-// disagree with the posterior signs about half the time (so flips are
-// dense), garbage in every lane-state slab, and a syndrome consistent
-// with the hard decisions.
+// state on the real lanes of the posteriors, messages, Q slab and
+// lane-state slabs (nastyFloat and random bits), different junk in lanes
+// [Z, zp) of each, so that no real lane may depend on a junk one, and
+// random hard decisions.
 func seedState(rng *rand.Rand, a, b *diffDecoder) {
 	c := a.code
-	for i := range a.l {
-		a.l[i] = nastyFloat(rng)
+	z, zp := c.Z, a.zp
+	for _, d := range []*diffDecoder{a, b} {
+		for _, s := range [][]float32{d.l, d.r, d.laneQ, d.laneMin1, d.laneMin2} {
+			for i := range s {
+				s[i] = nastyFloat(rng)
+			}
+		}
+		for i := range d.laneIdx {
+			d.laneIdx[i] = int32(rng.Uint32())
+			d.laneSgn[i] = rng.Uint32()
+		}
 	}
-	for i := range a.r {
-		a.r[i] = nastyFloat(rng)
+	for _, s := range [][2][]float32{{a.l, b.l}, {a.r, b.r}, {a.laneQ, b.laneQ}, {a.laneMin1, b.laneMin1}, {a.laneMin2, b.laneMin2}} {
+		for i := range s[0] {
+			if i%zp < z {
+				s[1][i] = s[0][i]
+			}
+		}
 	}
-	mask := blockMask(c.Z, a.syn.w)
+	copy(b.laneIdx[:z], a.laneIdx)
+	copy(b.laneSgn[:z], a.laneSgn)
+	mask := blockMask(z, a.w)
 	for i := range a.hard {
 		a.hard[i] = rng.Uint64() & mask[i%len(mask)]
 	}
-	for i := range a.laneQ {
-		a.laneQ[i] = nastyFloat(rng)
-	}
-	for i := range a.laneMin1 {
-		a.laneMin1[i] = nastyFloat(rng)
-		a.laneMin2[i] = nastyFloat(rng)
-		a.laneIdx[i] = int32(rng.Uint32())
-		a.laneSgn[i] = rng.Uint32()
-	}
-	a.syn.init(c, a.hard)
-	copy(b.l, a.l)
-	copy(b.r, a.r)
 	copy(b.hard, a.hard)
-	copy(b.laneQ, a.laneQ)
-	copy(b.laneMin1, a.laneMin1)
-	copy(b.laneMin2, a.laneMin2)
-	copy(b.laneIdx, a.laneIdx)
-	copy(b.laneSgn, a.laneSgn)
-	b.syn.init(c, b.hard)
 }
 
-// compareState fails the test on the first bit that differs between the
-// Go-kernel decoder g and the assembly-kernel decoder v.
+// compareState fails the test on the first real-lane bit that differs
+// between the Go-kernel decoder g and the assembly-kernel decoder v, or
+// when v wrote outside its slabs.
 func compareState(t *testing.T, where string, g, v *diffDecoder) {
 	t.Helper()
+	z, zp := g.code.Z, g.zp
 	for _, f := range []struct {
 		name string
 		a, b []float32
@@ -138,25 +151,22 @@ func compareState(t *testing.T, where string, g, v *diffDecoder) {
 		{"q", g.laneQ, v.laneQ}, {"r", g.r, v.r}, {"l", g.l, v.l},
 		{"min1", g.laneMin1, v.laneMin1}, {"min2", g.laneMin2, v.laneMin2},
 	} {
-		if i := floatBitsEqual(f.a, f.b); i >= 0 {
+		if i := lanesEqual(f.a, f.b, z, zp); i >= 0 {
 			t.Fatalf("%s: %s[%d] go %#08x (%v) != asm %#08x (%v)", where, f.name, i,
 				math.Float32bits(f.a[i]), f.a[i], math.Float32bits(f.b[i]), f.b[i])
 		}
 	}
-	if !slices.Equal(g.laneSgn, v.laneSgn) {
-		t.Fatalf("%s: sgn differs\n go  %08x\n asm %08x", where, g.laneSgn, v.laneSgn)
+	if !slices.Equal(g.laneSgn[:z], v.laneSgn[:z]) {
+		t.Fatalf("%s: sgn differs\n go  %08x\n asm %08x", where, g.laneSgn[:z], v.laneSgn[:z])
 	}
-	if !slices.Equal(g.laneIdx, v.laneIdx) {
-		t.Fatalf("%s: idx differs\n go  %v\n asm %v", where, g.laneIdx, v.laneIdx)
+	if !slices.Equal(g.laneIdx[:z], v.laneIdx[:z]) {
+		t.Fatalf("%s: idx differs\n go  %v\n asm %v", where, g.laneIdx[:z], v.laneIdx[:z])
 	}
 	if !slices.Equal(g.hard, v.hard) {
 		t.Fatalf("%s: hard differs\n go  %016x\n asm %016x", where, g.hard, v.hard)
 	}
-	if !slices.Equal(g.syn.synd, v.syn.synd) {
-		t.Fatalf("%s: synd differs\n go  %016x\n asm %016x", where, g.syn.synd, v.syn.synd)
-	}
-	if g.syn.nUnsat != v.syn.nUnsat {
-		t.Fatalf("%s: nUnsat go %d != asm %d", where, g.syn.nUnsat, v.syn.nUnsat)
+	if gs, vs := g.satisfied(), v.satisfied(); gs != vs {
+		t.Fatalf("%s: parity checks satisfied go %v != asm %v", where, gs, vs)
 	}
 	for i, ok := range v.intact {
 		if !ok() {
@@ -169,8 +179,9 @@ func compareState(t *testing.T, where string, g, v *diffDecoder) {
 // shiftCode builds a two-layer code over lifting size z whose first edge
 // has cyclic shift s and whose other edges take shifts spread over
 // [0, z), sharing block-columns between the layers so that the second
-// layer starts from what the first one wrote. z = 1 (not a valid lifting
-// size for New) is allowed: it is the degenerate segment pair (1, 0).
+// layer starts from what the first one wrote and the differential shifts
+// of both iterations' tables spread over [0, z) too. z = 1 (not a valid
+// lifting size for New) is allowed.
 func shiftCode(z, s int) *Code {
 	sh := func(k int) int { return (s*k + k*k + z/2*(k&1)) % z }
 	rows := [][]edge{
@@ -181,21 +192,24 @@ func shiftCode(z, s int) *Code {
 }
 
 // TestLayerKernelsAVX2 is the kernel differential: for every lifting size
-// 1..40 (hence every pair of segment lengths from 0 to 40) and the
-// benchmark/paper sizes, every cyclic shift, both min-sum rules, it runs
-// each layer step on the Go loops and on the assembly from the same
-// adversarial state and demands bit equality of q, r, l, sgn, min1, min2,
-// idx, the packed hard and synd words and nUnsat after each step, with
-// every bit past Z still 0.
+// 1..40 (below 8, every multiple of 8 and both its neighbours) and
+// 56, 57, 64, 65, 104, 384, 512 (past one word per block), every cyclic
+// shift, both min-sum rules, it runs each layer of the first iteration's
+// table and then of the later iterations' on the Go loops and on the
+// assembly from the same adversarial state, and demands bit equality of
+// the real lanes of q, r, l, sgn, min1, min2 and idx after each layer,
+// with every slab and l's slack between poisoned margins. The end of the
+// second iteration packs the hard decisions on both kernels; the packed
+// words must agree, with every bit past Z 0.
 func TestLayerKernelsAVX2(t *testing.T) {
 	requireAVX2(t)
 	var zs []int
 	for z := 1; z <= 40; z++ {
 		zs = append(zs, z)
 	}
-	zs = append(zs, 104, 384, 512)
+	zs = append(zs, 56, 57, 64, 65, 104, 384, 512)
 	if testing.Short() {
-		zs = []int{1, 2, 7, 8, 9, 10, 16, 24, 27, 33, 104}
+		zs = []int{1, 2, 7, 8, 9, 10, 16, 24, 27, 33, 65, 104}
 	}
 	rng := rand.New(rand.NewSource(19))
 	for _, z := range zs {
@@ -208,34 +222,37 @@ func TestLayerKernelsAVX2(t *testing.T) {
 				scl, off = 0.75, 0
 			}
 			a := v.newLayerArgs(scl, off)
-			for i := range c.rows {
-				where := fmt.Sprintf("Z=%d shift=%d layer %d", z, s, i)
-				v.setLayer(&a, i)
-				g.layerReduce(i)
-				layerReduceAVX2(&a)
-				compareState(t, where+" after reduce", g, v)
-				g.layerMag(scl, off)
-				layerMagAVX2(&a)
-				compareState(t, where+" after magnitude", g, v)
-				g.layerUpdateSyn(i)
-				layerUpdateAVX2(&a)
-				v.applyFlips(a.nflips)
-				compareState(t, where+" after update", g, v)
+			for _, first := range []bool{true, false} {
+				for i := range c.rows {
+					where := fmt.Sprintf("Z=%d shift=%d first=%v layer %d", z, s, first, i)
+					g.layer(i, first, scl, off)
+					v.setLayer(&a, i, first)
+					layerAVX2(&a)
+					compareState(t, where, g, v)
+				}
 			}
+			func() {
+				defer forceGoKernels()()
+				g.packHard()
+			}()
+			v.packHard()
+			compareState(t, fmt.Sprintf("Z=%d shift=%d packHard", z, s), g, v)
 		}
 	}
 }
 
 // TestDecodeTrajectoryAVX2 runs whole decodes on real codes and compares
-// the two kernels' full state after every iteration: the posterior array
-// must stay bit-identical all the way, not just the decoded bits. Inputs
-// are a noisy codeword, pure noise, and a noisy codeword salted with
-// non-finite and denormal LLRs.
+// the two kernels' full state after every iteration: the real lanes of
+// the posteriors must stay bit-identical all the way, not just the
+// decoded bits, and so must the packed hard decisions and the parity
+// verdict.
+// Inputs are a noisy codeword, pure noise, and a noisy codeword salted
+// with non-finite and subnormal LLRs.
 func TestDecodeTrajectoryAVX2(t *testing.T) {
 	requireAVX2(t)
-	zs := []int{2, 7, 8, 10, 24, 27, 104, 384, 512}
+	zs := []int{2, 7, 8, 9, 10, 24, 27, 57, 65, 104, 384, 512}
 	if testing.Short() {
-		zs = []int{2, 7, 10, 27, 104}
+		zs = []int{2, 7, 10, 27, 65, 104}
 	}
 	rng := rand.New(rand.NewSource(23))
 	for _, rate := range []Rate{Rate13, Rate23, Rate89} {
@@ -250,13 +267,19 @@ func TestDecodeTrajectoryAVX2(t *testing.T) {
 					g, v := newDiffDecoder(code), newDiffDecoder(code)
 					g.Alg = alg
 					scl, off := g.magnitudeRule()
-					for _, d := range []*diffDecoder{g, v} {
-						d.loadLLR(llr)
-						d.syn.init(code, d.hard)
-					}
+					func() {
+						defer forceGoKernels()()
+						g.loadLLR(llr)
+					}()
+					v.loadLLR(llr)
 					for it := 1; it <= 6; it++ {
-						g.iterateLayered(scl, off)
-						v.iterateLayeredAVX2(scl, off)
+						func() {
+							defer forceGoKernels()()
+							g.iterateLayered(it == 1, scl, off)
+							g.packHard()
+						}()
+						v.iterateLayeredAVX2(it == 1, scl, off)
+						v.packHard()
 						compareState(t, fmt.Sprintf("rate %v Z=%d input %d alg %d iteration %d", rate, z, li, alg, it), g, v)
 					}
 				}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -64,7 +64,7 @@ func checkSyndrome(c *Code, bits []byte) bool {
 // hardBits unpacks a decoder's packed hard decisions to one bit per
 // byte, N() of them.
 func hardBits(d *Decoder) []byte {
-	z, w := d.code.Z, d.syn.w
+	z, w := d.code.Z, d.w
 	out := make([]byte, d.code.N())
 	for v := range out {
 		c, j := v/z, v%z
@@ -83,31 +83,25 @@ func blockMask(z, w int) []uint64 {
 }
 
 // checkPackedTails fails the test unless the bits at and past Z of every
-// block-column of hard and every block-row of synd are 0, and nUnsat
-// counts the set bits of synd.
+// block-column of hard are 0.
 func checkPackedTails(t *testing.T, where string, d *Decoder) {
 	t.Helper()
-	mask := blockMask(d.code.Z, d.syn.w)
-	for name, words := range map[string][]uint64{"hard": d.hard, "synd": d.syn.synd} {
-		for i, x := range words {
-			if x&^mask[i%len(mask)] != 0 {
-				t.Fatalf("%s: %s word %d has bits past Z: %016x", where, name, i, x)
-			}
+	mask := blockMask(d.code.Z, d.w)
+	for i, x := range d.hard {
+		if x&^mask[i%len(mask)] != 0 {
+			t.Fatalf("%s: hard word %d has bits past Z: %016x", where, i, x)
 		}
-	}
-	n := 0
-	for _, x := range d.syn.synd {
-		n += bits.OnesCount64(x)
-	}
-	if n != d.syn.nUnsat {
-		t.Fatalf("%s: nUnsat %d, synd has %d set bits", where, d.syn.nUnsat, n)
 	}
 }
 
 // guard allocates an n-element slice inside a larger array whose margins
 // hold a sentinel, so that a kernel writing outside its slab is caught.
 func guard[T comparable](n int, sentinel T) (s []T, intact func() bool) {
-	const margin = 16
+	return guardMargin(n, 16, sentinel)
+}
+
+// guardMargin is guard with margin sentinel elements on each side.
+func guardMargin[T comparable](n, margin int, sentinel T) (s []T, intact func() bool) {
 	buf := make([]T, n+2*margin)
 	for i := range buf {
 		buf[i] = sentinel
@@ -122,11 +116,33 @@ func guard[T comparable](n int, sentinel T) (s []T, intact func() bool) {
 	}
 }
 
+// guardPosteriors replaces d.l with a slab of the same size whose zp
+// floats of slack on either side, which the vector pass 1 reads but must
+// never write, and 16 more past them hold a sentinel; intact reports
+// whether they still do.
+func guardPosteriors(d *Decoder) (intact func() bool) {
+	var ok func() bool
+	d.l, ok = guardMargin(len(d.l), d.zp+16, float32(-12345.5))
+	return ok
+}
+
 // floatBitsEqual returns the first index at which a and b differ in
 // their bits, or -1.
 func floatBitsEqual(a, b []float32) int {
 	for i := range a {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// lanesEqual is floatBitsEqual over the real lanes of two padded slabs:
+// indexes i with i mod zp below z. Lanes [z, zp) are junk the kernels
+// may leave different.
+func lanesEqual(a, b []float32, z, zp int) int {
+	for i := range a {
+		if i%zp < z && math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return i
 		}
 	}
@@ -139,10 +155,9 @@ func floatBitsEqual(a, b []float32) int {
 // convergence with a full hard-decision pass and a checkSyndrome walk
 // every iteration — and, as textbook BP's step 0, once on the channel
 // decisions before the first, returning 0 iterations on a codeword. It
-// shares none of the decoder's edge tables, lane-major layout or fused
-// syndrome, so a bug in those cannot hide in both sides.
+// shares none of the decoder's edge tables, rotated lane-major layout or
+// packed syndrome walk, so a bug in those cannot hide in both sides.
 func refDecode(code *Code, alg Alg, offset, scale float32, info []byte, llr []float32, maxIter int) Result {
-	z := code.Z
 	l := append([]float32(nil), llr...)
 	hard := make([]byte, len(l))
 	for v, x := range l {
@@ -154,48 +169,12 @@ func refDecode(code *Code, alg Alg, offset, scale float32, info []byte, llr []fl
 		copy(info, hard[:code.K()])
 		return Result{Iterations: 0, OK: true}
 	}
-	msg := make([][]float32, len(code.rows))
-	for i, row := range code.rows {
-		msg[i] = make([]float32, z*len(row))
-	}
-	q := make([]float32, KbBlocks+2)
+	msg := refMessages(code)
 	res := Result{}
 	for it := 1; it <= maxIter; it++ {
 		res.Iterations = it
-		for i, row := range code.rows {
-			for r := 0; r < z; r++ {
-				m := msg[i][r*len(row) : (r+1)*len(row)]
-				min1, min2, arg, sign := float32(laneInitLLR), float32(laneInitLLR), -1, float32(1)
-				for e, ed := range row {
-					q[e] = l[ed.col*z+(r+ed.shift)%z] - m[e]
-					a := q[e]
-					if a < 0 {
-						a, sign = -a, -sign
-					}
-					if a < min1 {
-						min2, min1, arg = min1, a, e
-					} else if a < min2 {
-						min2 = a
-					}
-				}
-				for e, ed := range row {
-					mag := min1
-					if e == arg {
-						mag = min2
-					}
-					if alg == NormalizedMinSum {
-						mag *= scale
-					} else {
-						mag = max(mag-offset, 0)
-					}
-					s := sign
-					if q[e] < 0 {
-						s = -s
-					}
-					m[e] = s * mag
-					l[ed.col*z+(r+ed.shift)%z] = q[e] + m[e]
-				}
-			}
+		for i := range code.rows {
+			refLayer(code, alg, offset, scale, l, msg[i], i)
 		}
 		for v, x := range l {
 			hard[v] = 0
@@ -210,6 +189,134 @@ func refDecode(code *Code, alg Alg, offset, scale float32, info []byte, llr []fl
 	}
 	copy(info, hard[:code.K()])
 	return res
+}
+
+// refMessages returns refDecode's zeroed message arrays, one per
+// block-row.
+func refMessages(code *Code) [][]float32 {
+	msg := make([][]float32, len(code.rows))
+	for i, row := range code.rows {
+		msg[i] = make([]float32, code.Z*len(row))
+	}
+	return msg
+}
+
+// refLayer is refDecode's block-row i on the natural-order posteriors l
+// and the row's messages m: every check r runs the min-sum update on the
+// variables (r+shift) mod Z of its edges.
+func refLayer(code *Code, alg Alg, offset, scale float32, l, m []float32, i int) {
+	z := code.Z
+	row := code.rows[i]
+	q := make([]float32, len(row))
+	for r := 0; r < z; r++ {
+		mr := m[r*len(row) : (r+1)*len(row)]
+		min1, min2, arg, sign := float32(laneInitLLR), float32(laneInitLLR), -1, float32(1)
+		for e, ed := range row {
+			q[e] = l[ed.col*z+(r+ed.shift)%z] - mr[e]
+			a := q[e]
+			if a < 0 {
+				a, sign = -a, -sign
+			}
+			if a < min1 {
+				min2, min1, arg = min1, a, e
+			} else if a < min2 {
+				min2 = a
+			}
+		}
+		for e, ed := range row {
+			mag := min1
+			if e == arg {
+				mag = min2
+			}
+			if alg == NormalizedMinSum {
+				mag *= scale
+			} else {
+				mag = max(mag-offset, 0)
+			}
+			s := sign
+			if q[e] < 0 {
+				s = -s
+			}
+			mr[e] = s * mag
+			l[ed.col*z+(r+ed.shift)%z] = q[e] + mr[e]
+		}
+	}
+}
+
+// layerKernel is one implementation of a layer, named as Kernel() names
+// it.
+type layerKernel struct {
+	name  string
+	layer func(d *Decoder, i int, first bool, scl, off float32)
+}
+
+// layerKernels are the implementations of one layer the tests run: the
+// Go loops here, the vector kernel where lanes_amd64_test.go adds it.
+var layerKernels = []layerKernel{{"generic", (*Decoder).layer}}
+
+// TestLayersMatchTextbook runs the decoder one layer at a time beside
+// refLayer on natural-order posteriors, on every kernel in layerKernels:
+// before each layer every edge's layout entry must be the differential
+// shift from the rotation the test tracks for its column (0 at the
+// unrotated load, then the shift of the edge that last wrote it), after
+// each layer every column rotated back by that rotation must equal the
+// textbook posteriors bit for bit, and after the first iteration the
+// tracked rotations must be the decoder's sLast. Lifting sizes cover
+// Z < 8, multiples of 8, 8k±1 and multi-word blocks.
+func TestLayersMatchTextbook(t *testing.T) {
+	zs := []int{2, 5, 7, 8, 9, 15, 16, 17, 27, 64, 65, 104}
+	rng := rand.New(rand.NewSource(31))
+	for _, rate := range []Rate{Rate13, Rate23, Rate89} {
+		for _, z := range zs {
+			code := MustNew(rate, z)
+			llr := harshLLR(rng, code, rate)
+			for _, k := range layerKernels {
+				for _, alg := range []Alg{OffsetMinSum, NormalizedMinSum} {
+					where := fmt.Sprintf("%s rate %v Z=%d alg=%d", k.name, rate, z, alg)
+					checkLayersTextbook(t, where, code, alg, llr, k.layer)
+				}
+			}
+		}
+	}
+}
+
+func checkLayersTextbook(t *testing.T, where string, code *Code, alg Alg, llr []float32, layer func(d *Decoder, i int, first bool, scl, off float32)) {
+	t.Helper()
+	z := code.Z
+	d := NewDecoder(code)
+	d.Alg = alg
+	d.loadLLR(llr)
+	scl, off := d.magnitudeRule()
+	ref := append([]float32(nil), llr...)
+	msg := refMessages(code)
+	rot := make([]int, KbBlocks+code.Mb)
+	for it := 1; it <= 3; it++ {
+		for i, row := range code.rows {
+			for e, en := range row {
+				dd := (en.shift - rot[en.col] + z) % z
+				want := layerEdge{rd: en.col*d.zp + dd, wr: en.col * d.zp, t: z - 1 - dd}
+				if got := d.layerEdges(i, it == 1)[e]; got != want {
+					t.Fatalf("%s iteration %d layer %d edge %d: layout %+v, want %+v", where, it, i, e, got, want)
+				}
+			}
+			layer(d, i, it == 1, scl, off)
+			refLayer(code, alg, d.Offset, d.Scale, ref, msg[i], i)
+			for _, en := range row {
+				rot[en.col] = en.shift
+			}
+			for c := range rot {
+				for j := 0; j < z; j++ {
+					got := d.l[c*d.zp+(j-rot[c]+z)%z]
+					if want := ref[c*z+j]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("%s iteration %d layer %d: variable (%d, %d) is %v, textbook %v", where, it, i, c, j, got, want)
+					}
+				}
+			}
+		}
+		if !slices.Equal(rot, d.sLast) {
+			t.Fatalf("%s: rotations after iteration %d are %v, sLast %v", where, it, rot, d.sLast)
+		}
+	}
 }
 
 // referenceSweep decodes every supported rate, the lifting-size sweep,
@@ -258,19 +365,20 @@ func TestLaneDecodeEquivalence(t *testing.T) {
 	})
 }
 
-// TestFusedSyndromeExact pins the fused incremental syndrome: it must stop
-// on the same iteration, with the same verdict, as refDecode's full
-// hard-decision pass and checkSyndrome walk, and after every decode the
-// tracked parity state must agree with a fresh checkSyndrome of the final
-// hard decisions, unpacked.
+// TestFusedSyndromeExact pins the per-iteration syndrome (the packed
+// hard decisions, rotated back to natural order, and satisfied's walk):
+// it must stop on the same iteration, with the same verdict, as
+// refDecode's full hard-decision pass and checkSyndrome walk, and after
+// every decode checkSyndrome of the final hard decisions, unpacked, must
+// agree with the verdict.
 func TestFusedSyndromeExact(t *testing.T) {
 	t.Run(Kernel(), func(t *testing.T) {
 		referenceSweep(t, 18, func(where string, d *Decoder, _, _ []byte, res, ref Result) {
 			if res != ref {
-				t.Fatalf("%s: fused %+v != walked %+v", where, res, ref)
+				t.Fatalf("%s: packed %+v != walked %+v", where, res, ref)
 			}
-			if ok := checkSyndrome(d.code, hardBits(d)); ok != (d.syn.nUnsat == 0) {
-				t.Fatalf("%s: tracked nUnsat=%d but checkSyndrome=%v", where, d.syn.nUnsat, ok)
+			if ok := checkSyndrome(d.code, hardBits(d)); ok != res.OK || ok != d.satisfied() {
+				t.Fatalf("%s: decode OK=%v, satisfied=%v, but checkSyndrome=%v", where, res.OK, d.satisfied(), ok)
 			}
 		})
 	})
@@ -304,10 +412,8 @@ func decodeAfterGarbage(t *testing.T, d *Decoder, rng *rand.Rand, maxIter int) {
 	if !bytes.Equal(out, info) {
 		t.Fatal("decode after garbage wrong; decoder state leaked")
 	}
-	for i, x := range d.l {
-		if math.Float32bits(x) != math.Float32bits(fresh.l[i]) {
-			t.Fatalf("posterior[%d] after garbage %v, fresh decoder %v; decoder state leaked", i, x, fresh.l[i])
-		}
+	if i := lanesEqual(d.l, fresh.l, code.Z, d.zp); i >= 0 {
+		t.Fatalf("posterior[%d] after garbage %v, fresh decoder %v; decoder state leaked", i, d.l[i], fresh.l[i])
 	}
 }
 
@@ -372,8 +478,8 @@ func testLoadLLRSignRule(t *testing.T) {
 				if want := x < 0; (hard[v] == 1) != want {
 					t.Fatalf("%s: variable %d (%#08x) hard bit %d, want x < 0 = %v", where, v, math.Float32bits(x), hard[v], want)
 				}
-				if math.Float32bits(d.l[v]) != math.Float32bits(x) {
-					t.Fatalf("%s: posterior %d is %#08x, loaded %#08x", where, v, math.Float32bits(d.l[v]), math.Float32bits(x))
+				if got := d.l[v/z*d.zp+v%z]; math.Float32bits(got) != math.Float32bits(x) {
+					t.Fatalf("%s: posterior %d is %#08x, loaded %#08x", where, v, math.Float32bits(got), math.Float32bits(x))
 				}
 			}
 			checkPackedTails(t, where, d)

@@ -2,10 +2,12 @@
 // baseband pipeline: a quasi-cyclic LDPC code family with encoding and
 // min-sum (offset or normalized) belief-propagation decoding.
 //
-// Decoder has one path — the layered schedule over lane-major message
-// slabs with the syndrome tracked incrementally (layered.go), run on
-// AVX2 layer kernels where the CPU has them (lanes_amd64.s) and on the
-// Go loops they are proven bit-identical against elsewhere. DESIGN §13
+// Decoder has one path — the layered schedule over lane-major slabs,
+// each posterior block kept in the rotation of the edge that last wrote
+// it and read through the differential shift to the next (layered.go),
+// with the syndrome walked on packed hard decisions once per iteration —
+// run on an AVX2 layer kernel where the CPU has it (lanes_amd64.s) and on
+// the Go loops it is proven bit-identical against elsewhere. DESIGN §13
 // describes it.
 //
 // The original Agora uses Intel FlexRAN's implementation of the 3GPP 5G NR

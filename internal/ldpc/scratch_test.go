@@ -31,21 +31,19 @@ func (r byteRange) touchesLinesOf(w byteRange) bool {
 	return rf <= wl && wf <= rl
 }
 
-// writtenRanges lists every slab a decode writes, plus the one field of
-// the Decoder struct it writes (syn.nUnsat).
+// writtenRanges lists every slab a decode writes. It writes no field of
+// the Decoder struct itself.
 func writtenRanges(d *Decoder) []byteRange {
 	return []byteRange{
 		sliceRange("l", d.l),
 		sliceRange("r", d.r),
 		sliceRange("hard", d.hard),
+		sliceRange("signs", d.signs),
 		sliceRange("laneQ", d.laneQ),
 		sliceRange("laneMin1", d.laneMin1),
 		sliceRange("laneMin2", d.laneMin2),
 		sliceRange("laneIdx", d.laneIdx),
 		sliceRange("laneSgn", d.laneSgn),
-		sliceRange("synd", d.syn.synd),
-		sliceRange("flips", d.syn.flips),
-		{"nUnsat", uintptr(unsafe.Pointer(&d.syn.nUnsat)), unsafe.Sizeof(d.syn.nUnsat)},
 	}
 }
 
@@ -55,11 +53,10 @@ func allRanges(d *Decoder) []byteRange {
 	return append(writtenRanges(d),
 		byteRange{"Decoder", uintptr(unsafe.Pointer(d)), unsafe.Sizeof(*d)},
 		sliceRange("eOff", d.eOff),
-		sliceRange("edgeCol", d.edgeCol),
-		sliceRange("edgeShf", d.edgeShf),
-		sliceRange("colOff", d.syn.colOff),
-		sliceRange("colRow", d.syn.colRow),
-		sliceRange("colShf", d.syn.colShf),
+		sliceRange("first", d.first),
+		sliceRange("steady", d.steady),
+		sliceRange("sLast", d.sLast),
+		sliceRange("zeros", d.zeros),
 	)
 }
 
@@ -70,14 +67,10 @@ func allRanges(d *Decoder) []byteRange {
 // byte size (so they land in the slabs' size classes), a Decoder, k more
 // fillers and a second Decoder — the back-to-back pattern of one
 // engine's workers — and neither decoder's written lines may hold a byte
-// of a filler or of the other decoder. The only struct field a decode
-// writes, syn.nUnsat, must sit at least a line from either end of the
-// object, so the struct's neighbours cannot reach its line.
+// of a filler or of the other decoder. The written slabs are the posterior
+// slab l, the messages r, the packed hard and signs words, the Q slab and
+// the four lane-state arrays.
 func TestDecoderScratchIsolated(t *testing.T) {
-	off := unsafe.Offsetof(Decoder{}.syn) + unsafe.Offsetof(synTrack{}.nUnsat)
-	if size := unsafe.Sizeof(Decoder{}); off < lineBytes || off > size-72 {
-		t.Errorf("syn.nUnsat at offset %d of a %d-byte Decoder: want within [%d, %d]", off, size, lineBytes, size-72)
-	}
 	var zs []int
 	for z := 2; z <= 40; z++ {
 		zs = append(zs, z)

@@ -74,7 +74,7 @@ func codewordMag(rng *rand.Rand) uint32 {
 // channel decisions' information bits. Then one full layered iteration
 // runs from the state that prologue left, on the kernels the dispatch
 // selects (the Go loops under forceGoKernels), and must flip no hard
-// decision and leave nUnsat at 0.
+// decision and leave every check satisfied.
 func checkCodewordShortcut(t *testing.T, where string, code *Code, alg Alg, llr []float32) {
 	t.Helper()
 	d := NewDecoder(code)
@@ -91,7 +91,7 @@ func checkCodewordShortcut(t *testing.T, where string, code *Code, alg Alg, llr 
 	got := make([]byte, code.K())
 	// Decode a garbage block first, so that no state the check below
 	// reads is still at NewDecoder's zeros (which happen to be a
-	// codeword's syndrome): the prologue must rebuild hard and synTrack.
+	// codeword's decisions): the prologue must rebuild hard.
 	d.Decode(got, garbageLLR(rand.New(rand.NewSource(1)), code), 2)
 	if res := d.Decode(got, llr, 5); res != (Result{Iterations: 0, OK: true}) {
 		t.Fatalf("%s: codeword decoded with %+v, want 0 iterations", where, res)
@@ -99,18 +99,18 @@ func checkCodewordShortcut(t *testing.T, where string, code *Code, alg Alg, llr 
 	if !bytes.Equal(got, hard[:code.K()]) {
 		t.Fatalf("%s: 0-iteration bits differ from the channel decisions", where)
 	}
-	clear(d.r)
 	iterate := simdIterate
 	if iterate == nil {
 		iterate = (*Decoder).iterateLayered
 	}
 	scl, off := d.magnitudeRule()
-	iterate(d, scl, off)
+	iterate(d, true, scl, off)
+	d.packHard()
 	if !bytes.Equal(hardBits(d), hard) {
 		t.Fatalf("%s: one iteration flipped a hard decision of a codeword", where)
 	}
-	if d.syn.nUnsat != 0 {
-		t.Fatalf("%s: one iteration left %d checks unsatisfied", where, d.syn.nUnsat)
+	if !d.satisfied() {
+		t.Fatalf("%s: one iteration left a check unsatisfied", where)
 	}
 }
 

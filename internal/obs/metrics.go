@@ -23,6 +23,10 @@ const (
 type Metrics struct {
 	FramesDone    atomic.Int64
 	FramesDropped atomic.Int64
+	// ResultsLost counts FrameResults the engine discarded because the
+	// Results() channel was full: the frame retired (and is counted in
+	// FramesDone or FramesDropped) but no consumer will see its report.
+	ResultsLost atomic.Int64
 	// DeadlineMiss counts completed frames whose latency exceeded the
 	// frame budget (the on-air frame duration — Agora must on average
 	// finish a frame before the next one lands).
@@ -253,6 +257,7 @@ type GCSnap struct {
 type Snapshot struct {
 	Frames        int64       `json:"frames"`
 	Dropped       int64       `json:"dropped"`
+	ResultsLost   int64       `json:"results_lost"`
 	DeadlineMiss  int64       `json:"deadline_miss"`
 	FrameBudgetMS float64     `json:"frame_budget_ms"`
 	Latency       LatencySnap `json:"latency"`

@@ -98,6 +98,9 @@ var table = []row{
 		rate: rateSeries{1, "drops_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.FramesDropped },
 		i:    func(s *Snapshot) *int64 { return &s.Dropped }},
+	{name: "agora_results_lost_total", help: "Frame results discarded because the Results channel was full.", kind: counter,
+		live: func(m *Metrics) *atomic.Int64 { return &m.ResultsLost },
+		i:    func(s *Snapshot) *int64 { return &s.ResultsLost }},
 	{name: "agora_deadline_miss_total", help: "Completed frames that exceeded the frame budget.", kind: counter,
 		rate: rateSeries{2, "deadline_miss_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.DeadlineMiss },
