@@ -72,7 +72,8 @@ race:
 # side of a multiple of 8 and past one word per block, real lanes
 # compared, poisoned slack around l, r and the Q slab; and the LLR sign
 # pack, FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the
-# packed words), fft (the transforms, and FuzzStoreIQ12KernelsSIMD: the TX
+# packed words), fft (FuzzFFTKernelsSIMD: Forward, Inverse, InverseBand
+# over a fuzzed band and ForwardIQ12; FuzzStoreIQ12KernelsSIMD: the TX
 # quantize-pack, poisoned bytes on either side of the payload), modulation, mat (the block multiply and the tile
 # multiply on the uplink grid's layout) and fronthaul (FuzzGFKernelsSIMD:
 # the GF(2^8) multiply-XOR, single and paired rows, poisoned margins past
@@ -106,8 +107,10 @@ benchmark-smoke:
 # the kernel A/B pairs. internal/ldpc holds the rotating-input
 # Decode_AVX2 vs Decode_PureGo pair and beside it Decode_Codeword,
 # decode's fixed term (clean blocks, 0 iterations); internal/fft the
-# FFT512 / ForwardIQ12_512 / IFFTBatch8x512 / StoreIQ12_512 _AVX2 vs
-# _PureGo pairs;
+# FFT512 / ForwardIQ12_512 / IFFTBatch8x512 (the TX transform
+# InverseBand over an 8-antenna run) / StoreIQ12_512 _AVX2 vs _PureGo
+# pairs; internal/core the RunIFFT pair (one 2-antenna IFFT task against
+# the fill + gather + Inverse body it replaced);
 # internal/modulation the DemodulateSoftSoA pair; internal/mat the
 # MulBlockRows4 pair (the four-row GEMM tile, on blocks and on grid
 # tiles read in place); internal/fronthaul the AccumulateData pair (one
@@ -115,7 +118,7 @@ benchmark-smoke:
 # next to the unexported dispatch it flips. Absolute ns/op moves 25–30%
 # between windows on a shared host: compare within one run.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RunIFFT|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul ./internal/core
 
 # Perf gate: ratios measured within one process, never absolute times.
 # BenchmarkKernelGate (ldpc, fft, modulation, mat, fronthaul) alternates each kernel's

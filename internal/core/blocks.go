@@ -558,14 +558,15 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 }
 
 // runIFFT transforms a run of count consecutive antennas of one downlink
-// symbol with a single strided InverseBatch call over the worker's lane
-// buffer: the gather reads each subcarrier-major source row once (the
-// antennas are adjacent within a row), the butterflies run back-to-back
-// while the twiddles are hot, and the TX back end (fft.StoreIQ12) writes
-// each lane, cyclic prefix first, scaled by the TX gain, as the 12-bit IQ
-// payload of its antenna's packet in dlTime. Only the guard bins are
-// zeroed; the gather overwrites the data band. DummyKernels skips the
-// transform.
+// symbol with a single fft.InverseBand call into the worker's lane
+// buffer: it reads each subcarrier-major source row once (the antennas
+// are adjacent within a row), stores every precoded subcarrier straight
+// at its bin's butterfly-order position with the guard bins zeroed, and
+// runs the butterflies back-to-back while the twiddles are hot. The TX
+// back end (fft.StoreIQ12) then writes each lane, cyclic prefix first,
+// scaled by the TX gain, as the 12-bit IQ payload of its antenna's packet
+// in dlTime. DummyKernels skips the transform, so there each lane is the
+// band in natural order.
 func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -575,20 +576,21 @@ func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	m := cfg.Antennas
 	ds := cfg.DataStart()
 	buf := w.lanes[:count*nfft]
-	for l := 0; l < count; l++ {
-		lane := buf[l*nfft : (l+1)*nfft]
-		cf.Fill(lane[:ds], 0)
-		cf.Fill(lane[ds+q:], 0)
-	}
 	src := b.dlFreq[slot][sym]
-	for sc := 0; sc < q; sc++ {
-		row := src[sc*m+ant0 : sc*m+ant0+count]
-		for l, v := range row {
-			buf[l*nfft+ds+sc] = v
+	if e.opts.DummyKernels {
+		for l := 0; l < count; l++ {
+			lane := buf[l*nfft : (l+1)*nfft]
+			cf.Fill(lane[:ds], 0)
+			cf.Fill(lane[ds+q:], 0)
 		}
-	}
-	if !e.opts.DummyKernels {
-		w.plan.InverseBatch(buf, count, nfft)
+		for sc := 0; sc < q; sc++ {
+			row := src[sc*m+ant0 : sc*m+ant0+count]
+			for l, v := range row {
+				buf[l*nfft+ds+sc] = v
+			}
+		}
+	} else {
+		w.plan.InverseBand(buf, count, src[ant0:], ds, q, m, 1)
 	}
 	gain := float32(e.dlGain)
 	for l := 0; l < count; l++ {

@@ -11,11 +11,14 @@
 // A Plan is created once per size and is safe for concurrent use by
 // multiple workers as long as each call supplies its own buffer, matching
 // Agora's model where every FFT task owns a disjoint antenna buffer.
-// ForwardBatch/InverseBatch run a strided set of per-antenna transforms
-// through one call so twiddle tables stay cache-resident across the
-// batch, and ForwardIQ12 fuses the RX front end — cyclic-prefix strip,
-// 12-bit IQ unpack and the input permutation — into a single pass over
-// the payload bytes.
+// Neither direction of the baseband runs the permutation as a pass of its
+// own: ForwardIQ12 fuses the RX front end — cyclic-prefix strip, 12-bit
+// IQ unpack and the input permutation — into a single pass over the
+// payload bytes, and InverseBand, the TX transform, scatters each
+// lane's data band straight into butterfly order while it zeroes the
+// guard bins. Both take a run of antenna lanes per call, so the twiddle
+// tables stay cache-resident across the run. Forward and Inverse, the
+// in-place transforms, apply the permutation with a swap list.
 //
 // On amd64 with AVX2 the split-radix stage loops and the IQ12 front end
 // run as assembly kernels (stages_amd64.s, see kernel.go); the Go loops in
@@ -40,17 +43,17 @@ type Plan struct {
 	// stages expect x'[i] = x[perm[i]]: the mixed digit reversal (base-4
 	// digits, plus one binary digit when log2 n is odd).
 	perm []uint32
+	// pos is perm's inverse, a scatter table: input sample k belongs at
+	// x'[pos[k]]. InverseBand places each band sample with it. Its first
+	// n/4 entries are the first stage's block starts: butterfly i reads
+	// samples q, q+n/4, q+n/2, q+3n/4 with q = perm[4i], so pos[q] = 4i,
+	// and the vector IQ12 front end walks the payload in sample order
+	// and places whole blocks there.
+	pos []uint32
 	// swaps realizes perm in place as a flat list of (i,j) transposition
 	// pairs (one cycle-walk per permutation cycle), so the in-place entry
 	// points need no scratch buffer and stay safe for concurrent use.
 	swaps []uint32
-
-	// blk inverts perm at radix-4 block granularity: the first stage's
-	// butterfly i reads input samples q, q+n/4, q+n/2, q+3n/4 with q =
-	// perm[4i], and blk[q] = 4i is where that block starts. The vector
-	// IQ12 front end walks the payload in sample order and uses it to
-	// place whole blocks. nil for n < 4.
-	blk []uint32
 
 	// Radix-4 stage twiddles, stages concatenated in execution order
 	// (sub-size L = 4, 16, ...). A stage is three planes of L entries,
@@ -103,11 +106,9 @@ func (p *Plan) initSplitRadix() {
 	}
 	p.perm = make([]uint32, n)
 	fillPerm(p.perm, 0, 0, 1, n, radices)
-	if n >= 4 {
-		p.blk = make([]uint32, n/4)
-		for i := 0; i < n; i += 4 {
-			p.blk[p.perm[i]] = uint32(i)
-		}
+	p.pos = make([]uint32, n)
+	for i, k := range p.perm {
+		p.pos[k] = uint32(i)
 	}
 	// Twiddles for radix-4 stages with sub-size L = 4, 16, ... < r4End
 	// (the L=1 stage is twiddle-free). Three planes of L per stage.
@@ -219,14 +220,6 @@ func (p *Plan) Inverse(x []complex64) {
 	p.butterflies(x, true, true)
 }
 
-// InverseNoScale computes the unnormalized inverse DFT. The OFDM TX path
-// uses it with an explicit amplitude constant folded in elsewhere.
-func (p *Plan) InverseNoScale(x []complex64) {
-	p.check(x)
-	p.permute(x)
-	p.butterflies(x, true, false)
-}
-
 // checkBatch validates a strided batch layout.
 func (p *Plan) checkBatch(x []complex64, count, stride int) {
 	if count < 0 || stride < p.n {
@@ -238,27 +231,44 @@ func (p *Plan) checkBatch(x []complex64, count, stride int) {
 	}
 }
 
-// ForwardBatch computes count in-place DFTs over the strided signals
-// x[b*stride : b*stride+n]. Samples between stride slots are untouched.
-// Batching keeps the permutation and twiddle tables hot across the set of
-// per-antenna transforms of one symbol.
-func (p *Plan) ForwardBatch(x []complex64, count, stride int) {
-	p.checkBatch(x, count, stride)
-	for b := 0; b < count; b++ {
-		s := x[b*stride : b*stride+p.n : b*stride+p.n]
-		p.permute(s)
-		p.butterflies(s, false, false)
+// InverseBand is the TX transform over count lanes of dst, lane l at
+// dst[l*n : (l+1)*n]. Lane l's spectrum is zero except on bins lo to
+// lo+width-1, which carry the band samples
+//
+//	bin lo+sc = band[l*laneStride + sc*scStride],  0 <= sc < width,
+//
+// so one call serves a subcarrier-major grid (scStride = the row length,
+// laneStride = 1) and an antenna-major one (scStride = 1, laneStride =
+// the band's length). Each band sample is stored straight at its bin's
+// butterfly-order position and every other position is zeroed; then the
+// inverse butterflies run with the 1/n folded in. Only values move before
+// the butterflies, so each lane is bit-identical to zero-filling an n-point
+// buffer, copying the band to its bins and calling Inverse; the separate
+// permutation pass of that path disappears. band must not overlap dst.
+func (p *Plan) InverseBand(dst []complex64, count int, band []complex64, lo, width, scStride, laneStride int) {
+	n := p.n
+	if count < 0 || len(dst) < count*n {
+		panic(fmt.Sprintf("fft: InverseBand of %d lanes of %d into %d samples", count, n, len(dst)))
 	}
-}
-
-// InverseBatch computes count in-place normalized inverse DFTs over the
-// strided signals x[b*stride : b*stride+n] (see ForwardBatch).
-func (p *Plan) InverseBatch(x []complex64, count, stride int) {
-	p.checkBatch(x, count, stride)
-	for b := 0; b < count; b++ {
-		s := x[b*stride : b*stride+p.n : b*stride+p.n]
-		p.permute(s)
-		p.butterflies(s, true, true)
+	if lo < 0 || width < 0 || lo+width > n || scStride < 0 || laneStride < 0 {
+		panic(fmt.Sprintf("fft: InverseBand band [%d, %d+%d) strides %d, %d invalid for size %d",
+			lo, lo, width, scStride, laneStride, n))
+	}
+	if count > 0 && width > 0 && len(band) <= (count-1)*laneStride+(width-1)*scStride {
+		panic(fmt.Sprintf("fft: InverseBand band of %d samples too short for %d lanes of %d (strides %d, %d)",
+			len(band), count, width, scStride, laneStride))
+	}
+	dst = dst[:count*n]
+	clear(dst)
+	// Subcarrier-major: the lanes' samples of one bin are read together,
+	// which walks a subcarrier-major grid row by row.
+	for sc, i := range p.pos[lo : lo+width] {
+		for l, k := 0, sc*scStride; l < count; l, k = l+1, k+laneStride {
+			dst[l*n+int(i)] = band[k]
+		}
+	}
+	for l := 0; l < count; l++ {
+		p.butterflies(dst[l*n:(l+1)*n:(l+1)*n], true, true)
 	}
 }
 

@@ -62,6 +62,7 @@ func TestUndersizedBuffersPanic(t *testing.T) {
 	p := MustPlan(64)
 	short := make([]complex64, 63)
 	long := make([]complex64, 65)
+	band := make([]complex64, 128)
 	cases := []struct {
 		name string
 		f    func()
@@ -69,11 +70,14 @@ func TestUndersizedBuffersPanic(t *testing.T) {
 		{"Forward/short", func() { p.Forward(short) }},
 		{"Forward/long", func() { p.Forward(long) }},
 		{"Inverse/short", func() { p.Inverse(short) }},
-		{"InverseNoScale/short", func() { p.InverseNoScale(short) }},
-		{"ForwardBatch/short", func() { p.ForwardBatch(make([]complex64, 2*64-1), 2, 64) }},
-		{"ForwardBatch/stride", func() { p.ForwardBatch(make([]complex64, 256), 2, 63) }},
-		{"ForwardBatch/count", func() { p.ForwardBatch(make([]complex64, 256), -1, 64) }},
-		{"InverseBatch/short", func() { p.InverseBatch(make([]complex64, 100), 2, 70) }},
+		{"InverseBand/dst", func() { p.InverseBand(make([]complex64, 2*64-1), 2, band, 0, 64, 1, 64) }},
+		{"InverseBand/count", func() { p.InverseBand(make([]complex64, 256), -1, band, 0, 64, 1, 64) }},
+		{"InverseBand/band", func() { p.InverseBand(make([]complex64, 128), 2, band[:127], 0, 64, 1, 64) }},
+		{"InverseBand/submajor", func() { p.InverseBand(make([]complex64, 128), 2, band[:127], 0, 64, 2, 1) }},
+		{"InverseBand/lo", func() { p.InverseBand(make([]complex64, 64), 1, band, -1, 8, 1, 0) }},
+		{"InverseBand/width", func() { p.InverseBand(make([]complex64, 64), 1, band, 60, 5, 1, 0) }},
+		{"InverseBand/negwidth", func() { p.InverseBand(make([]complex64, 64), 1, band, 8, -1, 1, 0) }},
+		{"InverseBand/stride", func() { p.InverseBand(make([]complex64, 64), 1, band, 0, 8, -1, 0) }},
 		{"ForwardIQ12/dst", func() { p.ForwardIQ12(short, make([]byte, 64*3), 0) }},
 		{"ForwardIQ12/payload", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 64*3-1), 0) }},
 		{"ForwardIQ12/cp", func() { p.ForwardIQ12(make([]complex64, 64), make([]byte, 64*3), 4) }},
@@ -86,8 +90,11 @@ func TestUndersizedBuffersPanic(t *testing.T) {
 	}
 	// Exactly-sized calls must NOT panic.
 	p.Forward(make([]complex64, 64))
-	p.ForwardBatch(make([]complex64, 64+70), 2, 70)
-	p.InverseBatch(nil, 0, 64)
+	p.InverseBand(make([]complex64, 128), 2, band, 0, 64, 1, 64)
+	p.InverseBand(make([]complex64, 128), 2, band, 0, 64, 2, 1)
+	p.InverseBand(make([]complex64, 64), 1, band, 64, 0, 1, 0)
+	p.InverseBand(nil, 0, nil, 0, 64, 1, 64)
+	p.InverseBand(make([]complex64, 64), 1, nil, 3, 0, 1, 0)
 	p.ForwardIQ12(make([]complex64, 64), make([]byte, (64+4)*3), 4)
 }
 
@@ -112,9 +119,10 @@ func TestKernelMatchesNaiveDFTAllSizes(t *testing.T) {
 	})
 }
 
-// TestBatchRoundTrip is the Inverse(Forward(x)) == x property over strided
-// batch layouts: every lane round-trips, and the padding between lanes is
-// untouched.
+// TestBatchRoundTrip is the Inverse(Forward(x)) == x property over
+// strided batch layouts: each lane's spectrum comes from a standalone
+// Forward, InverseBand reads the lanes back across ragged lane strides as
+// full-width bands, and every lane round-trips.
 func TestBatchRoundTrip(t *testing.T) {
 	t.Run(Kernel(), func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
@@ -127,31 +135,79 @@ func TestBatchRoundTrip(t *testing.T) {
 			{2048, 2, 2048},
 		} {
 			p := MustPlan(tc.n)
-			buf := randSignal(rng, (tc.count-1)*tc.stride+tc.n)
-			orig := append([]complex64(nil), buf...)
-			p.ForwardBatch(buf, tc.count, tc.stride)
-			// Each lane must match a standalone Forward.
+			orig := randSignal(rng, (tc.count-1)*tc.stride+tc.n)
+			spec := append([]complex64(nil), orig...)
 			for b := 0; b < tc.count; b++ {
-				lane := append([]complex64(nil), orig[b*tc.stride:b*tc.stride+tc.n]...)
-				p.Forward(lane)
-				for i := range lane {
-					if lane[i] != buf[b*tc.stride+i] {
-						t.Fatalf("n=%d lane %d differs from standalone Forward", tc.n, b)
-					}
-				}
+				p.Forward(spec[b*tc.stride : b*tc.stride+tc.n])
 			}
-			p.InverseBatch(buf, tc.count, tc.stride)
+			got := make([]complex64, tc.count*tc.n)
+			p.InverseBand(got, tc.count, spec, 0, tc.n, 1, tc.stride)
 			for b := 0; b < tc.count; b++ {
-				lo, hi := b*tc.stride, b*tc.stride+tc.n
-				if d := cf.MaxAbsDiff(buf[lo:hi], orig[lo:hi]); d > 1e-4*math.Sqrt(float64(tc.n)) {
+				want := orig[b*tc.stride : b*tc.stride+tc.n]
+				if d := cf.MaxAbsDiff(got[b*tc.n:(b+1)*tc.n], want); d > 1e-4*math.Sqrt(float64(tc.n)) {
 					t.Errorf("n=%d count=%d stride=%d lane %d roundtrip diff %v",
 						tc.n, tc.count, tc.stride, b, d)
 				}
-				// Padding between lanes stays byte-for-byte.
-				if b+1 < tc.count {
-					for i := hi; i < lo+tc.stride; i++ {
-						if buf[i] != orig[i] {
-							t.Fatalf("n=%d stride=%d: padding at %d clobbered", tc.n, tc.stride, i)
+			}
+		}
+	})
+}
+
+// inverseBandOracle is InverseBand the long way: per lane, zero an
+// n-point buffer, copy the band to bins lo..lo+width-1, then Inverse.
+func inverseBandOracle(p *Plan, dst []complex64, count int, band []complex64, lo, width, scStride, laneStride int) {
+	n := p.Size()
+	for l := 0; l < count; l++ {
+		lane := dst[l*n : (l+1)*n]
+		cf.Fill(lane, 0)
+		for sc := 0; sc < width; sc++ {
+			lane[lo+sc] = band[l*laneStride+sc*scStride]
+		}
+		p.Inverse(lane)
+	}
+}
+
+// TestInverseBandMatchesInverse checks the TX transform against
+// zero-fill + copy + Inverse per lane, bit for bit, on both kernel sides:
+// every size 2..4096 (both parities of log2 n), one to three lanes, the
+// subcarrier-major and antenna-major band layouts, and the band edges —
+// an empty band, the full band, a band at bin 0 and one ending at bin n.
+// Nothing past the count lanes is written.
+func TestInverseBandMatchesInverse(t *testing.T) {
+	onEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		const sentinel = complex(float32(-3.5), float32(7.25))
+		for n := 2; n <= 4096; n *= 2 {
+			p := MustPlan(n)
+			w := max(n/2+n/8, 1)
+			bands := []struct{ lo, width int }{
+				{0, 0}, {n / 2, 0}, {0, n}, {0, w}, {n - w, w}, {(n - w) / 2, w}, {n / 4, 1},
+			}
+			for count := 1; count <= 3; count++ {
+				for _, bd := range bands {
+					for _, layout := range []struct {
+						name                 string
+						scStride, laneStride int
+					}{
+						{"subcarrier-major", count + 1, 1}, // a row per bin, one spare slot
+						{"antenna-major", 1, bd.width + 3}, // a band per lane, ragged
+					} {
+						band := randSignal(rng, (count-1)*layout.laneStride+max(bd.width-1, 0)*layout.scStride+1)
+						want := make([]complex64, count*n)
+						inverseBandOracle(p, want, count, band, bd.lo, bd.width, layout.scStride, layout.laneStride)
+						got := randSignal(rng, count*n+8)
+						for i := count * n; i < len(got); i++ {
+							got[i] = sentinel
+						}
+						p.InverseBand(got, count, band, bd.lo, bd.width, layout.scStride, layout.laneStride)
+						if i := firstDiff(got[:count*n], want, false); i >= 0 {
+							t.Fatalf("n=%d count=%d band [%d,+%d) %s: sample %d = %v, want %v",
+								n, count, bd.lo, bd.width, layout.name, i, got[i], want[i])
+						}
+						for i := count * n; i < len(got); i++ {
+							if got[i] != sentinel {
+								t.Fatalf("n=%d count=%d: wrote past the lanes at %d", n, count, i)
+							}
 						}
 					}
 				}
@@ -348,21 +404,6 @@ func TestLinearity(t *testing.T) {
 	}
 }
 
-func TestInverseNoScale(t *testing.T) {
-	n := 64
-	p := MustPlan(n)
-	rng := rand.New(rand.NewSource(10))
-	x := randSignal(rng, n)
-	a := append([]complex64(nil), x...)
-	b := append([]complex64(nil), x...)
-	p.InverseNoScale(a)
-	p.Inverse(b)
-	cf.Scale(b, float32(n))
-	if d := cf.MaxAbsDiff(a, b); d > 1e-3 {
-		t.Fatalf("InverseNoScale mismatch: %v", d)
-	}
-}
-
 func TestPlanConcurrentUse(t *testing.T) {
 	t.Run(Kernel(), func(t *testing.T) {
 		p := MustPlan(512)
@@ -413,16 +454,11 @@ func BenchmarkIFFT2048(b *testing.B) {
 	}
 }
 
-// BenchmarkIFFTBatch8x512 is the antenna-run shape runIFFT uses: 8
-// antenna grids transformed through one call. ns/op is per batch.
-func BenchmarkIFFTBatch8x512(b *testing.B) {
-	p := MustPlan(512)
-	x := randSignal(rand.New(rand.NewSource(1)), 8*512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.InverseBatch(x, 8, 512)
-	}
-}
+// BenchmarkIFFTBatch8x512 is the TX transform in the shape runIFFT
+// calls it: a run of 8 antennas read from a subcarrier-major precoded
+// grid, the reference cell's 304-subcarrier band centred in 512 bins.
+// ns/op is per run.
+func BenchmarkIFFTBatch8x512(b *testing.B) { benchCalls(b, inverseBand8x512()) }
 
 // BenchmarkForwardIQ12_512 is the fused RX front end (CP strip + unpack +
 // permute + transform) vs its unfused counterpart below.
@@ -467,12 +503,12 @@ func BenchmarkForwardIQ12_512_Unfused(b *testing.B) {
 }
 
 // Implementation A/B (DESIGN §10): the same three shapes as above — one
-// forward transform, the fused RX front end, an 8-antenna inverse batch —
+// forward transform, the fused RX front end, an 8-antenna TX transform —
 // on the platform's vector kernels and with the dispatch forced to the Go
 // loops. Unlike the in-place benchmarks above, whose buffer decays to
 // Inf/NaN after a few dozen iterations, each iteration starts from the
-// same finite signal (the refresh copy is inside the timed loop on both
-// sides).
+// same finite signal: the forward transform's refresh copy is inside the
+// timed loop on both sides, and the other two never write their input.
 func benchImpl(b *testing.B, vector bool, call func()) {
 	if vector && simd == nil {
 		b.Skip("no vector kernels on this CPU/GOARCH")
@@ -503,15 +539,14 @@ func forwardFresh() func() {
 	}
 }
 
-// inverseBatchFresh returns one 8×512 inverse batch of a fixed signal.
-func inverseBatchFresh() func() {
-	p := MustPlan(512)
-	src := randSignal(rand.New(rand.NewSource(1)), 8*512)
-	x := make([]complex64, 8*512)
-	return func() {
-		copy(x, src)
-		p.InverseBatch(x, 8, 512)
-	}
+// inverseBand8x512 returns one InverseBand call over 8 antenna lanes of
+// a fixed subcarrier-major 304×8 grid, the band at bins 104..407.
+func inverseBand8x512() func() {
+	const n, lanes, width = 512, 8, 304
+	p := MustPlan(n)
+	grid := randSignal(rand.New(rand.NewSource(1)), width*lanes)
+	dst := make([]complex64, lanes*n)
+	return func() { p.InverseBand(dst, lanes, grid, (n-width)/2, width, lanes, 1) }
 }
 
 // storeIQ12Call returns one TX back-end call as runIFFT makes it: a
@@ -527,8 +562,8 @@ func BenchmarkFFT512_AVX2(b *testing.B)            { benchImpl(b, true, forwardF
 func BenchmarkFFT512_PureGo(b *testing.B)          { benchImpl(b, false, forwardFresh()) }
 func BenchmarkForwardIQ12_512_AVX2(b *testing.B)   { benchImpl(b, true, forwardIQ12()) }
 func BenchmarkForwardIQ12_512_PureGo(b *testing.B) { benchImpl(b, false, forwardIQ12()) }
-func BenchmarkIFFTBatch8x512_AVX2(b *testing.B)    { benchImpl(b, true, inverseBatchFresh()) }
-func BenchmarkIFFTBatch8x512_PureGo(b *testing.B)  { benchImpl(b, false, inverseBatchFresh()) }
+func BenchmarkIFFTBatch8x512_AVX2(b *testing.B)    { benchImpl(b, true, inverseBand8x512()) }
+func BenchmarkIFFTBatch8x512_PureGo(b *testing.B)  { benchImpl(b, false, inverseBand8x512()) }
 func BenchmarkStoreIQ12_512_AVX2(b *testing.B)     { benchImpl(b, true, storeIQ12Call()) }
 func BenchmarkStoreIQ12_512_PureGo(b *testing.B)   { benchImpl(b, false, storeIQ12Call()) }
 
@@ -548,10 +583,10 @@ func BenchmarkKernelGate(b *testing.B) {
 		calls int
 		floor float64
 	}{
-		{"FFT512", forwardFresh(), 512, 2},             // median 4.1×
-		{"ForwardIQ12_512", forwardIQ12(), 1024, 4},    // median 8.2×
-		{"IFFTBatch8x512", inverseBatchFresh(), 64, 2}, // median 3.9×
-		{"StoreIQ12_512", storeIQ12Call(), 1024, 4},    // median 12×
+		{"FFT512", forwardFresh(), 512, 2},            // median 4.1×
+		{"ForwardIQ12_512", forwardIQ12(), 1024, 4},   // median 8.2×
+		{"IFFTBatch8x512", inverseBand8x512(), 64, 2}, // median 4.7×
+		{"StoreIQ12_512", storeIQ12Call(), 1024, 4},   // median 12×
 	} {
 		batch := func() {
 			for i := 0; i < g.calls; i++ {

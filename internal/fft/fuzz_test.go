@@ -13,11 +13,12 @@ import (
 // platform's vector stage kernels and the Go loops (DESIGN §10): the
 // fuzzer supplies raw bytes that are read both as float32 bit patterns —
 // so NaNs with payloads, infinities, signed zeros and denormals all occur
-// — for Forward and Inverse, and as a 24-bit IQ payload for ForwardIQ12
-// at a fuzzed cyclic-prefix length; both implementations must produce the
-// same bits (up to NaN payloads, see firstDiff). The size selector covers
-// every schedule shape from n=2 (no vector stage) up. Skips where no
-// vector kernel exists.
+// — for Forward, Inverse and InverseBand (over the bins of a band whose
+// edges the cyclic-prefix and size bytes also pick), and as a 24-bit IQ
+// payload for ForwardIQ12 at a fuzzed cyclic-prefix length; both
+// implementations must produce the same bits (up to NaN payloads, see
+// firstDiff). The size selector covers every schedule shape from n=2 (no
+// vector stage) up. Skips where no vector kernel exists.
 func FuzzFFTKernelsSIMD(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF}, uint8(3), uint8(1))          // NaN, -Inf
@@ -45,6 +46,8 @@ func FuzzFFTKernelsSIMD(f *testing.F) {
 			x[i] = complex(math.Float32frombits(binary.LittleEndian.Uint32(w[:4])),
 				math.Float32frombits(binary.LittleEndian.Uint32(w[4:])))
 		}
+		lo := int(cp) % n
+		width := n - lo - int(size/10)%(n-lo+1)
 		payload := make([]byte, (int(cp)+n)*cf.BytesPerIQ)
 		for i := range payload {
 			payload[i] = at(i)
@@ -55,6 +58,7 @@ func FuzzFFTKernelsSIMD(f *testing.F) {
 		}{
 			{"Forward", p.Forward},
 			{"Inverse", p.Inverse},
+			{"InverseBand", func(buf []complex64) { p.InverseBand(buf, 1, x, lo, width, 1, 0) }},
 			{"ForwardIQ12", func(buf []complex64) { p.ForwardIQ12(buf, payload, int(cp)) }},
 		} {
 			g := append([]complex64(nil), x...)

@@ -56,8 +56,8 @@ func stageLast2AVX2(x *complex64, n int, tw *complex64, mode int, scale float32)
 
 // unpackIQ12AVX2 converts the n >= 16 samples of 24-bit IQ at src into
 // blocks of four — samples q, q+n/4, q+n/2, q+3n/4 — and stores block q
-// at dst[blk[q]], sixteen samples per iteration. It reads src[0 : 3n]
-// only.
+// at dst[blk[q]] (blk is Plan.pos), sixteen samples per iteration. It
+// reads src[0 : 3n] only.
 //
 //go:noescape
 func unpackIQ12AVX2(dst *complex64, src *byte, n int, blk *uint32)
@@ -114,13 +114,13 @@ func (p *Plan) butterfliesAVX2(x []complex64, inverse, scale bool) {
 
 // loadIQ12AVX2 is gatherIQ12 turned inside out: instead of one random
 // payload access per output slot it converts the payload in sample order
-// and places whole first-stage blocks (see Plan.blk).
+// and places whole first-stage blocks (see Plan.pos).
 func (p *Plan) loadIQ12AVX2(dst []complex64, payload []byte, cpLen int) {
 	if p.n < 16 {
 		p.gatherIQ12(dst, payload, cpLen)
 		return
 	}
-	unpackIQ12AVX2(&dst[0], &payload[cpLen*cf.BytesPerIQ], p.n, &p.blk[0])
+	unpackIQ12AVX2(&dst[0], &payload[cpLen*cf.BytesPerIQ], p.n, &p.pos[0])
 }
 
 // storeIQ12AVX2 runs the kernel over the whole groups of eight samples

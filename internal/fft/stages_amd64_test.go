@@ -217,8 +217,9 @@ func TestUnpackIQ12AVX2(t *testing.T) {
 }
 
 // TestEntryPointsAVX2 drives every public transform on both
-// implementations and demands identical spectra: Forward, Inverse,
-// InverseNoScale, the strided batches and the fused IQ12 front ends.
+// implementations and demands identical spectra: Forward, Inverse, the
+// TX transform InverseBand on both band layouts, and the fused IQ12
+// front ends.
 func TestEntryPointsAVX2(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(41))
@@ -227,6 +228,8 @@ func TestEntryPointsAVX2(t *testing.T) {
 		const lanes, cp = 3, 5
 		stride := n + 7
 		x := randSignal(rng, (lanes-1)*stride+n)
+		lo, width := n/8, n-n/4
+		band := randSignal(rng, lanes*width)
 		payloads := make([][]byte, lanes)
 		for l := range payloads {
 			payloads[l] = make([]byte, (cp+n)*cf.BytesPerIQ+l)
@@ -238,9 +241,8 @@ func TestEntryPointsAVX2(t *testing.T) {
 		}{
 			{"Forward", func(buf []complex64) { p.Forward(buf[:n]) }},
 			{"Inverse", func(buf []complex64) { p.Inverse(buf[:n]) }},
-			{"InverseNoScale", func(buf []complex64) { p.InverseNoScale(buf[:n]) }},
-			{"ForwardBatch", func(buf []complex64) { p.ForwardBatch(buf, lanes, stride) }},
-			{"InverseBatch", func(buf []complex64) { p.InverseBatch(buf, lanes, stride) }},
+			{"InverseBand/subcarrier-major", func(buf []complex64) { p.InverseBand(buf, lanes, band, lo, width, lanes, 1) }},
+			{"InverseBand/antenna-major", func(buf []complex64) { p.InverseBand(buf, lanes, band, lo, width, 1, width) }},
 			{"ForwardIQ12", func(buf []complex64) { p.ForwardIQ12(buf[:n], payloads[0], cp) }},
 			{"ForwardIQ12Batch", func(buf []complex64) { p.ForwardIQ12Batch(buf, payloads, cp, stride) }},
 		} {

@@ -48,7 +48,7 @@ type Generator struct {
 	plan     *fft.Plan
 	userFreq [][]complex64 // per-user frequency-domain data symbol scratch
 	xtFreq   []complex64   // Q×K transposed user band (blocked-mix input)
-	mixFreq  []complex64   // M×Q all-antenna mixed band (blocked-mix output)
+	mixFreq  []complex64   // M×Q mixed band, antenna-major: InverseBand's input
 	antGrid  []complex64   // M×OFDMSize lanes, IFFT'd in one batched call
 	antCP    []complex64   // one antenna's time symbol with the cyclic prefix prepended
 	pkt      []byte
@@ -381,30 +381,25 @@ func (g *Generator) mixAndEmit(frameID uint32, sym int, emit func([]byte) error)
 		xt := mat.M{Rows: q, Cols: k, Data: g.xtFreq}
 		mix := mat.M{Rows: cfg.Antennas, Cols: q, Data: g.mixFreq}
 		mat.MulBlockInto(&mix, g.H, &xt)
-	}
-	// Every antenna's frequency grid goes into one lane of antGrid so a
-	// single batched IFFT transforms the whole symbol: the butterflies run
-	// lane after lane while the twiddle tables stay hot, replacing M
-	// separate Inverse calls.
-	nfft := cfg.OFDMSize
-	cf.Fill(g.antGrid, 0)
-	for a := 0; a < cfg.Antennas; a++ {
-		lane := g.antGrid[a*nfft+ds : a*nfft+ds+q]
-		if g.sel != nil {
-			// Frequency-selective: apply the per-subcarrier response.
-			for sc := 0; sc < q; sc++ {
+	} else {
+		// Frequency-selective: apply the per-subcarrier response.
+		for a := 0; a < cfg.Antennas; a++ {
+			band := g.mixFreq[a*q : (a+1)*q]
+			for sc := range band {
 				hrow := g.hBand[sc].Row(a)
 				var acc complex64
 				for u := 0; u < k; u++ {
 					acc += hrow[u] * g.userFreq[u][ds+sc]
 				}
-				lane[sc] = acc
+				band[sc] = acc
 			}
-		} else {
-			copy(lane, g.mixFreq[a*q:(a+1)*q])
 		}
 	}
-	g.plan.InverseBatch(g.antGrid, cfg.Antennas, nfft)
+	// One InverseBand call transforms every antenna's band into its lane
+	// of antGrid: the butterflies run lane after lane while the twiddle
+	// tables stay hot, and the band lands straight in butterfly order.
+	nfft := cfg.OFDMSize
+	g.plan.InverseBand(g.antGrid, cfg.Antennas, g.mixFreq, ds, q, 1, q)
 	for a := 0; a < cfg.Antennas; a++ {
 		antTime := g.antGrid[a*nfft : (a+1)*nfft]
 		// Prepend the cyclic prefix: the last CPLen time samples repeat
