@@ -47,7 +47,10 @@ generic:
 # (internal/obs) scrape /metrics from a running engine and a running
 # fleet, and internal/fleet's lifecycle tests (drain under in-flight
 # frames, degrade and recover) put the router/forwarder/engine interplay
-# under it too.
+# under it too. TestWakeNoLostFrames (a tenth of its frames in short
+# mode) and TestIdleEngineParks are the wake protocol's race coverage:
+# producers reading a role's parked flag while the role raises it, polls
+# once more and parks.
 race:
 	$(GO) test -race -short ./internal/...
 

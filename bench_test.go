@@ -378,8 +378,7 @@ func BenchmarkTable4_AllOptimizationsOn(b *testing.B) {
 func BenchmarkTable4_AllOptimizationsOff(b *testing.B) {
 	benchFrame(b, laptopCfg(), Options{Workers: 2,
 		DisableBatching: true, DisableMemOpt: true, DisableDirectStore: true,
-		DisableInverseOpt: true, DisableJITGemm: true,
-		DisableSIMDConvert: true, DisableZFCache: true})
+		DisableInverseOpt: true, DisableJITGemm: true, DisableZFCache: true})
 }
 
 // BenchmarkTable4_ZFCacheOff isolates the coherence-cached ZF ablation:

@@ -5,8 +5,7 @@
 // The paper converts 24-bit IQ samples from the RRU into 32-bit values with
 // AVX-512; Go has no intrinsics, so the hot conversion paths here are
 // written branch-free over contiguous slices with 64-bit word packing,
-// which the compiler vectorizes reasonably well. The naive byte-at-a-time
-// variants are kept for the Table 4 "SIMD conversion" ablation.
+// which the compiler vectorizes reasonably well.
 package cf
 
 import (
@@ -31,11 +30,6 @@ const (
 	// back to a signed value after the mantissa extraction.
 	iq12Bias = magicF32 + 2048.0
 )
-
-// sign-extend a 12-bit value held in the low bits of x.
-func sext12(x uint32) int32 {
-	return int32(x<<20) >> 20
-}
 
 // dequant12 converts a raw 12-bit two's-complement field (low 12 bits of
 // x) to its float32 value via the magic-number route: XOR 0x800 biases it
@@ -126,22 +120,6 @@ func IQ12At(src []byte, idx int) complex64 {
 	w := uint32(src[o]) | uint32(src[o+1])<<8 | uint32(src[o+2])<<16
 	const scale = 1.0 / 2048.0
 	return complex(dequant12(w)*scale, dequant12(w>>12)*scale)
-}
-
-// UnpackIQ12Naive is the deliberately unoptimized conversion used by the
-// Table 4 ablation: per-component byte assembly with float64 math.
-func UnpackIQ12Naive(dst []complex64, src []byte) {
-	n := len(src) / BytesPerIQ
-	for s := 0; s < n; s++ {
-		o := s * BytesPerIQ
-		var w uint32
-		for b := 0; b < 3; b++ { // byte-at-a-time
-			w |= uint32(src[o+b]) << (8 * b)
-		}
-		i := float64(sext12(w&0xFFF)) / 2048.0
-		q := float64(sext12(w>>12)) / 2048.0
-		dst[s] = complex(float32(i), float32(q))
-	}
 }
 
 // Quantize12 converts float32-domain complex samples (nominally in [-1,1))

@@ -26,21 +26,6 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnpackNaiveMatchesOptimized(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	wire := make([]byte, 3*777)
-	rng.Read(wire)
-	a := make([]complex64, 777)
-	b := make([]complex64, 777)
-	UnpackIQ12(a, wire)
-	UnpackIQ12Naive(b, wire)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sample %d: optimized %v naive %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestQuantizeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := make([]complex64, 512)
@@ -68,6 +53,12 @@ func TestQuantizeClips(t *testing.T) {
 	if iq[0] != 2047 || iq[1] != -2048 {
 		t.Fatalf("clipping failed: %v", iq)
 	}
+}
+
+// sext12 sign-extends a 12-bit value held in the low bits of x: the
+// plain-integer oracle dequant12 is checked against.
+func sext12(x uint32) int32 {
+	return int32(x<<20) >> 20
 }
 
 func TestSext12(t *testing.T) {
@@ -285,15 +276,6 @@ func BenchmarkUnpackIQ12(b *testing.B) {
 	b.SetBytes(int64(len(wire)))
 	for i := 0; i < b.N; i++ {
 		UnpackIQ12(dst, wire)
-	}
-}
-
-func BenchmarkUnpackIQ12Naive(b *testing.B) {
-	wire := make([]byte, 3*2048)
-	dst := make([]complex64, 2048)
-	b.SetBytes(int64(len(wire)))
-	for i := 0; i < b.N; i++ {
-		UnpackIQ12Naive(dst, wire)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ldpc"
 	"repro/internal/mat"
 	"repro/internal/modulation"
+	"repro/internal/queue"
 )
 
 // worker holds one worker's private scratch so task execution allocates
@@ -20,15 +21,15 @@ import (
 // §13, Scratch ownership); padding this struct, payloadRun and leaseRun
 // measured no change.
 type worker struct {
-	id  int
-	eng *Engine
+	id    int
+	eng   *Engine
+	park  *parker
+	order []queue.TaskType // the task queues it polls, in priority order
 
 	plan    *fft.Plan
 	lanes   []complex64 // FFTBatch×OFDMSize: one lane per antenna of an FFT or IFFT run
-	timeBuf []complex64 // unfused front end: one symbol's unpacked samples (nil when fuseRX)
 	stage   []complex64 // staging copy, DisableDirectStore only
 	tileAnt []complex64 // M×8 tile copied from the antenna-major grid, DisableMemOpt only
-	fuseRX  bool        // CP strip + unpack fused into the FFT permutation
 
 	// Blocked-kernel scratch: the BLAS-3 path multiplies whole
 	// multi-subcarrier tiles instead of one matvec per subcarrier. The
@@ -52,11 +53,10 @@ type worker struct {
 	payloadRun [][]byte
 	leaseRun   []*rxLease
 
-	dec    *ldpc.Decoder
-	zfws   *mat.ZFWorkspace
-	unpack func([]complex64, []byte)
-	tab    *modulation.Table
-	code   *ldpc.Code
+	dec  *ldpc.Decoder
+	zfws *mat.ZFWorkspace
+	tab  *modulation.Table
+	code *ldpc.Code
 
 	pilotFreq [][]complex64 // conj of each user's pilot over the data band
 }
@@ -66,6 +66,7 @@ func newWorker(id int, e *Engine) *worker {
 	w := &worker{
 		id:    id,
 		eng:   e,
+		order: e.dag.Polls()[id],
 		plan:  e.plan,
 		lanes: make([]complex64, cfg.FFTBatch*cfg.OFDMSize),
 		zfws:  mat.NewZFWorkspace(cfg.Users),
@@ -94,18 +95,6 @@ func newWorker(id int, e *Engine) *worker {
 	}
 	if e.opts.DisableMemOpt {
 		w.tileAnt = make([]complex64, cfg.Antennas*mat.TileCols)
-	}
-	if e.opts.DisableSIMDConvert {
-		w.unpack = cf.UnpackIQ12Naive
-	} else {
-		w.unpack = cf.UnpackIQ12
-	}
-	// The fused RX front end gathers IQ samples straight into digit-reversed
-	// FFT order, so it needs the real transform (DummyKernels skips it) and
-	// the packed conversion it is built on.
-	w.fuseRX = !e.opts.DummyKernels && !e.opts.DisableSIMDConvert
-	if !w.fuseRX {
-		w.timeBuf = make([]complex64, cfg.SamplesPerSymbol())
 	}
 	// Precompute conjugated pilots for CSI extraction.
 	w.pilotFreq = make([][]complex64, cfg.Users)
@@ -147,11 +136,11 @@ func (w *worker) runPilotFFT(slot int, sym uint16, ant0, count, pilotIdx int) {
 // OFDMSize apart) and releases the leases. The fused path is one
 // ForwardIQ12Batch call — CP strip, 12-bit unpack and the input
 // permutation in one pass per lane, the butterfly passes back to back
-// while the twiddles are hot; without it each lane goes through
-// loadLane. ok is false when the frame was torn down mid-run (a lease was
-// already reclaimed): the remaining leases are, or will be, reclaimed by
-// the manager sweep, the ones claimed here are dropped, and the run is
-// skipped.
+// while the twiddles are hot. DummyKernels' FFT only moves the data:
+// each lane is the payload past its cyclic prefix, unpacked. ok is false
+// when the frame was torn down mid-run (a lease was already reclaimed):
+// the remaining leases are, or will be, reclaimed by the manager sweep,
+// the ones claimed here are dropped, and the run is skipped.
 func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64, ok bool) {
 	e := w.eng
 	nfft := e.cfg.OFDMSize
@@ -169,29 +158,17 @@ func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64,
 		leases = append(leases, l)
 	}
 	buf = w.lanes[:count*nfft]
-	if w.fuseRX {
-		w.plan.ForwardIQ12Batch(buf, pay, e.cfg.CPLen, nfft)
-	} else {
+	if e.opts.DummyKernels {
 		for l, p := range pay {
-			w.loadLane(buf[l*nfft:(l+1)*nfft], p)
+			cf.UnpackIQ12(buf[l*nfft:(l+1)*nfft], p[e.cfg.CPLen*cf.BytesPerIQ:])
 		}
+	} else {
+		w.plan.ForwardIQ12Batch(buf, pay, e.cfg.CPLen, nfft)
 	}
 	for _, l := range leases {
 		e.releaseRx(l)
 	}
 	return buf, true
-}
-
-// loadLane is the unfused front end of one antenna, for the ablations
-// that bypass ForwardIQ12 (DisableSIMDConvert, DummyKernels): unpack the
-// whole symbol, strip the cyclic prefix, then transform — the last step
-// skipped under DummyKernels, whose FFT only moves the data.
-func (w *worker) loadLane(lane []complex64, payload []byte) {
-	w.unpack(w.timeBuf, payload)
-	copy(lane, w.timeBuf[w.eng.cfg.CPLen:])
-	if !w.eng.opts.DummyKernels {
-		w.plan.Forward(lane)
-	}
 }
 
 // extractCSI correlates one antenna's pilot data band against the

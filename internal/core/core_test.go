@@ -211,10 +211,9 @@ func TestAblationsStillCorrect(t *testing.T) {
 		"no-directstore": {Workers: 3, DisableDirectStore: true},
 		"no-inverseopt":  {Workers: 3, DisableInverseOpt: true},
 		"no-jitgemm":     {Workers: 3, DisableJITGemm: true},
-		"no-simdconvert": {Workers: 3, DisableSIMDConvert: true},
 		"all-off": {Workers: 3, DisableBatching: true, DisableMemOpt: true,
 			DisableDirectStore: true, DisableInverseOpt: true,
-			DisableJITGemm: true, DisableSIMDConvert: true},
+			DisableJITGemm: true},
 	}
 	for name, opts := range cases {
 		opts := opts

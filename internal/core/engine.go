@@ -68,14 +68,19 @@ type Engine struct {
 	tr      fronthaul.Transport
 	results chan FrameResult
 
+	// tx, netTX, is a worker over TaskPacketTX alone, on the trace lane
+	// after the workers'. takers[t] lists the parkers (idle.go) of the
+	// roles that poll task type t.
 	workers []*worker
+	tx      *worker
+	mgrPark *parker
+	takers  [queue.NumTaskTypes][]*parker
 
 	// Observability (see internal/obs): trace is the per-worker event
-	// tracer (nil when Options.DisableTracing), met the always-on live
-	// counter set, and txLane the TX thread's trace lane.
-	trace  *obs.Tracer
-	met    obs.Metrics
-	txLane int
+	// tracer (nil when Options.DisableTracing) and met the always-on live
+	// counter set.
+	trace *obs.Tracer
+	met   obs.Metrics
 
 	// epoch anchors every nanosecond stamp in the obs plane — trace
 	// events, Msg.T0/T1 completion stamps, FrameRec bounds — so the live
@@ -312,7 +317,6 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		// The RX goroutine folds parity under DummyKernels too.
 		e.met.Kernels = append(e.met.Kernels, obs.KernelRow{Stage: "fec", Kernel: fronthaul.Kernel()})
 	}
-	e.txLane = opts.Workers
 	e.epoch = time.Now()
 	e.recorder = !opts.DisableRecorder
 	if e.recorder {
@@ -325,8 +329,19 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		// recorder's completion stamps are directly comparable.
 		e.trace = obs.NewTracer(opts.Workers+1, opts.TraceCapacity)
 	}
-	for i := 0; i < opts.Workers; i++ {
-		e.workers = append(e.workers, newWorker(i, e))
+	e.mgrPark = &parker{run: e.role(e.runManager), queues: []*queue.Q{e.compQ, e.rxQ}}
+	e.tx = &worker{id: opts.Workers, eng: e, order: []queue.TaskType{queue.TaskPacketTX}}
+	for i := 0; i <= opts.Workers; i++ {
+		w := e.tx
+		if i < opts.Workers {
+			w = newWorker(i, e)
+			e.workers = append(e.workers, w)
+		}
+		w.park = &parker{run: e.role(func() { e.runWorker(w) })}
+		for _, t := range w.order {
+			w.park.queues = append(w.park.queues, e.taskQ[t])
+			e.takers[t] = append(e.takers[t], w.park)
+		}
 	}
 	return e, nil
 }
@@ -396,18 +411,16 @@ func (e *Engine) Start() {
 	if e.opts.RealTime {
 		e.prevGC = debug.SetGCPercent(800)
 	}
-	for i := range e.workers {
-		e.wg.Add(1)
-		go e.runWorker(e.workers[i])
+	provisionGoroutines()
+	for _, w := range e.workers {
+		e.start(w.park.run)
 	}
-	e.wg.Add(1)
-	go e.runManager()
+	e.start(e.mgrPark.run)
+	e.start(e.role(e.runClock))
 	if e.tr != nil {
-		e.wg.Add(1)
-		go e.runNetRX()
+		e.start(e.role(e.runNetRX))
 		if e.hasDownlink {
-			e.wg.Add(1)
-			go e.runNetTX()
+			e.start(e.tx.park.run)
 		}
 	}
 }
@@ -433,11 +446,7 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 	// Completions the workers queued after the manager's last drain still
 	// count toward the per-type task totals.
-	for {
-		m, ok := e.compQ.TryDequeue()
-		if !ok {
-			break
-		}
+	for m, ok := e.compQ.TryDequeue(); ok; m, ok = e.compQ.TryDequeue() {
 		e.observeTask(m)
 	}
 	if e.opts.RealTime {
@@ -515,77 +524,35 @@ func (e *Engine) WriteChromeTrace(w io.Writer) error {
 // InjectPacket feeds one fronthaul packet directly (test hook bypassing
 // the transport). The packet is parsed synchronously; the payload is
 // always copied — callers reuse the backing array — into a leased
-// engine-pool buffer.
+// engine-pool buffer. It must not race Stop: it may start the manager.
 func (e *Engine) InjectPacket(pkt []byte) error {
 	_, err := e.acceptPacket(pkt, false)
 	return err
 }
 
-// runNetTX drains TaskPacketTX messages and sends each antenna's
-// downlink packet to the RRU. The IFFT task has already written the
-// payload in wire form (DESIGN §10, TX back end), so this goroutine only
-// stamps the header in front of it; Send copies the packet out before it
-// returns.
-func (e *Engine) runNetTX() {
-	defer e.wg.Done()
-	n := uint32(e.cfg.SamplesPerSymbol())
-	for {
-		m, ok := e.taskQ[queue.TaskPacketTX].TryDequeue()
-		if !ok {
-			select {
-			case <-e.stop:
-				return
-			default:
-				runtime.Gosched()
-				continue
-			}
-		}
-		t0 := e.nowStamp()
-		h := fronthaul.Header{
-			Frame:   m.Frame,
-			Symbol:  m.Symbol,
-			Antenna: m.TaskIdx,
-			Dir:     fronthaul.DirDownlink,
-			Seq:     atomic.AddUint64(&e.txSeq, 1),
-			Samples: n,
-		}
-		pkt := e.buf.dlTime[m.Slot][m.Symbol][m.TaskIdx]
-		h.Encode(pkt)
-		_ = e.tr.Send(pkt)
-		t1 := e.nowStamp()
-		if e.trace != nil {
-			e.trace.Emit(obs.Event{
-				Start: t0, End: t1,
-				Frame: m.Frame, Symbol: m.Symbol, TaskIdx: m.TaskIdx,
-				Lane: uint16(e.txLane), Type: queue.TaskPacketTX, Batch: 1,
-			})
-		}
-		comp := m
-		comp.Batch = 1
-		comp.T0, comp.T1 = t0, t1
-		for !e.compQ.TryEnqueue(comp) {
-			runtime.Gosched()
-		}
-	}
+// sendTX sends one antenna's downlink packet to the RRU. The IFFT task
+// has already written the payload in wire form (DESIGN §10, TX back
+// end), so netTX only stamps the header in front of it; Send copies the
+// packet out before it returns.
+func (e *Engine) sendTX(m queue.Msg) {
+	h := fronthaul.Header{Frame: m.Frame, Symbol: m.Symbol, Antenna: m.TaskIdx,
+		Dir: fronthaul.DirDownlink, Seq: atomic.AddUint64(&e.txSeq, 1),
+		Samples: uint32(e.cfg.SamplesPerSymbol())}
+	pkt := e.buf.dlTime[m.Slot][m.Symbol][m.TaskIdx]
+	h.Encode(pkt)
+	_ = e.tr.Send(pkt)
 }
 
-// runWorker is the worker loop: poll task queues in priority order,
-// execute, report completion (§3.3). The paper busy-polls on dedicated
-// isolated cores; on shared cores a short idle backoff (spin first, then
-// brief sleeps) keeps reactivity in the microseconds without starving
-// whatever else runs on the machine.
+// runWorker is the worker loop, netTX's too: poll task queues in priority
+// order, execute, report completion (§3.3). The paper busy-polls on
+// dedicated isolated cores; on shared cores an empty poll follows the
+// engine's one idle rule (idle): spin a bounded number of polls, then
+// park, returning until the manager's flush starts the role again.
 func (e *Engine) runWorker(w *worker) {
-	defer e.wg.Done()
-	if e.opts.RealTime {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	order := e.dag.Polls()[w.id]
-	idle := 0
 	for {
 		var m queue.Msg
 		got := false
-		for _, t := range order {
+		for _, t := range w.order {
 			if mm, ok := e.taskQ[t].TryDequeue(); ok {
 				m = mm
 				got = true
@@ -593,20 +560,12 @@ func (e *Engine) runWorker(w *worker) {
 			}
 		}
 		if !got {
-			select {
-			case <-e.stop:
+			if !e.idle(w.park) {
 				return
-			default:
-				idle++
-				if idle > 256 && !e.opts.RealTime {
-					time.Sleep(20 * time.Microsecond)
-				} else {
-					runtime.Gosched()
-				}
-				continue
 			}
+			continue
 		}
-		idle = 0
+		w.park.polls = 0
 		// Execution stamps ride back to the manager on the completion
 		// message itself (former Msg padding): the manager's fold accounts
 		// the task time from them (onCompletion), and the trace event
@@ -624,6 +583,7 @@ func (e *Engine) runWorker(w *worker) {
 		for !e.compQ.TryEnqueue(m) {
 			runtime.Gosched()
 		}
+		e.wakeUp(e.mgrPark)
 	}
 }
 
@@ -645,6 +605,9 @@ func (e *Engine) execute(w *worker, m queue.Msg) {
 		return
 	case queue.TaskIFFT:
 		w.runIFFT(slot, m.Symbol, int(m.TaskIdx), batch)
+		return
+	case queue.TaskPacketTX:
+		e.sendTX(m)
 		return
 	}
 	for i := 0; i < batch; i++ {

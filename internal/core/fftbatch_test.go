@@ -155,7 +155,6 @@ func TestFFTBatchEquivalence(t *testing.T) {
 		{"default", Options{}},
 		{"DisableMemOpt", Options{DisableMemOpt: true}},
 		{"DisableDirectStore", Options{DisableDirectStore: true}},
-		{"DisableSIMDConvert", Options{DisableSIMDConvert: true}},
 		{"DummyKernels", Options{DummyKernels: true}},
 	} {
 		for arrival, order := range map[string][][]byte{"in-order": pkts, "shuffled": shuffled} {

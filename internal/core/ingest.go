@@ -113,8 +113,9 @@ func newer(a, b uint32) bool { return int32(a-b) > 0 }
 // before its ids count as late.
 const claimWindow = 1 << 20
 
-// rxRefused in an RX message's Aux marks the refusal of frame Msg.Frame.
-const rxRefused = 1
+// An RX message's Aux: rxRefused marks the refusal of frame Msg.Frame,
+// rxReap runClock's request that the manager reap stale frames.
+const rxRefused, rxReap = 1, 2
 
 // Errors acceptPacket returns for well-formed packets it drops.
 var (
@@ -285,7 +286,8 @@ func (e *Engine) accountSeq(seq uint64) {
 
 // enqueueRX hands the manager one RX message — an accepted payload, or
 // with Aux rxRefused a refused frame — spinning while the queue is
-// momentarily full: neither may be lost.
+// momentarily full (neither may be lost), and wakes the manager if it is
+// parked.
 func (e *Engine) enqueueRX(frameID uint32, slot int, sym, ant uint16, aux uint64) {
 	m := queue.Msg{
 		Type:    queue.TaskPacketRX,
@@ -303,6 +305,7 @@ func (e *Engine) enqueueRX(frameID uint32, slot int, sym, ant uint16, aux uint64
 			runtime.Gosched()
 		}
 	}
+	e.wakeUp(e.mgrPark)
 }
 
 // acceptPacket validates a packet, applies the id rule to its frame, and
@@ -484,11 +487,6 @@ func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym
 // threads; a single goroutine saturates the in-process ring here). One
 // wakeup drains a whole burst.
 func (e *Engine) runNetRX() {
-	defer e.wg.Done()
-	if e.opts.RealTime {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	pkts := make([][]byte, rxBatchSize)
 	for {
 		n, ok := e.tr.RecvBatch(pkts)

@@ -13,17 +13,9 @@ import (
 // runManager is Agora's manager thread (§3.2): it consumes RX
 // notifications and task completions, advances the frame DAG
 // (internal/sched), and flushes the tasks it releases onto the per-type
-// task queues.
+// task queues. It returns when idle parks it; RX messages and
+// completions start it again.
 func (e *Engine) runManager() {
-	defer e.wg.Done()
-	if e.opts.RealTime {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	frameTimeout := e.opts.FrameTimeout
-	lastTimeoutCheck := time.Now()
-	idle := 0      // consecutive empty polls, drives the backoff
-	idlePolls := 0 // all empty polls, paces the reap-deadline check
 	loops := 0
 	for {
 		// Queue-depth gauges: sampling every 256 manager iterations keeps
@@ -34,34 +26,11 @@ func (e *Engine) runManager() {
 			e.sampleQueues()
 		}
 		if e.drain() {
-			idle = 0
+			e.mgrPark.polls = 0
 			continue
 		}
-		select {
-		case <-e.stop:
+		if !e.idle(e.mgrPark) {
 			return
-		default:
-		}
-		// The reap deadline is FrameTimeout/4 (hundreds of ms); reading the
-		// clock on every empty poll to test it was 5 % of a busy engine's
-		// CPU. Checking every 64th empty poll makes the check at most 64
-		// backoff sleeps late. A 20 µs sleep can take a millisecond to
-		// return, so that is up to ~70 ms, still far inside the deadline.
-		// The count never resets on progress, so a stale frame is still
-		// reaped while other traffic flows.
-		idlePolls++
-		if idlePolls&63 == 0 {
-			if now := time.Now(); now.Sub(lastTimeoutCheck) > frameTimeout/4 {
-				e.reapStale(now)
-				e.flush()
-				lastTimeoutCheck = now
-			}
-		}
-		idle++
-		if idle > 256 && !e.opts.RealTime {
-			time.Sleep(20 * time.Microsecond)
-		} else {
-			runtime.Gosched()
 		}
 	}
 }
@@ -71,20 +40,12 @@ func (e *Engine) runManager() {
 // was any.
 func (e *Engine) drain() bool {
 	progress := false
-	for {
-		m, ok := e.compQ.TryDequeue()
-		if !ok {
-			break
-		}
+	for m, ok := e.compQ.TryDequeue(); ok; m, ok = e.compQ.TryDequeue() {
 		e.onCompletion(m)
 		e.flush()
 		progress = true
 	}
-	for {
-		m, ok := e.rxQ.TryDequeue()
-		if !ok {
-			break
-		}
+	for m, ok := e.rxQ.TryDequeue(); ok; m, ok = e.rxQ.TryDequeue() {
 		e.onRX(m)
 		e.flush()
 		progress = true
@@ -102,11 +63,15 @@ func (e *Engine) sampleQueues() {
 	e.met.SampleQueue(obs.GaugeComp, e.compQ.Len())
 }
 
-// onRX handles one RX-goroutine message: an accepted packet, or the
-// refusal of a frame whose buffer slot an older frame holds.
+// onRX handles one RX message: an accepted packet, the refusal of a
+// frame whose buffer slot an older frame holds, or a reap request.
 func (e *Engine) onRX(m queue.Msg) {
-	if m.Aux == rxRefused {
+	switch m.Aux {
+	case rxRefused:
 		e.retire(m.Frame, nil, true)
+		return
+	case rxReap:
+		e.reapStale(time.Now())
 		return
 	}
 	f := &e.slots[m.Slot]
@@ -174,15 +139,14 @@ func (e *Engine) dispatchRX(f *slotRec, m queue.Msg) {
 // queue is waited out by handling completions; what those release queues
 // up behind the tasks this loop has yet to take.
 func (e *Engine) flush() {
-	for {
-		m, ok := e.dag.Next()
-		if !ok {
-			return
-		}
+	var queued [queue.NumTaskTypes]int
+	for m, ok := e.dag.Next(); ok; m, ok = e.dag.Next() {
 		if f := &e.slots[m.Slot]; f.phase == slotLive && f.ID == m.Frame && f.start.IsZero() {
 			f.start = time.Now()
 		}
+		queued[m.Type]++
 		for !e.taskQ[m.Type].TryEnqueue(m) {
+			e.wakeTakers(&queued) // before waiting on the full queue's takers
 			if cm, ok := e.compQ.TryDequeue(); ok {
 				e.onCompletion(cm)
 			} else {
@@ -190,6 +154,7 @@ func (e *Engine) flush() {
 			}
 		}
 	}
+	e.wakeTakers(&queued)
 }
 
 // onCompletion advances the frame DAG by one completed task message. It

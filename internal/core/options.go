@@ -87,13 +87,6 @@ type Options struct {
 	// (§4.2).
 	DisableJITGemm bool
 
-	// DisableSIMDConvert replaces the word-packed IQ conversion with the
-	// byte-at-a-time version (§4, data type conversions). It also precludes
-	// the fused unpack/permute FFT front end, which builds on the packed
-	// conversion. It is an RX ablation only: the downlink's TX conversion
-	// (fft.StoreIQ12 in the IFFT task) runs either way.
-	DisableSIMDConvert bool
-
 	// DisableTracing turns off the per-worker event tracer feeding the
 	// Chrome-trace capture and the worker-lane utilisation (Engine
 	// TraceEvents/Timeline/WriteChromeTrace); per-frame stage spans come
@@ -124,8 +117,9 @@ type Options struct {
 
 	// RealTime pins workers to OS threads and disables GC assists during
 	// the run, the analogue of running Agora as a real-time process with
-	// isolated cores (§4.3). Unlike the other knobs this one defaults to
-	// off because it is process-global.
+	// isolated cores (§4.3), and idle roles spin instead of parking.
+	// Unlike the other knobs this one defaults to off because it is
+	// process-global.
 	RealTime bool
 
 	// DummyKernels replaces every compute kernel with a version that only
@@ -159,9 +153,9 @@ type Options struct {
 	// summing the partials before the Cholesky solve — the computation
 	// shape of the decentralized massive-MIMO architectures in PAPERS.md,
 	// letting a future cell span more antennas than one engine touches.
-	// 0 or 1 keeps the monolithic single-pass Gram (the Table-4 ablation
-	// row); on a static channel the clustered reduce is bit-identical
-	// (see mat's TestGramClusteredBitIdentity).
+	// 0 or 1 keeps the monolithic single-pass Gram; on a static channel
+	// the clustered reduce is bit-identical (see mat's
+	// TestGramClusteredBitIdentity).
 	ZFClusters int
 
 	// FECParity enables the fronthaul Reed-Solomon layer: the RRU sends

@@ -161,7 +161,7 @@ func Table3(w io.Writer, o Opt) error {
 func Table4(w io.Writer, o Opt) error {
 	o = o.withDefaults()
 	frames := o.frames(25, 60)
-	// The ablated paths (IQ conversion, FFT-output layout, GEMM kernels)
+	// The ablated paths (FFT-output layout, GEMM kernels)
 	// scale with antennas and subcarriers, so the quick config leans
 	// toward a wide array with cheap decoding.
 	cfg := scaledCfg(32, 4)
@@ -199,12 +199,7 @@ func Table4(w io.Writer, o Opt) error {
 		{"direct store off", with(base, func(op *core.Options) { op.DisableDirectStore = true })},
 		{"matrix inverse off", with(base, func(op *core.Options) { op.DisableInverseOpt = true })},
 		{"JIT gemm off", with(base, func(op *core.Options) { op.DisableJITGemm = true })},
-		{"SIMD convert off", with(base, func(op *core.Options) { op.DisableSIMDConvert = true })},
 		{"ZF cache off", with(base, func(op *core.Options) { op.DisableZFCache = true })},
-		// Beyond the paper: decentralized partial-Gram equalization
-		// (DESIGN §16) — same math reassociated across 4 antenna clusters,
-		// so the row measures the reduce overhead, not a quality change.
-		{"decentral ZF (C=4)", with(base, func(op *core.Options) { op.ZFClusters = 4 })},
 		{"real-time mode on", with(base, func(op *core.Options) { op.RealTime = true })},
 	}
 	fmt.Fprintf(w, "%-20s %-10s %-8s %-10s %-8s\n", "configuration", "median", "ratio", "p99.9", "ratio")

@@ -150,7 +150,9 @@ func (q *Q) TryDequeue() (Msg, bool) {
 	}
 }
 
-// Len returns an instantaneous (racy) element count, for monitoring only.
+// Len returns an instantaneous (racy) element count: enqueues begun
+// minus dequeues begun, so it counts a message from the moment its
+// TryEnqueue claims a cell.
 func (q *Q) Len() int {
 	e := q.enqueue.Load()
 	d := q.dequeue.Load()
