@@ -50,7 +50,9 @@ generic:
 # under it too. TestWakeNoLostFrames (a tenth of its frames in short
 # mode) and TestIdleEngineParks are the wake protocol's race coverage:
 # producers reading a role's parked flag while the role raises it, polls
-# once more and parks.
+# once more and parks. TestResendUntilResult (internal/core, 120 frames
+# in short mode) resends every frame's packets over a Ring until its
+# result arrives, so duplicates meet the frame's retirement on netRX.
 race:
 	$(GO) test -race -short ./internal/...
 
@@ -60,7 +62,8 @@ race:
 # schedules of packets (duplicated, reordered, late, truncated,
 # bit-flipped, parity-only, lost, reused and wrapped ids), task runs, a
 # stalled worker and reaps through acceptPacket and the manager; every
-# frame that claimed or was refused a slot gets exactly one result, and
+# frame that claimed or was refused a slot gets exactly one result, a
+# claim leaves no arrival flag of its slot set but its own packet's, and
 # slots, leases and queues return to their initial occupancy. The frame
 # DAG (FuzzFrameDAG: packets and task completions of two frames in a
 # seed-chosen order on a fuzz-chosen cell; every task released exactly
@@ -113,7 +116,9 @@ benchmark-smoke:
 # FFT512 / ForwardIQ12_512 / IFFTBatch8x512 (the TX transform
 # InverseBand over an 8-antenna run) / StoreIQ12_512 _AVX2 vs _PureGo
 # pairs; internal/core the RunIFFT pair (one 2-antenna IFFT task against
-# the fill + gather + Inverse body it replaced);
+# the fill + gather + Inverse body it replaced) and Ingest (netRX's
+# packet-accept path alone, in pkts/s: header parse, slot claim, arrival
+# flag, lease);
 # internal/modulation the DemodulateSoftSoA pair; internal/mat the
 # MulBlockRows4 pair (the four-row GEMM tile, on blocks and on grid
 # tiles read in place); internal/fronthaul the AccumulateData pair (one
@@ -121,7 +126,7 @@ benchmark-smoke:
 # next to the unexported dispatch it flips. Absolute ns/op moves 25–30%
 # between windows on a shared host: compare within one run.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RunIFFT|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul ./internal/core
+	$(GO) test -run '^$$' -bench 'Table1|Fig9|Table4|Decode_|Fleet_|RunIFFT|Ingest|_AVX2$$|_PureGo$$' -benchmem -count 5 . ./internal/ldpc ./internal/fft ./internal/modulation ./internal/mat ./internal/fronthaul ./internal/core
 
 # Perf gate: ratios measured within one process, never absolute times.
 # BenchmarkKernelGate (ldpc, fft, modulation, mat, fronthaul) alternates each kernel's

@@ -175,20 +175,6 @@ func AXPY(y []complex64, a complex64, x []complex64) {
 	}
 }
 
-// Dot returns the unconjugated dot product sum(x[i]*y[i]).
-func Dot(x, y []complex64) complex64 {
-	if len(x) != len(y) {
-		panic("cf: Dot length mismatch")
-	}
-	var accR, accI float32
-	for i := range x {
-		v := x[i] * y[i]
-		accR += real(v)
-		accI += imag(v)
-	}
-	return complex(accR, accI)
-}
-
 // DotConj returns the Hermitian inner product sum(conj(x[i])*y[i]).
 func DotConj(x, y []complex64) complex64 {
 	if len(x) != len(y) {

@@ -94,21 +94,18 @@ type Engine struct {
 
 	// slotOwner is each buffer slot's owner word: heldBy(id) while frame
 	// id holds the slot, 0 when it is free. Only the RX goroutine sets a
-	// held word (claim) and only the manager frees one (releaseSlot).
+	// held word (claim) and only the manager frees one (retire).
 	slotOwner []atomic.Uint64
-	// Fronthaul counter baselines captured by the RX goroutine at the
-	// moment a frame claims its slot. The manager reads them in open
-	// (the slotOwner publication orders the writes) so an
-	// incident's SeqGaps/SeqLate/FEC deltas cover the frame's own window
-	// even when RX ingests the whole burst before the manager admits.
+	// Fronthaul counter baselines stored by the RX goroutine when a frame
+	// claims its slot, before the owner word is published. The owner word
+	// pins them while the frame holds the slot, and retire reads them, so
+	// an incident's SeqGaps/SeqLate/FEC deltas cover the frame's own
+	// window even when RX ingests the whole burst before the manager
+	// admits.
 	slotGapBase  []atomic.Int64
 	slotLateBase []atomic.Int64
 	slotFECBase  []atomic.Int64
-	// rxSeen dedupes fronthaul packets per (slot, symbol, antenna) BEFORE
-	// the payload copy: a retransmitted packet must not overwrite a
-	// buffer a worker may already be reading.
-	rxSeen [][][]atomic.Bool
-	drops  atomic.Int64
+	drops        atomic.Int64
 
 	// Zero-copy RX (DESIGN §15, see ingest.go): payloads are leased in
 	// place on transport buffers. rxFree pools payload-sized buffers for
@@ -119,9 +116,9 @@ type Engine struct {
 	rxFree     chan []byte
 
 	// rxSlots is the RX goroutine's private per-slot state: the newest
-	// frame id of each slot and its Reed-Solomon accumulators
-	// (Options.FECParity, see ingest.go). fec is the code and the fec*
-	// slices are its reconstruction scratch.
+	// frame id of each slot, its arrival flags and its Reed-Solomon
+	// accumulators (Options.FECParity, see ingest.go). fec is the code and
+	// the fec* slices are its reconstruction scratch.
 	rxSlots []rxSlot
 	fec     *fronthaul.FEC
 	fecLost []int
@@ -192,7 +189,7 @@ type slotRec struct {
 	phase slotPhase
 	// held buffers a pending frame's RX messages. Its backing array is
 	// allocated in NewEngine with the frame's maximum RX count (the
-	// rxSeen dedupe bounds it) and reused across frames.
+	// arrival flags bound it) and reused across frames.
 	held []queue.Msg
 
 	firstPkt time.Time
@@ -205,11 +202,8 @@ type slotRec struct {
 	zfCached bool
 
 	// rec is the frame's live SLO attribution record, filled by the
-	// manager from completion stamps; the seq*/fec bases snapshot the
-	// fronthaul counters at the slot claim so an incident can report the
-	// deltas attributable to this frame's window (DESIGN §12).
-	rec                              obs.FrameRec
-	seqGapBase, seqLateBase, fecBase int64
+	// manager from completion stamps (DESIGN §12).
+	rec obs.FrameRec
 }
 
 // NewEngine constructs an engine for cfg over transport tr. cfg is
@@ -255,13 +249,6 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.slotGapBase = make([]atomic.Int64, opts.Slots)
 	e.slotLateBase = make([]atomic.Int64, opts.Slots)
 	e.slotFECBase = make([]atomic.Int64, opts.Slots)
-	e.rxSeen = make([][][]atomic.Bool, opts.Slots)
-	for s := range e.rxSeen {
-		e.rxSeen[s] = make([][]atomic.Bool, cfg.NumSymbols())
-		for sym := range e.rxSeen[s] {
-			e.rxSeen[s][sym] = make([]atomic.Bool, cfg.Antennas)
-		}
-	}
 	task, rx, comp := e.queueDepths()
 	for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
 		e.taskQ[t] = queue.New(task[t])

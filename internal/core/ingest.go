@@ -12,11 +12,19 @@ package core
 // DESIGN §14 arena model:
 //
 //	netRX (single producer) stores a lease and marks it FULL after
-//	winning the rxSeen claim; exactly one consumer then CASes
+//	setting the packet's arrival flag; exactly one consumer then CASes
 //	FULL→BUSY — either the FFT task that computes on it, or the
 //	manager's teardown sweep (reclaimLeases) for frames that die
 //	before their FFTs run — and frees the buffer. A torn-down lease
 //	makes the FFT task a no-op; its completion message still flows.
+//
+// Arrival flags: one plain bool per (slot, symbol, antenna) in the
+// RX-private rxSlot dedupes data packets before the payload hand-off (a
+// retransmit must not overwrite a buffer a worker may be reading) and is
+// FEC's data-received row. netRX is their only writer: claim clears a
+// slot's flags before it publishes the owner word, so a duplicate that
+// passed the owner check just before its frame retired marks nothing the
+// slot's next frame can see.
 //
 // Injected packets (InjectPacket) and FEC-reconstructed payloads have no
 // transport buffer: they are copied into engine-pool buffers and leased
@@ -28,8 +36,8 @@ package core
 // payload into per-symbol syndrome accumulators (fronthaul.FEC);
 // as soon as nData+nParity ≥ M with data missing, the lost payloads
 // are reconstructed into engine-pool buffers and injected through the
-// normal rxSeen/lease/rxQ flow, so a frame meets its deadline despite up
-// to P lost packets per symbol.
+// normal arrival-flag/lease/rxQ flow, so a frame meets its deadline
+// despite up to P lost packets per symbol.
 // All FEC state is owned by the single RX goroutine — no locks.
 //
 // The id rule: whether a packet's frame gets its buffer slot (slot =
@@ -72,25 +80,27 @@ type rxLease struct {
 	buf   []byte
 }
 
-// fecSym accumulates one symbol burst's Reed-Solomon syndromes.
+// fecSym accumulates one symbol burst's Reed-Solomon syndromes. The
+// burst's received data packets are the slot's arrival flags.
 type fecSym struct {
-	syn     [][]byte // [P] payload-sized accumulators
-	dataGot []bool   // [M]
-	parGot  []bool   // [P]
-	nData   int
-	nPar    int
+	syn    [][]byte // [P] payload-sized accumulators
+	parGot []bool   // [P]
+	nData  int
+	nPar   int
 	// done: burst complete (all data arrived or reconstructed); further
 	// folds would corrupt nothing but are wasted work.
 	done bool
 }
 
 // rxSlot is the RX goroutine's private state of one buffer slot: the
-// newest frame id that claimed it or was refused it, and the FEC
-// accumulators of the frame holding it, re-zeroed at each claim.
+// newest frame id that claimed it or was refused it, and the arrival
+// flags and FEC accumulators of the frame holding it, re-zeroed at each
+// claim.
 type rxSlot struct {
-	newest uint32
-	seen   bool     // newest is set: some frame has claimed or been refused the slot
-	fec    []fecSym // per symbol; nil without FECParity
+	newest    uint32
+	hasNewest bool     // some frame has claimed or been refused the slot
+	got       [][]bool // [symbol][antenna] arrival flags; nil rows off the RX path
+	fec       []fecSym // per symbol; nil without FECParity
 }
 
 // ownerHeld is the owner word's occupied bit, above the 32-bit frame id,
@@ -128,18 +138,21 @@ var (
 const rxBatchSize = 64
 
 // initIngest allocates the RX-path state NewEngine defers here: the
-// lease table, the payload pool and the per-slot FEC accumulators
-// (FECParity > 0).
+// lease table, the payload pool, the per-slot arrival flags and FEC
+// accumulators (FECParity > 0).
 func (e *Engine) initIngest() error {
 	cfg := &e.cfg
 	e.payloadLen = cfg.SamplesPerSymbol() * cf.BytesPerIQ
 	e.rxLease = make([][][]rxLease, e.opts.Slots)
+	e.rxSlots = make([]rxSlot, e.opts.Slots)
 	for s := range e.rxLease {
 		e.rxLease[s] = make([][]rxLease, cfg.NumSymbols())
+		e.rxSlots[s].got = make([][]bool, cfg.NumSymbols())
 		for sym := range e.rxLease[s] {
 			st := cfg.SymbolAt(sym)
 			if st == frame.Pilot || st == frame.Uplink {
 				e.rxLease[s][sym] = make([]rxLease, cfg.Antennas)
+				e.rxSlots[s].got[sym] = make([]bool, cfg.Antennas)
 			}
 		}
 	}
@@ -149,7 +162,6 @@ func (e *Engine) initIngest() error {
 	// allocates nothing.
 	maxLeased := e.opts.Slots * (cfg.NumPilots() + cfg.NumUplink()) * cfg.Antennas
 	e.rxFree = make(chan []byte, maxLeased+16)
-	e.rxSlots = make([]rxSlot, e.opts.Slots)
 	if e.opts.FECParity > 0 {
 		fec, err := fronthaul.NewFEC(cfg.Antennas, e.opts.FECParity)
 		if err != nil {
@@ -167,11 +179,7 @@ func (e *Engine) initIngest() error {
 				for i := range syn {
 					syn[i] = make([]byte, e.payloadLen)
 				}
-				syms[sym] = fecSym{
-					syn:     syn,
-					dataGot: make([]bool, cfg.Antennas),
-					parGot:  make([]bool, e.opts.FECParity),
-				}
+				syms[sym] = fecSym{syn: syn, parGot: make([]bool, e.opts.FECParity)}
 			}
 			e.rxSlots[s].fec = syms
 		}
@@ -205,7 +213,7 @@ func (e *Engine) putRxBuf(b []byte) {
 }
 
 // leaseStore publishes a payload for (slot, sym, ant). Only the RX
-// goroutine calls it, after winning the rxSeen claim. A FULL lease here
+// goroutine calls it, after setting the arrival flag. A FULL lease here
 // is a remnant of a reaped frame whose teardown sweep raced past an
 // in-flight store; it is freed before being overwritten so no buffer
 // leaks.
@@ -251,7 +259,7 @@ func (e *Engine) freeLeaseBuf(l *rxLease) {
 }
 
 // reclaimLeases frees every unconsumed lease of a slot. The manager
-// calls it in retire, BEFORE releaseSlot reopens the slot: frames that
+// calls it in retire, BEFORE it frees the owner word: frames that
 // die with FFT tasks never run (timeouts, pending reaps) would otherwise
 // strand their transport buffers in FULL leases.
 func (e *Engine) reclaimLeases(slot int) {
@@ -352,9 +360,10 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 		}
 	}
 	payload := fronthaul.Payload(pkt, &h)
+	rs := &e.rxSlots[slot]
 	var fs *fecSym
 	if e.fec != nil {
-		fs = &e.rxSlots[slot].fec[h.Symbol]
+		fs = &rs.fec[h.Symbol]
 	}
 	if parity {
 		p := int(h.Antenna) - cfg.Antennas
@@ -369,9 +378,11 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 		}
 		return false, nil
 	}
-	if !e.rxSeen[slot][h.Symbol][h.Antenna].CompareAndSwap(false, true) {
+	got := &rs.got[h.Symbol][h.Antenna]
+	if *got {
 		return false, fmt.Errorf("core: duplicate packet %v", h)
 	}
+	*got = true
 	if fromTransport {
 		e.leaseStore(slot, h.Symbol, h.Antenna, payload, pkt)
 		leased = true
@@ -382,7 +393,6 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 	}
 	if fs != nil && !fs.done {
 		e.fec.AccumulateData(fs.syn, int(h.Antenna), payload)
-		fs.dataGot[h.Antenna] = true
 		fs.nData++
 		if fs.nData == cfg.Antennas {
 			fs.done = true
@@ -401,24 +411,32 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 // frame's later packets are late. Only the RX goroutine sets a held owner
 // word and only the manager frees one, so a free word read here stays
 // free until the Store below.
+//
+// A claim resets everything the slot's previous frame left in rxSlot
+// before it publishes the owner word: the arrival flags, which a
+// duplicate racing that frame's retirement may have set after the
+// manager's last look, and the FEC accumulators.
 func (e *Engine) claim(slot int, id uint32) error {
 	rs := &e.rxSlots[slot]
-	if rs.seen && id-rs.newest-1 >= claimWindow-1 {
+	if rs.hasNewest && id-rs.newest-1 >= claimWindow-1 {
 		return errLate
 	}
-	rs.newest, rs.seen = id, true
+	rs.newest, rs.hasNewest = id, true
 	if e.slotOwner[slot].Load()&ownerHeld != 0 {
 		e.enqueueRX(id, slot, 0, 0, rxRefused)
 		return errRefused
 	}
 	// Snapshot the fronthaul counter baselines BEFORE publishing the
-	// claim: the manager reads them after observing slotOwner, so the
-	// atomic store/load pair orders them. Captured here — not at
-	// admission — because the RX goroutine may ingest an entire burst
-	// (counting its gaps) before the manager pops the first rxQ message.
+	// claim: the owner word pins them until retire, which reads them
+	// before it frees the word. Captured here — not at admission —
+	// because the RX goroutine may ingest an entire burst (counting its
+	// gaps) before the manager pops the first rxQ message.
 	e.slotGapBase[slot].Store(e.met.SeqGaps.Load())
 	e.slotLateBase[slot].Store(e.met.SeqLate.Load())
 	e.slotFECBase[slot].Store(e.met.FECRecovered.Load())
+	for _, row := range rs.got {
+		clear(row)
+	}
 	for i := range rs.fec {
 		s := &rs.fec[i]
 		if s.syn == nil || (s.nData == 0 && s.nPar == 0 && !s.done) {
@@ -427,7 +445,6 @@ func (e *Engine) claim(slot int, id uint32) error {
 		for _, row := range s.syn {
 			clear(row)
 		}
-		clear(s.dataGot)
 		clear(s.parGot)
 		s.nData, s.nPar, s.done = 0, 0, false
 	}
@@ -436,14 +453,15 @@ func (e *Engine) claim(slot int, id uint32) error {
 }
 
 // fecReconstruct rebuilds the symbol's missing payloads from the
-// syndromes and injects them through the normal accept flow (rxSeen
-// claim, lease store, manager notification). Called the moment
+// syndromes and injects them through the normal accept flow (arrival
+// flag, lease store, manager notification). Called the moment
 // nData+nPar reaches M; the arrival that triggers it pays the O(P²·len)
 // solve, every other packet only paid streaming accumulation.
 func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym) {
+	got := e.rxSlots[slot].got[sym]
 	lost := e.fecLost[:0]
-	for a, got := range fs.dataGot {
-		if !got {
+	for a, g := range got {
+		if !g {
 			lost = append(lost, a)
 		}
 	}
@@ -469,14 +487,8 @@ func (e *Engine) fecReconstruct(slot int, frameID uint32, sym uint16, fs *fecSym
 	}
 	fs.done = true
 	for i, a := range lost {
-		fs.dataGot[a] = true
+		got[a] = true
 		fs.nData++
-		if !e.rxSeen[slot][sym][a].CompareAndSwap(false, true) {
-			// Unreachable on the single RX goroutine (lost ⇒ unseen), but
-			// never leak the buffer if it ever fires.
-			e.putRxBuf(dst[i])
-			continue
-		}
 		e.leaseStore(slot, sym, uint16(a), dst[i], nil)
 		e.met.FECRecovered.Add(1)
 		e.enqueueRX(frameID, slot, sym, uint16(a), 0)

@@ -7,6 +7,8 @@ package core
 // to the parity budget and degrade to Dropped beyond it.
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -205,6 +207,75 @@ func TestSeqGapAccounting(t *testing.T) {
 	}
 }
 
+// TestResendUntilResult runs an engine on a Ring one frame at a time
+// while the RRU side resends the frame's packets until its result
+// arrives, so duplicates keep reaching netRX while the manager retires
+// the frame. A genuine packet is sent again only if the ring dropped it,
+// so every frame is delivered whole: each must come back decoded. A
+// duplicate that passes the owner check just before its frame retires
+// must not mark an arrival in the slot's next frame (DESIGN §15).
+func TestResendUntilResult(t *testing.T) {
+	const slots = 4
+	frames := 400
+	if testing.Short() {
+		frames = 120
+	}
+	cfg := smallCfg()
+	ring := fronthaul.NewRing(256, fronthaul.PacketSize(cfg.SamplesPerSymbol())+64)
+	eng, err := NewEngine(cfg, Options{Workers: 2, Slots: slots, FrameTimeout: 250 * time.Millisecond},
+		ring.Side(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	defer eng.Stop()
+	gen, err := workload.NewGenerator(cfg, channel.Rayleigh, 30, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rru := ring.Side(0)
+	var pkts [][]byte
+	send := func(p []byte) error {
+		pkts = append(pkts, slices.Clone(p))
+		for {
+			drops := rru.Stats().TxDrops
+			if err := rru.Send(p); err != nil || rru.Stats().TxDrops == drops {
+				return err
+			}
+			runtime.Gosched()
+		}
+	}
+	dropped := 0
+	for f := 0; f < frames; f++ {
+		pkts = pkts[:0]
+		if err := gen.EmitFrame(uint32(f), send); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			var r FrameResult
+			select {
+			case r = <-eng.Results():
+			default:
+				_ = rru.Send(pkts[i%len(pkts)])
+				runtime.Gosched()
+				continue
+			}
+			if r.Frame != uint32(f) {
+				t.Fatalf("frame %d: got a result for frame %d", f, r.Frame)
+			}
+			if r.Dropped {
+				dropped++
+			} else if r.BlocksOK != r.BlocksTotal {
+				t.Fatalf("frame %d: %d/%d blocks decoded", f, r.BlocksOK, r.BlocksTotal)
+			}
+			break
+		}
+	}
+	if dropped > 0 {
+		t.Fatalf("%d of %d frames Dropped", dropped, frames)
+	}
+}
+
 // BenchmarkIngest measures the packet-accept hot path in isolation: header
 // parse, slot claim, dedupe, payload hand-off. The engine is never
 // started — the bench drives acceptPacket directly and unwinds the slot
@@ -246,8 +317,8 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 		eng.reclaimLeases(0)
-		eng.releaseSlot(0)
-		eng.rxSlots[0].seen = false // frame 0 may claim slot 0 afresh
+		eng.slotOwner[0].Store(0)
+		eng.rxSlots[0].hasNewest = false // frame 0 may claim slot 0 afresh
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(pkts)*b.N)/b.Elapsed().Seconds(), "pkts/s")

@@ -95,13 +95,6 @@ func (e *Engine) onRX(m queue.Msg) {
 func (e *Engine) open(f *slotRec, m queue.Msg) {
 	f.ID, f.firstPkt = m.Frame, time.Now()
 	f.rec.Reset(m.Frame)
-	// Counter baselines were snapshotted by the RX goroutine when this
-	// frame claimed its slot (see claim) — reading the live counters here
-	// would fold in gaps RX already counted inside this frame's burst,
-	// zeroing the incident deltas.
-	f.seqGapBase = e.slotGapBase[m.Slot].Load()
-	f.seqLateBase = e.slotLateBase[m.Slot].Load()
-	f.fecBase = e.slotFECBase[m.Slot].Load()
 	if e.dag.Admissible() {
 		e.admit(f)
 		e.dispatchRX(f, m)
@@ -296,7 +289,9 @@ func (e *Engine) tryAdmitPending() {
 // the frame's FrameResult and, for a Dropped frame or one past its
 // deadline, its incident. f is the record of the slot the frame held,
 // pending or live, whose leases retire sweeps before it frees the slot;
-// f is nil for a frame refused at RX, which never held one.
+// f is nil for a frame refused at RX, which never held one. Of the RX
+// side's per-slot state retire only sweeps the leases and frees the owner
+// word; claim resets the rest for the slot's next frame.
 func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
 	res := FrameResult{Frame: id, Dropped: dropped}
 	var refused obs.FrameRec
@@ -310,7 +305,12 @@ func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
 	} else {
 		rec = &f.rec
 		res.FirstPkt = f.firstPkt
-		gapBase, lateBase, fecBase = f.seqGapBase, f.seqLateBase, f.fecBase
+		// The counter baselines claim stored for this frame: the owner word
+		// pins them until the end of retire. The live counters would fold
+		// in what RX counted inside the frame's own burst.
+		gapBase = e.slotGapBase[f.Slot].Load()
+		lateBase = e.slotLateBase[f.Slot].Load()
+		fecBase = e.slotFECBase[f.Slot].Load()
 		if f.phase == slotLive {
 			res.Start, res.PilotDone, res.ZFDone = f.start, f.pilotDoneT, f.zfDoneT
 			res.DecodeDone, res.TXDone, res.FirstTX = f.decodeDoneT, f.txDoneT, f.firstTXT
@@ -375,7 +375,7 @@ func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
 		// by the (phase, id) check in onCompletion and never touch the
 		// record's next frame (DESIGN §14).
 		e.reclaimLeases(int(f.Slot))
-		e.releaseSlot(int(f.Slot))
+		e.slotOwner[f.Slot].Store(0)
 	}
 	select {
 	case e.results <- res:
@@ -439,19 +439,6 @@ func (e *Engine) captureIncident(rec *obs.FrameRec, reason obs.IncidentReason,
 	}
 	e.incidents.Record(inc)
 	e.met.Incidents.Add(1)
-}
-
-// releaseSlot clears the RX-dedupe bitmap and frees the slot-owner word.
-// The bitmap clear must come BEFORE releasing the slot: once the owner
-// word is free a new frame may claim the slot and start setting flags,
-// which a late clear would wipe.
-func (e *Engine) releaseSlot(slot int) {
-	for sym := range e.rxSeen[slot] {
-		for a := range e.rxSeen[slot][sym] {
-			e.rxSeen[slot][sym][a].Store(false)
-		}
-	}
-	e.slotOwner[slot].Store(0)
 }
 
 // reapStale drops every frame, pending or live, that stopped making

@@ -231,6 +231,33 @@ func TestRefusedFrameOneResult(t *testing.T) {
 	}
 }
 
+// TestStaleArrivalFlag: a duplicate of frame 0 that passes the owner check
+// just before frame 0 retires sets its arrival flag after slot 0 is free
+// again. Frame 8, the slot's next claimant, must still have every packet
+// accepted and decode.
+func TestStaleArrivalFlag(t *testing.T) {
+	const slots = 8
+	eng, gen := injectEngine(t, Options{Workers: 2, Slots: slots, FrameTimeout: 5 * time.Second})
+	f0 := emitPackets(t, gen, 0)
+	injectAll(t, eng, f0)
+	r, ok := nextResult(eng, 20*time.Second)
+	if !ok {
+		t.Fatal("frame 0 timed out")
+	}
+	wantDecoded(t, gen, r, 0)
+	var h fronthaul.Header
+	if err := h.Decode(f0[len(f0)-1]); err != nil {
+		t.Fatal(err)
+	}
+	eng.rxSlots[0].got[h.Symbol][h.Antenna] = true // what the racing duplicate leaves
+	injectAll(t, eng, emitPackets(t, gen, slots))
+	r, ok = nextResult(eng, 20*time.Second)
+	if !ok {
+		t.Fatalf("frame %d timed out", slots)
+	}
+	wantDecoded(t, gen, r, slots)
+}
+
 // TestFrameIDWraparound: frames 2³²−2, 2³²−1, 0 and 1 decode like any
 // others. Frame 7 shares 2³²−1's slot and is newer modulo 2³², so sent in
 // the middle of 2³²−1 it is refused with one Dropped result and 2³²−1 is
@@ -539,7 +566,12 @@ func (d *lifeDriver) inject(p []byte) {
 	d.last = p
 	var h fronthaul.Header
 	decoded := h.Decode(p) == nil
+	slot := int(h.Frame) % d.e.opts.Slots
+	owner := d.e.slotOwner[slot].Load()
 	err := d.e.InjectPacket(p)
+	if decoded && owner != heldBy(h.Frame) && d.e.slotOwner[slot].Load() == heldBy(h.Frame) {
+		d.checkClaimed(slot, h)
+	}
 	switch {
 	case err == nil && decoded && !d.isParity(p):
 		d.touched[h.Frame] = true
@@ -548,6 +580,21 @@ func (d *lifeDriver) inject(p []byte) {
 		d.n.refused++
 	case errors.Is(err, errLate):
 		d.n.late++
+	}
+}
+
+// checkClaimed asserts that the packet h, which just claimed slot, is the
+// only arrival the slot has: the claim cleared every flag the slot's
+// previous frame left, so none of that frame's packets can refuse one of
+// the new frame's as a duplicate.
+func (d *lifeDriver) checkClaimed(slot int, h fronthaul.Header) {
+	for sym, row := range d.e.rxSlots[slot].got {
+		for a, got := range row {
+			if got != (sym == int(h.Symbol) && a == int(h.Antenna)) {
+				d.fatalf("frame %d claimed slot %d: arrival flag sym %d ant %d is %v",
+					h.Frame, slot, sym, a, got)
+			}
+		}
 	}
 }
 
@@ -694,9 +741,6 @@ func (d *lifeDriver) check() {
 			for a := range row {
 				if l := &row[a]; l.state.Load() != leaseEmpty || l.pay != nil || l.buf != nil {
 					d.fatalf("slot %d sym %d ant %d: lease not empty", s, sym, a)
-				}
-				if e.rxSeen[s][sym][a].Load() {
-					d.fatalf("slot %d sym %d ant %d: rxSeen set", s, sym, a)
 				}
 			}
 		}

@@ -176,9 +176,6 @@ func NewFEC(m, p int) (*FEC, error) {
 	return f, nil
 }
 
-// DataShards returns m.
-func (f *FEC) DataShards() int { return f.m }
-
 // ParityShards returns p.
 func (f *FEC) ParityShards() int { return f.p }
 

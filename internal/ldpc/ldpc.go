@@ -199,9 +199,6 @@ func (c *Code) N() int { return (KbBlocks + c.Mb) * c.Z }
 // NumEdges returns the circulant count, proportional to decode cost/iter.
 func (c *Code) NumEdges() int { return c.numEdges }
 
-// RateActual returns the exact code rate K/N.
-func (c *Code) RateActual() float64 { return float64(c.K()) / float64(c.N()) }
-
 // Encode computes the codeword for info bits (one bit per byte, values
 // 0/1). dst must have length N(); the first K() entries are the
 // systematic bits, followed by the parity bits. Encoding is the IRA

@@ -144,34 +144,6 @@ func MulBlockIntoNaive(dst, w, yt *M) {
 	}
 }
 
-// mulBlockRows2 is the fully-unrolled two-row plan (K=2 users): one pass
-// over the subcarrier block accumulates both output rows, so yt is
-// streamed exactly once.
-func mulBlockRows2(dst, w, yt *M) {
-	if w.Rows != 2 {
-		MulBlockInto(dst, w, yt)
-		return
-	}
-	checkBlockShapes(dst, w, yt)
-	w0, w1 := w.Row(0), w.Row(1)
-	d0, d1 := dst.Row(0), dst.Row(1)
-	for j := 0; j < yt.Rows; j++ {
-		yr := yt.Row(j)
-		var r0, i0, r1, i1 float32
-		for m, v := range yr {
-			vr, vi := real(v), imag(v)
-			a := w0[m]
-			r0 += real(a)*vr - imag(a)*vi
-			i0 += real(a)*vi + imag(a)*vr
-			a = w1[m]
-			r1 += real(a)*vr - imag(a)*vi
-			i1 += real(a)*vi + imag(a)*vr
-		}
-		d0[j] = complex(r0, i0)
-		d1[j] = complex(r1, i1)
-	}
-}
-
 // simdRows4 is the platform's vector implementation of
 // mulBlockRows4Group's loop over one group of four output rows and the
 // whole groups of four columns (m >= 1, b >= 4), nil where the build has
@@ -182,8 +154,8 @@ var simdRows4 func(dst, w, yt *complex64, m, b int)
 // Kernel reports which kernel the four-row plans — mulBlockRows4Group,
 // which PlanBlockMul returns for any multiple of four rows, and
 // mulTileRows4, PlanTileMul's specialized plan — run in this process:
-// "avx2" or "generic" (the portable Go loops). MulBlockInto, the two-row plan, the Go tile loop and the
-// textbook loops are Go everywhere.
+// "avx2" or "generic" (the portable Go loops). MulBlockInto, the Go tile
+// loop and the textbook loops are Go everywhere.
 func Kernel() string {
 	if simdRows4 != nil {
 		return "avx2"
@@ -239,18 +211,15 @@ func mulBlockRows4Group(dst, w, yt *M) {
 }
 
 // PlanBlockMul returns the blocked-multiply kernel for problems expected
-// to have the given number of output rows: the unrolled two-row plan for
-// 2, the grouped four-row streamer for any multiple of four, the generic
-// sixteen-column kernel otherwise, and the textbook loop when
-// specialization is disabled (Table 4 "JIT gemm" off). Each specialized
-// plan checks the shape at run time and falls back to MulBlockInto on a
-// mismatch (tail groups, reconfigured cells).
+// to have the given number of output rows: the grouped four-row streamer
+// for any multiple of four, the generic sixteen-column kernel otherwise,
+// and the textbook loop when specialization is disabled (Table 4 "JIT
+// gemm" off). The streamer checks the shape at run time and falls back to
+// MulBlockInto on a mismatch (tail groups, reconfigured cells).
 func PlanBlockMul(useSpecialized bool, rows int) BlockKernel {
 	switch {
 	case !useSpecialized:
 		return MulBlockIntoNaive
-	case rows == 2:
-		return mulBlockRows2
 	case rows >= 4 && rows%4 == 0:
 		return mulBlockRows4Group
 	}

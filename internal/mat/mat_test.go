@@ -333,7 +333,7 @@ func TestPlanSelection(t *testing.T) {
 		rows int
 		want BlockKernel
 	}{
-		{true, 1, MulBlockInto}, {true, 2, mulBlockRows2}, {true, 3, MulBlockInto},
+		{true, 1, MulBlockInto}, {true, 2, MulBlockInto}, {true, 3, MulBlockInto},
 		{true, 4, mulBlockRows4Group}, {true, 8, mulBlockRows4Group},
 		{true, 12, mulBlockRows4Group}, {true, 16, mulBlockRows4Group},
 		{true, 6, MulBlockInto}, {false, 4, MulBlockIntoNaive}, {false, 16, MulBlockIntoNaive},

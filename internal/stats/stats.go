@@ -110,32 +110,3 @@ func (r *Reservoir) Summary() string {
 		r.Count(), r.Median().Round(time.Microsecond),
 		r.P999().Round(time.Microsecond), r.Max().Round(time.Microsecond))
 }
-
-// Acc is a streaming mean/stddev accumulator (Welford) for per-task costs.
-type Acc struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records x.
-func (a *Acc) Add(x float64) {
-	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the sample count.
-func (a *Acc) N() int { return a.n }
-
-// Mean returns the running mean (0 when empty).
-func (a *Acc) Mean() float64 { return a.mean }
-
-// Std returns the sample standard deviation.
-func (a *Acc) Std() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
-}

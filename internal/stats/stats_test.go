@@ -118,25 +118,6 @@ func TestCCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestAccWelford(t *testing.T) {
-	var a Acc
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		a.Add(x)
-	}
-	if a.N() != 8 || math.Abs(a.Mean()-5) > 1e-12 {
-		t.Fatalf("mean %v", a.Mean())
-	}
-	// Sample stddev of this classic set is sqrt(32/7).
-	if math.Abs(a.Std()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Fatalf("std %v", a.Std())
-	}
-	var empty Acc
-	if empty.Std() != 0 || empty.Mean() != 0 {
-		t.Fatal("empty Acc should be zero")
-	}
-}
-
 func TestSummaryFormat(t *testing.T) {
 	r := NewReservoir(2)
 	r.Add(time.Millisecond)
