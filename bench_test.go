@@ -253,12 +253,6 @@ func BenchmarkTable3_PerTaskCosts(b *testing.B) {
 	benchFrame(b, cfg, Options{Workers: 2})
 }
 
-// BenchmarkFig10_DataMovement runs the dummy-kernel variant that isolates
-// inter-core data movement (§6.2.2 methodology).
-func BenchmarkFig10_DataMovement(b *testing.B) {
-	benchFrame(b, laptopCfg(), Options{Workers: 2, DummyKernels: true})
-}
-
 // BenchmarkFig11_SyncSweep measures the antenna sweep behind Figure 11.
 func BenchmarkFig11_SyncSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -30,15 +30,22 @@ var (
 // name must be a prefix of a function in some _test.go file (the way -run
 // and -bench match, so BenchmarkTable4_* names a family), every Options.X
 // or DisableX must be a field of Options (a trailing * makes it a
-// prefix), every `make <target>` in code must be a Makefile target, and
-// every `pkg.Name` in inline code whose pkg is a directory of internal/
-// must name an exported type, func, method, field, const or var declared
-// in that package.
+// prefix), every name in the first column of ARCHITECTURE.md's options
+// table must be a field of Options, every `make <target>` in code must be
+// a Makefile target, and every `pkg.Name` in inline code whose pkg is a
+// directory of internal/ must name an exported type, func, method, field,
+// const or var declared in that package.
 func TestDocsCiteExistingNames(t *testing.T) {
 	decls := internalDecls(t)
 	// The qualified-name check must catch a deleted name.
 	if unknownQualified("`mat.PlanBlockMul(true, k)` and `mat.PlanMatVec`", decls) != "mat.PlanMatVec" {
 		t.Fatal("qualified-name check does not flag mat.PlanMatVec")
+	}
+	// The options-table check must read a bare row name, and only under
+	// its heading.
+	table := optionTable + "\n|---|---|\n| `RealTime` | x |\n\n## Next\n| `Other` |\n"
+	if got := optionRows(table); !slices.Equal(got, []optionRow{{3, "RealTime"}}) {
+		t.Fatalf("options-table rows = %v, want RealTime on line 3", got)
 	}
 	var funcs []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -85,6 +92,20 @@ func TestDocsCiteExistingNames(t *testing.T) {
 		return slices.Contains(fields, name)
 	}
 
+	arch, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := optionRows(string(arch))
+	if len(rows) == 0 {
+		t.Errorf("ARCHITECTURE.md has no %q table", optionTable)
+	}
+	for _, r := range rows {
+		if !slices.Contains(fields, r.name) {
+			t.Errorf("ARCHITECTURE.md:%d lists option %s, which is not a field of Options", r.line, r.name)
+		}
+	}
+
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md", "benchmark/README.md"} {
 		f, err := os.Open(doc)
 		if err != nil {
@@ -128,6 +149,35 @@ func TestDocsCiteExistingNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// optionTable is the heading of ARCHITECTURE.md's options table.
+const optionTable = "## Options → ablation map"
+
+// optionRow is one backticked name in the first column of the options
+// table, with its 1-based line number.
+type optionRow struct {
+	line int
+	name string
+}
+
+// optionRows returns the backticked names in the first column of every
+// table row between the optionTable heading and the next heading.
+func optionRows(doc string) []optionRow {
+	var rows []optionRow
+	in := false
+	for n, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "#"):
+			in = line == optionTable
+		case in && strings.HasPrefix(line, "|"):
+			first, _, _ := strings.Cut(line[1:], "|")
+			for _, c := range inlineCode.FindAllString(first, -1) {
+				rows = append(rows, optionRow{n + 1, strings.Trim(c, "`")})
+			}
+		}
+	}
+	return rows
 }
 
 // unknownQualified returns the first pkg.Name in code whose pkg is an

@@ -175,21 +175,6 @@ func AXPY(y []complex64, a complex64, x []complex64) {
 	}
 }
 
-// DotConj returns the Hermitian inner product sum(conj(x[i])*y[i]).
-func DotConj(x, y []complex64) complex64 {
-	if len(x) != len(y) {
-		panic("cf: DotConj length mismatch")
-	}
-	var accR, accI float32
-	for i := range x {
-		xr, xi := real(x[i]), imag(x[i])
-		yr, yi := real(y[i]), imag(y[i])
-		accR += xr*yr + xi*yi
-		accI += xr*yi - xi*yr
-	}
-	return complex(accR, accI)
-}
-
 // Energy returns sum(|x[i]|^2) in float64 for accumulation accuracy.
 func Energy(x []complex64) float64 {
 	var e float64

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -203,40 +202,6 @@ func TestQuantizeDequantizeExactAtCodePoints(t *testing.T) {
 			t.Fatalf("code point %d: %v -> %v", i, src[i], back[i])
 		}
 	}
-}
-
-func TestDotConjHermitian(t *testing.T) {
-	// <x,x> must be real, nonnegative, and equal Energy(x).
-	f := func(re, im []float32) bool {
-		n := len(re)
-		if len(im) < n {
-			n = len(im)
-		}
-		if n == 0 {
-			return true
-		}
-		x := make([]complex64, n)
-		for i := 0; i < n; i++ {
-			x[i] = complex(clampf(re[i]), clampf(im[i]))
-		}
-		d := DotConj(x, x)
-		e := Energy(x)
-		return math.Abs(float64(imag(d))) < 1e-3 &&
-			math.Abs(float64(real(d))-e) < 1e-2*(1+e)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func clampf(v float32) float32 {
-	if v != v || v > 1e3 {
-		return 1
-	}
-	if v < -1e3 {
-		return -1
-	}
-	return v
 }
 
 func TestAXPYAndScale(t *testing.T) {

@@ -212,14 +212,3 @@ func (s *Selective) FrequencyInto(dst *mat.M, sc int) {
 		}
 	}
 }
-
-// CoherenceGroups estimates over how many adjacent subcarriers the
-// response stays roughly constant: N / (4·L) is the conventional
-// quarter-of-coherence-bandwidth rule.
-func (s *Selective) CoherenceGroups() int {
-	g := s.N / (4 * len(s.Taps))
-	if g < 1 {
-		g = 1
-	}
-	return g
-}

@@ -215,13 +215,3 @@ func TestSelectivePowerNormalized(t *testing.T) {
 		t.Fatalf("average response power %v, want ~1", p)
 	}
 }
-
-func TestSelectiveCoherenceGroups(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	if g := NewSelective(2, 1, 1, 2048, rng).CoherenceGroups(); g != 512 {
-		t.Fatalf("1-tap coherence %d", g)
-	}
-	if g := NewSelective(2, 1, 4096, 128, rng).CoherenceGroups(); g != 1 {
-		t.Fatalf("long channel coherence %d", g)
-	}
-}

@@ -136,11 +136,10 @@ func (w *worker) runPilotFFT(slot int, sym uint16, ant0, count, pilotIdx int) {
 // OFDMSize apart) and releases the leases. The fused path is one
 // ForwardIQ12Batch call — CP strip, 12-bit unpack and the input
 // permutation in one pass per lane, the butterfly passes back to back
-// while the twiddles are hot. DummyKernels' FFT only moves the data:
-// each lane is the payload past its cyclic prefix, unpacked. ok is false
-// when the frame was torn down mid-run (a lease was already reclaimed):
-// the remaining leases are, or will be, reclaimed by the manager sweep,
-// the ones claimed here are dropped, and the run is skipped.
+// while the twiddles are hot. ok is false when the frame was torn down
+// mid-run (a lease was already reclaimed): the remaining leases are, or
+// will be, reclaimed by the manager sweep, the ones claimed here are
+// dropped, and the run is skipped.
 func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64, ok bool) {
 	e := w.eng
 	nfft := e.cfg.OFDMSize
@@ -158,13 +157,7 @@ func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64,
 		leases = append(leases, l)
 	}
 	buf = w.lanes[:count*nfft]
-	if e.opts.DummyKernels {
-		for l, p := range pay {
-			cf.UnpackIQ12(buf[l*nfft:(l+1)*nfft], p[e.cfg.CPLen*cf.BytesPerIQ:])
-		}
-	} else {
-		w.plan.ForwardIQ12Batch(buf, pay, e.cfg.CPLen, nfft)
-	}
+	w.plan.ForwardIQ12Batch(buf, pay, e.cfg.CPLen, nfft)
 	for _, l := range leases {
 		e.releaseRx(l)
 	}
@@ -218,11 +211,6 @@ func (w *worker) runZF(slot int, g int) {
 	e := w.eng
 	b := e.buf
 	h := b.csi[slot][g]
-	if e.opts.DummyKernels {
-		// Memory behaviour only: read H, write W.
-		copy(b.eq[slot][g].Data, h.Data[:len(b.eq[slot][g].Data)])
-		return
-	}
 	if e.opts.DisableInverseOpt {
 		mat.PinvSVDInto(b.eq[slot][g], h, 1e-9)
 	} else if err := mat.ZFEqualizerInto(b.eq[slot][g], h, w.zfws); err != nil {
@@ -352,8 +340,7 @@ func (w *worker) runDemod(slot int, sym uint16, block int) {
 // The ablations swap one step each. Under DisableMemOpt the strip is
 // first copied, one contiguous run of samples per antenna, from the
 // antenna-major grid into an M×8 worker tile — the strided reads are all
-// the layout costs. DummyKernels replaces the multiply and demodulation
-// with a copy of the strip's samples into the LLR span.
+// the layout costs.
 func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
 	const tc = mat.TileCols
 	e := w.eng
@@ -378,32 +365,10 @@ func (w *worker) equalizeDemodBlock(slot int, sym uint16, lo, hi int) {
 			t := j0 / tc * m * tc
 			y = b.dataFreqTile[slot][sym][t+j0%tc : t+m*tc]
 		}
-		llr := dst[j0*k*order : j1*k*order]
-		if e.opts.DummyKernels {
-			copyStripLLR(llr, y, m, ns, k, order)
-		} else {
-			w.xbM = mat.M{Rows: k, Cols: ns, Data: w.xblk[:k*ns]}
-			w.tileMul(&w.xbM, b.eq[slot][g], y)
-			w.tab.DemodulateSoftSoA(llr, w.xblk[:k*ns], k, ns, nominalNoise)
-		}
+		w.xbM = mat.M{Rows: k, Cols: ns, Data: w.xblk[:k*ns]}
+		w.tileMul(&w.xbM, b.eq[slot][g], y)
+		w.tab.DemodulateSoftSoA(dst[j0*k*order:j1*k*order], w.xblk[:k*ns], k, ns, nominalNoise)
 		j0 = j1
-	}
-}
-
-// copyStripLLR is DummyKernels' demodulation of one strip of ns
-// subcarriers read in place from a tile of m antennas: every LLR of user
-// u on a subcarrier is the real part of that subcarrier's sample from
-// antenna u mod M — the reads and the write of the real step, without its
-// arithmetic.
-func copyStripLLR(llr []float32, y []complex64, m, ns, k, order int) {
-	for j := 0; j < ns; j++ {
-		out := llr[j*k*order : (j+1)*k*order]
-		for u := 0; u < k; u++ {
-			v := real(y[(u%m)*mat.TileCols+j])
-			for t := 0; t < order; t++ {
-				out[u*order+t] = v
-			}
-		}
 	}
 }
 
@@ -460,18 +425,6 @@ func (w *worker) runDecode(slot int, sym uint16, user int) {
 	e := w.eng
 	b := e.buf
 	llr := w.userLLR(slot, sym, user)
-	if e.opts.DummyKernels {
-		var s float32
-		for _, v := range llr {
-			s += v
-		}
-		out := b.decoded[slot][sym][user]
-		for i := range out {
-			out[i] = byte(int(s) & 1)
-		}
-		b.decodeOK[slot][sym][user] = true
-		return
-	}
 	res := w.dec.Decode(b.decoded[slot][sym][user],
 		llr[:e.code.N()], e.cfg.DecodeIter)
 	b.decodeOK[slot][sym][user] = res.OK
@@ -481,10 +434,6 @@ func (w *worker) runDecode(slot int, sym uint16, user int) {
 // runEncode encodes one user's downlink code block.
 func (w *worker) runEncode(slot int, sym uint16, user int) {
 	b := w.eng.buf
-	if w.eng.opts.DummyKernels {
-		copy(b.encoded[slot][sym][user], b.macBits[slot][sym][user])
-		return
-	}
 	w.code.Encode(b.encoded[slot][sym][user], b.macBits[slot][sym][user])
 }
 
@@ -496,9 +445,7 @@ func (w *worker) runEncode(slot int, sym uint16, user int) {
 // The path is blocked: each user's symbols for the whole group are
 // modulated in one ModulateBlock call, the tile is transposed to B×K, and
 // a single MulBlockInto against the M×K precoder writes the group's B×M
-// region of the subcarrier-major downlink grid in place. DummyKernels
-// replaces the multiply with a copy of each subcarrier's user symbols
-// into its grid row.
+// region of the subcarrier-major downlink grid in place.
 func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	e := w.eng
 	cfg := &e.cfg
@@ -523,13 +470,6 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 	}
 	w.xtM = mat.M{Rows: nb, Cols: k, Data: w.xtBlk[:nb*k]}
 	w.outM = mat.M{Rows: nb, Cols: m, Data: b.dlFreq[slot][sym][lo*m : hi*m]}
-	if e.opts.DummyKernels {
-		n := min(m, k)
-		for j := 0; j < nb; j++ {
-			copy(w.outM.Row(j)[:n], w.xtM.Row(j)[:n])
-		}
-		return
-	}
 	// dlFreq[sc][a] = Σ_u Xt[sc][u] · pre[a][u]: exactly dst = w·ytᵀ.
 	w.blockMulPre(&w.outM, &w.xtM, b.pre[preSlot][g])
 }
@@ -542,33 +482,14 @@ func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
 // runs the butterflies back-to-back while the twiddles are hot. The TX
 // back end (fft.StoreIQ12) then writes each lane, cyclic prefix first,
 // scaled by the TX gain, as the 12-bit IQ payload of its antenna's packet
-// in dlTime. DummyKernels skips the transform, so there each lane is the
-// band in natural order.
+// in dlTime.
 func (w *worker) runIFFT(slot int, sym uint16, ant0, count int) {
 	e := w.eng
 	cfg := &e.cfg
 	b := e.buf
 	nfft := cfg.OFDMSize
-	q := cfg.DataSubcarriers
-	m := cfg.Antennas
-	ds := cfg.DataStart()
 	buf := w.lanes[:count*nfft]
-	src := b.dlFreq[slot][sym]
-	if e.opts.DummyKernels {
-		for l := 0; l < count; l++ {
-			lane := buf[l*nfft : (l+1)*nfft]
-			cf.Fill(lane[:ds], 0)
-			cf.Fill(lane[ds+q:], 0)
-		}
-		for sc := 0; sc < q; sc++ {
-			row := src[sc*m+ant0 : sc*m+ant0+count]
-			for l, v := range row {
-				buf[l*nfft+ds+sc] = v
-			}
-		}
-	} else {
-		w.plan.InverseBand(buf, count, src[ant0:], ds, q, m, 1)
-	}
+	w.plan.InverseBand(buf, count, b.dlFreq[slot][sym][ant0:], cfg.DataStart(), cfg.DataSubcarriers, cfg.Antennas, 1)
 	gain := float32(e.dlGain)
 	for l := 0; l < count; l++ {
 		pkt := b.dlTime[slot][sym][ant0+l]

@@ -229,25 +229,14 @@ func TestAblationsStillCorrect(t *testing.T) {
 	}
 }
 
-func TestDummyKernelsComplete(t *testing.T) {
-	res := runFrames(t, smallCfg(), Options{Workers: 3, DummyKernels: true}, 3, 25)
-	for _, r := range res {
-		if r.Dropped {
-			t.Fatal("dummy-kernel frame dropped")
-		}
-	}
-}
-
 // TestDownlinkProducesPackets runs one downlink frame and requires one
 // packet per antenna and downlink symbol whose header carries the
 // symbol's sample count and whose payload is byte-identical to the TX
 // path the IFFT task fuses, recomputed from the engine's own precoded
 // grid: inverse FFT, cyclic-prefix copy, cf.Scale by the TX gain,
-// cf.Quantize12 and cf.PackIQ12. Under DummyKernels only the transform
-// drops out.
+// cf.Quantize12 and cf.PackIQ12.
 func TestDownlinkProducesPackets(t *testing.T) {
 	t.Run("FFT", func(t *testing.T) { testDownlinkWire(t, Options{Workers: 3}) })
-	t.Run("DummyKernels", func(t *testing.T) { testDownlinkWire(t, Options{Workers: 3, DummyKernels: true}) })
 }
 
 func testDownlinkWire(t *testing.T, opts Options) {
@@ -337,9 +326,7 @@ func testDownlinkWire(t *testing.T, opts Options) {
 		for sc := 0; sc < cfg.DataSubcarriers; sc++ {
 			lane[ds+sc] = grid[sc*m+key.ant]
 		}
-		if !opts.DummyKernels {
-			plan.Inverse(lane)
-		}
+		plan.Inverse(lane)
 		copy(sym, lane[nfft-cp:])
 		copy(sym[cp:], lane)
 		cf.Scale(sym, float32(eng.dlGain))

@@ -285,23 +285,19 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	}
 	e.initMACPattern()
 	e.met.FrameBudgetNS.Store(cfg.FrameDuration().Nanoseconds())
-	if !opts.DummyKernels {
-		// The platform's kernels (internal/cpu), except that the textbook
-		// GEMM (DisableJITGemm) is a Go loop everywhere. DummyKernels runs
-		// none of the four, so it reports no rows.
-		gemm := mat.Kernel()
-		if opts.DisableJITGemm {
-			gemm = "generic"
-		}
-		e.met.Kernels = []obs.KernelRow{
-			{Stage: "decode", Kernel: ldpc.Kernel()},
-			{Stage: "fft", Kernel: fft.Kernel()},
-			{Stage: "demod", Kernel: modulation.Kernel()},
-			{Stage: "gemm", Kernel: gemm},
-		}
+	// The platform's kernels (internal/cpu), except that the textbook GEMM
+	// (DisableJITGemm) is a Go loop everywhere.
+	gemm := mat.Kernel()
+	if opts.DisableJITGemm {
+		gemm = "generic"
+	}
+	e.met.Kernels = []obs.KernelRow{
+		{Stage: "decode", Kernel: ldpc.Kernel()},
+		{Stage: "fft", Kernel: fft.Kernel()},
+		{Stage: "demod", Kernel: modulation.Kernel()},
+		{Stage: "gemm", Kernel: gemm},
 	}
 	if opts.FECParity > 0 {
-		// The RX goroutine folds parity under DummyKernels too.
 		e.met.Kernels = append(e.met.Kernels, obs.KernelRow{Stage: "fec", Kernel: fronthaul.Kernel()})
 	}
 	e.epoch = time.Now()

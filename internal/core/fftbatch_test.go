@@ -92,10 +92,9 @@ func runArrivalFrame(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte
 
 // oracleGrid is the post-FFT data grid of each uplink symbol built from
 // the frame's packets with public API only: unpack every sample, strip
-// the cyclic prefix, transform (not under DummyKernels, whose FFT only
-// moves data), and store the data band in 8-subcarrier tiles, sample
-// (sc, a) at (sc/8)·8M + 8a + sc%8 — antenna-major, a·Q + sc, under
-// DisableMemOpt.
+// the cyclic prefix, transform, and store the data band in 8-subcarrier
+// tiles, sample (sc, a) at (sc/8)·8M + 8a + sc%8 — antenna-major,
+// a·Q + sc, under DisableMemOpt.
 func oracleGrid(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) map[int][]complex64 {
 	t.Helper()
 	plan := fft.MustPlan(cfg.OFDMSize)
@@ -116,9 +115,7 @@ func oracleGrid(t *testing.T, cfg frame.Config, opts Options, pkts [][]byte) map
 		}
 		cf.UnpackIQ12(samples, fronthaul.Payload(p, &h))
 		spec := samples[cfg.CPLen:]
-		if !opts.DummyKernels {
-			plan.Forward(spec)
-		}
+		plan.Forward(spec)
 		for sc := 0; sc < q; sc++ {
 			if opts.DisableMemOpt {
 				grid[sym][a*q+sc] = spec[ds+sc]
@@ -155,7 +152,6 @@ func TestFFTBatchEquivalence(t *testing.T) {
 		{"default", Options{}},
 		{"DisableMemOpt", Options{DisableMemOpt: true}},
 		{"DisableDirectStore", Options{DisableDirectStore: true}},
-		{"DummyKernels", Options{DummyKernels: true}},
 	} {
 		for arrival, order := range map[string][][]byte{"in-order": pkts, "shuffled": shuffled} {
 			t.Run(tc.name+"/"+arrival, func(t *testing.T) {

@@ -253,10 +253,9 @@ func runFramesObs(t *testing.T, cfg frame.Config, opts Options, n int) obsRun {
 
 // TestKernelsReported checks the engine's kernel table against the four
 // packages' Kernel(): the platform's selection on the default path and
-// the antenna-major layout, gemm "generic" under the textbook GEMM, and no rows under DummyKernels,
-// which runs none of the four kernels. FECParity adds internal/fronthaul's
-// fec row, DummyKernels or not: the RX goroutine's parity folds run
-// either way.
+// the antenna-major layout and gemm "generic" under the textbook GEMM.
+// FECParity adds internal/fronthaul's fec row for the RX goroutine's
+// parity folds.
 func TestKernelsReported(t *testing.T) {
 	platform := []obs.KernelRow{
 		{Stage: "decode", Kernel: ldpc.Kernel()},
@@ -281,9 +280,7 @@ func TestKernelsReported(t *testing.T) {
 		{"default", Options{Workers: 1}, platform},
 		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, platform},
 		{"DisableJITGemm", Options{Workers: 1, DisableJITGemm: true}, textbook},
-		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, nil},
 		{"FECParity", Options{Workers: 1, FECParity: 2}, withFEC},
-		{"DummyKernels+FECParity", Options{Workers: 1, DummyKernels: true, FECParity: 2}, []obs.KernelRow{fecRow}},
 	} {
 		eng, err := NewEngine(smallCfg(), tc.opts, nil)
 		if err != nil {

@@ -122,14 +122,6 @@ type Options struct {
 	// process-global.
 	RealTime bool
 
-	// DummyKernels replaces every compute kernel with a version that only
-	// performs the kernel's memory reads and writes, isolating data
-	// movement from computation (§6.2.2 methodology). Demod and precode
-	// keep their loops and swap only the multiply and demodulation for
-	// copies: LLRs copied from the strip's samples, user symbols copied
-	// into the grid row.
-	DummyKernels bool
-
 	// KeepBits retains decoded uplink bits in each FrameResult (needed by
 	// BER/BLER experiments; adds per-frame allocation).
 	KeepBits bool

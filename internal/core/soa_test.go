@@ -406,8 +406,7 @@ func BenchmarkUserLLRGather(b *testing.B) {
 }
 
 // TestDemodKernelReported checks the engine names the demod kernel its
-// demod tasks run on a 64-QAM cell, and that the dummy kernels, which run
-// no demod, report none.
+// demod tasks run on a 64-QAM cell.
 func TestDemodKernelReported(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -416,7 +415,6 @@ func TestDemodKernelReported(t *testing.T) {
 	}{
 		{"default", Options{Workers: 1}, modulation.Kernel()},
 		{"DisableMemOpt", Options{Workers: 1, DisableMemOpt: true}, modulation.Kernel()},
-		{"DummyKernels", Options{Workers: 1, DummyKernels: true}, ""},
 	} {
 		eng, err := NewEngine(soaCfg(modulation.QAM64), tc.opts, nil)
 		if err != nil {

@@ -89,9 +89,8 @@ func Fig8(w io.Writer, o Opt) error {
 }
 
 // Fig10 reproduces Figure 10: cumulative data-movement time per block as
-// worker count grows (left) and as the antenna count grows (right). The
-// simulator supplies the scaling; Table "fig10-real" in EXPERIMENTS.md
-// cross-checks small sizes on the real engine's dummy-kernel mode.
+// worker count grows (left) and as the antenna count grows (right), from
+// the simulator's data-movement model.
 func Fig10(w io.Writer, o Opt) error {
 	o = o.withDefaults()
 	fmt.Fprintln(w, "# Figure 10: cumulative data movement time across cores (simulator)")

@@ -287,11 +287,6 @@ func (c *Config) UplinkDataRate() float64 {
 	return float64(c.UplinkBitsPerFrame()) / c.FrameDuration().Seconds()
 }
 
-// DownlinkBitsPerFrame is the MAC-to-PHY payload per frame.
-func (c *Config) DownlinkBitsPerFrame() int {
-	return c.Code().K() * c.Users * c.NumDownlink()
-}
-
 // String summarizes the configuration.
 func (c *Config) String() string {
 	return fmt.Sprintf("%dx%d MIMO, %d/%d SC, %v, LDPC R=%v Z=%d, frame %q (%v)",

@@ -188,7 +188,7 @@ func shiftCode(z, s int) *Code {
 		{{0, s}, {3, sh(2)}, {7, sh(3)}, {KbBlocks, 0}},
 		{{3, (z - s) % z}, {0, sh(5)}, {9, sh(7)}, {KbBlocks, 0}, {KbBlocks + 1, 0}},
 	}
-	return &Code{Z: z, Mb: 2, rows: rows, numEdges: 9}
+	return &Code{Z: z, Mb: 2, rows: rows}
 }
 
 // TestLayerKernelsAVX2 is the kernel differential: for every lifting size

@@ -86,8 +86,7 @@ type Code struct {
 	Mb int // parity block-rows in use
 	// rows[i] lists the edges of block-row i, information columns first,
 	// then the accumulator parity columns (KbBlocks+i-1 and KbBlocks+i).
-	rows     [][]edge
-	numEdges int // total circulant count, for cost accounting
+	rows [][]edge
 }
 
 // maxShiftBase bounds the deterministic shift values before reduction
@@ -176,7 +175,6 @@ func NewCustom(mb, z int) (*Code, error) {
 		}
 		row = append(row, edge{col: KbBlocks + i, shift: 0})
 		c.rows[i] = row
-		c.numEdges += len(row)
 	}
 	return c, nil
 }
@@ -195,9 +193,6 @@ func (c *Code) K() int { return KbBlocks * c.Z }
 
 // N returns the number of transmitted codeword bits.
 func (c *Code) N() int { return (KbBlocks + c.Mb) * c.Z }
-
-// NumEdges returns the circulant count, proportional to decode cost/iter.
-func (c *Code) NumEdges() int { return c.numEdges }
 
 // Encode computes the codeword for info bits (one bit per byte, values
 // 0/1). dst must have length N(); the first K() entries are the

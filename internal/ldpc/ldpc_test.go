@@ -234,15 +234,6 @@ func TestBitsToBytesPartial(t *testing.T) {
 	}
 }
 
-func TestEdgeCountScalesWithRate(t *testing.T) {
-	e13 := MustNew(Rate13, 104).NumEdges()
-	e23 := MustNew(Rate23, 104).NumEdges()
-	e89 := MustNew(Rate89, 104).NumEdges()
-	if !(e13 > e23 && e23 > e89) {
-		t.Fatalf("edge counts not ordered: %d %d %d", e13, e23, e89)
-	}
-}
-
 func BenchmarkEncodeR13Z104(b *testing.B) {
 	code := MustNew(Rate13, 104)
 	info := randInfo(rand.New(rand.NewSource(1)), code.K())

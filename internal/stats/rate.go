@@ -111,19 +111,3 @@ func (r *RateRing) Snapshot() []RateSeries {
 	}
 	return out
 }
-
-// Latest returns the most recent rate of each series (nil before two
-// observations).
-func (r *RateRing) Latest() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < 2 {
-		return nil
-	}
-	slot := (r.n - 1) % uint64(len(r.times))
-	out := make(map[string]float64, len(r.names))
-	for i, name := range r.names {
-		out[name] = r.rates[slot][i]
-	}
-	return out
-}
