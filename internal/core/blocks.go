@@ -38,8 +38,7 @@ type worker struct {
 	tileMul     mat.TileKernel  // equalization plan
 	blockMulPre mat.BlockKernel // B-row plan for precoding
 	xblk        []complex64     // K×strip equalized strip, user-major
-	modBlk      []complex64     // K×B modulated tile, user-major
-	xtBlk       []complex64     // B×K transpose of modBlk (kernel w operand)
+	xtBlk       []complex64     // precode: strip×K modulated tile, subcarrier-major (kernel w operand)
 	xbM         mat.M           // demod: output strip
 	xtM, outM   mat.M           // precode: symbol tile, downlink grid wrap
 
@@ -78,12 +77,11 @@ func newWorker(id int, e *Engine) *worker {
 	// equalizer internally) partition antennas identically.
 	w.zfws.Clusters = e.opts.ZFClusters
 	// Blocked-kernel plans and tile scratch: a demod strip spans at most
-	// one grid tile (mat.TileCols subcarriers), a precode tile one ZF
+	// one grid tile (mat.TileCols subcarriers), a precode strip one ZF
 	// group.
 	w.tileMul = mat.PlanTileMul(!e.opts.DisableJITGemm)
 	w.blockMulPre = mat.PlanBlockMul(!e.opts.DisableJITGemm, cfg.ZFGroupSize)
 	w.xblk = make([]complex64, cfg.Users*mat.TileCols)
-	w.modBlk = make([]complex64, cfg.Users*cfg.ZFGroupSize)
 	w.xtBlk = make([]complex64, cfg.ZFGroupSize*cfg.Users)
 	w.dec = ldpc.NewDecoder(e.code)
 	w.dec.Alg = ldpc.NormalizedMinSum
@@ -438,40 +436,41 @@ func (w *worker) runEncode(slot int, sym uint16, user int) {
 }
 
 // runPrecode is the fused modulation + precoding block: one task covers
-// one subcarrier group of one downlink symbol. preSlot selects which
-// frame's precoder to apply: normally the frame's own slot, but with the
-// §3.4.2 stale-precoder optimization it is the previous frame's slot.
+// DemodBlockSize consecutive subcarriers of one downlink symbol, the
+// blocks demod cuts, but over every data subcarrier: the padding past the
+// codeword goes on air as the zero-bit point times the precoder. preSlot
+// selects which frame's precoder to apply: normally the frame's own slot,
+// but with the §3.4.2 stale-precoder optimization it is the previous
+// frame's slot.
 //
-// The path is blocked: each user's symbols for the whole group are
-// modulated in one ModulateBlock call, the tile is transposed to B×K, and
-// a single MulBlockInto against the M×K precoder writes the group's B×M
-// region of the subcarrier-major downlink grid in place.
-func (w *worker) runPrecode(slot int, sym uint16, g int, preSlot int) {
+// The block is cut into strips at ZF-group edges, as equalizeDemodBlock
+// cuts its own. Each user's symbols of a strip are modulated straight
+// into its column of the strip×K tile (row j holds every user's symbol on
+// subcarrier j0+j), and one planned multiply against the group's M×K
+// precoder writes the strip's rows of the subcarrier-major downlink grid
+// in place.
+func (w *worker) runPrecode(slot int, sym uint16, block, preSlot int) {
 	e := w.eng
 	cfg := &e.cfg
 	b := e.buf
-	lo, hi := b.groupBounds(g)
 	m := cfg.Antennas
 	k := cfg.Users
-	nb := hi - lo
 	n := e.code.N()
-	for u := 0; u < k; u++ {
-		// Bits beyond the codeword zero-pad.
-		w.tab.ModulateBlock(w.modBlk[u*nb:(u+1)*nb], b.encoded[slot][sym][u][:n], lo)
-	}
-	// Transpose the user-major tile to subcarrier rows: the kernel's w
-	// operand is B×K with row j holding every user's symbol on subcarrier
-	// lo+j.
-	for u := 0; u < k; u++ {
-		src := w.modBlk[u*nb : (u+1)*nb]
-		for j, v := range src {
-			w.xtBlk[j*k+u] = v
+	lo := block * cfg.DemodBlockSize
+	hi := min(lo+cfg.DemodBlockSize, cfg.DataSubcarriers)
+	for j0 := lo; j0 < hi; {
+		g := j0 / cfg.ZFGroupSize
+		j1 := min((g+1)*cfg.ZFGroupSize, hi)
+		ns := j1 - j0
+		for u := 0; u < k; u++ {
+			w.tab.ModulateStrided(w.xtBlk[u:], k, ns, b.encoded[slot][sym][u][:n], j0)
 		}
+		w.xtM = mat.M{Rows: ns, Cols: k, Data: w.xtBlk[:ns*k]}
+		w.outM = mat.M{Rows: ns, Cols: m, Data: b.dlFreq[slot][sym][j0*m : j1*m]}
+		// dlFreq[sc][a] = Σ_u Xt[sc][u] · pre[a][u]: exactly dst = w·ytᵀ.
+		w.blockMulPre(&w.outM, &w.xtM, b.pre[preSlot][g])
+		j0 = j1
 	}
-	w.xtM = mat.M{Rows: nb, Cols: k, Data: w.xtBlk[:nb*k]}
-	w.outM = mat.M{Rows: nb, Cols: m, Data: b.dlFreq[slot][sym][lo*m : hi*m]}
-	// dlFreq[sc][a] = Σ_u Xt[sc][u] · pre[a][u]: exactly dst = w·ytᵀ.
-	w.blockMulPre(&w.outM, &w.xtM, b.pre[preSlot][g])
 }
 
 // runIFFT transforms a run of count consecutive antennas of one downlink

@@ -406,7 +406,8 @@ func TestTaskAccountingExact(t *testing.T) {
 		}
 		eng.Stop()
 		st := eng.MetricsSnapshot().Tasks
-		// The engine's demod block count differs with batching off.
+		// The engine's demod and precode block counts differ with
+		// batching off.
 		demodBlocks := eng.cfg.DemodBlocks()
 		want := map[queue.TaskType]int{
 			queue.TaskPilotFFT: frames * cfg.Antennas,
@@ -415,7 +416,7 @@ func TestTaskAccountingExact(t *testing.T) {
 			queue.TaskDemod:    frames * 2 * demodBlocks,
 			queue.TaskDecode:   frames * 2 * cfg.Users,
 			queue.TaskEncode:   frames * 1 * cfg.Users, // 1 DL symbol
-			queue.TaskPrecode:  frames * 1 * eng.cfg.ZFGroups(),
+			queue.TaskPrecode:  frames * 1 * eng.cfg.PrecodeBlocks(),
 			queue.TaskIFFT:     frames * 1 * cfg.Antennas,
 		}
 		for tt, n := range want {

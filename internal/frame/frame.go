@@ -267,9 +267,16 @@ func (c *Config) DemodBlocks() int {
 	return (c.UsedSubcarriers() + c.DemodBlockSize - 1) / c.DemodBlockSize
 }
 
+// PrecodeBlocks returns the number of precoding tasks per downlink symbol:
+// DemodBlockSize subcarriers each, like demod, but over every data
+// subcarrier, since the padding past the codeword goes on air too.
+func (c *Config) PrecodeBlocks() int {
+	return (c.DataSubcarriers + c.DemodBlockSize - 1) / c.DemodBlockSize
+}
+
 // Unbatched returns c with task batching off (§3.4): every scheduler
-// message carries one FFT or ZF task, and demod blocks shrink to at most
-// 8 subcarriers.
+// message carries one FFT or ZF task, and demod and precode blocks shrink
+// to at most 8 subcarriers.
 func (c Config) Unbatched() Config {
 	c.FFTBatch, c.ZFBatch = 1, 1
 	c.DemodBlockSize = min(c.DemodBlockSize, 8)

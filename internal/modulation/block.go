@@ -90,14 +90,22 @@ func (t *Table) soaColumns(dst []float32, tile []complex64, users, nsc, first in
 }
 
 // ModulateBlock maps the symbol range [first, first+len(dst)) of a user's
-// coded bit stream to constellation points in one call. Bits beyond
-// len(bits) are treated as zero, matching the per-subcarrier padding the
-// precoding block historically applied to the tail of a codeword, so a
-// whole ZF-group tile is modulated without per-symbol staging.
+// coded bit stream to constellation points in one call: ModulateStrided
+// at stride 1.
 func (t *Table) ModulateBlock(dst []complex64, bits []byte, first int) {
+	t.ModulateStrided(dst, 1, len(dst), bits, first)
+}
+
+// ModulateStrided maps the symbol range [first, first+count) of a user's
+// coded bit stream to dst[0], dst[stride], …, dst[(count-1)*stride]. Bits
+// beyond len(bits) are treated as zero, so the tail of a codeword and the
+// padding subcarriers past it need no staging. The precoder modulates
+// each user straight into its column of a subcarrier-major tile at stride
+// K.
+func (t *Table) ModulateStrided(dst []complex64, stride, count int, bits []byte, first int) {
 	b := t.BitsPerSymbol()
 	n := len(bits)
-	for s := range dst {
+	for s := 0; s < count; s++ {
 		off := (first + s) * b
 		var sym int
 		if off+b <= n {
@@ -113,6 +121,6 @@ func (t *Table) ModulateBlock(dst []complex64, bits []byte, first int) {
 				sym = sym<<1 | v
 			}
 		}
-		dst[s] = t.points[sym]
+		dst[s*stride] = t.points[sym]
 	}
 }

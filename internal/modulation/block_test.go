@@ -152,6 +152,47 @@ func TestModulateBlockZeroPadsTail(t *testing.T) {
 	}
 }
 
+// TestModulateStridedMatchesTranspose checks the precoder's entry: K
+// users modulated at stride K into one subcarrier-major tile equal each
+// user's ModulateBlock run transposed, over ranges that end inside the
+// codeword, straddle its end and lie wholly in the zero-padded tail.
+func TestModulateStridedMatchesTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, o := range allOrders {
+		tab := Get(o)
+		b := int(o)
+		nSym := 20
+		for _, k := range []int{1, 2, 4} {
+			bits := make([][]byte, k)
+			for u := range bits {
+				// Mid-symbol truncation: the last whole symbol is
+				// nSym-2, nSym-1 straddles the end of the bits.
+				bits[u] = make([]byte, nSym*b-b/2)
+				for i := range bits[u] {
+					bits[u][i] = byte(rng.Intn(2))
+				}
+			}
+			for _, r := range [][2]int{{0, 16}, {5, 11}, {12, nSym + 3}, {nSym + 1, 4}} {
+				first, n := r[0], r[1]
+				tile := make([]complex64, n*k)
+				for u := 0; u < k; u++ {
+					tab.ModulateStrided(tile[u:], k, n, bits[u], first)
+				}
+				run := make([]complex64, n)
+				for u := 0; u < k; u++ {
+					tab.ModulateBlock(run, bits[u], first)
+					for j, v := range run {
+						if got := tile[j*k+u]; got != v {
+							t.Fatalf("%v K=%d first=%d n=%d user %d sym %d: got %v want %v",
+								o, k, first, n, u, j, got, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDemodulateSoftSoAMatchesBlock checks the subcarrier-major kernel
 // against the Go reference symbol by symbol: the SoA entry at
 // [(j*users+u)*order] must be bit-identical to demodulating user u's run

@@ -11,8 +11,10 @@
 // engine calls the batched kernels, which differ only in traversal order,
 // never in per-symbol arithmetic:
 //
-//   - ModulateBlock (block.go) maps one user's coded-bit range to a run of
-//     constellation points (codeword tail zero-padded).
+//   - ModulateStrided (block.go) maps one user's coded-bit range to
+//     constellation points stride apart (codeword tail zero-padded): the
+//     precoder writes each user's column of a subcarrier-major tile.
+//     ModulateBlock is its stride-1 call.
 //   - DemodulateSoft writes the LLRs of a run of symbols contiguously,
 //     symbol after symbol: [s*bits+t].
 //   - DemodulateSoftSoA (block.go) consumes a users×nsc equalized tile

@@ -82,6 +82,7 @@ func checkDAG(t *testing.T, cfg frame.Config, cached bool, staleSyms int, staleG
 		t.Fatal(err)
 	}
 	m, k, groups, blocks := cfg.Antennas, cfg.Users, cfg.ZFGroups(), cfg.DemodBlocks()
+	pblocks := cfg.PrecodeBlocks()
 	var dlRank []int
 	want := map[queue.TaskType]int{queue.TaskZF: groups}
 	for sym := 0; sym < cfg.NumSymbols(); sym++ {
@@ -95,7 +96,7 @@ func checkDAG(t *testing.T, cfg frame.Config, cached bool, staleSyms int, staleG
 			want[queue.TaskDecode] += k
 		case frame.Downlink:
 			want[queue.TaskEncode] += k
-			want[queue.TaskPrecode] += groups
+			want[queue.TaskPrecode] += pblocks
 			want[queue.TaskIFFT] += m
 			want[queue.TaskPacketTX] += m
 		}
@@ -169,7 +170,7 @@ func checkDAG(t *testing.T, cfg frame.Config, cached bool, staleSyms int, staleG
 							msg.Aux == uint64(frames[0].Slot)+1
 					}
 				case queue.TaskIFFT:
-					dep = allDone(fr, queue.TaskPrecode, u.sym, groups)
+					dep = allDone(fr, queue.TaskPrecode, u.sym, pblocks)
 				case queue.TaskPacketTX:
 					dep = completed[unit{fr, queue.TaskIFFT, u.sym, u.idx}]
 				}

@@ -75,15 +75,16 @@ type Sched struct {
 	staleSyms int
 	polls     [][]queue.TaskType
 
-	kinds       []frame.SymbolType // per symbol
-	dlRank      []int              // per symbol: position among downlink symbols
-	m, k        int                // antennas, users
-	groups      int                // ZF groups
-	demodBlocks int                // demod tasks per uplink symbol
-	fftBatch    int
-	zfBatch     int
-	tasks       [queue.NumTaskTypes]int // per frame
-	total       int                     // tasks per frame
+	kinds         []frame.SymbolType // per symbol
+	dlRank        []int              // per symbol: position among downlink symbols
+	m, k          int                // antennas, users
+	groups        int                // ZF groups
+	demodBlocks   int                // demod tasks per uplink symbol
+	precodeBlocks int                // precode tasks per downlink symbol
+	fftBatch      int
+	zfBatch       int
+	tasks         [queue.NumTaskTypes]int // per frame
+	total         int                     // tasks per frame
 
 	out  []queue.Msg // released, not yet taken by Next
 	head int
@@ -105,9 +106,9 @@ type Frame struct {
 	Remaining int // tasks not yet completed
 
 	pilotDone, zfDone, decodeDone, txDone int
-	fftDone, demodDone                    []int // per symbol
-	encodeDone, precodeDone               []int
-	demodEnq, precodeEnq                  []bool
+	fftDone, encodeDone                   []int      // per symbol
+	blockDone                             []int      // per symbol: demod or precode blocks done
+	blockEnq                              []bool     // per symbol: its blocks were released
 	fftPend                               [][]uint16 // per symbol: arrived, not yet released antennas
 	arrivals                              []int      // per symbol: packets seen
 	gotPkt                                [][]bool   // per symbol/antenna
@@ -129,17 +130,18 @@ func New(cfg *frame.Config, p Params) (*Sched, error) {
 	}
 	n := cfg.NumSymbols()
 	s := &Sched{
-		mode:        p.Mode,
-		workers:     p.Workers,
-		staleSyms:   p.StaleDLSymbols,
-		kinds:       make([]frame.SymbolType, n),
-		dlRank:      make([]int, n),
-		m:           cfg.Antennas,
-		k:           cfg.Users,
-		groups:      cfg.ZFGroups(),
-		demodBlocks: cfg.DemodBlocks(),
-		fftBatch:    cfg.FFTBatch,
-		zfBatch:     cfg.ZFBatch,
+		mode:          p.Mode,
+		workers:       p.Workers,
+		staleSyms:     p.StaleDLSymbols,
+		kinds:         make([]frame.SymbolType, n),
+		dlRank:        make([]int, n),
+		m:             cfg.Antennas,
+		k:             cfg.Users,
+		groups:        cfg.ZFGroups(),
+		demodBlocks:   cfg.DemodBlocks(),
+		precodeBlocks: cfg.PrecodeBlocks(),
+		fftBatch:      cfg.FFTBatch,
+		zfBatch:       cfg.ZFBatch,
 	}
 	s.tasks[queue.TaskZF] = s.groups
 	dl := 0
@@ -156,7 +158,7 @@ func New(cfg *frame.Config, p Params) (*Sched, error) {
 		case frame.Downlink:
 			dl++
 			s.tasks[queue.TaskEncode] += s.k
-			s.tasks[queue.TaskPrecode] += s.groups
+			s.tasks[queue.TaskPrecode] += s.precodeBlocks
 			s.tasks[queue.TaskIFFT] += s.m
 			s.tasks[queue.TaskPacketTX] += s.m
 		}
@@ -188,15 +190,13 @@ func (s *Sched) Admissible() bool {
 func (s *Sched) NewFrame() Frame {
 	n := len(s.kinds)
 	f := Frame{
-		fftDone:     make([]int, n),
-		demodDone:   make([]int, n),
-		encodeDone:  make([]int, n),
-		precodeDone: make([]int, n),
-		arrivals:    make([]int, n),
-		demodEnq:    make([]bool, n),
-		precodeEnq:  make([]bool, n),
-		fftPend:     make([][]uint16, n),
-		gotPkt:      make([][]bool, n),
+		fftDone:    make([]int, n),
+		encodeDone: make([]int, n),
+		blockDone:  make([]int, n),
+		blockEnq:   make([]bool, n),
+		arrivals:   make([]int, n),
+		fftPend:    make([][]uint16, n),
+		gotPkt:     make([][]bool, n),
 	}
 	for sym := range f.fftPend {
 		f.fftPend[sym] = make([]uint16, 0, s.m)
@@ -212,12 +212,10 @@ func (s *Sched) Admit(f *Frame, id uint32, slot int) {
 	f.Remaining = s.total
 	f.pilotDone, f.zfDone, f.decodeDone, f.txDone = 0, 0, 0, 0
 	clear(f.fftDone)
-	clear(f.demodDone)
 	clear(f.encodeDone)
-	clear(f.precodeDone)
+	clear(f.blockDone)
+	clear(f.blockEnq)
 	clear(f.arrivals)
-	clear(f.demodEnq)
-	clear(f.precodeEnq)
 	for sym := range f.fftPend {
 		f.fftPend[sym] = f.fftPend[sym][:0]
 		clear(f.gotPkt[sym])
@@ -319,22 +317,20 @@ func (s *Sched) Complete(f *Frame, m queue.Msg) Event {
 			ev |= ZFDone
 			s.lastZF.id, s.lastZF.slot, s.lastZF.valid = f.ID, f.Slot, true
 			for sym, kind := range s.kinds {
-				switch {
-				case kind == frame.Uplink && f.fftDone[sym] == s.m:
-					s.releaseDemod(f, sym)
-				case kind == frame.Downlink && f.encodeDone[sym] == s.k:
-					s.releasePrecode(f, sym, 0)
+				if (kind == frame.Uplink && f.fftDone[sym] == s.m) ||
+					(kind == frame.Downlink && f.encodeDone[sym] == s.k) {
+					s.releaseBlocks(f, sym, 0)
 				}
 			}
 		}
 	case queue.TaskFFT:
 		f.fftDone[sym] += n
 		if f.fftDone[sym] == s.m && f.zfDone == s.groups {
-			s.releaseDemod(f, sym)
+			s.releaseBlocks(f, sym, 0)
 		}
 	case queue.TaskDemod:
-		f.demodDone[sym] += n
-		if f.demodDone[sym] == s.demodBlocks {
+		f.blockDone[sym] += n
+		if f.blockDone[sym] == s.demodBlocks {
 			for u := 0; u < s.k; u++ {
 				s.release(f, queue.TaskDecode, sym, u, 1, 0)
 			}
@@ -349,17 +345,17 @@ func (s *Sched) Complete(f *Frame, m queue.Msg) Event {
 		if f.encodeDone[sym] == s.k {
 			switch {
 			case f.zfDone == s.groups:
-				s.releasePrecode(f, sym, 0)
+				s.releaseBlocks(f, sym, 0)
 			case f.stale && s.dlRank[sym] < s.staleSyms:
 				// §3.4.2: precode the leading downlink symbols with the
 				// previous frame's precoder so the RRU receives them
 				// before this frame's pilots are even processed.
-				s.releasePrecode(f, sym, uint64(f.staleSlot)+1)
+				s.releaseBlocks(f, sym, uint64(f.staleSlot)+1)
 			}
 		}
 	case queue.TaskPrecode:
-		f.precodeDone[sym] += n
-		if f.precodeDone[sym] == s.groups {
+		f.blockDone[sym] += n
+		if f.blockDone[sym] == s.precodeBlocks {
 			for a := 0; a < s.m; a += s.fftBatch {
 				s.release(f, queue.TaskIFFT, sym, a, min(s.fftBatch, s.m-a), 0)
 			}
@@ -395,27 +391,22 @@ func (s *Sched) Next() (queue.Msg, bool) {
 	return m, true
 }
 
-// releaseDemod releases all demod blocks of one uplink symbol, once.
-func (s *Sched) releaseDemod(f *Frame, sym int) {
-	if f.demodEnq[sym] {
+// releaseBlocks releases every subcarrier-block task of one data symbol,
+// once: DemodBlockSize subcarriers per task in both directions, demod on
+// an uplink symbol and precode on a downlink one (§3.4). aux selects the
+// precoder: 0 is the frame's own, otherwise slot aux-1's (the
+// stale-precoder path); demod passes 0.
+func (s *Sched) releaseBlocks(f *Frame, sym int, aux uint64) {
+	if f.blockEnq[sym] {
 		return
 	}
-	f.demodEnq[sym] = true
-	for blk := 0; blk < s.demodBlocks; blk++ {
-		s.release(f, queue.TaskDemod, sym, blk, 1, 0)
+	f.blockEnq[sym] = true
+	t, n := queue.TaskDemod, s.demodBlocks
+	if s.kinds[sym] == frame.Downlink {
+		t, n = queue.TaskPrecode, s.precodeBlocks
 	}
-}
-
-// releasePrecode releases all precode groups of one downlink symbol,
-// once. aux selects the precoder: 0 is the frame's own, otherwise slot
-// aux-1's (the stale-precoder path).
-func (s *Sched) releasePrecode(f *Frame, sym int, aux uint64) {
-	if f.precodeEnq[sym] {
-		return
-	}
-	f.precodeEnq[sym] = true
-	for g := 0; g < s.groups; g++ {
-		s.release(f, queue.TaskPrecode, sym, g, 1, aux)
+	for blk := 0; blk < n; blk++ {
+		s.release(f, t, sym, blk, 1, aux)
 	}
 }
 

@@ -106,7 +106,7 @@ func PaperCosts() CostModel {
 const refM, refK = 64.0, 16.0
 
 // taskCosts are the scaled costs of one unit of each task type: a
-// subcarrier for demod, one task otherwise.
+// subcarrier for demod and precode, one task otherwise.
 type taskCosts struct {
 	compute, move [queue.NumTaskTypes]float64
 	perMsg        float64
@@ -115,7 +115,6 @@ type taskCosts struct {
 func (c *Config) costs() taskCosts {
 	m := float64(c.Frame.Antennas)
 	k := float64(c.Frame.Users)
-	group := float64(c.Frame.ZFGroupSize)
 	cm := c.Cost
 	cohere := 1 + cm.CoherencePerWorker*float64(c.Workers-1)
 	mScale := m / refM
@@ -126,7 +125,7 @@ func (c *Config) costs() taskCosts {
 	tc.compute[queue.TaskDemod] = cm.DemodPerSCUS * (m * k) / (refM * refK)
 	tc.compute[queue.TaskDecode] = cm.DecodeUS
 	tc.compute[queue.TaskEncode] = cm.EncodeUS
-	tc.compute[queue.TaskPrecode] = cm.PrecodePerSCUS * (m * k) / (refM * refK) * group
+	tc.compute[queue.TaskPrecode] = cm.PrecodePerSCUS * (m * k) / (refM * refK)
 	tc.compute[queue.TaskIFFT] = cm.IFFTUS
 	tc.move[queue.TaskPilotFFT] = cm.MoveFFTUS * cohere
 	tc.move[queue.TaskFFT] = cm.MoveFFTUS * cohere
@@ -134,7 +133,7 @@ func (c *Config) costs() taskCosts {
 	tc.move[queue.TaskDemod] = cm.MoveDemodPerSCUS * mScale * cohere
 	tc.move[queue.TaskDecode] = 0.3 * cohere
 	tc.move[queue.TaskEncode] = 0.2 * cohere
-	tc.move[queue.TaskPrecode] = cm.MoveDemodPerSCUS * mScale * cohere * group
+	tc.move[queue.TaskPrecode] = cm.MoveDemodPerSCUS * mScale * cohere
 	tc.move[queue.TaskIFFT] = cm.MoveFFTUS * cohere
 	tc.perMsg = cm.SyncPerMsgUS * cohere
 	return tc

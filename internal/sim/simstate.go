@@ -34,11 +34,13 @@ type simFrame struct {
 // it packets, idle workers take its released tasks in their poll order,
 // and each task completes after its modelled cost.
 type simState struct {
-	c      Config
-	d      *sched.Sched
-	tc     taskCosts
-	scUsed int
-	symUS  float64
+	c     Config
+	d     *sched.Sched
+	tc    taskCosts
+	symUS float64
+	// span is the subcarriers a block task type's blocks cover: the used
+	// ones for demod, every data subcarrier for precode; 0 otherwise.
+	span [queue.NumTaskTypes]int
 
 	events  eventHeap
 	frames  []simFrame
@@ -55,7 +57,6 @@ func newSimState(c Config, d *sched.Sched) *simState {
 		c:      c,
 		d:      d,
 		tc:     c.costs(),
-		scUsed: c.Frame.UsedSubcarriers(),
 		symUS:  float64(frame.SymbolDuration.Nanoseconds()) / 1e3,
 		frames: make([]simFrame, c.Frames),
 		res: &Result{
@@ -63,6 +64,8 @@ func newSimState(c Config, d *sched.Sched) *simState {
 			BlockMoveMS:    map[queue.TaskType]float64{},
 		},
 	}
+	s.span[queue.TaskDemod] = c.Frame.UsedSubcarriers()
+	s.span[queue.TaskPrecode] = c.Frame.DataSubcarriers
 	for w := 0; w < c.Workers; w++ {
 		s.idle = append(s.idle, w)
 	}
@@ -251,11 +254,11 @@ func (s *simState) assign() {
 			fr.blockStart[m.Type] = s.now
 		}
 		units := float64(m.Batch)
-		if m.Type == queue.TaskDemod {
-			// A demod block covers DemodBlockSize subcarriers, fewer in the
-			// symbol's last block.
+		if q := s.span[m.Type]; q > 0 {
+			// A demod or precode block covers DemodBlockSize
+			// subcarriers, fewer in the symbol's last block.
 			b := s.c.Frame.DemodBlockSize
-			units = float64(min(b, s.scUsed-int(m.TaskIdx)*b))
+			units = float64(min(b, q-int(m.TaskIdx)*b))
 		}
 		comp := s.tc.compute[m.Type] * units
 		move := s.tc.move[m.Type] * units
