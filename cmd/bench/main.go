@@ -13,6 +13,15 @@
 // breakdown (the Table-2 analogue) as JSON:
 //
 //	go run ./cmd/bench -stages -          # JSON on stdout
+//
+// -ab <rev> runs the repository benchmark (BENCHMARK.json, benchmark/)
+// of git revision rev against the working tree, alternating the two
+// seed by seed, and prints per workload and end-to-end metric the wins
+// out of the pairs, the median gap and the parent's interquartile range
+// (ab.go). It exits non-zero when a claimed row does not hold or another
+// row leaves its bound:
+//
+//	go run ./cmd/bench -ab HEAD~1 -workloads downlink,cell_center -claim downlink:frame_latency_p50_ms
 package main
 
 import (
@@ -33,8 +42,29 @@ func main() {
 		workers = flag.Int("workers", 0, "override real-engine worker count")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		stages  = flag.String("stages", "", "capture a traced uplink run and write the per-stage breakdown JSON (Table-2 analogue) to this path ('-' for stdout)")
+		ab      = flag.String("ab", "", "A/B the repository benchmark of git revision `rev` (the parent, built in a temporary worktree) against the working tree")
+		pairs   = flag.Int("pairs", 10, "-ab: parent/change pairs, one seed each")
+		seconds = flag.Float64("seconds", 4, "-ab: measured seconds per benchmark run")
+		wls     = flag.String("workloads", "", "-ab: comma-separated workloads (default: every workload of BENCHMARK.json)")
+		claim   = flag.String("claim", "", "-ab: comma-separated workload:metric rows the change claims to improve")
 	)
 	flag.Parse()
+	if *ab != "" {
+		if *pairs < 1 || *seconds <= 0 {
+			fmt.Fprintln(os.Stderr, "bench: -ab needs -pairs >= 1 and -seconds > 0")
+			os.Exit(2)
+		}
+		failed, err := runAB(abConfig{rev: *ab, pairs: *pairs, seconds: *seconds,
+			workloads: splitList(*wls), claims: splitList(*claim)})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ab failed: %v\n", err)
+			os.Exit(1)
+		}
+		if failed {
+			os.Exit(1)
+		}
+		return
+	}
 	if *stages != "" {
 		if err := runStages(*stages, *full, *frames, *workers, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "stages failed: %v\n", err)
@@ -66,4 +96,15 @@ func main() {
 		}
 		fmt.Printf("(%s finished in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// splitList splits a comma-separated flag value, dropping empty items.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }

@@ -19,8 +19,10 @@
 //     equalize+demod kernel. The decoder gathers its per-user codeword
 //     view with a strided copy.
 //   - dlFreq, the precoded downlink grid, is subcarrier-major
-//     ([sc*M + m]); precode tiles write it in place and IFFT gathers
-//     per antenna.
+//     ([sc*M + m]): a precode task covers the same DemodBlockSize block
+//     a demod task does, modulates each user straight into a
+//     subcarrier-major tile per ZF-group strip and writes the strip's
+//     rows in place; the IFFT task reads a run of antennas per row.
 //
 // Kernel entry points live in blocks.go: runPilotFFT, runZF, runFFT,
 // runDemod (the fused equalizeDemodBlock), runDecode,
