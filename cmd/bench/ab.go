@@ -83,12 +83,17 @@ const (
 	verdictWorse      = "worse"         // inside the bound, but resolved: losses as a claim needs wins
 	verdictHeld       = "claim held"    // enough wins and a gain beyond the parent IQR
 	verdictClaimFail  = "CLAIM FAILED"  // a claimed row that did not hold
+	verdictFewPairs   = "TOO FEW PAIRS" // a claimed row judged on fewer than claimMinPairs pairs
 	verdictWrong      = "WRONG"         // a run reported wrong outputs
 	verdictMoreFailed = "MORE FAILURES" // a larger share of failed frames than the parent
 )
 
-// claimWinShare is the share of pairs a claimed row must win.
-const claimWinShare = 0.9
+// claimWinShare is the share of pairs a claimed row must win, out of at
+// least claimMinPairs pairs.
+const (
+	claimWinShare = 0.9
+	claimMinPairs = 10
+)
 
 // failedShare names the failed-frames row.
 const failedShare = "failed_share"
@@ -144,6 +149,8 @@ func metricRow(w string, d e2eMetric, pv, cv []float64, claimed bool) abRow {
 	}
 	worse := sign * r.Gap
 	switch {
+	case claimed && r.Pairs < claimMinPairs:
+		r.Verdict, r.Fail = verdictFewPairs, true
 	case claimed && float64(r.Wins) >= claimWinShare*float64(r.Pairs) && -worse > r.IQR:
 		r.Verdict = verdictHeld
 	case claimed:
@@ -235,14 +242,13 @@ func printAB(out io.Writer, rows []abRow) {
 		fmt.Fprintf(out, "%-14s %-22s %7s %10s %10s %7s  %s\n",
 			r.Workload, name, wins, gap, iqr, bound, r.Verdict)
 	}
-	fmt.Fprintln(out, "* claimed: must win ≥ 90% of pairs and gain more than the parent IQR")
+	fmt.Fprintf(out, "* claimed: must win ≥ 90%% of at least %d pairs and gain more than the parent IQR\n", claimMinPairs)
 }
 
 // abConfig is one -ab invocation.
 type abConfig struct {
 	rev       string
 	pairs     int
-	seconds   float64
 	workloads []string // empty: every workload of the manifest
 	claims    []string // workload:metric
 }
@@ -290,10 +296,16 @@ func runAB(c abConfig) (failed bool, err error) {
 	for _, side := range []string{"parent", "change"} {
 		bins[side] = filepath.Join(tmp, "benchmark-"+side)
 		fmt.Fprintf(os.Stderr, "ab: building the %s benchmark\n", side)
-		cmd := exec.CommandContext(ctx, "go", "build", "-o", bins[side], ".")
+		// Not bound to ctx: cancelling would kill the go command but not
+		// the compilers it started, which could still be writing into tmp
+		// while it is removed. A build takes seconds; wait for it.
+		cmd := exec.Command("go", "build", "-o", bins[side], ".")
 		cmd.Dir = filepath.Join(dirs[side], "benchmark")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			return false, fmt.Errorf("building the %s benchmark: %v\n%s", side, err, out)
+		}
+		if ctx.Err() != nil {
+			return false, ctx.Err()
 		}
 	}
 
@@ -305,7 +317,7 @@ func runAB(c abConfig) (failed bool, err error) {
 		}
 		for _, w := range workloads {
 			for _, side := range order {
-				r, err := benchRun(ctx, bins[side], filepath.Join(dirs[side], "benchmark"), w, seed, c.seconds)
+				r, err := benchRun(ctx, bins[side], filepath.Join(dirs[side], "benchmark"), w, seed)
 				if err != nil {
 					return false, fmt.Errorf("%s %s seed %d: %w", side, w, seed, err)
 				}
@@ -316,7 +328,7 @@ func runAB(c abConfig) (failed bool, err error) {
 		}
 	}
 	rows, failed := foldAB(m, claims, workloads, runs["parent"], runs["change"])
-	fmt.Printf("A/B: %s (parent) against the working tree, %d pairs of %g s runs\n", c.rev, c.pairs, c.seconds)
+	fmt.Printf("A/B: %s (parent) against the working tree, %d pairs\n", c.rev, c.pairs)
 	printAB(os.Stdout, rows)
 	return failed, nil
 }
@@ -349,9 +361,11 @@ func abSelection(m manifest, want, claimList []string) ([]string, map[string]boo
 	return workloads, claims, nil
 }
 
-// benchRun runs one benchmark workload and returns its result line.
-func benchRun(ctx context.Context, bin, dir, workload string, seed int, seconds float64) (runLine, error) {
-	cmd := exec.CommandContext(ctx, bin, "-workload", workload, "-seed", fmt.Sprint(seed), "-seconds", fmt.Sprint(seconds))
+// benchRun runs one benchmark workload, for the run length the benchmark
+// itself sets, and returns its result line. A run is one process, so
+// cancelling ctx kills all of it.
+func benchRun(ctx context.Context, bin, dir, workload string, seed int) (runLine, error) {
+	cmd := exec.CommandContext(ctx, bin, "-workload", workload, "-seed", fmt.Sprint(seed))
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr

@@ -26,7 +26,7 @@ func canned(fps, p50, rss float64, failed int) []byte {
 }
 
 // TestABFold runs the verdict fold on canned result lines: a claim that
-// holds, one that wins too few pairs, a row inside its bound, one inside
+// holds, one that wins too few pairs, one judged on too few pairs, a row inside its bound, one inside
 // it but resolved worse, one outside it, one whose parent spread is wider
 // than its bound, the same spread where every change run reads better,
 // and a side that fails more frames.
@@ -106,6 +106,19 @@ func TestABFold(t *testing.T) {
 	delete(claims, "dl:frames_per_s")
 	if _, failed := foldAB(m, claims, []string{"dl"}, parent, change); failed {
 		t.Error("fold failed on a held claim and rows inside their bounds")
+	}
+
+	// The same claim on fewer than claimMinPairs pairs fails, though it
+	// wins every one of them.
+	few := map[string][]runLine{"dl": parent["dl"][:claimMinPairs-1]}
+	rows, failed = foldAB(m, claims, []string{"dl"}, few, map[string][]runLine{"dl": change["dl"][:claimMinPairs-1]})
+	if !failed {
+		t.Error("fold passed a claim on too few pairs")
+	}
+	for _, r := range rows {
+		if r.Metric == "frame_latency_p50_ms" && (r.Verdict != verdictFewPairs || r.Wins != r.Pairs) {
+			t.Errorf("claim on %d pairs: %d wins, %q; want every pair won, %q", r.Pairs, r.Wins, r.Verdict, verdictFewPairs)
+		}
 	}
 }
 

@@ -44,17 +44,16 @@ func main() {
 		stages  = flag.String("stages", "", "capture a traced uplink run and write the per-stage breakdown JSON (Table-2 analogue) to this path ('-' for stdout)")
 		ab      = flag.String("ab", "", "A/B the repository benchmark of git revision `rev` (the parent, built in a temporary worktree) against the working tree")
 		pairs   = flag.Int("pairs", 10, "-ab: parent/change pairs, one seed each")
-		seconds = flag.Float64("seconds", 4, "-ab: measured seconds per benchmark run")
 		wls     = flag.String("workloads", "", "-ab: comma-separated workloads (default: every workload of BENCHMARK.json)")
 		claim   = flag.String("claim", "", "-ab: comma-separated workload:metric rows the change claims to improve")
 	)
 	flag.Parse()
 	if *ab != "" {
-		if *pairs < 1 || *seconds <= 0 {
-			fmt.Fprintln(os.Stderr, "bench: -ab needs -pairs >= 1 and -seconds > 0")
+		if *pairs < 1 {
+			fmt.Fprintln(os.Stderr, "bench: -ab needs -pairs >= 1")
 			os.Exit(2)
 		}
-		failed, err := runAB(abConfig{rev: *ab, pairs: *pairs, seconds: *seconds,
+		failed, err := runAB(abConfig{rev: *ab, pairs: *pairs,
 			workloads: splitList(*wls), claims: splitList(*claim)})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ab failed: %v\n", err)
