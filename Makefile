@@ -38,7 +38,9 @@ generic:
 	$(GO) test -tags purego ./...
 	$(GO) test -C benchmark -tags purego ./...
 
-# Short-mode race pass over every internal package. The MPMC queues, the
+# Short-mode race pass over every internal package and every command.
+# cmd/agora's TestObsRoutes serves the -metrics-addr mux, and cmd/bench's
+# -ab tests fold alternated runs. The MPMC queues, the
 # manager-worker engine and the obs tracer/metrics are where a data race
 # would hide; TestMetricsSnapshotLive exercises the mid-run
 # MetricsSnapshot reader against the manager's task-time fold under the
@@ -54,7 +56,7 @@ generic:
 # in short mode) resends every frame's packets over a Ring until its
 # result arrives, so duplicates meet the frame's retirement on netRX.
 race:
-	$(GO) test -race -short ./internal/...
+	$(GO) test -race -short ./internal/... ./cmd/...
 
 # Short fuzz pass over the wire and the frame lifecycle, then the
 # kernels. FuzzHeaderDecode (internal/fronthaul): Decode never panics and

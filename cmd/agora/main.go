@@ -29,6 +29,7 @@ import (
 	"repro"
 
 	"repro/internal/obs"
+	"repro/internal/queue"
 	"repro/internal/stats"
 )
 
@@ -41,7 +42,7 @@ func main() {
 		scale   = flag.String("scale", "small", "cell preset: small (16x4) or paper (64x16)")
 		cfgPath = flag.String("config", "", "JSON cell configuration file (overrides -scale)")
 		rt      = flag.Bool("realtime", false, "lock workers to OS threads, relax GC")
-		metrics = flag.String("metrics-addr", "", "serve live metrics (expvar /debug/vars) and pprof on this address")
+		metrics = flag.String("metrics-addr", "", "serve Prometheus /metrics, /debug/incidents, expvar /debug/vars and pprof on this address")
 		traceF  = flag.String("trace", "", "write the captured frame window as Chrome trace_event JSON on shutdown")
 		noTrace = flag.Bool("no-trace", false, "disable the per-worker event tracer")
 		fec     = flag.Int("fec", 0, "Reed-Solomon parity packets per symbol burst (match the RRU's -fec)")
@@ -84,8 +85,7 @@ func main() {
 		// the default mux; the snapshot merges live counters with the
 		// per-task cost table (safe to read mid-run).
 		expvar.Publish("agora", expvar.Func(func() any { return eng.MetricsSnapshot() }))
-		registerObs(obs.PromHandler(eng.MetricsSnapshot), eng.Incidents,
-			eng.MetricsSnapshot, eng.Metrics().ResetHighWater)
+		registerObs(obs.PromHandler(eng.MetricsSnapshot), eng.Incidents)
 		serveMetrics(*metrics)
 	}
 	eng.Start()
@@ -129,8 +129,7 @@ func main() {
 			fmt.Printf("agora: fronthaul rx %d pkts, seq gaps %d, late %d, FEC recovered %d\n",
 				fh.RxPkts, fh.SeqGaps, fh.SeqLate, fh.FECRecovered)
 			fmt.Println("agora: per-task costs:")
-			for _, t := range []agora.TaskType{agora.TaskPilotFFT, agora.TaskZF,
-				agora.TaskFFT, agora.TaskDemod, agora.TaskDecode} {
+			for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
 				ts := s.Tasks[t.String()]
 				if ts.Count == 0 {
 					continue
@@ -166,13 +165,7 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 	fmt.Printf("agora: kernels %v\n", fl.Engine(0).Metrics().Kernels)
 	if metrics != "" {
 		expvar.Publish("agora", expvar.Func(func() any { return fl.Snapshot() }))
-		registerObs(obs.PromFleetHandler(fl.Snapshot), fl.Incidents,
-			func() obs.Snapshot { return fl.Snapshot().Totals },
-			func() {
-				for i := 0; i < fl.Cells(); i++ {
-					fl.Engine(i).Metrics().ResetHighWater()
-				}
-			})
+		registerObs(obs.PromFleetHandler(fl.Snapshot), fl.Incidents)
 		serveMetrics(metrics)
 	}
 	fl.Start()
@@ -240,42 +233,16 @@ func runFleet(cfg agora.Config, opts agora.Options, tr agora.Transport,
 }
 
 // registerObs wires the DESIGN §12 observability surface onto the
-// default mux (served by serveMetrics): Prometheus text on /metrics,
-// the flight recorder on /debug/incidents, per-second rate series on
-// /debug/rates (fed by a 1 Hz sampler goroutine), and high-water
-// windowing on /debug/reset-highwater (POST).
-func registerObs(prom http.Handler, incidents func() []agora.Incident,
-	snap func() obs.Snapshot, resetHW func()) {
+// default mux (served by serveMetrics): Prometheus text on /metrics and
+// the flight recorder on /debug/incidents. A scraper computes rates
+// and windowed maxima from /metrics itself.
+func registerObs(prom http.Handler, incidents func() []agora.Incident) {
 	http.Handle("/metrics", prom)
 	http.HandleFunc("/debug/incidents", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := obs.WriteIncidentsJSON(w, incidents()); err != nil {
 			log.Printf("agora: incidents: %v", err)
 		}
-	})
-	sampler := obs.NewRateSampler(300, snap) // 5 min of 1 s deltas
-	go func() {
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for now := range tick.C {
-			sampler.Sample(now)
-		}
-	}()
-	http.HandleFunc("/debug/rates", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sampler.Snapshot()); err != nil {
-			log.Printf("agora: rates: %v", err)
-		}
-	})
-	http.HandleFunc("/debug/reset-highwater", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		resetHW()
-		fmt.Fprintln(w, "ok")
 	})
 }
 

@@ -23,6 +23,8 @@ var (
 	inlineCode  = regexp.MustCompile("`[^`]*`")
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	makeTarget  = regexp.MustCompile(`(?m)^([A-Za-z][\w-]*):`)
+	citedPath   = regexp.MustCompile(`(?:^|[^A-Za-z_./])(/(?:metrics|debug/[\w-]+)[\w/-]*)`)
+	handledPath = regexp.MustCompile(`\bhttp\.Handle(?:Func)?\("([^"]+)"`)
 )
 
 // TestDocsCiteExistingNames keeps the root documents and the benchmark's
@@ -32,14 +34,20 @@ var (
 // or DisableX must be a field of Options (a trailing * makes it a
 // prefix), every name in the first column of ARCHITECTURE.md's options
 // table must be a field of Options, every `make <target>` in code must be
-// a Makefile target, and every `pkg.Name` in inline code whose pkg is a
+// a Makefile target, every `pkg.Name` in inline code whose pkg is a
 // directory of internal/ must name an exported type, func, method, field,
-// const or var declared in that package.
+// const or var declared in that package, and every /metrics or /debug/…
+// path must be one cmd/agora serves.
 func TestDocsCiteExistingNames(t *testing.T) {
 	decls := internalDecls(t)
 	// The qualified-name check must catch a deleted name.
 	if unknownQualified("`mat.PlanBlockMul(true, k)` and `mat.PlanMatVec`", decls) != "mat.PlanMatVec" {
 		t.Fatal("qualified-name check does not flag mat.PlanMatVec")
+	}
+	served := servedPaths(t)
+	// The path check must catch a deleted endpoint.
+	if unservedPath("curl -s localhost:8791/metrics; curl -s localhost:8791/debug/rates", served) != "/debug/rates" {
+		t.Fatalf("path check does not flag /debug/rates (served %v)", served)
 	}
 	// The options-table check must read a bare row name, and only under
 	// its heading.
@@ -143,6 +151,9 @@ func TestDocsCiteExistingNames(t *testing.T) {
 					t.Errorf("%s:%d cites make %s, which is not a Makefile target", doc, n, m[1])
 				}
 			}
+			if bad := unservedPath(line, served); bad != "" {
+				t.Errorf("%s:%d cites %s, which cmd/agora does not serve", doc, n, bad)
+			}
 		}
 		f.Close()
 		if err := sc.Err(); err != nil {
@@ -190,6 +201,39 @@ func unknownQualified(code string, decls map[string]map[string]bool) string {
 		}
 	}
 	return ""
+}
+
+// unservedPath returns the first /metrics or /debug/… path in line that
+// is neither a served path nor below one, or "" if there is none.
+func unservedPath(line string, served []string) string {
+	for _, m := range citedPath.FindAllStringSubmatch(line, -1) {
+		if !slices.ContainsFunc(served, func(s string) bool {
+			return m[1] == s || strings.HasPrefix(m[1], s+"/")
+		}) {
+			return m[1]
+		}
+	}
+	return ""
+}
+
+// servedPaths returns the HTTP paths cmd/agora serves: the string
+// literals its main.go passes to http.Handle and http.HandleFunc, plus
+// /debug/vars and /debug/pprof, which its expvar and net/http/pprof
+// imports register.
+func servedPaths(t *testing.T) []string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("cmd", "agora", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := []string{"/debug/vars", "/debug/pprof"}
+	for _, m := range handledPath.FindAllStringSubmatch(string(src), -1) {
+		served = append(served, m[1])
+	}
+	if !slices.Contains(served, "/metrics") {
+		t.Fatalf("cmd/agora/main.go registers no /metrics handler (served %v)", served)
+	}
+	return served
 }
 
 // internalDecls parses every non-test Go file under internal/ and maps

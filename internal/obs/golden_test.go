@@ -12,8 +12,8 @@ import (
 )
 
 // The goldens pin every user-visible name the obs surfaces publish:
-// Prometheus series, label sets and HELP text, the per-engine expvar
-// JSON keys, and the /debug/rates series names. Regenerate with
+// Prometheus series, label sets and HELP text, and the per-engine
+// expvar JSON keys. Regenerate with
 //
 //	go test ./internal/obs -run Golden -update
 //
@@ -107,12 +107,4 @@ func TestGoldenSnapshotKeys(t *testing.T) {
 	}
 	sort.Strings(keys)
 	checkGolden(t, "snapshot_keys.txt", []byte(strings.Join(keys, "\n")+"\n"))
-}
-
-func TestGoldenRateSeries(t *testing.T) {
-	var names []string
-	for _, s := range NewRateSampler(1, func() Snapshot { return Snapshot{} }).Snapshot() {
-		names = append(names, s.Name)
-	}
-	checkGolden(t, "rate_series.txt", []byte(strings.Join(names, "\n")+"\n"))
 }

@@ -99,10 +99,6 @@ type Metrics struct {
 	// mirrored here so a counter-only poller sees bad frames without
 	// fetching the ring.
 	Incidents atomic.Int64
-
-	// HighWaterReset is the UnixNano time of the last ResetHighWater
-	// call (0 when the QueueMax gauges still cover the whole run).
-	HighWaterReset atomic.Int64
 }
 
 // ObserveFrame records one completed frame against the budget.
@@ -148,18 +144,6 @@ func (m *Metrics) ObserveStages(rec *FrameRec) {
 			m.StageSpan[i].AddNS(st.SpanNS())
 		}
 	}
-}
-
-// ResetHighWater rewinds the QueueMax high-water gauges to the current
-// sampled depths so a monitor can window "max depth since my last poll"
-// instead of a run-lifetime ratchet. The reset instant is surfaced in the
-// snapshot. Racing in-flight SampleQueue calls can at worst re-ratchet a
-// gauge to a depth observed around the reset — never lose a later peak.
-func (m *Metrics) ResetHighWater() {
-	for i := range m.QueueMax {
-		m.QueueMax[i].Store(m.QueueDepth[i].Load())
-	}
-	m.HighWaterReset.Store(time.Now().UnixNano())
 }
 
 // SampleQueue records queue idx's instantaneous depth.
@@ -275,9 +259,6 @@ type Snapshot struct {
 	SLO []StageSLO `json:"slo,omitempty"`
 	// Incidents counts flight-recorder captures so far.
 	Incidents int64 `json:"incidents"`
-	// QueueMaxResetUnixMS is the wall-clock of the last ResetHighWater
-	// (0 = never): the window start for the QueueMax gauges.
-	QueueMaxResetUnixMS int64 `json:"queue_max_reset_unix_ms,omitempty"`
 }
 
 // gaugeName labels a gauge index for snapshots.
@@ -297,14 +278,13 @@ func gaugeName(i int) string {
 // any moment.
 func (m *Metrics) Snap() Snapshot {
 	s := Snapshot{
-		FrameBudgetMS:       float64(m.FrameBudgetNS.Load()) / 1e6,
-		Latency:             latencySnap(&m.Latency),
-		Queues:              make(map[string]QueueGauge, NumGauges),
-		Tasks:               make(map[string]TaskSnap),
-		Kernels:             m.Kernels,
-		GC:                  readGC(),
-		SLO:                 m.SLORows(),
-		QueueMaxResetUnixMS: m.HighWaterReset.Load() / 1e6,
+		FrameBudgetMS: float64(m.FrameBudgetNS.Load()) / 1e6,
+		Latency:       latencySnap(&m.Latency),
+		Queues:        make(map[string]QueueGauge, NumGauges),
+		Tasks:         make(map[string]TaskSnap),
+		Kernels:       m.Kernels,
+		GC:            readGC(),
+		SLO:           m.SLORows(),
 	}
 	for i := range table {
 		if r := &table[i]; r.live != nil {

@@ -3,8 +3,8 @@
 // Chrome trace_event exporter; per-frame SLO attribution (FrameRec, the
 // one account of per-frame stage spans) and the anomaly flight recorder
 // (IncidentRing); and the live Metrics with the metric table
-// (table.go) from which the expvar Snapshot, Prometheus /metrics, fleet
-// totals and the /debug/rates sampler are all rendered.
+// (table.go) from which the expvar Snapshot, Prometheus /metrics and
+// fleet totals are all rendered.
 //
 // The tracer records one Event per executed task message into a
 // preallocated per-lane ring buffer. Each lane has exactly one writer (its

@@ -30,8 +30,7 @@ func testSnapshot() Snapshot {
 			{Stage: "Decode", Frames: 42, MeanBusyUS: 200, P50BusyUS: 190, P99BusyUS: 260, MaxBusyUS: 300, MeanShare: 0.2,
 				MeanSpanUS: 120, P50SpanUS: 110, P99SpanUS: 180},
 		},
-		Incidents:           6,
-		QueueMaxResetUnixMS: 1700000000000,
+		Incidents: 6,
 	}
 }
 
@@ -126,7 +125,6 @@ func TestPromSnapshotFormat(t *testing.T) {
 		`agora_kernel_info{stage="demod",kernel="avx2"} 1` + "\n",
 		"agora_seq_gaps_total 5\n",
 		"agora_gc_cycles_total 2\n",
-		"agora_queue_max_reset_timestamp_seconds 1.7e+09\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)

@@ -7,11 +7,10 @@ import (
 
 // The metric table (DESIGN §12). Every number the live surfaces publish
 // is one row below: Metrics.Snap fills a Snapshot from the rows, the
-// Prometheus renderer walks them in order, fleet totals merge Snapshots
-// row by row, and the /debug/rates sampler reads the rows that name a
-// series. Adding a counter is one Metrics field, one Snapshot field, one
-// row, and its increment on the hot path, which stays a direct atomic
-// add: the table is read only at snapshot time.
+// Prometheus renderer walks them in order, and fleet totals merge
+// Snapshots row by row. Adding a counter is one Metrics field, one
+// Snapshot field, one row, and its increment on the hot path, which
+// stays a direct atomic add: the table is read only at snapshot time.
 
 // kind is a row's Prometheus type.
 type kind string
@@ -42,14 +41,6 @@ const (
 	mergeMax
 )
 
-// rateSeries places a row in the /debug/rates window: its position in
-// the sampler's fixed series list and its name. Counter rows report a
-// per-second rate; ratio rows the ratio of each interval's deltas.
-type rateSeries struct {
-	at   int
-	name string
-}
-
 // emitFn adds one Prometheus sample to the row's family; suffix is ""
 // or, for a summary, "_sum" or "_count".
 type emitFn func(suffix string, v float64, labels ...promLabel)
@@ -60,7 +51,6 @@ type row struct {
 	name, help string
 	kind       kind
 	merge      mergeRule
-	rate       rateSeries
 	// process marks a process-wide row: rendered once, never per cell.
 	process bool
 	// ms marks a float Snapshot value in milliseconds, rendered in seconds.
@@ -91,22 +81,18 @@ func (r *row) value(s *Snapshot) float64 {
 
 var table = []row{
 	{name: "agora_frames_total", help: "Completed frames.", kind: counter,
-		rate: rateSeries{0, "frames_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.FramesDone },
 		i:    func(s *Snapshot) *int64 { return &s.Frames }},
 	{name: "agora_frames_dropped_total", help: "Frames abandoned (timeout, slot conflict, loss).", kind: counter,
-		rate: rateSeries{1, "drops_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.FramesDropped },
 		i:    func(s *Snapshot) *int64 { return &s.Dropped }},
 	{name: "agora_results_lost_total", help: "Frame results discarded because the Results channel was full.", kind: counter,
 		live: func(m *Metrics) *atomic.Int64 { return &m.ResultsLost },
 		i:    func(s *Snapshot) *int64 { return &s.ResultsLost }},
 	{name: "agora_deadline_miss_total", help: "Completed frames that exceeded the frame budget.", kind: counter,
-		rate: rateSeries{2, "deadline_miss_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.DeadlineMiss },
 		i:    func(s *Snapshot) *int64 { return &s.DeadlineMiss }},
 	{name: "agora_incidents_total", help: "Flight-recorder incident captures.", kind: counter,
-		rate: rateSeries{5, "incidents_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.Incidents },
 		i:    func(s *Snapshot) *int64 { return &s.Incidents }},
 	{name: "agora_frame_budget_seconds", help: "On-air frame duration (the per-frame deadline).", kind: gauge,
@@ -123,16 +109,10 @@ var table = []row{
 				emit("", float64(s.Queues[q].Depth), promLabel{"queue", q})
 			}
 		}},
-	{name: "agora_queue_depth_max", help: "Queue depth high-water mark (windowed by ResetHighWater).", kind: gauge,
+	{name: "agora_queue_depth_max", help: "Queue depth high-water mark since start.", kind: gauge,
 		samples: func(s *Snapshot, emit emitFn) {
 			for _, q := range sortedKeys(s.Queues) {
 				emit("", float64(s.Queues[q].Max), promLabel{"queue", q})
-			}
-		}},
-	{name: "agora_queue_max_reset_timestamp_seconds", help: "Unix time of the last high-water reset.", kind: gauge,
-		samples: func(s *Snapshot, emit emitFn) {
-			if s.QueueMaxResetUnixMS > 0 {
-				emit("", float64(s.QueueMaxResetUnixMS)/1e3)
 			}
 		}},
 	{name: "agora_tasks_total", help: "Tasks executed.", kind: counter,
@@ -183,8 +163,7 @@ var table = []row{
 		live: func(m *Metrics) *atomic.Int64 { return &m.ZFCacheMisses },
 		i:    func(s *Snapshot) *int64 { return &s.Arena.ZFCacheMisses }},
 	{name: "agora_zf_cache_hit_rate", help: "Lifetime ZF cache hit fraction.", kind: ratio,
-		rate: rateSeries{6, "zf_hit_rate"},
-		f:    func(s *Snapshot) *float64 { return &s.Arena.ZFCacheHitRate },
+		f: func(s *Snapshot) *float64 { return &s.Arena.ZFCacheHitRate },
 		of: func(s *Snapshot) (int64, int64) {
 			return s.Arena.ZFCacheHits, s.Arena.ZFCacheHits + s.Arena.ZFCacheMisses
 		}},
@@ -207,14 +186,12 @@ var table = []row{
 		f:  func(s *Snapshot) *float64 { return &s.Decode.EarlyExitRate },
 		of: func(s *Snapshot) (int64, int64) { return s.Decode.EarlyExits, s.Decode.Blocks }},
 	{name: "agora_seq_gaps_total", help: "Missing fronthaul sequence numbers.", kind: counter,
-		rate: rateSeries{3, "seq_gaps_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.SeqGaps },
 		i:    func(s *Snapshot) *int64 { return &s.Fronthaul.SeqGaps }},
 	{name: "agora_seq_late_total", help: "Late or duplicate fronthaul packets.", kind: counter,
 		live: func(m *Metrics) *atomic.Int64 { return &m.SeqLate },
 		i:    func(s *Snapshot) *int64 { return &s.Fronthaul.SeqLate }},
 	{name: "agora_fec_recovered_total", help: "Payloads rebuilt from Reed-Solomon parity.", kind: counter,
-		rate: rateSeries{4, "fec_recovered_per_sec"},
 		live: func(m *Metrics) *atomic.Int64 { return &m.FECRecovered },
 		i:    func(s *Snapshot) *int64 { return &s.Fronthaul.FECRecovered }},
 	// The engine fills the packet counters from its own RX path and the
@@ -241,18 +218,6 @@ var table = []row{
 		process: true,
 		samples: func(s *Snapshot, emit emitFn) { emit("", s.GC.PauseTotalMS/1e3) }},
 }
-
-// rateRows is the rows with a /debug/rates series, in series order.
-var rateRows = func() []*row {
-	var rs []*row
-	for i := range table {
-		if table[i].rate.name != "" {
-			rs = append(rs, &table[i])
-		}
-	}
-	sort.Slice(rs, func(a, b int) bool { return rs[a].rate.at < rs[b].rate.at })
-	return rs
-}()
 
 // latencySamples renders a latency summary: three quantiles, then the
 // sum and count.
