@@ -21,10 +21,8 @@ type buffers struct {
 	// of antenna m.
 	csi [][]*mat.M
 
-	// csiAcc counts, per slot and group, how many pilot contributions
-	// must still arrive before ZF may run (informational; gating is done
-	// by task counting in the manager).
-	// equalizer W per group: [slot][group], K×M, written by the ZF task.
+	// eq holds the equalizer W per group: [slot][group], K×M, written by
+	// the ZF task.
 	eq [][]*mat.M
 	// precoder per group for the downlink: [slot][group], M×K.
 	pre [][]*mat.M

@@ -164,6 +164,9 @@ type zfCacheState struct {
 	csi     []*mat.M
 	eq      []*mat.M
 	pre     []*mat.M // nil without downlink symbols
+	// csiNormSq is Σ_g ‖csi[g]‖²_F, the hit test's denominator, summed
+	// in group order when the snapshot is taken.
+	csiNormSq float64
 }
 
 // slotPhase is where a buffer slot's record is in the frame lifecycle.

@@ -235,30 +235,33 @@ func (e *Engine) zfCacheHit(f *slotRec) bool {
 	if !c.enabled || !c.valid || c.age >= zfCacheMaxAge {
 		return false
 	}
-	var num, den float64
-	for g := range c.csi {
-		num += c.csi[g].FrobDiffSq(e.buf.csi[f.Slot][g])
-		den += c.csi[g].FrobNormSq()
-	}
-	if den <= 0 {
+	if c.csiNormSq <= 0 {
 		return false
 	}
+	var num float64
+	for g := range c.csi {
+		num += c.csi[g].FrobDiffSq(e.buf.csi[f.Slot][g])
+	}
 	d := float64(zfCacheDelta) // squared in float64, not as an exact constant
-	return num <= d*d*den
+	return num <= d*d*c.csiNormSq
 }
 
-// refreshZFCache snapshots slot's CSI and ZF output into the cache. Only
-// called with zero cache-copy tasks in flight, so no worker reads the
-// matrices being rewritten; subsequent hit frames observe the new data
-// through the task-queue enqueue/dequeue ordering.
+// refreshZFCache snapshots slot's CSI and ZF output into the cache, and
+// the snapshot's squared norm, the only input of the hit test that
+// changes here and nowhere else. Only called with zero cache-copy tasks
+// in flight, so no worker reads the matrices being rewritten; subsequent
+// hit frames observe the new data through the task-queue enqueue/dequeue
+// ordering.
 func (e *Engine) refreshZFCache(slot int) {
 	c := &e.zfc
+	c.csiNormSq = 0
 	for g := range c.csi {
 		copy(c.csi[g].Data, e.buf.csi[slot][g].Data)
 		copy(c.eq[g].Data, e.buf.eq[slot][g].Data)
 		if c.pre != nil {
 			copy(c.pre[g].Data, e.buf.pre[slot][g].Data)
 		}
+		c.csiNormSq += c.csi[g].FrobNormSq()
 	}
 	c.valid = true
 	c.age = 0
