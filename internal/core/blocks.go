@@ -57,7 +57,26 @@ type worker struct {
 	tab  *modulation.Table
 	code *ldpc.Code
 
-	pilotFreq [][]complex64 // conj of each user's pilot over the data band
+	// pilotComb is the conjugated pilot comb over the data band: on
+	// subcarrier sc, the pilot of user sc mod K (FreqOrthogonal) or the
+	// one full-band sequence every user sends (TimeOrthogonal).
+	// combAcc holds the running sums of every ZF group, group-major: one
+	// per comb phase (FreqOrthogonal) or one (TimeOrthogonal) per group,
+	// padded to whole 64-byte lines so no other allocation shares a line
+	// it is written in. combTerms says where each sum goes.
+	pilotComb []complex64
+	combAcc   []complex64
+	combTerms []combTerm
+}
+
+// combTerm places one running sum of a ZF group's comb correlation: user
+// u's entry of the antenna's CSI row gets the sum times scale, 1/(its
+// term count). A sum with no terms, in a group narrower than K, has u =
+// -1 and leaves the entry as it was. Under TimeOrthogonal u is unused:
+// the pilot symbol names the user.
+type combTerm struct {
+	u     int
+	scale complex64
 }
 
 func newWorker(id int, e *Engine) *worker {
@@ -94,17 +113,32 @@ func newWorker(id int, e *Engine) *worker {
 	if e.opts.DisableMemOpt {
 		w.tileAnt = make([]complex64, cfg.Antennas*mat.TileCols)
 	}
-	// Precompute conjugated pilots for CSI extraction.
-	w.pilotFreq = make([][]complex64, cfg.Users)
-	for u := 0; u < cfg.Users; u++ {
-		var p []complex64
-		if cfg.Pilots == frame.FreqOrthogonal {
-			p = channel.FrequencyOrthogonalPilot(cfg.DataSubcarriers, cfg.Users, u)
-		} else {
-			p = channel.ZadoffChu(cfg.DataSubcarriers, 1)
+	// Precompute the conjugated pilot comb for CSI extraction.
+	phases := 1
+	if cfg.Pilots == frame.FreqOrthogonal {
+		phases = cfg.Users
+		w.pilotComb = make([]complex64, cfg.DataSubcarriers)
+		for u := 0; u < cfg.Users; u++ {
+			p := channel.FrequencyOrthogonalPilot(cfg.DataSubcarriers, cfg.Users, u)
+			for sc := u; sc < len(p); sc += cfg.Users {
+				w.pilotComb[sc] = p[sc]
+			}
 		}
-		cf.Conj(p)
-		w.pilotFreq[u] = p
+	} else {
+		w.pilotComb = channel.ZadoffChu(cfg.DataSubcarriers, 1)
+	}
+	cf.Conj(w.pilotComb)
+	sums := cfg.ZFGroups() * phases
+	w.combAcc = make([]complex64, (sums+7)&^7)[:sums]
+	for g := 0; g < cfg.ZFGroups(); g++ {
+		lo, hi := e.buf.groupBounds(g)
+		for j := 0; j < phases; j++ {
+			t := combTerm{u: -1}
+			if n := (hi - lo - j + phases - 1) / phases; n > 0 {
+				t = combTerm{u: (lo + j) % phases, scale: complex(1/float32(n), 0)}
+			}
+			w.combTerms = append(w.combTerms, t)
+		}
 	}
 	return w
 }
@@ -163,42 +197,34 @@ func (w *worker) fftRun(slot int, sym uint16, ant0, count int) (buf []complex64,
 }
 
 // extractCSI correlates one antenna's pilot data band against the
-// conjugated pilot sequences and writes row ant of every ZF group's CSI
-// matrix.
+// conjugated pilot comb and writes row ant of every ZF group's CSI
+// matrix: one fft.CorrelateComb call, one comb correlation per group,
+// then each user's sum scaled by 1/(its term count) as combTerms places
+// it. FreqOrthogonal: user u's tones are the subcarriers sc ≡ u (mod K),
+// so sum j of a group starting at lo is user (lo+j) mod K's, its one
+// measurement per K subcarriers averaged (one per group when K ==
+// ZFGroupSize, the paper's configuration). TimeOrthogonal: pilot symbol
+// pilotIdx belongs to user pilotIdx, one full-band sum per group.
 func (w *worker) extractCSI(slot, ant, pilotIdx int, band []complex64) {
 	cfg := &w.eng.cfg
-	b := w.eng.buf
-	groups := cfg.ZFGroups()
-	switch cfg.Pilots {
-	case frame.FreqOrthogonal:
-		// User u's pilot occupies subcarriers sc%K == u; within each
-		// group average u's measurements (one per group when K ==
-		// ZFGroupSize, the paper's configuration).
-		for g := 0; g < groups; g++ {
-			lo, hi := b.groupBounds(g)
-			row := b.csi[slot][g].Row(ant)
-			for u := 0; u < cfg.Users; u++ {
-				var acc complex64
-				n := 0
-				for sc := lo + ((u-lo)%cfg.Users+cfg.Users)%cfg.Users; sc < hi; sc += cfg.Users {
-					acc += band[sc] * w.pilotFreq[u][sc] // pilot is 1 -> conj(1)
-					n++
-				}
-				if n > 0 {
-					row[u] = acc * complex(1/float32(n), 0)
-				}
-			}
+	csi := w.eng.buf.csi[slot]
+	acc := w.combAcc
+	k := len(acc) / len(csi)
+	clear(acc)
+	fft.CorrelateComb(acc, band, w.pilotComb, k, cfg.ZFGroupSize)
+	if cfg.Pilots == frame.TimeOrthogonal {
+		for g, h := range csi {
+			h.Row(ant)[pilotIdx] = acc[g] * w.combTerms[g].scale
 		}
-	case frame.TimeOrthogonal:
-		// Pilot symbol pilotIdx belongs to user pilotIdx: full-band ZC.
-		u := pilotIdx
-		for g := 0; g < groups; g++ {
-			lo, hi := b.groupBounds(g)
-			var acc complex64
-			for sc := lo; sc < hi; sc++ {
-				acc += band[sc] * w.pilotFreq[u][sc]
+		return
+	}
+	for g, h := range csi {
+		row := h.Row(ant)
+		sums := acc[g*k : g*k+k]
+		for j, t := range w.combTerms[g*k : g*k+k] {
+			if t.u >= 0 {
+				row[t.u] = sums[j] * t.scale
 			}
-			b.csi[slot][g].Row(ant)[u] = acc * complex(1/float32(hi-lo), 0)
 		}
 	}
 }

@@ -587,6 +587,7 @@ func BenchmarkKernelGate(b *testing.B) {
 		{"ForwardIQ12_512", forwardIQ12(), 1024, 4},   // median 8.2×
 		{"IFFTBatch8x512", inverseBand8x512(), 64, 2}, // median 4.7×
 		{"StoreIQ12_512", storeIQ12Call(), 1024, 4},   // median 12×
+		{"CorrelateComb304x4", combCall(), 1024, 2},   // median 3.9×
 	} {
 		batch := func() {
 			for i := 0; i < g.calls; i++ {

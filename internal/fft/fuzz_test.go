@@ -126,3 +126,58 @@ func FuzzStoreIQ12KernelsSIMD(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCorrelateCombKernelsSIMD is CorrelateComb's differential between
+// the AVX2 kernel and the Go loop (DESIGN §10): the fuzzer's bytes are
+// read as float32 bit patterns for the band, the pilot comb and the
+// starting sums — so NaNs with payloads, ±Inf, ±0 and denormals all
+// occur — over up to 400 samples, 1–16 accumulators per group (odd
+// counts run the Go loop on both sides) and groups of 1–64 samples.
+// Both sides must produce the same bits up to NaN payloads (see
+// firstDiff), and neither writes an accumulator past the last group.
+func FuzzCorrelateCombKernelsSIMD(f *testing.F) {
+	f.Add([]byte{}, uint16(304), uint8(3), uint8(15))                                            // 16×4 cell: k 4, groups of 16
+	f.Add([]byte{0, 0, 0xC0, 0x7F, 0, 0, 0x80, 0xFF}, uint16(17), uint8(1), uint8(5))            // NaN, -Inf
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0x80, 0x3F}, uint16(128), uint8(1), uint8(15)) // denormal, -0, 1
+	f.Add([]byte{0xFF, 0xFF, 0x7F, 0x7F, 0, 0, 0x80, 0x7F}, uint16(31), uint8(7), uint8(2))      // MaxFloat32, +Inf
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50}, uint16(300), uint8(0), uint8(14))
+	f.Fuzz(func(t *testing.T, raw []byte, size uint16, ksel, gsel uint8) {
+		if simd == nil {
+			t.Skip("no vector kernels on this CPU/GOARCH")
+		}
+		n, k, group := int(size)%401, 1+int(ksel)%16, 1+int(gsel)%64
+		at := func(i int) byte {
+			if len(raw) == 0 {
+				return byte(i)
+			}
+			return raw[i%len(raw)] + byte(i/len(raw))
+		}
+		next := 0
+		sample := func() complex64 {
+			var w [8]byte
+			for i := range w {
+				w[i] = at(next)
+				next++
+			}
+			return complex(math.Float32frombits(binary.LittleEndian.Uint32(w[:4])),
+				math.Float32frombits(binary.LittleEndian.Uint32(w[4:])))
+		}
+		x, p := make([]complex64, n), make([]complex64, n)
+		for i := range x {
+			x[i], p[i] = sample(), sample()
+		}
+		const spare = 2
+		g := make([]complex64, (n+group-1)/group*k+spare)
+		for i := range g {
+			g[i] = sample()
+		}
+		v := append([]complex64(nil), g...)
+		restore := forceGoKernels()
+		CorrelateComb(g, x, p, k, group)
+		restore()
+		CorrelateComb(v, x, p, k, group)
+		if i := firstDiff(g, v, true); i >= 0 {
+			t.Fatalf("n=%d k=%d group=%d: accumulator %d go %v != %s %v", n, k, group, i, g[i], Kernel(), v[i])
+		}
+	})
+}

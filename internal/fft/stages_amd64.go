@@ -8,8 +8,9 @@ import (
 )
 
 // AVX2 stage kernels (DESIGN §10): the amd64 implementation of stages4's
-// three loops, of the IQ12 gather and of the TX quantize-pack, four
-// complex64 per YMM register.
+// three loops, of the IQ12 gather, of the TX quantize-pack and of the
+// pilot comb correlation, four complex64 per YMM register (two, widened
+// to float64, in the correlation).
 // They read the same twiddle planes and write the same in-place buffer as
 // the Go loops, one call per stage, so the two implementations are
 // interchangeable stage by stage — which is what the differential tests
@@ -23,9 +24,10 @@ func init() {
 }
 
 var avx2Kernels = &stageKernels{
-	butterflies: (*Plan).butterfliesAVX2,
-	loadIQ12:    (*Plan).loadIQ12AVX2,
-	storeIQ12:   storeIQ12AVX2,
+	butterflies:   (*Plan).butterfliesAVX2,
+	loadIQ12:      (*Plan).loadIQ12AVX2,
+	storeIQ12:     storeIQ12AVX2,
+	correlateComb: correlateCombAVX2,
 }
 
 // Mode bits of the stage kernels. Only an inverse transform scales, so
@@ -67,6 +69,13 @@ func unpackIQ12AVX2(dst *complex64, src *byte, n int, blk *uint32)
 //
 //go:noescape
 func quantIQ12AVX2(dst *byte, src *complex64, n int, gain float32)
+
+// combAVX2 is correlateComb over n > 0 samples in groups of group > 0
+// into an even number k of accumulators per group: it reads x and p
+// [0:n] and writes acc[0 : ⌈n/group⌉·k].
+//
+//go:noescape
+func combAVX2(acc, x, p *complex64, k, n, group int)
 
 // butterfliesAVX2 is stages4 on the assembly kernels, with the inverse
 // 1/n folded into whichever stage runs last.
@@ -132,4 +141,15 @@ func storeIQ12AVX2(dst []byte, src []complex64, gain float32) {
 		quantIQ12AVX2(&dst[0], &src[0], k, gain)
 	}
 	cf.QuantizeIQ12(dst[k*cf.BytesPerIQ:], src[k:], gain)
+}
+
+// correlateCombAVX2 runs the kernel on an even number of accumulators
+// per group and correlateComb on an odd one: a row of an odd number of
+// samples does not split into the kernel's pairs.
+func correlateCombAVX2(acc, x, p []complex64, k, group int) {
+	if k%2 != 0 {
+		correlateComb(acc, x, p, k, group)
+		return
+	}
+	combAVX2(&acc[0], &x[0], &p[0], k, len(x), group)
 }

@@ -452,3 +452,92 @@ quant_loop:
 	JNZ          quant_loop
 	VZEROUPPER
 	RET
+
+// func combAVX2(acc, x, p *complex64, k, n, group int)
+//
+// Group by group, and in a group one accumulator pair at a time, down its
+// column: X0 holds acc[j], acc[j+1] as float32, and each row whose
+// samples j and j+1 both lie inside the group adds their two products,
+// widened to float64 so each part rounds once, as Go's complex64
+// multiply does, before the float32 add:
+//   Y1 = [xr0 xi0 xr1 xi1], Y2 = [pr0 pi0 pr1 pi1]   (VCVTPS2PD)
+//   Y3 = [xr xr], Y4 = [xi xi], Y5 = [pi pr] per complex
+//   Y3 = Y3*Y2 = [xr·pr, xr·pi], Y4 = Y4*Y5 = [xi·pi, xi·pr]
+//   Y3 = [xr·pr − xi·pi, xr·pi + xi·pr]               (VADDSUBPD)
+// A partial last row can end between j and j+1: that one sample is
+// added to acc[j] alone, with the same steps on one complex in an XMM
+// register, after the column's other rows. DI accumulator pair, SI group
+// head in x, R11 column head, AX row cursor, DX the offset of p from x,
+// R8 the row stride in bytes, R13 the group stride in bytes, R9 the end
+// of the group, R12 the end of x, R10 pairs left in the group.
+TEXT ·combAVX2(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ p+16(FP), DX
+	MOVQ k+24(FP), R8
+	MOVQ n+32(FP), R12
+	MOVQ group+40(FP), R13
+	LEAQ (SI)(R12*8), R12
+	SHLQ $3, R13
+	SUBQ SI, DX
+	SHLQ $3, R8
+
+comb_group:
+	LEAQ    (SI)(R13*1), R9
+	CMPQ    R9, R12
+	CMOVQHI R12, R9
+	MOVQ    R8, R10
+	SHRQ    $4, R10
+	MOVQ    SI, R11
+
+comb_pair:
+	MOVQ R11, AX
+	LEAQ 16(AX), CX
+	CMPQ CX, R9
+	JHI  comb_single
+	VMOVUPS (DI), X0
+
+comb_row:
+	VCVTPS2PD  (AX), Y1
+	VCVTPS2PD  (AX)(DX*1), Y2
+	VMOVDDUP   Y1, Y3
+	VPERMILPD  $0xF, Y1, Y4
+	VPERMILPD  $0x5, Y2, Y5
+	VMULPD     Y2, Y3, Y3
+	VMULPD     Y5, Y4, Y4
+	VADDSUBPD  Y4, Y3, Y3
+	VCVTPD2PSY Y3, X3
+	VADDPS     X3, X0, X0
+	ADDQ       R8, AX
+	LEAQ       16(AX), CX
+	CMPQ       CX, R9
+	JLS        comb_row
+	VMOVUPS    X0, (DI)
+
+comb_single:
+	LEAQ       8(AX), CX
+	CMPQ       CX, R9
+	JHI        comb_next
+	VCVTPS2PD  (AX), X1
+	VCVTPS2PD  (AX)(DX*1), X2
+	VMOVDDUP   X1, X3
+	VPERMILPD  $0x3, X1, X4
+	VPERMILPD  $0x1, X2, X5
+	VMULPD     X2, X3, X3
+	VMULPD     X5, X4, X4
+	VADDSUBPD  X4, X3, X3
+	VCVTPD2PSX X3, X3
+	VMOVQ      (DI), X0
+	VADDPS     X3, X0, X0
+	VMOVQ      X0, (DI)
+
+comb_next:
+	ADDQ $16, DI
+	ADDQ $16, R11
+	DECQ R10
+	JNZ  comb_pair
+	MOVQ R9, SI
+	CMPQ SI, R12
+	JLO  comb_group
+	VZEROUPPER
+	RET
