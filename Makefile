@@ -82,7 +82,9 @@ race:
 # pack, FuzzLoadLLRKernelsSIMD: raw float bits, poisoned margins past the
 # packed words), fft (FuzzFFTKernelsSIMD: Forward, Inverse, InverseBand
 # over a fuzzed band and ForwardIQ12; FuzzStoreIQ12KernelsSIMD: the TX
-# quantize-pack, poisoned bytes on either side of the payload), modulation, mat (the block multiply and the tile
+# quantize-pack, poisoned bytes on either side of the payload;
+# FuzzCorrelateCombKernelsSIMD: the pilot comb correlation from raw
+# float bits), modulation, mat (the block multiply and the tile
 # multiply on the uplink grid's layout) and fronthaul (FuzzGFKernelsSIMD:
 # the GF(2^8) multiply-XOR, single and paired rows, poisoned margins past
 # each destination; Go runs one -fuzz target per invocation). A few seconds each is a smoke pass; longer
@@ -99,6 +101,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadLLRKernelsSIMD -fuzztime 5s ./internal/ldpc
 	$(GO) test -run '^$$' -fuzz FuzzFFTKernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzStoreIQ12KernelsSIMD -fuzztime 5s ./internal/fft
+	$(GO) test -run '^$$' -fuzz FuzzCorrelateCombKernelsSIMD -fuzztime 5s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzDemodKernelsSIMD -fuzztime 5s ./internal/modulation
 	$(GO) test -run '^$$' -fuzz FuzzMulBlockKernelsSIMD -fuzztime 5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzMulTileKernelsSIMD -fuzztime 5s ./internal/mat
@@ -116,8 +119,9 @@ benchmark-smoke:
 # Decode_AVX2 vs Decode_PureGo pair and beside it Decode_Codeword,
 # decode's fixed term (clean blocks, 0 iterations); internal/fft the
 # FFT512 / ForwardIQ12_512 / IFFTBatch8x512 (the TX transform
-# InverseBand over an 8-antenna run) / StoreIQ12_512 _AVX2 vs _PureGo
-# pairs; internal/core the RunIFFT pair (one 2-antenna IFFT task against
+# InverseBand over an 8-antenna run) / StoreIQ12_512 /
+# CorrelateComb304x4 (one antenna's pilot CSI correlation) _AVX2 vs
+# _PureGo pairs; internal/core the RunIFFT pair (one 2-antenna IFFT task against
 # the fill + gather + Inverse body it replaced) and Ingest (netRX's
 # packet-accept path alone, in pkts/s: header parse, slot claim, arrival
 # flag, lease);

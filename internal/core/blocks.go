@@ -146,8 +146,8 @@ func newWorker(id int, e *Engine) *worker {
 // runPilotFFT is the fused FFT + channel-estimation block (Table 2) over
 // a run of count consecutive antennas of one pilot symbol: one fftRun
 // front-end call, then CSI extraction walks the lanes with the conjugated
-// pilots still cache-resident. Antenna a writes row a of every ZF group's
-// CSI matrix — disjoint from all other tasks.
+// pilot comb still cache-resident. Antenna a writes row a of every ZF
+// group's CSI matrix — disjoint from all other tasks.
 func (w *worker) runPilotFFT(slot int, sym uint16, ant0, count, pilotIdx int) {
 	cfg := &w.eng.cfg
 	nfft := cfg.OFDMSize

@@ -1,10 +1,11 @@
 // Package cpu is the CPU feature probe shared by the packages that carry
 // hand-vectorised kernels — internal/ldpc (layer kernels), internal/fft
-// (stage kernels, the RX IQ12 unpack and the TX quantize-pack of
-// StoreIQ12), internal/modulation (SoA soft demod), internal/mat (the
-// four-row GEMM tile of equalize and precode) and internal/fronthaul (the
-// FEC's GF(2^8) multiply-XOR): stdlib only (the module has no
-// golang.org/x/sys), two instructions wrapped in cpu_amd64.s.
+// (stage kernels, the RX IQ12 unpack, the TX quantize-pack of StoreIQ12
+// and the pilot comb correlation of CorrelateComb), internal/modulation
+// (SoA soft demod), internal/mat (the four-row GEMM tile of equalize and
+// precode) and internal/fronthaul (the FEC's GF(2^8) multiply-XOR):
+// stdlib only (the module has no golang.org/x/sys), two instructions
+// wrapped in cpu_amd64.s.
 //
 // The kernel contract those five packages share is stated here once.
 // Which implementation runs is decided by the build and the host, never

@@ -5,18 +5,19 @@ import "fmt"
 // CorrelateComb is the channel estimator's correlation, the pilot
 // symbol's step after its forward transform: one comb correlation per
 // ZF group. x is cut into groups of group samples (the last may be
-// shorter), and group g's sample i adds x[i]·p[i] to its own
-// accumulator acc[g·k + i mod k], each accumulator's terms in ascending
-// i: accumulator j of a group sums its samples j, j+k, j+2k, …. With p
-// the conjugated pilot comb of k frequency-orthogonal users, accumulator
-// j of a group is the correlation of the user whose tones start at its
-// sample j; with k = 1 it is the group's full-band correlation. Each
-// product is Go's complex64 multiply (float64 arithmetic, one rounding
-// per part) and each sum a float32 add, on either kernel. p must hold at
-// least len(x) values and acc k per group; k and group are positive.
+// shorter) and each group has k accumulators of its own: sample i of
+// group g, x[g·group+i], adds x[g·group+i]·p[g·group+i] to acc[g·k + i
+// mod k], each accumulator's terms in ascending i. With p the conjugated
+// pilot comb of k frequency-orthogonal users, accumulator j of a group is
+// the correlation of the user whose tones start at the group's sample j;
+// with k = 1 it is the group's full-band correlation. Each product is
+// Go's complex64 multiply (float64 arithmetic, one rounding per part)
+// and each sum a float32 add, on either kernel. k and group must be
+// positive, p must hold at least len(x) values and acc k per group.
 func CorrelateComb(acc, x, p []complex64, k, group int) {
 	if k < 1 || group < 1 || len(p) < len(x) || len(acc) < (len(x)+group-1)/group*k {
-		combPanic(len(acc), len(x), len(p), k, group)
+		panic(fmt.Sprintf("fft: CorrelateComb of %d samples in groups of %d, %d accumulators per group, into %d with %d pilot values",
+			len(x), group, k, len(acc), len(p)))
 	}
 	if len(x) == 0 {
 		return
@@ -27,14 +28,6 @@ func CorrelateComb(acc, x, p []complex64, k, group int) {
 		return
 	}
 	correlateComb(acc, x, p, k, group)
-}
-
-// combPanic is CorrelateComb's argument check, out of line.
-//
-//go:noinline
-func combPanic(acc, x, p, k, group int) {
-	panic(fmt.Sprintf("fft: CorrelateComb of %d samples in groups of %d into %d accumulators per group (%d given) with %d pilot values",
-		x, group, k, acc, p))
 }
 
 // correlateComb is the portable CorrelateComb and the reference of its
