@@ -84,8 +84,9 @@ race:
 # over a fuzzed band and ForwardIQ12; FuzzStoreIQ12KernelsSIMD: the TX
 # quantize-pack, poisoned bytes on either side of the payload;
 # FuzzCorrelateCombKernelsSIMD: the pilot comb correlation from raw
-# float bits), modulation, mat (the block multiply and the tile
-# multiply on the uplink grid's layout) and fronthaul (FuzzGFKernelsSIMD:
+# float bits), modulation, mat (the block multiply, and the tile
+# multiply on the uplink grid's layout through both its four-row and its
+# two-row vector tiles) and fronthaul (FuzzGFKernelsSIMD:
 # the GF(2^8) multiply-XOR, single and paired rows, poisoned margins past
 # each destination; Go runs one -fuzz target per invocation). A few seconds each is a smoke pass; longer
 # exploratory runs are `go test -fuzz <Target> <package>` without
@@ -127,7 +128,8 @@ benchmark-smoke:
 # flag, lease);
 # internal/modulation the DemodulateSoftSoA pair; internal/mat the
 # MulBlockRows4 pair (the four-row GEMM tile, on blocks and on grid
-# tiles read in place); internal/fronthaul the AccumulateData pair (one
+# tiles read in place) and the MulTileRows2 pair (the two-row tile on
+# the 8-antenna 2-user strip); internal/fronthaul the AccumulateData pair (one
 # 16×2 FEC burst of 1536-byte payloads). Each pair has to live
 # next to the unexported dispatch it flips. Absolute ns/op moves 25–30%
 # between windows on a shared host: compare within one run.
@@ -136,7 +138,8 @@ bench:
 
 # Perf gate: ratios measured within one process, never absolute times.
 # BenchmarkKernelGate (ldpc, fft, modulation, mat, fronthaul) alternates each kernel's
-# vector and Go sides and fails when the median Go/vector ratio falls
+# vector and Go sides (mat: the four-row tiles and, as 2x8_T8, the
+# two-row tile) and fails when the median Go/vector ratio falls
 # below its floor; BenchmarkRecorderGate fails when the recorder's median
 # on/off ratio exceeds 1.10. The exact counts — TestDecodeItersReference
 # (67 layered iterations to converge) and TestSteadyStateZeroAlloc

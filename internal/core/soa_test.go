@@ -276,13 +276,12 @@ func requireSameEngine(t *testing.T, eng, base *Engine) {
 	}
 }
 
-// demodBenchEngine builds an engine at the paper's 64×16 scale with
-// slot 0's equalizers and post-FFT grid (whichever layout opts select)
-// filled directly, so the demod kernel benchmarks run without the manager
-// or transport.
-func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
+// demodBenchEngine builds an engine of cfg (whose first symbol is the
+// pilot and second an uplink symbol) with slot 0's equalizers and
+// post-FFT grid (whichever layout opts select) filled directly, so the
+// demod kernel benchmarks run without the manager or transport.
+func demodBenchEngine(b *testing.B, cfg frame.Config, opts Options) (*Engine, int) {
 	b.Helper()
-	cfg := frame.Default64x16()
 	eng, err := NewEngine(cfg, opts, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -294,7 +293,7 @@ func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
 			v[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 		}
 	}
-	sym := 1 // first uplink symbol of "PUUU..."
+	sym := 1 // first uplink symbol of "PU..."
 	grid := eng.buf.dataFreqTile[0][sym]
 	if opts.DisableMemOpt {
 		grid = eng.buf.dataFreqAnt[0][sym]
@@ -306,11 +305,11 @@ func demodBenchEngine(b *testing.B, opts Options) (*Engine, int) {
 }
 
 // benchDemodSymbol runs the full demod task sweep of one uplink symbol
-// per iteration — every DemodBlockSize tile up to scUsed — through
+// of cfg per iteration — every DemodBlockSize tile up to scUsed — through
 // whichever kernel path opts select. ReportAllocs guards the zero-alloc
 // contract of the hot path.
-func benchDemodSymbol(b *testing.B, opts Options) {
-	eng, sym := demodBenchEngine(b, opts)
+func benchDemodSymbol(b *testing.B, cfg frame.Config, opts Options) {
+	eng, sym := demodBenchEngine(b, cfg, opts)
 	w := eng.workers[0]
 	blocks := eng.cfg.DemodBlocks()
 	b.ReportAllocs()
@@ -325,20 +324,26 @@ func benchDemodSymbol(b *testing.B, opts Options) {
 // BenchmarkDemodSymbol_SoAFused is the fused equalize+demod path over one
 // uplink symbol at the paper's 64×16 scale.
 func BenchmarkDemodSymbol_SoAFused(b *testing.B) {
-	benchDemodSymbol(b, Options{Workers: 1})
+	benchDemodSymbol(b, frame.Default64x16(), Options{Workers: 1})
+}
+
+// BenchmarkDemodSymbol_Small is the same sweep at smallCfg's 8×2 (the
+// small_frames geometry): the equalizer on the two-row tile.
+func BenchmarkDemodSymbol_Small(b *testing.B) {
+	benchDemodSymbol(b, smallCfg(), Options{Workers: 1})
 }
 
 // BenchmarkDemodSymbol_AntennaMajor is the same sweep on the
 // antenna-major grid of DisableMemOpt: the gap to _SoAFused is what the
 // layout costs demod, the strided strip gather and nothing else.
 func BenchmarkDemodSymbol_AntennaMajor(b *testing.B) {
-	benchDemodSymbol(b, Options{Workers: 1, DisableMemOpt: true})
+	benchDemodSymbol(b, frame.Default64x16(), Options{Workers: 1, DisableMemOpt: true})
 }
 
 // BenchmarkDecodeGather measures the strided per-user LLR gather on the
 // decoder input path.
 func BenchmarkDecodeGather(b *testing.B) {
-	eng, sym := demodBenchEngine(b, Options{Workers: 1})
+	eng, sym := demodBenchEngine(b, frame.Default64x16(), Options{Workers: 1})
 	w := eng.workers[0]
 	k := eng.cfg.Users
 	b.ReportAllocs()

@@ -3,9 +3,10 @@
 // (stage kernels, the RX IQ12 unpack, the TX quantize-pack of StoreIQ12
 // and the pilot comb correlation of CorrelateComb), internal/modulation
 // (SoA soft demod), internal/mat (the four-row GEMM tile of equalize and
-// precode) and internal/fronthaul (the FEC's GF(2^8) multiply-XOR):
-// stdlib only (the module has no golang.org/x/sys), two instructions
-// wrapped in cpu_amd64.s.
+// precode, and the two-row tile of the equalizer's user pairs) and
+// internal/fronthaul (the FEC's GF(2^8) multiply-XOR): stdlib only (the
+// module has no golang.org/x/sys), two instructions wrapped in
+// cpu_amd64.s.
 //
 // The kernel contract those five packages share is stated here once.
 // Which implementation runs is decided by the build and the host, never

@@ -153,8 +153,9 @@ var simdRows4 func(dst, w, yt *complex64, m, b int)
 
 // Kernel reports which kernel the four-row plans — mulBlockRows4Group,
 // which PlanBlockMul returns for any multiple of four rows, and
-// mulTileRows4, PlanTileMul's specialized plan — run in this process:
-// "avx2" or "generic" (the portable Go loops). MulBlockInto, the Go tile
+// mulTileRows4, PlanTileMul's specialized plan, with its two-row tile
+// for user pairs — run in this process: "avx2" or "generic" (the
+// portable Go loops). MulBlockInto, the Go tile
 // loop and the textbook loops are Go everywhere.
 func Kernel() string {
 	if simdRows4 != nil {

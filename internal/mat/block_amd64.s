@@ -163,3 +163,146 @@ inner:
 
 	VZEROUPPER
 	RET
+
+// func mulTile2AVX2(dst, w, y *complex64, m, n int)
+//
+// The two-row tile for mulTileRows4's pair groups (at K = 2, and the two
+// rows past the last group of four at K = 6, 10, …). Here a YMM
+// accumulator holds one output row's four subcarriers,
+// [re im | re im | re im | re im], so it is stored as it stands. For each
+// antenna the strip's samples y[c·TileCols + j…] are loaded as they lie
+// (32 bytes per four subcarriers), with a re/im-swapped copy Vswap
+// (VPERMILPS $0xB1) that both rows share, and each row's beamweight is
+// broadcast from memory as wre and wim (VBROADCASTSS, no shuffle). Then
+//   P = wre·V      = [wre·vr  wre·vi  ...]
+//   Q = wim·Vswap  = [wim·vi  wim·vr  ...]
+//   VADDSUBPS Q, P = [wre·vr − wim·vi   wre·vi + wim·vr  ...]
+// which is mulTileGo's real and imaginary term operand for operand, and
+// VADDPS folds it into the accumulator over ascending antenna, no FMA.
+//
+// A strip is at most TileCols = 8 columns. A whole tile (n = 8, every
+// strip of the engine's aligned blocks) runs as one pass of four
+// accumulators sharing each antenna's broadcasts; a narrower strip runs
+// one pass over its first four columns when n ≥ 4, then one pass over
+// the next pair on XMM halves when n mod 4 ≥ 2. An odd last column is
+// the Go loop's.
+//
+// Register use:
+//   DI  dst at the pass's first column (row 0)    R10 dst row stride (n·8)
+//   SI  w row 0                                   R8  w row stride (m·8)
+//   DX  y at the pass's first column              R13 m
+//   AX  w row 0 at the antenna, BX y at the antenna, CX antennas left
+//   R12 n
+//   Y8/Y9 V and Vswap of columns j…j+3, Y2/Y3 of j+4…j+7
+//   Y10/Y11 wre/wim of row 0, Y12/Y13 of row 1, Y14/Y15 scratch
+//   Y4/Y5 rows 0/1 of columns j…j+3, Y6/Y7 of j+4…j+7
+
+// LOADV(at, v, vs): v = the samples at at, vs = v with re and im
+// exchanged.
+#define LOADV(at, v, vs) \
+	VMOVUPS   at, v; \
+	VPERMILPS $0xB1, v, vs
+
+// BCASTW(r0re, r0im, r1re, r1im): the two rows' beamweights at AX (row
+// stride R8), each part broadcast to every lane. The same text serves
+// YMM and XMM operands.
+#define BCASTW(r0re, r0im, r1re, r1im) \
+	VBROADCASTSS (AX), r0re; \
+	VBROADCASTSS 4(AX), r0im; \
+	VBROADCASTSS (AX)(R8*1), r1re; \
+	VBROADCASTSS 4(AX)(R8*1), r1im
+
+// CMUL2(v, vs, wre, wim, p, q, acc): acc += w·v per complex lane; p and
+// q are scratch.
+#define CMUL2(v, vs, wre, wim, p, q, acc) \
+	VMULPS    v, wre, p; \
+	VMULPS    vs, wim, q; \
+	VADDSUBPS q, p, p; \
+	VADDPS    p, acc, acc
+
+TEXT ·mulTile2AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ m+24(FP), R13
+	MOVQ n+32(FP), R12
+	MOVQ R13, R8
+	SHLQ $3, R8
+	MOVQ R12, R10
+	SHLQ $3, R10
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R13, CX
+	CMPQ R12, $8
+	JNE  quad
+
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+tile:
+	LOADV((BX), Y8, Y9)
+	LOADV(32(BX), Y2, Y3)
+	BCASTW(Y10, Y11, Y12, Y13)
+	CMUL2(Y8, Y9, Y10, Y11, Y14, Y15, Y4)
+	CMUL2(Y2, Y3, Y10, Y11, Y14, Y15, Y6)
+	CMUL2(Y8, Y9, Y12, Y13, Y14, Y15, Y5)
+	CMUL2(Y2, Y3, Y12, Y13, Y14, Y15, Y7)
+	ADDQ $8, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  tile
+
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y6, 32(DI)
+	VMOVUPS Y5, (DI)(R10*1)
+	VMOVUPS Y7, 32(DI)(R10*1)
+	JMP     done
+
+quad:
+	CMPQ   R12, $4
+	JLT    pair
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+
+quadinner:
+	LOADV((BX), Y8, Y9)
+	BCASTW(Y10, Y11, Y12, Y13)
+	CMUL2(Y8, Y9, Y10, Y11, Y14, Y15, Y4)
+	CMUL2(Y8, Y9, Y12, Y13, Y14, Y15, Y5)
+	ADDQ $8, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  quadinner
+
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, (DI)(R10*1)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R13, CX
+
+pair:
+	TESTQ  $2, R12
+	JZ     done
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+
+pairinner:
+	LOADV((BX), X8, X9)
+	BCASTW(X10, X11, X12, X13)
+	CMUL2(X8, X9, X10, X11, X14, X15, X4)
+	CMUL2(X8, X9, X12, X13, X14, X15, X5)
+	ADDQ $8, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  pairinner
+
+	VMOVUPS X4, (DI)
+	VMOVUPS X5, (DI)(R10*1)
+
+done:
+	VZEROUPPER
+	RET

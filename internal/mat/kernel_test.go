@@ -11,12 +11,14 @@ import (
 )
 
 // forceGoKernels switches mulBlockRows4Group and mulTileRows4 to the Go
-// loops until the returned function is called. (The vector tiles need no
-// forcing: where init selected them, they are what runs.)
+// loops until the returned function is called: all three vector tiles
+// (the block's four-row, the grid's four-row and two-row) go nil
+// together. (The vector tiles need no forcing: where init selected them,
+// they are what runs.)
 func forceGoKernels() (restore func()) {
-	saved, savedTile := simdRows4, simdTile4
-	simdRows4, simdTile4 = nil, nil
-	return func() { simdRows4, simdTile4 = saved, savedTile }
+	saved, savedTile4, savedTile2 := simdRows4, simdTile4, simdTile2
+	simdRows4, simdTile4, simdTile2 = nil, nil, nil
+	return func() { simdRows4, simdTile4, simdTile2 = saved, savedTile4, savedTile2 }
 }
 
 // TestKernelName pins the two names Kernel reports: "generic" while the
@@ -101,12 +103,13 @@ func FuzzMulBlockKernelsSIMD(f *testing.F) {
 	})
 }
 
-// rows4Shapes are the gate's and the A/B pair's shapes: the 16- and
+// rows4Shapes are the gate's and the A/B pairs' shapes: the 16- and
 // 64-antenna cells' 4-user equalize strips as the engine reads them, one
 // whole grid tile in place (K×M = 4×16 and 4×64, TileCols subcarriers,
 // PlanTileMul), the same strips 16 subcarriers wide through PlanBlockMul
-// (the shape the benchmark's layer walk multiplies), and the
-// 16-subcarrier × 4-user precode block against a 16-antenna precoder.
+// (the shape the benchmark's layer walk multiplies), the 16-subcarrier ×
+// 4-user precode block against a 16-antenna precoder, and the 8-antenna
+// cell's 2-user equalize strip on one grid tile (2×8, the two-row tile).
 // calls is the gate's batch per side and round; floor is the gate's,
 // stated beside the median on a 2-vCPU AVX2 VM.
 var rows4Shapes = []struct {
@@ -120,6 +123,7 @@ var rows4Shapes = []struct {
 	{4, 16, 16, false, 4096, 3},      // median 6–8×
 	{4, 64, 16, false, 1024, 3},      // median 6–7×
 	{16, 4, 16, false, 4096, 3},      // median 5–6×
+	{2, 8, TileCols, true, 16384, 3}, // median 5.4–5.8×
 }
 
 // rows4Name is a shape's row name: _T8 for a tile, _B<b> for a block.
@@ -130,8 +134,8 @@ func rows4Name(k, m, b int, tile bool) string {
 	return fmt.Sprintf("%dx%d_B%d", k, m, b)
 }
 
-// rows4Call returns one four-row plan call on fixed random operands of
-// one shape.
+// rows4Call returns one specialized plan call on fixed random operands
+// of one shape.
 func rows4Call(k, m, b int, tile bool) func() {
 	rng := rand.New(rand.NewSource(37))
 	w, dst := randM(rng, k, m), New(k, b)
@@ -145,9 +149,13 @@ func rows4Call(k, m, b int, tile bool) func() {
 	return func() { kern(dst, w, yt) }
 }
 
-// benchRows4 times the four-row plans over rows4Shapes as sub-benchmarks.
-func benchRows4(b *testing.B) {
+// benchRows times the specialized plans over the rows4Shapes of k rows
+// (keep) as sub-benchmarks.
+func benchRows(b *testing.B, keep func(k int) bool) {
 	for _, s := range rows4Shapes {
+		if !keep(s.k) {
+			continue
+		}
 		b.Run(rows4Name(s.k, s.m, s.b, s.tile), func(b *testing.B) {
 			call := rows4Call(s.k, s.m, s.b, s.tile)
 			b.ReportAllocs()
@@ -159,18 +167,36 @@ func benchRows4(b *testing.B) {
 	}
 }
 
+func rowsOf4(k int) bool { return k%4 == 0 }
+func rowsOf2(k int) bool { return k == 2 }
+
 // BenchmarkMulBlockRows4_AVX2 and _PureGo are the within-process kernel
-// A/B: the same operands through the vector tile and through the Go loop.
+// A/B of the four-row tiles: the same operands through the vector tile
+// and through the Go loop.
 func BenchmarkMulBlockRows4_AVX2(b *testing.B) {
 	if simdRows4 == nil {
 		b.Skip("no vector tile on this CPU/GOARCH")
 	}
-	benchRows4(b)
+	benchRows(b, rowsOf4)
 }
 
 func BenchmarkMulBlockRows4_PureGo(b *testing.B) {
 	defer forceGoKernels()()
-	benchRows4(b)
+	benchRows(b, rowsOf4)
+}
+
+// BenchmarkMulTileRows2_AVX2 and _PureGo are the same A/B for the
+// two-row tile on the 8-antenna, 2-user equalize strip.
+func BenchmarkMulTileRows2_AVX2(b *testing.B) {
+	if simdTile2 == nil {
+		b.Skip("no vector tile on this CPU/GOARCH")
+	}
+	benchRows(b, rowsOf2)
+}
+
+func BenchmarkMulTileRows2_PureGo(b *testing.B) {
+	defer forceGoKernels()()
+	benchRows(b, rowsOf2)
 }
 
 // BenchmarkKernelGate is the tile's perf gate (`make perf`): the

@@ -38,17 +38,25 @@ func checkTileShapes(dst, w *M, y []complex64) {
 // simdTile4 is the platform's vector implementation of mulTileRows4's
 // loop over one group of four output rows and the whole groups of four
 // columns (m >= 1, n >= 4, dst row stride n), nil where the build has
-// none or the CPU/OS cannot run it. It is set at package init together
-// with simdRows4 and flipped with it by tests (forceGoKernels).
-var simdTile4 func(dst, w, y *complex64, m, n int)
+// none or the CPU/OS cannot run it. simdTile2 is the same for one group
+// of two output rows and the whole pairs of columns (m >= 1, n >= 2).
+// Both are set at package init together with simdRows4 and flipped with
+// it by tests (forceGoKernels).
+var (
+	simdTile4 func(dst, w, y *complex64, m, n int)
+	simdTile2 func(dst, w, y *complex64, m, n int)
+)
 
 // mulTileGo is the Go tile loop over output rows [r0, r1) and columns
 // [j0, dst.Cols), two rows per pass so each tile sample is loaded once per
 // pair: the whole multiply on builds without a vector kernel, and where
-// there is one, the rows past the last group of four (all of them at
-// K = 2) and the columns past the last group of four.
+// there is one, the odd last row, the columns past a four-row group's
+// last group of four and the column past a pair group's last pair.
 func mulTileGo(dst, w *M, y []complex64, r0, r1, j0 int) {
 	n := dst.Cols
+	if j0 >= n {
+		return // a vector tile covered every column
+	}
 	r := r0
 	for ; r+1 < r1; r += 2 {
 		w0, w1 := w.Row(r), w.Row(r+1)
@@ -84,18 +92,27 @@ func mulTileGo(dst, w *M, y []complex64, r0, r1, j0 int) {
 
 // mulTileRows4 is the specialized tile plan: where simdTile4 is set, it
 // covers each group of four output rows over the whole groups of four
-// columns and the Go loop drains that group's last dst.Cols mod 4; the
-// Go loop takes the rows past the last group of four, and everything on
-// builds without a vector kernel.
+// columns and the Go loop drains that group's last dst.Cols mod 4; where
+// simdTile2 is set, it covers each pair of the rows left (one pair at
+// K = 2 or 6; every pair of a strip narrower than four columns) over the
+// whole pairs of columns and the Go loop drains an odd last column. The
+// Go loop takes an odd last row, and everything on builds without a
+// vector kernel.
 func mulTileRows4(dst, w *M, y []complex64) {
 	checkTileShapes(dst, w, y)
 	n := dst.Cols
+	_ = y[(w.Cols-1)*TileCols+n-1] // the vector kernels read the strip unchecked
 	r := 0
 	if simdTile4 != nil && n >= 4 {
-		_ = y[(w.Cols-1)*TileCols+n-1] // the kernel reads the strip unchecked
 		for ; r+4 <= w.Rows; r += 4 {
 			simdTile4(&dst.Row(r)[0], &w.Row(r)[0], &y[0], w.Cols, n)
 			mulTileGo(dst, w, y, r, r+4, n&^3)
+		}
+	}
+	if simdTile2 != nil && n >= 2 {
+		for ; r+2 <= w.Rows; r += 2 {
+			simdTile2(&dst.Row(r)[0], &w.Row(r)[0], &y[0], w.Cols, n)
+			mulTileGo(dst, w, y, r, r+2, n&^1)
 		}
 	}
 	mulTileGo(dst, w, y, r, w.Rows, 0)
@@ -119,10 +136,10 @@ func mulTileNaive(dst, w *M, y []complex64) {
 }
 
 // PlanTileMul returns the tile multiply: the specialized plan
-// (mulTileRows4: the vector kernel on each group of four output rows
-// where there is one, the Go loop elsewhere), or the textbook loop when
-// specialization is disabled (Table 4 "JIT gemm" off). Both take any
-// row count.
+// (mulTileRows4: the vector kernels on each group of four output rows
+// and each pair of the rows left where there are, the Go loop
+// elsewhere), or the textbook loop when specialization is disabled
+// (Table 4 "JIT gemm" off). Both take any row count.
 func PlanTileMul(useSpecialized bool) TileKernel {
 	if !useSpecialized {
 		return mulTileNaive
