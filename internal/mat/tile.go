@@ -39,7 +39,8 @@ func checkTileShapes(dst, w *M, y []complex64) {
 // loop over one group of four output rows and the whole groups of four
 // columns (m >= 1, n >= 4, dst row stride n), nil where the build has
 // none or the CPU/OS cannot run it. simdTile2 is the same for one group
-// of two output rows and the whole pairs of columns (m >= 1, n >= 2).
+// of two output rows and the whole pairs of columns (m >= 1,
+// 2 <= n <= TileCols).
 // Both are set at package init together with simdRows4 and flipped with
 // it by tests (forceGoKernels).
 var (
