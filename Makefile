@@ -55,6 +55,10 @@ generic:
 # once more and parks. TestResendUntilResult (internal/core, 120 frames
 # in short mode) resends every frame's packets over a Ring until its
 # result arrives, so duplicates meet the frame's retirement on netRX.
+# TestCountdownConcurrent (several goroutines take batches off one
+# countdown word; exactly one sees 0) and TestHandoffCount (GOMAXPROCS
+# pinned: one handoff per task type per frame with as many workers as
+# processors, none with one to spare) are the stage-edge handoff's.
 race:
 	$(GO) test -race -short ./internal/... ./cmd/...
 

@@ -76,6 +76,12 @@ type Engine struct {
 	mgrPark *parker
 	takers  [queue.NumTaskTypes][]*parker
 
+	// handoff gates the stage-edge handoff (handoff.go): on when the
+	// workers can fill every processor, read once here. left holds each
+	// slot's per-type countdowns, armed when a frame is admitted.
+	handoff bool
+	left    []slotCountdowns
+
 	// Observability (see internal/obs): trace is the per-worker event
 	// tracer (nil when Options.DisableTracing) and met the always-on live
 	// counter set.
@@ -252,6 +258,8 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 	e.slotGapBase = make([]atomic.Int64, opts.Slots)
 	e.slotLateBase = make([]atomic.Int64, opts.Slots)
 	e.slotFECBase = make([]atomic.Int64, opts.Slots)
+	e.handoff = opts.Workers >= runtime.GOMAXPROCS(0)
+	e.left = make([]slotCountdowns, opts.Slots)
 	task, rx, comp := e.queueDepths()
 	for t := queue.TaskType(0); t < queue.NumTaskTypes; t++ {
 		e.taskQ[t] = queue.New(task[t])
@@ -533,7 +541,9 @@ func (e *Engine) sendTX(m queue.Msg) {
 // order, execute, report completion (§3.3). The paper busy-polls on
 // dedicated isolated cores; on shared cores an empty poll follows the
 // engine's one idle rule (idle): spin a bounded number of polls, then
-// park, returning until the manager's flush starts the role again.
+// park, returning until the manager's flush starts the role again. The
+// last task of its type in its frame hands the processor to the manager
+// (handoff.go).
 func (e *Engine) runWorker(w *worker) {
 	for {
 		var m queue.Msg
@@ -566,10 +576,15 @@ func (e *Engine) runWorker(w *worker) {
 				Lane: uint16(w.id), Type: m.Type, Batch: m.Batch,
 			})
 		}
+		last := e.handoff && e.lastOfType(m)
 		for !e.compQ.TryEnqueue(m) {
 			runtime.Gosched()
 		}
 		e.wakeUp(e.mgrPark)
+		if last { // the manager just woken runs on this processor next
+			e.met.Handoffs.Add(1)
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -113,6 +113,7 @@ func (e *Engine) admit(f *slotRec) {
 	f.pilotDoneT, f.zfDoneT = time.Time{}, time.Time{}
 	f.decodeDoneT, f.txDoneT, f.firstTXT = time.Time{}, time.Time{}, time.Time{}
 	f.zfCached = false
+	e.armCountdowns(int(f.Slot), f.ID)
 	e.dag.Admit(&f.Frame, f.ID, int(f.Slot))
 	f.phase = slotLive
 	e.met.FreeStates.Add(-1)
@@ -155,6 +156,10 @@ func (e *Engine) flush() {
 // every completion, the retired frame's included.
 func (e *Engine) onCompletion(m queue.Msg) {
 	e.observeTask(m)
+	if e.recorder {
+		// Manager lag: from the worker's completion stamp to this fold.
+		e.met.ManagerLag.AddNS(e.nowStamp() - m.T1)
+	}
 	if m.Type == queue.TaskZF && m.Aux == 1 {
 		// A completed cache-copy task no longer reads the cache matrices;
 		// account it even if its frame was reaped so refresh can proceed.
@@ -365,6 +370,7 @@ func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
 		switch f.phase {
 		case slotLive:
 			e.dag.Finish()
+			e.disarmCountdowns(int(f.Slot))
 			e.met.FreeStates.Add(1)
 		case slotPending:
 			e.pendingCnt--

@@ -361,14 +361,16 @@ type lifeDriver struct {
 	n       driverCounts
 }
 
-// driverCounts tallies what a run exercised.
-type driverCounts struct{ completed, dropped, refused, late int }
+// driverCounts tallies what a run exercised; stale counts completions
+// that reached a slot another frame held by then.
+type driverCounts struct{ completed, dropped, refused, late, stale int }
 
 func (c *driverCounts) add(o driverCounts) {
 	c.completed += o.completed
 	c.dropped += o.dropped
 	c.refused += o.refused
 	c.late += o.late
+	c.stale += o.stale
 }
 
 // driverBases are the first frame ids a schedule can start from: zero,
@@ -608,11 +610,33 @@ func (d *lifeDriver) take() (queue.Msg, bool) {
 	return queue.Msg{}, false
 }
 
-// finish runs task m on the worker and queues its completion.
+// finish runs task m on the worker, takes it off its frame's countdown
+// and queues its completion, as runWorker does. A completion whose frame
+// no longer holds its slot — reaped, and the slot given to another —
+// must leave that frame's countdowns untouched.
 func (d *lifeDriver) finish(m queue.Msg) {
 	m.T0 = d.e.nowStamp()
 	d.e.execute(d.e.workers[0], m)
 	m.T1 = d.e.nowStamp()
+	if f := &d.e.slots[m.Slot]; f.phase == slotLive && f.ID != m.Frame {
+		d.n.stale++
+		words := &d.e.left[m.Slot].c
+		var before [queue.NumTaskTypes]uint64
+		for t := range words {
+			before[t] = words[t].w.Load()
+		}
+		if d.e.lastOfType(m) {
+			d.fatalf("stale completion of frame %d fired a handoff for frame %d", m.Frame, f.ID)
+		}
+		for t := range words {
+			if b, a := before[t], words[t].w.Load(); a != b {
+				d.fatalf("stale completion of frame %d moved frame %d's countdown %d: %#x -> %#x",
+					m.Frame, f.ID, t, b, a)
+			}
+		}
+	} else {
+		d.e.lastOfType(m)
+	}
 	if !d.e.compQ.TryEnqueue(m) {
 		d.fatalf("completion queue full")
 	}
@@ -737,6 +761,11 @@ func (d *lifeDriver) check() {
 		if w := e.slotOwner[s].Load(); w != 0 {
 			d.fatalf("slot %d: owner word %#x, want free", s, w)
 		}
+		for t := range e.left[s].c {
+			if w := e.left[s].c[t].w.Load(); w != 0 {
+				d.fatalf("slot %d: countdown %d reads %#x, want disarmed", s, t, w)
+			}
+		}
 		for sym, row := range e.rxLease[s] {
 			for a := range row {
 				if l := &row[a]; l.state.Load() != leaseEmpty || l.pay != nil || l.buf != nil {
@@ -812,7 +841,7 @@ func TestLifecycleSchedules(t *testing.T) {
 		n.add(d.n)
 	}
 	t.Logf("%d schedules: %+v", schedules, n)
-	if n.completed == 0 || n.dropped == 0 || n.refused == 0 || n.late == 0 {
+	if n.completed == 0 || n.dropped == 0 || n.refused == 0 || n.late == 0 || n.stale == 0 {
 		t.Fatalf("schedules left a lifecycle path unexercised: %+v", n)
 	}
 }

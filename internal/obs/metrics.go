@@ -99,6 +99,14 @@ type Metrics struct {
 	// mirrored here so a counter-only poller sees bad frames without
 	// fetching the ring.
 	Incidents atomic.Int64
+
+	// Handoffs counts the stage-edge handoffs (DESIGN §3): a worker whose
+	// completion was its frame's last task of a type yielding its
+	// processor to the manager it just woke. ManagerLag streams, per
+	// completion, the time from the worker's completion stamp to the
+	// manager's fold of it (recorder on).
+	Handoffs   atomic.Int64
+	ManagerLag stats.Hist
 }
 
 // ObserveFrame records one completed frame against the budget.
@@ -218,6 +226,17 @@ type DecodeSnap struct {
 	EarlyExitRate float64 `json:"early_exit_rate"`
 }
 
+// ManagerSnap reports the manager's side of the schedule: the stage-edge
+// handoffs workers gave it, and its lag from a completion's stamp to the
+// fold of it, in microseconds.
+type ManagerSnap struct {
+	Handoffs  int64   `json:"handoffs"`
+	LagCount  int64   `json:"lag_count"`
+	LagMeanUS float64 `json:"lag_mean_us"`
+	LagP50US  float64 `json:"lag_p50_us"`
+	LagP99US  float64 `json:"lag_p99_us"`
+}
+
 // KernelRow names the kernel implementation one pipeline stage runs.
 type KernelRow struct {
 	Stage  string `json:"stage"`  // "decode", "fft" or "demod"
@@ -251,6 +270,7 @@ type Snapshot struct {
 	Arena     ArenaSnap             `json:"arena"`
 	Fronthaul FronthaulSnap         `json:"fronthaul"`
 	Decode    DecodeSnap            `json:"decode"`
+	Manager   ManagerSnap           `json:"manager"`
 	// Kernels is Metrics.Kernels.
 	Kernels []KernelRow `json:"kernels,omitempty"`
 	GC      GCSnap      `json:"gc"`
@@ -292,6 +312,11 @@ func (m *Metrics) Snap() Snapshot {
 		}
 	}
 	s.Decode.MaxIters = int64(m.DecodeIterHist.Max())
+	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
+	s.Manager.LagCount = m.ManagerLag.Count()
+	s.Manager.LagMeanUS = us(m.ManagerLag.Mean())
+	s.Manager.LagP50US = us(m.ManagerLag.Quantile(50))
+	s.Manager.LagP99US = us(m.ManagerLag.Quantile(99))
 	s.ratios()
 	for t := range m.TaskCount {
 		n := m.TaskCount[t].Load()

@@ -24,6 +24,7 @@ func testSnapshot() Snapshot {
 		Arena:     ArenaSnap{FreeStates: 4, ZFCacheHits: 9, ZFCacheMisses: 1, ZFCacheHitRate: 0.9},
 		Fronthaul: FronthaulSnap{SeqGaps: 5, SeqLate: 1, FECRecovered: 4, RxPkts: 1000},
 		Decode:    DecodeSnap{Blocks: 100, Iters: 250, MeanIters: 2.5, MaxIters: 8, EarlyExits: 95, EarlyExitRate: 0.95},
+		Manager:   ManagerSnap{Handoffs: 210, LagCount: 500, LagMeanUS: 12, LagP50US: 8, LagP99US: 64},
 		Kernels:   []KernelRow{{"decode", "avx2"}, {"fft", "generic"}, {"demod", "avx2"}},
 		GC:        GCSnap{NumGC: 2, PauseTotalMS: 0.1},
 		SLO: []StageSLO{

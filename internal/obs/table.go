@@ -194,6 +194,17 @@ var table = []row{
 	{name: "agora_fec_recovered_total", help: "Payloads rebuilt from Reed-Solomon parity.", kind: counter,
 		live: func(m *Metrics) *atomic.Int64 { return &m.FECRecovered },
 		i:    func(s *Snapshot) *int64 { return &s.Fronthaul.FECRecovered }},
+	{name: "agora_manager_handoffs_total", help: "Processors workers handed to the manager at a frame's last task of a type.", kind: counter,
+		live: func(m *Metrics) *atomic.Int64 { return &m.Handoffs },
+		i:    func(s *Snapshot) *int64 { return &s.Manager.Handoffs }},
+	{name: "agora_manager_lag_seconds", help: "Time from a task's completion stamp to the manager's fold of it.", kind: summary,
+		samples: func(s *Snapshot, emit emitFn) {
+			g := &s.Manager
+			emit("", g.LagP50US/1e6, promLabel{"quantile", "0.5"})
+			emit("", g.LagP99US/1e6, promLabel{"quantile", "0.99"})
+			emit("_sum", g.LagMeanUS/1e6*float64(g.LagCount))
+			emit("_count", float64(g.LagCount))
+		}},
 	// The engine fills the packet counters from its own RX path and the
 	// transport's Stats (core.Engine.MetricsSnapshot).
 	{name: "agora_rx_drops_total", help: "Packets rejected at admission.", kind: counter,
