@@ -41,7 +41,8 @@ func (c *countdown) done(id uint32, n int) bool {
 }
 
 // slotCountdowns is one buffer slot's countdowns, one per task type,
-// padded to two cache lines so neighbouring slots' words never share one.
+// padded to 128 bytes, as the parkers are, to keep neighbouring slots'
+// words apart.
 type slotCountdowns struct {
 	c [queue.NumTaskTypes]countdown
 	_ [128 - 8*queue.NumTaskTypes]byte
