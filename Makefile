@@ -48,8 +48,11 @@ generic:
 # TestPromLiveMidRun (internal/core) and TestPromFleetLiveMidRun
 # (internal/obs) scrape /metrics from a running engine and a running
 # fleet, and internal/fleet's lifecycle tests (drain under in-flight
-# frames, degrade and recover) put the router/forwarder/engine interplay
-# under it too. TestWakeNoLostFrames (a tenth of its frames in short
+# frames, degrade and recover) put the router, the cells' result sinks
+# on their managers and the engines under it too; TestSlowConsumer
+# fills the fleet's result stream while the managers keep retiring, and
+# TestRouterFrameOrder checks the router's admission against the
+# engine's frame-id rule. TestWakeNoLostFrames (a tenth of its frames in short
 # mode) and TestIdleEngineParks are the wake protocol's race coverage:
 # producers reading a role's parked flag while the role raises it, polls
 # once more and parks. TestResendUntilResult (internal/core, 120 frames

@@ -67,6 +67,9 @@ type Engine struct {
 
 	tr      fronthaul.Transport
 	results chan FrameResult
+	// deliver hands each retired frame's result on, on the manager
+	// goroutine: sendResult unless SetResultSink replaced it.
+	deliver func(FrameResult)
 
 	// tx, netTX, is a worker over TaskPacketTX alone, on the trace lane
 	// after the workers'. takers[t] lists the parkers (idle.go) of the
@@ -244,6 +247,7 @@ func NewEngine(cfg frame.Config, opts Options, tr fronthaul.Transport) (*Engine,
 		results:     make(chan FrameResult, 1024),
 		stop:        make(chan struct{}),
 	}
+	e.deliver = e.sendResult
 	e.plan, err = fft.NewPlan(cfg.OFDMSize)
 	if err != nil {
 		return nil, err
@@ -421,7 +425,31 @@ func (e *Engine) Start() {
 
 // Results delivers exactly one FrameResult per frame that claimed a
 // buffer slot or was refused one (DESIGN §15), completed or Dropped.
+// The send never blocks the manager: a report that finds the channel
+// full is dropped and counted in Metrics().ResultsLost. With a sink set
+// (SetResultSink) the channel receives nothing; it closes at Stop.
 func (e *Engine) Results() <-chan FrameResult { return e.results }
+
+// SetResultSink makes sink, in place of the Results channel, the
+// destination of every FrameResult. Call it before Start. sink runs on
+// the manager goroutine, once per retired frame in retire order, so it
+// must not block: the next frame's tasks wait for it to return.
+func (e *Engine) SetResultSink(sink func(FrameResult)) {
+	if e.started {
+		panic("core: SetResultSink after Start")
+	}
+	e.deliver = sink
+}
+
+// sendResult is the default delivery: a non-blocking send on the
+// Results channel.
+func (e *Engine) sendResult(res FrameResult) {
+	select {
+	case e.results <- res:
+	default: // consumer too slow; drop the report, not the pipeline
+		e.met.ResultsLost.Add(1)
+	}
+}
 
 // Drops returns the count of fronthaul packets discarded at admission.
 func (e *Engine) Drops() int64 { return e.drops.Load() }

@@ -110,6 +110,12 @@ const ownerHeld uint64 = 1 << 32
 // heldBy is the owner word of a slot frame id holds.
 func heldBy(id uint32) uint64 { return ownerHeld | uint64(id) }
 
+// FrameIsNew is the id rule's order: frame id is new against newest,
+// the newest id seen so far, when it lies 1 to claimWindow−1 ahead in
+// serial-number order. claim applies it per buffer slot; the fleet's
+// router per cell, so the two agree on which packet starts a frame.
+func FrameIsNew(id, newest uint32) bool { return id-newest-1 < claimWindow-1 }
+
 // newer reports whether frame id a is newer than b in serial-number
 // order modulo 2³² (RFC 1982): a lies less than 2³¹ ahead of b.
 func newer(a, b uint32) bool { return int32(a-b) > 0 }
@@ -418,7 +424,7 @@ func (e *Engine) acceptPacket(pkt []byte, fromTransport bool) (leased bool, err 
 // manager's last look, and the FEC accumulators.
 func (e *Engine) claim(slot int, id uint32) error {
 	rs := &e.rxSlots[slot]
-	if rs.hasNewest && id-rs.newest-1 >= claimWindow-1 {
+	if rs.hasNewest && !FrameIsNew(id, rs.newest) {
 		return errLate
 	}
 	rs.newest, rs.hasNewest = id, true

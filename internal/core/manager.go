@@ -386,11 +386,7 @@ func (e *Engine) retire(id uint32, f *slotRec, dropped bool) {
 		e.reclaimLeases(int(f.Slot))
 		e.slotOwner[f.Slot].Store(0)
 	}
-	select {
-	case e.results <- res:
-	default: // consumer too slow; drop the report, not the pipeline
-		e.met.ResultsLost.Add(1)
-	}
+	e.deliver(res)
 	e.tryAdmitPending()
 }
 

@@ -13,10 +13,13 @@
 // flight still flow) instead of letting an overloaded cell poison its
 // neighbours' worker budget, then re-admits on probation.
 //
-// Observability aggregates the per-engine obs plane: every cell result
-// feeds one merged latency histogram, and Snapshot returns
-// obs.FleetSnapshot — totals merged row by row through the obs metric
-// table, true cross-cell percentiles, per-cell drill-down — which
+// Each cell's engine retires its frames straight into the fleet: a
+// result sink installed on every engine runs on that cell's manager
+// goroutine, steps the cell's degradation state and hands the result to
+// the fleet's Results stream, with no goroutine of the fleet's own in
+// between. Snapshot returns obs.FleetSnapshot — totals merged row by row
+// through the obs metric table, cross-cell percentiles from the cells'
+// histograms merged bucket by bucket, per-cell drill-down — which
 // cmd/agora publishes on a single expvar endpoint (-cells N).
 package fleet
 
@@ -47,26 +50,15 @@ type Config struct {
 	// across cells (minimum one worker per cell) — the "shared pool"
 	// sizing mode. Zero keeps Opts.Workers per cell.
 	TotalWorkers int
-	// RingDepth sizes each cell's fronthaul ring in packets (0 = 4096).
-	RingDepth int
-	// DegradeThreshold is the consecutive bad-frame count that degrades
-	// a cell. 0 means 8; negative disables degradation.
+	// DegradeThreshold is the consecutive dropped-frame count that
+	// degrades a cell. 0 means 8; negative disables degradation.
 	DegradeThreshold int
-	// DegradeOnDeadline widens "bad frame" from dropped frames to frames
-	// exceeding the on-air frame budget. Off by default: a development
-	// host rarely beats the real-time budget, and shedding there would
-	// never stop. Real deployments that do keep up should enable it so a
-	// cell falling behind sheds before its slots exhaust.
-	DegradeOnDeadline bool
 	// DegradeCooldown is how long a degraded cell sheds new frames
 	// before probation (0 = 250ms).
 	DegradeCooldown time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.RingDepth <= 0 {
-		c.RingDepth = 4096
-	}
 	if c.DegradeThreshold == 0 {
 		c.DegradeThreshold = 8
 	}
@@ -75,6 +67,15 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// ringDepth sizes each cell's fronthaul ring in packets.
+const ringDepth = 4096
+
+// resultsPerCell sizes the fleet's Results channel per cell: several
+// times the frames a cell's default 8 buffer slots hold at once, so a
+// consumer that keeps up never meets a full channel. The sends cycle
+// through every slot of the buffer, so each slot costs resident memory.
+const resultsPerCell = 64
 
 // CellState is a cell's lifecycle state.
 type CellState int32
@@ -111,24 +112,22 @@ type CellResult struct {
 // cell is one engine plus its private fronthaul ring and router-side
 // admission state.
 type cell struct {
-	id   int
-	ring *fronthaul.Ring
-	rru  *fronthaul.Endpoint // RRU-facing side the router sends into
-	eng  *core.Engine
+	id  int
+	rru *fronthaul.Endpoint // RRU-facing side the router sends into
+	eng *core.Engine
 
 	state         atomic.Int32 // CellState
 	degradedUntil atomic.Int64 // UnixNano; 0 when not degraded
-	degradeEpoch  atomic.Int64 // bumped on each Active→Degraded edge
 
 	admitted  atomic.Int64 // frames the router forwarded a first packet of
-	finished  atomic.Int64 // results the engine delivered
+	finished  atomic.Int64 // results the engine retired
 	shed      atomic.Int64 // packets the router refused (degraded/draining)
-	badStreak int          // forwarder-local consecutive bad frames
+	badStreak int          // consecutive dropped frames; the sink's alone
 
-	// Router-local (single router goroutine; no atomics needed).
-	maxSeen   int64 // highest frame id forwarded; -1 before any
-	shedFloor int64 // first frame id being shed this episode; -1 = none
-	shedEpoch int64 // degradeEpoch the shedFloor belongs to
+	// Router-local (single router goroutine; no atomics needed): the
+	// newest frame id admitted, once seen is set.
+	newest uint32
+	seen   bool
 }
 
 // Fleet is a running multi-cell deployment.
@@ -136,14 +135,11 @@ type Fleet struct {
 	cfg      Config
 	cells    []*cell
 	results  chan CellResult
-	met      obs.Metrics       // merged across cells (true fleet-wide histogram)
 	inc      *obs.IncidentRing // fleet-level incidents (cell shed events)
 	misroute atomic.Int64
 
-	fwdWG    sync.WaitGroup
 	serveWG  sync.WaitGroup
 	started  bool
-	draining atomic.Bool
 	stopOnce sync.Once
 }
 
@@ -164,12 +160,12 @@ func New(cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		cfg:     cfg,
 		cells:   make([]*cell, cfg.Cells),
-		results: make(chan CellResult, 64*cfg.Cells),
+		results: make(chan CellResult, resultsPerCell*cfg.Cells),
 		inc:     obs.NewIncidentRing(64),
 	}
 	mtu := fronthaul.PacketSize(cfg.Frame.SamplesPerSymbol()) + 64
 	for i := range f.cells {
-		ring := fronthaul.NewRing(cfg.RingDepth, mtu)
+		ring := fronthaul.NewRing(ringDepth, mtu)
 		// One frame's packets, so the router's steady state allocates no
 		// packet buffers (DESIGN §14).
 		ring.Reserve((cfg.Frame.NumPilots() + cfg.Frame.NumUplink()) * cfg.Frame.Antennas)
@@ -180,16 +176,14 @@ func New(cfg Config) (*Fleet, error) {
 			}
 			return nil, fmt.Errorf("fleet: cell %d: %w", i, err)
 		}
-		f.cells[i] = &cell{
-			id: i, ring: ring, rru: ring.Side(0), eng: eng,
-			maxSeen: -1, shedFloor: -1,
-		}
+		c := &cell{id: i, rru: ring.Side(0), eng: eng}
+		eng.SetResultSink(func(r core.FrameResult) { f.retire(c, r) })
+		f.cells[i] = c
 	}
-	f.met.FrameBudgetNS.Store(f.cells[0].eng.Metrics().FrameBudgetNS.Load())
 	return f, nil
 }
 
-// Start launches every cell engine and its result forwarder.
+// Start launches every cell engine.
 func (f *Fleet) Start() {
 	if f.started {
 		panic("fleet: Start called twice")
@@ -197,35 +191,20 @@ func (f *Fleet) Start() {
 	f.started = true
 	for _, c := range f.cells {
 		c.eng.Start()
-		f.fwdWG.Add(1)
-		go f.forward(c)
 	}
 }
 
-// forward relays one cell's frame results into the fleet stream, feeding
-// the merged metrics and the degradation state machine. It is the single
-// writer of the cell's state transitions.
-func (f *Fleet) forward(c *cell) {
-	defer f.fwdWG.Done()
-	budget := c.eng.Metrics().FrameBudgetNS.Load()
-	for r := range c.eng.Results() {
-		c.finished.Add(1)
-		bad := r.Dropped ||
-			(f.cfg.DegradeOnDeadline && budget > 0 && int64(r.Latency) > budget)
-		if r.Dropped {
-			f.met.FramesDropped.Add(1)
-		} else {
-			f.met.ObserveFrame(int64(r.Latency))
-			// Fold the frame's attribution record into the fleet-merged
-			// SLO histograms (a no-op for recorder-off engines: every
-			// stage's task count is zero).
-			f.met.ObserveStages(&r.Rec)
-		}
-		f.degradeStep(c, bad, &r.Rec)
-		f.results <- CellResult{Cell: c.id, FrameResult: r}
-	}
-	if CellState(c.state.Load()) != Stopped {
-		c.state.Store(int32(Stopped))
+// retire is cell c's result sink: it runs on c's manager goroutine for
+// each frame c retires, so it is the single writer of c's degradation
+// state. It never blocks: a result that finds Results full is dropped
+// and counted in c's ResultsLost, as an engine's own channel would.
+func (f *Fleet) retire(c *cell, r core.FrameResult) {
+	c.finished.Add(1)
+	f.degradeStep(c, r.Dropped, &r.Rec)
+	select {
+	case f.results <- CellResult{Cell: c.id, FrameResult: r}:
+	default:
+		c.eng.Metrics().ResultsLost.Add(1)
 	}
 }
 
@@ -249,7 +228,6 @@ func (f *Fleet) degradeStep(c *cell, bad bool, rec *obs.FrameRec) {
 	if c.badStreak >= f.cfg.DegradeThreshold &&
 		CellState(c.state.Load()) == Active {
 		c.degradedUntil.Store(time.Now().Add(f.cfg.DegradeCooldown).UnixNano())
-		c.degradeEpoch.Add(1)
 		c.state.Store(int32(Degraded))
 		c.badStreak = 0
 		// Shed incident: the frame that tipped the streak, plus the
@@ -262,7 +240,6 @@ func (f *Fleet) degradeStep(c *cell, bad bool, rec *obs.FrameRec) {
 		}
 		inc.FreeStates = em.FreeStates.Load()
 		f.inc.Record(inc)
-		f.met.Incidents.Add(1)
 	}
 }
 
@@ -275,7 +252,6 @@ func (f *Fleet) Results() <-chan CellResult { return f.results }
 // frames via their FrameTimeout, so the wait terminates under loss).
 // Returns an error listing unfinished cells if timeout elapses first.
 func (f *Fleet) Drain(timeout time.Duration) error {
-	f.draining.Store(true)
 	for _, c := range f.cells {
 		if s := CellState(c.state.Load()); s == Active || s == Degraded {
 			c.state.Store(int32(Draining))
@@ -299,15 +275,14 @@ func (f *Fleet) Drain(timeout time.Duration) error {
 	}
 }
 
-// Stop shuts every cell down (closing its ring), waits for the result
-// forwarders, and closes the fleet result stream. Idempotent.
+// Stop shuts every cell down (closing its ring) and closes the fleet
+// result stream once no manager can deliver to it. Idempotent.
 func (f *Fleet) Stop() {
 	f.stopOnce.Do(func() {
 		for _, c := range f.cells {
-			c.eng.Stop()
+			c.eng.Stop() // returns after the cell's manager, so its sink, has exited
 			c.state.Store(int32(Stopped))
 		}
-		f.fwdWG.Wait()
 		f.serveWG.Wait()
 		close(f.results)
 	})
@@ -350,19 +325,22 @@ func (f *Fleet) Incidents() []obs.Incident {
 func (f *Fleet) Engine(i int) *core.Engine { return f.cells[i].eng }
 
 // Snapshot aggregates every cell's metrics snapshot into the fleet view
-// cmd/agora publishes over expvar. The fleet's own merged histograms
-// supply the latency percentiles and SLO rows (per-cell summaries cannot
-// be merged after the fact).
+// cmd/agora publishes over expvar. The latency percentiles and SLO rows
+// come from the cells' histograms merged bucket by bucket; the fleet's
+// own shed incidents add to the cells' incident count.
 func (f *Fleet) Snapshot() obs.FleetSnapshot {
 	cells := make([]obs.CellSnap, len(f.cells))
+	ms := make([]*obs.Metrics, len(f.cells))
 	for i, c := range f.cells {
 		cells[i] = obs.CellSnap{
 			Cell:     c.id,
 			State:    CellState(c.state.Load()).String(),
 			Snapshot: c.eng.MetricsSnapshot(),
 		}
+		ms[i] = c.eng.Metrics()
 	}
-	fs := obs.AggregateSnapshots(cells, &f.met)
+	fs := obs.AggregateSnapshots(cells, ms)
 	fs.Shed = f.Shed()
+	fs.Totals.Incidents += int64(f.inc.Count())
 	return fs
 }

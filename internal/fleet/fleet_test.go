@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/fronthaul"
 	"repro/internal/ldpc"
 	"repro/internal/modulation"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -313,6 +316,165 @@ func TestServeRing(t *testing.T) {
 			t.Fatalf("cell %d: dropped=%v blocks %d/%d",
 				r.Cell, r.Dropped, r.BlocksOK, r.BlocksTotal)
 		}
+	}
+}
+
+// TestRouterFrameOrder drives the router with header-only packets of
+// chosen frame ids and checks its admission against the engine's id
+// rule (core.FrameIsNew): an id far ahead is forwarded without being
+// counted admitted, ids wrap from 2³²−1 to 0, and a draining or
+// degraded cell sheds exactly the ids that would start a frame. The
+// engines are not started; forwarded packets wait in the cell's ring.
+func TestRouterFrameOrder(t *testing.T) {
+	type step struct {
+		state CellState // set before the packet; Degraded means inside the cooldown
+		frame uint32
+	}
+	for _, tc := range []struct {
+		name           string
+		steps          []step
+		admitted, shed int64
+	}{
+		{"far-ahead id is not a new frame", []step{
+			{Active, 5}, {Active, 5 + 1<<30}, {Draining, 6}, {Draining, 5},
+		}, 1, 1},
+		{"the window's last id", []step{
+			{Active, 7}, {Active, 7 + 1<<20 - 1}, {Active, 7 + 1<<20 - 1 + 1<<20},
+		}, 2, 0},
+		{"wrap while active", []step{
+			{Active, 0xFFFFFFFE}, {Active, 0xFFFFFFFF}, {Active, 0}, {Active, 1},
+		}, 4, 0},
+		{"wrap through a draining cell", []step{
+			{Active, 0xFFFFFFFF}, {Draining, 0xFFFFFFFF}, {Draining, 0}, {Draining, 1},
+		}, 1, 2},
+		{"degraded cell", []step{
+			{Active, 10}, {Degraded, 10}, {Degraded, 11}, {Degraded, 11 + 1<<30},
+			{Active, 11}, {Active, 11},
+		}, 2, 1},
+		{"degraded across the wrap", []step{
+			{Active, 0xFFFFFFFF}, {Degraded, 0}, {Degraded, 0xFFFFFFFF},
+		}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(Config{Cells: 1, Frame: smallCfg(), Opts: coreOpts(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Stop()
+			c := f.cells[0]
+			pkt := make([]byte, fronthaul.HeaderSize)
+			for i, st := range tc.steps {
+				c.state.Store(int32(st.state))
+				c.degradedUntil.Store(time.Now().Add(time.Hour).UnixNano())
+				h := fronthaul.Header{Frame: st.frame, Seq: uint64(i)}
+				h.Encode(pkt)
+				if err := f.Route(pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if a, s := c.admitted.Load(), c.shed.Load(); a != tc.admitted || s != tc.shed {
+				t.Fatalf("admitted %d, shed %d; want %d, %d", a, s, tc.admitted, tc.shed)
+			}
+		})
+	}
+}
+
+// TestSnapshotMergesCellHists: after frames on two cells, the fleet's
+// latency summary and SLO rows equal those of one obs.Metrics fed every
+// result the fleet delivered — the cells' histograms merge exactly.
+func TestSnapshotMergesCellHists(t *testing.T) {
+	const cells, frames = 2, 6
+	cfg := smallCfg()
+	f, err := New(Config{Cells: cells, Frame: cfg, TotalWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	var union obs.Metrics
+	union.FrameBudgetNS.Store(f.Engine(0).Metrics().FrameBudgetNS.Load())
+	gens := newGens(t, cfg, cells)
+	for fr := 0; fr < frames; fr++ {
+		for _, g := range gens {
+			if err := g.EmitFrame(uint32(fr), f.Route); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range collect(t, f, cells, 20*time.Second) {
+			if r.Dropped {
+				t.Fatalf("cell %d frame %d dropped", r.Cell, r.Frame)
+			}
+			union.ObserveFrame(int64(r.Latency))
+			union.ObserveStages(&r.Rec)
+		}
+	}
+	fs := f.Snapshot()
+	want := union.Snap()
+	if fs.Totals.Latency != want.Latency || want.Latency.Count != cells*frames {
+		t.Fatalf("fleet latency %+v, union of results %+v", fs.Totals.Latency, want.Latency)
+	}
+	if !reflect.DeepEqual(fs.Totals.SLO, want.SLO) || len(want.SLO) == 0 {
+		t.Fatalf("fleet SLO rows %+v, union of results %+v", fs.Totals.SLO, want.SLO)
+	}
+}
+
+// TestSlowConsumer: a consumer that reads nothing while the cells
+// retire more frames than Results holds stalls no manager — every cell
+// keeps retiring, the reports that find the channel full are counted
+// in the cells' ResultsLost — and Drain and Stop still end, with
+// Results closed once after the buffered reports.
+func TestSlowConsumer(t *testing.T) {
+	const cells = 2
+	cfg := smallCfg()
+	f, err := New(Config{Cells: cells, Frame: cfg, TotalWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	gens := newGens(t, cfg, cells)
+	room := cap(f.Results())
+	perCell := room/cells + 4
+	retired := func(i int) int64 {
+		m := f.Engine(i).Metrics()
+		return m.FramesDone.Load() + m.FramesDropped.Load()
+	}
+	for fr := 0; fr < perCell; fr++ {
+		for _, g := range gens {
+			if err := g.EmitFrame(uint32(fr), f.Route); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One frame in flight per cell keeps every frame in its slot; a
+		// manager blocked on the full stream stops the count here.
+		deadline := time.Now().Add(10 * time.Second)
+		for c := 0; c < cells; c++ {
+			for retired(c) != int64(fr+1) {
+				if time.Now().After(deadline) {
+					t.Fatalf("frame %d: cell %d retired %d frames", fr, c, retired(c))
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+	if err := f.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var lost int64
+	for i := 0; i < cells; i++ {
+		lost += f.Engine(i).Metrics().ResultsLost.Load()
+	}
+	if want := int64(cells*perCell - room); lost != want || len(f.Results()) != room {
+		t.Fatalf("%d reports lost with %d buffered, want %d and %d", lost, len(f.Results()), want, room)
+	}
+	f.Stop()
+	f.Stop()
+	n := 0
+	for range f.Results() {
+		n++
+	}
+	if n != room {
+		t.Fatalf("read %d buffered reports after Stop, want %d", n, room)
 	}
 }
 

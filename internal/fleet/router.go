@@ -3,6 +3,7 @@ package fleet
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fronthaul"
 )
 
@@ -10,9 +11,12 @@ import (
 // applying frame-granular admission: when a cell is draining or inside
 // a degradation cooldown, packets that would START a new frame are shed
 // (counted, dropped) while packets of frames already in flight keep
-// flowing so those frames can finish. Route is single-caller — the
-// router state it touches is unsynchronized by design; run one Serve
-// loop (or call Route from one goroutine).
+// flowing so those frames can finish. A packet starts a new frame when
+// its id is new against the cell's newest admitted id by the engine's
+// own rule (core.FrameIsNew); an id too far ahead is forwarded without
+// admission, and the engine drops it as late. Route is single-caller —
+// the router state it touches is unsynchronized by design; run one
+// Serve loop (or call Route from one goroutine).
 //
 // The packet is copied into the cell's ring on forward; the caller
 // keeps ownership of pkt and may release or reuse it immediately.
@@ -26,56 +30,30 @@ func (f *Fleet) Route(pkt []byte) error {
 		return nil
 	}
 	c := f.cells[int(h.Cell)]
-	frame := int64(h.Frame)
-	if frame > c.maxSeen {
-		if !f.admitNew(c) {
+	if !c.seen || core.FrameIsNew(h.Frame, c.newest) {
+		if !c.admitting() {
 			c.shed.Add(1)
 			return nil
 		}
-		c.maxSeen = frame
+		c.newest, c.seen = h.Frame, true
 		c.admitted.Add(1)
-	} else if c.shedFloor >= 0 && frame >= c.shedFloor {
-		// Late packet of a frame that was shed when it tried to start.
-		c.shed.Add(1)
-		return nil
 	}
 	return c.rru.Send(pkt)
 }
 
-// admitNew decides whether cell c may start another frame right now,
-// maintaining the router-local shed window for the current degradation
-// episode.
-func (f *Fleet) admitNew(c *cell) bool {
+// admitting reports whether cell c may start another frame right now.
+// A degraded cell past its cooldown admits on probation; its sink
+// re-activates the cell when that frame completes clean.
+func (c *cell) admitting() bool {
 	switch CellState(c.state.Load()) {
 	case Draining, Stopped:
-		c.markShedFloor(c.degradeEpoch.Load())
 		return false
 	case Degraded:
-		epoch := c.degradeEpoch.Load()
-		if time.Now().UnixNano() < c.degradedUntil.Load() {
-			c.markShedFloor(epoch)
-			return false
-		}
-		// Cooldown over: admit on probation; the forwarder re-activates
-		// the cell when this frame completes clean.
-		c.clearShedFloor()
-		return true
+		return time.Now().UnixNano() >= c.degradedUntil.Load()
 	default:
-		c.clearShedFloor()
 		return true
 	}
 }
-
-// markShedFloor records, once per episode, the first frame id being
-// shed, so late packets of shed frames are dropped consistently.
-func (c *cell) markShedFloor(epoch int64) {
-	if c.shedFloor < 0 || c.shedEpoch != epoch {
-		c.shedFloor = c.maxSeen + 1
-		c.shedEpoch = epoch
-	}
-}
-
-func (c *cell) clearShedFloor() { c.shedFloor = -1 }
 
 // Serve pumps packets from tr through Route until the transport closes,
 // releasing each buffer back to the transport after the router's copy.

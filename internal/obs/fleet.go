@@ -7,6 +7,8 @@ package obs
 // through the metric table, and the per-cell snapshots preserved for
 // drill-down.
 
+import "repro/internal/stats"
+
 // CellSnap is one cell's snapshot tagged with its id and lifecycle state.
 type CellSnap struct {
 	Cell  int    `json:"cell"`
@@ -23,18 +25,18 @@ type FleetSnapshot struct {
 	Shed int64 `json:"shed"`
 	// Totals is every cell's snapshot merged row by row (sums, maxima,
 	// ratios recomputed from the merged counters) plus per-task totals.
-	// Latency percentiles and SLO rows cannot be merged from per-cell
-	// summaries, so they come from the fleet's own histograms, fed by
-	// every cell's frame results. Queue gauges stay per cell.
+	// Latency percentiles and SLO rows come from the cells' histograms
+	// merged bucket by bucket, so they are the percentiles of every
+	// cell's frames together. Queue gauges stay per cell.
 	Totals  Snapshot   `json:"totals"`
 	PerCell []CellSnap `json:"per_cell"`
 }
 
 // AggregateSnapshots merges per-cell snapshots into a FleetSnapshot.
-// own is the fleet's own Metrics: its latency and stage histograms give
-// Totals.Latency and Totals.SLO, and its incident count (the fleet's
-// shed captures) adds to the cells'. With own nil those stay zero.
-func AggregateSnapshots(cells []CellSnap, own *Metrics) FleetSnapshot {
+// ms are the cells' live Metrics: their latency and stage histograms,
+// merged, give Totals.Latency and Totals.SLO. With ms nil those stay
+// zero.
+func AggregateSnapshots(cells []CellSnap, ms []*Metrics) FleetSnapshot {
 	fs := FleetSnapshot{
 		Cells:   len(cells),
 		Totals:  Snapshot{Tasks: make(map[string]TaskSnap)},
@@ -48,10 +50,29 @@ func AggregateSnapshots(cells []CellSnap, own *Metrics) FleetSnapshot {
 		// Process-wide: every cell reads the same runtime and CPU.
 		t.Kernels, t.GC = cells[0].Kernels, cells[0].GC
 	}
-	if own != nil {
-		t.Latency = latencySnap(&own.Latency)
-		t.SLO = own.SLORows()
-		t.Incidents += own.Incidents.Load()
+	if len(ms) > 0 {
+		var lat stats.Hist
+		for _, m := range ms {
+			lat.Merge(&m.Latency)
+		}
+		t.Latency = latencySnap(&lat)
+		t.SLO = mergedSLORows(ms)
 	}
 	return fs
+}
+
+// mergedSLORows is SLORows over the bucket-wise merge of every ms's
+// stage histograms. The cells are homogeneous, so ms[0]'s budget is
+// each cell's.
+func mergedSLORows(ms []*Metrics) []StageSLO {
+	var rows []StageSLO
+	for i := range ms[0].StageBusy {
+		var busy, span stats.Hist
+		for _, m := range ms {
+			busy.Merge(&m.StageBusy[i])
+			span.Merge(&m.StageSpan[i])
+		}
+		rows = appendSLORow(rows, i, &busy, &span, ms[0].FrameBudgetNS.Load())
+	}
+	return rows
 }

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/queue"
 )
 
 func TestAggregateSnapshots(t *testing.T) {
@@ -63,18 +66,27 @@ func TestAggregateSnapshots(t *testing.T) {
 		t.Fatalf("task mean %v", zf.MeanUS)
 	}
 
-	// The fleet's own Metrics supply what per-cell summaries cannot:
-	// latency percentiles, SLO rows, and its shed incidents.
-	var own Metrics
-	own.ObserveFrame(int64(2 * time.Millisecond))
-	own.ObserveFrame(int64(4 * time.Millisecond))
-	own.Incidents.Add(1)
-	fs = AggregateSnapshots([]CellSnap{mk(0, 100, 2, 9)}, &own)
-	if fs.Totals.Latency.Count != 2 || fs.Totals.Latency.MaxMS < 3.9 {
-		t.Fatalf("latency from the fleet histogram: %+v", fs.Totals.Latency)
+	// The cells' live Metrics supply what per-cell summaries cannot:
+	// latency percentiles and SLO rows, from their histograms merged
+	// bucket-wise, equal to one Metrics fed every cell's frames.
+	var cellMet [2]Metrics
+	var union Metrics
+	for i, ms := range []int64{2, 4, 3, 40, 5} {
+		var rec FrameRec
+		rec.Observe(queue.TaskDecode, 0, ms*int64(time.Millisecond)/4, 2)
+		for _, m := range []*Metrics{&cellMet[i%2], &union} {
+			m.FrameBudgetNS.Store(int64(5 * time.Millisecond))
+			m.ObserveFrame(ms * int64(time.Millisecond))
+			m.ObserveStages(&rec)
+		}
 	}
-	if fs.Totals.Incidents != 1 {
-		t.Fatalf("incidents %d, want the fleet's 1", fs.Totals.Incidents)
+	fs = AggregateSnapshots([]CellSnap{mk(0, 100, 2, 9), mk(1, 300, 1, 12)},
+		[]*Metrics{&cellMet[0], &cellMet[1]})
+	if want := latencySnap(&union.Latency); fs.Totals.Latency != want {
+		t.Fatalf("merged latency %+v, union %+v", fs.Totals.Latency, want)
+	}
+	if want := union.SLORows(); !reflect.DeepEqual(fs.Totals.SLO, want) || len(want) != 1 {
+		t.Fatalf("merged SLO rows %+v, union %+v", fs.Totals.SLO, want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // counter deltas). Healthy frames pay exactly one predicted-not-taken
 // branch; captures are rare by construction, so the ring takes a plain
 // mutex rather than growing lock-free machinery (a fleet has several
-// writer goroutines, one per cell forwarder).
+// writer goroutines, one per cell manager).
 
 // IncidentReason classifies what made the frame bad.
 type IncidentReason uint8

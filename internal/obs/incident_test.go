@@ -65,7 +65,7 @@ func TestIncidentRingMinCapacity(t *testing.T) {
 }
 
 // TestIncidentRingConcurrent hammers Record from several writers (the
-// fleet has one forwarder per cell) against Snapshot/Count readers —
+// fleet's ring has one per cell manager) against Snapshot/Count readers —
 // the -race contract.
 func TestIncidentRingConcurrent(t *testing.T) {
 	r := NewIncidentRing(8)

@@ -142,9 +142,9 @@ func (m *Metrics) ObserveTask(t queue.TaskType, tasks int, busyNS int64) {
 }
 
 // ObserveStages folds one completed frame's attribution record into the
-// live per-stage busy and span histograms. Called by the manager (or a fleet's result
-// forwarder) once per completed frame; stages the frame never ran are
-// skipped so downlink rows stay empty on uplink-only runs.
+// live per-stage busy and span histograms. Called by the manager once
+// per completed frame; stages the frame never ran are skipped so
+// downlink rows stay empty on uplink-only runs.
 func (m *Metrics) ObserveStages(rec *FrameRec) {
 	for i := range rec.Stages {
 		if st := &rec.Stages[i]; st.Tasks > 0 {
@@ -353,30 +353,34 @@ func latencySnap(h *stats.Hist) LatencySnap {
 // SLORows summarizes the live per-stage busy and span histograms,
 // ordered by pipeline stage; stages with no completed frames are omitted.
 func (m *Metrics) SLORows() []StageSLO {
-	budget := float64(m.FrameBudgetNS.Load())
 	var rows []StageSLO
-	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
 	for i := range m.StageBusy {
-		h, sp := &m.StageBusy[i], &m.StageSpan[i]
-		n := h.Count()
-		if n == 0 {
-			continue
-		}
-		row := StageSLO{
-			Stage:      queue.TaskType(i).String(),
-			Frames:     n,
-			MeanBusyUS: us(h.Mean()),
-			P50BusyUS:  us(h.Quantile(50)),
-			P99BusyUS:  us(h.Quantile(99)),
-			MaxBusyUS:  us(h.Max()),
-			MeanSpanUS: us(sp.Mean()),
-			P50SpanUS:  us(sp.Quantile(50)),
-			P99SpanUS:  us(sp.Quantile(99)),
-		}
-		if budget > 0 {
-			row.MeanShare = float64(h.Mean()) / budget
-		}
-		rows = append(rows, row)
+		rows = appendSLORow(rows, i, &m.StageBusy[i], &m.StageSpan[i], m.FrameBudgetNS.Load())
 	}
 	return rows
+}
+
+// appendSLORow appends stage i's row summarizing its busy and span
+// histograms against the frame budget, unless no frame has run the stage.
+func appendSLORow(rows []StageSLO, i int, busy, span *stats.Hist, budgetNS int64) []StageSLO {
+	n := busy.Count()
+	if n == 0 {
+		return rows
+	}
+	us := func(d time.Duration) float64 { return float64(d) / 1e3 }
+	row := StageSLO{
+		Stage:      queue.TaskType(i).String(),
+		Frames:     n,
+		MeanBusyUS: us(busy.Mean()),
+		P50BusyUS:  us(busy.Quantile(50)),
+		P99BusyUS:  us(busy.Quantile(99)),
+		MaxBusyUS:  us(busy.Max()),
+		MeanSpanUS: us(span.Mean()),
+		P50SpanUS:  us(span.Quantile(50)),
+		P99SpanUS:  us(span.Quantile(99)),
+	}
+	if budgetNS > 0 {
+		row.MeanShare = float64(busy.Mean()) / float64(budgetNS)
+	}
+	return append(rows, row)
 }

@@ -114,3 +114,25 @@ func (h *Hist) Quantile(p float64) time.Duration {
 	}
 	return h.Max()
 }
+
+// Merge adds o's samples to h bucket by bucket: counts, total and sum
+// add, and the max is the larger. The buckets are the same in every
+// Hist, so h then answers Quantile, Mean, Max and Count exactly as one
+// histogram fed both sample sets would. Safe while either side is
+// written; a merge taken mid-write may miss the samples in flight.
+func (h *Hist) Merge(o *Hist) {
+	for i := range o.counts {
+		if c := o.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.total.Add(o.total.Load())
+	h.sum.Add(o.sum.Load())
+	m := o.max.Load()
+	for {
+		cur := h.max.Load()
+		if m <= cur || h.max.CompareAndSwap(cur, m) {
+			break
+		}
+	}
+}

@@ -117,3 +117,34 @@ func TestHistNegativeClamps(t *testing.T) {
 			h.Count(), h.Quantile(100))
 	}
 }
+
+// TestHistMerge: hists merged bucket-wise answer every query exactly as
+// one hist fed the union of their samples, including an empty side.
+func TestHistMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var a, b, empty, union Hist
+	for i := 0; i < 5000; i++ {
+		v := int64(rng.ExpFloat64() * 4e5)
+		if i%3 == 0 {
+			b.AddNS(v)
+		} else {
+			a.AddNS(v)
+		}
+		union.AddNS(v)
+	}
+	b.AddNS(9e9) // the max lies on the merged-in side
+	union.AddNS(9e9)
+	var m Hist
+	m.Merge(&a)
+	m.Merge(&empty)
+	m.Merge(&b)
+	if m.Count() != union.Count() || m.Mean() != union.Mean() || m.Max() != union.Max() {
+		t.Fatalf("merged count/mean/max %d/%v/%v, union %d/%v/%v",
+			m.Count(), m.Mean(), m.Max(), union.Count(), union.Mean(), union.Max())
+	}
+	for _, p := range []float64{0, 1, 25, 50, 90, 99, 99.9, 100} {
+		if got, want := m.Quantile(p), union.Quantile(p); got != want {
+			t.Fatalf("q%v merged %v, union %v", p, got, want)
+		}
+	}
+}
