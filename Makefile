@@ -51,8 +51,9 @@ generic:
 # frames, degrade and recover) put the router, the cells' result sinks
 # on their managers and the engines under it too; TestSlowConsumer
 # fills the fleet's result stream while the managers keep retiring, and
-# TestRouterFrameOrder checks the router's admission against the
-# engine's frame-id rule. TestWakeNoLostFrames (a tenth of its frames in short
+# TestRouterFrameOrder and TestDrainWaitsForFarAheadClaim check the
+# router's admission against the engine's per-slot frame-id rule.
+# TestWakeNoLostFrames (a tenth of its frames in short
 # mode) and TestIdleEngineParks are the wake protocol's race coverage:
 # producers reading a role's parked flag while the role raises it, polls
 # once more and parks. TestResendUntilResult (internal/core, 120 frames

@@ -451,6 +451,10 @@ func (e *Engine) sendResult(res FrameResult) {
 	}
 }
 
+// Slots returns the number of frame buffer slots (Options.Slots after
+// defaults); frame id maps to slot id mod Slots.
+func (e *Engine) Slots() int { return e.opts.Slots }
+
 // Drops returns the count of fronthaul packets discarded at admission.
 func (e *Engine) Drops() int64 { return e.drops.Load() }
 

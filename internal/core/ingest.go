@@ -111,9 +111,11 @@ const ownerHeld uint64 = 1 << 32
 func heldBy(id uint32) uint64 { return ownerHeld | uint64(id) }
 
 // FrameIsNew is the id rule's order: frame id is new against newest,
-// the newest id seen so far, when it lies 1 to claimWindow−1 ahead in
-// serial-number order. claim applies it per buffer slot; the fleet's
-// router per cell, so the two agree on which packet starts a frame.
+// the newest id its buffer slot (id mod Slots) has seen, when it lies 1
+// to claimWindow−1 ahead in serial-number order; a slot that has seen
+// no id takes any. claim applies it per slot, and the fleet's router
+// keeps the same per-slot newest ids, so the two agree on which packet
+// starts a frame.
 func FrameIsNew(id, newest uint32) bool { return id-newest-1 < claimWindow-1 }
 
 // newer reports whether frame id a is newer than b in serial-number

@@ -124,10 +124,12 @@ type cell struct {
 	shed      atomic.Int64 // packets the router refused (degraded/draining)
 	badStreak int          // consecutive dropped frames; the sink's alone
 
-	// Router-local (single router goroutine; no atomics needed): the
-	// newest frame id admitted, once seen is set.
-	newest uint32
-	seen   bool
+	// Router-local (single router goroutine; no atomics needed): per
+	// engine buffer slot (frame id mod Slots), the newest frame id
+	// admitted, once seen is set — the engine's own per-slot state
+	// (core.FrameIsNew).
+	newest []uint32
+	seen   []bool
 }
 
 // Fleet is a running multi-cell deployment.
@@ -176,7 +178,8 @@ func New(cfg Config) (*Fleet, error) {
 			}
 			return nil, fmt.Errorf("fleet: cell %d: %w", i, err)
 		}
-		c := &cell{id: i, rru: ring.Side(0), eng: eng}
+		c := &cell{id: i, rru: ring.Side(0), eng: eng,
+			newest: make([]uint32, eng.Slots()), seen: make([]bool, eng.Slots())}
 		eng.SetResultSink(func(r core.FrameResult) { f.retire(c, r) })
 		f.cells[i] = c
 	}

@@ -262,6 +262,16 @@ func TestDegradeAndRecover(t *testing.T) {
 	emitFirstPacketOnly(1)
 	// Two timeouts at threshold 2 => Degraded.
 	waitFor(t, 10*time.Second, func() bool { return f.State(0) == Degraded })
+	// The shed incident is the fleet's own: Snapshot adds it to the
+	// cells' incident counts.
+	fs := f.Snapshot()
+	var cellInc int64
+	for _, cs := range fs.PerCell {
+		cellInc += cs.Incidents
+	}
+	if fs.Totals.Incidents != cellInc+1 {
+		t.Fatalf("fleet incidents %d, want the cells' %d plus one shed", fs.Totals.Incidents, cellInc)
+	}
 
 	// During cooldown, cell 0 sheds new frames; cell 1 still processes.
 	shedBefore := f.Shed()
@@ -321,10 +331,12 @@ func TestServeRing(t *testing.T) {
 
 // TestRouterFrameOrder drives the router with header-only packets of
 // chosen frame ids and checks its admission against the engine's id
-// rule (core.FrameIsNew): an id far ahead is forwarded without being
-// counted admitted, ids wrap from 2³²−1 to 0, and a draining or
-// degraded cell sheds exactly the ids that would start a frame. The
-// engines are not started; forwarded packets wait in the cell's ring.
+// rule (core.FrameIsNew), applied per buffer slot (id mod 8, the
+// default Slots): an id far ahead of its slot is forwarded without
+// being counted admitted, a slot that has seen no id takes any, ids
+// wrap from 2³²−1 to 0, and a draining or degraded cell sheds exactly
+// the ids that would start a frame. The engines are not started;
+// forwarded packets wait in the cell's ring.
 func TestRouterFrameOrder(t *testing.T) {
 	type step struct {
 		state CellState // set before the packet; Degraded means inside the cooldown
@@ -338,21 +350,28 @@ func TestRouterFrameOrder(t *testing.T) {
 		{"far-ahead id is not a new frame", []step{
 			{Active, 5}, {Active, 5 + 1<<30}, {Draining, 6}, {Draining, 5},
 		}, 1, 1},
-		{"the window's last id", []step{
-			{Active, 7}, {Active, 7 + 1<<20 - 1}, {Active, 7 + 1<<20 - 1 + 1<<20},
+		{"far-ahead id into an unclaimed slot", []step{
+			{Active, 0}, {Active, 1 + 1<<30}, {Draining, 1},
 		}, 2, 0},
+		{"the window's edge", []step{
+			{Active, 7}, {Active, 7 + 1<<20}, {Active, 7 + 1<<20 - 8},
+		}, 2, 0},
+		{"reordered frames", []step{
+			{Active, 2}, {Active, 4}, {Active, 3}, {Active, 3}, {Active, 0xFFFFFFFC},
+		}, 3, 0},
 		{"wrap while active", []step{
-			{Active, 0xFFFFFFFE}, {Active, 0xFFFFFFFF}, {Active, 0}, {Active, 1},
+			{Active, 0xFFFFFFF8}, {Active, 0xFFFFFFFF}, {Active, 0}, {Active, 7},
+			{Active, 0xFFFFFFFF},
 		}, 4, 0},
 		{"wrap through a draining cell", []step{
-			{Active, 0xFFFFFFFF}, {Draining, 0xFFFFFFFF}, {Draining, 0}, {Draining, 1},
+			{Active, 0xFFFFFFF8}, {Draining, 0xFFFFFFF8}, {Draining, 0}, {Draining, 8},
 		}, 1, 2},
 		{"degraded cell", []step{
-			{Active, 10}, {Degraded, 10}, {Degraded, 11}, {Degraded, 11 + 1<<30},
-			{Active, 11}, {Active, 11},
+			{Active, 10}, {Degraded, 10}, {Degraded, 18}, {Degraded, 18 + 1<<30},
+			{Active, 18}, {Active, 18},
 		}, 2, 1},
 		{"degraded across the wrap", []step{
-			{Active, 0xFFFFFFFF}, {Degraded, 0}, {Degraded, 0xFFFFFFFF},
+			{Active, 0xFFFFFFF8}, {Degraded, 0}, {Degraded, 0xFFFFFFF8},
 		}, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -376,6 +395,53 @@ func TestRouterFrameOrder(t *testing.T) {
 				t.Fatalf("admitted %d, shed %d; want %d, %d", a, s, tc.admitted, tc.shed)
 			}
 		})
+	}
+}
+
+// TestDrainWaitsForFarAheadClaim: on a started engine, a lone packet
+// whose id lies far ahead but lands in a slot no frame has claimed yet
+// starts a frame — the engine claims the slot and retires the frame
+// Dropped at FrameTimeout — so the router counts it admitted, and Drain
+// returns only after its result, with finished equal to admitted.
+func TestDrainWaitsForFarAheadClaim(t *testing.T) {
+	cfg := smallCfg()
+	opts := coreOpts(1)
+	opts.FrameTimeout = 100 * time.Millisecond
+	f, err := New(Config{Cells: 1, Frame: cfg, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	g := newGens(t, cfg, 1)[0]
+	if err := g.EmitFrame(0, f.Route); err != nil {
+		t.Fatal(err)
+	}
+	const far = 1 + 1<<30 // slot 1 of 8, which no frame has claimed
+	sent := false
+	if err := g.EmitFrame(far, func(pkt []byte) error {
+		if sent {
+			return nil
+		}
+		sent = true
+		return f.Route(pkt)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := f.cells[0]
+	if a := c.admitted.Load(); a != 2 {
+		t.Fatalf("admitted %d, want frame 0 and the far-ahead claim", a)
+	}
+	if err := f.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fin, a := c.finished.Load(), c.admitted.Load(); fin != a {
+		t.Fatalf("finished %d, admitted %d after Drain", fin, a)
+	}
+	for _, r := range collect(t, f, 2, time.Second) {
+		if r.Dropped != (r.Frame == far) {
+			t.Fatalf("frame %d dropped=%v", r.Frame, r.Dropped)
+		}
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 // a degradation cooldown, packets that would START a new frame are shed
 // (counted, dropped) while packets of frames already in flight keep
 // flowing so those frames can finish. A packet starts a new frame when
-// its id is new against the cell's newest admitted id by the engine's
-// own rule (core.FrameIsNew); an id too far ahead is forwarded without
-// admission, and the engine drops it as late. Route is single-caller —
-// the router state it touches is unsynchronized by design; run one
-// Serve loop (or call Route from one goroutine).
+// its id is new against the newest id of its engine buffer slot by the
+// engine's own rule (core.FrameIsNew), so the router counts a frame
+// admitted where the engine claims or refuses a slot for it, and a
+// result answers it; an id too far ahead of its slot is forwarded
+// without admission, and the engine drops it as late. Route is
+// single-caller — the router state it touches is unsynchronized by
+// design; run one Serve loop (or call Route from one goroutine).
 //
 // The packet is copied into the cell's ring on forward; the caller
 // keeps ownership of pkt and may release or reuse it immediately.
@@ -30,12 +32,13 @@ func (f *Fleet) Route(pkt []byte) error {
 		return nil
 	}
 	c := f.cells[int(h.Cell)]
-	if !c.seen || core.FrameIsNew(h.Frame, c.newest) {
+	s := int(h.Frame) % len(c.newest)
+	if !c.seen[s] || core.FrameIsNew(h.Frame, c.newest[s]) {
 		if !c.admitting() {
 			c.shed.Add(1)
 			return nil
 		}
-		c.newest, c.seen = h.Frame, true
+		c.newest[s], c.seen[s] = h.Frame, true
 		c.admitted.Add(1)
 	}
 	return c.rru.Send(pkt)

@@ -57,10 +57,15 @@ func (h *Hist) AddNS(v int64) {
 	h.counts[histIdx(v)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+// raiseMax lifts max to v if v is larger, racing other writers safely.
+func (h *Hist) raiseMax(v int64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
+			return
 		}
 	}
 }
@@ -128,11 +133,5 @@ func (h *Hist) Merge(o *Hist) {
 	}
 	h.total.Add(o.total.Load())
 	h.sum.Add(o.sum.Load())
-	m := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if m <= cur || h.max.CompareAndSwap(cur, m) {
-			break
-		}
-	}
+	h.raiseMax(o.max.Load())
 }
